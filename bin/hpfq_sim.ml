@@ -83,10 +83,8 @@ let hier_engine_arg =
            (see --shards/--epoch). $(b,auto) picks flat for WF2Q+ and \
            generic otherwise.")
 
-(* [`Subtree] knobs. Like --event-set, the experiment drivers build their
-   engines internally, so these set the process-wide defaults that
-   Hier_engine.create falls back on; they only matter with
-   --hier-engine subtree. *)
+(* [`Subtree] settings; they travel in the engine choice and only matter
+   with --hier-engine subtree. *)
 let subtree_shards_arg =
   Arg.(
     value
@@ -108,21 +106,22 @@ let subtree_epoch_arg =
 
 let subtree_workers_arg =
   Arg.(
-    value
-    & opt (some int) None
+    value & opt int 0
     & info [ "epoch-workers" ] ~docv:"N"
         ~doc:
-          "Subtree engine: worker domains flushing shard mailboxes at each \
-           sync (default: cores-1; 0 runs the flushes inline, still \
-           bit-identical for a given epoch).")
+          "Subtree engine: worker domains flushing the shards' staged \
+           arrivals at each sync (default: 0, which runs the flushes \
+           inline, bit-identical to any worker count for a given epoch).")
 
-let set_subtree_config shards epoch workers =
-  Hpfq.Hier_engine.set_default_subtree_config ?shards ?workers ~epoch ()
+let with_subtree_settings engine shards epoch workers =
+  match engine with
+  | `Subtree _ -> `Subtree { Hpfq.Hier_engine.shards; workers; epoch }
+  | (`Generic | `Flat | `Auto) as e -> e
 
-let subtree_term =
+let engine_term =
   Term.(
-    const set_subtree_config $ subtree_shards_arg $ subtree_epoch_arg
-    $ subtree_workers_arg)
+    const with_subtree_settings $ hier_engine_arg $ subtree_shards_arg
+    $ subtree_epoch_arg $ subtree_workers_arg)
 
 let horizon_arg default =
   Arg.(value & opt float default & info [ "horizon" ] ~docv:"SECONDS" ~doc:"Simulated time.")
@@ -254,7 +253,7 @@ let trace_cmd =
 (* -- delay --------------------------------------------------------------- *)
 
 let delay_cmd =
-  let run event_set () engine pool discipline scenario_id horizon seed replications csv =
+  let run event_set engine pool discipline scenario_id horizon seed replications csv =
     set_event_set event_set;
     if replications < 1 then
       invalid_arg (Printf.sprintf "replications must be >= 1, got %d" replications);
@@ -308,14 +307,14 @@ let delay_cmd =
   in
   Cmd.v (Cmd.info "delay" ~doc:"RT-1 delay experiment (paper Figs. 4-7).")
     Term.(
-      const run $ event_set_arg $ subtree_term $ hier_engine_arg $ pool_term
+      const run $ event_set_arg $ engine_term $ pool_term
       $ discipline_arg $ scenario_arg $ horizon_arg 10.0 $ seed_arg
       $ replications_arg $ csv_arg)
 
 (* -- link-sharing -------------------------------------------------------- *)
 
 let link_sharing_cmd =
-  let run event_set () engine pool discipline horizon csv =
+  let run event_set engine pool discipline horizon csv =
     set_event_set event_set;
     let result =
       Experiments.Link_sharing.run ~pool ~engine ~factory:discipline ~horizon ()
@@ -333,7 +332,7 @@ let link_sharing_cmd =
   in
   Cmd.v (Cmd.info "link-sharing" ~doc:"Hierarchical link sharing with TCP (paper Figs. 8-9).")
     Term.(
-      const run $ event_set_arg $ subtree_term $ hier_engine_arg $ pool_term
+      const run $ event_set_arg $ engine_term $ pool_term
       $ discipline_arg
       $ horizon_arg Experiments.Paper_hierarchies.fig8_horizon $ csv_arg)
 
@@ -361,7 +360,7 @@ let wfi_cmd =
 (* -- custom -------------------------------------------------------------- *)
 
 let custom_cmd =
-  let run event_set () engine pool discipline tree_file horizon =
+  let run event_set engine pool discipline tree_file horizon =
     set_event_set event_set;
     match Hpfq.Tree_syntax.parse_file tree_file with
     | Error e ->
@@ -427,7 +426,7 @@ let custom_cmd =
     (Cmd.info "custom"
        ~doc:"Saturate every leaf of a user-defined hierarchy and compare shares to H-GPS.")
     Term.(
-      const run $ event_set_arg $ subtree_term $ hier_engine_arg $ pool_term
+      const run $ event_set_arg $ engine_term $ pool_term
       $ discipline_arg $ tree_arg $ horizon_arg 2.0)
 
 (* -- shard --------------------------------------------------------------- *)
@@ -584,7 +583,7 @@ let shard_cmd =
 (* -- replay -------------------------------------------------------------- *)
 
 let replay_cmd =
-  let run event_set () engine trace_file tree_file burst seed duration mean_pkts
+  let run event_set engine trace_file tree_file burst seed duration mean_pkts
       headroom save =
     set_event_set event_set;
     if burst < 1 then begin
@@ -724,7 +723,7 @@ let replay_cmd =
           H-WF2Q+ hierarchy with burst-drained departures, printing the \
           deterministic departure hash.")
     Term.(
-      const run $ event_set_arg $ subtree_term $ hier_engine_arg $ trace_arg
+      const run $ event_set_arg $ engine_term $ trace_arg
       $ tree_arg $ burst_arg $ seed_arg $ duration_arg $ mean_pkts_arg
       $ headroom_arg $ save_arg)
 
@@ -783,7 +782,6 @@ let tree_cmd =
     Term.(const run $ const ())
 
 let () =
-  Shard.Subtree.register ();
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval

@@ -1,95 +1,17 @@
-(* The subtree-sharded engine lives in [Shard.Subtree], a library layered
-   above this one, so it is reached through a record of closures installed
-   by an explicit [Shard.Subtree.register ()] call (registration by
-   module-initialisation side effect would be fragile under native linking,
-   which can drop unreferenced modules). *)
-type subtree_ops = {
-  st_kind_name : string;
-  st_set_burst_max : int -> unit;
-  st_burst_max : unit -> int;
-  st_leaf_id : string -> Hier.leaf;
-  st_leaf_name : Hier.leaf -> string;
-  st_leaf_ids : unit -> (string * Hier.leaf) list;
-  st_inject : mark:int -> leaf:Hier.leaf -> size_bits:float -> Net.Packet_pool.handle;
-  st_inject_many : mark:int -> leaf:Hier.leaf -> size_bits:float -> count:int -> unit;
-  st_close_leaf : leaf:Hier.leaf -> policy:Sched.Sched_intf.close_policy -> unit;
-  st_reopen_leaf : rate:float option -> leaf:Hier.leaf -> unit;
-  st_leaf_state : leaf:Hier.leaf -> [ `Open | `Closing | `Closed ];
-  st_queue_bits : leaf:Hier.leaf -> float;
-  st_departed_bits : node:string -> float;
-  st_ref_time : node:string -> float;
-  st_node_virtual_time : node:string -> float;
-  st_link_busy : unit -> bool;
-  st_drops : unit -> int;
-  st_add_depart_hook : (Net.Packet.t -> leaf:string -> float -> unit) -> unit;
-  st_add_drop_hook : (Net.Packet.t -> leaf:string -> float -> unit) -> unit;
-  st_add_transmit_start_hook : (Net.Packet.t -> leaf:string -> float -> unit) -> unit;
-  st_add_depart_handle_hook :
-    (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit;
-  st_add_drop_handle_hook :
-    (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit;
-  st_add_transmit_start_handle_hook :
-    (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit;
-  st_pool : unit -> Net.Packet_pool.t;
-  st_root_name : unit -> string;
-  st_node_name : int -> string;
-  st_node_count : unit -> int;
-  st_leaf_path : leaf:Hier.leaf -> int array;
-}
+type subtree = { shards : int option; workers : int; epoch : int }
 
 type t =
   | Generic of Hier.t
   | Flat of Hier_flat.t
-  | Subtree_sharded of subtree_ops
+  | Subtree of Hier_flat.t
 
-type choice = [ `Generic | `Flat | `Auto | `Subtree ]
-
-type subtree_builder =
-  sim:Engine.Simulator.t ->
-  spec:Class_tree.t ->
-  root_clock:[ `Real_time | `Reference_time ] ->
-  on_depart:(Net.Packet.t -> leaf:string -> float -> unit) option ->
-  on_drop:(Net.Packet.t -> leaf:string -> float -> unit) option ->
-  burst_max:int ->
-  shards:int option ->
-  workers:int option ->
-  epoch:int ->
-  mailbox_capacity:int option ->
-  subtree_ops
-
-let subtree_builder : subtree_builder option ref = ref None
-let set_subtree_builder b = subtree_builder := Some b
-
-(* process-wide fallback for the [`Subtree] knobs, same situation as the
-   simulator's default event-set backend: the experiment drivers build
-   their engines internally, so a CLI like [--epoch 8] cannot thread the
-   value through every signature — it sets the default instead. *)
-type subtree_config = {
-  sc_shards : int option;
-  sc_workers : int option;
-  sc_epoch : int;
-  sc_mailbox_capacity : int option;
-}
-
-let subtree_config =
-  ref { sc_shards = None; sc_workers = None; sc_epoch = 1; sc_mailbox_capacity = None }
-
-let set_default_subtree_config ?shards ?workers ?(epoch = 1) ?mailbox_capacity () =
-  if epoch < 1 then
-    invalid_arg "Hier_engine.set_default_subtree_config: epoch must be >= 1";
-  subtree_config :=
-    {
-      sc_shards = shards;
-      sc_workers = workers;
-      sc_epoch = epoch;
-      sc_mailbox_capacity = mailbox_capacity;
-    }
+type choice = [ `Generic | `Flat | `Auto | `Subtree of subtree ]
 
 let choice_of_string = function
   | "generic" -> Ok `Generic
   | "flat" -> Ok `Flat
   | "auto" -> Ok `Auto
-  | "subtree" -> Ok `Subtree
+  | "subtree" -> Ok (`Subtree { shards = None; workers = 0; epoch = 1 })
   | s ->
     Error
       (Printf.sprintf "unknown hier engine %S (expected generic|flat|auto|subtree)" s)
@@ -98,55 +20,31 @@ let choice_to_string = function
   | `Generic -> "generic"
   | `Flat -> "flat"
   | `Auto -> "auto"
-  | `Subtree -> "subtree"
+  | `Subtree _ -> "subtree"
 
 let create ~sim ~spec ~factory ?(engine = `Auto) ?(root_clock = `Real_time)
-    ?on_depart ?on_drop ?(burst_max = 1) ?shards ?workers ?epoch
-    ?mailbox_capacity () =
-  let flat_ok = factory.Sched.Sched_intf.kind = Wf2q_plus.factory.Sched.Sched_intf.kind in
-  let engine =
-    match engine with
-    | `Generic -> `Generic
-    | `Flat ->
-      if not flat_ok then
-        invalid_arg
-          (Printf.sprintf
-             "Hier_engine.create: flat engine only implements WF2Q+, not %s"
-             factory.Sched.Sched_intf.kind);
-      `Flat
-    | `Subtree ->
-      if not flat_ok then
-        invalid_arg
-          (Printf.sprintf
-             "Hier_engine.create: subtree engine only implements WF2Q+, not %s"
-             factory.Sched.Sched_intf.kind);
-      `Subtree
-    | `Auto -> if flat_ok then `Flat else `Generic
+    ?on_depart ?on_drop ?(burst_max = 1) () =
+  let discipline = factory.Sched.Sched_intf.kind in
+  let flat_ok = discipline = Wf2q_plus.factory.Sched.Sched_intf.kind in
+  let require_flat name =
+    if not flat_ok then
+      invalid_arg
+        (Printf.sprintf "Hier_engine.create: %s engine only implements WF2Q+, not %s"
+           name discipline)
+  in
+  let flat ?shards ?workers ?epoch () =
+    Hier_flat.create ~sim ~spec ~root_clock ?on_depart ?on_drop ~burst_max ?shards
+      ?workers ?epoch ()
   in
   match engine with
   | `Flat ->
-    Flat
-      (Hier_flat.create ~sim ~spec ~root_clock ?on_depart ?on_drop ~burst_max ())
-  | `Subtree -> (
-    match !subtree_builder with
-    | None ->
-      invalid_arg
-        "Hier_engine.create: subtree engine not registered (call \
-         Shard.Subtree.register () first)"
-    | Some build ->
-      let c = !subtree_config in
-      let shards = match shards with Some _ -> shards | None -> c.sc_shards in
-      let workers = match workers with Some _ -> workers | None -> c.sc_workers in
-      let epoch = match epoch with Some e -> e | None -> c.sc_epoch in
-      let mailbox_capacity =
-        match mailbox_capacity with
-        | Some _ -> mailbox_capacity
-        | None -> c.sc_mailbox_capacity
-      in
-      Subtree_sharded
-        (build ~sim ~spec ~root_clock ~on_depart ~on_drop ~burst_max ~shards
-           ~workers ~epoch ~mailbox_capacity))
-  | `Generic ->
+    require_flat "flat";
+    Flat (flat ())
+  | `Auto when flat_ok -> Flat (flat ())
+  | `Subtree { shards; workers; epoch } ->
+    require_flat "subtree";
+    Subtree (flat ?shards ~workers ~epoch ())
+  | `Generic | `Auto ->
     Generic
       (Hier.create ~sim ~spec ~make_policy:(Hier.uniform factory) ~root_clock
          ?on_depart ?on_drop ~burst_max ())
@@ -154,165 +52,140 @@ let create ~sim ~spec ~factory ?(engine = `Auto) ?(root_clock = `Real_time)
 let kind = function
   | Generic _ -> `Generic
   | Flat _ -> `Flat
-  | Subtree_sharded _ -> `Subtree
+  | Subtree _ -> `Subtree
 
 let kind_name t =
   match t with
   | Generic _ -> "generic"
   | Flat _ -> "flat"
-  | Subtree_sharded ops -> ops.st_kind_name
+  | Subtree h ->
+    Printf.sprintf "subtree(shards=%d,epoch=%d,workers=%d)" (Hier_flat.shards h)
+      (Hier_flat.epoch h) (Hier_flat.workers h)
 
-let generic = function Generic h -> Some h | _ -> None
-let flat = function Flat h -> Some h | _ -> None
+let generic = function Generic h -> Some h | Flat _ | Subtree _ -> None
+let flat = function Flat h | Subtree h -> Some h | Generic _ -> None
 
 let leaf_id = function
   | Generic h -> Hier.leaf_id h
-  | Flat h -> Hier_flat.leaf_id h
-  | Subtree_sharded ops -> ops.st_leaf_id
+  | Flat h | Subtree h -> Hier_flat.leaf_id h
 
 let leaf_name = function
   | Generic h -> Hier.leaf_name h
-  | Flat h -> Hier_flat.leaf_name h
-  | Subtree_sharded ops -> ops.st_leaf_name
+  | Flat h | Subtree h -> Hier_flat.leaf_name h
 
 let leaf_ids = function
   | Generic h -> Hier.leaf_ids h
-  | Flat h -> Hier_flat.leaf_ids h
-  | Subtree_sharded ops -> ops.st_leaf_ids ()
+  | Flat h | Subtree h -> Hier_flat.leaf_ids h
 
 let inject ?(mark = 0) t ~leaf ~size_bits =
   match t with
   | Generic h -> Hier.inject ~mark h ~leaf ~size_bits
-  | Flat h -> Hier_flat.inject ~mark h ~leaf ~size_bits
-  | Subtree_sharded ops -> ops.st_inject ~mark ~leaf ~size_bits
+  | Flat h | Subtree h -> Hier_flat.inject ~mark h ~leaf ~size_bits
 
 let inject_many ?(mark = 0) t ~leaf ~size_bits ~count =
   match t with
-  | Flat h -> Hier_flat.inject_many ~mark h ~leaf ~size_bits ~count
   | Generic h -> Hier.inject_many ~mark h ~leaf ~size_bits ~count
-  | Subtree_sharded ops -> ops.st_inject_many ~mark ~leaf ~size_bits ~count
+  | Flat h | Subtree h -> Hier_flat.inject_many ~mark h ~leaf ~size_bits ~count
 
 let set_burst_max t n =
   match t with
   | Generic h -> Hier.set_burst_max h n
-  | Flat h -> Hier_flat.set_burst_max h n
-  | Subtree_sharded ops -> ops.st_set_burst_max n
+  | Flat h | Subtree h -> Hier_flat.set_burst_max h n
 
 let burst_max = function
   | Generic h -> Hier.burst_max h
-  | Flat h -> Hier_flat.burst_max h
-  | Subtree_sharded ops -> ops.st_burst_max ()
+  | Flat h | Subtree h -> Hier_flat.burst_max h
 
 let queue_bits t ~leaf =
   match t with
   | Generic h -> Hier.queue_bits h ~leaf
-  | Flat h -> Hier_flat.queue_bits h ~leaf
-  | Subtree_sharded ops -> ops.st_queue_bits ~leaf
+  | Flat h | Subtree h -> Hier_flat.queue_bits h ~leaf
 
 let departed_bits t ~node =
   match t with
   | Generic h -> Hier.departed_bits h ~node
-  | Flat h -> Hier_flat.departed_bits h ~node
-  | Subtree_sharded ops -> ops.st_departed_bits ~node
+  | Flat h | Subtree h -> Hier_flat.departed_bits h ~node
 
 let ref_time t ~node =
   match t with
   | Generic h -> Hier.ref_time h ~node
-  | Flat h -> Hier_flat.ref_time h ~node
-  | Subtree_sharded ops -> ops.st_ref_time ~node
+  | Flat h | Subtree h -> Hier_flat.ref_time h ~node
 
 let node_virtual_time t ~node =
   match t with
   | Generic h -> Hier.node_virtual_time h ~node
-  | Flat h -> Hier_flat.node_virtual_time h ~node
-  | Subtree_sharded ops -> ops.st_node_virtual_time ~node
+  | Flat h | Subtree h -> Hier_flat.node_virtual_time h ~node
 
 let link_busy = function
   | Generic h -> Hier.link_busy h
-  | Flat h -> Hier_flat.link_busy h
-  | Subtree_sharded ops -> ops.st_link_busy ()
+  | Flat h | Subtree h -> Hier_flat.link_busy h
 
 let drops = function
   | Generic h -> Hier.drops h
-  | Flat h -> Hier_flat.drops h
-  | Subtree_sharded ops -> ops.st_drops ()
+  | Flat h | Subtree h -> Hier_flat.drops h
 
 let add_depart_hook t f =
   match t with
   | Generic h -> Hier.add_depart_hook h f
-  | Flat h -> Hier_flat.add_depart_hook h f
-  | Subtree_sharded ops -> ops.st_add_depart_hook f
+  | Flat h | Subtree h -> Hier_flat.add_depart_hook h f
 
 let add_drop_hook t f =
   match t with
   | Generic h -> Hier.add_drop_hook h f
-  | Flat h -> Hier_flat.add_drop_hook h f
-  | Subtree_sharded ops -> ops.st_add_drop_hook f
+  | Flat h | Subtree h -> Hier_flat.add_drop_hook h f
 
 let add_transmit_start_hook t f =
   match t with
   | Generic h -> Hier.add_transmit_start_hook h f
-  | Flat h -> Hier_flat.add_transmit_start_hook h f
-  | Subtree_sharded ops -> ops.st_add_transmit_start_hook f
+  | Flat h | Subtree h -> Hier_flat.add_transmit_start_hook h f
 
 let add_depart_handle_hook t f =
   match t with
   | Generic h -> Hier.add_depart_handle_hook h f
-  | Flat h -> Hier_flat.add_depart_handle_hook h f
-  | Subtree_sharded ops -> ops.st_add_depart_handle_hook f
+  | Flat h | Subtree h -> Hier_flat.add_depart_handle_hook h f
 
 let add_drop_handle_hook t f =
   match t with
   | Generic h -> Hier.add_drop_handle_hook h f
-  | Flat h -> Hier_flat.add_drop_handle_hook h f
-  | Subtree_sharded ops -> ops.st_add_drop_handle_hook f
+  | Flat h | Subtree h -> Hier_flat.add_drop_handle_hook h f
 
 let add_transmit_start_handle_hook t f =
   match t with
   | Generic h -> Hier.add_transmit_start_handle_hook h f
-  | Flat h -> Hier_flat.add_transmit_start_handle_hook h f
-  | Subtree_sharded ops -> ops.st_add_transmit_start_handle_hook f
+  | Flat h | Subtree h -> Hier_flat.add_transmit_start_handle_hook h f
 
 let pool = function
   | Generic h -> Hier.pool h
-  | Flat h -> Hier_flat.pool h
-  | Subtree_sharded ops -> ops.st_pool ()
+  | Flat h | Subtree h -> Hier_flat.pool h
 
 let root_name = function
   | Generic h -> Hier.root_name h
-  | Flat h -> Hier_flat.root_name h
-  | Subtree_sharded ops -> ops.st_root_name ()
+  | Flat h | Subtree h -> Hier_flat.root_name h
 
 let node_name = function
   | Generic h -> Hier.node_name h
-  | Flat h -> Hier_flat.node_name h
-  | Subtree_sharded ops -> ops.st_node_name
+  | Flat h | Subtree h -> Hier_flat.node_name h
 
 let node_count = function
   | Generic h -> Hier.node_count h
-  | Flat h -> Hier_flat.node_count h
-  | Subtree_sharded ops -> ops.st_node_count ()
+  | Flat h | Subtree h -> Hier_flat.node_count h
 
 let leaf_path t ~leaf =
   match t with
   | Generic h -> Hier.leaf_path h ~leaf
-  | Flat h -> Hier_flat.leaf_path h ~leaf
-  | Subtree_sharded ops -> ops.st_leaf_path ~leaf
+  | Flat h | Subtree h -> Hier_flat.leaf_path h ~leaf
 
 let close_leaf t ~leaf ~policy =
   match t with
   | Generic h -> Hier.close_leaf h ~leaf ~policy
-  | Flat h -> Hier_flat.close_leaf h ~leaf ~policy
-  | Subtree_sharded ops -> ops.st_close_leaf ~leaf ~policy
+  | Flat h | Subtree h -> Hier_flat.close_leaf h ~leaf ~policy
 
 let reopen_leaf ?rate t ~leaf =
   match t with
   | Generic h -> Hier.reopen_leaf ?rate h ~leaf
-  | Flat h -> Hier_flat.reopen_leaf ?rate h ~leaf
-  | Subtree_sharded ops -> ops.st_reopen_leaf ~rate ~leaf
+  | Flat h | Subtree h -> Hier_flat.reopen_leaf ?rate h ~leaf
 
 let leaf_state t ~leaf =
   match t with
   | Generic h -> Hier.leaf_state h ~leaf
-  | Flat h -> Hier_flat.leaf_state h ~leaf
-  | Subtree_sharded ops -> ops.st_leaf_state ~leaf
+  | Flat h | Subtree h -> Hier_flat.leaf_state h ~leaf

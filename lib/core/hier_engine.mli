@@ -5,89 +5,34 @@
     fast path. [`Auto] (the default) picks flat when the requested factory
     is WF²Q+ and generic otherwise, so WF²Q+-only trees (the paper's
     headline system) get the fast engine without callers caring.
+    [`Subtree] is {!Hier_flat} with its epoch layer configured (root-child
+    subtrees sharded over worker Domains, the root synced in epochs).
 
     Both engines are driven through the shared subset of their surfaces
     below; use {!generic}/{!flat} to reach engine-specific APIs (e.g.
     per-node observers through {!Obs}' attach functions). *)
 
-(** The [`Subtree] engine ({!Shard.Subtree}, the subtree-sharded epoch
-    engine) lives in a library layered above this one, so the facade holds
-    it as a record of closures built by a registered constructor — see
-    {!set_subtree_builder}. *)
-type subtree_ops = {
-  st_kind_name : string;
-  st_set_burst_max : int -> unit;
-  st_burst_max : unit -> int;
-  st_leaf_id : string -> Hier.leaf;
-  st_leaf_name : Hier.leaf -> string;
-  st_leaf_ids : unit -> (string * Hier.leaf) list;
-  st_inject : mark:int -> leaf:Hier.leaf -> size_bits:float -> Net.Packet_pool.handle;
-  st_inject_many : mark:int -> leaf:Hier.leaf -> size_bits:float -> count:int -> unit;
-  st_close_leaf : leaf:Hier.leaf -> policy:Sched.Sched_intf.close_policy -> unit;
-  st_reopen_leaf : rate:float option -> leaf:Hier.leaf -> unit;
-  st_leaf_state : leaf:Hier.leaf -> [ `Open | `Closing | `Closed ];
-  st_queue_bits : leaf:Hier.leaf -> float;
-  st_departed_bits : node:string -> float;
-  st_ref_time : node:string -> float;
-  st_node_virtual_time : node:string -> float;
-  st_link_busy : unit -> bool;
-  st_drops : unit -> int;
-  st_add_depart_hook : (Net.Packet.t -> leaf:string -> float -> unit) -> unit;
-  st_add_drop_hook : (Net.Packet.t -> leaf:string -> float -> unit) -> unit;
-  st_add_transmit_start_hook : (Net.Packet.t -> leaf:string -> float -> unit) -> unit;
-  st_add_depart_handle_hook :
-    (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit;
-  st_add_drop_handle_hook :
-    (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit;
-  st_add_transmit_start_handle_hook :
-    (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit;
-  st_pool : unit -> Net.Packet_pool.t;
-  st_root_name : unit -> string;
-  st_node_name : int -> string;
-  st_node_count : unit -> int;
-  st_leaf_path : leaf:Hier.leaf -> int array;
+type subtree = {
+  shards : int option;  (** default: one per root child *)
+  workers : int;
+  epoch : int;
 }
+(** Settings of the [`Subtree] engine: {!Hier_flat.create}'s epoch layer
+    ([shards], [workers], [epoch]; see there for their meaning). *)
 
 type t =
   | Generic of Hier.t
   | Flat of Hier_flat.t
-  | Subtree_sharded of subtree_ops
+  | Subtree of Hier_flat.t  (** created with the [`Subtree] settings *)
 
-type choice = [ `Generic | `Flat | `Auto | `Subtree ]
+type choice = [ `Generic | `Flat | `Auto | `Subtree of subtree ]
 
 val choice_of_string : string -> (choice, string) result
 (** Parses ["generic" | "flat" | "auto" | "subtree"] (the [--hier-engine]
-    CLI values). *)
+    CLI values); ["subtree"] carries [shards = None], [workers = 0] and
+    [epoch = 1]. *)
 
 val choice_to_string : choice -> string
-
-type subtree_builder =
-  sim:Engine.Simulator.t ->
-  spec:Class_tree.t ->
-  root_clock:[ `Real_time | `Reference_time ] ->
-  on_depart:(Net.Packet.t -> leaf:string -> float -> unit) option ->
-  on_drop:(Net.Packet.t -> leaf:string -> float -> unit) option ->
-  burst_max:int ->
-  shards:int option ->
-  workers:int option ->
-  epoch:int ->
-  mailbox_capacity:int option ->
-  subtree_ops
-
-val set_subtree_builder : subtree_builder -> unit
-(** Install the [`Subtree] constructor. Called by [Shard.Subtree.register];
-    executables wanting [--hier-engine subtree] run that registration once
-    at startup (explicit registration keeps the wiring robust under native
-    linking, which may drop unreferenced modules). *)
-
-val set_default_subtree_config :
-  ?shards:int -> ?workers:int -> ?epoch:int -> ?mailbox_capacity:int -> unit -> unit
-(** Process-wide fallback for the [`Subtree] knobs, used by {!create} when
-    the corresponding optional argument is omitted (same pattern as the
-    simulator's default event-set backend: experiment drivers build their
-    engines internally, so the CLI sets the default rather than threading a
-    parameter through every signature). Initial default: [epoch = 1], the
-    rest unset. @raise Invalid_argument if [epoch < 1]. *)
 
 val create :
   sim:Engine.Simulator.t ->
@@ -98,24 +43,17 @@ val create :
   ?on_depart:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?on_drop:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?burst_max:int ->
-  ?shards:int ->
-  ?workers:int ->
-  ?epoch:int ->
-  ?mailbox_capacity:int ->
   unit ->
   t
 (** Uniform [factory] at every interior node (mixed-discipline trees must
     use {!Hier.create} directly — they are generic-only). [burst_max]
     (default 1) is the burst-drain cap, forwarded to the chosen engine;
     departure times, stamps and callback order are bit-identical at every
-    setting (see {!Server.create}). [shards], [workers], [epoch] and
-    [mailbox_capacity] configure the [`Subtree] engine and are ignored by
-    the others; when omitted they fall back to
-    {!set_default_subtree_config} (initially [epoch = 1]); see
-    [Shard.Subtree.create] for their meaning.
+    setting (see {!Server.create}). [`Subtree] settings go to
+    {!Hier_flat.create}.
     @raise Invalid_argument if [`Flat] or [`Subtree] is forced with a
-    non-WF²Q+ factory, [`Subtree] is requested with no registered builder,
-    [spec] is invalid, or [burst_max < 1]. *)
+    non-WF²Q+ factory, [spec] is invalid, [burst_max < 1], or a
+    [`Subtree] setting is out of range. *)
 
 val set_burst_max : t -> int -> unit
 (** Change the burst cap; takes effect from the next drain activation.
@@ -130,7 +68,9 @@ val kind_name : t -> string
     (shards/epoch/workers). *)
 
 val generic : t -> Hier.t option
+
 val flat : t -> Hier_flat.t option
+(** The {!Hier_flat} engine behind [`Flat] and [`Subtree]. *)
 
 (** {2 Shared surface} — each delegates to the engine's function of the
     same name; see {!Hier} for contracts. *)

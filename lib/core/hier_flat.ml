@@ -27,7 +27,32 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    Float semantics are kept bit-identical to [Wf2q_plus] (same operation
    order, same [Float_cmp] slack, same [Indexed_heap4] tie-breaking), so the
    generic and flat engines agree exactly — enforced by the qcheck lockstep
-   differential in test/test_hier_flat.ml. *)
+   differential in test/test_hier_flat.ml.
+
+   The epoch layer (DESIGN.md §15) runs the same procedures with the
+   root's WF2Q+ synced in epochs. Interior nodes run on their post-dated
+   clocks [tn], never on simulation time, and preorder numbering makes
+   every root-child subtree a contiguous id range — so shards are disjoint
+   index regions of these arenas, safe to mutate from different Domains
+   with [Pool.Persistent.await] as the happens-before edge. At [epoch = 1]
+   (the default) nothing is staged and the engine is exactly the
+   sequential one. At [epoch = k > 1], arrivals landing while the link
+   transmits are staged per shard; at latest every k-1 departures, and
+   always before the link would go idle, a sync flushes them through the
+   normal ARRIVE / RESTART-NODE code with [flushing] set. That flag
+   switches behaviour at exactly three boundary points, all touching
+   coordinator-owned state: a restart reaching the root records a
+   root-child proposal instead, an arrival backlogging a root child
+   records one too, and a drop parks its handle for the coordinator. The
+   coordinator then applies the proposals to the root in canonical slot
+   order, which gives the (k-1) * l_max / r lag bound of
+   {!Theory.epoch_lag_bound}. *)
+
+module Pool = Parallel.Pool
+
+(* Each shard stages at most this many arrivals between syncs; a full
+   buffer forces an early sync. *)
+let stage_slots = 256
 
 type t = {
   sim : Engine.Simulator.t;
@@ -108,6 +133,29 @@ type t = {
   mutable in_batch : bool;
   mutable batch_has : bool;
   mutable batch_due : float;
+  (* -- the epoch layer -- *)
+  shards : int; (* effective: <= number of root children *)
+  epoch : int;
+  workers : Pool.Persistent.t option; (* Some iff epoch > 1 and workers > 0 *)
+  node_shard : int array; (* node id -> owning shard; -1 at the root *)
+  (* staged arrival handles, [stage_slots] per shard from [s * stage_slots].
+     Staging (coordinator, between syncs) and flushing (the shard's worker,
+     inside a pool round) never overlap, and submit/await orders them, so
+     a plain array is enough. A flush compacts its dropped handles into
+     the front of the shard's region; the coordinator lifts them out
+     before it fires any hook ([take_parked_drops]). *)
+  staged : int array;
+  staged_len : int array;
+  staged_drops : int array;
+  mutable staged_total : int;
+  mutable since_sync : int; (* departures since the last sync *)
+  mutable syncs : int;
+  (* set by the coordinator for the length of a flush round only *)
+  mutable flushing : bool;
+  (* per-root-child boundary proposals recorded while flushing, applied
+     (and cleared) by the coordinator in slot order: '\000' none,
+     'b' backlog, 'r' requeue, 'i' idle *)
+  proposal : Bytes.t;
 }
 
 let nop_leaf_cb _ ~leaf:_ _ = ()
@@ -255,6 +303,10 @@ let drop_leaf_queue t leaf =
     Net.Packet_pool.free t.pool p
   done
 
+(* While flushing, the root belongs to the coordinator: a root child's
+   change of head is recorded for [apply_proposals] instead. *)
+let[@inline] propose t child kind = Bytes.set t.proposal t.session_in_parent.(child) kind
+
 let rec restart_node t n =
   let slot = p_select t n in
   if slot >= 0 then begin
@@ -273,23 +325,26 @@ let rec restart_node t n =
     if n = t.root then start_transmission t
     else begin
       let q = t.parent.(n) in
-      (* the committed head is a fresh logical packet in the parent's
-         system — an observer-only event, nothing to update *)
-      (match t.observers.(q) with
-      | None -> ()
-      | Some o ->
-        let q_now = node_now t q in
-        o.Sched_intf.on_arrive ~now:q_now
-          ~vtime:(linear_v t q ~now:q_now)
-          ~session:t.session_in_parent.(n) ~size_bits:bits);
-      if was_busy then
-        (* line 8: s_n <- f_n *)
-        p_requeue t q ~child:n
-      else
-        (* line 9: s_n <- max(f_n, V_q) *)
-        p_backlog t q ~child:n;
-      (* line 17: keep restarting upward while the parent has no head *)
-      if t.logical.(q) < 0 then restart_node t q
+      if t.flushing && q = t.root then propose t n (if was_busy then 'r' else 'b')
+      else begin
+        (* the committed head is a fresh logical packet in the parent's
+           system — an observer-only event, nothing to update *)
+        (match t.observers.(q) with
+        | None -> ()
+        | Some o ->
+          let q_now = node_now t q in
+          o.Sched_intf.on_arrive ~now:q_now
+            ~vtime:(linear_v t q ~now:q_now)
+            ~session:t.session_in_parent.(n) ~size_bits:bits);
+        if was_busy then
+          (* line 8: s_n <- f_n *)
+          p_requeue t q ~child:n
+        else
+          (* line 9: s_n <- max(f_n, V_q) *)
+          p_backlog t q ~child:n;
+        (* line 17: keep restarting upward while the parent has no head *)
+        if t.logical.(q) < 0 then restart_node t q
+      end
     end
   end
   else begin
@@ -298,8 +353,11 @@ let rec restart_node t n =
     Bytes.unsafe_set t.busy n '\000';
     if n <> t.root && was_busy then begin
       let q = t.parent.(n) in
-      p_set_idle t q ~child:n;
-      if t.logical.(q) < 0 then restart_node t q
+      if t.flushing && q = t.root then propose t n 'i'
+      else begin
+        p_set_idle t q ~child:n;
+        if t.logical.(q) < 0 then restart_node t q
+      end
     end
   end
 
@@ -370,6 +428,15 @@ and complete_transmission t pkt =
   t.link_busy <- false;
   let now = Engine.Simulator.now t.sim in
   Array.unsafe_set t.now_cache 0 now;
+  if t.epoch > 1 then begin
+    (* epoch boundary: integrate staged arrivals before RESET-PATH picks
+       the next packet, so a proposal is never more than epoch-1
+       departures stale. The link is idle and the departing packet still
+       owns [logical] along its path, so applying proposals here cannot
+       start a transmission out from under the reset. *)
+    t.since_sync <- t.since_sync + 1;
+    if t.staged_total > 0 && t.since_sync >= t.epoch - 1 then sync_now t
+  end;
   let leaf = Net.Packet_pool.flow t.pool pkt in
   let bits = Net.Packet_pool.size_bits t.pool pkt in
   (* account W_n along the precomputed leaf-to-root path *)
@@ -382,7 +449,10 @@ and complete_transmission t pkt =
   reset_path t leaf;
   (* the handle outlives RESET-PATH (which pops it from the leaf fifo) and
      every callback; only now is the slot safe to recycle *)
-  Net.Packet_pool.free t.pool pkt
+  Net.Packet_pool.free t.pool pkt;
+  (* never leave the link idle with staged work: the sequential schedule
+     would have started one of those packets already *)
+  if t.epoch > 1 && (not t.link_busy) && t.staged_total > 0 then sync_now t
 
 (* RESET-PATH: clear the logical queues down the transmitted packet's path
    (it IS the active path — every logical head on it is this packet),
@@ -417,11 +487,157 @@ and reset_path t leaf =
     end);
   restart_node t q
 
+(* ARRIVE for an allocated, sequenced packet: inline from [inject], or for a
+   staged one inside a flush round. Reads the size back from the pool so no
+   float crosses the call. *)
+and arrive t pkt ~leaf =
+  if not (Net.Fifo.push t.fifos.(leaf) pkt) then begin
+    if t.flushing then begin
+      (* park the handle at the front of its shard's staging region; the
+         coordinator counts it, fires [on_drop] and frees it after the round
+         (workers never free) *)
+      let s = t.node_shard.(leaf) in
+      let d = t.staged_drops.(s) in
+      t.staged.((s * stage_slots) + d) <- pkt;
+      t.staged_drops.(s) <- d + 1
+    end
+    else begin
+      t.drops <- t.drops + 1;
+      Log.debug (fun m ->
+          m "drop at leaf %s: %g bits, queue %g bits full" t.names.(leaf)
+            (Net.Packet_pool.size_bits t.pool pkt)
+            (Net.Fifo.bits t.fifos.(leaf)));
+      t.on_drop pkt ~leaf:t.names.(leaf) (Array.unsafe_get t.now_cache 0);
+      Net.Packet_pool.free t.pool pkt
+    end
+  end
+  else begin
+    let q = t.parent.(leaf) in
+    (match t.observers.(q) with
+    | None -> ()
+    | Some o ->
+      let q_now = node_now t q in
+      o.Sched_intf.on_arrive ~now:q_now
+        ~vtime:(linear_v t q ~now:q_now)
+        ~session:t.session_in_parent.(leaf)
+        ~size_bits:(Net.Packet_pool.size_bits t.pool pkt));
+    (* ARRIVE lines 2-3: nothing more to do when the subtree has a head *)
+    if t.logical.(leaf) < 0 then begin
+      t.logical.(leaf) <- leaf;
+      t.logical_bits.(leaf) <- Net.Packet_pool.size_bits t.pool pkt;
+      if t.flushing && q = t.root then propose t leaf 'b'
+      else begin
+        p_backlog t q ~child:leaf;
+        if Bytes.get t.busy q = '\000' then restart_node t q
+      end
+    end
+  end
+
+(* One shard's flush, on its worker Domain (or inline): touches only
+   shard-owned node and arena indices plus the shard's staging cells. *)
+and flush_shard t s =
+  let base = s * stage_slots in
+  let n = t.staged_len.(s) in
+  t.staged_len.(s) <- 0;
+  for i = base to base + n - 1 do
+    let pkt = t.staged.(i) in
+    arrive t pkt ~leaf:(Net.Packet_pool.flow t.pool pkt)
+  done
+
+and sync_now t =
+  t.since_sync <- 0;
+  if t.staged_total > 0 then begin
+    t.staged_total <- 0;
+    t.syncs <- t.syncs + 1;
+    t.flushing <- true;
+    (match t.workers with
+    | Some pool ->
+      let round = Pool.Persistent.submit pool ~tasks:t.shards ~f:(flush_shard t) in
+      ignore (Pool.Persistent.await round)
+    | None ->
+      for s = 0 to t.shards - 1 do
+        flush_shard t s
+      done);
+    t.flushing <- false;
+    apply_proposals t
+  end
+
+and apply_proposals t =
+  let dropped = take_parked_drops t in
+  (* canonical slot order, so the root-side heap insertion order — and with
+     it every tie-break — is independent of the shard partition *)
+  let off = t.children_off.(t.root) in
+  for slot = 0 to t.children_len.(t.root) - 1 do
+    match Bytes.get t.proposal slot with
+    | '\000' -> ()
+    | kind ->
+      Bytes.set t.proposal slot '\000';
+      let child = t.child_ids.(off + slot) in
+      (match kind with
+      | 'r' -> p_requeue t t.root ~child
+      | 'b' -> p_backlog t t.root ~child
+      | _ -> p_set_idle t t.root ~child);
+      if t.logical.(t.root) < 0 then restart_node t t.root
+  done;
+  for i = 0 to Array.length dropped - 1 do
+    let p = dropped.(i) in
+    t.drops <- t.drops + 1;
+    t.on_drop p
+      ~leaf:t.names.(Net.Packet_pool.flow t.pool p)
+      (Net.Packet_pool.arrival t.pool p);
+    Net.Packet_pool.free t.pool p
+  done
+
+(* Lifts the flush round's parked drops out of the staging regions, in
+   shard order, before any hook can run: a hook may inject and start a
+   nested sync, which must find staged arrivals only. The round left every
+   region's staged count at 0, so nothing sits behind the drops. *)
+and take_parked_drops t =
+  let n = ref 0 in
+  for s = 0 to t.shards - 1 do
+    n := !n + t.staged_drops.(s)
+  done;
+  if !n = 0 then [||]
+  else begin
+    let dropped = Array.make !n 0 in
+    let k = ref 0 in
+    for s = 0 to t.shards - 1 do
+      let d = t.staged_drops.(s) in
+      Array.blit t.staged (s * stage_slots) dropped !k d;
+      k := !k + d;
+      t.staged_drops.(s) <- 0
+    done;
+    dropped
+  end
+
+(* Lifecycle operations and state accessors run an epoch boundary first, so
+   they observe every staged arrival (a no-op at epoch 1). *)
+let sync_if_staged t =
+  if t.epoch > 1 && t.staged_total > 0 then begin
+    Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
+    sync_now t
+  end
+
+(* Called from [inject_at], which has refreshed [now_cache]. *)
+let stage t pkt ~leaf =
+  let s = t.node_shard.(leaf) in
+  (* a full region is an early epoch boundary, which empties it *)
+  if t.staged_len.(s) = stage_slots then sync_now t;
+  let n = t.staged_len.(s) in
+  t.staged.((s * stage_slots) + n) <- pkt;
+  t.staged_len.(s) <- n + 1;
+  t.staged_total <- t.staged_total + 1
+
 (* -- Construction --------------------------------------------------------- *)
 
 let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
-    ?(burst_max = 1) () =
+    ?(burst_max = 1) ?shards ?(workers = 0) ?(epoch = 1) () =
   if burst_max < 1 then invalid_arg "Hier_flat.create: burst_max must be >= 1";
+  if epoch < 1 then invalid_arg "Hier_flat.create: epoch must be >= 1";
+  if workers < 0 then invalid_arg "Hier_flat.create: workers must be >= 0";
+  (match shards with
+  | Some s when s < 1 -> invalid_arg "Hier_flat.create: shards must be >= 1"
+  | _ -> ());
   (match Class_tree.validate spec with
   | Ok () -> ()
   | Error errors ->
@@ -531,6 +747,26 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
     Array.init n_nodes (fun id ->
         if is_leaf.(id) then dummy_heap else Ih.create (max 1 children_len.(id)))
   in
+  (* shard assignment: root-child subtrees round-robin over the effective
+     shard count; preorder contiguity means one pass suffices *)
+  let root_children = children_len.(root) in
+  let shards =
+    match shards with
+    | Some s -> max 1 (min s root_children)
+    | None -> max 1 root_children
+  in
+  let node_shard = Array.make n_nodes (-1) in
+  let cur = ref (-1) in
+  for id = 0 to n_nodes - 1 do
+    if id <> root then begin
+      if parent.(id) = root then cur := session_in_parent.(id) mod shards;
+      node_shard.(id) <- !cur
+    end
+  done;
+  let workers =
+    if epoch > 1 && workers > 0 then Some (Pool.Persistent.create ~domains:workers ())
+    else None
+  in
   let t =
     {
       sim;
@@ -584,6 +820,18 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       in_batch = false;
       batch_has = false;
       batch_due = 0.0;
+      shards;
+      epoch;
+      workers;
+      node_shard;
+      staged = (if epoch > 1 then Array.make (shards * stage_slots) (-1) else [||]);
+      staged_len = Array.make shards 0;
+      staged_drops = Array.make shards 0;
+      staged_total = 0;
+      since_sync = 0;
+      syncs = 0;
+      flushing = false;
+      proposal = Bytes.make (max 1 root_children) '\000';
     }
   in
   (match on_depart with
@@ -604,9 +852,17 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       t.in_flight_leaf <- -1;
       drain t leaf);
   Log.info (fun m ->
-      m "created flat H-WF2Q+ server: %d nodes, %d leaves, root rate %a" n_nodes
-        (List.length t.leaf_list) Engine.Units.pp_rate rate.(root));
+      m "created flat H-WF2Q+ server: %d nodes, %d leaves, root rate %a, %d shards, \
+         epoch %d"
+        n_nodes (List.length t.leaf_list) Engine.Units.pp_rate rate.(root) shards epoch);
   t
+
+let shutdown t = Option.iter Pool.Persistent.shutdown t.workers
+let shards t = t.shards
+let epoch t = t.epoch
+let workers t = match t.workers with Some p -> Pool.Persistent.domains p | None -> 0
+let sync_rounds t = t.syncs
+let node_shard t id = t.node_shard.(id)
 
 (* -- Public operations ---------------------------------------------------- *)
 
@@ -635,33 +891,13 @@ let inject_at t ~mark ~leaf ~size_bits ~now =
       ~arrival:now
   in
   t.next_seq.(leaf) <- t.next_seq.(leaf) + 1;
-  if not (Net.Fifo.push t.fifos.(leaf) pkt) then begin
-    t.drops <- t.drops + 1;
-    Log.debug (fun m ->
-        m "drop at leaf %s: %g bits, queue %g bits full" t.names.(leaf) size_bits
-          (Net.Fifo.bits t.fifos.(leaf)));
-    t.on_drop pkt ~leaf:t.names.(leaf) now;
-    Net.Packet_pool.free t.pool pkt;
-    pkt
-  end
-  else begin
-    let q = t.parent.(leaf) in
-    (match t.observers.(q) with
-    | None -> ()
-    | Some o ->
-      let q_now = node_now t q in
-      o.Sched_intf.on_arrive ~now:q_now
-        ~vtime:(linear_v t q ~now:q_now)
-        ~session:t.session_in_parent.(leaf) ~size_bits);
-    (* ARRIVE lines 2-3: nothing more to do when the subtree has a head *)
-    if t.logical.(leaf) < 0 then begin
-      t.logical.(leaf) <- leaf;
-      t.logical_bits.(leaf) <- size_bits;
-      p_backlog t q ~child:leaf;
-      if Bytes.get t.busy q = '\000' then restart_node t q
-    end;
-    pkt
-  end
+  (* epoch > 1: an arrival on a busy link is staged (stamped and sequenced
+     now, integrated at the next sync); one on an idle link takes the
+     inline path — the sequential schedule would start it immediately, and
+     deferring it would break the lag bound *)
+  if t.epoch > 1 && (t.link_busy || t.staged_total > 0) then stage t pkt ~leaf
+  else arrive t pkt ~leaf;
+  pkt
 
 let inject_one t ~mark ~leaf ~size_bits =
   let now = Engine.Simulator.now t.sim in
@@ -702,6 +938,7 @@ let leaf_state t ~(leaf : Hier.leaf) =
    observer event — exactly what [Wf2q_plus.close_session `Drop] does —
    and lets the restart cascade repair the cleared ancestors. *)
 let close_leaf t ~(leaf : Hier.leaf) ~policy =
+  sync_if_staged t;
   let leaf = (leaf :> int) in
   if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.close_leaf: not a leaf";
   if Bytes.get t.lifecycle leaf <> '\000' then
@@ -745,6 +982,7 @@ let close_leaf t ~(leaf : Hier.leaf) ~policy =
       end
 
 let reopen_leaf ?rate t ~(leaf : Hier.leaf) =
+  sync_if_staged t;
   let leaf = (leaf :> int) in
   if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.reopen_leaf: not a leaf";
   (match Bytes.get t.lifecycle leaf with
@@ -768,14 +1006,21 @@ let reopen_leaf ?rate t ~(leaf : Hier.leaf) =
   Bytes.set t.lifecycle leaf '\000'
 
 let queue_bits t ~(leaf : Hier.leaf) =
+  sync_if_staged t;
   let leaf = (leaf :> int) in
   if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.queue_bits: not a leaf";
   Net.Fifo.bits t.fifos.(leaf)
 
-let departed_bits t ~node = t.departed_bits.(node_by_name t node)
-let ref_time t ~node = t.tn.(node_by_name t node)
+let departed_bits t ~node =
+  sync_if_staged t;
+  t.departed_bits.(node_by_name t node)
+
+let ref_time t ~node =
+  sync_if_staged t;
+  t.tn.(node_by_name t node)
 
 let node_virtual_time t ~node =
+  sync_if_staged t;
   let id = node_by_name t node in
   if t.children_len.(id) = 0 then
     invalid_arg "Hier_flat.node_virtual_time: leaf has no policy";
@@ -783,7 +1028,9 @@ let node_virtual_time t ~node =
   linear_v t id ~now:(node_now t id)
 
 let link_busy t = t.link_busy
-let drops t = t.drops
+let drops t =
+  sync_if_staged t;
+  t.drops
 
 let set_burst_max t n =
   if n < 1 then invalid_arg "Hier_flat.set_burst_max: burst_max must be >= 1";
@@ -829,12 +1076,19 @@ let iter_interior t f =
         ~children:(Array.sub t.child_ids t.children_off.(id) t.children_len.(id))
   done
 
+(* At epoch > 1 the backlog/requeue events would fire on worker domains. *)
+let check_observer_epoch t fn observer =
+  if t.epoch > 1 && Option.is_some observer then
+    invalid_arg (Printf.sprintf "Hier_flat.%s: observers require epoch = 1" fn)
+
 let set_node_observer_id t ~node observer =
+  check_observer_epoch t "set_node_observer_id" observer;
   if node < 0 || node >= t.n_nodes || t.children_len.(node) = 0 then
     invalid_arg "Hier_flat.set_node_observer_id: not an interior node";
   t.observers.(node) <- observer
 
 let set_node_observer t ~node observer =
+  check_observer_epoch t "set_node_observer" observer;
   let id = node_by_name t node in
   if t.children_len.(id) = 0 then
     invalid_arg "Hier_flat.set_node_observer: leaf has no policy";

@@ -24,7 +24,31 @@
 
     Packets live in a per-hierarchy {!Net.Packet_pool}; the engine moves
     immediate int handles and a boxed {!Net.Packet.t} is materialised only
-    inside the boxed hook wrappers. *)
+    inside the boxed hook wrappers.
+
+    {2 The epoch layer}
+
+    The same engine also runs one hierarchy across Domains. Interior nodes
+    run eq. 27–29 on their post-dated reference clocks [T_n] — only the
+    root reads the simulator — so a root-child subtree's state is a pure
+    function of the operations applied to it, and the preorder numbering
+    makes each such subtree a contiguous node-id range. Shards own disjoint
+    index regions of the arenas; worker Domains from a
+    {!Parallel.Pool.Persistent} integrate staged arrivals through the
+    normal ARRIVE / RESTART-NODE code, and the root's WF²Q+ stays on the
+    calling (coordinator) domain. [epoch] selects the regime:
+
+    - [epoch = 1] (default): nothing is staged — the sequential engine at
+      any shard/worker count.
+    - [epoch = k > 1]: arrivals landing while the link transmits are
+      staged; at latest every [k-1] departures — and always before the link
+      would go idle — a sync integrates them and applies each root child's
+      new head to the root in canonical slot order. Per-session service lag
+      vs the sequential schedule is bounded by [(k-1) * l_max / r]
+      ({!Theory.epoch_lag_bound}); with the shard partition fixed, results
+      are bit-identical at any worker count. Lifecycle operations and
+      state accessors run a sync first, so they observe every staged
+      arrival. *)
 
 type t
 
@@ -35,14 +59,47 @@ val create :
   ?on_depart:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?on_drop:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?burst_max:int ->
+  ?shards:int ->
+  ?workers:int ->
+  ?epoch:int ->
   unit ->
   t
 (** Every interior node runs WF²Q+ over its children; [root_clock] has the
     same meaning as in {!Hier.create}, [burst_max] (default 1) as in
     {!Server.create} — departure times, stamps and callback order are
     bit-identical at every setting.
+
+    The epoch layer: [epoch] (default [1]) is the root sync period in
+    departures. [shards] (default: one per root child) is clamped to the
+    number of root children; each shard stages at most 256 arrivals, and a
+    full shard forces an early sync. [workers] (default [0]) worker Domains
+    run the flush rounds — [0] runs them inline on the calling domain,
+    bit-identical to any positive count. Worker Domains are spawned only
+    when [epoch > 1] and [workers > 0]; release them with {!shutdown}.
     @raise Invalid_argument if [spec] fails {!Class_tree.validate}, its
-    root is a leaf, or [burst_max < 1]. *)
+    root is a leaf, [burst_max < 1], [shards < 1], [workers < 0] or
+    [epoch < 1]. *)
+
+val shutdown : t -> unit
+(** Join the worker Domains (idempotent; a no-op without any). Pools left
+    open are closed by {!Parallel.Pool.Persistent}'s [at_exit] hook, but
+    long-lived processes building many engines should shut each one
+    down. *)
+
+val shards : t -> int
+(** Effective shard count after clamping. *)
+
+val epoch : t -> int
+
+val workers : t -> int
+(** Worker Domains actually spawned ([0] at [epoch = 1]). *)
+
+val sync_rounds : t -> int
+(** Number of epoch syncs that integrated at least one staged arrival
+    (always [0] at [epoch = 1]). *)
+
+val node_shard : t -> int -> int
+(** Owning shard of a node id; [-1] for the root (coordinator-owned). *)
 
 val set_burst_max : t -> int -> unit
 (** Change the burst cap; takes effect from the next drain activation.
@@ -61,7 +118,9 @@ val leaf_ids : t -> (string * Hier.leaf) list
 
 val pool : t -> Net.Packet_pool.t
 (** The hierarchy's packet arena (to read fields of a handle inside a
-    [_handle_] hook, or to materialise a boxed view). *)
+    [_handle_] hook, or to materialise a boxed view). Alloc and free are
+    coordinator-only; shard workers only read fields of live handles
+    during a sync round. *)
 
 val inject : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> Net.Packet_pool.handle
 (** Same contract as {!Hier.inject}: returns the packet's pool handle; if
@@ -139,7 +198,9 @@ val iter_interior :
 
 val set_node_observer : t -> node:string -> Sched.Sched_intf.observer option -> unit
 (** @raise Not_found if no such node.
-    @raise Invalid_argument if the node is a leaf. *)
+    @raise Invalid_argument if the node is a leaf, or when installing an
+    observer at [epoch > 1] (backlog and requeue events would fire on
+    worker domains). Clearing is always allowed. *)
 
 val set_node_observer_id : t -> node:int -> Sched.Sched_intf.observer option -> unit
 (** Same, by node id (as handed to {!iter_interior}). *)

@@ -43,6 +43,6 @@ let server ~sim ?observer ?(initial_sessions = [||]) ?on_depart ?on_drop ~rate f
   (srv, handles)
 
 let hier ~sim ~spec ?(factory = Disciplines.wf2q_plus) ?engine ?root_clock ?on_depart
-    ?on_drop ?burst_max ?shards ?workers ?epoch ?mailbox_capacity () =
+    ?on_drop ?burst_max () =
   Hier_engine.create ~sim ~spec ~factory ?engine ?root_clock ?on_depart ?on_drop
-    ?burst_max ?shards ?workers ?epoch ?mailbox_capacity ()
+    ?burst_max ()

@@ -67,16 +67,10 @@ val hier :
   ?on_depart:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?on_drop:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?burst_max:int ->
-  ?shards:int ->
-  ?workers:int ->
-  ?epoch:int ->
-  ?mailbox_capacity:int ->
   unit ->
   Hier_engine.t
 (** A hierarchical server over [spec] with a uniform discipline at every
     interior node (default WF²Q+, giving H-WF²Q+ on the fast flat engine
     via [`Auto]). Delegates to {!Hier_engine.create}; mixed-discipline
     trees still call {!Hier.create} directly. Leaf lifecycle (close /
-    reopen) is on the returned engine: {!Hier_engine.close_leaf}.
-    [shards]/[workers]/[epoch]/[mailbox_capacity] configure the [`Subtree]
-    engine (see {!Hier_engine.create}) and are ignored by the others. *)
+    reopen) is on the returned engine: {!Hier_engine.close_leaf}. *)

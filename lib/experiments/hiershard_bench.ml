@@ -2,7 +2,8 @@
 
    The shard suite ("shard") scales N *independent* per-link hierarchies;
    this one scales ONE giant hierarchy: the root's child subtrees
-   partitioned over Shard.Subtree shards, the root's WF2Q+ run in epochs.
+   partitioned over Hier_flat's epoch-layer shards, the root's WF2Q+ run in
+   epochs.
    Two claims, guarded differently:
 
    - *exactness at epoch 1*: every epoch = 1 rung must produce the same
@@ -16,7 +17,6 @@
      speedup curve). Oversubscribed rungs are reported, not gated. *)
 
 module Json = Bench_kit.Json
-module ST = Shard.Subtree
 module HF = Hpfq.Hier_flat
 module CT = Hpfq.Class_tree
 
@@ -106,25 +106,25 @@ let run_cell ~spec ~program ~shards ~epoch ~workers =
   let sim = Engine.Simulator.create () in
   let pkts = ref 0 and hash = ref 0xcbf29ce484222325L in
   let t =
-    ST.create ~sim ~spec ~shards ~workers ~epoch
+    HF.create ~sim ~spec ~shards ~workers ~epoch
       ~on_depart:(fun pkt ~leaf t ->
         incr pkts;
         hash := hash_depart !hash pkt ~leaf t)
       ()
   in
   let ids =
-    Array.of_list (List.map (fun (name, _) -> ST.leaf_id t name) (CT.leaves spec))
+    Array.of_list (List.map (fun (name, _) -> HF.leaf_id t name) (CT.leaves spec))
   in
   List.iter
     (fun (at, leaf, size_bits, count) ->
       ignore
         (Engine.Simulator.schedule sim ~at (fun () ->
-             ST.inject_many t ~leaf:ids.(leaf) ~size_bits ~count)))
+             HF.inject_many t ~leaf:ids.(leaf) ~size_bits ~count)))
     program;
   let t0 = Unix.gettimeofday () in
   Engine.Simulator.run sim;
   let wall = Unix.gettimeofday () -. t0 in
-  ST.shutdown t;
+  HF.shutdown t;
   (wall, !pkts, !hash)
 
 let measure ?(quick = false) () =

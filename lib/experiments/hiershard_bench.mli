@@ -1,12 +1,12 @@
 (** Subtree-sharded hierarchy suite (bench id "hiershard").
 
     Runs ONE wide H-WF²Q+ hierarchy — 16 root-child subtrees of 4 leaves
-    — through {!Shard.Subtree} across a shards × epoch grid under an
-    overloaded burst workload, against a sequential {!Hpfq.Hier_flat}
-    reference. Two contracts are binding on every host, even single-core:
-    every [epoch = 1] rung's departure hash must equal the flat
-    reference's, and every [epoch > 1] rung must be worker-count
-    invariant (the same cell re-run with inline flushes must hash
+    — through {!Hpfq.Hier_flat}'s epoch layer across a shards × epoch
+    grid under an overloaded burst workload, against the sequential
+    engine ([epoch = 1]) as reference. Two contracts are binding on every
+    host, even single-core: every [epoch = 1] rung's departure hash must
+    equal the flat reference's, and every [epoch > 1] rung must be
+    worker-count invariant (the same cell re-run with inline flushes must hash
     identically) — {!measure} raises [Failure] on either divergence.
 
     Results go to [BENCH_hiershard.json]; {!guard} re-measures and holds

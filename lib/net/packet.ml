@@ -7,7 +7,7 @@ type t = {
   mark : int;
 }
 
-(* Atomic: [make] is callable from worker Domains (Shard.Subtree staged
+(* Atomic: [make] is callable from worker Domains (the subtree engine staged
    the old [int ref] from workers, racing uid assignment). The pooled
    packet plane sidesteps this counter entirely — pool handles carry
    their own identity — but direct [make] users (fluid reference systems,

@@ -11,9 +11,9 @@
    needs 2^31 recycles of one slot).
 
    Thread-safety: a pool is single-domain. Engines that shard across
-   Domains ([Shard.Subtree]) confine alloc/free to the coordinator and let
-   workers only read pooled fields of live handles, with the fork/join
-   barrier as the happens-before edge. *)
+   Domains ([Hier_flat]'s epoch layer) confine alloc/free to the
+   coordinator and let workers only read pooled fields of live handles,
+   with the fork/join barrier as the happens-before edge. *)
 
 type handle = int
 

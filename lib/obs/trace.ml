@@ -184,11 +184,8 @@ let attach_hier_flat ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) h =
 let attach_engine ?capacity ?on_full e =
   match e with
   | Hpfq.Hier_engine.Generic h -> attach_hier ?capacity ?on_full h
-  | Hpfq.Hier_engine.Flat h -> attach_hier_flat ?capacity ?on_full h
-  | Hpfq.Hier_engine.Subtree_sharded _ ->
-    (* per-node observers would fire on worker domains at epoch > 1; run
-       traced experiments on the flat engine instead *)
-    invalid_arg "Obs.Trace.attach_engine: the subtree engine is not traceable"
+  | Hpfq.Hier_engine.Flat h | Hpfq.Hier_engine.Subtree h ->
+    attach_hier_flat ?capacity ?on_full h
 
 let attach_server ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest)
     ?(name = "server") ?session_names srv =

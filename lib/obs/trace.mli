@@ -30,7 +30,10 @@ val attach_hier_flat :
     same workload are identical (the lockstep tests rely on this). *)
 
 val attach_engine : ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier_engine.t -> t
-(** Dispatch {!attach_hier} / {!attach_hier_flat} on the facade. *)
+(** Dispatch {!attach_hier} / {!attach_hier_flat} on the facade
+    ([`Subtree] engines are {!Hpfq.Hier_flat}).
+    @raise Invalid_argument on a [`Subtree] engine at [epoch > 1], from
+    {!Hpfq.Hier_flat.set_node_observer_id}. *)
 
 val attach_server :
   ?capacity:int ->

@@ -1,1090 +1,3 @@
-module Ih = Prioq.Indexed_heap4
-module Pool = Parallel.Pool
-
-let log_src =
-  Logs.Src.create "hpfq.subtree" ~doc:"Subtree-sharded H-WF2Q+ server"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* Subtree-sharded H-WF2Q+: one giant hierarchy, its root-child subtrees
-   partitioned across shards, with the root's WF2Q+ run in epochs.
-
-   The enabling observation (see DESIGN.md): in [Hier_flat], every interior
-   node's virtual-time machinery runs on the node's post-dated reference
-   clock [tn] — never on wall-clock simulation time. Only the root (under
-   the default [`Real_time] clock) reads the simulator. So the state of a
-   root-child subtree evolves as a pure function of the sequence of
-   operations applied to it, and the preorder node numbering makes every
-   such subtree a contiguous id range: shards are disjoint index regions of
-   the same flat arenas, safe to mutate from different Domains (distinct
-   array cells and bytes are distinct memory locations in the OCaml memory
-   model), with [Pool.Persistent.await] as the happens-before edge.
-
-   Two regimes, selected by [epoch]:
-
-   - [epoch = 1] — the synchronous engine. Every operation runs inline on
-     the calling (coordinator) domain in exactly [Hier_flat]'s order; the
-     scheduler-visible code below mirrors hier_flat.ml line for line, so
-     departures, eq. 27-29 stamps, drops and clocks are bit-identical to
-     the sequential engine at any shard/worker count (enforced by the
-     qcheck lockstep differential in test/test_subtree.ml).
-
-   - [epoch = k > 1] — the epoch-batched engine. Arrivals that land while
-     the link is transmitting are staged into per-shard SPSC mailboxes
-     instead of being integrated immediately. Every epoch — at latest every
-     k-1 departures, and always when the link would go idle — the
-     coordinator runs a sync: shard workers drain their mailboxes in
-     parallel, pushing each packet through the shard-private part of ARRIVE
-     (fifo, eq. 28 backlog at the leaf's parent, the RESTART-NODE cascade
-     up to the subtree root), and record at most one boundary effect per
-     root-child (its freshly committed head — the shard's eligible-head
-     proposal). The coordinator then applies the proposals to the root's
-     WF2Q+ in canonical slot order and lets the root restart. An arrival is
-     therefore integrated at most k-1 departures after the sequential
-     schedule would have seen it, which is what gives the
-     (k-1) * l_max / r per-session service-lag bound proved in
-     {!Hpfq.Theory.epoch_lag_bound} and measured in test_subtree.ml.
-
-   Worker-domain code (flush_shard / flush_arrival / restart_in_shard)
-   touches only shard-owned node and session-arena indices plus per-shard
-   scratch; root state, the link, the simulator, callbacks and counters are
-   coordinator-only. Observers are supported at [epoch = 1] only — at
-   [epoch > 1] the backlog events would fire on worker domains. *)
-
-type t = {
-  sim : Engine.Simulator.t;
-  (* Packet arena. Single-domain alloc/free contract: only the coordinator
-     allocates (inject/stage) and frees (departure/drop); shard workers
-     only READ pool fields of live handles during a sync round.
-     [Pool.Persistent.await] is the happens-before edge back. *)
-  pkt_pool : Net.Packet_pool.t;
-  n_nodes : int;
-  root : int;
-  root_real : bool;
-  (* -- static topology (see Hier_flat) -- *)
-  parent : int array;
-  rate : float array;
-  level : int array;
-  session_in_parent : int array;
-  children_off : int array;
-  children_len : int array;
-  child_ids : int array;
-  names : string array;
-  by_name : (string, int) Hashtbl.t;
-  leaf_list : (string * int) list;
-  path_off : int array;
-  path_len : int array;
-  path_nodes : int array;
-  (* -- per-node dynamic state -- *)
-  tn : float array;
-  departed_bits : float array;
-  busy : Bytes.t;
-  active_child : int array;
-  logical : int array;
-  logical_bits : float array;
-  fifos : Net.Fifo.t array;
-  next_seq : int array;
-  lifecycle : Bytes.t;
-  v : float array;
-  v_time : float array;
-  backlogged_count : int array;
-  eligible : Ih.t array;
-  waiting : Ih.t array;
-  observers : Sched.Sched_intf.observer option array;
-  sbase : int array;
-  s_rate : float array;
-  s_start : float array;
-  s_finish : float array;
-  s_head : float array;
-  s_backlogged : Bytes.t;
-  now_cache : float array;
-  (* -- link state (hooks handle-based; boxed views only in the compat
-     wrappers) -- *)
-  mutable on_depart : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable on_drop : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable on_transmit_start : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable link_busy : bool;
-  mutable drops : int;
-  mutable in_flight_leaf : int;
-  mutable complete_cb : unit -> unit;
-  mutable burst_max : int;
-  mutable in_batch : bool;
-  mutable batch_has : bool;
-  mutable batch_due : float;
-  (* -- the shard/epoch layer -- *)
-  shards : int; (* effective: <= number of root children *)
-  epoch : int;
-  pool : Pool.Persistent.t option; (* Some iff epoch > 1 and workers > 0 *)
-  node_shard : int array; (* node id -> owning shard; -1 at the root *)
-  mailboxes : int Spsc.t array; (* staged arrival handles, per shard *)
-  mutable staged_total : int;
-  mutable since_sync : int; (* departures since the last sync *)
-  mutable syncs : int;
-  (* per-root-child boundary proposals written by shard workers during a
-     sync round, applied (and cleared) by the coordinator in slot order:
-     '\000' none, 'b' backlog, 'r' requeue, 'i' idle *)
-  eff_kind : Bytes.t;
-  (* per-shard drop scratch: counts plus the dropped handles (newest
-     first) so [on_drop] can fire — and the slots recycle — on the
-     coordinator after the round *)
-  sh_drops : int array;
-  sh_dropped : int list array;
-}
-
-let nop_leaf_cb _ ~leaf:_ _ = ()
-
-let[@inline] node_now t n =
-  if n = t.root && t.root_real then Array.unsafe_get t.now_cache 0 else t.tn.(n)
-
-(* -- The WF2Q+ building block: verbatim Hier_flat (see hier_flat.ml for
-   the line-by-line commentary; keeping the float-operation order identical
-   is what the epoch=1 lockstep differential enforces) ------------------- *)
-
-let[@inline] linear_v t node ~now = t.v.(node) +. (now -. t.v_time.(node))
-
-(* [Float.max] boxes its float arguments without flambda; bit-identical
-   replacement for this code's value domain (no NaNs, no mixed signed
-   zeros). *)
-let[@inline] fmax (x : float) y = if y > x then y else x
-
-let[@inline] place t node slot =
-  let i = t.sbase.(node) + slot in
-  if Sched.Float_cmp.le_with_slack t.s_start.(i) t.v.(node) then
-    Ih.add t.eligible.(node) ~key:slot ~prio:t.s_finish.(i)
-  else Ih.add t.waiting.(node) ~key:slot ~prio:t.s_start.(i)
-
-let p_backlog t node ~child =
-  let slot = t.session_in_parent.(child) in
-  let head_bits = t.logical_bits.(child) in
-  let now = node_now t node in
-  let i = t.sbase.(node) + slot in
-  let start = fmax t.s_finish.(i) (linear_v t node ~now) in
-  t.s_start.(i) <- start;
-  t.s_finish.(i) <- start +. (head_bits /. t.s_rate.(i));
-  t.s_head.(i) <- head_bits;
-  Bytes.set t.s_backlogged i '\001';
-  t.backlogged_count.(node) <- t.backlogged_count.(node) + 1;
-  place t node slot;
-  match t.observers.(node) with
-  | None -> ()
-  | Some o ->
-    o.Sched.Sched_intf.on_backlog ~now ~vtime:(linear_v t node ~now) ~session:slot
-      ~head_bits
-
-let p_requeue t node ~child =
-  let slot = t.session_in_parent.(child) in
-  let head_bits = t.logical_bits.(child) in
-  let i = t.sbase.(node) + slot in
-  let start = t.s_finish.(i) in
-  let finish = start +. (head_bits /. t.s_rate.(i)) in
-  t.s_start.(i) <- start;
-  t.s_finish.(i) <- finish;
-  t.s_head.(i) <- head_bits;
-  let e = t.eligible.(node) in
-  if Ih.mem e slot then
-    if Sched.Float_cmp.le_with_slack start t.v.(node) then
-      Ih.update e ~key:slot ~prio:finish
-    else begin
-      Ih.remove e slot;
-      Ih.add t.waiting.(node) ~key:slot ~prio:start
-    end
-  else begin
-    Ih.remove t.waiting.(node) slot;
-    place t node slot
-  end;
-  match t.observers.(node) with
-  | None -> ()
-  | Some o ->
-    let now = node_now t node in
-    o.Sched.Sched_intf.on_requeue ~now ~vtime:(linear_v t node ~now) ~session:slot
-      ~head_bits
-
-let p_set_idle t node ~child =
-  let slot = t.session_in_parent.(child) in
-  Bytes.set t.s_backlogged (t.sbase.(node) + slot) '\000';
-  t.backlogged_count.(node) <- t.backlogged_count.(node) - 1;
-  Ih.remove t.eligible.(node) slot;
-  Ih.remove t.waiting.(node) slot;
-  match t.observers.(node) with
-  | None -> ()
-  | Some o ->
-    let now = node_now t node in
-    o.Sched.Sched_intf.on_idle ~now ~vtime:(linear_v t node ~now) ~session:slot
-
-let p_select t node =
-  if t.backlogged_count.(node) = 0 then -1
-  else begin
-    let now = node_now t node in
-    let lin = linear_v t node ~now in
-    let e = t.eligible.(node) and w = t.waiting.(node) in
-    let threshold =
-      if Ih.is_empty e && not (Ih.is_empty w) then
-        fmax lin (Ih.min_prio_unsafe w)
-      else lin
-    in
-    let base = t.sbase.(node) in
-    let continue = ref true in
-    while !continue && not (Ih.is_empty w) do
-      let start = Ih.min_prio_unsafe w in
-      if Sched.Float_cmp.le_with_slack start threshold then begin
-        let slot = Ih.min_key_unsafe w in
-        Ih.drop_min w;
-        Ih.add e ~key:slot ~prio:t.s_finish.(base + slot)
-      end
-      else continue := false
-    done;
-    let slot = Ih.min_key_unsafe e in
-    if slot >= 0 then begin
-      let service = t.s_head.(base + slot) /. t.rate.(node) in
-      t.v.(node) <- threshold +. service;
-      t.v_time.(node) <- now +. service;
-      match t.observers.(node) with
-      | None -> slot
-      | Some o ->
-        o.Sched.Sched_intf.on_select ~now ~vtime:t.v.(node) ~session:slot;
-        slot
-    end
-    else slot
-  end
-
-let drop_leaf_queue t leaf =
-  let now = Engine.Simulator.now t.sim in
-  let fifo = t.fifos.(leaf) in
-  let name = t.names.(leaf) in
-  while not (Net.Fifo.is_empty fifo) do
-    let p = Net.Fifo.pop_exn fifo in
-    t.drops <- t.drops + 1;
-    t.on_drop p ~leaf:name now;
-    Net.Packet_pool.free t.pkt_pool p
-  done
-
-(* -- Worker-side flush path (epoch > 1 only) ----------------------------- *)
-(* RESTART-NODE confined to one shard's subtree: identical commits below
-   the root; at the root boundary it records the proposal instead of
-   touching coordinator state. Observers are all None here (enforced at
-   [set_node_observer]), so the observer arms of p_backlog/p_requeue never
-   run on a worker domain. *)
-
-let rec restart_in_shard t n =
-  let slot = p_select t n in
-  if slot >= 0 then begin
-    let child = t.child_ids.(t.children_off.(n) + slot) in
-    let leaf = t.logical.(child) in
-    if leaf < 0 then
-      invalid_arg "Subtree: policy selected a child with empty logical queue";
-    let bits = t.logical_bits.(child) in
-    t.active_child.(n) <- child;
-    t.logical.(n) <- leaf;
-    t.logical_bits.(n) <- bits;
-    t.tn.(n) <- t.tn.(n) +. (bits /. t.rate.(n));
-    let was_busy = Bytes.unsafe_get t.busy n <> '\000' in
-    Bytes.unsafe_set t.busy n '\001';
-    let q = t.parent.(n) in
-    if q = t.root then
-      Bytes.set t.eff_kind t.session_in_parent.(n) (if was_busy then 'r' else 'b')
-    else begin
-      if was_busy then p_requeue t q ~child:n else p_backlog t q ~child:n;
-      if t.logical.(q) < 0 then restart_in_shard t q
-    end
-  end
-  else begin
-    t.active_child.(n) <- -1;
-    let was_busy = Bytes.unsafe_get t.busy n <> '\000' in
-    Bytes.unsafe_set t.busy n '\000';
-    if was_busy then begin
-      let q = t.parent.(n) in
-      if q = t.root then Bytes.set t.eff_kind t.session_in_parent.(n) 'i'
-      else begin
-        p_set_idle t q ~child:n;
-        if t.logical.(q) < 0 then restart_in_shard t q
-      end
-    end
-  end
-
-(* The shard-private part of ARRIVE for one staged packet (already stamped
-   and sequenced at stage time). Mirrors [inject_at]'s post-validation
-   body, minus the coordinator-only pieces (drop counter/callback are
-   deferred to per-shard scratch, the root backlog becomes a proposal). *)
-let flush_arrival t ~shard (pkt : Net.Packet_pool.handle) =
-  let leaf = Net.Packet_pool.flow t.pkt_pool pkt in
-  if not (Net.Fifo.push t.fifos.(leaf) pkt) then begin
-    (* the handle is parked in shard scratch; the coordinator fires
-       [on_drop] and frees it after the round (workers never free) *)
-    t.sh_drops.(shard) <- t.sh_drops.(shard) + 1;
-    t.sh_dropped.(shard) <- pkt :: t.sh_dropped.(shard)
-  end
-  else if t.logical.(leaf) < 0 then begin
-    t.logical.(leaf) <- leaf;
-    t.logical_bits.(leaf) <- Net.Packet_pool.size_bits t.pkt_pool pkt;
-    let q = t.parent.(leaf) in
-    if q = t.root then Bytes.set t.eff_kind t.session_in_parent.(leaf) 'b'
-    else begin
-      p_backlog t q ~child:leaf;
-      if Bytes.get t.busy q = '\000' then restart_in_shard t q
-    end
-  end
-
-let flush_shard t shard =
-  let mb = t.mailboxes.(shard) in
-  let rec loop () =
-    match Spsc.try_pop mb with
-    | None -> ()
-    | Some pkt ->
-      flush_arrival t ~shard pkt;
-      loop ()
-  in
-  loop ()
-
-(* -- Coordinator: the sequential procedures (verbatim Hier_flat) plus the
-   epoch sync ------------------------------------------------------------- *)
-
-let rec restart_node t n =
-  let slot = p_select t n in
-  if slot >= 0 then begin
-    let child = t.child_ids.(t.children_off.(n) + slot) in
-    let leaf = t.logical.(child) in
-    if leaf < 0 then
-      invalid_arg "Subtree: policy selected a child with empty logical queue";
-    let bits = t.logical_bits.(child) in
-    t.active_child.(n) <- child;
-    t.logical.(n) <- leaf;
-    t.logical_bits.(n) <- bits;
-    t.tn.(n) <- t.tn.(n) +. (bits /. t.rate.(n));
-    let was_busy = Bytes.unsafe_get t.busy n <> '\000' in
-    Bytes.unsafe_set t.busy n '\001';
-    if n = t.root then start_transmission t
-    else begin
-      let q = t.parent.(n) in
-      (match t.observers.(q) with
-      | None -> ()
-      | Some o ->
-        let q_now = node_now t q in
-        o.Sched.Sched_intf.on_arrive ~now:q_now
-          ~vtime:(linear_v t q ~now:q_now)
-          ~session:t.session_in_parent.(n) ~size_bits:bits);
-      if was_busy then p_requeue t q ~child:n else p_backlog t q ~child:n;
-      if t.logical.(q) < 0 then restart_node t q
-    end
-  end
-  else begin
-    t.active_child.(n) <- -1;
-    let was_busy = Bytes.unsafe_get t.busy n <> '\000' in
-    Bytes.unsafe_set t.busy n '\000';
-    if n <> t.root && was_busy then begin
-      let q = t.parent.(n) in
-      p_set_idle t q ~child:n;
-      if t.logical.(q) < 0 then restart_node t q
-    end
-  end
-
-and start_transmission t =
-  if not t.link_busy then begin
-    let leaf = t.logical.(t.root) in
-    if leaf >= 0 then begin
-      let pkt = Net.Fifo.peek_exn t.fifos.(leaf) in
-      t.link_busy <- true;
-      t.in_flight_leaf <- leaf;
-      if t.on_transmit_start != nop_leaf_cb then
-        t.on_transmit_start pkt ~leaf:t.names.(leaf) (Engine.Simulator.now t.sim);
-      let duration = Net.Packet_pool.size_bits t.pkt_pool pkt /. t.rate.(t.root) in
-      let due = Engine.Simulator.now t.sim +. duration in
-      if t.in_batch then begin
-        t.batch_has <- true;
-        t.batch_due <- due
-      end
-      else ignore (Engine.Simulator.schedule t.sim ~at:due t.complete_cb)
-    end
-  end
-
-and drain t leaf0 =
-  let sim = t.sim in
-  let steps = ref 1 in
-  let leaf = ref leaf0 in
-  let continue = ref true in
-  while !continue do
-    t.in_batch <- true;
-    t.batch_has <- false;
-    complete_transmission t (Net.Fifo.peek_exn t.fifos.(!leaf));
-    t.in_batch <- false;
-    if not t.batch_has then continue := false
-    else begin
-      let due = t.batch_due in
-      if
-        !steps < t.burst_max
-        && due <= Engine.Simulator.run_horizon sim
-        && due < Engine.Simulator.peek_time sim
-      then begin
-        Engine.Simulator.advance_clock sim ~to_:due;
-        incr steps;
-        let l = t.in_flight_leaf in
-        if l < 0 then invalid_arg "Subtree: drain lost the in-flight leaf";
-        t.in_flight_leaf <- -1;
-        leaf := l
-      end
-      else begin
-        ignore (Engine.Simulator.schedule sim ~at:due t.complete_cb);
-        continue := false
-      end
-    end
-  done
-
-and complete_transmission t pkt =
-  t.link_busy <- false;
-  let now = Engine.Simulator.now t.sim in
-  Array.unsafe_set t.now_cache 0 now;
-  if t.epoch > 1 then begin
-    (* epoch boundary: integrate staged arrivals before RESET-PATH picks
-       the next packet, so a proposal is never more than epoch-1
-       departures stale. The link is idle and the departing packet still
-       owns [logical] along its path, so applying proposals here cannot
-       start a transmission out from under the reset. *)
-    t.since_sync <- t.since_sync + 1;
-    if t.staged_total > 0 && t.since_sync >= t.epoch - 1 then sync_now t
-  end;
-  let leaf = Net.Packet_pool.flow t.pkt_pool pkt in
-  let bits = Net.Packet_pool.size_bits t.pkt_pool pkt in
-  let off = t.path_off.(leaf) and len = t.path_len.(leaf) in
-  for k = 0 to len - 1 do
-    let n = t.path_nodes.(off + k) in
-    t.departed_bits.(n) <- t.departed_bits.(n) +. bits
-  done;
-  t.on_depart pkt ~leaf:t.names.(leaf) now;
-  reset_path t leaf;
-  (* recycle only after callbacks fired and RESET-PATH dequeued the head *)
-  Net.Packet_pool.free t.pkt_pool pkt;
-  (* never leave the link idle with staged work: the sequential schedule
-     would have started one of those packets already *)
-  if t.epoch > 1 && (not t.link_busy) && t.staged_total > 0 then sync_now t
-
-and reset_path t leaf =
-  let off = t.path_off.(leaf) and len = t.path_len.(leaf) in
-  for k = len - 1 downto 0 do
-    let n = t.path_nodes.(off + k) in
-    t.logical.(n) <- -1;
-    t.active_child.(n) <- -1
-  done;
-  let fifo = t.fifos.(leaf) in
-  Net.Fifo.drop_head fifo;
-  let q = t.parent.(leaf) in
-  (match Bytes.get t.lifecycle leaf with
-  | '\002' ->
-    drop_leaf_queue t leaf;
-    p_set_idle t q ~child:leaf;
-    Bytes.set t.lifecycle leaf '\003'
-  | state ->
-    if not (Net.Fifo.is_empty fifo) then begin
-      let next = Net.Fifo.peek_exn fifo in
-      t.logical.(leaf) <- leaf;
-      t.logical_bits.(leaf) <- Net.Packet_pool.size_bits t.pkt_pool next;
-      p_requeue t q ~child:leaf
-    end
-    else begin
-      p_set_idle t q ~child:leaf;
-      if state = '\001' then Bytes.set t.lifecycle leaf '\003'
-    end);
-  restart_node t q
-
-and sync_now t =
-  t.since_sync <- 0;
-  if t.staged_total > 0 then begin
-    t.staged_total <- 0;
-    t.syncs <- t.syncs + 1;
-    (match t.pool with
-    | Some pool ->
-      let round = Pool.Persistent.submit pool ~tasks:t.shards ~f:(flush_shard t) in
-      ignore (Pool.Persistent.await round)
-    | None ->
-      for s = 0 to t.shards - 1 do
-        flush_shard t s
-      done);
-    apply_proposals t
-  end
-
-and apply_proposals t =
-  (* canonical slot order, so the root-side heap insertion order — and with
-     it every tie-break — is independent of the shard partition *)
-  let off = t.children_off.(t.root) in
-  for slot = 0 to t.children_len.(t.root) - 1 do
-    match Bytes.get t.eff_kind slot with
-    | '\000' -> ()
-    | kind ->
-      Bytes.set t.eff_kind slot '\000';
-      let child = t.child_ids.(off + slot) in
-      (match kind with
-      | 'r' -> p_requeue t t.root ~child
-      | 'b' -> p_backlog t t.root ~child
-      | _ -> p_set_idle t t.root ~child);
-      if t.logical.(t.root) < 0 then restart_node t t.root
-  done;
-  for s = 0 to t.shards - 1 do
-    if t.sh_drops.(s) > 0 then begin
-      t.drops <- t.drops + t.sh_drops.(s);
-      t.sh_drops.(s) <- 0;
-      List.iter
-        (fun (p : Net.Packet_pool.handle) ->
-          t.on_drop p
-            ~leaf:t.names.(Net.Packet_pool.flow t.pkt_pool p)
-            (Net.Packet_pool.arrival t.pkt_pool p);
-          Net.Packet_pool.free t.pkt_pool p)
-        (List.rev t.sh_dropped.(s));
-      t.sh_dropped.(s) <- []
-    end
-  done
-
-let sync_if_staged t =
-  if t.epoch > 1 && t.staged_total > 0 then begin
-    Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
-    sync_now t
-  end
-
-(* -- Construction --------------------------------------------------------- *)
-
-let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
-    ?(burst_max = 1) ?shards ?(workers = 0) ?(epoch = 1)
-    ?(mailbox_capacity = 256) () =
-  if burst_max < 1 then invalid_arg "Subtree.create: burst_max must be >= 1";
-  if epoch < 1 then invalid_arg "Subtree.create: epoch must be >= 1";
-  if workers < 0 then invalid_arg "Subtree.create: workers must be >= 0";
-  if mailbox_capacity < 1 then
-    invalid_arg "Subtree.create: mailbox_capacity must be >= 1";
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Subtree.create: shards must be >= 1"
-  | _ -> ());
-  let module Class_tree = Hpfq.Class_tree in
-  (match Class_tree.validate spec with
-  | Ok () -> ()
-  | Error errors ->
-    invalid_arg ("Subtree.create: invalid tree: " ^ String.concat "; " errors));
-  (match spec with
-  | Class_tree.Leaf _ -> invalid_arg "Subtree.create: root must be an interior node"
-  | Class_tree.Node _ -> ());
-  let n_nodes = Class_tree.count_nodes spec in
-  let parent = Array.make n_nodes (-1) in
-  let rate = Array.make n_nodes 0.0 in
-  let level = Array.make n_nodes 0 in
-  let session_in_parent = Array.make n_nodes (-1) in
-  let children_off = Array.make n_nodes 0 in
-  let children_len = Array.make n_nodes 0 in
-  let names = Array.make n_nodes "" in
-  let by_name = Hashtbl.create 16 in
-  let is_leaf = Array.make n_nodes false in
-  let capacity = Array.make n_nodes None in
-  let counter = ref 0 in
-  let leaf_list = ref [] in
-  let rec number ~lvl ~par s =
-    let id = !counter in
-    incr counter;
-    names.(id) <- Class_tree.name s;
-    rate.(id) <- Class_tree.rate s;
-    level.(id) <- lvl;
-    parent.(id) <- par;
-    Hashtbl.replace by_name names.(id) id;
-    (match s with
-    | Class_tree.Leaf { queue_capacity_bits; _ } ->
-      is_leaf.(id) <- true;
-      capacity.(id) <- queue_capacity_bits;
-      leaf_list := (names.(id), id) :: !leaf_list
-    | Class_tree.Node _ -> ());
-    List.iter
-      (fun c -> ignore (number ~lvl:(lvl + 1) ~par:id c))
-      (Class_tree.children s);
-    id
-  in
-  let root = number ~lvl:0 ~par:(-1) spec in
-  let kids = Array.make n_nodes [] in
-  for id = n_nodes - 1 downto 1 do
-    kids.(parent.(id)) <- id :: kids.(parent.(id))
-  done;
-  let total_children = n_nodes - 1 in
-  let child_ids = Array.make (max 1 total_children) (-1) in
-  let next_off = ref 0 in
-  for id = 0 to n_nodes - 1 do
-    let cs = kids.(id) in
-    children_off.(id) <- !next_off;
-    List.iteri
-      (fun slot c ->
-        child_ids.(!next_off + slot) <- c;
-        session_in_parent.(c) <- slot)
-      cs;
-    children_len.(id) <- List.length cs;
-    next_off := !next_off + children_len.(id)
-  done;
-  let sbase = Array.make n_nodes 0 in
-  let total_sessions = ref 0 in
-  for id = 0 to n_nodes - 1 do
-    sbase.(id) <- !total_sessions;
-    total_sessions := !total_sessions + children_len.(id)
-  done;
-  let total_sessions = !total_sessions in
-  let s_rate = Array.make (max 1 total_sessions) 0.0 in
-  for id = 1 to n_nodes - 1 do
-    s_rate.(sbase.(parent.(id)) + session_in_parent.(id)) <- rate.(id)
-  done;
-  let path_off = Array.make n_nodes 0 in
-  let path_len = Array.make n_nodes 0 in
-  let total_path = ref 0 in
-  for id = 0 to n_nodes - 1 do
-    if is_leaf.(id) then begin
-      path_off.(id) <- !total_path;
-      path_len.(id) <- level.(id) + 1;
-      total_path := !total_path + path_len.(id)
-    end
-  done;
-  let path_nodes = Array.make (max 1 !total_path) (-1) in
-  for id = 0 to n_nodes - 1 do
-    if is_leaf.(id) then begin
-      let n = ref id in
-      for k = 0 to path_len.(id) - 1 do
-        path_nodes.(path_off.(id) + k) <- !n;
-        n := parent.(!n)
-      done
-    end
-  done;
-  let pkt_pool = Net.Packet_pool.create () in
-  let dummy_fifo = Net.Fifo.create ~pool:pkt_pool () in
-  let dummy_heap = Ih.create 1 in
-  let fifos =
-    Array.init n_nodes (fun id ->
-        if is_leaf.(id) then
-          Net.Fifo.create ?capacity_bits:capacity.(id) ~pool:pkt_pool ()
-        else dummy_fifo)
-  in
-  let eligible =
-    Array.init n_nodes (fun id ->
-        if is_leaf.(id) then dummy_heap else Ih.create (max 1 children_len.(id)))
-  in
-  let waiting =
-    Array.init n_nodes (fun id ->
-        if is_leaf.(id) then dummy_heap else Ih.create (max 1 children_len.(id)))
-  in
-  (* shard assignment: root-child subtrees round-robin over the effective
-     shard count; preorder contiguity means one pass suffices *)
-  let root_children = children_len.(root) in
-  let shards =
-    match shards with
-    | Some s -> max 1 (min s root_children)
-    | None -> max 1 root_children
-  in
-  let node_shard = Array.make n_nodes (-1) in
-  let cur = ref (-1) in
-  for id = 0 to n_nodes - 1 do
-    if id <> root then begin
-      if parent.(id) = root then cur := session_in_parent.(id) mod shards;
-      node_shard.(id) <- !cur
-    end
-  done;
-  let pool =
-    if epoch > 1 && workers > 0 then Some (Pool.Persistent.create ~domains:workers ())
-    else None
-  in
-  let t =
-    {
-      sim;
-      pkt_pool;
-      n_nodes;
-      root;
-      root_real = (root_clock = `Real_time);
-      parent;
-      rate;
-      level;
-      session_in_parent;
-      children_off;
-      children_len;
-      child_ids;
-      names;
-      by_name;
-      leaf_list = List.rev !leaf_list;
-      path_off;
-      path_len;
-      path_nodes;
-      tn = Array.make n_nodes 0.0;
-      departed_bits = Array.make n_nodes 0.0;
-      busy = Bytes.make n_nodes '\000';
-      active_child = Array.make n_nodes (-1);
-      logical = Array.make n_nodes (-1);
-      logical_bits = Array.make n_nodes 0.0;
-      fifos;
-      next_seq = Array.make n_nodes 1;
-      lifecycle = Bytes.make n_nodes '\000';
-      v = Array.make n_nodes 0.0;
-      v_time = Array.make n_nodes 0.0;
-      backlogged_count = Array.make n_nodes 0;
-      eligible;
-      waiting;
-      observers = Array.make n_nodes None;
-      sbase;
-      s_rate;
-      s_start = Array.make (max 1 total_sessions) 0.0;
-      s_finish = Array.make (max 1 total_sessions) 0.0;
-      s_head = Array.make (max 1 total_sessions) 0.0;
-      s_backlogged = Bytes.make (max 1 total_sessions) '\000';
-      now_cache = [| 0.0 |];
-      on_depart = nop_leaf_cb;
-      on_drop = nop_leaf_cb;
-      on_transmit_start = nop_leaf_cb;
-      link_busy = false;
-      drops = 0;
-      in_flight_leaf = -1;
-      complete_cb = ignore;
-      burst_max;
-      in_batch = false;
-      batch_has = false;
-      batch_due = 0.0;
-      shards;
-      epoch;
-      pool;
-      node_shard;
-      mailboxes = Array.init shards (fun _ -> Spsc.create ~capacity:mailbox_capacity);
-      staged_total = 0;
-      since_sync = 0;
-      syncs = 0;
-      eff_kind = Bytes.make (max 1 root_children) '\000';
-      sh_drops = Array.make shards 0;
-      sh_dropped = Array.make shards [];
-    }
-  in
-  (match on_depart with
-  | None -> ()
-  | Some f ->
-    t.on_depart <-
-      (fun h ~leaf now -> f (Net.Packet_pool.to_packet pkt_pool h) ~leaf now));
-  (match on_drop with
-  | None -> ()
-  | Some f ->
-    t.on_drop <-
-      (fun h ~leaf now -> f (Net.Packet_pool.to_packet pkt_pool h) ~leaf now));
-  t.complete_cb <-
-    (fun () ->
-      let leaf = t.in_flight_leaf in
-      if leaf < 0 then
-        invalid_arg "Subtree: transmission completed with nothing in flight";
-      t.in_flight_leaf <- -1;
-      drain t leaf);
-  Log.info (fun m ->
-      m "created subtree-sharded H-WF2Q+ server: %d nodes, %d shards, epoch %d, %d workers"
-        n_nodes shards epoch workers);
-  t
-
-let shutdown t = Option.iter Pool.Persistent.shutdown t.pool
-let shards t = t.shards
-let epoch t = t.epoch
-let workers t = match t.pool with Some p -> Pool.Persistent.domains p | None -> 0
-let sync_rounds t = t.syncs
-
-(* -- Public operations (verbatim Hier_flat where no epoch hook applies) --- *)
-
-let node_by_name t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some id -> id
-  | None -> raise Not_found
-
-let leaf_id t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some id when t.children_len.(id) = 0 -> Hpfq.Hier.unsafe_leaf_of_int id
-  | Some id ->
-    invalid_arg
-      (Printf.sprintf "Subtree.leaf_id: %S is an interior node, not a leaf"
-         t.names.(id))
-  | None -> raise Not_found
-
-let leaf_name t (id : Hpfq.Hier.leaf) = t.names.((id :> int))
-
-let leaf_ids t =
-  List.map (fun (nm, id) -> (nm, Hpfq.Hier.unsafe_leaf_of_int id)) t.leaf_list
-
-let inject_at t ~mark ~leaf ~size_bits ~now =
-  if t.children_len.(leaf) <> 0 then invalid_arg "Subtree.inject: not a leaf";
-  if Bytes.get t.lifecycle leaf <> '\000' then
-    invalid_arg "Subtree.inject: leaf is closed";
-  let pkt =
-    Net.Packet_pool.alloc t.pkt_pool ~mark ~flow:leaf ~seq:t.next_seq.(leaf)
-      ~size_bits ~arrival:now
-  in
-  t.next_seq.(leaf) <- t.next_seq.(leaf) + 1;
-  if not (Net.Fifo.push t.fifos.(leaf) pkt) then begin
-    t.drops <- t.drops + 1;
-    t.on_drop pkt ~leaf:t.names.(leaf) now;
-    Net.Packet_pool.free t.pkt_pool pkt;
-    pkt
-  end
-  else begin
-    let q = t.parent.(leaf) in
-    (match t.observers.(q) with
-    | None -> ()
-    | Some o ->
-      let q_now = node_now t q in
-      o.Sched.Sched_intf.on_arrive ~now:q_now
-        ~vtime:(linear_v t q ~now:q_now)
-        ~session:t.session_in_parent.(leaf) ~size_bits);
-    if t.logical.(leaf) < 0 then begin
-      t.logical.(leaf) <- leaf;
-      t.logical_bits.(leaf) <- size_bits;
-      p_backlog t q ~child:leaf;
-      if Bytes.get t.busy q = '\000' then restart_node t q
-    end;
-    pkt
-  end
-
-let inject_one t ~mark ~leaf ~size_bits =
-  let now = Engine.Simulator.now t.sim in
-  Array.unsafe_set t.now_cache 0 now;
-  inject_at t ~mark ~leaf ~size_bits ~now
-
-(* epoch > 1: arrivals that land while the link is transmitting are staged
-   (stamped and sequenced now, integrated at the next sync); arrivals on an
-   idle link take the exact inline path — the sequential schedule would
-   start them immediately, and deferring them would break the lag bound. *)
-let stage t (pkt : Net.Packet_pool.handle) =
-  let s = t.node_shard.(Net.Packet_pool.flow t.pkt_pool pkt) in
-  if not (Spsc.try_push t.mailboxes.(s) pkt) then begin
-    (* mailbox full: an early epoch boundary, then the push must succeed *)
-    Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
-    sync_now t;
-    Spsc.push t.mailboxes.(s) pkt
-  end;
-  t.staged_total <- t.staged_total + 1
-
-let inject ?(mark = 0) t ~(leaf : Hpfq.Hier.leaf) ~size_bits =
-  let leaf = (leaf :> int) in
-  if t.epoch = 1 || ((not t.link_busy) && t.staged_total = 0) then
-    inject_one t ~mark ~leaf ~size_bits
-  else begin
-    if t.children_len.(leaf) <> 0 then invalid_arg "Subtree.inject: not a leaf";
-    if Bytes.get t.lifecycle leaf <> '\000' then
-      invalid_arg "Subtree.inject: leaf is closed";
-    let now = Engine.Simulator.now t.sim in
-    let pkt =
-      Net.Packet_pool.alloc t.pkt_pool ~mark ~flow:leaf ~seq:t.next_seq.(leaf)
-        ~size_bits ~arrival:now
-    in
-    t.next_seq.(leaf) <- t.next_seq.(leaf) + 1;
-    stage t pkt;
-    pkt
-  end
-
-let inject_many ?(mark = 0) t ~(leaf : Hpfq.Hier.leaf) ~size_bits ~count =
-  if count < 0 then invalid_arg "Subtree.inject_many: negative count";
-  if count > 0 then
-    if t.epoch = 1 then begin
-      let leaf = (leaf :> int) in
-      let now = Engine.Simulator.now t.sim in
-      Array.unsafe_set t.now_cache 0 now;
-      for _ = 1 to count do
-        ignore (inject_at t ~mark ~leaf ~size_bits ~now)
-      done
-    end
-    else
-      for _ = 1 to count do
-        ignore (inject ~mark t ~leaf ~size_bits)
-      done
-
-(* -- Leaf lifecycle (synchronous: an epoch boundary first, then verbatim
-   Hier_flat semantics on fully integrated state) ------------------------- *)
-
-let leaf_state t ~(leaf : Hpfq.Hier.leaf) =
-  match Bytes.get t.lifecycle (leaf :> int) with
-  | '\000' -> `Open
-  | '\001' | '\002' -> `Closing
-  | _ -> `Closed
-
-let close_leaf t ~(leaf : Hpfq.Hier.leaf) ~policy =
-  sync_if_staged t;
-  let leaf = (leaf :> int) in
-  if t.children_len.(leaf) <> 0 then invalid_arg "Subtree.close_leaf: not a leaf";
-  if Bytes.get t.lifecycle leaf <> '\000' then
-    invalid_arg "Subtree.close_leaf: leaf already closed or closing";
-  Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
-  let q = t.parent.(leaf) in
-  if t.logical.(leaf) < 0 then Bytes.set t.lifecycle leaf '\003'
-  else
-    match policy with
-    | `Drain -> Bytes.set t.lifecycle leaf '\001'
-    | `Drop ->
-      if t.link_busy && t.in_flight_leaf = leaf then
-        Bytes.set t.lifecycle leaf '\002'
-      else begin
-        drop_leaf_queue t leaf;
-        t.logical.(leaf) <- -1;
-        let m = ref q in
-        let walking = ref true in
-        while !walking do
-          if t.logical.(!m) = leaf then begin
-            t.logical.(!m) <- -1;
-            t.active_child.(!m) <- -1;
-            if !m = t.root then walking := false else m := t.parent.(!m)
-          end
-          else walking := false
-        done;
-        let slot = t.session_in_parent.(leaf) in
-        let i = t.sbase.(q) + slot in
-        if Bytes.get t.s_backlogged i <> '\000' then begin
-          Ih.remove t.eligible.(q) slot;
-          Ih.remove t.waiting.(q) slot;
-          Bytes.set t.s_backlogged i '\000';
-          t.backlogged_count.(q) <- t.backlogged_count.(q) - 1
-        end;
-        Bytes.set t.lifecycle leaf '\003';
-        if t.logical.(q) < 0 then restart_node t q
-      end
-
-let reopen_leaf ?rate t ~(leaf : Hpfq.Hier.leaf) =
-  sync_if_staged t;
-  let leaf = (leaf :> int) in
-  if t.children_len.(leaf) <> 0 then invalid_arg "Subtree.reopen_leaf: not a leaf";
-  (match Bytes.get t.lifecycle leaf with
-  | '\003' -> ()
-  | '\000' -> invalid_arg "Subtree.reopen_leaf: leaf is open"
-  | _ -> invalid_arg "Subtree.reopen_leaf: close still in progress");
-  let q = t.parent.(leaf) in
-  let i = t.sbase.(q) + t.session_in_parent.(leaf) in
-  (match rate with
-  | Some r ->
-    if r <= 0.0 then invalid_arg "Subtree.reopen_leaf: rate must be positive";
-    t.rate.(leaf) <- r;
-    t.s_rate.(i) <- r
-  | None -> ());
-  t.s_start.(i) <- 0.0;
-  t.s_finish.(i) <- 0.0;
-  t.s_head.(i) <- 0.0;
-  Bytes.set t.s_backlogged i '\000';
-  Bytes.set t.lifecycle leaf '\000'
-
-(* -- Accessors (an epoch boundary first, so readings reflect every staged
-   arrival — exact at epoch 1, where nothing is ever staged) -------------- *)
-
-let queue_bits t ~(leaf : Hpfq.Hier.leaf) =
-  sync_if_staged t;
-  let leaf = (leaf :> int) in
-  if t.children_len.(leaf) <> 0 then invalid_arg "Subtree.queue_bits: not a leaf";
-  Net.Fifo.bits t.fifos.(leaf)
-
-let departed_bits t ~node =
-  sync_if_staged t;
-  t.departed_bits.(node_by_name t node)
-
-let ref_time t ~node =
-  sync_if_staged t;
-  t.tn.(node_by_name t node)
-
-let node_virtual_time t ~node =
-  sync_if_staged t;
-  let id = node_by_name t node in
-  if t.children_len.(id) = 0 then
-    invalid_arg "Subtree.node_virtual_time: leaf has no policy";
-  Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
-  linear_v t id ~now:(node_now t id)
-
-let link_busy t = t.link_busy
-
-let drops t =
-  sync_if_staged t;
-  t.drops
-
-let set_burst_max t n =
-  if n < 1 then invalid_arg "Subtree.set_burst_max: burst_max must be >= 1";
-  t.burst_max <- n
-
-let burst_max t = t.burst_max
-
-(* -- Observability -------------------------------------------------------- *)
-
-let compose_leaf_cb f g =
-  if f == nop_leaf_cb then g
-  else fun pkt ~leaf now ->
-    f pkt ~leaf now;
-    g pkt ~leaf now
-
-let add_depart_handle_hook t f = t.on_depart <- compose_leaf_cb t.on_depart f
-let add_drop_handle_hook t f = t.on_drop <- compose_leaf_cb t.on_drop f
-
-let add_transmit_start_handle_hook t f =
-  t.on_transmit_start <- compose_leaf_cb t.on_transmit_start f
-
-(* Boxed compat wrappers: materialise a [Net.Packet.t] per event. *)
-let boxed t f =
- fun h ~leaf now -> f (Net.Packet_pool.to_packet t.pkt_pool h) ~leaf now
-
-let add_depart_hook t f = add_depart_handle_hook t (boxed t f)
-let add_drop_hook t f = add_drop_handle_hook t (boxed t f)
-let add_transmit_start_hook t f = add_transmit_start_handle_hook t (boxed t f)
-let pool t = t.pkt_pool
-
-let root_name t = t.names.(t.root)
-let node_name t id = t.names.(id)
-let node_count t = t.n_nodes
-let node_shard t id = t.node_shard.(id)
-
-let leaf_path t ~(leaf : Hpfq.Hier.leaf) =
-  let leaf = (leaf :> int) in
-  if t.children_len.(leaf) <> 0 then invalid_arg "Subtree.leaf_path: not a leaf";
-  Array.sub t.path_nodes t.path_off.(leaf) t.path_len.(leaf)
-
-let iter_interior t f =
-  for id = 0 to t.n_nodes - 1 do
-    if t.children_len.(id) > 0 then
-      f ~id ~name:t.names.(id) ~level:t.level.(id)
-        ~children:(Array.sub t.child_ids t.children_off.(id) t.children_len.(id))
-  done
-
-let set_node_observer_id t ~node observer =
-  if t.epoch > 1 && observer <> None then
-    invalid_arg "Subtree.set_node_observer_id: observers require epoch = 1";
-  if node < 0 || node >= t.n_nodes || t.children_len.(node) = 0 then
-    invalid_arg "Subtree.set_node_observer_id: not an interior node";
-  t.observers.(node) <- observer
-
-let set_node_observer t ~node observer =
-  if t.epoch > 1 && observer <> None then
-    invalid_arg "Subtree.set_node_observer: observers require epoch = 1";
-  let id = node_by_name t node in
-  if t.children_len.(id) = 0 then
-    invalid_arg "Subtree.set_node_observer: leaf has no policy";
-  t.observers.(id) <- observer
-
-(* -- Hier_engine registration --------------------------------------------- *)
-
-let ops_of t =
-  {
-    Hpfq.Hier_engine.st_kind_name =
-      Printf.sprintf "subtree(shards=%d,epoch=%d,workers=%d)" t.shards t.epoch
-        (workers t);
-    st_set_burst_max = set_burst_max t;
-    st_burst_max = (fun () -> burst_max t);
-    st_leaf_id = leaf_id t;
-    st_leaf_name = leaf_name t;
-    st_leaf_ids = (fun () -> leaf_ids t);
-    st_inject = (fun ~mark ~leaf ~size_bits -> inject ~mark t ~leaf ~size_bits);
-    st_inject_many =
-      (fun ~mark ~leaf ~size_bits ~count ->
-        inject_many ~mark t ~leaf ~size_bits ~count);
-    st_close_leaf = (fun ~leaf ~policy -> close_leaf t ~leaf ~policy);
-    st_reopen_leaf = (fun ~rate ~leaf -> reopen_leaf ?rate t ~leaf);
-    st_leaf_state = (fun ~leaf -> leaf_state t ~leaf);
-    st_queue_bits = (fun ~leaf -> queue_bits t ~leaf);
-    st_departed_bits = (fun ~node -> departed_bits t ~node);
-    st_ref_time = (fun ~node -> ref_time t ~node);
-    st_node_virtual_time = (fun ~node -> node_virtual_time t ~node);
-    st_link_busy = (fun () -> link_busy t);
-    st_drops = (fun () -> drops t);
-    st_add_depart_hook = add_depart_hook t;
-    st_add_drop_hook = add_drop_hook t;
-    st_add_transmit_start_hook = add_transmit_start_hook t;
-    st_add_depart_handle_hook = add_depart_handle_hook t;
-    st_add_drop_handle_hook = add_drop_handle_hook t;
-    st_add_transmit_start_handle_hook = add_transmit_start_handle_hook t;
-    st_pool = (fun () -> pool t);
-    st_root_name = (fun () -> root_name t);
-    st_node_name = node_name t;
-    st_node_count = (fun () -> node_count t);
-    st_leaf_path = (fun ~leaf -> leaf_path t ~leaf);
-  }
-
-let register () =
-  Hpfq.Hier_engine.set_subtree_builder
-    (fun ~sim ~spec ~root_clock ~on_depart ~on_drop ~burst_max ~shards ~workers
-         ~epoch ~mailbox_capacity ->
-      let t =
-        create ~sim ~spec ~root_clock ?on_depart ?on_drop ~burst_max ?shards
-          ?workers ~epoch ?mailbox_capacity ()
-      in
-      ops_of t)
+(* The subtree-sharded epoch engine is [Hpfq.Hier_flat] itself, created with
+   [~epoch] > 1; this name is kept for existing callers. *)
+include Hpfq.Hier_flat

@@ -396,8 +396,18 @@ let test_parallel_guard_verdicts () =
               Alcotest.(check bool)
                 "oversubscribed rung not enforced" false r.Pbench.g_enforced)
           g.Pbench.g_rows;
+        (* the live floor is check_bench.sh's job; here only the verdict's
+           consistency with its rows, whatever this host measures *)
+        List.iter
+          (fun r ->
+            Alcotest.(check bool)
+              "g_ok is speedup >= floor" (r.Pbench.g_speedup >= r.Pbench.g_floor)
+              r.Pbench.g_ok)
+          g.Pbench.g_rows;
         Alcotest.(check bool)
-          "healthy pool clears the cores-aware floor" true g.Pbench.g_within
+          "g_within: every enforced rung ok"
+          (List.for_all (fun r -> (not r.Pbench.g_enforced) || r.Pbench.g_ok) g.Pbench.g_rows)
+          g.Pbench.g_within
       | Error e -> Alcotest.failf "parallel guard errored: %s" e);
   with_baseline (Json.Obj [ ("schema", Json.Str "hpfq-bench-parallel-v1") ])
     (fun path ->
@@ -494,8 +504,16 @@ let test_shard_guard_verdicts () =
               Alcotest.(check bool)
                 "oversubscribed rung not enforced" false r.Sbench.g_enforced)
           g.Sbench.g_rows;
+        List.iter
+          (fun r ->
+            Alcotest.(check bool)
+              "g_ok is speedup >= floor" (r.Sbench.g_speedup >= r.Sbench.g_floor)
+              r.Sbench.g_ok)
+          g.Sbench.g_rows;
         Alcotest.(check bool)
-          "healthy device clears the cores-aware floor" true g.Sbench.g_within
+          "g_within: every enforced rung ok"
+          (List.for_all (fun r -> (not r.Sbench.g_enforced) || r.Sbench.g_ok) g.Sbench.g_rows)
+          g.Sbench.g_within
       | Error e -> Alcotest.failf "shard guard errored: %s" e);
   with_baseline (Json.Obj [ ("schema", Json.Str "hpfq-bench-shard-v1") ])
     (fun path ->
@@ -596,8 +614,15 @@ let test_hiershard_guard_verdicts () =
               Alcotest.(check bool)
                 "oversubscribed cell not enforced" false r.Hsb.g_enforced)
           g.Hsb.g_rows;
+        List.iter
+          (fun r ->
+            Alcotest.(check bool)
+              "g_ok is ratio >= floor" (r.Hsb.g_ratio >= r.Hsb.g_floor) r.Hsb.g_ok)
+          g.Hsb.g_rows;
         Alcotest.(check bool)
-          "healthy sharding clears the cores-aware floor" true g.Hsb.g_within
+          "g_within: every enforced cell ok"
+          (List.for_all (fun r -> (not r.Hsb.g_enforced) || r.Hsb.g_ok) g.Hsb.g_rows)
+          g.Hsb.g_within
       | Error e -> Alcotest.failf "hiershard guard errored: %s" e);
   with_baseline (Json.Obj [ ("schema", Json.Str "hpfq-bench-hiershard-v1") ])
     (fun path ->

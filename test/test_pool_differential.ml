@@ -15,7 +15,6 @@ module Sim = Engine.Simulator
 module CT = Hpfq.Class_tree
 module HG = Hpfq.Hier
 module HF = Hpfq.Hier_flat
-module ST = Shard.Subtree
 
 let wf2q_plus = Hpfq.Disciplines.wf2q_plus
 
@@ -887,26 +886,26 @@ let replay_subtree ~shards s =
     run_observed s
       ~mk:(fun sim ~root_clock ~on_depart ~on_drop ->
         let t =
-          ST.create ~sim ~spec:s.spec ~root_clock ~on_depart ~on_drop ~shards
+          HF.create ~sim ~spec:s.spec ~root_clock ~on_depart ~on_drop ~shards
             ~workers:0 ~epoch:1 ()
         in
         engine := Some t;
         t)
-      ~leaf_id:ST.leaf_id
+      ~leaf_id:HF.leaf_id
       ~apply:(fun h ids op ->
         match op with
-        | Inject (l, size_bits) -> ignore (ST.inject h ~leaf:ids.(l) ~size_bits)
-        | Close (l, policy) -> ST.close_leaf h ~leaf:ids.(l) ~policy
-        | Reopen l -> ST.reopen_leaf h ~leaf:ids.(l))
+        | Inject (l, size_bits) -> ignore (HF.inject h ~leaf:ids.(l) ~size_bits)
+        | Close (l, policy) -> HF.close_leaf h ~leaf:ids.(l) ~policy
+        | Reopen l -> HF.reopen_leaf h ~leaf:ids.(l))
       ~observe:(fun h ->
-        ( ST.drops h,
+        ( HF.drops h,
           List.map
-            (fun n -> (n, ST.departed_bits h ~node:n, ST.ref_time h ~node:n))
+            (fun n -> (n, HF.departed_bits h ~node:n, HF.ref_time h ~node:n))
             (node_names s.spec),
-          List.map (fun n -> (n, ST.node_virtual_time h ~node:n)) (interior_names s.spec)
+          List.map (fun n -> (n, HF.node_virtual_time h ~node:n)) (interior_names s.spec)
         ))
   in
-  Option.iter ST.shutdown !engine;
+  Option.iter HF.shutdown !engine;
   r
 
 (* ---- 400 scenarios: every pooled engine equals the boxed oracle ---- *)

@@ -1,19 +1,19 @@
-(* Subtree-sharded H-WF2Q+ engine: epoch = 1 lockstep differential against
-   [Hier_flat], epoch > 1 determinism across worker and shard counts, the
-   (k-1) * l_max / r service-lag bound as a measurement, and the facade /
-   validation surface.
+(* Hier_flat's epoch layer (the subtree-sharded engine): epoch = 1 lockstep
+   differential against the plain engine, epoch > 1 determinism across
+   worker and shard counts, the (k-1) * l_max / r service-lag bound as a
+   measurement, and the facade / validation surface.
 
-   The engine promises *bit-identical* behaviour to [Hier_flat.create] at
-   [epoch = 1] — same departure order and times, same drops, same per-node
-   W_n / T_n / V clocks — at any shard/worker count. Every epoch = 1
-   comparison below is exact structural equality, no tolerance. *)
+   The engine promises *bit-identical* behaviour to [Hier_flat.create] with
+   no epoch settings at [epoch = 1] — same departure order and times, same
+   drops, same per-node W_n / T_n / V clocks — at any shard/worker count.
+   Every epoch = 1 comparison below is exact structural equality, no
+   tolerance. *)
 
 module Q = QCheck
 module Sim = Engine.Simulator
 module HF = Hpfq.Hier_flat
 module HE = Hpfq.Hier_engine
 module CT = Hpfq.Class_tree
-module ST = Shard.Subtree
 
 let wf2q_plus = Hpfq.Disciplines.wf2q_plus
 
@@ -135,22 +135,22 @@ let replay_subtree ?(epoch = 1) ~shards ~workers s =
     run_observed s
       ~mk:(fun sim ~root_clock ~on_depart ~on_drop ->
         let t =
-          ST.create ~sim ~spec:s.spec ~root_clock ~on_depart ~on_drop ~shards
+          HF.create ~sim ~spec:s.spec ~root_clock ~on_depart ~on_drop ~shards
             ~workers ~epoch ()
         in
         engine := Some t;
         t)
-      ~leaf_id:ST.leaf_id
-      ~inject:(fun h ~leaf ~size_bits -> ignore (ST.inject h ~leaf ~size_bits))
+      ~leaf_id:HF.leaf_id
+      ~inject:(fun h ~leaf ~size_bits -> ignore (HF.inject h ~leaf ~size_bits))
       ~observe:(fun h ->
-        ( ST.drops h,
+        ( HF.drops h,
           List.map
-            (fun n -> (n, ST.departed_bits h ~node:n, ST.ref_time h ~node:n))
+            (fun n -> (n, HF.departed_bits h ~node:n, HF.ref_time h ~node:n))
             (node_names s.spec),
-          List.map (fun n -> (n, ST.node_virtual_time h ~node:n)) (interior_names s.spec)
+          List.map (fun n -> (n, HF.node_virtual_time h ~node:n)) (interior_names s.spec)
         ))
   in
-  Option.iter ST.shutdown !engine;
+  Option.iter HF.shutdown !engine;
   r
 
 (* ---- epoch = 1: bit-identical to the flat engine at every shard/worker
@@ -249,22 +249,22 @@ let test_epoch_lag_bound () =
           let sim = Sim.create () in
           let dep = ref [] in
           let t =
-            ST.create ~sim ~spec:s.spec ~shards:2 ~workers ~epoch
+            HF.create ~sim ~spec:s.spec ~shards:2 ~workers ~epoch
               ~on_depart:(fun pkt ~leaf t ->
                 dep := (leaf, pkt.Net.Packet.seq, t) :: !dep)
               ()
           in
-          let ids = Array.of_list (List.map (ST.leaf_id t) s.leaves) in
+          let ids = Array.of_list (List.map (HF.leaf_id t) s.leaves) in
           List.iter
             (fun (at, leaf, size) ->
               ignore
                 (Sim.schedule sim ~at (fun () ->
-                     ignore (ST.inject t ~leaf:ids.(leaf) ~size_bits:size))))
+                     ignore (HF.inject t ~leaf:ids.(leaf) ~size_bits:size))))
             s.packets;
           Sim.run sim;
-          staged_syncs := !staged_syncs + ST.sync_rounds t;
-          Alcotest.(check int) "no drops without queue caps" 0 (ST.drops t);
-          ST.shutdown t;
+          staged_syncs := !staged_syncs + HF.sync_rounds t;
+          Alcotest.(check int) "no drops without queue caps" 0 (HF.drops t);
+          HF.shutdown t;
           let seq_d = by_key seq.o_departs and ep_d = by_key (List.rev !dep) in
           Alcotest.(check int) "same departure count" (List.length seq_d)
             (List.length ep_d);
@@ -302,50 +302,141 @@ let raises_invalid f =
 
 let test_create_validation () =
   let sim = Sim.create () in
-  let mk ?shards ?workers ?epoch ?mailbox_capacity () =
-    ST.create ~sim ~spec:fig3ish ?shards ?workers ?epoch ?mailbox_capacity ()
+  let mk ?shards ?workers ?epoch () =
+    HF.create ~sim ~spec:fig3ish ?shards ?workers ?epoch ()
   in
   Alcotest.(check bool) "epoch 0 rejected" true (raises_invalid (mk ~epoch:0));
   Alcotest.(check bool) "shards 0 rejected" true (raises_invalid (mk ~shards:0));
   Alcotest.(check bool) "workers -1 rejected" true (raises_invalid (mk ~workers:(-1)));
-  Alcotest.(check bool) "mailbox 0 rejected" true
-    (raises_invalid (mk ~mailbox_capacity:0));
   Alcotest.(check bool) "leaf root rejected" true
     (raises_invalid (fun () ->
-         ST.create ~sim ~spec:(CT.leaf "only" ~rate:1.0) ()))
+         HF.create ~sim ~spec:(CT.leaf "only" ~rate:1.0) ()))
 
 let test_partition () =
   let sim = Sim.create () in
-  let t = ST.create ~sim ~spec:fig3ish ~shards:8 () in
-  Alcotest.(check int) "shards clamp to root children" 2 (ST.shards t);
-  Alcotest.(check int) "epoch default" 1 (ST.epoch t);
-  Alcotest.(check int) "workers default" 0 (ST.workers t);
-  Alcotest.(check int) "sync_rounds starts at 0" 0 (ST.sync_rounds t);
-  Alcotest.(check string) "node 0 is the root" (ST.root_name t) (ST.node_name t 0);
-  Alcotest.(check int) "root is coordinator-owned" (-1) (ST.node_shard t 0);
-  for id = 1 to ST.node_count t - 1 do
-    let s = ST.node_shard t id in
-    if s < 0 || s >= ST.shards t then
-      Alcotest.failf "node %d (%s) landed on shard %d" id (ST.node_name t id) s
+  let t = HF.create ~sim ~spec:fig3ish ~shards:8 () in
+  Alcotest.(check int) "shards clamp to root children" 2 (HF.shards t);
+  Alcotest.(check int) "epoch default" 1 (HF.epoch t);
+  Alcotest.(check int) "workers default" 0 (HF.workers t);
+  Alcotest.(check int) "sync_rounds starts at 0" 0 (HF.sync_rounds t);
+  Alcotest.(check string) "node 0 is the root" (HF.root_name t) (HF.node_name t 0);
+  Alcotest.(check int) "root is coordinator-owned" (-1) (HF.node_shard t 0);
+  for id = 1 to HF.node_count t - 1 do
+    let s = HF.node_shard t id in
+    if s < 0 || s >= HF.shards t then
+      Alcotest.failf "node %d (%s) landed on shard %d" id (HF.node_name t id) s
   done;
   (* subtree-contiguous: a node shares its non-root parent's shard *)
-  ST.iter_interior t (fun ~id ~name:_ ~level:_ ~children ->
+  HF.iter_interior t (fun ~id ~name:_ ~level:_ ~children ->
       Array.iter
         (fun c ->
-          if id <> 0 && ST.node_shard t c <> ST.node_shard t id then
+          if id <> 0 && HF.node_shard t c <> HF.node_shard t id then
             Alcotest.failf "node %d not on parent %d's shard" c id)
         children)
 
 let test_observer_gate () =
   let sim = Sim.create () in
   let observer = Sched.Sched_intf.null_observer in
-  let t1 = ST.create ~sim ~spec:fig3ish ~epoch:1 () in
-  ST.set_node_observer t1 ~node:"A" (Some observer);
-  ST.set_node_observer t1 ~node:"A" None;
-  let t2 = ST.create ~sim ~spec:fig3ish ~epoch:4 () in
+  let t1 = HF.create ~sim ~spec:fig3ish ~epoch:1 () in
+  HF.set_node_observer t1 ~node:"A" (Some observer);
+  HF.set_node_observer t1 ~node:"A" None;
+  let t2 = HF.create ~sim ~spec:fig3ish ~epoch:4 () in
   Alcotest.(check bool) "observer rejected at epoch>1" true
-    (raises_invalid (fun () -> ST.set_node_observer t2 ~node:"A" (Some observer)));
-  ST.set_node_observer t2 ~node:"A" None (* clearing is always allowed *)
+    (raises_invalid (fun () -> HF.set_node_observer t2 ~node:"A" (Some observer)));
+  HF.set_node_observer t2 ~node:"A" None (* clearing is always allowed *)
+
+(* Hooks run on the coordinator while a sync applies its results, and may
+   inject: those arrivals are staged into regions the sync's parked drops
+   have already left. Every packet must depart or drop exactly once,
+   identically at any worker count. *)
+let capped =
+  CT.node "link" ~rate:1.0
+    [
+      CT.node "A" ~rate:0.6
+        [ CT.leaf "a1" ~rate:0.4 ~queue_capacity_bits:3.0; CT.leaf "a2" ~rate:0.2 ];
+      CT.node "B" ~rate:0.4
+        [ CT.leaf "b1" ~rate:0.2 ~queue_capacity_bits:2.0; CT.leaf "b2" ~rate:0.2 ];
+    ]
+
+let reentrant_run ~workers =
+  let sim = Sim.create () in
+  let t = HF.create ~sim ~spec:capped ~shards:2 ~workers ~epoch:4 () in
+  let a2 = HF.leaf_id t "a2" and b2 = HF.leaf_id t "b2" in
+  let injected = ref 0 and log = ref [] in
+  let inject leaf =
+    incr injected;
+    ignore (HF.inject t ~leaf ~size_bits:1.0)
+  in
+  HF.add_depart_hook t (fun p ~leaf now -> log := (`D, leaf, p.Net.Packet.seq, now) :: !log);
+  HF.add_drop_hook t (fun p ~leaf now ->
+      log := (`X, leaf, p.Net.Packet.seq, now) :: !log;
+      if !injected < 400 then inject (if leaf = "a1" then b2 else a2));
+  HF.add_transmit_start_hook t (fun _ ~leaf:_ _ -> if !injected < 300 then inject a2);
+  List.iteri
+    (fun i name ->
+      let leaf = HF.leaf_id t name in
+      ignore
+        (Sim.schedule sim ~at:(0.25 *. float_of_int i) (fun () ->
+             for _ = 1 to 12 do
+               inject leaf
+             done)))
+    [ "a1"; "b1"; "a1"; "b1"; "a1"; "b1" ];
+  Sim.run sim;
+  let drops = HF.drops t in
+  HF.shutdown t;
+  (!injected, drops, List.rev !log)
+
+(* A drop hook that injects into its own shard and then reads an accessor
+   starts a sync nested in the one firing it; so does one that injects
+   more than a staging region holds. Either nested sync must find only
+   staged arrivals in the region, never the drops still being fired. *)
+let nested_sync_run ~workers ~burst ~read =
+  let sim = Sim.create () in
+  let t = HF.create ~sim ~spec:capped ~shards:2 ~workers ~epoch:4 () in
+  let a1 = HF.leaf_id t "a1" and a2 = HF.leaf_id t "a2" in
+  let injected = ref 0 and log = ref [] in
+  let inject leaf =
+    incr injected;
+    ignore (HF.inject t ~leaf ~size_bits:1.0)
+  in
+  HF.add_depart_hook t (fun p ~leaf now -> log := (`D, leaf, p.Net.Packet.seq, now) :: !log);
+  HF.add_drop_hook t (fun p ~leaf now ->
+      log := (`X, leaf, p.Net.Packet.seq, now) :: !log;
+      if !injected < 1500 then begin
+        for _ = 1 to burst do
+          inject a2
+        done;
+        if read then ignore (HF.drops t)
+      end);
+  for i = 0 to 5 do
+    ignore
+      (Sim.schedule sim ~at:(0.25 *. float_of_int i) (fun () ->
+           for _ = 1 to 12 do
+             inject a1
+           done))
+  done;
+  Sim.run sim;
+  let drops = HF.drops t in
+  HF.shutdown t;
+  (!injected, drops, List.rev !log)
+
+let test_reentrant_hooks () =
+  List.iter
+    (fun (case, run) ->
+      let injected, drops, log = run ~workers:0 in
+      let departed = List.length (List.filter (fun (k, _, _, _) -> k = `D) log) in
+      Alcotest.(check bool) (case ^ ": some drops at a sync") true (drops > 0);
+      Alcotest.(check int) (case ^ ": every packet departs or drops once") injected
+        (departed + drops);
+      Alcotest.(check int) (case ^ ": one log entry per packet") injected
+        (List.length log);
+      let _, _, log1 = run ~workers:1 in
+      Alcotest.(check bool) (case ^ ": worker-count invariant") true (log = log1))
+    [
+      ("inject", reentrant_run);
+      ("inject then read", nested_sync_run ~burst:1 ~read:true);
+      ("fill a region", nested_sync_run ~burst:300 ~read:false);
+    ]
 
 let test_lag_bound_formula () =
   let b = Hpfq.Theory.epoch_lag_bound in
@@ -358,36 +449,25 @@ let test_lag_bound_formula () =
   Alcotest.(check bool) "rate 0 rejected" true
     (raises_invalid (fun () -> b ~epoch:2 ~l_max:1.0 ~rate:0.0))
 
-(* ---- the Hier_engine facade ----
+(* ---- the Hier_engine facade: the settings travel in the choice ---- *)
 
-   Registration order matters in this file: the unregistered-error test
-   must run before anything calls [ST.register], and alcotest runs cases
-   in declaration order. *)
-
-let test_unregistered () =
-  let sim = Sim.create () in
-  Alcotest.(check bool) "subtree choice parses" true
-    (HE.choice_of_string "subtree" = Ok `Subtree);
-  Alcotest.(check bool) "unregistered builder is Invalid_argument" true
-    (raises_invalid (fun () ->
-         HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:`Subtree ()))
+let subtree ?shards ?(workers = 0) epoch = `Subtree { HE.shards; workers; epoch }
 
 let test_facade () =
-  ST.register ();
   let sim = Sim.create () in
   let log = ref [] in
   let h =
-    HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:`Subtree ~shards:2
-      ~epoch:1
+    HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:(subtree ~shards:2 1)
       ~on_depart:(fun pkt ~leaf t -> log := (leaf, pkt.Net.Packet.seq, t) :: !log)
       ()
   in
   Alcotest.(check bool) "kind is `Subtree" true (HE.kind h = `Subtree);
-  Alcotest.(check bool) "kind_name self-describes" true
-    (String.length (HE.kind_name h) >= 7
-    && String.sub (HE.kind_name h) 0 7 = "subtree");
+  Alcotest.(check string) "kind_name self-describes" "subtree(shards=2,epoch=1,workers=0)"
+    (HE.kind_name h);
   Alcotest.(check bool) "generic projection is None" true (HE.generic h = None);
-  Alcotest.(check bool) "flat projection is None" true (HE.flat h = None);
+  (match HE.flat h with
+  | Some f -> Alcotest.(check int) "flat projection is the engine" 2 (HF.shards f)
+  | None -> Alcotest.fail "flat projection is None");
   let a1 = HE.leaf_id h "a1" in
   ignore
     (Sim.schedule sim ~at:0.0 (fun () ->
@@ -396,30 +476,50 @@ let test_facade () =
   Alcotest.(check int) "three departures through the facade" 3 (List.length !log);
   Alcotest.(check bool) "non-WF2Q+ rejected" true
     (raises_invalid (fun () ->
-         HE.create ~sim ~spec:fig3ish ~factory:Hpfq.Disciplines.wfq
-           ~engine:`Subtree ()));
-  Alcotest.(check bool) "trace attach rejected" true
-    (raises_invalid (fun () -> Obs.Trace.attach_engine h))
+         HE.create ~sim ~spec:fig3ish ~factory:Hpfq.Disciplines.wfq ~engine:(subtree 1)
+           ()))
 
-let test_schedulers_and_default_config () =
-  ST.register ();
+let test_choice_payload () =
+  Alcotest.(check bool) "\"subtree\" parses to shards unset, 0 workers, epoch 1" true
+    (HE.choice_of_string "subtree"
+    = Ok (`Subtree { HE.shards = None; workers = 0; epoch = 1 }));
+  Alcotest.(check string) "and prints back" "subtree" (HE.choice_to_string (subtree 8));
   let sim = Sim.create () in
-  let h =
-    Hpfq.Schedulers.hier ~sim ~spec:fig3ish ~engine:`Subtree ~shards:2 ~epoch:3 ()
-  in
-  Alcotest.(check string) "knobs reach the engine" "subtree(shards=2,epoch=3,workers=0)"
-    (HE.kind_name h);
-  (* the process-wide default (the CLI's --shards/--epoch) fills omitted knobs *)
-  HE.set_default_subtree_config ~shards:2 ~epoch:2 ();
-  let d = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:`Subtree () in
-  Alcotest.(check string) "defaults fill omitted knobs"
-    "subtree(shards=2,epoch=2,workers=0)" (HE.kind_name d);
-  HE.set_default_subtree_config ();
-  let e = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:`Subtree () in
-  Alcotest.(check string) "reset restores epoch 1"
-    "subtree(shards=2,epoch=1,workers=0)" (HE.kind_name e);
-  Alcotest.(check bool) "default config validates epoch" true
-    (raises_invalid (fun () -> HE.set_default_subtree_config ~epoch:0 ()))
+  let h = Hpfq.Schedulers.hier ~sim ~spec:fig3ish ~engine:(subtree ~shards:2 3) () in
+  Alcotest.(check string) "settings reach the engine" "subtree(shards=2,epoch=3,workers=0)"
+    (HE.kind_name h)
+
+(* At epoch 1 the subtree engine is the flat engine, so it traces exactly
+   as [`Flat] does; at epoch > 1 observers would fire on worker domains. *)
+let traced_events engine =
+  let sim = Sim.create () in
+  let h = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine () in
+  let trace = Obs.Trace.attach_engine h in
+  let leaves = Array.of_list (List.map snd (HE.leaf_ids h)) in
+  ignore
+    (Sim.schedule sim ~at:0.0 (fun () ->
+         Array.iteri
+           (fun i leaf ->
+             for _ = 1 to 3 + i do
+               ignore (HE.inject h ~leaf ~size_bits:(1.0 +. (0.25 *. float_of_int i)))
+             done)
+           leaves));
+  ignore
+    (Sim.schedule sim ~at:7.5 (fun () ->
+         ignore (HE.inject h ~leaf:leaves.(0) ~size_bits:0.5)));
+  Sim.run sim;
+  Obs.Trace.events trace
+
+let test_trace_attach () =
+  let f = traced_events `Flat and s = traced_events (subtree ~shards:2 1) in
+  Alcotest.(check bool) "flat trace is non-empty" true (f <> []);
+  (* [compare] rather than [=]: link-level events stamp vtime = NaN *)
+  Alcotest.(check bool) "epoch 1 traces exactly as flat" true (compare f s = 0);
+  let sim = Sim.create () in
+  let h = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:(subtree 4) () in
+  Alcotest.check_raises "epoch > 1 rejected by set_node_observer_id"
+    (Invalid_argument "Hier_flat.set_node_observer_id: observers require epoch = 1")
+    (fun () -> ignore (Obs.Trace.attach_engine h))
 
 let () =
   let seeded = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5b7; 96 |]) in
@@ -427,10 +527,9 @@ let () =
     [
       ( "facade",
         [
-          Alcotest.test_case "unregistered error" `Quick test_unregistered;
-          Alcotest.test_case "registered dispatch" `Quick test_facade;
-          Alcotest.test_case "schedulers + default config" `Quick
-            test_schedulers_and_default_config;
+          Alcotest.test_case "dispatch" `Quick test_facade;
+          Alcotest.test_case "choice payload" `Quick test_choice_payload;
+          Alcotest.test_case "trace attach" `Quick test_trace_attach;
         ] );
       ("lockstep", [ seeded prop_lockstep ]);
       ( "epoch",
@@ -445,5 +544,6 @@ let () =
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "partition" `Quick test_partition;
           Alcotest.test_case "observer gate" `Quick test_observer_gate;
+          Alcotest.test_case "hooks inject during a sync" `Quick test_reentrant_hooks;
         ] );
     ]
