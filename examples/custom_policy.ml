@@ -36,7 +36,6 @@ let strict_priority ~rate:_ : Sched.Sched_intf.t =
   in
   {
     Sched.Sched_intf.name = "StrictPriority";
-    add_session = (fun ~rate -> Sched.Session_handle.slot (open_session ~rate));
     open_session;
     close_session;
     session_of_handle = (fun h -> Sched.Session_pool.resolve pool h);

@@ -68,7 +68,7 @@ let loaded_policy_with factory n =
   let policy = factory.Sched.Sched_intf.make ~rate:1.0 in
   let rate = 1.0 /. float_of_int n in
   for _ = 1 to n do
-    ignore (policy.Sched.Sched_intf.add_session ~rate)
+    ignore Sched.Sched_intf.(policy.session_of_handle (policy.open_session ~rate))
   done;
   for i = 0 to n - 1 do
     policy.Sched.Sched_intf.arrive ~now:0.0 ~session:i ~size_bits:1.0;

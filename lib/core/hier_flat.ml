@@ -1,5 +1,5 @@
 open Sched
-module Ih = Prioq.Indexed_heap4
+module K = Wf2q_kernel
 
 let log_src = Logs.Src.create "hpfq.hier_flat" ~doc:"Flattened H-WF2Q+ server"
 
@@ -14,20 +14,20 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
      the logical-head index, parent, rate) is a plain array indexed by node
      id, so nothing is boxed and the leaf-to-root walks touch contiguous
      memory instead of chasing record pointers;
-   - the per-(node,session) WF2Q+ state (S_i, F_i, head bits, backlogged
-     flag, session rate) lives in one arena per field, indexed by
-     [sbase.(node) + slot] — the whole hierarchy's scheduler state is six
-     float arrays and a byte string;
-   - every WF2Q+ operation is a direct static call on those arrays (no
+   - every interior node is one node of a [Wf2q_kernel] (the same WF2Q+
+     code [Wf2q_plus] runs as a one-node instance), whose per-(node,
+     session) stamps live in flat arenas — the whole hierarchy's scheduler
+     state is a handful of float arrays and a byte string;
+   - every WF2Q+ operation is a direct static call into the kernel (no
      [Sched_intf.t] record of closures, no labeled-float boxing at closure
-     boundaries, inlinable by the compiler);
+     boundaries: the kernel's primitives are inlined);
    - each leaf's leaf-to-root path is precomputed at [create], so the W_n
      credit walk and RESET-PATH are array iterations, not recursion.
 
-   Float semantics are kept bit-identical to [Wf2q_plus] (same operation
-   order, same [Float_cmp] slack, same [Indexed_heap4] tie-breaking), so the
-   generic and flat engines agree exactly — enforced by the qcheck lockstep
-   differential in test/test_hier_flat.ml.
+   Both engines run the kernel's eq. 27-29 code, so the generic and flat
+   engines agree exactly — enforced by the qcheck lockstep differential in
+   test/test_hier_flat.ml, and against the independent int-tick
+   [Wf2q_plus_fixed] by the fixed-point lockstep there.
 
    The epoch layer (DESIGN.md §15) runs the same procedures with the
    root's WF2Q+ synced in epochs. Interior nodes run on their post-dated
@@ -93,20 +93,9 @@ type t = {
      close/reopen semantics exactly so the lockstep differential holds
      under churn. *)
   lifecycle : Bytes.t;
-  (* -- per-node WF2Q+ policy state (interior nodes only) -- *)
-  v : float array; (* V, post-dated to the last selection's completion *)
-  v_time : float array; (* server time of that completion *)
-  backlogged_count : int array;
-  eligible : Ih.t array; (* S_i <= V, keyed by F_i; dummy at leaves *)
-  waiting : Ih.t array; (* S_i >  V, keyed by S_i; dummy at leaves *)
-  observers : Sched_intf.observer option array;
-  (* -- per-(node,session) arena, indexed by sbase.(node) + slot -- *)
-  sbase : int array;
-  s_rate : float array;
-  s_start : float array; (* S_i of the head packet *)
-  s_finish : float array; (* F_i of the head packet *)
-  s_head : float array;
-  s_backlogged : Bytes.t;
+  (* -- the WF2Q+ policy of every interior node; a child's session is its
+     [session_in_parent] slot -- *)
+  k : K.t;
   (* server time of the event being processed, refreshed at every entry
      point (inject / completion / accessor). [node_now] reads it for the
      real-time root instead of calling [Simulator.now] per operation — the
@@ -163,132 +152,27 @@ let nop_leaf_cb _ ~leaf:_ _ = ()
 let[@inline] node_now t n =
   if n = t.root && t.root_real then Array.unsafe_get t.now_cache 0 else t.tn.(n)
 
-(* -- The WF2Q+ building block, monomorphized over the arenas -------------- *)
-(* Each function mirrors its [Wf2q_plus] counterpart line for line; [node]
-   selects the one-level server, [slot] its session (the child's index in
-   the node's child list). *)
-
-let[@inline] linear_v t node ~now = t.v.(node) +. (now -. t.v_time.(node))
-
-(* [Float.max] is an external call whose float arguments box without
-   flambda. Bit-identical for this code's value domain (no NaNs, no mixed
-   signed zeros; ties return the first argument in both). *)
-let[@inline] fmax (x : float) y = if y > x then y else x
-
-let[@inline] place t node slot =
-  let i = t.sbase.(node) + slot in
-  if Float_cmp.le_with_slack t.s_start.(i) t.v.(node) then
-    Ih.add t.eligible.(node) ~key:slot ~prio:t.s_finish.(i)
-  else Ih.add t.waiting.(node) ~key:slot ~prio:t.s_start.(i)
-
-(* Without flambda every float argument to a non-inlined call is boxed on
-   the minor heap, so none of the hot operations below takes a float: each
+(* -- The WF2Q+ building block ----------------------------------------- *)
+(* None of these takes a float, so no float crosses a call boundary: each
    reads its operands — the child's committed head size, the node clock —
-   from the arenas, and [child] (the child node id) stands in for both the
+   from the arrays, and [child] (the child node id) stands in for both the
    session slot ([session_in_parent]) and the head size ([logical_bits],
-   written by the caller before the call). Observer stamps are computed
-   only inside the [Some] branch, so the untraced path allocates nothing
-   beyond the heap operations themselves. *)
+   written by the caller before the call). The kernel's primitives are
+   inlined into them. *)
 
 let p_backlog t node ~child =
-  let slot = t.session_in_parent.(child) in
-  let head_bits = t.logical_bits.(child) in
-  let now = node_now t node in
-  let i = t.sbase.(node) + slot in
-  (* eq. 28, empty-queue branch: S = max(F, V(now)) *)
-  let start = fmax t.s_finish.(i) (linear_v t node ~now) in
-  t.s_start.(i) <- start;
-  t.s_finish.(i) <- start +. (head_bits /. t.s_rate.(i));
-  t.s_head.(i) <- head_bits;
-  Bytes.set t.s_backlogged i '\001';
-  t.backlogged_count.(node) <- t.backlogged_count.(node) + 1;
-  place t node slot;
-  match t.observers.(node) with
-  | None -> ()
-  | Some o ->
-    o.Sched_intf.on_backlog ~now ~vtime:(linear_v t node ~now) ~session:slot ~head_bits
+  K.backlog t.k node t.session_in_parent.(child) ~now:(node_now t node)
+    ~head_bits:t.logical_bits.(child)
 
 let p_requeue t node ~child =
-  let slot = t.session_in_parent.(child) in
-  let head_bits = t.logical_bits.(child) in
-  let i = t.sbase.(node) + slot in
-  (* eq. 28, busy branch: S = F *)
-  let start = t.s_finish.(i) in
-  let finish = start +. (head_bits /. t.s_rate.(i)) in
-  t.s_start.(i) <- start;
-  t.s_finish.(i) <- finish;
-  t.s_head.(i) <- head_bits;
-  let e = t.eligible.(node) in
-  if Ih.mem e slot then
-    if Float_cmp.le_with_slack start t.v.(node) then Ih.update e ~key:slot ~prio:finish
-    else begin
-      Ih.remove e slot;
-      Ih.add t.waiting.(node) ~key:slot ~prio:start
-    end
-  else begin
-    Ih.remove t.waiting.(node) slot;
-    place t node slot
-  end;
-  match t.observers.(node) with
-  | None -> ()
-  | Some o ->
-    let now = node_now t node in
-    o.Sched_intf.on_requeue ~now ~vtime:(linear_v t node ~now) ~session:slot ~head_bits
+  K.requeue t.k node t.session_in_parent.(child) ~now:(node_now t node)
+    ~head_bits:t.logical_bits.(child)
 
 let p_set_idle t node ~child =
-  let slot = t.session_in_parent.(child) in
-  Bytes.set t.s_backlogged (t.sbase.(node) + slot) '\000';
-  t.backlogged_count.(node) <- t.backlogged_count.(node) - 1;
-  Ih.remove t.eligible.(node) slot;
-  Ih.remove t.waiting.(node) slot;
-  match t.observers.(node) with
-  | None -> ()
-  | Some o ->
-    let now = node_now t node in
-    o.Sched_intf.on_idle ~now ~vtime:(linear_v t node ~now) ~session:slot
+  K.set_idle t.k node t.session_in_parent.(child) ~now:(node_now t node)
 
 (* Returns the selected slot, or -1 when no session is backlogged. *)
-let p_select t node =
-  if t.backlogged_count.(node) = 0 then -1
-  else begin
-    let now = node_now t node in
-    (* eq. 27: threshold = max(V(t)+τ, min S); when the eligible set is
-       non-empty some S is already <= V, so the max is the linear term. *)
-    let lin = linear_v t node ~now in
-    let e = t.eligible.(node) and w = t.waiting.(node) in
-    let threshold =
-      if Ih.is_empty e && not (Ih.is_empty w) then
-        fmax lin (Ih.min_prio_unsafe w)
-      else lin
-    in
-    (* promote: move every waiting session with S <= threshold; the loop is
-       inlined here so [threshold] never crosses a call boundary *)
-    let base = t.sbase.(node) in
-    let continue = ref true in
-    while !continue && not (Ih.is_empty w) do
-      let start = Ih.min_prio_unsafe w in
-      if Float_cmp.le_with_slack start threshold then begin
-        let slot = Ih.min_key_unsafe w in
-        Ih.drop_min w;
-        Ih.add e ~key:slot ~prio:t.s_finish.(base + slot)
-      end
-      else continue := false
-    done;
-    let slot = Ih.min_key_unsafe e in
-    if slot >= 0 then begin
-      let service = t.s_head.(base + slot) /. t.rate.(node) in
-      (* RESTART-NODE lines 12-13: post-date V and its timestamp to the
-         completion of the packet just committed. *)
-      t.v.(node) <- threshold +. service;
-      t.v_time.(node) <- now +. service;
-      match t.observers.(node) with
-      | None -> slot
-      | Some o ->
-        o.Sched_intf.on_select ~now ~vtime:t.v.(node) ~session:slot;
-        slot
-    end
-    else slot
-  end
+let p_select t node = K.select t.k node ~now:(node_now t node)
 
 (* -- The three pseudocode procedures, over flat arrays ------------------- *)
 
@@ -329,12 +213,12 @@ let rec restart_node t n =
       else begin
         (* the committed head is a fresh logical packet in the parent's
            system — an observer-only event, nothing to update *)
-        (match t.observers.(q) with
+        (match K.observer t.k q with
         | None -> ()
         | Some o ->
           let q_now = node_now t q in
           o.Sched_intf.on_arrive ~now:q_now
-            ~vtime:(linear_v t q ~now:q_now)
+            ~vtime:(K.linear_v t.k q ~now:q_now)
             ~session:t.session_in_parent.(n) ~size_bits:bits);
         if was_busy then
           (* line 8: s_n <- f_n *)
@@ -513,12 +397,12 @@ and arrive t pkt ~leaf =
   end
   else begin
     let q = t.parent.(leaf) in
-    (match t.observers.(q) with
+    (match K.observer t.k q with
     | None -> ()
     | Some o ->
       let q_now = node_now t q in
       o.Sched_intf.on_arrive ~now:q_now
-        ~vtime:(linear_v t q ~now:q_now)
+        ~vtime:(K.linear_v t.k q ~now:q_now)
         ~session:t.session_in_parent.(leaf)
         ~size_bits:(Net.Packet_pool.size_bits t.pool pkt));
     (* ARRIVE lines 2-3: nothing more to do when the subtree has a head *)
@@ -698,17 +582,10 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
     children_len.(id) <- List.length cs;
     next_off := !next_off + children_len.(id)
   done;
-  (* session arenas: slot ranges per interior node *)
-  let sbase = Array.make n_nodes 0 in
-  let total_sessions = ref 0 in
-  for id = 0 to n_nodes - 1 do
-    sbase.(id) <- !total_sessions;
-    total_sessions := !total_sessions + children_len.(id)
-  done;
-  let total_sessions = !total_sessions in
-  let s_rate = Array.make (max 1 total_sessions) 0.0 in
+  (* one kernel node per node, with one slot per child *)
+  let k = K.create ~rate ~slots:children_len in
   for id = 1 to n_nodes - 1 do
-    s_rate.(sbase.(parent.(id)) + session_in_parent.(id)) <- rate.(id)
+    K.reset_slot k parent.(id) session_in_parent.(id) ~rate:rate.(id)
   done;
   (* leaf-to-root paths, flattened *)
   let path_off = Array.make n_nodes 0 in
@@ -733,19 +610,10 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
   done;
   let pool = Net.Packet_pool.create () in
   let dummy_fifo = Net.Fifo.create ~pool () in
-  let dummy_heap = Ih.create 1 in
   let fifos =
     Array.init n_nodes (fun id ->
         if is_leaf.(id) then Net.Fifo.create ?capacity_bits:capacity.(id) ~pool ()
         else dummy_fifo)
-  in
-  let eligible =
-    Array.init n_nodes (fun id ->
-        if is_leaf.(id) then dummy_heap else Ih.create (max 1 children_len.(id)))
-  in
-  let waiting =
-    Array.init n_nodes (fun id ->
-        if is_leaf.(id) then dummy_heap else Ih.create (max 1 children_len.(id)))
   in
   (* shard assignment: root-child subtrees round-robin over the effective
      shard count; preorder contiguity means one pass suffices *)
@@ -796,18 +664,7 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       fifos;
       next_seq = Array.make n_nodes 1;
       lifecycle = Bytes.make n_nodes '\000';
-      v = Array.make n_nodes 0.0;
-      v_time = Array.make n_nodes 0.0;
-      backlogged_count = Array.make n_nodes 0;
-      eligible;
-      waiting;
-      observers = Array.make n_nodes None;
-      sbase;
-      s_rate;
-      s_start = Array.make (max 1 total_sessions) 0.0;
-      s_finish = Array.make (max 1 total_sessions) 0.0;
-      s_head = Array.make (max 1 total_sessions) 0.0;
-      s_backlogged = Bytes.make (max 1 total_sessions) '\000';
+      k;
       now_cache = [| 0.0 |];
       on_depart = nop_leaf_cb;
       on_drop = nop_leaf_cb;
@@ -935,8 +792,9 @@ let leaf_state t ~(leaf : Hier.leaf) =
    head is this leaf's committed packet ([logical] stores the owning leaf
    id, so the physical-equality test of the generic engine becomes an int
    compare), then removes the slot from the parent's heaps with no
-   observer event — exactly what [Wf2q_plus.close_session `Drop] does —
-   and lets the restart cascade repair the cleared ancestors. *)
+   observer event — the kernel's [remove], as in
+   [Wf2q_plus.close_session `Drop] — and lets the restart cascade repair
+   the cleared ancestors. *)
 let close_leaf t ~(leaf : Hier.leaf) ~policy =
   sync_if_staged t;
   let leaf = (leaf :> int) in
@@ -969,14 +827,7 @@ let close_leaf t ~(leaf : Hier.leaf) ~policy =
           end
           else walking := false
         done;
-        let slot = t.session_in_parent.(leaf) in
-        let i = t.sbase.(q) + slot in
-        if Bytes.get t.s_backlogged i <> '\000' then begin
-          Ih.remove t.eligible.(q) slot;
-          Ih.remove t.waiting.(q) slot;
-          Bytes.set t.s_backlogged i '\000';
-          t.backlogged_count.(q) <- t.backlogged_count.(q) - 1
-        end;
+        K.remove t.k q t.session_in_parent.(leaf);
         Bytes.set t.lifecycle leaf '\003';
         if t.logical.(q) < 0 then restart_node t q
       end
@@ -989,20 +840,13 @@ let reopen_leaf ?rate t ~(leaf : Hier.leaf) =
   | '\003' -> ()
   | '\000' -> invalid_arg "Hier_flat.reopen_leaf: leaf is open"
   | _ -> invalid_arg "Hier_flat.reopen_leaf: close still in progress");
-  let q = t.parent.(leaf) in
-  let i = t.sbase.(q) + t.session_in_parent.(leaf) in
   (match rate with
   | Some r ->
     if r <= 0.0 then invalid_arg "Hier_flat.reopen_leaf: rate must be positive";
-    t.rate.(leaf) <- r;
-    t.s_rate.(i) <- r
+    t.rate.(leaf) <- r
   | None -> ());
-  (* fresh-session stamps, matching [Wf2q_plus.open_session] on a recycled
-     slot: F = 0, so the first backlog stamps S = max(0, V) = V *)
-  t.s_start.(i) <- 0.0;
-  t.s_finish.(i) <- 0.0;
-  t.s_head.(i) <- 0.0;
-  Bytes.set t.s_backlogged i '\000';
+  (* fresh-session stamps, as [Wf2q_plus.open_session] on a recycled slot *)
+  K.reset_slot t.k t.parent.(leaf) t.session_in_parent.(leaf) ~rate:t.rate.(leaf);
   Bytes.set t.lifecycle leaf '\000'
 
 let queue_bits t ~(leaf : Hier.leaf) =
@@ -1025,7 +869,7 @@ let node_virtual_time t ~node =
   if t.children_len.(id) = 0 then
     invalid_arg "Hier_flat.node_virtual_time: leaf has no policy";
   Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
-  linear_v t id ~now:(node_now t id)
+  K.linear_v t.k id ~now:(node_now t id)
 
 let link_busy t = t.link_busy
 let drops t =
@@ -1085,11 +929,11 @@ let set_node_observer_id t ~node observer =
   check_observer_epoch t "set_node_observer_id" observer;
   if node < 0 || node >= t.n_nodes || t.children_len.(node) = 0 then
     invalid_arg "Hier_flat.set_node_observer_id: not an interior node";
-  t.observers.(node) <- observer
+  K.set_observer t.k node observer
 
 let set_node_observer t ~node observer =
   check_observer_epoch t "set_node_observer" observer;
   let id = node_by_name t node in
   if t.children_len.(id) = 0 then
     invalid_arg "Hier_flat.set_node_observer: leaf has no policy";
-  t.observers.(id) <- observer
+  K.set_observer t.k id observer

@@ -8,10 +8,10 @@
     {!Prioq.Indexed_heap4} tie-breaking — so the two engines produce
     bit-identical departure orders and clocks (enforced by the qcheck
     lockstep differential in the test suite). What changes is the machine
-    shape: per-node fields are struct-of-arrays indexed by node id,
-    per-(node,session) WF²Q+ stamps live in arena arrays indexed by
-    [session_base.(node) + slot], leaf→root paths are precomputed, and every
-    policy operation is a direct static call instead of a
+    shape: per-node fields are struct-of-arrays indexed by node id, every
+    interior node is one node of a {!Wf2q_kernel} (the code {!Wf2q_plus}
+    runs as a one-node instance), leaf→root paths are precomputed, and
+    every policy operation is a direct static call instead of a
     {!Sched.Sched_intf.t} closure — no boxed floats at call boundaries, no
     per-call observer record chasing.
 

@@ -1,239 +1,72 @@
 open Sched
+module K = Wf2q_kernel
 
-(* Session state lives in a struct-of-arrays layout rather than an array of
-   records: a mixed int/float record boxes every float field, so each stamp
-   update (`s.start <- ...`) allocates a fresh boxed float on the minor
-   heap and every read chases a pointer. With one plain [float array] per
-   field the floats are unboxed, stamp updates are in-place stores, and
-   [select]/[promote] walk contiguous memory. The per-session fields are
-   indexed by the session id handed out by [add_session]. *)
-type state = {
-  server_rate : float;
-  mutable rates : float array;      (* r_i *)
-  mutable starts : float array;     (* S_i: virtual start of the head packet *)
-  mutable finishes : float array;   (* F_i: virtual finish of the head packet *)
-  mutable head_bits : float array;
-  mutable backlogged : Bytes.t;     (* '\001' when backlogged *)
-  pool : Session_pool.t;            (* slot lifecycle: freelist + generations *)
-  eligible : Prioq.Indexed_heap4.t; (* S_i <= V, keyed by F_i *)
-  waiting : Prioq.Indexed_heap4.t;  (* S_i >  V, keyed by S_i *)
-  vv : float array;                 (* [|V; server time of V|]: V is post-dated to the
-                                       last selection's completion and timestamped with
-                                       that completion; a float array keeps both unboxed
-                                       (mutable floats in this mixed record would box on
-                                       every store). *)
-  mutable backlogged_count : int;
-  mutable observer : Sched_intf.observer option;
-}
-
-(* The V(t)+τ term of eq. 27. [v] is post-dated to [v_time], the completion
-   of the last committed packet; V is linear (slope 1) through that span and
-   across any idle gap that follows, so V(now) interpolates in both
-   directions: backwards for an arrival landing mid-transmission
-   (now < v_time), forwards across idle time (now > v_time). Clamping the
-   backward case at [v] would inflate eq. 28's S = max(F, V(a)) stamps and
-   leak guaranteed bandwidth (caught by the Thm 4.3 property test). *)
-let linear_v t ~now = t.vv.(0) +. (now -. t.vv.(1))
-
-(* Local max: [Stdlib.Float.max] is a cross-module call that boxes both
-   arguments and the result without flambda. Identical to [Float.max] for
-   the non-NaN, non-negative stamps used here (ties return the first
-   argument in both). *)
-let[@inline] fmax (x : float) y = if y > x then y else x
-
-let check_session t session =
-  if not (Session_pool.is_live t.pool session) then
-    invalid_arg "Wf2q_plus: unknown session"
-
-let ensure_capacity t slot =
-  let cap = Array.length t.rates in
-  if slot >= cap then begin
-    let cap' = max 16 (max (slot + 1) (2 * cap)) in
-    let grow a =
-      let b = Array.make cap' 0.0 in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    t.rates <- grow t.rates;
-    t.starts <- grow t.starts;
-    t.finishes <- grow t.finishes;
-    t.head_bits <- grow t.head_bits;
-    let b = Bytes.make cap' '\000' in
-    Bytes.blit t.backlogged 0 b 0 cap;
-    t.backlogged <- b
-  end
-
-let place t session =
-  if Float_cmp.le_with_slack t.starts.(session) t.vv.(0) then
-    Prioq.Indexed_heap4.add t.eligible ~key:session ~prio:t.finishes.(session)
-  else Prioq.Indexed_heap4.add t.waiting ~key:session ~prio:t.starts.(session)
-
-let promote t ~threshold =
-  let continue = ref true in
-  while !continue && not (Prioq.Indexed_heap4.is_empty t.waiting) do
-    let start = Prioq.Indexed_heap4.min_prio_unsafe t.waiting in
-    if Float_cmp.le_with_slack start threshold then begin
-      let session = Prioq.Indexed_heap4.min_key_unsafe t.waiting in
-      Prioq.Indexed_heap4.drop_min t.waiting;
-      Prioq.Indexed_heap4.add t.eligible ~key:session ~prio:t.finishes.(session)
-    end
-    else continue := false
-  done
-
+(* A one-node kernel: the session id is the slot in node 0, handed out by
+   the pool's freelist. A recycled slot is re-initialised to fresh-session
+   state, so its first backlog stamps S = V exactly as a new session's. *)
 let make ~rate =
   if rate <= 0.0 then invalid_arg "Wf2q_plus.make: rate must be positive";
-  let t =
-    {
-      server_rate = rate;
-      rates = [||];
-      starts = [||];
-      finishes = [||];
-      head_bits = [||];
-      backlogged = Bytes.create 0;
-      pool = Session_pool.create ~name:"Wf2q_plus" ();
-      eligible = Prioq.Indexed_heap4.create 16;
-      waiting = Prioq.Indexed_heap4.create 16;
-      vv = [| 0.0; 0.0 |];
-      backlogged_count = 0;
-      observer = None;
-    }
-  in
-  (* Lifecycle: slots come from the pool's freelist; a recycled slot is
-     re-initialised to fresh-session state (F = 0, so the first backlog
-     stamps S = max(0, V) = V — exactly a brand-new session). *)
+  let k = K.create ~rate:[| rate |] ~slots:[| 0 |] in
+  let pool = Session_pool.create ~name:"Wf2q_plus" () in
   let open_session ~rate =
     if rate <= 0.0 then invalid_arg "Wf2q_plus.open_session: rate must be positive";
-    let slot = Session_pool.alloc t.pool in
-    ensure_capacity t slot;
-    t.rates.(slot) <- rate;
-    t.starts.(slot) <- 0.0;
-    t.finishes.(slot) <- 0.0;
-    t.head_bits.(slot) <- 0.0;
-    Bytes.set t.backlogged slot '\000';
-    Session_pool.handle t.pool slot
+    let slot = Session_pool.alloc pool in
+    K.grow k (slot + 1);
+    K.reset_slot k 0 slot ~rate;
+    Session_pool.handle pool slot
   in
   let close_session ~now:_ ~policy h =
-    let slot = Session_pool.resolve t.pool h in
-    if Bytes.get t.backlogged slot <> '\000' then begin
-      match policy with
-      | `Drain ->
-        (* keep scheduling; set_idle frees the slot when the queue empties *)
-        Session_pool.mark_draining t.pool slot
-      | `Drop ->
-        Prioq.Indexed_heap4.remove t.eligible slot;
-        Prioq.Indexed_heap4.remove t.waiting slot;
-        Bytes.set t.backlogged slot '\000';
-        t.backlogged_count <- t.backlogged_count - 1;
-        Session_pool.free t.pool slot
-    end
-    else Session_pool.free t.pool slot
+    let slot = Session_pool.resolve pool h in
+    match policy with
+    | `Drain when K.is_backlogged k 0 slot ->
+      (* keep scheduling; set_idle frees the slot when the queue empties *)
+      Session_pool.mark_draining pool slot
+    | `Drain | `Drop ->
+      K.remove k 0 slot;
+      Session_pool.free pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   let arrive ~now ~session ~size_bits =
-    match t.observer with
+    Session_pool.check_live pool session;
+    match K.observer k 0 with
     | None -> ()
-    | Some o -> o.Sched_intf.on_arrive ~now ~vtime:(linear_v t ~now) ~session ~size_bits
+    | Some o ->
+      o.Sched_intf.on_arrive ~now ~vtime:(K.linear_v k 0 ~now) ~session ~size_bits
   in
   let backlog ~now ~session ~head_bits =
-    check_session t session;
-    if Bytes.get t.backlogged session <> '\000' then
+    Session_pool.check_live pool session;
+    if K.is_backlogged k 0 session then
       invalid_arg "Wf2q_plus: backlog of backlogged session";
-    (* eq. 28, empty-queue branch: S = max(F, V(now)) *)
-    let start = fmax t.finishes.(session) (linear_v t ~now) in
-    t.starts.(session) <- start;
-    t.finishes.(session) <- start +. (head_bits /. t.rates.(session));
-    t.head_bits.(session) <- head_bits;
-    Bytes.set t.backlogged session '\001';
-    t.backlogged_count <- t.backlogged_count + 1;
-    place t session;
-    match t.observer with
-    | None -> ()
-    | Some o -> o.Sched_intf.on_backlog ~now ~vtime:(linear_v t ~now) ~session ~head_bits
+    K.backlog k 0 session ~now ~head_bits
   in
   let requeue ~now ~session ~head_bits =
-    check_session t session;
-    (* eq. 28, busy branch: S = F *)
-    let start = t.finishes.(session) in
-    let finish = start +. (head_bits /. t.rates.(session)) in
-    t.starts.(session) <- start;
-    t.finishes.(session) <- finish;
-    t.head_bits.(session) <- head_bits;
-    (* The requeued session usually sits in the eligible set (it was just
-       selected from there); when it stays eligible an in-place increase-key
-       replaces the remove+add pair. *)
-    if Prioq.Indexed_heap4.mem t.eligible session then
-      if Float_cmp.le_with_slack start t.vv.(0) then
-        Prioq.Indexed_heap4.update t.eligible ~key:session ~prio:finish
-      else begin
-        Prioq.Indexed_heap4.remove t.eligible session;
-        Prioq.Indexed_heap4.add t.waiting ~key:session ~prio:start
-      end
-    else begin
-      Prioq.Indexed_heap4.remove t.waiting session;
-      place t session
-    end;
-    match t.observer with
-    | None -> ()
-    | Some o -> o.Sched_intf.on_requeue ~now ~vtime:(linear_v t ~now) ~session ~head_bits
+    Session_pool.check_live pool session;
+    K.requeue k 0 session ~now ~head_bits
   in
   let set_idle ~now ~session =
-    check_session t session;
-    if Bytes.get t.backlogged session = '\000' then
+    Session_pool.check_live pool session;
+    if not (K.is_backlogged k 0 session) then
       invalid_arg "Wf2q_plus: set_idle of idle session";
-    Bytes.set t.backlogged session '\000';
-    t.backlogged_count <- t.backlogged_count - 1;
-    Prioq.Indexed_heap4.remove t.eligible session;
-    Prioq.Indexed_heap4.remove t.waiting session;
-    if Session_pool.is_draining t.pool session then Session_pool.free t.pool session;
-    match t.observer with
-    | None -> ()
-    | Some o -> o.Sched_intf.on_idle ~now ~vtime:(linear_v t ~now) ~session
+    K.set_idle k 0 session ~now;
+    if Session_pool.is_draining pool session then Session_pool.free pool session
   in
   let select ~now =
-    if t.backlogged_count = 0 then None
-    else begin
-      (* eq. 27: threshold = max(V(t)+τ, min S). When the eligible set is
-         non-empty some S is already <= V, so min S <= V and the max is just
-         the linear term. *)
-      let lin = linear_v t ~now in
-      let threshold =
-        if
-          Prioq.Indexed_heap4.is_empty t.eligible
-          && not (Prioq.Indexed_heap4.is_empty t.waiting)
-        then fmax lin (Prioq.Indexed_heap4.min_prio_unsafe t.waiting)
-        else lin
-      in
-      promote t ~threshold;
-      let session = Prioq.Indexed_heap4.min_key_unsafe t.eligible in
-      if session < 0 then None (* unreachable: threshold >= min S guarantees a candidate *)
-      else begin
-        let service = t.head_bits.(session) /. t.server_rate in
-        (* RESTART-NODE lines 12-13: post-date V and its timestamp to the
-           completion of the packet just committed. *)
-        t.vv.(0) <- threshold +. service;
-        t.vv.(1) <- now +. service;
-        (match t.observer with
-        | None -> ()
-        | Some o -> o.Sched_intf.on_select ~now ~vtime:t.vv.(0) ~session);
-        Some session
-      end
-    end
+    let slot = K.select k 0 ~now in
+    if slot < 0 then None else Some slot
   in
   {
     Sched_intf.name = "WF2Q+";
-    add_session;
     open_session;
     close_session;
-    session_of_handle = (fun h -> Session_pool.resolve t.pool h);
-    live_sessions = (fun () -> Session_pool.live_count t.pool);
+    session_of_handle = (fun h -> Session_pool.resolve pool h);
+    live_sessions = (fun () -> Session_pool.live_count pool);
     arrive;
     backlog;
     requeue;
     set_idle;
     select;
-    virtual_time = (fun ~now -> linear_v t ~now);
-    backlogged_count = (fun () -> t.backlogged_count);
-    set_observer = (fun o -> t.observer <- o);
+    virtual_time = (fun ~now -> K.linear_v k 0 ~now);
+    backlogged_count = (fun () -> K.backlogged_count k 0);
+    set_observer = K.set_observer k 0;
   }
 
 let factory = { Sched_intf.kind = "WF2Q+"; make }

@@ -11,9 +11,12 @@
     backlogged queue stamps [S_i = F_i]; in both cases
     [F_i = S_i + L/r_i].
 
-    Implementation: backlogged sessions are split into an {e eligible} set
-    ([S_i ≤ V], an indexed heap keyed by [F_i]) and a {e waiting} set (keyed
-    by [S_i]). [select]:
+    Implementation: a one-node {!Wf2q_kernel} (the same code every
+    {!Hier_flat} node runs) behind the {!Sched.Sched_intf.t} closures,
+    with a {!Sched.Session_pool} for the session lifecycle. Backlogged
+    sessions are split into an {e eligible} set ([S_i ≤ V], an indexed
+    heap keyed by [F_i]) and a {e waiting} set (keyed by [S_i]).
+    [select]:
 
     + advances [V] by the server time elapsed since the last selection
       (the [V(t)+τ] term — zero when driven in reference time, where the

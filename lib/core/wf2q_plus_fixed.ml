@@ -40,10 +40,6 @@ let bits_of_float size_bits =
   if size_bits < 0.0 then invalid_arg "Wf2q_plus_fixed: negative size";
   int_of_float (Float.round size_bits)
 
-let check_session t session =
-  if not (Session_pool.is_live t.pool session) then
-    invalid_arg "Wf2q_plus_fixed: unknown session"
-
 let ensure_capacity t slot =
   let cap = Array.length t.ipb in
   if slot >= cap then begin
@@ -129,15 +125,15 @@ let policy t =
     end
     else Session_pool.free t.pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   let arrive ~now ~session ~size_bits =
+    Session_pool.check_live t.pool session;
     match t.observer with
     | None -> ()
     | Some o ->
       o.Sched_intf.on_arrive ~now ~vtime:(to_vtime t (linear_v t ~now)) ~session ~size_bits
   in
   let backlog ~now ~session ~head_bits =
-    check_session t session;
+    Session_pool.check_live t.pool session;
     if Bytes.get t.backlogged session <> '\000' then
       invalid_arg "Wf2q_plus_fixed: backlog of backlogged session";
     let bits = bits_of_float head_bits in
@@ -155,7 +151,7 @@ let policy t =
       o.Sched_intf.on_backlog ~now ~vtime:(to_vtime t (linear_v t ~now)) ~session ~head_bits
   in
   let requeue ~now ~session ~head_bits =
-    check_session t session;
+    Session_pool.check_live t.pool session;
     let bits = bits_of_float head_bits in
     (* eq. 28, busy branch: S = F *)
     let start = t.finishes.(session) in
@@ -180,7 +176,7 @@ let policy t =
       o.Sched_intf.on_requeue ~now ~vtime:(to_vtime t (linear_v t ~now)) ~session ~head_bits
   in
   let set_idle ~now ~session =
-    check_session t session;
+    Session_pool.check_live t.pool session;
     if Bytes.get t.backlogged session = '\000' then
       invalid_arg "Wf2q_plus_fixed: set_idle of idle session";
     Bytes.set t.backlogged session '\000';
@@ -222,7 +218,6 @@ let policy t =
   in
   {
     Sched_intf.name = "WF2Q+fx";
-    add_session;
     open_session;
     close_session;
     session_of_handle = (fun h -> Session_pool.resolve t.pool h);

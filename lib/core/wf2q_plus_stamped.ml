@@ -1,178 +1,102 @@
 open Sched
+module K = Wf2q_kernel
 
+(* A one-node kernel plus the per-packet stamps: each session queues the
+   (S, F) of every packet, stamped at arrival, and the head's pair is
+   written into the kernel's arena before it is filed. *)
 type session = {
   rate : float;
-  stamps : (float * float) Queue.t; (* per-packet (S, F), stamped at arrival *)
-  mutable last_finish : float;      (* F of the session's newest packet *)
-  mutable backlogged : bool;
+  stamps : Stamp_queue.t; (* per-packet (S, F), stamped at arrival *)
+  mutable last_finish : float; (* F of the session's newest packet *)
 }
-
-type state = {
-  server_rate : float;
-  sessions : session Vec.t;
-  pool : Session_pool.t;
-  eligible : Prioq.Indexed_heap4.t; (* head S <= V, keyed by head F *)
-  waiting : Prioq.Indexed_heap4.t;  (* keyed by head S *)
-  mutable v : float;
-  mutable v_time : float;
-  mutable backlogged_count : int;
-  mutable observer : Sched_intf.observer option;
-}
-
-let linear_v t ~now = t.v +. (now -. t.v_time)
-
-let head_stamps t session =
-  let s = Vec.get t.sessions session in
-  match Queue.peek_opt s.stamps with
-  | Some stamps -> stamps
-  | None -> invalid_arg "Wf2q_plus_stamped: session has no stamped packet"
-
-let place t session =
-  let start, finish = head_stamps t session in
-  if Float_cmp.le_with_slack start t.v then
-    Prioq.Indexed_heap4.add t.eligible ~key:session ~prio:finish
-  else Prioq.Indexed_heap4.add t.waiting ~key:session ~prio:start
-
-let promote t ~threshold =
-  let continue = ref true in
-  while !continue do
-    match Prioq.Indexed_heap4.min_binding t.waiting with
-    | Some (session, start) when Float_cmp.le_with_slack start threshold ->
-      ignore (Prioq.Indexed_heap4.pop_min t.waiting);
-      let _, finish = head_stamps t session in
-      Prioq.Indexed_heap4.add t.eligible ~key:session ~prio:finish
-    | Some _ | None -> continue := false
-  done
 
 let make ~rate =
   if rate <= 0.0 then invalid_arg "Wf2q_plus_stamped.make: rate must be positive";
-  let t =
-    {
-      server_rate = rate;
-      sessions = Vec.create ();
-      pool = Session_pool.create ~name:"Wf2q_plus_stamped" ();
-      eligible = Prioq.Indexed_heap4.create 16;
-      waiting = Prioq.Indexed_heap4.create 16;
-      v = 0.0;
-      v_time = 0.0;
-      backlogged_count = 0;
-      observer = None;
-    }
+  let k = K.create ~rate:[| rate |] ~slots:[| 0 |] in
+  let pool = Session_pool.create ~name:"Wf2q_plus_stamped" () in
+  let sessions = Vec.create () in
+  let stamp_head session =
+    let q = (Vec.get sessions session).stamps in
+    if Stamp_queue.is_empty q then
+      invalid_arg "Wf2q_plus_stamped: session has no stamped packet";
+    K.set_stamps k 0 session ~start:(Stamp_queue.peek_start q)
+      ~finish:(Stamp_queue.peek_finish q)
   in
   let open_session ~rate =
     if rate <= 0.0 then invalid_arg "Wf2q_plus_stamped.open_session: bad rate";
-    let slot = Session_pool.alloc t.pool in
-    let fresh = { rate; stamps = Queue.create (); last_finish = 0.0; backlogged = false } in
-    if slot = Vec.length t.sessions then ignore (Vec.push t.sessions fresh)
-    else Vec.set t.sessions slot fresh;
-    Session_pool.handle t.pool slot
+    let slot = Session_pool.alloc pool in
+    K.grow k (slot + 1);
+    K.reset_slot k 0 slot ~rate;
+    let fresh = { rate; stamps = Stamp_queue.create (); last_finish = 0.0 } in
+    if slot = Vec.length sessions then ignore (Vec.push sessions fresh)
+    else Vec.set sessions slot fresh;
+    Session_pool.handle pool slot
   in
   let close_session ~now:_ ~policy h =
-    let slot = Session_pool.resolve t.pool h in
-    let s = Vec.get t.sessions slot in
-    if s.backlogged then begin
-      match policy with
-      | `Drain -> Session_pool.mark_draining t.pool slot
-      | `Drop ->
-        Prioq.Indexed_heap4.remove t.eligible slot;
-        Prioq.Indexed_heap4.remove t.waiting slot;
-        Queue.clear s.stamps;
-        s.backlogged <- false;
-        t.backlogged_count <- t.backlogged_count - 1;
-        Session_pool.free t.pool slot
-    end
-    else Session_pool.free t.pool slot
+    let slot = Session_pool.resolve pool h in
+    match policy with
+    | `Drain when K.is_backlogged k 0 slot -> Session_pool.mark_draining pool slot
+    | `Drain | `Drop ->
+      (* the queued stamps go with the record; a reopened slot gets a
+         fresh one *)
+      K.remove k 0 slot;
+      Session_pool.free pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   (* eq. 6-7: stamp at arrival time with the current virtual time *)
   let arrive ~now ~session ~size_bits =
-    let s = Vec.get t.sessions session in
-    let start = Float.max s.last_finish (linear_v t ~now) in
+    Session_pool.check_live pool session;
+    let s = Vec.get sessions session in
+    let start = Float.max s.last_finish (K.linear_v k 0 ~now) in
     let finish = start +. (size_bits /. s.rate) in
     s.last_finish <- finish;
-    Queue.push (start, finish) s.stamps;
-    match t.observer with
+    Stamp_queue.push s.stamps ~start ~finish;
+    match K.observer k 0 with
     | None -> ()
-    | Some o -> o.Sched_intf.on_arrive ~now ~vtime:(linear_v t ~now) ~session ~size_bits
+    | Some o ->
+      o.Sched_intf.on_arrive ~now ~vtime:(K.linear_v k 0 ~now) ~session ~size_bits
   in
   let backlog ~now ~session ~head_bits =
-    let s = Vec.get t.sessions session in
-    if s.backlogged then invalid_arg "Wf2q_plus_stamped: backlog of backlogged session";
-    s.backlogged <- true;
-    t.backlogged_count <- t.backlogged_count + 1;
-    place t session;
-    match t.observer with
-    | None -> ()
-    | Some o -> o.Sched_intf.on_backlog ~now ~vtime:(linear_v t ~now) ~session ~head_bits
-  in
-  let remove_from_heaps session =
-    Prioq.Indexed_heap4.remove t.eligible session;
-    Prioq.Indexed_heap4.remove t.waiting session
+    Session_pool.check_live pool session;
+    if K.is_backlogged k 0 session then
+      invalid_arg "Wf2q_plus_stamped: backlog of backlogged session";
+    stamp_head session;
+    K.enqueue k 0 session ~now ~head_bits
   in
   let requeue ~now ~session ~head_bits =
-    ignore (Queue.pop (Vec.get t.sessions session).stamps);
-    remove_from_heaps session;
-    place t session;
-    match t.observer with
+    Session_pool.check_live pool session;
+    Stamp_queue.drop (Vec.get sessions session).stamps;
+    stamp_head session;
+    K.unplace k 0 session;
+    K.place k 0 session;
+    match K.observer k 0 with
     | None -> ()
-    | Some o -> o.Sched_intf.on_requeue ~now ~vtime:(linear_v t ~now) ~session ~head_bits
+    | Some o ->
+      o.Sched_intf.on_requeue ~now ~vtime:(K.linear_v k 0 ~now) ~session ~head_bits
   in
   let set_idle ~now ~session =
-    let s = Vec.get t.sessions session in
-    ignore (Queue.pop s.stamps);
-    remove_from_heaps session;
-    s.backlogged <- false;
-    t.backlogged_count <- t.backlogged_count - 1;
-    if Session_pool.is_draining t.pool session then Session_pool.free t.pool session;
-    match t.observer with
-    | None -> ()
-    | Some o -> o.Sched_intf.on_idle ~now ~vtime:(linear_v t ~now) ~session
+    Session_pool.check_live pool session;
+    Stamp_queue.drop (Vec.get sessions session).stamps;
+    K.set_idle k 0 session ~now;
+    if Session_pool.is_draining pool session then Session_pool.free pool session
   in
   let select ~now =
-    if t.backlogged_count = 0 then None
-    else begin
-      let lin = linear_v t ~now in
-      let threshold =
-        if Prioq.Indexed_heap4.is_empty t.eligible then
-          match Prioq.Indexed_heap4.min_prio t.waiting with
-          | Some smin -> Float.max lin smin
-          | None -> lin
-        else lin
-      in
-      promote t ~threshold;
-      match Prioq.Indexed_heap4.min_key t.eligible with
-      | None -> None
-      | Some session ->
-        let s = Vec.get t.sessions session in
-        let head_bits =
-          match Queue.peek_opt s.stamps with
-          | Some (start, finish) -> (finish -. start) *. s.rate
-          | None -> 0.0
-        in
-        let service = head_bits /. t.server_rate in
-        t.v <- threshold +. service;
-        t.v_time <- now +. service;
-        (match t.observer with
-        | None -> ()
-        | Some o -> o.Sched_intf.on_select ~now ~vtime:t.v ~session);
-        Some session
-    end
+    let slot = K.select k 0 ~now in
+    if slot < 0 then None else Some slot
   in
   {
     Sched_intf.name = "WF2Q+pp";
-    add_session;
     open_session;
     close_session;
-    session_of_handle = (fun h -> Session_pool.resolve t.pool h);
-    live_sessions = (fun () -> Session_pool.live_count t.pool);
+    session_of_handle = (fun h -> Session_pool.resolve pool h);
+    live_sessions = (fun () -> Session_pool.live_count pool);
     arrive;
     backlog;
     requeue;
     set_idle;
     select;
-    virtual_time = (fun ~now -> linear_v t ~now);
-    backlogged_count = (fun () -> t.backlogged_count);
-    set_observer = (fun o -> t.observer <- o);
+    virtual_time = (fun ~now -> K.linear_v k 0 ~now);
+    backlogged_count = (fun () -> K.backlogged_count k 0);
+    set_observer = K.set_observer k 0;
   }
 
 let factory = { Sched_intf.kind = "WF2Q+pp"; make }

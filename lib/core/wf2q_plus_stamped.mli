@@ -10,8 +10,12 @@
 
     This module keeps the WF²Q+ virtual-time function (eq. 27) but uses the
     per-packet stamping, so the pair ({!Wf2q_plus}, this) isolates exactly
-    the stamping design decision. For FIFO session queues the two schedules
-    coincide except for occasional transpositions of adjacent services
+    the stamping design decision. It is the same one-node {!Wf2q_kernel}
+    as {!Wf2q_plus} plus a per-session queue of arrival stamps: the head's
+    [(S, F)] is written into the kernel before the session is filed, and
+    the head size the kernel charges to V is recovered as [(F − S)·r_i].
+    For FIFO session queues the two schedules coincide except for
+    occasional transpositions of adjacent services
     (arrival stamping lifts S to V(a) when eq. 27's V has overtaken the
     session's previous finish tag; head stamping chains S = F regardless);
     a qcheck property verifies every packet departs within one max-packet

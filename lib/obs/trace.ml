@@ -104,88 +104,50 @@ let make ~recorder ~node_names ~session_nodes ~parents ?paths () =
     sim_cancelled = 0;
   }
 
-let attach_hier ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) h =
-  let n = Hpfq.Hier.node_count h in
-  let node_names = Array.init n (Hpfq.Hier.node_name h) in
-  let session_nodes = Array.make n [||] in
-  let parents = Array.make n (-1) in
-  Hpfq.Hier.iter_interior h (fun ~id ~name:_ ~level:_ ~children ~policy:_ ->
-      session_nodes.(id) <- children;
-      Array.iter (fun cid -> parents.(cid) <- id) children);
+let attach_engine ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) e =
+  let module HE = Hpfq.Hier_engine in
+  let n = HE.node_count e in
   let paths = Array.make n [||] in
   List.iter
-    (fun (_, (leaf : Hpfq.Hier.leaf)) ->
-      paths.((leaf :> int)) <- Hpfq.Hier.leaf_path h ~leaf)
-    (Hpfq.Hier.leaf_ids h);
+    (fun (_, (leaf : Hpfq.Hier.leaf)) -> paths.((leaf :> int)) <- HE.leaf_path e ~leaf)
+    (HE.leaf_ids e);
   let t =
-    make ~recorder:(Recorder.create ~capacity ~on_full ()) ~node_names ~session_nodes
-      ~parents ~paths ()
+    make ~recorder:(Recorder.create ~capacity ~on_full ())
+      ~node_names:(Array.init n (HE.node_name e))
+      ~session_nodes:(Array.make n [||]) ~parents:(Array.make n (-1)) ~paths ()
   in
-  Hpfq.Hier.iter_interior h (fun ~id ~name:_ ~level:_ ~children:_ ~policy ->
-      policy.Sched_intf.set_observer (Some (observer t ~node:id));
-      t.detach_fns <- (fun () -> policy.Sched_intf.set_observer None) :: t.detach_fns);
+  let interior ~id ~children set_observer =
+    t.session_nodes.(id) <- children;
+    Array.iter (fun cid -> t.parents.(cid) <- id) children;
+    set_observer (Some (observer t ~node:id));
+    t.detach_fns <- (fun () -> set_observer None) :: t.detach_fns
+  in
+  (* the observer install is the one engine-specific step *)
+  (match e with
+  | HE.Generic h ->
+    Hpfq.Hier.iter_interior h (fun ~id ~name:_ ~level:_ ~children ~policy ->
+        interior ~id ~children policy.Sched_intf.set_observer)
+  | HE.Flat h | HE.Subtree h ->
+    Hpfq.Hier_flat.iter_interior h (fun ~id ~name:_ ~level:_ ~children ->
+        interior ~id ~children (Hpfq.Hier_flat.set_node_observer_id h ~node:id)));
   (* handle hooks: the tracing layer fires per packet, so it reads the
      pool directly instead of materialising boxed packets *)
-  let pool = Hpfq.Hier.pool h in
-  Hpfq.Hier.add_transmit_start_handle_hook h (fun p ~leaf:_ time ->
+  let pool = HE.pool e in
+  HE.add_transmit_start_handle_hook e (fun p ~leaf:_ time ->
       record_link t ~kind:Event.Transmit_start
         ~leaf_node:(Net.Packet_pool.flow pool p) ~time
         ~bits:(Net.Packet_pool.size_bits pool p));
-  Hpfq.Hier.add_depart_handle_hook h (fun p ~leaf:_ time ->
+  HE.add_depart_handle_hook e (fun p ~leaf:_ time ->
       let leaf_node = Net.Packet_pool.flow pool p in
       let bits = Net.Packet_pool.size_bits pool p in
       record_link t ~kind:Event.Depart ~leaf_node ~time ~bits;
       credit_path t ~leaf_node ~bits);
-  Hpfq.Hier.add_drop_handle_hook h (fun p ~leaf:_ time ->
+  HE.add_drop_handle_hook e (fun p ~leaf:_ time ->
       let leaf_node = Net.Packet_pool.flow pool p in
       record_link t ~kind:Event.Drop ~leaf_node ~time
         ~bits:(Net.Packet_pool.size_bits pool p);
       Metrics.on_drop t.metrics ~node:leaf_node);
   t
-
-let attach_hier_flat ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) h =
-  let n = Hpfq.Hier_flat.node_count h in
-  let node_names = Array.init n (Hpfq.Hier_flat.node_name h) in
-  let session_nodes = Array.make n [||] in
-  let parents = Array.make n (-1) in
-  Hpfq.Hier_flat.iter_interior h (fun ~id ~name:_ ~level:_ ~children ->
-      session_nodes.(id) <- children;
-      Array.iter (fun cid -> parents.(cid) <- id) children);
-  let paths = Array.make n [||] in
-  List.iter
-    (fun (_, (leaf : Hpfq.Hier.leaf)) ->
-      paths.((leaf :> int)) <- Hpfq.Hier_flat.leaf_path h ~leaf)
-    (Hpfq.Hier_flat.leaf_ids h);
-  let t =
-    make ~recorder:(Recorder.create ~capacity ~on_full ()) ~node_names ~session_nodes
-      ~parents ~paths ()
-  in
-  Hpfq.Hier_flat.iter_interior h (fun ~id ~name:_ ~level:_ ~children:_ ->
-      Hpfq.Hier_flat.set_node_observer_id h ~node:id (Some (observer t ~node:id));
-      t.detach_fns <-
-        (fun () -> Hpfq.Hier_flat.set_node_observer_id h ~node:id None) :: t.detach_fns);
-  let pool = Hpfq.Hier_flat.pool h in
-  Hpfq.Hier_flat.add_transmit_start_handle_hook h (fun p ~leaf:_ time ->
-      record_link t ~kind:Event.Transmit_start
-        ~leaf_node:(Net.Packet_pool.flow pool p) ~time
-        ~bits:(Net.Packet_pool.size_bits pool p));
-  Hpfq.Hier_flat.add_depart_handle_hook h (fun p ~leaf:_ time ->
-      let leaf_node = Net.Packet_pool.flow pool p in
-      let bits = Net.Packet_pool.size_bits pool p in
-      record_link t ~kind:Event.Depart ~leaf_node ~time ~bits;
-      credit_path t ~leaf_node ~bits);
-  Hpfq.Hier_flat.add_drop_handle_hook h (fun p ~leaf:_ time ->
-      let leaf_node = Net.Packet_pool.flow pool p in
-      record_link t ~kind:Event.Drop ~leaf_node ~time
-        ~bits:(Net.Packet_pool.size_bits pool p);
-      Metrics.on_drop t.metrics ~node:leaf_node);
-  t
-
-let attach_engine ?capacity ?on_full e =
-  match e with
-  | Hpfq.Hier_engine.Generic h -> attach_hier ?capacity ?on_full h
-  | Hpfq.Hier_engine.Flat h | Hpfq.Hier_engine.Subtree h ->
-    attach_hier_flat ?capacity ?on_full h
 
 let attach_server ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest)
     ?(name = "server") ?session_names srv =

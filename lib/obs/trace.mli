@@ -1,12 +1,12 @@
 (** Wiring layer: attach a recorder + metrics to a whole scheduling system.
 
-    [attach_hier] installs one {!Sched.Sched_intf.observer} per interior
-    node of an H-PFQ server and hooks the link-level callbacks
-    (transmit-start / depart / drop), so a single trace sees every
-    scheduler operation of every node, stamped with that node's virtual
-    time, interleaved with the physical packet lifecycle on the shared real
-    time axis. [attach_server] does the same for a standalone one-level
-    {!Hpfq.Server}. Metrics are updated live; events accumulate in the
+    {!attach_engine} installs one {!Sched.Sched_intf.observer} per interior
+    node of an H-PFQ server on any {!Hpfq.Hier_engine} engine and hooks
+    the link-level callbacks (transmit-start / depart / drop), so a single
+    trace sees every scheduler operation of every node, stamped with that
+    node's virtual time, interleaved with the physical packet lifecycle on
+    the shared real time axis. {!attach_server} does the same for a
+    standalone one-level {!Hpfq.Server}. Metrics are updated live; events accumulate in the
     {!Recorder} ring and are exported on demand.
 
     Tracing is opt-in per system: nothing here is invoked unless an attach
@@ -16,22 +16,13 @@
 
 type t
 
-val attach_hier : ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier.t -> t
-(** Instrument every interior node and the link of the hierarchy.
-    [capacity]/[on_full] size the event ring (defaults 65536 events,
-    [Drop_oldest]). Node ids in recorded events are the hierarchy's node
-    ids; link events carry the packet's leaf id. *)
-
-val attach_hier_flat :
-  ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier_flat.t -> t
-(** Same instrumentation for the flat H-WF²Q+ engine: observers land in the
-    per-node observer slots, link hooks and W_n crediting reuse the engine's
-    precomputed leaf→root paths. Event streams from the two engines on the
-    same workload are identical (the lockstep tests rely on this). *)
-
 val attach_engine : ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier_engine.t -> t
-(** Dispatch {!attach_hier} / {!attach_hier_flat} on the facade
-    ([`Subtree] engines are {!Hpfq.Hier_flat}).
+(** Instrument every interior node and the link of a hierarchy, on any
+    engine. [capacity]/[on_full] size the event ring (defaults 65536
+    events, [Drop_oldest]). Node ids in recorded events are the
+    hierarchy's node ids; link events carry the packet's leaf id. Event
+    streams from the generic and flat engines on the same workload are
+    identical (the lockstep tests rely on this).
     @raise Invalid_argument on a [`Subtree] engine at [epoch > 1], from
     {!Hpfq.Hier_flat.set_node_observer_id}. *)
 
@@ -42,7 +33,7 @@ val attach_server :
   ?session_names:string array ->
   Hpfq.Server.t ->
   t
-(** Instrument a standalone server. Call after all [add_session]s: node 0
+(** Instrument a standalone server. Call after every session is open: node 0
     is the server itself and node [1 + i] stands for session [i] (the
     "leaf" its link events belong to). [session_names.(i)] labels session
     [i]; defaults to ["s<i>"]. *)

@@ -29,8 +29,8 @@ let make ~rate:_ =
     end
     else Session_pool.free pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   let arrive ~now ~session ~size_bits =
+    Session_pool.check_live pool session;
     incr arrival_counter;
     Queue.push !arrival_counter (Vec.get sessions session).order;
     match !observer with
@@ -45,6 +45,7 @@ let make ~rate:_ =
     | None -> invalid_arg "Fifo_sched: session has no queued packet"
   in
   let backlog ~now ~session ~head_bits =
+    Session_pool.check_live pool session;
     (Vec.get sessions session).backlogged <- true;
     incr backlogged_count;
     Prioq.Indexed_heap.add ready ~key:session ~prio:(head_order session);
@@ -55,6 +56,7 @@ let make ~rate:_ =
         ~head_bits
   in
   let requeue ~now ~session ~head_bits =
+    Session_pool.check_live pool session;
     ignore (Queue.pop (Vec.get sessions session).order);
     Prioq.Indexed_heap.remove ready session;
     Prioq.Indexed_heap.add ready ~key:session ~prio:(head_order session);
@@ -65,6 +67,7 @@ let make ~rate:_ =
         ~head_bits
   in
   let set_idle ~now ~session =
+    Session_pool.check_live pool session;
     let s = Vec.get sessions session in
     ignore (Queue.pop s.order);
     Prioq.Indexed_heap.remove ready session;
@@ -87,7 +90,6 @@ let make ~rate:_ =
   in
   {
     Sched_intf.name = "FIFO";
-    add_session;
     open_session;
     close_session;
     session_of_handle = (fun h -> Session_pool.resolve pool h);

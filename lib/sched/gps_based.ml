@@ -99,8 +99,8 @@ let make ~discipline ~name ~rate =
     end
     else Session_pool.free t.pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   let arrive ~now ~session ~size_bits =
+    Session_pool.check_live t.pool session;
     let start, finish = Gps_clock.on_arrival t.clock ~now ~session ~size_bits in
     Stamp_queue.push (Vec.get t.sessions session).stamps ~start ~finish;
     match t.observer with
@@ -111,6 +111,7 @@ let make ~discipline ~name ~rate =
         ~session ~size_bits
   in
   let backlog ~now ~session ~head_bits =
+    Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     if s.backlogged then invalid_arg (name ^ ": backlog of backlogged session");
     s.backlogged <- true;
@@ -131,6 +132,7 @@ let make ~discipline ~name ~rate =
     Prioq.Indexed_heap4.remove t.waiting session
   in
   let requeue ~now ~session ~head_bits =
+    Session_pool.check_live t.pool session;
     drop_served_stamp session;
     remove_from_heaps session;
     enqueue_session t ~now session;
@@ -142,6 +144,7 @@ let make ~discipline ~name ~rate =
         ~session ~head_bits
   in
   let set_idle ~now ~session =
+    Session_pool.check_live t.pool session;
     drop_served_stamp session;
     remove_from_heaps session;
     let s = Vec.get t.sessions session in
@@ -184,7 +187,6 @@ let make ~discipline ~name ~rate =
   let virtual_time ~now = Gps_clock.virtual_time t.clock ~now in
   {
     Sched_intf.name;
-    add_session;
     open_session;
     close_session;
     session_of_handle = (fun h -> Session_pool.resolve t.pool h);

@@ -63,13 +63,14 @@ let make_policy ~name ~quantum_of ~serve_cost ~rate =
     end
     else Session_pool.free t.pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   let arrive ~now ~session ~size_bits =
+    Session_pool.check_live t.pool session;
     match t.observer with
     | None -> ()
     | Some o -> o.Sched_intf.on_arrive ~now ~vtime:t.rounds ~session ~size_bits
   in
   let backlog ~now ~session ~head_bits =
+    Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     s.backlogged <- true;
     s.head_bits <- head_bits;
@@ -82,12 +83,14 @@ let make_policy ~name ~quantum_of ~serve_cost ~rate =
     | Some o -> o.Sched_intf.on_backlog ~now ~vtime:t.rounds ~session ~head_bits
   in
   let requeue ~now ~session ~head_bits =
+    Session_pool.check_live t.pool session;
     (Vec.get t.sessions session).head_bits <- head_bits;
     match t.observer with
     | None -> ()
     | Some o -> o.Sched_intf.on_requeue ~now ~vtime:t.rounds ~session ~head_bits
   in
   let set_idle ~now ~session =
+    Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     s.backlogged <- false;
     s.deficit <- 0.0;
@@ -130,7 +133,6 @@ let make_policy ~name ~quantum_of ~serve_cost ~rate =
   in
   {
     Sched_intf.name;
-    add_session;
     open_session;
     close_session;
     session_of_handle = (fun h -> Session_pool.resolve t.pool h);

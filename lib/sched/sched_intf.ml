@@ -37,6 +37,11 @@
     [S = max(F, V(now))], while one reaching the head of a continuously
     backlogged queue stamps [S = F].
 
+    The disciplines in this repository raise [Invalid_argument] from
+    [arrive], [backlog], [requeue] and [set_idle] on a session that is not
+    open (closed, or never opened), before touching any state
+    ({!Session_pool.check_live}).
+
     {2 Observability}
 
     Every discipline carries one optional {!observer}: a set of callbacks
@@ -91,18 +96,13 @@ type close_policy = [ `Drain | `Drop ]
 type t = {
   name : string;
   (** Discipline name, e.g. ["WF2Q+"]. Used in reports. *)
-  add_session : rate:float -> int;
-  (** Register a session with guaranteed rate [r_i] (bits per second of
-      server time); returns its session index.
-      @deprecated This is the static pre-lifecycle entry point, kept as an
-      alias for [open_session] + [session_of_handle] so existing drivers
-      keep working; new code should call {!open_session} and hold the
-      handle. *)
   open_session : rate:float -> Session_handle.t;
-  (** Open a session with guaranteed rate [r_i], any time — before or
-      during service. Returns a generation-tagged handle; the underlying
-      slot may recycle a closed session's storage, and a handle kept past
-      [close_session] raises {!Session_pool.Stale_handle} when resolved. *)
+  (** Open a session with guaranteed rate [r_i] (bits per second of server
+      time), any time — before or during service. Returns a
+      generation-tagged handle; the underlying slot may recycle a closed
+      session's storage, and a handle kept past [close_session] raises
+      {!Session_pool.Stale_handle} when resolved. The session index the
+      driving protocol uses is [session_of_handle (open_session ~rate)]. *)
   close_session : now:float -> policy:close_policy -> Session_handle.t -> unit;
   (** Close a session (see {!close_policy} for backlogged semantics).
       @raise Session_pool.Stale_handle if the handle is stale. *)

@@ -77,8 +77,8 @@ let make ~flavour ~name ~rate:_ =
     end
     else Session_pool.free t.pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   let arrive ~now ~session ~size_bits =
+    Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     let prev = if s.stamp_epoch = t.epoch then s.last_finish else 0.0 in
     let start = Float.max prev t.v in
@@ -97,6 +97,7 @@ let make ~flavour ~name ~rate:_ =
     head_key_of t s.stamps
   in
   let backlog ~now ~session ~head_bits =
+    Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     s.backlogged <- true;
     t.backlogged_count <- t.backlogged_count + 1;
@@ -106,6 +107,7 @@ let make ~flavour ~name ~rate:_ =
     | Some o -> o.Sched_intf.on_backlog ~now ~vtime:t.v ~session ~head_bits
   in
   let requeue ~now ~session ~head_bits =
+    Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     Stamp_queue.drop s.stamps;
     Prioq.Indexed_heap.remove t.ready session;
@@ -115,6 +117,7 @@ let make ~flavour ~name ~rate:_ =
     | Some o -> o.Sched_intf.on_requeue ~now ~vtime:t.v ~session ~head_bits
   in
   let set_idle ~now ~session =
+    Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     Stamp_queue.drop s.stamps;
     Prioq.Indexed_heap.remove t.ready session;
@@ -146,7 +149,6 @@ let make ~flavour ~name ~rate:_ =
   in
   {
     Sched_intf.name;
-    add_session;
     open_session;
     close_session;
     session_of_handle = (fun h -> Session_pool.resolve t.pool h);

@@ -85,6 +85,8 @@ let resolve t h =
   else slot
 
 let is_live t slot = slot >= 0 && slot < t.n_slots && t.state.(slot) <> Free
+let unknown_session t = invalid_arg (t.name ^ ": unknown session")
+let[@inline] check_live t slot = if not (is_live t slot) then unknown_session t
 let is_draining t slot = slot >= 0 && slot < t.n_slots && t.state.(slot) = Draining
 
 let mark_draining t slot =

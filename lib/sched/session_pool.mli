@@ -43,6 +43,12 @@ val is_draining : t -> int -> bool
 val is_live : t -> int -> bool
 (** Live or draining. *)
 
+val check_live : t -> int -> unit
+(** Guard for the driving-protocol operations, which address sessions by
+    slot: a closed (or never opened) slot must not be scheduled.
+    @raise Invalid_argument ["<name>: unknown session"] unless the slot is
+    live or draining. *)
+
 val live_count : t -> int
 val slot_count : t -> int
 (** High-water slot count — the dense prefix the discipline's arrays must

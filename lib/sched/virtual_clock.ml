@@ -39,8 +39,8 @@ let make ~rate:_ =
     end
     else Session_pool.free pool slot
   in
-  let add_session ~rate = Session_handle.slot (open_session ~rate) in
   let arrive ~now ~session ~size_bits =
+    Session_pool.check_live pool session;
     let s = Vec.get sessions session in
     s.vc <- Float.max now s.vc +. (size_bits /. s.rate);
     Stamp_queue.push s.stamps ~start:s.vc ~finish:s.vc;
@@ -55,6 +55,7 @@ let make ~rate:_ =
     Stamp_queue.peek_start s.stamps
   in
   let backlog ~now ~session ~head_bits =
+    Session_pool.check_live pool session;
     (Vec.get sessions session).backlogged <- true;
     incr backlogged_count;
     Prioq.Indexed_heap.add ready ~key:session ~prio:(head_stamp session);
@@ -63,6 +64,7 @@ let make ~rate:_ =
     | Some o -> o.Sched_intf.on_backlog ~now ~vtime:!last_selected_stamp ~session ~head_bits
   in
   let requeue ~now ~session ~head_bits =
+    Session_pool.check_live pool session;
     Stamp_queue.drop (Vec.get sessions session).stamps;
     Prioq.Indexed_heap.remove ready session;
     Prioq.Indexed_heap.add ready ~key:session ~prio:(head_stamp session);
@@ -71,6 +73,7 @@ let make ~rate:_ =
     | Some o -> o.Sched_intf.on_requeue ~now ~vtime:!last_selected_stamp ~session ~head_bits
   in
   let set_idle ~now ~session =
+    Session_pool.check_live pool session;
     let s = Vec.get sessions session in
     Stamp_queue.drop s.stamps;
     Prioq.Indexed_heap.remove ready session;
@@ -93,7 +96,6 @@ let make ~rate:_ =
   in
   {
     Sched_intf.name = "VirtualClock";
-    add_session;
     open_session;
     close_session;
     session_of_handle = (fun h -> Session_pool.resolve pool h);

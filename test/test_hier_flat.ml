@@ -79,8 +79,9 @@ let rec interior_names spec =
   else CT.name spec :: List.concat_map interior_names (CT.children spec)
 
 (* Everything observable through the public surface, with exact floats:
-   departures in order, drops, and per-node W_n / T_n / V at the end. *)
-let replay engine s =
+   departures in order, drops, and per-node W_n / T_n / V at the end.
+   [policy] is the generic engine's per-node discipline. *)
+let replay ?(policy = wf2q_plus) engine s =
   let sim = Sim.create () in
   let log = ref [] in
   let on_depart pkt ~leaf t = log := (leaf, pkt.Net.Packet.seq, t) :: !log in
@@ -89,7 +90,7 @@ let replay engine s =
     match engine with
     | `Generic ->
       HE.Generic
-        (Hier.create ~sim ~spec:s.spec ~make_policy:(Hier.uniform wf2q_plus)
+        (Hier.create ~sim ~spec:s.spec ~make_policy:(Hier.uniform policy)
            ~root_clock ~on_depart ())
     | `Flat -> HE.Flat (HF.create ~sim ~spec:s.spec ~root_clock ~on_depart ())
   in
@@ -115,6 +116,57 @@ let prop_lockstep =
   Q.Test.make ~count:500 ~name:"flat engine replays generic bit-for-bit"
     (Q.make scenario_gen ~print:print_scenario)
     (fun s -> replay `Generic s = replay `Flat s)
+
+(* ---- fixed-point lockstep: an oracle that shares no code with the kernel ---- *)
+
+(* Generic [Hier] over the int-tick [Wf2q_plus_fixed] against the flat
+   engine. Trees are dyadic — every rate a power of two, sizes whole bits,
+   arrival times on a 2^-10 grid — so every stamp, clock and V is exact in
+   both the float and the tick domain (the domain of test_lifecycle's
+   one-level differential), and equality is exact, no tolerance. *)
+let dyadic_scenario_gen rng =
+  let budget = ref 40 in
+  let fresh = ref 0 in
+  let rec gen ~depth rate =
+    decr budget;
+    let name =
+      let id = !fresh in
+      incr fresh;
+      Printf.sprintf "n%d" id
+    in
+    if depth >= 4 || !budget <= 0 || (depth > 0 && Random.State.int rng 3 = 0) then
+      let cap =
+        if Random.State.int rng 6 = 0 then Some (float_of_int (1 + Random.State.int rng 8))
+        else None
+      in
+      CT.leaf ?queue_capacity_bits:cap name ~rate
+    else begin
+      let k = min (1 + Random.State.int rng 4) (max 1 !budget) in
+      (* each child gets rate / 2^j with 2^j >= k, so the children's
+         powers of two sum to at most the parent's rate *)
+      let j0 = if k <= 1 then 0 else if k <= 2 then 1 else 2 in
+      CT.node name ~rate
+        (List.init k (fun _ ->
+             let j = j0 + Random.State.int rng 2 in
+             gen ~depth:(depth + 1) (Float.ldexp rate (-j))))
+    end
+  in
+  let spec = gen ~depth:0 1.0 in
+  let leaves = List.map fst (CT.leaves spec) in
+  let n_packets = 1 + Random.State.int rng 120 in
+  let packets =
+    List.init n_packets (fun _ ->
+        ( float_of_int (Random.State.int rng (12 * 1024)) /. 1024.0,
+          Random.State.int rng (List.length leaves),
+          float_of_int (1 + Random.State.int rng 4) ))
+  in
+  { spec; leaves; packets; root_ref = Random.State.int rng 4 = 0 }
+
+let prop_fixed_lockstep =
+  Q.Test.make ~count:300 ~name:"flat engine replays generic over WF2Q+fx bit-for-bit"
+    (Q.make dyadic_scenario_gen ~print:print_scenario)
+    (fun s ->
+      replay ~policy:Hpfq.Disciplines.wf2q_plus_fixed `Generic s = replay `Flat s)
 
 (* ---- observer-stamp parity: identical event streams ---- *)
 
@@ -342,7 +394,7 @@ let () =
   let seeded = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf1a7; 42 |]) in
   Alcotest.run "hier_flat"
     [
-      ("lockstep", [ seeded prop_lockstep ]);
+      ("lockstep", [ seeded prop_lockstep; seeded prop_fixed_lockstep ]);
       ( "parity",
         [
           Alcotest.test_case "trace event streams identical" `Quick test_trace_parity;

@@ -252,6 +252,33 @@ let test_close_backlogged_all_disciplines () =
         (raises_stale (fun () -> p.Intf.session_of_handle hs.(0))))
     Hpfq.Disciplines.all
 
+(* A closed slot is not a session: the driving-protocol calls raise before
+   touching any state, so the freed slot can never be backlogged or
+   selected. *)
+let test_closed_session_rejected () =
+  List.iter
+    (fun factory ->
+      let kind = factory.Intf.kind in
+      let p, hs =
+        Hpfq.Schedulers.make ~rate:1.0 ~initial_sessions:[| 0.5; 0.25 |] factory
+      in
+      let slot = p.Intf.session_of_handle hs.(1) in
+      p.Intf.close_session ~now:0.0 ~policy:`Drop hs.(1);
+      let rejects name f =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s on a closed session raises" kind name)
+          true
+          (match f () with () -> false | exception Invalid_argument _ -> true)
+      in
+      rejects "arrive" (fun () -> p.Intf.arrive ~now:0.0 ~session:slot ~size_bits:1.0);
+      rejects "backlog" (fun () -> p.Intf.backlog ~now:0.0 ~session:slot ~head_bits:1.0);
+      rejects "requeue" (fun () -> p.Intf.requeue ~now:0.0 ~session:slot ~head_bits:1.0);
+      rejects "set_idle" (fun () -> p.Intf.set_idle ~now:0.0 ~session:slot);
+      Alcotest.(check int) (kind ^ ": nothing backlogged") 0 (p.Intf.backlogged_count ());
+      Alcotest.(check (option int)) (kind ^ ": nothing to select") None
+        (p.Intf.select ~now:0.0))
+    Hpfq.Disciplines.all
+
 let test_server_close_under_backlog () =
   let sim = Sim.create () in
   let departed = ref [] in
@@ -601,6 +628,8 @@ let () =
         [
           Alcotest.test_case "close under backlog, every discipline" `Quick
             test_close_backlogged_all_disciplines;
+          Alcotest.test_case "closed session rejected, every discipline" `Quick
+            test_closed_session_rejected;
           Alcotest.test_case "server drain/drop" `Quick test_server_close_under_backlog;
           Alcotest.test_case "server wire packet finishes" `Quick
             test_server_wire_packet_finishes;

@@ -142,7 +142,7 @@ let test_sim_report () =
    installed and removed makes the same decisions as one that never did. *)
 let drive_selects policy =
   let open Sched.Sched_intf in
-  List.iter (fun rate -> ignore (policy.add_session ~rate)) [ 0.5; 0.25; 0.25 ];
+  List.iter (fun rate -> ignore (policy.session_of_handle (policy.open_session ~rate))) [ 0.5; 0.25; 0.25 ];
   for s = 0 to 2 do
     policy.arrive ~now:0.0 ~session:s ~size_bits:1.0;
     policy.backlog ~now:0.0 ~session:s ~head_bits:1.0
@@ -263,7 +263,7 @@ let test_hier_metrics_match_departed_bits () =
       ~make_policy:(Hpfq.Hier.uniform Hpfq.Disciplines.wf2q_plus)
       ()
   in
-  let trace = Trace.attach_hier h in
+  let trace = Trace.attach_engine (Hpfq.Hier_engine.Generic h) in
   List.iter
     (fun (_, leaf) ->
       ignore

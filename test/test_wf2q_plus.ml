@@ -8,8 +8,8 @@ let feq = Alcotest.float 1e-9
 
 let make_two () =
   let p = Hpfq.Wf2q_plus.make ~rate:1.0 in
-  let a = p.P.add_session ~rate:0.5 in
-  let b = p.P.add_session ~rate:0.5 in
+  let a = p.P.session_of_handle (p.P.open_session ~rate:0.5) in
+  let b = p.P.session_of_handle (p.P.open_session ~rate:0.5) in
   (p, a, b)
 
 let test_first_selection () =
@@ -88,8 +88,8 @@ let test_errors () =
    the rate ratio (3:1). *)
 let test_rate_ratio () =
   let p = Hpfq.Wf2q_plus.make ~rate:1.0 in
-  let a = p.P.add_session ~rate:0.75 in
-  let b = p.P.add_session ~rate:0.25 in
+  let a = p.P.session_of_handle (p.P.open_session ~rate:0.75) in
+  let b = p.P.session_of_handle (p.P.open_session ~rate:0.25) in
   p.P.backlog ~now:0.0 ~session:a ~head_bits:1.0;
   p.P.backlog ~now:0.0 ~session:b ~head_bits:1.0;
   let served = [| 0; 0 |] in
@@ -158,6 +158,56 @@ let test_bwfi_bound_various_rates () =
         ((not (Float.is_nan !probe_delay)) && !probe_delay <= bound +. 1e-9))
     [ 0.2; 0.5; 0.8 ]
 
+(* A seeded Server run, folded into an order-sensitive FNV-1a hash of every
+   departure's (session, seq, time): random weighted rates and packet sizes
+   at 0.3x-1.5x load, seeds 1-24. Unequal rates are what make arrival and
+   head stamping disagree (seeds 2, 16 and 21 transpose services), so the
+   WF2Q+pp and WF2Q+ hashes differ. *)
+let seeded_depart_hash factory =
+  let h = ref 0xcbf29ce484222325L in
+  let fold s =
+    String.iter
+      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      s
+  in
+  for seed = 1 to 24 do
+    let rng = Random.State.make [| seed |] in
+    let n = 2 + (seed mod 7) and packets = 20 + (seed * 7 mod 200) in
+    let horizon = float_of_int packets *. (0.3 +. (float_of_int (seed mod 5) *. 0.3)) in
+    let sim = Engine.Simulator.create () in
+    let server =
+      Hpfq.Server.create ~sim ~rate:1.0
+        ~policy:(factory.Sched.Sched_intf.make ~rate:1.0)
+        ~on_depart:(fun pkt t ->
+          fold (Printf.sprintf "%d:%d:%h|" pkt.Net.Packet.flow pkt.Net.Packet.seq t))
+        ()
+    in
+    let weights = Array.init n (fun _ -> 0.05 +. Random.State.float rng 1.0) in
+    let total = Array.fold_left ( +. ) 0.0 weights in
+    let sessions =
+      Array.map (fun w -> Hpfq.Server.add_session server ~rate:(w /. total) ()) weights
+    in
+    for _ = 1 to packets do
+      let at = Random.State.float rng horizon in
+      let session = sessions.(Random.State.int rng n) in
+      let size_bits = 0.1 +. Random.State.float rng 1.9 in
+      ignore
+        (Engine.Simulator.schedule sim ~at (fun () ->
+             ignore (Hpfq.Server.inject server ~session ~size_bits)))
+    done;
+    Engine.Simulator.run sim;
+    fold "#"
+  done;
+  Printf.sprintf "%016Lx" !h
+
+(* Pinned on the pre-kernel implementations: the per-packet-stamp ablation
+   had no schedule pin of its own, only the within-one-l_max property. *)
+let test_pinned_schedules () =
+  Alcotest.(check string) "WF2Q+pp" "da4df75243c00c7c"
+    (seeded_depart_hash Hpfq.Disciplines.wf2q_plus_per_packet);
+  Alcotest.(check string) "WF2Q+" "8bd72a86c2b9a4f7"
+    (seeded_depart_hash Hpfq.Disciplines.wf2q_plus)
+
 let () =
   Alcotest.run "wf2q_plus"
     [
@@ -179,4 +229,5 @@ let () =
           Alcotest.test_case "rate ratio" `Quick test_rate_ratio;
           Alcotest.test_case "B-WFI bound across rates" `Quick test_bwfi_bound_various_rates;
         ] );
+      ("pins", [ Alcotest.test_case "seeded schedules" `Quick test_pinned_schedules ]);
     ]
