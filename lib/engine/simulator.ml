@@ -187,23 +187,65 @@ let es_resizes t =
 
 (* ---- public API ---- *)
 
-let schedule t ~at action =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Simulator.schedule: time %g is before now %g" at t.clock);
+(* Written [not (at >= floor)] rather than [at < floor] so that a NaN
+   time, which compares false both ways, is rejected too: admitted, it
+   would sort arbitrarily and could pull the clock backwards. *)
+let[@inline] check_time ~fn ~at ~floor what =
+  if not (at >= floor) then
+    invalid_arg (Printf.sprintf "Simulator.%s: time %g is before %s %g" fn at what floor)
+
+(* Put [action] in the pending set at [at] with FIFO key [seq]. *)
+let[@inline] insert t ~at ~seq action =
   let slot = Event_pool.alloc t.pool in
   let pool = t.pool in
   pool.Event_pool.times.(slot) <- at;
-  pool.Event_pool.seqs.(slot) <- t.next_seq;
+  pool.Event_pool.seqs.(slot) <- seq;
   pool.Event_pool.actions.(slot) <- action;
   Bytes.set pool.Event_pool.state slot Event_pool.st_live;
-  t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
   es_add t slot;
   (match t.probe with
   | None -> ()
   | Some p -> p.on_schedule ~at ~now:t.clock);
-  pack ~slot ~gen:pool.Event_pool.gens.(slot)
+  slot
+
+let schedule t ~at action =
+  check_time ~fn:"schedule" ~at ~floor:t.clock "now";
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let slot = insert t ~at ~seq action in
+  pack ~slot ~gen:t.pool.Event_pool.gens.(slot)
+
+(* A stream is [schedule] of n actions, done lazily. Install reserves the
+   n sequence numbers that n [schedule] calls would have taken, so entry k
+   carries exactly the key (times.(k), base + k) it would have had, and
+   both backends order by that key alone. Only one entry is pending at a
+   time: entry k schedules entry k + 1 before running its own body, so
+   while the body runs the pending set holds the same minimum — and
+   [peek_time] reads the same value — as under eager scheduling, where
+   entries k + 1 .. n - 1 would all be waiting. One closure serves every
+   entry, so firing an entry allocates nothing. *)
+let stream t times action =
+  let n = Array.length times in
+  let floor = ref t.clock in
+  for k = 0 to n - 1 do
+    let at = times.(k) in
+    check_time ~fn:"stream" ~at ~floor:!floor (if k = 0 then "now" else "the previous time");
+    if at = infinity then invalid_arg "Simulator.stream: infinite time";
+    floor := at
+  done;
+  if n > 0 then begin
+    let base = t.next_seq in
+    t.next_seq <- base + n;
+    let next = ref 0 in
+    let rec fire () =
+      let k = !next in
+      next := k + 1;
+      if k + 1 < n then ignore (insert t ~at:times.(k + 1) ~seq:(base + k + 1) fire);
+      action k
+    in
+    ignore (insert t ~at:times.(0) ~seq:base fire)
+  end
 
 let schedule_after t ~delay action =
   if delay < 0.0 then invalid_arg "Simulator.schedule_after: negative delay";
@@ -246,7 +288,7 @@ let peek_time t =
    firing the equivalent scheduled events: never backwards, and never
    past the earliest pending event (which would have fired first). *)
 let advance_clock t ~to_ =
-  if to_ < t.clock then
+  if not (to_ >= t.clock) then
     invalid_arg
       (Printf.sprintf "Simulator.advance_clock: time %g is before now %g" to_
          t.clock);

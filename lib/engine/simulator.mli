@@ -71,7 +71,29 @@ val now : t -> float
 
 val schedule : t -> at:float -> (unit -> unit) -> event_id
 (** Schedule a callback at absolute time [at].
-    @raise Invalid_argument if [at] is in the past. *)
+    @raise Invalid_argument if [at] is in the past or NaN (a NaN time
+    would fire in no defined order and could move the clock backwards). *)
+
+val stream : t -> float array -> (int -> unit) -> unit
+(** [stream t times action] behaves exactly as scheduling
+    [fun () -> action k] at [times.(k)] for [k = 0, 1, …] in that order,
+    now — same fire order against every other event (including ties at
+    equal times), same clocks, and the same {!peek_time} seen from every
+    handler — while holding only one of them pending at a time.
+
+    How: install reserves the [n] consecutive sequence numbers that [n]
+    {!schedule} calls would have taken, and entry [k] is keyed
+    [(times.(k), base + k)], the very key {!schedule} would have given
+    it. Entry [k + 1] is scheduled just before entry [k]'s action runs,
+    so the earliest pending time during that action is what it would
+    have been with all later entries waiting. Firing an entry allocates
+    nothing. Entries cannot be cancelled, and {!pending} counts the
+    stream as one event until its last entry fires.
+
+    The simulator keeps [times]; the caller must not mutate it.
+    @raise Invalid_argument, before installing anything, if a time is
+    NaN or infinite, if [times.(0)] is before {!now}, or if the times
+    decrease. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> event_id
 (** Schedule relative to [now]. Negative delays are rejected. *)
@@ -100,7 +122,7 @@ val peek_time : t -> float
 
 val advance_clock : t -> to_:float -> unit
 (** Move the clock forward to [to_] without firing anything.
-    @raise Invalid_argument if [to_] is before [now] or strictly past
+    @raise Invalid_argument if [to_] is before [now] or NaN, or strictly past
     {!peek_time} (skipping a pending event would reorder history). *)
 
 val run_horizon : t -> float

@@ -14,6 +14,10 @@ let save ~path events =
         (fun e -> Printf.fprintf oc "%.17g,%s,%.17g\n" e.time e.leaf e.size_bits)
         (List.stable_sort compare_event events))
 
+(* A time or size a replay can use: finite and not negative. NaN fails
+   both comparisons. *)
+let usable v = v >= 0.0 && v < infinity
+
 let load ~path =
   let ic = open_in path in
   Fun.protect
@@ -21,23 +25,26 @@ let load ~path =
     (fun () ->
       let events = ref [] in
       let line_no = ref 1 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun m -> failwith (Printf.sprintf "Trace.load: %s, line %d: %s" path !line_no m))
+          fmt
+      in
       let field name line raw =
         match float_of_string_opt raw with
-        | Some v -> v
-        | None ->
-          failwith
-            (Printf.sprintf "Trace.load: %s, line %d: bad %s field %S in %S"
-               path !line_no name raw line)
+        | Some v when usable v -> v
+        | Some _ -> fail "%s field %S is negative or not finite in %S" name raw line
+        | None -> fail "bad %s field %S in %S" name raw line
       in
+      (match input_line ic with
+      | "time,leaf,size_bits" -> ()
+      | header -> fail "bad header %S" header
+      | exception End_of_file -> fail "empty file, expected the header time,leaf,size_bits");
       (try
-         let header = input_line ic in
-         if not (String.equal header "time,leaf,size_bits") then
-           failwith
-             (Printf.sprintf "Trace.load: %s, line 1: bad header %S" path header);
          while true do
            let line = input_line ic in
            incr line_no;
-           (match String.split_on_char ',' line with
+           match String.split_on_char ',' line with
            | [ time; leaf; size ] ->
              events :=
                {
@@ -47,11 +54,8 @@ let load ~path =
                }
                :: !events
            | fields ->
-             failwith
-               (Printf.sprintf
-                  "Trace.load: %s, line %d: expected 3 fields \
-                   (time,leaf,size_bits), got %d in %S"
-                  path !line_no (List.length fields) line))
+             fail "expected 3 fields (time,leaf,size_bits), got %d in %S"
+               (List.length fields) line
          done
        with End_of_file -> ());
       List.rev !events)
@@ -141,29 +145,49 @@ let load_binary ~path =
       in
       let n_leaves = get_u32 "leaf" in
       let n = get_u32 "record" in
+      (* every length below is checked against the file before it is read
+         or allocated, so a corrupt count cannot raise End_of_file or ask
+         for a huge array *)
+      let remaining () = len - pos_in ic in
+      if n_leaves > remaining () / 2 then
+        fail "leaf table of %d entries is truncated (%d bytes left)" n_leaves (remaining ());
       let b2 = Bytes.create 2 in
       let leaves =
-        Array.init n_leaves (fun _ ->
+        Array.init n_leaves (fun i ->
+            if remaining () < 2 then fail "leaf %d of %d: truncated name length" i n_leaves;
             really_input ic b2 0 2;
             let l = Bytes.get_uint16_le b2 0 in
+            if remaining () < l then
+              fail "leaf %d of %d: name of %d bytes is truncated" i n_leaves l;
             really_input_string ic l)
       in
-      let remaining = len - pos_in ic in
+      let remaining = remaining () in
       if remaining <> n * record_bytes then
         fail "record section is %d bytes, expected %d (%d records of %d)"
           remaining (n * record_bytes) n record_bytes;
-      let rec_buf = Bytes.create record_bytes in
-      let events = ref [] in
-      for _ = 1 to n do
-        really_input ic rec_buf 0 record_bytes;
-        let time = Int64.float_of_bits (Bytes.get_int64_le rec_buf 0) in
-        let leaf_idx = Int32.to_int (Bytes.get_int32_le rec_buf 8) in
-        if leaf_idx < 0 || leaf_idx >= n_leaves then
-          fail "record references leaf %d of %d" leaf_idx n_leaves;
-        let size_bits = Int64.float_of_bits (Bytes.get_int64_le rec_buf 12) in
-        events := { time; leaf = leaves.(leaf_idx); size_bits } :: !events
-      done;
-      List.rev !events)
+      (* front to back: [@tail_mod_cons] builds the list in order, in
+         constant stack, without a reversed copy. Records are read a block
+         at a time: one channel read per record cost more than decoding it. *)
+      let block = 4096 in
+      let buf = Bytes.create (block * record_bytes) in
+      let[@tail_mod_cons] rec decode i =
+        if i = n then []
+        else begin
+          let off = i mod block * record_bytes in
+          if off = 0 then really_input ic buf 0 (min block (n - i) * record_bytes);
+          let time = Int64.float_of_bits (Bytes.get_int64_le buf off) in
+          let leaf_idx = Int32.to_int (Bytes.get_int32_le buf (off + 8)) in
+          let size_bits = Int64.float_of_bits (Bytes.get_int64_le buf (off + 12)) in
+          if leaf_idx < 0 || leaf_idx >= n_leaves then
+            fail "record %d references leaf %d of %d" i leaf_idx n_leaves;
+          if not (usable time) then fail "record %d: time %g is negative or not finite" i time;
+          if not (usable size_bits) then
+            fail "record %d: size_bits %g is negative or not finite" i size_bits;
+          let e = { time; leaf = leaves.(leaf_idx); size_bits } in
+          e :: decode (i + 1)
+        end
+      in
+      decode 0)
 
 let load_any ~path =
   let ic = open_in_bin path in
@@ -244,50 +268,59 @@ let recorder ~sim =
   let dump () = List.stable_sort compare_event (List.rev !events) in
   (wrap, dump)
 
+let no_event = { time = 0.0; leaf = ""; size_bits = 0.0 }
+let no_emit ~size_bits:_ = ()
+
+(* One simulator stream over the trace: the events stay in their records
+   (so each size reaches its emit as the record's own box) and a cursor
+   walks them; only the next activation is ever pending. *)
 let replay ?(batched = false) ~sim ~emit_for events =
-  if not batched then
+  (* resolve the emits in list order, keeping the events that have one *)
+  let cap = List.length events in
+  let evs = Array.make cap no_event and emits = Array.make cap no_emit in
+  let n =
     List.fold_left
-      (fun count e ->
+      (fun n e ->
         match emit_for ~leaf:e.leaf with
-        | None -> count
+        | None -> n
         | Some emit ->
-          ignore
-            (Engine.Simulator.schedule sim ~at:e.time (fun () ->
-                 emit ~size_bits:e.size_bits));
-          count + 1)
+          evs.(n) <- e;
+          emits.(n) <- emit;
+          n + 1)
       0 events
-  else begin
-    (* One event per run of equal timestamps. Equivalent to per-event
-       scheduling when the trace is installed before the run starts: setup
-       seqs precede every runtime seq, so all arrivals at time T fire
-       before any other event at T either way, and grouping preserves
-       their relative order. *)
-    let scheduled = ref 0 in
-    let rec take_run time acc = function
-      | e :: rest when e.time = time -> take_run time (e :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let rec loop = function
-      | [] -> ()
-      | e :: _ as evs ->
-        let run, rest = take_run e.time [] evs in
-        let actions =
-          List.filter_map
-            (fun ev ->
-              match emit_for ~leaf:ev.leaf with
-              | None -> None
-              | Some emit -> Some (emit, ev.size_bits))
-            run
-        in
-        (match actions with
-        | [] -> ()
-        | acts ->
-          scheduled := !scheduled + List.length acts;
-          ignore
-            (Engine.Simulator.schedule sim ~at:e.time (fun () ->
-                 List.iter (fun (emit, size_bits) -> emit ~size_bits) acts)));
-        loop rest
-    in
-    loop events;
-    !scheduled
+  in
+  (* eager scheduling fires by (time, list position): a stable sort by time *)
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if not (evs.(i - 1).time <= evs.(i).time) then sorted := false
+  done;
+  let evs, emits =
+    if !sorted then (evs, emits)
+    else begin
+      let order = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> Float.compare evs.(i).time evs.(j).time) order;
+      (Array.map (fun i -> evs.(i)) order, Array.map (fun i -> emits.(i)) order)
+    end
+  in
+  (* one activation per event, or per run of equal times when batched *)
+  let times = Array.create_float n and activations = ref 0 in
+  for i = 0 to n - 1 do
+    if (not batched) || i = 0 || evs.(i).time <> evs.(i - 1).time then begin
+      times.(!activations) <- evs.(i).time;
+      incr activations
+    end
+  done;
+  let times = if !activations = n then times else Array.sub times 0 !activations in
+  if batched then begin
+    (* activation k applies the run of arrivals at times.(k) back to back *)
+    let cursor = ref 0 in
+    Engine.Simulator.stream sim times (fun k ->
+        let t = times.(k) in
+        while !cursor < n && evs.(!cursor).time = t do
+          let i = !cursor in
+          cursor := i + 1;
+          emits.(i) ~size_bits:evs.(i).size_bits
+        done)
   end
+  else Engine.Simulator.stream sim times (fun i -> emits.(i) ~size_bits:evs.(i).size_bits);
+  n

@@ -22,21 +22,27 @@ val save : path:string -> event list -> unit
 
 val load : path:string -> event list
 (** Read CSV.
-    @raise Failure on malformed input; the message names the file, line
-    number and offending field. *)
+    @raise Failure on malformed input: an empty file (no header), a bad
+    header, a line without exactly three fields, or a time or size that is
+    not a number or is negative, infinite or NaN. The message names the
+    file, the line number and the offending field. *)
 
 val save_binary : path:string -> event list -> unit
 (** Write the binary v2 format. Events need not be sorted; they are
     written in time order. *)
 
 val load_binary : path:string -> event list
-(** Read the binary v2 format.
-    @raise Failure on bad magic, truncation, or out-of-range leaf
-    references. *)
+(** Read the binary v2 format, front to back into the returned list.
+    @raise Failure on bad magic, a leaf table or leaf name cut short, a
+    record section whose length does not match its count, an out-of-range
+    leaf reference, or a time or size that is negative, infinite or NaN.
+    The message names the file and the leaf or record index. Every length
+    is checked against the file before it is read, so no other exception
+    escapes on a corrupt file. *)
 
 val load_any : path:string -> event list
 (** Sniff the first 8 bytes: binary v2 if they match its magic, CSV
-    otherwise. *)
+    otherwise. Malformed input raises the chosen loader's [Failure]. *)
 
 val internet_mix :
   seed:int64 ->
@@ -68,12 +74,23 @@ val replay :
   emit_for:(leaf:string -> Source.emit option) ->
   event list ->
   int
-(** Schedule every event on the simulator; events whose leaf has no emit
-    are skipped. Returns the number of arrivals scheduled.
+(** Replay the trace into [sim]; events whose leaf has no emit are
+    skipped. [emit_for] is called once per event, at install, in list
+    order. Returns the number of arrivals installed.
 
-    With [batched] (default false), each run of consecutive equal-time
-    events becomes one simulator event that applies the arrivals
-    back-to-back — fewer event-set operations, identical outcome, provided
-    (as in any replay) the trace is installed before the simulation runs:
-    setup-scheduled events precede all runtime-scheduled ones in the FIFO
-    tie-break, so grouping cannot reorder anything. *)
+    The arrivals fire exactly as if each had been {!Engine.Simulator.schedule}d
+    now, in list order: by time, list order breaking ties, before any
+    event scheduled later at the same instant and after any scheduled
+    earlier. They are installed as one {!Engine.Simulator.stream} over
+    the events (stable-sorted by time first when the list is not in
+    time order), so the simulator holds O(1) of them pending and firing
+    one allocates nothing; memory is the events themselves plus three
+    words per event.
+
+    With [batched] (default false), each run of equal-time events is one
+    activation that applies its arrivals back to back — fewer event-set
+    operations. No other event can fire between equal-time arrivals
+    either way, so the outcome is identical unless an arrival's own
+    handler reads [peek_time], which then sees past the run.
+    @raise Invalid_argument if a time is NaN, infinite or before
+    [Simulator.now sim]; nothing is installed then. *)

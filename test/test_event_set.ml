@@ -252,10 +252,176 @@ let test_calendar_resizes () =
   Alcotest.(check bool) "shrank while draining" true
     (st'.Sim.resizes > st.Sim.resizes)
 
+(* ---- NaN times ---- *)
+
+(* A NaN time compares false both ways; admitted, it fired between 1.0
+   and 0.5 and then pulled the clock back to 0.5. *)
+let test_nan_rejected backend =
+  let sim = Sim.create ~backend () in
+  let fired = ref [] in
+  let tag t () = fired := t :: !fired in
+  ignore (Sim.schedule sim ~at:1.0 (tag 1.0));
+  Alcotest.check_raises "schedule at nan"
+    (Invalid_argument "Simulator.schedule: time nan is before now 0")
+    (fun () -> ignore (Sim.schedule sim ~at:Float.nan (tag Float.nan)));
+  (match Sim.schedule_after sim ~delay:Float.nan ignore with
+  | _ -> Alcotest.fail "schedule_after with a nan delay was accepted"
+  | exception Invalid_argument _ -> ());
+  (match Sim.advance_clock sim ~to_:Float.nan with
+  | () -> Alcotest.fail "advance_clock to nan was accepted"
+  | exception Invalid_argument _ -> ());
+  ignore (Sim.schedule sim ~at:0.5 (tag 0.5));
+  Alcotest.(check int) "nothing pending but the two real events" 2 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list (float 0.0))) "fire order" [ 0.5; 1.0 ] (List.rev !fired);
+  Alcotest.(check (float 0.0)) "clock ends at the last event" 1.0 (Sim.now sim)
+
+(* ---- streams: [Sim.stream] = eager [Sim.schedule] of every entry ---- *)
+
+(* Install rejects bad times before installing anything. *)
+let test_stream_rejects backend =
+  let sim = Sim.create ~backend () in
+  Sim.run ~until:1.0 sim;
+  let rejects name times =
+    (match Sim.stream sim times (fun _ -> Alcotest.fail "entry fired") with
+    | () -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check int) (name ^ ": nothing pending") 0 (Sim.pending sim)
+  in
+  rejects "before now" [| 0.5; 2.0 |];
+  rejects "decreasing" [| 1.0; 3.0; 2.0 |];
+  rejects "nan first" [| Float.nan; 2.0 |];
+  rejects "nan later" [| 1.0; Float.nan |];
+  rejects "infinite" [| 1.0; infinity |];
+  Sim.stream sim [||] (fun _ -> Alcotest.fail "empty stream fired");
+  Sim.run sim;
+  Alcotest.(check int) "empty stream fires nothing" 0 (Sim.events_processed sim)
+
+(* One entry pending at a time, and an entry allocates no more than an
+   eagerly scheduled event holding a shared closure. *)
+let test_stream_footprint backend =
+  let n = 20_000 in
+  let times = Array.init n (fun i -> 0.001 *. float_of_int (i / 2)) in
+  let count = ref 0 in
+  let action _ = incr count in
+  let run_words install =
+    let sim = Sim.create ~backend () in
+    install sim;
+    let w0 = Gc.minor_words () in
+    Sim.run sim;
+    (Gc.minor_words () -. w0, sim)
+  in
+  let stream_words, sim =
+    run_words (fun sim ->
+        Sim.stream sim times action;
+        Alcotest.(check int) "one entry pending" 1 (Sim.pending sim))
+  in
+  Alcotest.(check int) "every entry fired" n !count;
+  Alcotest.(check int) "pool stays small" 16 (Sim.stats sim).Sim.pool_capacity;
+  let shared () = incr count in
+  let eager_words, _ =
+    run_words (fun sim -> Array.iter (fun at -> ignore (Sim.schedule sim ~at shared)) times)
+  in
+  if stream_words > eager_words +. 64.0 then
+    Alcotest.failf "stream run allocated %.0f words, eager %.0f" stream_words eager_words
+
+type sprog = {
+  t0 : float; (* the stream is installed once the clock reaches t0 *)
+  entries : (float * int) list; (* sorted (time, behaviour) *)
+  before : (float * int) list; (* scheduled before the run to t0 *)
+  after : (float * int) list; (* scheduled right after the install *)
+  sops : sop list;
+}
+
+and sop = S_step | S_until of float | S_cancel of int
+
+(* Times on a 0.25 grid, so entries, setup events and runtime events
+   collide exactly and the FIFO tie-break decides. *)
+let grid = QCheck.Gen.map (fun i -> 0.25 *. float_of_int i) (QCheck.Gen.int_bound 12)
+
+let gen_sprog =
+  let open QCheck.Gen in
+  let* t0 = grid in
+  let timed base = pair (map (fun x -> base +. x) grid) (int_bound 8) in
+  let* entries = list_size (int_bound 30) (timed t0) in
+  let* before = list_size (int_bound 10) (timed 0.0) in
+  let* after = list_size (int_bound 10) (timed t0) in
+  let* sops =
+    list_size (int_bound 20)
+      (frequency
+         [
+           (3, return S_step);
+           (2, map (fun x -> S_until x) grid);
+           (1, map (fun k -> S_cancel k) nat);
+         ])
+  in
+  return { t0; entries = List.stable_sort compare entries; before; after; sops }
+
+let print_sprog p =
+  let evs l = String.concat " " (List.map (fun (t, c) -> Printf.sprintf "%g/%d" t c) l) in
+  Printf.sprintf "t0=%g entries=[%s] before=[%s] after=[%s] ops=[%s]" p.t0 (evs p.entries)
+    (evs p.before) (evs p.after)
+    (String.concat " "
+       (List.map
+          (function
+            | S_step -> "step" | S_until x -> Printf.sprintf "until+%g" x
+            | S_cancel k -> Printf.sprintf "cancel#%d" k)
+          p.sops))
+
+(* Everything a handler or the op loop can see: who fired, the clock, and
+   the earliest pending time, at every fire and after every op. *)
+type sentry = S_fired of int * float * float | S_after of int * float * float
+
+let run_sprog backend ~stream p =
+  let sim = Sim.create ~backend () in
+  let log = ref [] in
+  let ids = Hashtbl.create 16 and labels = ref 0 in
+  (* behaviour c: 1 mod 3 schedules a runtime event (c / 3) * 0.25 later
+     (0 = a tie at this very instant), 2 mod 3 cancels an earlier event *)
+  let rec body label c =
+    log := S_fired (label, Sim.now sim, Sim.peek_time sim) :: !log;
+    match c mod 3 with
+    | 1 -> add (Sim.now sim +. (0.25 *. float_of_int (c / 3))) 0
+    | 2 when !labels > 0 -> Sim.cancel sim (Hashtbl.find ids (c * 7 mod !labels))
+    | _ -> ()
+  and add at c =
+    let label = !labels in
+    incr labels;
+    Hashtbl.replace ids label (Sim.schedule sim ~at (fun () -> body label c))
+  in
+  List.iter (fun (at, c) -> add at c) p.before;
+  Sim.run ~until:p.t0 sim;
+  let codes = Array.of_list (List.map snd p.entries) in
+  let entry k = body (1_000_000 + k) codes.(k) in
+  (if stream then Sim.stream sim (Array.of_list (List.map fst p.entries)) entry
+   else List.iteri (fun k (at, _) -> ignore (Sim.schedule sim ~at (fun () -> entry k))) p.entries);
+  List.iter (fun (at, c) -> add at c) p.after;
+  List.iteri
+    (fun i op ->
+      (match op with
+      | S_step -> ignore (Sim.step sim)
+      | S_until x -> Sim.run ~until:(Sim.now sim +. x) sim
+      | S_cancel k -> if !labels > 0 then Sim.cancel sim (Hashtbl.find ids (k mod !labels)));
+      log := S_after (i, Sim.now sim, Sim.peek_time sim) :: !log)
+    p.sops;
+  Sim.run sim;
+  (List.rev !log, Sim.now sim, Sim.events_processed sim)
+
+let prop_stream_eager backend =
+  QCheck.Test.make ~count:400
+    ~name:(Printf.sprintf "stream = eager schedule (%s)" (Sim.backend_name backend))
+    (QCheck.make gen_sprog ~print:print_sprog)
+    (fun p -> run_sprog backend ~stream:true p = run_sprog backend ~stream:false p)
+
 let suite_qcheck =
   List.map
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xe5e7; 31 |]))
-    [ prop_lockstep; prop_lockstep_churn ]
+    [
+      prop_lockstep;
+      prop_lockstep_churn;
+      prop_stream_eager Sim.Slot_heap;
+      prop_stream_eager Sim.Calendar;
+    ]
 
 let () =
   Alcotest.run "event_set"
@@ -269,6 +435,10 @@ let () =
         both "compaction trigger" test_compaction_trigger
         @ both "stats backend" test_stats_backend
         @ both "stale cancel" test_stale_cancel );
+      ( "times",
+        both "nan rejected" test_nan_rejected
+        @ both "stream rejects bad times" test_stream_rejects
+        @ both "stream footprint" test_stream_footprint );
       ( "calendar",
         both "far-future outlier" test_far_future
         @ [ Alcotest.test_case "adaptive resize" `Quick test_calendar_resizes ]

@@ -28,6 +28,10 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let write_file path bytes =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc bytes)
+
 (* ---- CSV: lossless floats, byte-stable re-save, diagnostics ---- *)
 
 (* sorted upfront: save writes in time order, so load returns this order *)
@@ -92,7 +96,25 @@ let test_csv_malformed () =
   with_temp_file (fun path ->
       write_lines path [ "when,who,how_big" ];
       expect_failure_mentioning ~parts:[ "line 1"; "bad header" ] (fun () ->
-          Trace.load ~path))
+          Trace.load ~path));
+  with_temp_file (fun path ->
+      write_lines path [];
+      expect_failure_mentioning ~parts:[ path; "line 1"; "empty file" ] (fun () ->
+          Trace.load ~path));
+  List.iter
+    (fun (line, field, raw) ->
+      with_temp_file (fun path ->
+          write_lines path [ "time,leaf,size_bits"; "0.5,a,100"; line ];
+          expect_failure_mentioning ~parts:[ path; "line 3"; field; raw ] (fun () ->
+              Trace.load ~path)))
+    [
+      ("nan,a,100", "time", "nan");
+      ("inf,a,100", "time", "inf");
+      ("-0.5,a,100", "time", "-0.5");
+      ("0.7,a,-1", "size_bits", "-1");
+      ("0.7,a,-inf", "size_bits", "-inf");
+      ("0.7,a,NaN", "size_bits", "NaN");
+    ]
 
 (* ---- binary v2: bit-exact round-trip, sniffing, diagnostics ---- *)
 
@@ -100,7 +122,16 @@ let test_binary_roundtrip () =
   with_temp_file (fun path ->
       Trace.save_binary ~path awkward_events;
       Alcotest.(check bool) "bit-exact round-trip" true
-        (Trace.load_binary ~path = awkward_events))
+        (Trace.load_binary ~path = awkward_events));
+  (* more records than one read block, and not a multiple of it *)
+  let mix =
+    Trace.internet_mix ~seed:3L ~leaves:[ "a"; "b"; "c" ] ~duration:1.0
+      ~mean_pkts_per_leaf:3000.0 ()
+  in
+  Alcotest.(check bool) "spans several read blocks" true (List.length mix > 2 * 4096);
+  with_temp_file (fun path ->
+      Trace.save_binary ~path mix;
+      Alcotest.(check bool) "multi-block round-trip" true (Trace.load_binary ~path = mix))
 
 let test_load_any_sniffs () =
   with_temp_file (fun path ->
@@ -125,7 +156,82 @@ let test_binary_malformed () =
       output_string oc (String.sub bytes 0 (String.length bytes - 1));
       close_out oc;
       expect_failure_mentioning ~parts:[ "record section" ] (fun () ->
-          Trace.load_binary ~path))
+          Trace.load_binary ~path));
+  (* cut inside the leaf table: these escaped as a bare End_of_file *)
+  with_temp_file (fun path ->
+      Trace.save_binary ~path awkward_events;
+      let bytes = read_file path in
+      List.iter
+        (fun (cut, what) ->
+          write_file path (String.sub bytes 0 cut);
+          expect_failure_mentioning ~parts:[ path; what ] (fun () -> Trace.load_binary ~path))
+        (* header 16 bytes, then "b", "a" (3 bytes each) and a 16-byte name *)
+        [
+          (16, "leaf table of 3 entries is truncated");
+          (23, "leaf 2 of 3: truncated name length");
+          (29, "leaf 2 of 3: name of 16 bytes is truncated");
+        ]);
+  (* a leaf count far beyond the file is refused before any allocation *)
+  with_temp_file (fun path ->
+      Trace.save_binary ~path awkward_events;
+      let bytes = Bytes.of_string (read_file path) in
+      Bytes.set_int32_le bytes 8 0x7fff_ffffl;
+      write_file path (Bytes.to_string bytes);
+      expect_failure_mentioning ~parts:[ path; "leaf table" ] (fun () -> Trace.load_binary ~path));
+  (* unusable times and sizes name the record (save sorts a NaN time first) *)
+  List.iter
+    (fun (e, parts) ->
+      with_temp_file (fun path ->
+          Trace.save_binary ~path [ { Trace.time = 0.25; leaf = "a"; size_bits = 8.0 }; e ];
+          expect_failure_mentioning ~parts:(path :: parts) (fun () -> Trace.load_binary ~path)))
+    [
+      ({ Trace.time = Float.nan; leaf = "a"; size_bits = 8.0 }, [ "record 0"; "time"; "nan" ]);
+      ({ Trace.time = infinity; leaf = "a"; size_bits = 8.0 }, [ "record 1"; "time"; "inf" ]);
+      ({ Trace.time = 0.5; leaf = "a"; size_bits = -8.0 }, [ "record 1"; "size_bits"; "-8" ]);
+      ( { Trace.time = 0.5; leaf = "a"; size_bits = Float.neg_infinity },
+        [ "record 1"; "size_bits"; "-inf" ] );
+    ]
+
+(* ---- fuzz: load_any returns a list or fails naming the file ---- *)
+
+let fuzz_load_any path =
+  match Trace.load_any ~path with
+  | (_ : Trace.event list) -> ()
+  | exception Failure msg ->
+    if not (contains_substring ~needle:path msg) then
+      Alcotest.failf "Failure %S does not name the file" msg
+  | exception e -> Alcotest.failf "escaped: %s" (Printexc.to_string e)
+
+let test_fuzz_load_any () =
+  let rng = Random.State.make [| 0x10ad; 7 |] in
+  with_temp_file (fun path ->
+      let write = write_file path in
+      Trace.save_binary ~path awkward_events;
+      let v2 = read_file path in
+      (* every truncation of a v2 file *)
+      for cut = 0 to String.length v2 do
+        write (String.sub v2 0 cut);
+        fuzz_load_any path
+      done;
+      (* random byte flips *)
+      for _ = 1 to 2000 do
+        let b = Bytes.of_string v2 in
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          Bytes.set b (Random.State.int rng (Bytes.length b)) (Char.chr (Random.State.int rng 256))
+        done;
+        write (Bytes.to_string b);
+        fuzz_load_any path
+      done;
+      (* random CSV garbage, with and without a valid header *)
+      let alphabet = "0123456789.,-+eEinfaxp_\n\r\t abc" in
+      for i = 1 to 2000 do
+        let body =
+          String.init (Random.State.int rng 80) (fun _ ->
+              alphabet.[Random.State.int rng (String.length alphabet)])
+        in
+        write (if i mod 2 = 0 then "time,leaf,size_bits\n" ^ body else body);
+        fuzz_load_any path
+      done)
 
 (* ---- internet mix: deterministic in the seed ---- *)
 
@@ -312,6 +418,110 @@ let test_batched_replay_grouping () =
   Alcotest.(check int) "same arrivals scheduled" n1 n2;
   Alcotest.(check bool) "identical departure logs" true (per_event = grouped)
 
+(* ---- streamed trace replay = eager per-event scheduling ---- *)
+
+(* The replay that [Trace.replay] replaced, kept as the oracle: one
+   simulator event per arrival (or per run of adjacent equal-time
+   arrivals when batched), all scheduled at install. *)
+let eager_replay ~batched ~sim ~emit_for events =
+  if not batched then
+    List.fold_left
+      (fun count e ->
+        match emit_for ~leaf:e.Trace.leaf with
+        | None -> count
+        | Some emit ->
+          ignore (Sim.schedule sim ~at:e.Trace.time (fun () -> emit ~size_bits:e.Trace.size_bits));
+          count + 1)
+      0 events
+  else begin
+    let scheduled = ref 0 in
+    let rec take_run time acc = function
+      | e :: rest when e.Trace.time = time -> take_run time (e :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let rec loop = function
+      | [] -> ()
+      | e :: _ as evs ->
+        let run, rest = take_run e.Trace.time [] evs in
+        let acts =
+          List.filter_map
+            (fun ev ->
+              Option.map (fun emit -> (emit, ev.Trace.size_bits)) (emit_for ~leaf:ev.Trace.leaf))
+            run
+        in
+        (match acts with
+        | [] -> ()
+        | acts ->
+          scheduled := !scheduled + List.length acts;
+          ignore
+            (Sim.schedule sim ~at:e.Trace.time (fun () ->
+                 List.iter (fun (emit, size_bits) -> emit ~size_bits) acts)));
+        loop rest
+    in
+    loop events;
+    !scheduled
+  end
+
+type stream_case = {
+  s : scenario; (* tree; its packets become direct injects around the install *)
+  trace : Trace.event list; (* unsorted, colliding times, some unknown leaves *)
+}
+
+let stream_case_gen rng =
+  let s = scenario_gen rng in
+  let leaves = Array.of_list ("ghost" :: s.leaves) in
+  let at () = 0.25 *. float_of_int (Random.State.int rng 40) in
+  let trace =
+    List.init (Random.State.int rng 150) (fun _ ->
+        {
+          Trace.time = at ();
+          leaf = leaves.(Random.State.int rng (Array.length leaves));
+          size_bits = 0.1 +. Random.State.float rng 1.9;
+        })
+  in
+  let packets = List.map (fun (_, leaf, size) -> (at (), leaf, size)) s.packets in
+  { s = { s with packets }; trace }
+
+(* Direct injects are scheduled half before and half after the replay is
+   installed, at the trace's grid times, so they tie with trace arrivals
+   on both sides of its reserved sequence numbers. *)
+let run_stream_case ~replay ~batched ~burst c =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let on_depart pkt ~leaf t = log := (leaf, pkt.Net.Packet.seq, t) :: !log in
+  let h =
+    HE.create ~sim ~spec:c.s.spec ~factory:wf2q_plus ~engine:`Flat ~on_depart ~burst_max:burst ()
+  in
+  let ids = Array.of_list (List.map (HE.leaf_id h) c.s.leaves) in
+  let inject (at, leaf, size) =
+    ignore (Sim.schedule sim ~at (fun () -> ignore (HE.inject h ~leaf:ids.(leaf) ~size_bits:size)))
+  in
+  let early, late = List.partition (fun (at, _, _) -> at < 5.0) c.s.packets in
+  List.iter inject early;
+  let emit_for ~leaf =
+    match List.assoc_opt leaf (HE.leaf_ids h) with
+    | None -> None
+    | Some id -> Some (fun ~size_bits -> ignore (HE.inject h ~leaf:id ~size_bits))
+  in
+  let n = replay ~batched ~sim ~emit_for c.trace in
+  List.iter inject late;
+  Sim.run sim;
+  (n, List.rev !log, HE.drops h, Sim.now sim)
+
+let prop_stream_replay =
+  Q.Test.make ~count:200 ~name:"flat: streamed replay = eager replay, bursts 1/8/inf"
+    (Q.make stream_case_gen ~print:(fun c ->
+         print_scenario c.s ^ " trace=["
+         ^ String.concat "; "
+             (List.map (fun e -> Printf.sprintf "(%h,%s,%h)" e.Trace.time e.leaf e.size_bits) c.trace)
+         ^ "]"))
+    (fun c ->
+      List.for_all
+        (fun (batched, burst) ->
+          run_stream_case ~replay:(fun ~batched -> Trace.replay ~batched) ~batched ~burst c
+          = run_stream_case ~replay:eager_replay ~batched ~burst c)
+        [ (false, 1); (false, 8); (false, max_int); (true, 1); (true, 8); (true, max_int) ])
+
 (* ---- pipeline: end-to-end delays identical at burst_max > 1 ---- *)
 
 let test_pipeline_burst_invariance () =
@@ -377,6 +587,7 @@ let () =
           Alcotest.test_case "bit-exact roundtrip" `Quick test_binary_roundtrip;
           Alcotest.test_case "load_any sniffs format" `Quick test_load_any_sniffs;
           Alcotest.test_case "malformed diagnostics" `Quick test_binary_malformed;
+          Alcotest.test_case "load_any fuzz" `Quick test_fuzz_load_any;
         ] );
       ( "internet_mix",
         [
@@ -396,6 +607,7 @@ let () =
         [
           Alcotest.test_case "batched grouping = per-event" `Quick
             test_batched_replay_grouping;
+          seeded prop_stream_replay;
           Alcotest.test_case "pipeline delays burst-invariant" `Quick
             test_pipeline_burst_invariance;
         ] );
