@@ -2,11 +2,18 @@
    evaluation (see DESIGN.md's per-experiment index) and runs the
    complexity microbenchmarks backing the O(log N) claim.
 
-     dune exec bench/main.exe            run everything
-     dune exec bench/main.exe -- ID...   run selected ids:
-       fig2 fig4 fig5 fig6 fig7 fig9 wfi bounds complexity heaps refclock e2e
-     plus extras outside the default set:
-       perf-quick perf-headline trace-overhead perf-guard
+     dune exec bench/main.exe            run the figures and the perf,
+                                         events, hier and churn suites
+     dune exec bench/main.exe -- ID...   run selected ids: the figures
+       fig2 fig4 fig5 fig6 fig7 fig9 wfi bounds complexity heaps refclock e2e,
+     every bench suite's <name>, <name>-quick and <name>-guard
+     (lib/experiments/suites.ml), check, perf-headline, trace-overhead
+     and soak.
+
+   Benches and guards belong in the release profile
+   (`dune exec --profile release bench/main.exe -- check`): the dev
+   profile passes -opaque, which defeats cross-module inlining and so
+   inflates the allocation the guards hold against their ceilings.
 
    Absolute numbers are this simulator's, not the 1996 testbed's; the
    shapes (who wins, by what factor, where crossovers fall) are the
@@ -413,168 +420,8 @@ let e2e () =
     [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* PERF: hot-path throughput baseline (see lib/bench_kit/perf.ml)      *)
+(* SOAK: long-horizon virtual-time drift, fixed vs float              *)
 (* ------------------------------------------------------------------ *)
-
-(* Grid-style benches fan their cells out on HPFQ_JOBS workers (default 1:
-   committed baselines are sequential; parallel runs are only comparable
-   with other runs at the same -j). Guards always measure sequentially. *)
-let env_pool () = Parallel.Pool.create ()
-
-let perf () = Bench_kit.Perf.run ~pool:(env_pool ()) ()
-let perf_quick () =
-  Bench_kit.Perf.run ~pool:(env_pool ()) ~quick:true ~out:"BENCH_hotpath_quick.json" ()
-
-(* ------------------------------------------------------------------ *)
-(* EVENTS: pending-set churn, slot heap vs calendar queue             *)
-(* ------------------------------------------------------------------ *)
-
-let events () = ignore (Bench_kit.Events.run ~pool:(env_pool ()) ())
-let events_quick () =
-  ignore
-    (Bench_kit.Events.run ~pool:(env_pool ()) ~quick:true
-       ~out:"BENCH_events_quick.json" ())
-
-let events_guard () =
-  section "EVENTS-GUARD: churn headline vs BENCH_events.json";
-  match Bench_kit.Events.guard () with
-  | Error e ->
-    Printf.eprintf "events-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf
-      "baseline %16.0f events/sec\n\
-       fresh    %16.0f events/sec\n\
-       ratio    %16.3f (tolerance -%.0f%%)\n\
-       speedup  %15.2fx calendar/heap (floor %.2fx)\n"
-      g.Bench_kit.Events.baseline_eps g.fresh_eps g.perf_ratio (g.tol *. 100.0)
-      g.speedup g.min_speedup;
-    if g.within then print_endline "events-guard: OK"
-    else begin
-      Printf.eprintf
-        "events-guard: FAIL — churn headline regressed beyond %.0f%% or the \
-         calendar fell under %.2fx the heap\n"
-        (g.tol *. 100.0) g.min_speedup;
-      exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
-(* HIER: hierarchy engine A/B, generic vs flat                        *)
-(* ------------------------------------------------------------------ *)
-
-let hier () = ignore (Experiments.Hier_bench.run ~pool:(env_pool ()) ())
-let hier_quick () =
-  ignore
-    (Experiments.Hier_bench.run ~pool:(env_pool ()) ~quick:true
-       ~out:"BENCH_hier_quick.json" ())
-
-let hier_guard () =
-  section "HIER-GUARD: Fig. 3 flat headline vs BENCH_hier.json";
-  match Experiments.Hier_bench.guard () with
-  | Error e ->
-    Printf.eprintf "hier-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf
-      "baseline %16.0f pkts/sec (flat)\n\
-       fresh    %16.0f pkts/sec (flat)\n\
-       ratio    %16.3f (tolerance -%.0f%%)\n\
-       speedup  %15.2fx flat/generic (floor %.2fx)\n\
-       words/pkt %14.3f flat vs %.3f generic\n"
-      g.Experiments.Hier_bench.baseline_pps g.fresh_pps g.perf_ratio
-      (g.tol *. 100.0) g.speedup g.min_speedup g.flat_words g.generic_words;
-    (match g.baseline_flat_words with
-    | Some b ->
-      Printf.printf "ceiling  %16.3f flat words/pkt (+%.0f%% band)\n"
-        (b *. (1.0 +. g.words_tol))
-        (g.words_tol *. 100.0)
-    | None ->
-      print_endline "ceiling  baseline has no flat words key; gate vacuous");
-    if g.within then print_endline "hier-guard: OK"
-    else begin
-      Printf.eprintf
-        "hier-guard: FAIL — flat headline regressed beyond %.0f%%, the flat \
-         engine fell under %.2fx the generic one, or flat allocation exceeds \
-         its committed ceiling by more than %.0f%%\n"
-        (g.tol *. 100.0) g.min_speedup (g.words_tol *. 100.0);
-      exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
-(* REPLAY: internet-mix trace replay across the burst_max ladder      *)
-(* ------------------------------------------------------------------ *)
-
-let replay () = ignore (Experiments.Replay_bench.run ())
-let replay_quick () =
-  ignore (Experiments.Replay_bench.run ~quick:true ~out:"BENCH_replay_quick.json" ())
-
-let replay_guard () =
-  section "REPLAY-GUARD: batched replay headline vs BENCH_replay.json";
-  match Experiments.Replay_bench.guard () with
-  | Error e ->
-    Printf.eprintf "replay-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf
-      "baseline %16.0f pkts/sec (batched)\n\
-       fresh    %16.0f pkts/sec (batched)\n\
-       ratio    %16.3f (tolerance -%.0f%%)\n\
-       speedup  %15.2fx batched/per-packet (floor %.2fx)\n\
-       hash     %16s\n"
-      g.Experiments.Replay_bench.baseline_pps g.fresh_pps g.perf_ratio
-      (g.tol *. 100.0) g.speedup g.min_speedup
-      (if g.hash_ok then "OK" else "MISMATCH");
-    (match g.baseline_words with
-    | Some b ->
-      Printf.printf "words/pkt %15.2f batched vs %.2f ceiling (+%.0f%% band)\n"
-        g.fresh_words
-        (b *. (1.0 +. g.words_tol))
-        (g.words_tol *. 100.0)
-    | None ->
-      Printf.printf
-        "words/pkt %15.2f batched (baseline has no ceiling; gate vacuous)\n"
-        g.fresh_words);
-    if g.within then print_endline "replay-guard: OK"
-    else begin
-      Printf.eprintf
-        "replay-guard: FAIL — departure hash diverged from the committed \
-         baseline, the batched headline regressed beyond %.0f%%, batching \
-         fell under %.2fx the per-packet path, or batched allocation exceeds \
-         its committed ceiling by more than %.0f%%\n"
-        (g.tol *. 100.0) g.min_speedup (g.words_tol *. 100.0);
-      exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
-(* CHURN: session lifecycle at 10^5-10^6 sessions; vtime soak         *)
-(* ------------------------------------------------------------------ *)
-
-let churn () = ignore (Experiments.Churn_bench.run ())
-let churn_quick () =
-  ignore (Experiments.Churn_bench.run ~quick:true ~out:"BENCH_churn_quick.json" ())
-
-let churn_guard () =
-  section "CHURN-GUARD: lifecycle headline vs BENCH_churn.json";
-  match Experiments.Churn_bench.guard () with
-  | Error e ->
-    Printf.eprintf "churn-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf
-      "baseline %16.0f events/sec\n\
-       fresh    %16.0f events/sec\n\
-       ratio    %16.3f (tolerance -%.0f%%)\n\
-       floor    %16.0f events/sec\n"
-      g.Experiments.Churn_bench.baseline_eps g.fresh_eps g.perf_ratio
-      (g.tol *. 100.0) g.floor;
-    if g.within then print_endline "churn-guard: OK"
-    else begin
-      Printf.eprintf
-        "churn-guard: FAIL — churn headline regressed beyond %.0f%% or fell \
-         under the %.0f events/sec floor\n"
-        (g.tol *. 100.0) g.floor;
-      exit 1
-    end
 
 let soak () =
   section "SOAK: long-horizon virtual-time drift, fixed vs float";
@@ -591,99 +438,6 @@ let soak () =
       Printf.printf "%-10s %12d %20.6f %16.3e %6b\n" r.s_engine r.s_packets
         r.s_v_end r.s_drift r.s_exact)
     results
-
-(* ------------------------------------------------------------------ *)
-(* PARALLEL: wfi sweep scaling vs worker count                        *)
-(* ------------------------------------------------------------------ *)
-
-let parallel () = ignore (Experiments.Parallel_bench.run ())
-let parallel_quick () =
-  ignore
-    (Experiments.Parallel_bench.run ~quick:true ~out:"BENCH_parallel_quick.json" ())
-
-let parallel_guard () =
-  section "PARALLEL-GUARD: sweep scaling vs cores-aware floor";
-  match Experiments.Parallel_bench.guard () with
-  | Error e ->
-    Printf.eprintf "parallel-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf "cores=%d tolerance=%.0f%%\n%6s %10s %14s %6s\n" g.g_cores
-      (g.Experiments.Parallel_bench.g_tol *. 100.0) "jobs" "speedup" "floor(1-tol)" "ok";
-    List.iter
-      (fun (r : Experiments.Parallel_bench.guard_row) ->
-        Printf.printf "%6d %9.2fx %13.2fx %6s\n" r.g_jobs r.g_speedup r.g_floor
-          (if not r.g_enforced then "info" else if r.g_ok then "yes" else "NO"))
-      g.g_rows;
-    if g.g_within then print_endline "parallel-guard: OK"
-    else begin
-      Printf.eprintf
-        "parallel-guard: FAIL — sweep speedup fell below the cores-aware floor\n";
-      exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
-(* SHARD: multi-port device scaling vs worker count                   *)
-(* ------------------------------------------------------------------ *)
-
-let shard () = ignore (Experiments.Shard_bench.run ())
-let shard_quick () =
-  ignore (Experiments.Shard_bench.run ~quick:true ~out:"BENCH_shard_quick.json" ())
-
-let shard_guard () =
-  section "SHARD-GUARD: device scaling vs cores-aware floor";
-  match Experiments.Shard_bench.guard () with
-  | Error e ->
-    Printf.eprintf "shard-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf "cores=%d tolerance=%.0f%%\n%7s %6s %10s %14s %6s\n" g.g_cores
-      (g.Experiments.Shard_bench.g_tol *. 100.0) "links" "jobs" "speedup"
-      "floor(1-tol)" "ok";
-    List.iter
-      (fun (r : Experiments.Shard_bench.guard_row) ->
-        Printf.printf "%7d %6d %9.2fx %13.2fx %6s\n" r.g_links r.g_jobs
-          r.g_speedup r.g_floor
-          (if not r.g_enforced then "info" else if r.g_ok then "yes" else "NO"))
-      g.g_rows;
-    if g.g_within then print_endline "shard-guard: OK"
-    else begin
-      Printf.eprintf
-        "shard-guard: FAIL — device speedup fell below the cores-aware floor\n";
-      exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
-(* HIERSHARD: one wide hierarchy, subtree shards x root-sync epoch    *)
-(* ------------------------------------------------------------------ *)
-
-let hiershard () = ignore (Experiments.Hiershard_bench.run ())
-let hiershard_quick () =
-  ignore
-    (Experiments.Hiershard_bench.run ~quick:true ~out:"BENCH_hiershard_quick.json" ())
-
-let hiershard_guard () =
-  section "HIERSHARD-GUARD: subtree sharding vs cores-aware floor";
-  match Experiments.Hiershard_bench.guard () with
-  | Error e ->
-    Printf.eprintf "hiershard-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf "cores=%d tolerance=%.0f%%\n%7s %6s %8s %10s %14s %6s\n" g.g_cores
-      (g.Experiments.Hiershard_bench.g_tol *. 100.0) "shards" "epoch" "workers"
-      "ratio" "floor(1-tol)" "ok";
-    List.iter
-      (fun (r : Experiments.Hiershard_bench.guard_row) ->
-        Printf.printf "%7d %6d %8d %9.2fx %13.2fx %6s\n" r.g_shards r.g_epoch
-          r.g_workers r.g_ratio r.g_floor
-          (if not r.g_enforced then "info" else if r.g_ok then "yes" else "NO"))
-      g.g_rows;
-    if g.g_within then print_endline "hiershard-guard: OK"
-    else begin
-      Printf.eprintf
-        "hiershard-guard: FAIL — sharded throughput fell below the cores-aware floor\n";
-      exit 1
-    end
 
 (* ------------------------------------------------------------------ *)
 (* TRACE-OVERHEAD: cost of the observer hook, off and on              *)
@@ -792,42 +546,8 @@ let trace_overhead () =
     ((flat_off /. flat_on -. 1.0) *. 100.0)
 
 (* ------------------------------------------------------------------ *)
-(* PERF-GUARD: fresh headline vs the committed baseline               *)
-(* ------------------------------------------------------------------ *)
 
-let perf_guard () =
-  section "PERF-GUARD: tracing-disabled hot path vs BENCH_hotpath.json";
-  match Bench_kit.Perf.guard () with
-  | Error e ->
-    Printf.eprintf "perf-guard: %s\n" e;
-    exit 1
-  | Ok g ->
-    Printf.printf
-      "baseline %16.0f pkts/sec\nfresh    %16.0f pkts/sec\nratio    %16.3f (tolerance -%.0f%%)\n"
-      g.Bench_kit.Perf.baseline_pps g.fresh_pps g.ratio (g.tol *. 100.0);
-    (match g.baseline_words with
-    | Some b ->
-      Printf.printf "words/pkt %15.2f fresh vs %.2f ceiling (+%.0f%% band)\n"
-        g.fresh_words
-        (b *. (1.0 +. g.words_tol))
-        (g.words_tol *. 100.0)
-    | None ->
-      Printf.printf
-        "words/pkt %15.2f fresh (baseline has no ceiling; gate vacuous)\n"
-        g.fresh_words);
-    if g.within then print_endline "perf-guard: OK"
-    else begin
-      Printf.eprintf
-        "perf-guard: FAIL — untraced hot path is more than %.0f%% below the \
-         committed baseline, or allocates more than %.0f%% above its committed \
-         minor-words ceiling\n"
-        (g.tol *. 100.0) (g.words_tol *. 100.0);
-      exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
-
-let all_benches =
+let figures =
   [
     ("fig2", fig2);
     ("fig4", fig4);
@@ -841,55 +561,52 @@ let all_benches =
     ("heaps", heaps);
     ("refclock", refclock);
     ("e2e", e2e);
-    ("perf", perf);
-    ("events", events);
-    ("hier", hier);
-    ("churn", churn);
   ]
 
-(* runnable by id but not part of the no-argument "run everything" set *)
+(* Every registry suite answers to <name> (rewrites its committed
+   BENCH_*.json), <name>-quick (smoke scale, BENCH_*_quick.json) and
+   <name>-guard (fresh probe vs the committed baseline; exit 1 on FAIL). *)
+let suites =
+  let module S = Bench_kit.Suite in
+  List.concat_map
+    (fun (s : S.t) ->
+      [
+        (s.name, fun () -> ignore (S.run s ~quick:false ~out:s.out));
+        (s.name ^ "-quick", fun () -> ignore (S.run s ~quick:true ~out:(S.quick_out s)));
+        ( s.name ^ "-guard",
+          fun () ->
+            let p = S.profile () in
+            if not (S.print_guard s p (S.guard s p)) then exit 1 );
+      ])
+    Experiments.Suites.all
+
 let perf_headline () =
   Printf.printf "headline_pkts_per_sec %.0f\n%!" (Bench_kit.Perf.headline ())
 
-let extra_benches =
-  [
-    ("perf-quick", perf_quick);
-    ("perf-headline", perf_headline);
-    ("trace-overhead", trace_overhead);
-    ("perf-guard", perf_guard);
-    ("events-quick", events_quick);
-    ("events-guard", events_guard);
-    ("hier-quick", hier_quick);
-    ("hier-guard", hier_guard);
-    ("replay", replay);
-    ("replay-quick", replay_quick);
-    ("replay-guard", replay_guard);
-    ("churn-quick", churn_quick);
-    ("churn-guard", churn_guard);
-    ("soak", soak);
-    ("parallel", parallel);
-    ("parallel-quick", parallel_quick);
-    ("parallel-guard", parallel_guard);
-    ("shard", shard);
-    ("shard-quick", shard_quick);
-    ("shard-guard", shard_guard);
-    ("hiershard", hiershard);
-    ("hiershard-quick", hiershard_quick);
-    ("hiershard-guard", hiershard_guard);
-  ]
+(* every quick run, the fresh and committed report checks, every guard *)
+let check () = if not (Bench_kit.Suite.check Experiments.Suites.all) then exit 1
+
+let benches =
+  figures @ suites
+  @ [
+      ("perf-headline", perf_headline);
+      ("trace-overhead", trace_overhead);
+      ("soak", soak);
+      ("check", check);
+    ]
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as ids) -> ids
-    | _ -> List.map fst all_benches
+    | _ -> List.map fst figures @ [ "perf"; "events"; "hier"; "churn" ]
   in
   List.iter
     (fun id ->
-      match List.assoc_opt id (all_benches @ extra_benches) with
+      match List.assoc_opt id benches with
       | Some f -> f ()
       | None ->
         Printf.eprintf "unknown bench %S; available: %s\n" id
-          (String.concat " " (List.map fst (all_benches @ extra_benches)));
+          (String.concat " " (List.map fst benches));
         exit 1)
     requested

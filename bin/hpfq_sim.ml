@@ -731,7 +731,7 @@ let replay_cmd =
 
 let churn_cmd =
   let run quick out soak_packets =
-    ignore (Experiments.Churn_bench.run ~quick ~out ());
+    ignore (Bench_kit.Suite.run Experiments.Suites.churn ~quick ~out);
     match soak_packets with
     | None -> ()
     | Some n ->

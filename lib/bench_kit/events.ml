@@ -23,8 +23,8 @@
    allocates nothing and the words/event column is a pure backend
    comparison. Results go to BENCH_events.json (same machine-readable
    role as BENCH_hotpath.json) with per-workload calendar/heap ratios and
-   a cancel-heavy 64k-timer headline; [guard] re-measures the headline
-   against the committed file, mirroring Perf.guard. *)
+   a cancel-heavy 64k-timer headline, which [probe] re-measures for the
+   guard. *)
 
 module Sim = Engine.Simulator
 
@@ -196,34 +196,12 @@ let json_of_run ~quick rows =
              (ratios rows)) );
     ]
 
-let required_keys = [ "schema"; "rows"; "ratios" ]
-
-let required_row_keys =
-  [ "dist"; "n"; "backend"; "events_per_sec"; "minor_words_per_event" ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "rows" json with
-    | Some rows -> (
-      match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "rows entries" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
-let run ?pool ?(quick = false) ?(out = "BENCH_events.json") () =
-  Printf.printf
-    "\n================ EVENTS: pending-set churn, heap vs calendar \
-     ================\n%!";
+let report ~quick =
   (* dist × n × backend cells are independent (each builds its own
      simulator with an explicit backend and a cell-keyed PRNG); fanning
      them out carries the usual contention caveat — parallel numbers are
      only comparable at the same -j, guards measure sequentially *)
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
+  let pool = Parallel.Pool.create () in
   let grid =
     List.concat_map
       (fun dist ->
@@ -255,81 +233,20 @@ let run ?pool ?(quick = false) ?(out = "BENCH_events.json") () =
     (fun (dist, n, ratio) ->
       Printf.printf "%-14s %8d %22.2fx\n" (dist_name dist) n ratio)
     (ratios rows);
-  let json = json_of_run ~quick rows in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith ("Events.run: emitted JSON is missing keys: " ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out;
-  rows
+  json_of_run ~quick rows
 
-(* -- regression guard ------------------------------------------------------ *)
-
-let headline_of_report json =
-  match Json.member "headline" json with
-  | None -> Error "report has no \"headline\" object"
-  | Some h -> (
-    match Json.member "calendar_events_per_sec" h with
-    | None -> Error "headline has no \"calendar_events_per_sec\" field"
-    | Some v -> (
-      match Json.to_float v with
-      | Some f when f > 0.0 -> Ok f
-      | _ -> Error "headline \"calendar_events_per_sec\" is not a positive number"))
-
-type guard_result = {
-  baseline_eps : float;
-  fresh_eps : float;
-  perf_ratio : float;
-  speedup : float; (* fresh calendar / fresh heap on the headline workload *)
-  tol : float;
-  min_speedup : float;
-  within : bool;
-}
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    match float_of_string_opt s with Some t when t >= 0.0 -> t | _ -> default)
-  | None -> default
-
-(* Timer churn is noisier than the policy-cycle headline, so the default
-   tolerance is looser than Perf.guard's 5%. HPFQ_EVENTS_RATIO is the
-   floor on the fresh calendar/heap speedup (default 1.0: the calendar
-   must at least not lose; the committed baseline documents the real
-   margin, CI relaxes both knobs). *)
-let guard ?(baseline = "BENCH_events.json") ?tol ?min_speedup ?n ?events () =
-  let tol = match tol with Some t -> t | None -> env_float "HPFQ_EVENTS_TOL" 0.2 in
-  let min_speedup =
-    match min_speedup with
-    | Some r -> r
-    | None -> env_float "HPFQ_EVENTS_RATIO" 1.0
-  in
-  if not (Sys.file_exists baseline) then
-    Error (Printf.sprintf "baseline %s not found (run `bench events` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json -> headline_of_report json
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok baseline_eps ->
-      let n = match n with Some n -> n | None -> headline_n in
-      let events = match events with Some e -> e | None -> budget ~quick:false n in
-      let cal = run_churn ~backend:Sim.Calendar ~dist:headline_dist ~n ~events in
-      let heap = run_churn ~backend:Sim.Slot_heap ~dist:headline_dist ~n ~events in
-      let fresh_eps = cal.events_per_sec in
-      let speedup = cal.events_per_sec /. heap.events_per_sec in
-      Ok
-        {
-          baseline_eps;
-          fresh_eps;
-          perf_ratio = fresh_eps /. baseline_eps;
-          speedup;
-          tol;
-          min_speedup;
-          within = fresh_eps /. baseline_eps >= 1.0 -. tol && speedup >= min_speedup;
-        }
+(* The guard's fresh side: the cancel-heavy headline on both backends. *)
+let probe ~quick =
+  let n = if quick then 256 else headline_n in
+  let events = budget ~quick n in
+  let cal = run_churn ~backend:Sim.Calendar ~dist:headline_dist ~n ~events in
+  let heap = run_churn ~backend:Sim.Slot_heap ~dist:headline_dist ~n ~events in
+  Json.Obj
+    [
+      ( "headline",
+        Json.Obj
+          [
+            ("calendar_events_per_sec", Json.Num cal.events_per_sec);
+            ("ratio", Json.Num (cal.events_per_sec /. heap.events_per_sec));
+          ] );
+    ]

@@ -30,45 +30,14 @@ val run_churn :
     until [events] fires are spent, then draining. The PRNG seed depends
     only on [(dist, n)], so both backends replay the same increments. *)
 
-val run : ?pool:Parallel.Pool.t -> ?quick:bool -> ?out:string -> unit -> row list
+val report : quick:bool -> Json.t
 (** Run the full grid (4 distributions x sizes x both backends), print a
-    table plus speedups, and write the JSON report to [out] (default
-    ["BENCH_events.json"]). [quick] shrinks sizes/budgets to smoke-test
-    levels. [pool] fans the grid cells across domains (concurrent cells
-    contend, so parallel numbers are only comparable at the same [-j];
-    baselines and {!guard} measure sequentially).
-    @raise Failure if the emitted report fails {!validate}. *)
+    table plus speedups, and return the report ([Suite.run] writes it).
+    [quick] shrinks sizes/budgets to smoke-test levels. Cells fan out on
+    [Parallel.Pool.create ()] (concurrent cells contend, so parallel
+    numbers are only comparable at the same [-j]). *)
 
-val required_keys : string list
-val required_row_keys : string list
-
-val validate : Json.t -> (unit, string list) result
-
-val headline_of_report : Json.t -> (float, string) result
-(** Extract [headline.calendar_events_per_sec] from a parsed report. *)
-
-type guard_result = {
-  baseline_eps : float;  (** headline recorded in the baseline file *)
-  fresh_eps : float;  (** calendar headline measured just now *)
-  perf_ratio : float;  (** [fresh_eps /. baseline_eps] *)
-  speedup : float;  (** fresh calendar/heap ratio on the headline workload *)
-  tol : float;  (** relative slowdown tolerated vs the baseline *)
-  min_speedup : float;  (** floor on [speedup] *)
-  within : bool;
-      (** [perf_ratio >= 1 - tol && speedup >= min_speedup] *)
-}
-
-val guard :
-  ?baseline:string ->
-  ?tol:float ->
-  ?min_speedup:float ->
-  ?n:int ->
-  ?events:int ->
-  unit ->
-  (guard_result, string) result
-(** Regression gate, mirroring [Perf.guard]: re-measure the cancel-heavy
-    headline on both backends and compare the calendar number against the
-    committed [baseline] (default ["BENCH_events.json"]). [tol] defaults
-    to [HPFQ_EVENTS_TOL] or 0.2; [min_speedup] to [HPFQ_EVENTS_RATIO] or
-    1.0. [Error] means the baseline is missing or unreadable, not a perf
-    failure. *)
+val probe : quick:bool -> Json.t
+(** The guard's fresh side: the cancel-heavy headline on both backends,
+    [headline.calendar_events_per_sec] and the calendar/heap
+    [headline.ratio] (64k timers; [quick]: 256). *)

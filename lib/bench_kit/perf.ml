@@ -116,8 +116,7 @@ let bechamel_ns_per_cycle ~quick tests =
 (* Bechamel's ns/cycle regression stays sequential (its OLS assumes an
    unloaded machine); only the independent per-N wall/allocation rows fan
    out, with the same contention caveat as [hier_rows]. *)
-let one_level ?pool ~quick ~factory () =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
+let one_level ~pool ~quick ~factory () =
   let sizes =
     if quick then [ 16; 64 ]
     else List.init 11 (fun i -> 1 lsl (i + 4)) (* 2^4 .. 2^14 *)
@@ -184,7 +183,7 @@ let server_throughput ?config ~n ~burst_max ~target_pkts () =
   Hpfq.Server.add_depart_handle_hook srv (fun _h _t -> incr departs);
   let rate = 1.0 /. float_of_int n in
   for _ = 1 to n do
-    ignore (Hpfq.Server.add_session srv ~rate ())
+    ignore (Hpfq.Server.open_session srv ~rate ())
   done;
   let bunch = server_batched_burst in
   let ticks = max 1 (target_pkts / bunch) in
@@ -308,8 +307,7 @@ let hier_throughput ?config ?engine ~depth ~fanout ~factory ~target_pkts () =
    *numbers* are only comparable across runs at the same -j. The default
    stays sequential; the committed baseline is always -j1 (the guard
    measures sequentially regardless). *)
-let hier_rows ?pool ~quick ~factory () =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
+let hier_rows ~pool ~quick ~factory () =
   let config = Engine.Simulator.snapshot_config () in
   let combos =
     if quick then [ (2, 4) ]
@@ -479,27 +477,10 @@ let json_of_run ~quick ~headline_pps ~one_level_rows ~server_rows ~hier_done
       ("hier_skipped", skipped_json);
     ]
 
-let required_keys = [ "schema"; "one_level"; "hier" ]
-let required_row_keys = [ "pkts_per_sec"; "ns_per_select"; "minor_words_per_pkt" ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "one_level" json with
-    | Some rows ->
-      (match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "one_level rows" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
-let run ?pool ?(quick = false) ?(out = "BENCH_hotpath.json") () =
+let report ~quick =
+  let pool = Parallel.Pool.create () in
   let factory = Hpfq.Disciplines.wf2q_plus in
-  Printf.printf "\n================ PERF: hot-path throughput ================\n%!";
-  let one_level_rows = one_level ?pool ~quick ~factory () in
+  let one_level_rows = one_level ~pool ~quick ~factory () in
   Printf.printf "%8s %16s %14s %12s\n" "N" "pkts/sec" "ns/select" "words/pkt";
   List.iter
     (fun r ->
@@ -514,7 +495,7 @@ let run ?pool ?(quick = false) ?(out = "BENCH_hotpath.json") () =
       Printf.printf "%10d %16.0f %12.2f\n" r.s_burst r.s_pkts_per_sec
         r.s_minor_words_per_pkt)
     server_rows;
-  let hier_done, hier_skipped = hier_rows ?pool ~quick ~factory () in
+  let hier_done, hier_skipped = hier_rows ~pool ~quick ~factory () in
   Printf.printf "\n%6s %7s %7s %16s %12s\n" "depth" "fanout" "leaves" "pkts/sec" "words/pkt";
   List.iter
     (fun r ->
@@ -526,123 +507,31 @@ let run ?pool ?(quick = false) ?(out = "BENCH_hotpath.json") () =
       Printf.printf "%6d %7d %7d %16s (skipped: > %d leaves)\n" d f leaves "-"
         max_hier_leaves)
     hier_skipped;
-  (* Committed headline pps must be measured the way perf-guard measures
-     its fresh side (same probe, main domain, no bechamel residue) or the
-     guard's tolerance band compares two different methodologies. Quick
-     reports are never guard baselines, so they keep the row sample. *)
+  (* Committed headline pps must be measured the way the guard's probe
+     measures its fresh side (same probe, main domain, no bechamel
+     residue) or the guard's tolerance band compares two different
+     methodologies. Quick reports are never guard baselines, so they keep
+     the row sample. *)
   let headline_pps = if quick then None else Some (headline ()) in
   (match headline_pps with
   | Some pps -> Printf.printf "\nheadline (guard probe) %16.0f pkts/sec\n" pps
   | None -> ());
-  let json =
-    json_of_run ~quick ~headline_pps ~one_level_rows ~server_rows ~hier_done
-      ~hier_skipped
-  in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith ("Perf.run: emitted JSON is missing keys: " ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out
+  json_of_run ~quick ~headline_pps ~one_level_rows ~server_rows ~hier_done
+    ~hier_skipped
 
-(* -- perf-regression guard ------------------------------------------------ *)
-
-let headline_of_report json =
-  match Json.member "headline" json with
-  | None -> Error "report has no \"headline\" object"
-  | Some h ->
-    (match Json.member "pkts_per_sec" h with
-    | None -> Error "headline has no \"pkts_per_sec\" field"
-    | Some v ->
-      (match Json.to_float v with
-      | Some f when f > 0.0 -> Ok f
-      | _ -> Error "headline \"pkts_per_sec\" is not a positive number"))
-
-(* Committed allocation ceiling: the headline's minor_words_per_pkt, when
-   present. Absent in older baselines, in which case the words gate is
-   vacuously satisfied. *)
-let headline_words_of_report json =
-  match Json.member "headline" json with
-  | None -> None
-  | Some h -> (
-    match Json.member "minor_words_per_pkt" h with
-    | None -> None
-    | Some v -> (
-      match Json.to_float v with Some w when w > 0.0 -> Some w | _ -> None))
-
-type guard_result = {
-  baseline_pps : float;
-  fresh_pps : float;
-  ratio : float;
-  tol : float;
-  baseline_words : float option;
-  fresh_words : float;
-  words_tol : float;
-  words_within : bool;
-  within : bool;
-}
-
-let default_guard_tol () =
-  match Sys.getenv_opt "HPFQ_PERF_TOL" with
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some t when t > 0.0 -> t
-    | _ -> 0.05)
-  | None -> 0.05
-
-let default_words_tol () =
-  match Sys.getenv_opt "HPFQ_WORDS_TOL" with
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some t when t >= 0.0 -> t
-    | _ -> 0.1)
-  | None -> 0.1
-
-let guard ?(baseline = "BENCH_hotpath.json") ?tol ?words_tol ?n ?iters ?runs () =
-  let tol = match tol with Some t -> t | None -> default_guard_tol () in
-  let words_tol =
-    match words_tol with Some t -> t | None -> default_words_tol ()
-  in
-  if not (Sys.file_exists baseline) then
-    Error (Printf.sprintf "baseline %s not found (run `bench perf` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json ->
-        Result.map
-          (fun pps -> (pps, headline_words_of_report json))
-          (headline_of_report json)
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok (baseline_pps, baseline_words) ->
-      let fresh_pps = headline ?n ?iters ?runs () in
-      (* Allocation is deterministic per packet (unlike wall clock), so a
-         single measurement at the headline shape suffices for the ceiling. *)
-      let fresh_words =
-        let n = Option.value n ~default:4096
-        and iters = Option.value iters ~default:400_000 in
-        let cycle = loaded_policy Hpfq.Disciplines.wf2q_plus n in
-        let _, minor = time_loop cycle ~iters in
-        minor /. float_of_int iters
-      in
-      let ratio = fresh_pps /. baseline_pps in
-      let words_within =
-        match baseline_words with
-        | None -> true
-        | Some b -> fresh_words <= b *. (1.0 +. words_tol)
-      in
-      Ok
-        {
-          baseline_pps;
-          fresh_pps;
-          ratio;
-          tol;
-          baseline_words;
-          fresh_words;
-          words_tol;
-          words_within;
-          within = ratio >= 1.0 -. tol && words_within;
-        }
+(* Allocation is deterministic per packet (unlike wall clock), so a single
+   measurement at the headline shape suffices for the words ceiling. *)
+let probe ~quick =
+  let n = if quick then 64 else 4096 in
+  let pps = if quick then headline ~n ~iters:2_000 ~runs:1 () else headline () in
+  let iters = if quick then 2_000 else 400_000 in
+  let _, minor = time_loop (loaded_policy Hpfq.Disciplines.wf2q_plus n) ~iters in
+  Json.Obj
+    [
+      ( "headline",
+        Json.Obj
+          [
+            ("pkts_per_sec", Json.Num pps);
+            ("minor_words_per_pkt", Json.Num (minor /. float_of_int iters));
+          ] );
+    ]

@@ -5,30 +5,26 @@
     (uniform trees, depth × fan-out grid), then writes a machine-readable
     report so successive PRs can diff perf baselines. *)
 
-val run : ?pool:Parallel.Pool.t -> ?quick:bool -> ?out:string -> unit -> unit
-(** Run the benchmark and write the JSON report to [out]
-    (default ["BENCH_hotpath.json"] in the invocation directory).
-    [quick] shrinks sizes/iterations to smoke-test levels (used by
-    [bench/check_bench.sh] and the test suite). [pool] fans the
-    independent grid cells (per-N throughput rows, depth × fan-out hier
-    runs) across domains — concurrent cells contend for the machine, so
-    parallel numbers are comparable only with other runs at the same
-    [-j]; committed baselines and {!guard} always measure sequentially.
-    @raise Failure if the emitted report fails {!validate}. *)
+val report : quick:bool -> Json.t
+(** Measure and print the grid and return the report ([Suite.run] writes
+    it). [quick] shrinks sizes/iterations to smoke-test levels. Grid cells
+    fan out on [Parallel.Pool.create ()] ([HPFQ_JOBS], default 1):
+    concurrent cells contend for the machine, so parallel numbers are
+    comparable only with other runs at the same [-j]; the committed
+    baseline and {!probe} measure sequentially. *)
 
-val required_keys : string list
-val required_row_keys : string list
-
-val validate : Json.t -> (unit, string list) result
-(** Check a parsed report for the required top-level and per-row keys. *)
+val probe : quick:bool -> Json.t
+(** The guard's fresh side: [headline.pkts_per_sec] from {!headline} and
+    [headline.minor_words_per_pkt] from one 400k-cycle run at N = 4096
+    ([quick]: N = 64, 2k cycles, one sample), with tracing disabled. *)
 
 val headline : ?n:int -> ?iters:int -> ?runs:int -> unit -> float
 (** Best one-level WF²Q+ packets/second at [n] sessions (default 4096)
     over [runs] measurements (default 9 × 1M iterations) — machine
     interference only slows samples, so best-of-N is the stable min-time
     estimator for back-to-back comparison of builds on the same machine.
-    Both the report's [headline.pkts_per_sec] and {!guard}'s fresh side are
-    measured with this probe, so the guard compares like with like; the
+    Both the report's [headline.pkts_per_sec] and {!probe} are measured
+    with it, so the guard compares like with like; the
     per-N table rows use shorter single samples and read systematically
     faster. *)
 
@@ -101,47 +97,3 @@ val hier_throughput_spec :
 val uniform_spec : depth:int -> fanout:int -> name:string -> rate:float -> Hpfq.Class_tree.t
 (** The balanced tree the depth × fan-out grids run on ([depth] 0 = leaf;
     children split the parent rate evenly). *)
-
-val headline_of_report : Json.t -> (float, string) result
-(** Extract [headline.pkts_per_sec] from a parsed perf report. *)
-
-val headline_words_of_report : Json.t -> float option
-(** Extract [headline.minor_words_per_pkt] when the report carries it
-    (reports written before the allocation tier do not). *)
-
-type guard_result = {
-  baseline_pps : float;  (** headline recorded in the baseline file *)
-  fresh_pps : float;  (** headline measured just now *)
-  ratio : float;  (** [fresh_pps /. baseline_pps] *)
-  tol : float;  (** relative slowdown tolerated *)
-  baseline_words : float option;
-      (** committed headline minor words/packet, when present *)
-  fresh_words : float;  (** minor words/packet measured just now *)
-  words_tol : float;  (** relative allocation growth tolerated *)
-  words_within : bool;
-      (** [fresh_words <= baseline_words * (1 + words_tol)] (vacuous when
-          the baseline has no words key) *)
-  within : bool;  (** [ratio >= 1 - tol && words_within] *)
-}
-
-val guard :
-  ?baseline:string ->
-  ?tol:float ->
-  ?words_tol:float ->
-  ?n:int ->
-  ?iters:int ->
-  ?runs:int ->
-  unit ->
-  (guard_result, string) result
-(** Perf-regression gate: measure a fresh {!headline} (with tracing
-    disabled — no observer is ever installed) and compare it against the
-    [headline.pkts_per_sec] recorded in [baseline] (default
-    ["BENCH_hotpath.json"]). [tol] defaults to the [HPFQ_PERF_TOL]
-    environment variable, or 0.05 — the observability layer must not cost
-    the untraced hot path more than 5%. The committed
-    [headline.minor_words_per_pkt] is additionally a hard allocation
-    ceiling: the fresh measurement may not exceed it by more than
-    [words_tol] ([HPFQ_WORDS_TOL], default 0.1 — allocation is
-    deterministic, so the band only absorbs ring-growth amortisation
-    noise). [Error] means the baseline is missing or unreadable, not a
-    perf failure. *)

@@ -133,9 +133,6 @@ let open_session t ~rate ?queue_capacity_bits () =
   else Vec.set t.sessions slot fresh;
   handle
 
-let add_session t ~rate ?queue_capacity_bits () =
-  t.policy.Sched_intf.session_of_handle (open_session t ~rate ?queue_capacity_bits ())
-
 let drop_queue t s =
   let now = Engine.Simulator.now t.sim in
   while not (Net.Fifo.is_empty s.fifo) do

@@ -62,11 +62,6 @@ val close_session :
     @raise Sched.Session_pool.Stale_handle on a stale handle.
     @raise Invalid_argument if the session is already closing. *)
 
-val add_session : t -> rate:float -> ?queue_capacity_bits:float -> unit -> int
-(** Register a session with guaranteed rate [r_i]; returns its index.
-    @deprecated [open_session]'s handle is the supported identity; this
-    int-returning alias remains for the static pre-lifecycle drivers. *)
-
 val pool : t -> Net.Packet_pool.t
 (** The server's packet arena (to read fields of a handle inside a
     [_handle_] hook, or to materialise a boxed view). *)

@@ -35,7 +35,7 @@ type row = {
 
 let engines = [ Hpfq.Disciplines.wf2q_plus_fixed; Hpfq.Disciplines.wf2q_plus ]
 let headline_engine = Hpfq.Disciplines.wf2q_plus_fixed.Intf.kind
-let default_floor = 1.0e5
+let floor = 1.0e5
 let session_grid ~quick = if quick then [ 10_000 ] else [ 100_000; 1_000_000 ]
 let headline_sessions ~quick = List.fold_left max 0 (session_grid ~quick)
 let churn_iters ~quick = if quick then 20_000 else 200_000
@@ -101,7 +101,7 @@ let json_of_run ~quick rows =
           ("engine", Json.Str r.engine);
           ("sessions", Json.Num (float_of_int r.sessions));
           ("churn_events_per_sec", Json.Num r.churn_events_per_sec);
-          ("floor_events_per_sec", Json.Num default_floor);
+          ("floor_events_per_sec", Json.Num floor);
         ]
     | None -> Json.Null
   in
@@ -114,36 +114,7 @@ let json_of_run ~quick rows =
       ("rows", Json.Arr (List.map row_json rows));
     ]
 
-let required_keys = [ "schema"; "headline"; "rows" ]
-
-let required_row_keys =
-  [
-    "engine";
-    "sessions";
-    "ramp_opens_per_sec";
-    "churn_events_per_sec";
-    "minor_words_per_event";
-    "live_after";
-  ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "rows" json with
-    | Some rows -> (
-      match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "rows entries" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
-let run ?(quick = false) ?(out = "BENCH_churn.json") () =
-  Printf.printf
-    "\n================ CHURN: session lifecycle at 10^5-10^6 sessions \
-     ================\n%!";
+let report ~quick =
   let iters = churn_iters ~quick in
   let rows =
     List.concat_map
@@ -163,85 +134,18 @@ let run ?(quick = false) ?(out = "BENCH_churn.json") () =
     (fun r ->
       if r.live_after <> r.sessions then
         failwith
-          (Printf.sprintf "Churn_bench.run: %s at %d sessions ended with %d live"
+          (Printf.sprintf "Churn_bench: %s at %d sessions ended with %d live"
              r.engine r.sessions r.live_after))
     rows;
-  let json = json_of_run ~quick rows in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith
-      ("Churn_bench.run: emitted JSON is missing keys: " ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out;
-  rows
+  json_of_run ~quick rows
 
-(* -- regression guard ----------------------------------------------------- *)
-
-let headline_of_report json =
-  match Json.member "headline" json with
-  | None -> Error "report has no \"headline\" object"
-  | Some h -> (
-    match Json.member "churn_events_per_sec" h with
-    | None -> Error "headline has no \"churn_events_per_sec\" field"
-    | Some v -> (
-      match Json.to_float v with
-      | Some f when f > 0.0 -> Ok f
-      | _ -> Error "headline \"churn_events_per_sec\" is not a positive number"))
-
-type guard_result = {
-  baseline_eps : float;
-  fresh_eps : float;
-  perf_ratio : float;
-  floor : float;
-  tol : float;
-  within : bool;
-}
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    match float_of_string_opt s with Some t when t >= 0.0 -> t | _ -> default)
-  | None -> default
-
-(* The floor is the ISSUE's absolute acceptance number (>= 1e5 open/close
-   events/s at 10^6 open sessions); the tolerance guards relative
-   regressions against the committed baseline, with the usual 20% slack
-   for end-to-end wall-clock noise. Both relax via env on shared CI. *)
-let guard ?(baseline = "BENCH_churn.json") ?tol ?floor ?sessions ?iters () =
-  let tol = match tol with Some t -> t | None -> env_float "HPFQ_CHURN_TOL" 0.2 in
-  let floor =
-    match floor with Some f -> f | None -> env_float "HPFQ_CHURN_FLOOR" default_floor
-  in
-  if not (Sys.file_exists baseline) then
-    Error (Printf.sprintf "baseline %s not found (run `bench churn` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json -> headline_of_report json
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok baseline_eps ->
-      let sessions =
-        match sessions with Some n -> n | None -> headline_sessions ~quick:false
-      in
-      let iters = match iters with Some n -> n | None -> churn_iters ~quick:false in
-      let fresh =
-        measure ~factory:Hpfq.Disciplines.wf2q_plus_fixed ~sessions ~iters ()
-      in
-      let fresh_eps = fresh.churn_events_per_sec in
-      Ok
-        {
-          baseline_eps;
-          fresh_eps;
-          perf_ratio = fresh_eps /. baseline_eps;
-          floor;
-          tol;
-          within = fresh_eps /. baseline_eps >= 1.0 -. tol && fresh_eps >= floor;
-        }
+(* The guard's fresh side: the fixed-point headline cell. *)
+let probe ~quick =
+  let sessions = if quick then 1_000 else headline_sessions ~quick:false in
+  let iters = if quick then 5_000 else churn_iters ~quick:false in
+  let r = measure ~factory:Hpfq.Disciplines.wf2q_plus_fixed ~sessions ~iters () in
+  Json.Obj
+    [ ("headline", Json.Obj [ ("churn_events_per_sec", Json.Num r.churn_events_per_sec) ]) ]
 
 (* -- virtual-time soak ---------------------------------------------------- *)
 

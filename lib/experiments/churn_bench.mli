@@ -14,52 +14,21 @@
     exact integer ticks and is checked for {e zero} drift in the integer
     domain. *)
 
-type row = {
-  engine : string;
-  sessions : int;  (** concurrent open sessions during the churn loop *)
-  ramp_opens_per_sec : float;  (** cold-start open rate (empty → full) *)
-  churn_events_per_sec : float;  (** open+close events/s at steady state *)
-  minor_words_per_event : float;
-  live_after : int;  (** must equal [sessions]: every close was repaid *)
-}
+val floor : float
+(** The acceptance floor, 10⁵ churn events/s at 10⁶ open sessions: the
+    report's [headline.floor_events_per_sec] and the guard's absolute
+    floor. *)
 
-val run : ?quick:bool -> ?out:string -> unit -> row list
+val report : quick:bool -> Bench_kit.Json.t
 (** Run the grid (engines {WF²Q+fx, WF²Q+} × sessions {10⁵, 10⁶};
     [~quick:true] shrinks to 10⁴ sessions and a shorter loop), print a
-    table and write the JSON report (schema ["hpfq-bench-churn-v1"]) to
-    [out] (default [BENCH_churn.json]).
-    @raise Failure if a cell leaks or loses sessions, or the emitted JSON
-    fails {!validate}. *)
+    table and return the report (schema ["hpfq-bench-churn-v1"]).
+    @raise Failure if a cell leaks or loses sessions. *)
 
-val validate : Bench_kit.Json.t -> (unit, string list) result
-(** Check a report for the required top-level and per-row keys; [Error]
-    lists what is missing. *)
-
-val headline_of_report : Bench_kit.Json.t -> (float, string) result
-(** Extract the headline churn-events/s figure from a report. *)
-
-type guard_result = {
-  baseline_eps : float;  (** headline events/s from the baseline file *)
-  fresh_eps : float;  (** freshly measured headline events/s *)
-  perf_ratio : float;  (** fresh / baseline *)
-  floor : float;  (** absolute events/s floor in force *)
-  tol : float;  (** relative tolerance in force *)
-  within : bool;  (** [perf_ratio >= 1 - tol] and [fresh_eps >= floor] *)
-}
-
-val guard :
-  ?baseline:string ->
-  ?tol:float ->
-  ?floor:float ->
-  ?sessions:int ->
-  ?iters:int ->
-  unit ->
-  (guard_result, string) result
-(** Re-measure the headline cell and compare against the committed
-    baseline report (default [BENCH_churn.json]). [tol] defaults to
-    [HPFQ_CHURN_TOL] (else 0.2); [floor] to [HPFQ_CHURN_FLOOR] (else
-    1e5); [sessions]/[iters] shrink the fresh measurement for smoke
-    tests. [Error] means the baseline could not be read or parsed. *)
+val probe : quick:bool -> Bench_kit.Json.t
+(** The guard's fresh side: [headline.churn_events_per_sec] of the
+    fixed-point engine at 10⁶ sessions ([quick]: 10³ sessions, 5k
+    iterations). *)
 
 type soak_result = {
   s_engine : string;

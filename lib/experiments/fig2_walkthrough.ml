@@ -38,7 +38,7 @@ let run_packet factory =
           :: !finishes)
       ()
   in
-  List.iter (fun r -> ignore (Hpfq.Server.add_session server ~rate:r ())) session_rates;
+  List.iter (fun r -> ignore (Hpfq.Server.open_session server ~rate:r ())) session_rates;
   ignore
     (Engine.Simulator.schedule sim ~at:0.0 (fun () ->
          for _ = 1 to 11 do
@@ -62,7 +62,7 @@ let run_traced factory =
           :: !finishes)
       ()
   in
-  List.iter (fun r -> ignore (Hpfq.Server.add_session server ~rate:r ())) session_rates;
+  List.iter (fun r -> ignore (Hpfq.Server.open_session server ~rate:r ())) session_rates;
   let session_names =
     Array.init (List.length session_rates) (fun i -> Printf.sprintf "s%d" (i + 1))
   in

@@ -9,8 +9,7 @@
    at a two-packet backlog — on the paper's Fig. 3 topology and on
    balanced trees of depth 2/4/6 up to 4096 leaves, then writes
    BENCH_hier.json with per-topology flat/generic speedups and a Fig. 3
-   headline; [guard] re-measures the headline against the committed file,
-   mirroring Events.guard. *)
+   headline, which [probe] re-measures for the guard. *)
 
 module H = Paper_hierarchies
 module Perf = Bench_kit.Perf
@@ -129,34 +128,12 @@ let json_of_run ~quick rows =
              (speedups rows)) );
     ]
 
-let required_keys = [ "schema"; "headline"; "rows"; "speedups" ]
-
-let required_row_keys =
-  [ "topology"; "leaves"; "engine"; "pkts_per_sec"; "minor_words_per_pkt" ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "rows" json with
-    | Some rows -> (
-      match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "rows entries" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
-let run ?pool ?(quick = false) ?(out = "BENCH_hier.json") () =
-  Printf.printf
-    "\n================ HIER: H-WF2Q+ engine A/B, generic vs flat \
-     ================\n%!";
+let report ~quick =
   (* topology × engine cells are independent full-stack simulations, so
      they fan out on [pool] — with the usual caveat: concurrent cells
      contend for the machine, so parallel numbers are only comparable at
-     the same -j; the committed baseline and [guard] run sequentially *)
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
+     the same -j; the committed baseline and [probe] run sequentially *)
+  let pool = Parallel.Pool.create () in
   let config = Engine.Simulator.snapshot_config () in
   let target_pkts = default_target_pkts ~quick in
   let grid =
@@ -185,132 +162,29 @@ let run ?pool ?(quick = false) ?(out = "BENCH_hier.json") () =
     (fun (topology, f, _, ratio) ->
       Printf.printf "%-18s %8d %22.2fx\n" topology f.leaves ratio)
     (speedups rows);
-  let json = json_of_run ~quick rows in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith
-      ("Hier_bench.run: emitted JSON is missing keys: " ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out;
-  rows
+  json_of_run ~quick rows
 
-(* -- regression guard ----------------------------------------------------- *)
-
-let headline_of_report json =
-  match Json.member "headline" json with
-  | None -> Error "report has no \"headline\" object"
-  | Some h -> (
-    match Json.member "flat_pkts_per_sec" h with
-    | None -> Error "headline has no \"flat_pkts_per_sec\" field"
-    | Some v -> (
-      match Json.to_float v with
-      | Some f when f > 0.0 -> Ok f
-      | _ -> Error "headline \"flat_pkts_per_sec\" is not a positive number"))
-
-(* Committed allocation ceiling: the flat headline's minor words/packet,
-   when the baseline carries it (older baselines do not). *)
-let headline_words_of_report json =
-  match Json.member "headline" json with
-  | None -> None
-  | Some h -> (
-    match Json.member "flat_minor_words_per_pkt" h with
-    | None -> None
-    | Some v -> (
-      match Json.to_float v with Some w when w > 0.0 -> Some w | _ -> None))
-
-type guard_result = {
-  baseline_pps : float;
-  fresh_pps : float;
-  perf_ratio : float;
-  speedup : float; (* fresh flat / fresh generic on Fig. 3 *)
-  flat_words : float;
-  generic_words : float;
-  baseline_flat_words : float option;
-  tol : float;
-  min_speedup : float;
-  words_tol : float;
-  words_within : bool;
-  within : bool;
-}
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    match float_of_string_opt s with Some t when t >= 0.0 -> t | _ -> default)
-  | None -> default
-
-(* End-to-end hierarchy runs are noisier than the one-level policy cycle,
-   so the default tolerance matches Events.guard's 20%. HPFQ_HIER_RATIO
-   is the floor on the fresh flat/generic speedup — default 1.0: the flat
-   engine must never be slower than the generic walk. The measured margin
-   on Fig. 3 is modest (~1.1x, rising to ~1.3x on deep trees) because the
-   generic path shares the same SoA per-node core and most of the
-   per-packet cycle is simulator/fifo/heap work common to both engines;
-   the flat engine's decisive win is allocation (~1.6x fewer minor words
-   per packet). CI relaxes both knobs on shared runners. *)
-let guard ?(baseline = "BENCH_hier.json") ?tol ?min_speedup ?words_tol
-    ?target_pkts () =
-  let tol = match tol with Some t -> t | None -> env_float "HPFQ_HIER_TOL" 0.2 in
-  let min_speedup =
-    match min_speedup with
-    | Some r -> r
-    | None -> env_float "HPFQ_HIER_RATIO" 1.0
+(* The guard's fresh side: the Fig. 3 headline on both engines. The
+   measured flat/generic margin is modest (~1.1x on Fig. 3, ~1.3x on deep
+   trees) because most of the per-packet cycle is simulator/fifo/heap
+   work common to both engines; the flat engine's decisive win is
+   allocation. *)
+let probe ~quick =
+  let target_pkts = default_target_pkts ~quick in
+  let measure engine =
+    measure ~spec:H.fig3 ~pkt_bits:H.fig3_packet_bits ~engine ~target_pkts
+      ~topology:headline_topology ()
   in
-  let words_tol =
-    match words_tol with
-    | Some t -> t
-    | None -> env_float "HPFQ_WORDS_TOL" 0.1
-  in
-  if not (Sys.file_exists baseline) then
-    Error (Printf.sprintf "baseline %s not found (run `bench hier` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json ->
-        Result.map
-          (fun pps -> (pps, headline_words_of_report json))
-          (headline_of_report json)
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok (baseline_pps, baseline_flat_words) ->
-      let target_pkts =
-        match target_pkts with
-        | Some t -> t
-        | None -> default_target_pkts ~quick:false
-      in
-      let flat =
-        measure ~spec:H.fig3 ~pkt_bits:H.fig3_packet_bits ~engine:Flat
-          ~target_pkts ~topology:headline_topology ()
-      in
-      let generic =
-        measure ~spec:H.fig3 ~pkt_bits:H.fig3_packet_bits ~engine:Generic
-          ~target_pkts ~topology:headline_topology ()
-      in
-      let fresh_pps = flat.pkts_per_sec in
-      let speedup = flat.pkts_per_sec /. generic.pkts_per_sec in
-      let words_within =
-        match baseline_flat_words with
-        | None -> true
-        | Some b -> flat.minor_words_per_pkt <= b *. (1.0 +. words_tol)
-      in
-      Ok
-        {
-          baseline_pps;
-          fresh_pps;
-          perf_ratio = fresh_pps /. baseline_pps;
-          speedup;
-          flat_words = flat.minor_words_per_pkt;
-          generic_words = generic.minor_words_per_pkt;
-          baseline_flat_words;
-          tol;
-          min_speedup;
-          words_tol;
-          words_within;
-          within =
-            fresh_pps /. baseline_pps >= 1.0 -. tol
-            && speedup >= min_speedup && words_within;
-        }
+  let flat = measure Flat in
+  let generic = measure Generic in
+  Json.Obj
+    [
+      ( "headline",
+        Json.Obj
+          [
+            ("flat_pkts_per_sec", Json.Num flat.pkts_per_sec);
+            ("speedup", Json.Num (flat.pkts_per_sec /. generic.pkts_per_sec));
+            ("flat_minor_words_per_pkt", Json.Num flat.minor_words_per_pkt);
+            ("generic_minor_words_per_pkt", Json.Num generic.minor_words_per_pkt);
+          ] );
+    ]

@@ -8,73 +8,14 @@
     (BENCH_hier.json) with per-topology flat/generic speedups and a
     Fig. 3 headline. *)
 
-type engine_kind = Generic | Flat
-
-val engine_name : engine_kind -> string
-
-type row = {
-  topology : string;
-  leaves : int;
-  engine : engine_kind;
-  pkts_per_sec : float;  (** saturated steady-state departures/second *)
-  minor_words_per_pkt : float;  (** GC minor words per departed packet *)
-}
-
-val run : ?pool:Parallel.Pool.t -> ?quick:bool -> ?out:string -> unit -> row list
+val report : quick:bool -> Bench_kit.Json.t
 (** Run the full grid (topology × both engines), print a table plus
-    speedups, and write the JSON report to [out] (default
-    ["BENCH_hier.json"]). [quick] shrinks the grid and packet budget to
-    smoke-test levels. [pool] fans the cells across domains (concurrent
-    cells contend, so parallel numbers are only comparable at the same
-    [-j]; baselines and {!guard} measure sequentially).
-    @raise Failure if the emitted report fails {!validate}. *)
+    speedups, and return the report. [quick] shrinks the grid and packet
+    budget to smoke-test levels. Cells fan out on [Parallel.Pool.create ()]
+    (concurrent cells contend, so parallel numbers are only comparable at
+    the same [-j]). *)
 
-val required_keys : string list
-val required_row_keys : string list
-
-val validate : Bench_kit.Json.t -> (unit, string list) result
-
-val headline_of_report : Bench_kit.Json.t -> (float, string) result
-(** Extract [headline.flat_pkts_per_sec] from a parsed report. *)
-
-val headline_words_of_report : Bench_kit.Json.t -> float option
-(** Extract [headline.flat_minor_words_per_pkt] when the report carries
-    it (reports written before the allocation tier do not). *)
-
-type guard_result = {
-  baseline_pps : float;  (** flat headline recorded in the baseline file *)
-  fresh_pps : float;  (** flat Fig. 3 headline measured just now *)
-  perf_ratio : float;  (** [fresh_pps /. baseline_pps] *)
-  speedup : float;  (** fresh flat/generic ratio on Fig. 3 *)
-  flat_words : float;  (** fresh flat minor words/packet *)
-  generic_words : float;  (** fresh generic minor words/packet *)
-  baseline_flat_words : float option;
-      (** committed flat minor words/packet, when present *)
-  tol : float;  (** relative slowdown tolerated vs the baseline *)
-  min_speedup : float;  (** floor on [speedup] *)
-  words_tol : float;  (** relative allocation growth tolerated *)
-  words_within : bool;
-      (** [flat_words <= baseline_flat_words * (1 + words_tol)] (vacuous
-          when the baseline has no words key) *)
-  within : bool;
-      (** [perf_ratio >= 1 - tol && speedup >= min_speedup
-          && words_within] *)
-}
-
-val guard :
-  ?baseline:string ->
-  ?tol:float ->
-  ?min_speedup:float ->
-  ?words_tol:float ->
-  ?target_pkts:int ->
-  unit ->
-  (guard_result, string) result
-(** Regression gate, mirroring [Events.guard]: re-measure the Fig. 3
-    headline on both engines and compare the flat number against the
-    committed [baseline] (default ["BENCH_hier.json"]). [tol] defaults to
-    [HPFQ_HIER_TOL] or 0.2; [min_speedup] to [HPFQ_HIER_RATIO] or 1.0 —
-    the flat engine must never fall behind the generic one. The committed
-    [headline.flat_minor_words_per_pkt] is additionally a hard allocation
-    ceiling with band [words_tol] ([HPFQ_WORDS_TOL], default 0.1).
-    [Error] means the baseline is missing or unreadable, not a perf
-    failure. *)
+val probe : quick:bool -> Bench_kit.Json.t
+(** The guard's fresh side: Fig. 3 on both engines —
+    [headline.flat_pkts_per_sec], the flat/generic [headline.speedup] and
+    both engines' minor words/packet. *)

@@ -181,6 +181,21 @@ let measure ?(quick = false) () =
           (epoch_ladder ()))
       (shards_ladder ())
   in
+  (* the epoch alone fixes the schedule: one hash per epoch, whatever the
+     shard count *)
+  List.iter
+    (fun r ->
+      let first = List.find (fun f -> f.epoch = r.epoch) rows in
+      if r.depart_hash <> first.depart_hash then
+        failwith
+          (Printf.sprintf
+             "Hiershard_bench: epoch=%d hash %s at %d shards but %s at %d shards"
+             r.epoch
+             (Shard.Device.hash_hex r.depart_hash)
+             r.shards
+             (Shard.Device.hash_hex first.depart_hash)
+             first.shards))
+    rows;
   (cores, flat_pps, Shard.Device.hash_hex flat_hash, rows)
 
 (* -- JSON report --------------------------------------------------------- *)
@@ -240,29 +255,7 @@ let json_of_run ~quick ~cores ~flat_pps ~flat_hash rows =
       ("rows", Json.Arr (List.map row_json rows));
     ]
 
-let required_keys =
-  [ "schema"; "cores"; "flat_pkts_per_sec"; "flat_depart_hash"; "rows" ]
-
-let required_row_keys =
-  [ "shards"; "epoch"; "workers"; "pkts_per_sec"; "ratio_vs_flat"; "depart_hash" ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "rows" json with
-    | Some rows -> (
-      match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "rows entries" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
-let run ?(quick = false) ?(out = "BENCH_hiershard.json") () =
-  Printf.printf
-    "\n================ HIERSHARD: one tree, subtree shards x epoch ================\n%!";
+let report ~quick =
   let cores, flat_pps, flat_hash, rows = measure ~quick () in
   Printf.printf "cores=%d, Hier_flat reference %.0f pkts/s, hash %s\n" cores
     flat_pps flat_hash;
@@ -274,88 +267,29 @@ let run ?(quick = false) ?(out = "BENCH_hiershard.json") () =
         r.epoch r.workers r.wall_s r.pkts_per_sec r.ratio_vs_flat r.exact
         (Shard.Device.hash_hex r.depart_hash))
     rows;
-  let json = json_of_run ~quick ~cores ~flat_pps ~flat_hash rows in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith
-      ("Hiershard_bench.run: emitted JSON is missing keys: "
-      ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out;
-  rows
+  json_of_run ~quick ~cores ~flat_pps ~flat_hash rows
 
-(* -- guard ---------------------------------------------------------------- *)
-
-type guard_row = {
-  g_shards : int;
-  g_epoch : int;
-  g_workers : int;
-  g_ratio : float;
-  g_floor : float;
-  g_enforced : bool;
-  g_ok : bool;
-}
-
-type guard_result = {
-  g_cores : int;
-  g_tol : float;
-  g_rows : guard_row list;
-  g_within : bool;
-}
-
-let default_guard_tol () =
-  match Sys.getenv_opt "HPFQ_HIERSHARD_TOL" with
-  | Some s -> (
-    match float_of_string_opt s with Some t when t >= 0.0 && t < 1.0 -> t | _ -> 0.35)
-  | None -> 0.35
-
-let guard ?(baseline = "BENCH_hiershard.json") ?tol ?quick () =
-  let tol = match tol with Some t -> t | None -> default_guard_tol () in
-  if not (Sys.file_exists baseline) then
-    Error
-      (Printf.sprintf "baseline %s not found (run `bench hiershard` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json -> (
-        match validate json with
-        | Ok () -> Ok ()
-        | Error missing -> Error ("missing keys: " ^ String.concat ", " missing))
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok () ->
-      (* exactness and worker invariance are checked inside [measure] on
-         every host; a 1-core host can verify only those, so it runs the
-         quick grid *)
-      let quick =
-        match quick with Some q -> q | None -> Parallel.Pool.cores () < 2
-      in
-      let cores, _, _, rows = measure ~quick () in
-      let g_rows =
-        List.map
-          (fun r ->
-            let floor = 1.0 -. tol in
-            {
-              g_shards = r.shards;
-              g_epoch = r.epoch;
-              g_workers = r.workers;
-              g_ratio = r.ratio_vs_flat;
-              g_floor = floor;
-              (* coordinator + workers must fit the host's cores for the
-                 throughput floor to mean anything *)
-              g_enforced = r.workers + 1 <= max 1 cores;
-              g_ok = r.ratio_vs_flat >= floor;
-            })
-          rows
-      in
-      Ok
-        {
-          g_cores = cores;
-          g_tol = tol;
-          g_rows;
-          g_within = List.for_all (fun g -> (not g.g_enforced) || g.g_ok) g_rows;
-        }
+(* Exactness and worker invariance are checked inside [measure] on every
+   host; a 1-core host can verify only those, so it runs the quick grid.
+   The throughput floor applies where coordinator + workers fit the
+   host's cores. *)
+let probe ~quick =
+  let cores, _, _, rows = measure ~quick:(quick || Parallel.Pool.cores () < 2) () in
+  Json.Obj
+    [
+      ( "rows",
+        Json.Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ( "label",
+                     Json.Str
+                       (Printf.sprintf "shards=%d epoch=%d workers=%d" r.shards r.epoch
+                          r.workers) );
+                   ("value", Json.Num r.ratio_vs_flat);
+                   ("expected", Json.Num 1.0);
+                   ("enforced", Json.Bool (r.workers + 1 <= max 1 cores));
+                 ])
+             rows) );
+    ]

@@ -17,8 +17,7 @@
      3x-at-j8 target.
 
    Results go to BENCH_parallel.json (same machine-readable role as
-   BENCH_hotpath.json); [guard] re-measures and enforces the floors,
-   loosened by HPFQ_PARALLEL_TOL. *)
+   BENCH_hotpath.json); [probe] re-measures the ladder for the guard. *)
 
 module Json = Bench_kit.Json
 
@@ -133,26 +132,7 @@ let json_of_run ~quick ~cores ~tasks rows =
       ("rows", Json.Arr (List.map row_json rows));
     ]
 
-let required_keys = [ "schema"; "cores"; "rows" ]
-let required_row_keys = [ "jobs"; "wall_s"; "speedup"; "expected_floor" ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "rows" json with
-    | Some rows -> (
-      match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "rows entries" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
-let run ?(quick = false) ?(out = "BENCH_parallel.json") () =
-  Printf.printf
-    "\n================ PARALLEL: wfi sweep scaling vs -j ================\n%!";
+let report ~quick =
   let cores, tasks, rows = measure ~quick () in
   Printf.printf "cores=%d, grid=%d tasks, determinism cross-checked per rung\n"
     cores tasks;
@@ -161,90 +141,31 @@ let run ?(quick = false) ?(out = "BENCH_parallel.json") () =
     (fun r ->
       Printf.printf "%6d %12.3f %9.2fx %13.2fx\n" r.jobs r.wall_s r.speedup r.floor)
     rows;
-  let json = json_of_run ~quick ~cores ~tasks rows in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith
-      ("Parallel_bench.run: emitted JSON is missing keys: "
-      ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out;
-  rows
+  json_of_run ~quick ~cores ~tasks rows
 
-(* -- scaling guard -------------------------------------------------------- *)
-
-type guard_row = {
-  g_jobs : int;
-  g_speedup : float;
-  g_floor : float;
-  g_enforced : bool;
-  g_ok : bool;
-}
-
-type guard_result = {
-  g_cores : int;
-  g_tol : float;
-  g_rows : guard_row list;
-  g_within : bool;
-}
-
-let default_guard_tol () =
-  match Sys.getenv_opt "HPFQ_PARALLEL_TOL" with
-  | Some s -> (
-    match float_of_string_opt s with Some t when t >= 0.0 && t < 1.0 -> t | _ -> 0.25)
-  | None -> 0.25
-
-(* Unlike the perf/events guards this one does not diff a committed
-   number: speedup is a property of the host (core count, contention),
-   so the committed BENCH_parallel.json documents one machine while the
-   guard holds the *cores-scaled floor* on whatever machine it runs on.
-   The baseline file is still required and schema-checked so a PR cannot
-   silently drop the report. *)
-let guard ?(baseline = "BENCH_parallel.json") ?tol ?quick () =
-  let tol = match tol with Some t -> t | None -> default_guard_tol () in
-  if not (Sys.file_exists baseline) then
-    Error
-      (Printf.sprintf "baseline %s not found (run `bench parallel` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json -> (
-        match validate json with
-        | Ok () -> Ok ()
-        | Error missing ->
-          Error ("missing keys: " ^ String.concat ", " missing))
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok () ->
-      let quick =
-        (* a 1-core host can only verify "fan-out costs nothing", which
-           the quick grid already shows; spend the full grid only where
-           real scaling is measurable *)
-        match quick with Some q -> q | None -> Parallel.Pool.cores () < 2
-      in
-      let cores, _tasks, rows = measure ~quick () in
-      (* Rungs that oversubscribe the host (jobs > cores) are reported but
-         not gated: on a time-sliced core, extra domains cost real wall
-         clock (GC coordination, allocator contention), and that cost is a
-         runtime/OS property, not a pool regression. Every rung within the
-         core budget must clear its tolerance-scaled floor. *)
-      let g_rows =
-        List.map
-          (fun r ->
-            let floor = r.floor *. (1.0 -. tol) in
-            { g_jobs = r.jobs; g_speedup = r.speedup; g_floor = floor;
-              g_enforced = r.jobs <= max 1 cores;
-              g_ok = r.speedup >= floor })
-          rows
-      in
-      Ok
-        {
-          g_cores = cores;
-          g_tol = tol;
-          g_rows;
-          g_within = List.for_all (fun g -> (not g.g_enforced) || g.g_ok) g_rows;
-        }
+(* Unlike the throughput guards this one does not diff a committed
+   number: speedup is a property of the host (core count, contention), so
+   the committed BENCH_parallel.json documents one machine while the
+   guard holds the cores-scaled floor on whatever machine it runs on.
+   Rungs that oversubscribe the host (jobs > cores) are shown, not gated:
+   on a time-sliced core, extra domains cost wall clock for runtime
+   reasons (GC coordination, allocator contention), not pool ones. A
+   1-core host can only verify "fan-out costs nothing", which the quick
+   grid already shows. *)
+let probe ~quick =
+  let cores, _, rows = measure ~quick:(quick || Parallel.Pool.cores () < 2) () in
+  Json.Obj
+    [
+      ( "rows",
+        Json.Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("label", Json.Str (Printf.sprintf "jobs=%d" r.jobs));
+                   ("value", Json.Num r.speedup);
+                   ("expected", Json.Num r.floor);
+                   ("enforced", Json.Bool (r.jobs <= max 1 cores));
+                 ])
+             rows) );
+    ]

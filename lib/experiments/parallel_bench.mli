@@ -8,16 +8,6 @@
     with the host's core count — speedup is a property of the machine,
     so the number only means something next to [cores]. *)
 
-type row = {
-  jobs : int;
-  wall_s : float;  (** best-of-runs wall clock for the whole grid *)
-  speedup : float;  (** [wall(-j1) /. wall(-jN)] *)
-  floor : float;  (** cores-aware expected speedup, see {!expected_floor} *)
-}
-
-val jobs_ladder : int list
-(** [[1; 2; 4; 8]]. *)
-
 val expected_floor : cores:int -> jobs:int -> float
 (** The speedup a healthy pool should reach at [-j jobs] on a host with
     [cores] cores: 1.7x at an effective 2 workers, 3x at 8 (linear
@@ -25,46 +15,14 @@ val expected_floor : cores:int -> jobs:int -> float
     oversubscribing a small host is expected to buy nothing, not
     punished. *)
 
-val run : ?quick:bool -> ?out:string -> unit -> row list
+val report : quick:bool -> Bench_kit.Json.t
 (** Measure the ladder (best of 3 runs per rung; [quick] shrinks the grid
-    and runs once), print the table, write the JSON report.
-    @raise Failure if any rung's results diverge from the [-j1] reference
-    or the emitted report fails {!validate}. *)
+    and runs once), print the table and return the report.
+    @raise Failure if any rung's results diverge from the [-j1]
+    reference. *)
 
-val required_keys : string list
-val required_row_keys : string list
-val validate : Bench_kit.Json.t -> (unit, string list) result
-
-type guard_row = {
-  g_jobs : int;
-  g_speedup : float;
-  g_floor : float;  (** tolerance-scaled floor this rung must clear *)
-  g_enforced : bool;
-      (** false on rungs that oversubscribe the host ([jobs > cores]) —
-          reported for context but not gated, since extra domains on a
-          time-sliced core cost wall clock for runtime reasons the pool
-          can't control *)
-  g_ok : bool;
-}
-
-type guard_result = {
-  g_cores : int;
-  g_tol : float;
-  g_rows : guard_row list;
-  g_within : bool;  (** every {e enforced} rung cleared its floor *)
-}
-
-val guard :
-  ?baseline:string -> ?tol:float -> ?quick:bool -> unit -> (guard_result, string) result
-(** Scaling gate. Requires a committed, schema-valid [baseline] (default
-    ["BENCH_parallel.json"]) so the report cannot be silently dropped,
-    then re-measures the ladder and checks each rung with
-    [jobs <= cores] against [(1 - tol) * expected_floor ~cores ~jobs]
-    {e for the host it runs on} — a 1-core CI container effectively only
-    re-verifies determinism and the [-j1] path, while an 8-core machine
-    is held to the 3x target; oversubscribed rungs are reported as
-    context. [tol]
-    defaults to [HPFQ_PARALLEL_TOL] or 0.25 (speedups are noisier than
-    throughput). [quick] defaults to true on hosts with fewer than 2
-    cores. [Error] means the baseline is missing or unreadable, not a
-    scaling failure. *)
+val probe : quick:bool -> Bench_kit.Json.t
+(** The guard's fresh side: one [rows] entry per rung with its speedup
+    ([value]), {!expected_floor} ([expected]) and whether the rung fits
+    the host's cores ([enforced]). Runs the quick grid when [quick] or on
+    a host with fewer than 2 cores. *)

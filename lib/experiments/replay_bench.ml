@@ -12,12 +12,9 @@
    (flow, seq, time) of each departure into an order-sensitive hash and
    refuses to write a report if any rung disagrees — the determinism
    contract (bit-identical schedules at every burst_max) enforced on the
-   real workload, not just the property tests. [guard] re-measures the
-   per-packet and batched rungs against the committed BENCH_replay.json:
-   wall-clock within HPFQ_REPLAY_TOL of baseline, batched/per-packet
-   speedup at least HPFQ_REPLAY_RATIO, and the fresh hash equal to the
-   committed one (hash equality has no tolerance knob — the trace and the
-   schedule are machine-independent). *)
+   real workload, not just the property tests. [probe] re-measures the
+   per-packet and batched rungs for the guard, whose hash check has no
+   tolerance: the trace and the schedule are machine-independent. *)
 
 module Perf = Bench_kit.Perf
 module Json = Bench_kit.Json
@@ -197,26 +194,13 @@ let json_of_run ~quick ~w rows =
       ("rows", Json.Arr (List.map row_json rows));
     ]
 
-let required_keys = [ "schema"; "workload"; "headline"; "rows" ]
-let required_row_keys = [ "burst_max"; "pkts_per_sec"; "depart_hash" ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "rows" json with
-    | Some rows -> (
-      match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "rows entries" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
 let check_hashes rows =
   match rows with
   | [] -> Ok ()
+  | first :: _ when first.departures <> first.arrivals ->
+    Error
+      (Printf.sprintf "burst_max %s departed %d of %d arrivals"
+         (burst_label first.burst) first.departures first.arrivals)
   | first :: rest -> (
     match
       List.find_opt
@@ -234,10 +218,7 @@ let check_hashes rows =
            (burst_label first.burst) first.departures first.depart_hash
            (burst_label bad.burst) bad.departures bad.depart_hash))
 
-let run ?(quick = false) ?(out = "BENCH_replay.json") () =
-  Printf.printf
-    "\n================ REPLAY: internet-mix trace, burst_max ladder \
-     ================\n%!";
+let report ~quick =
   let w = workload ~quick in
   let config = Engine.Simulator.snapshot_config () in
   let spec, trace = setup w in
@@ -259,133 +240,34 @@ let run ?(quick = false) ?(out = "BENCH_replay.json") () =
   (match check_hashes rows with
   | Ok () -> ()
   | Error msg ->
-    failwith ("Replay_bench.run: determinism violated across the ladder: " ^ msg));
-  let json = json_of_run ~quick ~w rows in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith
-      ("Replay_bench.run: emitted JSON is missing keys: "
-      ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out;
-  rows
+    failwith ("Replay_bench: determinism violated across the ladder: " ^ msg));
+  json_of_run ~quick ~w rows
 
-(* -- regression guard ----------------------------------------------------- *)
-
-let headline_of_report json =
-  match Json.member "headline" json with
-  | None -> Error "report has no \"headline\" object"
-  | Some h -> (
-    match (Json.member "batched_pkts_per_sec" h, Json.member "depart_hash" h) with
-    | Some pps, Some hash -> (
-      match (Json.to_float pps, hash) with
-      | Some f, Json.Str s when f > 0.0 -> Ok (f, s)
-      | _ -> Error "headline \"batched_pkts_per_sec\"/\"depart_hash\" malformed")
-    | _ ->
-      Error "headline lacks \"batched_pkts_per_sec\" or \"depart_hash\" fields")
-
-(* Committed allocation ceiling: the batched headline's minor
-   words/packet, when the baseline carries it (older baselines do not). *)
-let headline_words_of_report json =
-  match Json.member "headline" json with
-  | None -> None
-  | Some h -> (
-    match Json.member "batched_minor_words_per_pkt" h with
-    | None -> None
-    | Some v -> (
-      match Json.to_float v with Some w when w > 0.0 -> Some w | _ -> None))
-
-type guard_result = {
-  baseline_pps : float;
-  fresh_pps : float;
-  perf_ratio : float;
-  speedup : float; (* fresh batched / fresh per-packet *)
-  hash_ok : bool; (* fresh batched hash = committed hash *)
-  baseline_words : float option;
-  fresh_words : float;
-  tol : float;
-  min_speedup : float;
-  words_tol : float;
-  words_within : bool;
-  within : bool;
-}
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    match float_of_string_opt s with Some t when t >= 0.0 -> t | _ -> default)
-  | None -> default
-
-let guard ?(baseline = "BENCH_replay.json") ?tol ?min_speedup ?words_tol
-    ?(quick = false) () =
-  let tol = match tol with Some t -> t | None -> env_float "HPFQ_REPLAY_TOL" 0.2 in
-  let min_speedup =
-    match min_speedup with
-    | Some r -> r
-    | None -> env_float "HPFQ_REPLAY_RATIO" 1.0
+let probe ~quick =
+  let spec, trace = setup (workload ~quick) in
+  (* Each rung is best-of-3: machine interference only slows a replay
+     down, and the batched/per-packet speedup of this workload (~1.1x)
+     sits close enough to the floor that single samples gate on noise.
+     Hash and words are identical across samples (determinism). *)
+  let best ~burst =
+    let first = measure ~spec ~trace ~burst () in
+    List.fold_left
+      (fun acc () ->
+        let r = measure ~spec ~trace ~burst () in
+        if r.pkts_per_sec > acc.pkts_per_sec then r else acc)
+      first [ (); () ]
   in
-  let words_tol =
-    match words_tol with
-    | Some t -> t
-    | None -> env_float "HPFQ_WORDS_TOL" 0.1
-  in
-  if not (Sys.file_exists baseline) then
-    Error (Printf.sprintf "baseline %s not found (run `bench replay` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json ->
-        Result.map
-          (fun hd -> (hd, headline_words_of_report json))
-          (headline_of_report json)
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok ((baseline_pps, baseline_hash), baseline_words) ->
-      let spec, trace = setup (workload ~quick) in
-      (* Each rung is best-of-3: machine interference only slows a replay
-         down, and the batched/per-packet speedup of this workload (~1.1x)
-         sits close enough to the floor that single samples gate on noise.
-         Hash and words are identical across samples (determinism). *)
-      let best ~burst =
-        let first = measure ~spec ~trace ~burst () in
-        List.fold_left
-          (fun acc () ->
-            let r = measure ~spec ~trace ~burst () in
-            if r.pkts_per_sec > acc.pkts_per_sec then r else acc)
-          first [ (); () ]
-      in
-      let per_pkt = best ~burst:1 in
-      let batched = best ~burst:batched_burst in
-      let fresh_pps = batched.pkts_per_sec in
-      let speedup = batched.pkts_per_sec /. per_pkt.pkts_per_sec in
-      let hash_ok =
-        String.equal batched.depart_hash baseline_hash
-        && String.equal per_pkt.depart_hash baseline_hash
-      in
-      let words_within =
-        match baseline_words with
-        | None -> true
-        | Some b -> batched.minor_words_per_pkt <= b *. (1.0 +. words_tol)
-      in
-      Ok
-        {
-          baseline_pps;
-          fresh_pps;
-          perf_ratio = fresh_pps /. baseline_pps;
-          speedup;
-          hash_ok;
-          baseline_words;
-          fresh_words = batched.minor_words_per_pkt;
-          tol;
-          min_speedup;
-          words_tol;
-          words_within;
-          within =
-            hash_ok
-            && fresh_pps /. baseline_pps >= 1.0 -. tol
-            && speedup >= min_speedup && words_within;
-        }
+  let per_pkt = best ~burst:1 in
+  let batched = best ~burst:batched_burst in
+  Json.Obj
+    [
+      ( "headline",
+        Json.Obj
+          [
+            ("batched_pkts_per_sec", Json.Num batched.pkts_per_sec);
+            ("speedup", Json.Num (batched.pkts_per_sec /. per_pkt.pkts_per_sec));
+            ("batched_minor_words_per_pkt", Json.Num batched.minor_words_per_pkt);
+            ("depart_hash", Json.Str batched.depart_hash);
+            ("per_packet_depart_hash", Json.Str per_pkt.depart_hash);
+          ] );
+    ]

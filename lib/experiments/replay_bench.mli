@@ -39,60 +39,16 @@ val measure :
     hash is a pure function of ([spec], [trace]) — identical at every
     [burst] and on every machine. *)
 
-val run : ?quick:bool -> ?out:string -> unit -> row list
-(** Run the ladder and write the JSON report to [out] (default
-    ["BENCH_replay.json"]). [quick] shrinks the trace to smoke-test size.
-    @raise Failure if any rung's departure hash or count disagrees with
-    the others, or the emitted report fails {!validate}. *)
+val report : quick:bool -> Bench_kit.Json.t
+(** Run the ladder and return the report. [quick] shrinks the trace to
+    smoke-test size.
+    @raise Failure if a rung does not drain the trace, or any rung's
+    departure hash or count disagrees with the others. *)
 
-val required_keys : string list
-val required_row_keys : string list
-
-val validate : Bench_kit.Json.t -> (unit, string list) result
-(** Check a parsed report for the required top-level and per-row keys. *)
-
-val headline_of_report : Bench_kit.Json.t -> (float * string, string) result
-(** Extract [(headline.batched_pkts_per_sec, headline.depart_hash)]. *)
-
-val headline_words_of_report : Bench_kit.Json.t -> float option
-(** Extract [headline.batched_minor_words_per_pkt] when the report
-    carries it (reports written before the allocation tier do not). *)
-
-type guard_result = {
-  baseline_pps : float;  (** batched headline recorded in the baseline *)
-  fresh_pps : float;  (** batched headline measured just now *)
-  perf_ratio : float;  (** [fresh_pps /. baseline_pps] *)
-  speedup : float;  (** fresh batched / fresh per-packet *)
-  hash_ok : bool;  (** both fresh hashes equal the committed one *)
-  baseline_words : float option;
-      (** committed batched minor words/packet, when present *)
-  fresh_words : float;  (** fresh batched minor words/packet *)
-  tol : float;  (** relative slowdown tolerated (HPFQ_REPLAY_TOL) *)
-  min_speedup : float;  (** speedup floor (HPFQ_REPLAY_RATIO) *)
-  words_tol : float;  (** allocation growth tolerated (HPFQ_WORDS_TOL) *)
-  words_within : bool;
-      (** [fresh_words <= baseline_words * (1 + words_tol)] (vacuous when
-          the baseline has no words key) *)
-  within : bool;  (** [hash_ok] and all ratio/ceiling gates passed *)
-}
-
-val guard :
-  ?baseline:string ->
-  ?tol:float ->
-  ?min_speedup:float ->
-  ?words_tol:float ->
-  ?quick:bool ->
-  unit ->
-  (guard_result, string) result
-(** Regression gate: re-measure the per-packet and batched rungs on the
-    full workload ([quick] swaps in the smoke-test trace — the baseline
-    must then come from a quick run too, or the hash gate fires) and
-    compare against [baseline] (default ["BENCH_replay.json"]). Fails when the batched throughput drops more
-    than [tol] (HPFQ_REPLAY_TOL, default 0.2) below the committed number,
-    when the batched/per-packet speedup is under [min_speedup]
-    (HPFQ_REPLAY_RATIO, default 1.0 — batching must never lose), when
-    the fresh batched allocation rate exceeds the committed
-    [headline.batched_minor_words_per_pkt] by more than [words_tol]
-    ([HPFQ_WORDS_TOL], default 0.1), or — with no tolerance knob — when
-    either fresh departure hash differs from the committed one. [Error]
-    means the baseline is missing or unreadable, not a gate failure. *)
+val probe : quick:bool -> Bench_kit.Json.t
+(** The guard's fresh side: the per-packet and batched rungs, best of
+    three each — [headline.batched_pkts_per_sec], the batched/per-packet
+    [headline.speedup], [headline.batched_minor_words_per_pkt], and both
+    rungs' hashes ([headline.depart_hash] for the batched one,
+    [headline.per_packet_depart_hash]). [quick] uses the smoke-test
+    trace, whose hash only a quick report carries. *)

@@ -160,28 +160,7 @@ let json_of_run ~quick ~cores rows =
       ("rows", Json.Arr (List.map row_json rows));
     ]
 
-let required_keys = [ "schema"; "cores"; "rows" ]
-
-let required_row_keys =
-  [ "links"; "jobs"; "pkts_per_sec"; "speedup"; "expected_floor"; "device_hash" ]
-
-let validate json =
-  let missing =
-    List.filter (fun k -> Json.member k json = None) required_keys
-    @
-    match Json.member "rows" json with
-    | Some rows -> (
-      match Json.to_list rows with
-      | Some (row :: _) ->
-        List.filter (fun k -> Json.member k row = None) required_row_keys
-      | Some [] | None -> [ "rows entries" ])
-    | None -> []
-  in
-  if missing = [] then Ok () else Error missing
-
-let run ?(quick = false) ?(out = "BENCH_shard.json") () =
-  Printf.printf
-    "\n================ SHARD: multi-port device scaling vs -j ================\n%!";
+let report ~quick =
   let cores, rows = measure ~quick () in
   Printf.printf "cores=%d, device hash cross-checked per rung\n" cores;
   Printf.printf "%7s %5s %7s %12s %14s %9s %8s  %s\n" "links" "jobs" "rounds"
@@ -192,83 +171,25 @@ let run ?(quick = false) ?(out = "BENCH_shard.json") () =
         r.jobs r.rounds r.wall_s r.pkts_per_sec r.speedup r.floor
         (Shard.Device.hash_hex r.device_hash))
     rows;
-  let json = json_of_run ~quick ~cores rows in
-  Json.to_file out json;
-  (match validate json with
-  | Ok () -> ()
-  | Error missing ->
-    failwith
-      ("Shard_bench.run: emitted JSON is missing keys: " ^ String.concat ", " missing));
-  Printf.printf "\nwrote %s\n%!" out;
-  rows
+  json_of_run ~quick ~cores rows
 
-(* -- scaling guard -------------------------------------------------------- *)
-
-type guard_row = {
-  g_links : int;
-  g_jobs : int;
-  g_speedup : float;
-  g_floor : float;
-  g_enforced : bool;
-  g_ok : bool;
-}
-
-type guard_result = {
-  g_cores : int;
-  g_tol : float;
-  g_rows : guard_row list;
-  g_within : bool;
-}
-
-let default_guard_tol () =
-  match Sys.getenv_opt "HPFQ_SHARD_TOL" with
-  | Some s -> (
-    match float_of_string_opt s with Some t when t >= 0.0 && t < 1.0 -> t | _ -> 0.25)
-  | None -> 0.25
-
-let guard ?(baseline = "BENCH_shard.json") ?tol ?quick () =
-  let tol = match tol with Some t -> t | None -> default_guard_tol () in
-  if not (Sys.file_exists baseline) then
-    Error (Printf.sprintf "baseline %s not found (run `bench shard` first)" baseline)
-  else
-    let parsed =
-      match Json.of_file baseline with
-      | json -> (
-        match validate json with
-        | Ok () -> Ok ()
-        | Error missing -> Error ("missing keys: " ^ String.concat ", " missing))
-      | exception Json.Parse_error msg -> Error msg
-      | exception Sys_error msg -> Error msg
-    in
-    match parsed with
-    | Error e -> Error (Printf.sprintf "%s: %s" baseline e)
-    | Ok () ->
-      let quick =
-        (* a 1-core host can only verify determinism and that sharding
-           costs nothing; spend the full grid where scaling is real *)
-        match quick with Some q -> q | None -> Parallel.Pool.cores () < 2
-      in
-      let cores, rows = measure ~quick () in
-      (* jobs > cores rungs are reported, not gated — oversubscription
-         cost is a host property, not a device regression *)
-      let g_rows =
-        List.map
-          (fun r ->
-            let floor = r.floor *. (1.0 -. tol) in
-            {
-              g_links = r.links;
-              g_jobs = r.jobs;
-              g_speedup = r.speedup;
-              g_floor = floor;
-              g_enforced = r.jobs <= max 1 cores;
-              g_ok = r.speedup >= floor;
-            })
-          rows
-      in
-      Ok
-        {
-          g_cores = cores;
-          g_tol = tol;
-          g_rows;
-          g_within = List.for_all (fun g -> (not g.g_enforced) || g.g_ok) g_rows;
-        }
+(* Like the parallel guard: jobs > cores rungs are shown, not gated, and a
+   1-core host runs the quick grid, where only determinism and "sharding
+   costs nothing" are measurable. *)
+let probe ~quick =
+  let cores, rows = measure ~quick:(quick || Parallel.Pool.cores () < 2) () in
+  Json.Obj
+    [
+      ( "rows",
+        Json.Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("label", Json.Str (Printf.sprintf "links=%d jobs=%d" r.links r.jobs));
+                   ("value", Json.Num r.speedup);
+                   ("expected", Json.Num r.floor);
+                   ("enforced", Json.Bool (r.jobs <= max 1 cores));
+                 ])
+             rows) );
+    ]

@@ -8,61 +8,18 @@
     contract, checked on the real workload); any diff fails the suite
     hard.
 
-    Results go to [BENCH_shard.json]; {!guard} re-measures and holds the
-    cores-scaled speedup floor (shared with the parallel suite:
-    {!Parallel_bench.expected_floor}), loosened by [HPFQ_SHARD_TOL]. *)
+    Results go to [BENCH_shard.json]; the guard holds the cores-scaled
+    speedup floor shared with the parallel suite
+    ({!Parallel_bench.expected_floor}). *)
 
-type row = {
-  links : int;
-  jobs : int;
-  rounds : int;
-  wall_s : float;
-  pkts : int;  (** total departed packets, device-wide *)
-  pkts_per_sec : float;
-  speedup : float;  (** wall(-j1) / wall(-jN) at the same [links] *)
-  floor : float;  (** cores-aware expected speedup at this rung *)
-  device_hash : int64;
-}
+val report : quick:bool -> Bench_kit.Json.t
+(** Measure the links × jobs grid (best of 2 runs per rung; [quick]: 16
+    links, one run), print the table and return the report.
+    @raise Failure if any rung's device hash diverges from the 1-worker
+    reference. *)
 
-val jobs_ladder : unit -> int list
-(** [1; 2; 4; 8] plus the host's core count, deduplicated, ascending. *)
-
-val links_grid : quick:bool -> int list
-(** [[64; 256; 1024]], or [[16]] under [--quick]. *)
-
-val measure : ?quick:bool -> unit -> int * row list
-(** [(cores, rows)]. Best-of-runs wall clock per rung; raises [Failure]
-    if any rung's device hash diverges from the 1-worker reference. *)
-
-val validate : Bench_kit.Json.t -> (unit, string list) result
-(** Schema check for an emitted/committed report: [Error missing_keys]. *)
-
-val run : ?quick:bool -> ?out:string -> unit -> row list
-(** Print the table, write the JSON report to [out] (default
-    [BENCH_shard.json]), validate its schema. *)
-
-type guard_row = {
-  g_links : int;
-  g_jobs : int;
-  g_speedup : float;
-  g_floor : float;  (** tolerance-scaled *)
-  g_enforced : bool;  (** rungs oversubscribing the host are reported only *)
-  g_ok : bool;
-}
-
-type guard_result = {
-  g_cores : int;
-  g_tol : float;
-  g_rows : guard_row list;
-  g_within : bool;
-}
-
-val guard :
-  ?baseline:string -> ?tol:float -> ?quick:bool -> unit -> (guard_result, string) result
-(** Re-measure and hold every within-core-budget rung to
-    [expected_floor * (1 - tol)] (tol from [HPFQ_SHARD_TOL], default
-    0.25). Like the parallel guard, the committed baseline documents one
-    machine while the floor is scaled to the host's cores — but the file
-    must exist and parse, so a PR cannot silently drop the report.
-    [quick] defaults to true on hosts with fewer than 2 cores, where
-    only the determinism half of the contract is measurable. *)
+val probe : quick:bool -> Bench_kit.Json.t
+(** The guard's fresh side: one [rows] entry per (links, jobs) rung with
+    its speedup ([value]), the cores-aware floor ([expected]) and whether
+    the rung fits the host's cores ([enforced]). Runs the quick grid when
+    [quick] or on a host with fewer than 2 cores. *)

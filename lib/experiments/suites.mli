@@ -1,0 +1,11 @@
+(** The bench-suite registry: each suite's report paths, guards and
+    bounds (see {!Bench_kit.Suite}). [bench/main.exe] derives its
+    [<name>], [<name>-quick] and [<name>-guard] ids and its [check] run
+    from {!all}. *)
+
+val churn : Bench_kit.Suite.t
+(** Also run by [hpfq_sim churn]. *)
+
+val all : Bench_kit.Suite.t list
+(** perf, events, hier, replay, churn, parallel, shard, hiershard — in
+    [check] order. *)

@@ -43,10 +43,11 @@ let measure ?config ~factory ~n () =
       ~on_depart ()
   in
   server := Some srv;
-  let s0 = Server.add_session srv ~rate:r0 () in
+  let s0 = Sched.Session_handle.slot (Server.open_session srv ~rate:r0 ()) in
   assert (s0 = 0);
   let bg_rate = (1.0 -. r0) /. float_of_int n in
-  let bgs = List.init n (fun _ -> Server.add_session srv ~rate:bg_rate ()) in
+  let bgs = List.init n (fun _ ->
+      Sched.Session_handle.slot (Server.open_session srv ~rate:bg_rate ())) in
   ignore
     (Sim.schedule sim ~at:0.0 (fun () ->
          (* session 0's head-start burst *)

@@ -1,46 +1,264 @@
-(* Smoke test for the perf harness: run it at quick settings, re-parse the
-   emitted JSON and validate the schema the perf-regression tooling relies
-   on ([bench/check_bench.sh] does the same from the shell). *)
+(* Smoke tests for the bench harness, table-driven over the suite registry
+   (lib/experiments/suites.ml): every suite's quick run must emit a report
+   carrying its required paths and its full quick grid, every guard must
+   pass a trivial baseline and fail an unreachable one, scaling probes
+   must gate exactly the rows that fit the host, and every committed
+   baseline must carry what its guards read. *)
 
 module Json = Bench_kit.Json
 module Perf = Bench_kit.Perf
-module Events = Bench_kit.Events
+module Suite = Bench_kit.Suite
 
-let test_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_smoke" ".json" in
+let with_temp f =
+  let path = Filename.temp_file "bench_smoke" ".json" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      Perf.run ~quick:true ~out ();
-      let report = Json.of_file out in
-      (match Perf.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid report: %s" (String.concat "; " problems));
-      (* spot-check the metrics are sane, not just present *)
-      let get name j =
-        match Json.member name j with
-        | Some v -> v
-        | None -> Alcotest.failf "missing field %S" name
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* [json] with [path] set to [v], creating objects along the way *)
+let rec set path v json =
+  match path with
+  | [] -> v
+  | k :: rest ->
+    let fields = match json with Json.Obj f -> f | _ -> [] in
+    let child = Option.value (List.assoc_opt k fields) ~default:Json.Null in
+    Json.Obj ((k, set rest v child) :: List.remove_assoc k fields)
+
+(* -- per-suite tests, generated from the registry ------------------------ *)
+
+(* The report a quick run wrote, re-read from disk. *)
+let quick_report suite =
+  lazy
+    (with_temp (fun out ->
+         ignore (Suite.run suite ~quick:true ~out);
+         Json.of_file out))
+
+(* every rate, wall clock and speedup anywhere in a report *)
+let rec measured key json acc =
+  match json with
+  | Json.Obj fields -> List.fold_left (fun acc (k, v) -> measured k v acc) acc fields
+  | Json.Arr xs -> List.fold_left (fun acc v -> measured key v acc) acc xs
+  | Json.Num x
+    when List.exists
+           (fun suffix -> String.ends_with ~suffix key)
+           [ "_per_sec"; "wall_s"; "speedup" ] ->
+    (key, x) :: acc
+  | _ -> acc
+
+let cores = max 1 (Domain.recommended_domain_count ())
+
+let rows key report =
+  match Option.bind (Json.member key report) Json.to_list with
+  | Some rows -> rows
+  | None -> Alcotest.failf "report has no %s array" key
+
+let field conv k row =
+  match Option.bind (Json.member k row) conv with
+  | Some v -> v
+  | None -> Alcotest.failf "row field %s missing or mistyped" k
+
+let int_ = field (fun j -> Option.map int_of_float (Json.to_float j))
+let num_ = field Json.to_float
+let str_ = field (function Json.Str s -> Some s | _ -> None)
+let bool_ = field (function Json.Bool b -> Some b | _ -> None)
+let distinct xs = List.length (List.sort_uniq compare xs)
+
+(* rows whose [group] field equals each value share one [hash] *)
+let one_hash_per ~group ~hash rows =
+  List.iter
+    (fun g ->
+      let hashes = List.filter (fun r -> int_ group r = g) rows |> List.map (str_ hash) in
+      Alcotest.(check int) (Printf.sprintf "%s=%d: one distinct %s" group g hash) 1
+        (distinct hashes))
+    (List.sort_uniq compare (List.map (int_ group) rows))
+
+let speedup_at_j1 rows =
+  match List.find_opt (fun r -> int_ "jobs" r = 1) rows with
+  | Some r ->
+    Alcotest.(check (float 1e-9)) "-j1 speedup is 1 by definition" 1.0 (num_ "speedup" r)
+  | None -> Alcotest.fail "no -j1 rung"
+
+(* The quick grid of each suite, and the invariants its rows must show. *)
+let check_grid name report =
+  match name with
+  | "perf" -> Alcotest.(check bool) "has one-level rows" true (rows "one_level" report <> [])
+  | "events" ->
+    let rows = rows "rows" report in
+    (* 4 distributions x 1 size x 2 backends *)
+    Alcotest.(check int) "row count" 8 (List.length rows);
+    List.iter (fun r -> if int_ "fired" r <= 0 then Alcotest.fail "nothing fired") rows
+  | "hier" ->
+    let rows = rows "rows" report in
+    (* 2 topologies x 2 engines *)
+    Alcotest.(check int) "row count" 4 (List.length rows);
+    List.iter
+      (fun engine ->
+        Alcotest.(check bool) ("fig3 has a " ^ engine ^ " row") true
+          (List.exists (fun r -> str_ "topology" r = "fig3" && str_ "engine" r = engine) rows))
+      [ "generic"; "flat" ]
+  | "replay" ->
+    let rows = rows "rows" report in
+    (* ladder: 1, 2, 8, 64, unbounded *)
+    Alcotest.(check int) "row count" 5 (List.length rows);
+    List.iter
+      (fun r ->
+        Alcotest.(check int) "trace fully drained" (int_ "arrivals" r) (int_ "departures" r))
+      rows;
+    Alcotest.(check int) "one distinct departure hash" 1
+      (distinct (List.map (str_ "depart_hash") rows))
+  | "churn" ->
+    let rows = rows "rows" report in
+    (* 1 session count x 2 engines *)
+    Alcotest.(check int) "row count" 2 (List.length rows);
+    List.iter
+      (fun r ->
+        Alcotest.(check int) "live sessions conserved" (int_ "sessions" r) (int_ "live_after" r))
+      rows
+  | "parallel" ->
+    let rows = rows "rows" report in
+    Alcotest.(check (list int))
+      "one row per ladder rung" [ 1; 2; 4; 8 ] (List.map (int_ "jobs") rows);
+    speedup_at_j1 rows
+  | "shard" ->
+    let rows = rows "rows" report in
+    (* 1 link count x the jobs ladder, which includes the host's cores *)
+    Alcotest.(check int) "one row per (links, jobs) cell"
+      (distinct [ 1; 2; 4; 8; cores ])
+      (List.length rows);
+    speedup_at_j1 rows;
+    one_hash_per ~group:"links" ~hash:"device_hash" rows
+  | "hiershard" ->
+    let rows = rows "rows" report in
+    (* 3 shard counts x 3 epochs *)
+    Alcotest.(check int) "one row per (shards, epoch) cell" 9 (List.length rows);
+    List.iter
+      (fun r ->
+        Alcotest.(check bool) "exact flag marks exactly the epoch=1 rows" (int_ "epoch" r = 1)
+          (bool_ "exact" r))
+      rows;
+    one_hash_per ~group:"epoch" ~hash:"depart_hash" rows
+  | name -> Alcotest.failf "suite %s has no grid check here" name
+
+let test_quick_run suite report () =
+  let report = Lazy.force report in
+  Alcotest.(check (list string)) "required paths present" [] (Suite.missing suite report);
+  (match Suite.find [ "provenance"; "rev" ] report with
+  | Some (Json.Str _) -> ()
+  | _ -> Alcotest.fail "report has no provenance.rev");
+  let measured = measured "" report [] in
+  Alcotest.(check bool) "reports measurements" true (measured <> []);
+  List.iter
+    (fun (k, x) -> if not (x > 0.0) then Alcotest.failf "%s = %g is not positive" k x)
+    measured;
+  check_grid suite.Suite.name report
+
+(* Each guard made trivially true, or impossible, by a baseline value or a
+   bound no measurement can miss (or reach). Hashes keep the quick
+   report's value, which the quick probe must reproduce exactly. *)
+let trivial guard baseline =
+  match guard with
+  | Suite.Relative { path; _ } -> (guard, set path (Json.Num 1.0) baseline)
+  | Ceiling { path } -> (guard, set path (Json.Num 1e9) baseline)
+  | Floor r -> (Floor { r with floor = Suite.both neg_infinity }, baseline)
+  | Scaling _ -> (Scaling { slack = Suite.both 1.0 }, baseline)
+  | Hash _ -> (guard, baseline)
+
+let unreachable guard baseline =
+  match guard with
+  | Suite.Relative { path; _ } -> (guard, set path (Json.Num 1e15) baseline)
+  | Ceiling { path } -> (guard, set path (Json.Num 1e-6) baseline)
+  | Floor r -> (Floor { r with floor = Suite.both infinity }, baseline)
+  | Scaling _ -> (Scaling { slack = Suite.both neg_infinity }, baseline)
+  | Hash { baseline = path; _ } -> (guard, set path (Json.Str "ffffffffffffffff") baseline)
+
+(* A scaling probe gates only the rows that fit the host: jobs <= cores
+   (a hiershard cell needs its workers plus the coordinator). Its verdict,
+   in either profile, is "every enforced row reaches its floor", whatever
+   this host measures. *)
+let check_scaling_rows suite fresh slack =
+  let rows = rows "rows" fresh in
+  Alcotest.(check bool) "probe has rows" true (rows <> []);
+  let label_int key r =
+    List.find_map
+      (fun kv ->
+        match String.split_on_char '=' kv with
+        | [ k; v ] when k = key -> int_of_string_opt v
+        | _ -> None)
+      (String.split_on_char ' ' (str_ "label" r))
+  in
+  List.iter
+    (fun r ->
+      let threads =
+        match (suite.Suite.name, label_int "workers" r, label_int "jobs" r) with
+        | "hiershard", Some w, _ -> w + 1
+        | _, _, Some j -> j
+        | _ -> Alcotest.failf "unparsable label %s" (str_ "label" r)
       in
-      let get_float name j =
-        match Json.to_float (get name j) with
-        | Some f -> f
-        | None -> Alcotest.failf "field %S is not a number" name
+      Alcotest.(check bool)
+        (str_ "label" r ^ ": enforced iff it fits the cores")
+        (threads <= cores) (bool_ "enforced" r))
+    rows;
+  List.iter
+    (fun p ->
+      let slack = match p with Suite.Local -> slack.Suite.local | Ci -> slack.ci in
+      let expected =
+        List.for_all
+          (fun r ->
+            (not (bool_ "enforced" r))
+            || num_ "value" r >= num_ "expected" r *. (1.0 -. slack))
+          rows
       in
-      let rows =
-        match Json.to_list (get "one_level" report) with
-        | Some rows -> rows
-        | None -> Alcotest.fail "one_level is not an array"
+      let v =
+        Suite.judge p ~baseline:(Json.Obj []) ~fresh (Scaling { slack = Suite.both slack })
       in
-      Alcotest.(check bool) "has one-level rows" true (rows <> []);
+      Alcotest.(check bool) "verdict: every enforced row ok" expected v.ok)
+    [ Suite.Local; Ci ]
+
+let test_guard_verdicts suite report () =
+  let report = Lazy.force report in
+  let fresh = suite.Suite.probe ~quick:true in
+  (* every guard trivial except [breach], which is made unreachable *)
+  let setup ?breach () =
+    List.fold_left
+      (fun (guards, baseline) (i, g) ->
+        let g, baseline = (if Some i = breach then unreachable else trivial) g baseline in
+        (guards @ [ g ], baseline))
+      ([], report)
+      (List.mapi (fun i g -> (i, g)) suite.guards)
+  in
+  let guards, baseline = setup () in
+  Alcotest.(check (list string))
+    "a quick report is a complete baseline" []
+    (Suite.missing ~baseline:true suite baseline);
+  List.iter
+    (fun p ->
       List.iter
-        (fun row ->
-          if get_float "pkts_per_sec" row <= 0.0 then
-            Alcotest.fail "pkts_per_sec not positive";
-          if get_float "ns_per_select" row <= 0.0 then
-            Alcotest.fail "ns_per_select not positive")
-        rows)
+        (fun g ->
+          let v = Suite.judge p ~baseline ~fresh g in
+          if not v.ok then Alcotest.failf "trivial guard failed: %s" v.text)
+        guards)
+    [ Suite.Local; Ci ];
+  List.iteri
+    (fun i _ ->
+      let guards, baseline = setup ~breach:i () in
+      let v = Suite.judge Local ~baseline ~fresh (List.nth guards i) in
+      if v.ok then Alcotest.failf "unreachable guard passed: %s" v.text)
+    suite.guards;
+  List.iter
+    (function
+      | Suite.Scaling { slack } -> check_scaling_rows suite fresh slack
+      | _ -> ())
+    suite.guards;
+  (match Suite.guard suite ~baseline:"/nonexistent/BENCH.json" Local with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "missing baseline should be an error");
+  with_temp (fun path ->
+      Json.to_file path (Json.Obj [ ("schema", Json.Str "x") ]);
+      match Suite.guard suite ~baseline:path Local with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "schema-invalid baseline should be an error")
+
+(* -- registry-wide tests ------------------------------------------------- *)
 
 let test_json_roundtrip () =
   let t =
@@ -59,664 +277,158 @@ let test_json_roundtrip () =
   Alcotest.(check bool) "nan serialized as null" true
     (Json.member "nan_becomes_null" t' = Some Json.Null)
 
-(* -- event-set churn suite ------------------------------------------------ *)
-
-let test_events_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_events_smoke" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rows = Events.run ~quick:true ~out () in
-      (* quick grid: 4 distributions x 1 size x 2 backends *)
-      Alcotest.(check int) "row count" 8 (List.length rows);
-      List.iter
-        (fun r ->
-          if r.Events.events_per_sec <= 0.0 then
-            Alcotest.fail "events_per_sec not positive";
-          if r.Events.fired <= 0 then Alcotest.fail "nothing fired")
-        rows;
-      let report = Json.of_file out in
-      match Events.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid events report: %s" (String.concat "; " problems))
-
-let fake_events_report eps =
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-events-v1");
-      ( "headline",
-        Json.Obj
-          [
-            ("workload", Json.Str "cancel_heavy_n65536");
-            ("calendar_events_per_sec", Json.Num eps);
-          ] );
-    ]
-
-let test_events_guard_verdicts () =
-  let with_baseline eps f =
-    let path = Filename.temp_file "bench_events_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Json.to_file path (fake_events_report eps);
-        f path)
+(* Paths read objects by key and arrays through their first element; an
+   absent or null value is missing. *)
+let test_headline_extraction () =
+  let report =
+    Json.Obj
+      [
+        ("headline", Json.Obj [ ("pkts_per_sec", Json.Num 123.0); ("gone", Json.Null) ]);
+        ("rows", Json.Arr [ Json.Obj [ ("n", Json.Num 16.0) ]; Json.Obj [] ]);
+        ("empty", Json.Arr []);
+      ]
   in
-  let run_guard path =
-    Events.guard ~baseline:path ~tol:0.05 ~min_speedup:0.0 ~n:256 ~events:4_000 ()
-  in
-  with_baseline 1.0 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "beats trivial baseline" true g.Events.within
-      | Error e -> Alcotest.failf "events guard errored: %s" e);
-  with_baseline 1e15 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "loses to absurd baseline" false g.Events.within
-      | Error e -> Alcotest.failf "events guard errored: %s" e);
-  match Events.guard ~baseline:"/nonexistent/BENCH_events.json" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
-
-(* -- hierarchy engine A/B suite ------------------------------------------- *)
-
-module Hbench = Experiments.Hier_bench
-
-let test_hier_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_hier_smoke" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rows = Hbench.run ~quick:true ~out () in
-      (* quick grid: 2 topologies x 2 engines *)
-      Alcotest.(check int) "row count" 4 (List.length rows);
-      List.iter
-        (fun r ->
-          if r.Hbench.pkts_per_sec <= 0.0 then
-            Alcotest.fail "pkts_per_sec not positive")
-        rows;
-      List.iter
-        (fun engine ->
-          Alcotest.(check bool)
-            (Printf.sprintf "fig3 has a %s row" (Hbench.engine_name engine))
-            true
-            (List.exists
-               (fun r -> r.Hbench.topology = "fig3" && r.Hbench.engine = engine)
-               rows))
-        [ Hbench.Generic; Hbench.Flat ];
-      let report = Json.of_file out in
-      match Hbench.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid hier report: %s" (String.concat "; " problems))
-
-let fake_hier_report pps =
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-hier-v1");
-      ( "headline",
-        Json.Obj
-          [
-            ("workload", Json.Str "fig3_saturated");
-            ("flat_pkts_per_sec", Json.Num pps);
-          ] );
-    ]
-
-let test_hier_guard_verdicts () =
-  let with_baseline pps f =
-    let path = Filename.temp_file "bench_hier_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Json.to_file path (fake_hier_report pps);
-        f path)
-  in
-  let run_guard path =
-    Hbench.guard ~baseline:path ~tol:0.05 ~min_speedup:0.0 ~target_pkts:500 ()
-  in
-  with_baseline 1.0 (fun path ->
-      match run_guard path with
-      | Ok g -> Alcotest.(check bool) "beats trivial baseline" true g.Hbench.within
-      | Error e -> Alcotest.failf "hier guard errored: %s" e);
-  with_baseline 1e15 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "loses to absurd baseline" false g.Hbench.within
-      | Error e -> Alcotest.failf "hier guard errored: %s" e);
-  match Hbench.guard ~baseline:"/nonexistent/BENCH_hier.json" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
-
-(* -- trace-replay suite ---------------------------------------------------- *)
-
-module Rbench = Experiments.Replay_bench
-
-let test_replay_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_replay_smoke" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rows = Rbench.run ~quick:true ~out () in
-      (* ladder: 1, 2, 8, 64, unbounded *)
-      Alcotest.(check int) "row count" 5 (List.length rows);
-      List.iter
-        (fun r ->
-          if r.Rbench.pkts_per_sec <= 0.0 then
-            Alcotest.fail "pkts_per_sec not positive";
-          if r.Rbench.departures <> r.Rbench.arrivals then
-            Alcotest.fail "trace did not fully drain")
-        rows;
-      (* run () itself fails on divergence; assert the invariant where a
-         reader looks first: one distinct hash across the whole ladder *)
-      Alcotest.(check int) "one distinct departure hash" 1
-        (List.length
-           (List.sort_uniq compare (List.map (fun r -> r.Rbench.depart_hash) rows)));
-      let report = Json.of_file out in
-      match Rbench.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid replay report: %s" (String.concat "; " problems))
-
-let test_replay_guard_verdicts () =
-  let with_file f =
-    let path = Filename.temp_file "bench_replay_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () -> f path)
-  in
-  (* a real quick run as its own baseline: the hashes match by
-     construction, so the guard must pass outright *)
-  with_file (fun path ->
-      ignore (Rbench.run ~quick:true ~out:path ());
-      (match Rbench.guard ~baseline:path ~tol:0.99 ~min_speedup:0.0 ~quick:true () with
-      | Ok g ->
-        Alcotest.(check bool) "hash matches its own run" true g.Rbench.hash_ok;
-        Alcotest.(check bool) "passes against its own run" true g.Rbench.within
-      | Error e -> Alcotest.failf "replay guard errored: %s" e);
-      (* doctor the committed hash: the gate must fire with no tolerance *)
-      let doctored =
-        Json.Obj
-          [
-            ("schema", Json.Str "hpfq-bench-replay-v1");
-            ( "headline",
-              Json.Obj
-                [
-                  ("batched_pkts_per_sec", Json.Num 1.0);
-                  ("depart_hash", Json.Str "ffffffffffffffff");
-                ] );
-          ]
-      in
-      Json.to_file path doctored;
-      match Rbench.guard ~baseline:path ~tol:0.99 ~min_speedup:0.0 ~quick:true () with
-      | Ok g ->
-        Alcotest.(check bool) "doctored hash detected" false g.Rbench.hash_ok;
-        Alcotest.(check bool) "doctored hash fails the gate" false g.Rbench.within
-      | Error e -> Alcotest.failf "replay guard errored: %s" e);
-  match Rbench.guard ~baseline:"/nonexistent/BENCH_replay.json" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
-
-(* -- session-lifecycle churn suite ---------------------------------------- *)
-
-module Cbench = Experiments.Churn_bench
-
-let test_churn_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_churn_smoke" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rows = Cbench.run ~quick:true ~out () in
-      (* quick grid: 1 session count x 2 engines *)
-      Alcotest.(check int) "row count" 2 (List.length rows);
-      List.iter
-        (fun r ->
-          if r.Cbench.churn_events_per_sec <= 0.0 then
-            Alcotest.fail "churn_events_per_sec not positive";
-          if r.Cbench.ramp_opens_per_sec <= 0.0 then
-            Alcotest.fail "ramp_opens_per_sec not positive";
-          (* the loop repays every close with a reopen *)
-          Alcotest.(check int) "live sessions conserved" r.Cbench.sessions
-            r.Cbench.live_after)
-        rows;
-      let report = Json.of_file out in
-      match Cbench.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid churn report: %s" (String.concat "; " problems))
-
-let fake_churn_report eps =
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-churn-v1");
-      ( "headline",
-        Json.Obj
-          [
-            ("workload", Json.Str "idle-open/backlog/close-drop/reopen churn");
-            ("churn_events_per_sec", Json.Num eps);
-          ] );
-    ]
-
-let test_churn_guard_verdicts () =
-  let with_baseline eps f =
-    let path = Filename.temp_file "bench_churn_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Json.to_file path (fake_churn_report eps);
-        f path)
-  in
-  let run_guard ?(floor = 0.0) path =
-    Cbench.guard ~baseline:path ~tol:0.05 ~floor ~sessions:1_000 ~iters:5_000 ()
-  in
-  with_baseline 1.0 (fun path ->
-      match run_guard path with
-      | Ok g -> Alcotest.(check bool) "beats trivial baseline" true g.Cbench.within
-      | Error e -> Alcotest.failf "churn guard errored: %s" e);
-  with_baseline 1e15 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "loses to absurd baseline" false g.Cbench.within
-      | Error e -> Alcotest.failf "churn guard errored: %s" e);
-  with_baseline 1.0 (fun path ->
-      match run_guard ~floor:1e15 path with
-      | Ok g ->
-        Alcotest.(check bool) "absolute floor gates independently" false
-          g.Cbench.within
-      | Error e -> Alcotest.failf "churn guard errored: %s" e);
-  match Cbench.guard ~baseline:"/nonexistent/BENCH_churn.json" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
-
-(* -- multicore scaling suite ---------------------------------------------- *)
-
-module Pbench = Experiments.Parallel_bench
-
-let test_parallel_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_parallel_smoke" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rows = Pbench.run ~quick:true ~out () in
-      Alcotest.(check (list int))
-        "one row per ladder rung" Pbench.jobs_ladder
-        (List.map (fun r -> r.Pbench.jobs) rows);
-      (match List.find_opt (fun r -> r.Pbench.jobs = 1) rows with
-      | Some r ->
-        Alcotest.(check (float 1e-9)) "-j1 speedup is 1 by definition" 1.0 r.Pbench.speedup
-      | None -> Alcotest.fail "no -j1 rung");
-      List.iter
-        (fun r ->
-          if r.Pbench.wall_s <= 0.0 then Alcotest.fail "wall clock not positive")
-        rows;
-      let report = Json.of_file out in
-      match Pbench.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid parallel report: %s" (String.concat "; " problems))
-
-let fake_parallel_report () =
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-parallel-v1");
-      ("cores", Json.Num 8.0);
-      ( "rows",
-        Json.Arr
-          [
-            Json.Obj
-              [
-                ("jobs", Json.Num 1.0);
-                ("wall_s", Json.Num 1.0);
-                ("speedup", Json.Num 1.0);
-                ("expected_floor", Json.Num 1.0);
-              ];
-          ] );
-    ]
-
-let test_parallel_guard_verdicts () =
-  let with_baseline json f =
-    let path = Filename.temp_file "bench_parallel_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Json.to_file path json;
-        f path)
-  in
-  with_baseline (fake_parallel_report ()) (fun path ->
-      match Pbench.guard ~baseline:path ~tol:0.5 ~quick:true () with
-      | Ok g ->
-        Alcotest.(check int)
-          "one verdict per rung"
-          (List.length Pbench.jobs_ladder)
-          (List.length g.Pbench.g_rows);
-        (* rungs beyond the host's cores are context, not gates *)
-        List.iter
-          (fun r ->
-            if r.Pbench.g_jobs > g.Pbench.g_cores then
-              Alcotest.(check bool)
-                "oversubscribed rung not enforced" false r.Pbench.g_enforced)
-          g.Pbench.g_rows;
-        (* the live floor is check_bench.sh's job; here only the verdict's
-           consistency with its rows, whatever this host measures *)
-        List.iter
-          (fun r ->
-            Alcotest.(check bool)
-              "g_ok is speedup >= floor" (r.Pbench.g_speedup >= r.Pbench.g_floor)
-              r.Pbench.g_ok)
-          g.Pbench.g_rows;
-        Alcotest.(check bool)
-          "g_within: every enforced rung ok"
-          (List.for_all (fun r -> (not r.Pbench.g_enforced) || r.Pbench.g_ok) g.Pbench.g_rows)
-          g.Pbench.g_within
-      | Error e -> Alcotest.failf "parallel guard errored: %s" e);
-  with_baseline (Json.Obj [ ("schema", Json.Str "hpfq-bench-parallel-v1") ])
+  Alcotest.(check bool) "headline value" true
+    (Suite.find [ "headline"; "pkts_per_sec" ] report = Some (Json.Num 123.0));
+  Alcotest.(check bool) "first row" true
+    (Suite.find [ "rows"; "n" ] report = Some (Json.Num 16.0));
+  List.iter
     (fun path ->
-      match Pbench.guard ~baseline:path ~quick:true () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "schema-invalid baseline should be an error");
-  match Pbench.guard ~baseline:"/nonexistent/BENCH_parallel.json" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
+      Alcotest.(check bool)
+        (Suite.path_name path ^ " missing")
+        true
+        (Suite.find path report = None))
+    [ [ "headline"; "gone" ]; [ "headline"; "nope" ]; [ "empty"; "n" ]; [ "schema" ] ]
 
-(* -- sharded device suite ------------------------------------------------- *)
+(* Each guard kind on synthetic numbers, at the edges a real measurement
+   rarely reaches. *)
+let test_judge_edges () =
+  let judge ?(baseline = Json.Obj []) fresh g = (Suite.judge Local ~baseline ~fresh g).ok in
+  let row ~enforced value =
+    Json.Obj
+      [
+        ("label", Json.Str "r");
+        ("value", Json.Num value);
+        ("expected", Json.Num 1.0);
+        ("enforced", Json.Bool enforced);
+      ]
+  in
+  let scaling rs =
+    judge (Json.Obj [ ("rows", Json.Arr rs) ]) (Scaling { slack = Suite.both 0.25 })
+  in
+  Alcotest.(check bool) "info row below its floor is shown, not gated" true
+    (scaling [ row ~enforced:true 0.8; row ~enforced:false 0.01 ]);
+  Alcotest.(check bool) "enforced row below its floor fails" false
+    (scaling [ row ~enforced:true 0.7; row ~enforced:false 5.0 ]);
+  Alcotest.(check bool) "no rows fails" false (scaling []);
+  let headline v = Json.Obj [ ("headline", Json.Obj [ ("x", Json.Num v) ]) ] in
+  let relative b =
+    judge ~baseline:(headline b) (headline 1e9)
+      (Relative { path = [ "headline"; "x" ]; tol = Suite.both 0.2 })
+  in
+  Alcotest.(check bool) "positive baseline judged" true (relative 1.0);
+  Alcotest.(check bool) "zero baseline is an error" false (relative 0.0);
+  Alcotest.(check bool) "negative baseline is an error" false (relative (-1.0));
+  Alcotest.(check bool) "missing fresh value fails" false
+    (judge ~baseline:(headline 1.0) (Json.Obj []) (Ceiling { path = [ "headline"; "x" ] }))
 
-module Sbench = Experiments.Shard_bench
-
-let test_shard_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_shard_smoke" ".json" in
+(* Every bound, in both profiles. Changing one is a decision to make
+   here, in the open. *)
+let test_bounds_pinned () =
+  let describe = function
+    | Suite.Relative { path; tol } ->
+      Printf.sprintf "relative %s %g/%g" (Suite.path_name path) tol.local tol.ci
+    | Floor { path; floor } ->
+      Printf.sprintf "floor %s %g/%g" (Suite.path_name path) floor.local floor.ci
+    | Ceiling { path } ->
+      Printf.sprintf "ceiling %s +%g" (Suite.path_name path) Suite.words_tol
+    | Scaling { slack } -> Printf.sprintf "scaling %g/%g" slack.local slack.ci
+    | Hash { fresh; baseline } ->
+      Printf.sprintf "hash %s = %s" (Suite.path_name fresh) (Suite.path_name baseline)
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "bounds (local/ci)"
+    [
+      ( "perf",
+        [
+          "relative headline.pkts_per_sec 0.05/0.5";
+          "ceiling headline.minor_words_per_pkt +0.1";
+        ] );
+      ( "events",
+        [
+          "relative headline.calendar_events_per_sec 0.2/0.5";
+          "floor headline.ratio 1/0";
+        ] );
+      ( "hier",
+        [
+          "relative headline.flat_pkts_per_sec 0.2/0.5";
+          "floor headline.speedup 1/1";
+          "ceiling headline.flat_minor_words_per_pkt +0.1";
+        ] );
+      ( "replay",
+        [
+          "hash headline.depart_hash = headline.depart_hash";
+          "hash headline.per_packet_depart_hash = headline.depart_hash";
+          "relative headline.batched_pkts_per_sec 0.2/0.5";
+          "floor headline.speedup 1/0";
+          "ceiling headline.batched_minor_words_per_pkt +0.1";
+        ] );
+      ( "churn",
+        [
+          "relative headline.churn_events_per_sec 0.2/0.5";
+          "floor headline.churn_events_per_sec 100000/100000";
+        ] );
+      ("parallel", [ "scaling 0.25/0.6" ]);
+      ("shard", [ "scaling 0.25/0.6" ]);
+      ("hiershard", [ "scaling 0.35/0.6" ]);
+    ]
+    (List.map
+       (fun (s : Suite.t) -> (s.name, List.map describe s.guards))
+       Experiments.Suites.all);
+  let ci = Sys.getenv_opt "CI" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    ~finally:(fun () -> Unix.putenv "CI" (Option.value ci ~default:""))
     (fun () ->
-      let rows = Sbench.run ~quick:true ~out () in
-      Alcotest.(check int)
-        "one row per (links, jobs) cell"
-        (List.length (Sbench.links_grid ~quick:true) * List.length (Sbench.jobs_ladder ()))
-        (List.length rows);
-      (match List.find_opt (fun r -> r.Sbench.jobs = 1) rows with
-      | Some r ->
-        Alcotest.(check (float 1e-9)) "-j1 speedup is 1 by definition" 1.0 r.Sbench.speedup
-      | None -> Alcotest.fail "no -j1 rung");
+      Unix.putenv "CI" "true";
+      Alcotest.(check string) "CI=true selects ci" "ci"
+        (Suite.profile_name (Suite.profile ()));
+      Unix.putenv "CI" "";
+      Alcotest.(check string) "otherwise local" "local"
+        (Suite.profile_name (Suite.profile ())))
+
+(* The committed baselines (copied beside the test by dune) carry every
+   path their guards read; stripping an allocation ceiling's key must be
+   a named error, never a vacuous pass. *)
+let test_committed_baselines_fail_closed () =
+  List.iter
+    (fun (s : Suite.t) ->
+      let committed = Filename.concat ".." s.out in
+      (match Suite.load_baseline s committed with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "committed baseline: %s" e);
       List.iter
-        (fun r ->
-          if r.Sbench.pkts_per_sec <= 0.0 then
-            Alcotest.fail "pkts_per_sec not positive";
-          if r.Sbench.pkts <= 0 then Alcotest.fail "no packets departed")
-        rows;
-      (* the suite itself enforces this, but assert it where a reader
-         looks first: every rung of one grid point shares one hash *)
-      List.iter
-        (fun links ->
-          let hashes =
-            List.filter_map
-              (fun r -> if r.Sbench.links = links then Some r.Sbench.device_hash else None)
-              rows
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "links=%d: one distinct hash" links)
-            1
-            (List.length (List.sort_uniq Int64.compare hashes)))
-        (Sbench.links_grid ~quick:true);
-      let report = Json.of_file out in
-      match Sbench.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid shard report: %s" (String.concat "; " problems))
-
-let fake_shard_report () =
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-shard-v1");
-      ("cores", Json.Num 8.0);
-      ( "rows",
-        Json.Arr
-          [
-            Json.Obj
-              [
-                ("links", Json.Num 16.0);
-                ("jobs", Json.Num 1.0);
-                ("pkts_per_sec", Json.Num 1.0);
-                ("speedup", Json.Num 1.0);
-                ("expected_floor", Json.Num 1.0);
-                ("device_hash", Json.Str "0000000000000000");
-              ];
-          ] );
-    ]
-
-let test_shard_guard_verdicts () =
-  let with_baseline json f =
-    let path = Filename.temp_file "bench_shard_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Json.to_file path json;
-        f path)
-  in
-  with_baseline (fake_shard_report ()) (fun path ->
-      match Sbench.guard ~baseline:path ~tol:0.5 ~quick:true () with
-      | Ok g ->
-        Alcotest.(check int)
-          "one verdict per (links, jobs) cell"
-          (List.length (Sbench.links_grid ~quick:true) * List.length (Sbench.jobs_ladder ()))
-          (List.length g.Sbench.g_rows);
-        List.iter
-          (fun r ->
-            if r.Sbench.g_jobs > g.Sbench.g_cores then
-              Alcotest.(check bool)
-                "oversubscribed rung not enforced" false r.Sbench.g_enforced)
-          g.Sbench.g_rows;
-        List.iter
-          (fun r ->
-            Alcotest.(check bool)
-              "g_ok is speedup >= floor" (r.Sbench.g_speedup >= r.Sbench.g_floor)
-              r.Sbench.g_ok)
-          g.Sbench.g_rows;
-        Alcotest.(check bool)
-          "g_within: every enforced rung ok"
-          (List.for_all (fun r -> (not r.Sbench.g_enforced) || r.Sbench.g_ok) g.Sbench.g_rows)
-          g.Sbench.g_within
-      | Error e -> Alcotest.failf "shard guard errored: %s" e);
-  with_baseline (Json.Obj [ ("schema", Json.Str "hpfq-bench-shard-v1") ])
-    (fun path ->
-      match Sbench.guard ~baseline:path ~quick:true () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "schema-invalid baseline should be an error");
-  match Sbench.guard ~baseline:"/nonexistent/BENCH_shard.json" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
-
-(* -- subtree-sharded hierarchy suite -------------------------------------- *)
-
-module Hsb = Experiments.Hiershard_bench
-
-let test_hiershard_quick_run_emits_valid_report () =
-  let out = Filename.temp_file "bench_hiershard_smoke" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rows = Hsb.run ~quick:true ~out () in
-      Alcotest.(check int)
-        "one row per (shards, epoch) cell"
-        (List.length (Hsb.shards_ladder ()) * List.length (Hsb.epoch_ladder ()))
-        (List.length rows);
-      List.iter
-        (fun r ->
-          if r.Hsb.pkts_per_sec <= 0.0 then
-            Alcotest.fail "pkts_per_sec not positive";
-          if r.Hsb.pkts <= 0 then Alcotest.fail "no packets departed";
-          Alcotest.(check bool)
-            "exact flag marks exactly the epoch=1 rows"
-            (r.Hsb.epoch = 1)
-            r.Hsb.exact)
-        rows;
-      (* the suite itself enforces exactness vs the flat reference; assert
-         the visible consequences: one hash across all epoch=1 cells, and
-         each epoch's hash independent of the shard count *)
-      List.iter
-        (fun epoch ->
-          let hashes =
-            List.filter_map
-              (fun r ->
-                if r.Hsb.epoch = epoch then Some r.Hsb.depart_hash else None)
-              rows
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "epoch=%d: one distinct hash across shard counts" epoch)
-            1
-            (List.length (List.sort_uniq Int64.compare hashes)))
-        (Hsb.epoch_ladder ());
-      let report = Json.of_file out in
-      match Hsb.validate report with
-      | Ok () -> ()
-      | Error problems ->
-        Alcotest.failf "invalid hiershard report: %s" (String.concat "; " problems))
-
-let fake_hiershard_report () =
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-hiershard-v1");
-      ("cores", Json.Num 8.0);
-      ("flat_pkts_per_sec", Json.Num 1.0);
-      ("flat_depart_hash", Json.Str "0000000000000000");
-      ( "rows",
-        Json.Arr
-          [
-            Json.Obj
-              [
-                ("shards", Json.Num 16.0);
-                ("epoch", Json.Num 1.0);
-                ("workers", Json.Num 0.0);
-                ("pkts_per_sec", Json.Num 1.0);
-                ("ratio_vs_flat", Json.Num 1.0);
-                ("depart_hash", Json.Str "0000000000000000");
-              ];
-          ] );
-    ]
-
-let test_hiershard_guard_verdicts () =
-  let with_baseline json f =
-    let path = Filename.temp_file "bench_hiershard_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Json.to_file path json;
-        f path)
-  in
-  with_baseline (fake_hiershard_report ()) (fun path ->
-      match Hsb.guard ~baseline:path ~tol:0.5 ~quick:true () with
-      | Ok g ->
-        Alcotest.(check int)
-          "one verdict per (shards, epoch) cell"
-          (List.length (Hsb.shards_ladder ()) * List.length (Hsb.epoch_ladder ()))
-          (List.length g.Hsb.g_rows);
-        List.iter
-          (fun r ->
-            if r.Hsb.g_workers + 1 > g.Hsb.g_cores then
-              Alcotest.(check bool)
-                "oversubscribed cell not enforced" false r.Hsb.g_enforced)
-          g.Hsb.g_rows;
-        List.iter
-          (fun r ->
-            Alcotest.(check bool)
-              "g_ok is ratio >= floor" (r.Hsb.g_ratio >= r.Hsb.g_floor) r.Hsb.g_ok)
-          g.Hsb.g_rows;
-        Alcotest.(check bool)
-          "g_within: every enforced cell ok"
-          (List.for_all (fun r -> (not r.Hsb.g_enforced) || r.Hsb.g_ok) g.Hsb.g_rows)
-          g.Hsb.g_within
-      | Error e -> Alcotest.failf "hiershard guard errored: %s" e);
-  with_baseline (Json.Obj [ ("schema", Json.Str "hpfq-bench-hiershard-v1") ])
-    (fun path ->
-      match Hsb.guard ~baseline:path ~quick:true () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "schema-invalid baseline should be an error");
-  match Hsb.guard ~baseline:"/nonexistent/BENCH_hiershard.json" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
-
-(* -- perf-regression guard ------------------------------------------------ *)
-
-let fake_report ?words pps =
-  let words_field =
-    match words with
-    | Some w -> [ ("minor_words_per_pkt", Json.Num w) ]
-    | None -> []
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-hotpath-v1");
-      ( "headline",
-        Json.Obj
-          ([
-             ("workload", Json.Str "one_level_wf2q_plus_n4096");
-             ("pkts_per_sec", Json.Num pps);
-           ]
-          @ words_field) );
-    ]
-
-let test_headline_of_report () =
-  (match Perf.headline_of_report (fake_report 123.0) with
-  | Ok pps -> Alcotest.(check (float 1e-9)) "extracted" 123.0 pps
-  | Error e -> Alcotest.failf "unexpected error: %s" e);
-  (match Perf.headline_of_report (Json.Obj [ ("schema", Json.Str "x") ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing headline should be an error");
-  (match Perf.headline_of_report (fake_report (-1.0)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-positive headline should be an error");
-  (match Perf.headline_words_of_report (fake_report ~words:12.5 1.0) with
-  | Some w -> Alcotest.(check (float 1e-9)) "words extracted" 12.5 w
-  | None -> Alcotest.fail "words key should be extracted");
-  match Perf.headline_words_of_report (fake_report 1.0) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "absent words key should be None"
-
-(* The guard itself, at smoke scale: any real measurement beats a 1 pkt/sec
-   baseline and loses to an absurd one; a missing baseline is a setup error,
-   not a perf verdict. *)
-let test_guard_verdicts () =
-  let with_baseline ?words pps f =
-    let path = Filename.temp_file "bench_guard" ".json" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Json.to_file path (fake_report ?words pps);
-        f path)
-  in
-  let run_guard path =
-    Perf.guard ~baseline:path ~tol:0.05 ~words_tol:0.1 ~n:64 ~iters:2_000
-      ~runs:1 ()
-  in
-  with_baseline 1.0 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "beats trivial baseline" true g.Perf.within;
-        Alcotest.(check bool)
-          "no words key: ceiling vacuous" true g.Perf.words_within
-      | Error e -> Alcotest.failf "guard errored: %s" e);
-  with_baseline 1e15 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "loses to absurd baseline" false g.Perf.within
-      | Error e -> Alcotest.failf "guard errored: %s" e);
-  (* allocation tier: a generous committed ceiling passes, a sub-word one
-     (no real cycle allocates under 1e-6 words/pkt more than 10% of that)
-     must flip the overall verdict even though the pps gate passes *)
-  with_baseline ~words:1e9 1.0 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "generous ceiling passes" true g.Perf.words_within;
-        Alcotest.(check bool) "overall verdict passes" true g.Perf.within
-      | Error e -> Alcotest.failf "guard errored: %s" e);
-  with_baseline ~words:1e-6 1.0 (fun path ->
-      match run_guard path with
-      | Ok g ->
-        Alcotest.(check bool) "tight ceiling trips" false g.Perf.words_within;
-        Alcotest.(check bool)
-          "words breach fails the guard" false g.Perf.within
-      | Error e -> Alcotest.failf "guard errored: %s" e);
-  match Perf.guard ~baseline:"/nonexistent/BENCH.json" ~tol:0.05 () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing baseline should be an error"
+        (function
+          | Suite.Ceiling { path = [ "headline"; key ] as path } ->
+            let json = Json.of_file committed in
+            let stripped =
+              match Suite.find [ "headline" ] json with
+              | Some (Json.Obj fields) ->
+                set [ "headline" ] (Json.Obj (List.remove_assoc key fields)) json
+              | _ -> Alcotest.failf "%s has no headline" committed
+            in
+            with_temp (fun copy ->
+                Json.to_file copy stripped;
+                match Suite.load_baseline s copy with
+                | Error e ->
+                  Alcotest.(check bool)
+                    ("error names " ^ Suite.path_name path)
+                    true
+                    (String.ends_with ~suffix:(Suite.path_name path) e)
+                | Ok _ ->
+                  Alcotest.failf "%s without %s passed" s.out (Suite.path_name path))
+          | _ -> ())
+        s.guards)
+    Experiments.Suites.all
 
 (* Tracing-disabled overhead, the deterministic half: installing and then
    removing an observer must leave the cycle's allocation behaviour exactly
@@ -743,61 +455,29 @@ let test_tracing_disabled_allocates_nothing () =
     "removed observer allocates exactly like never-installed" never disabled
 
 let () =
+  let suite_tests (s : Suite.t) =
+    let report = quick_report s in
+    ( s.name,
+      (if s.name = "perf" then
+         [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip ]
+       else [])
+      @ [
+          Alcotest.test_case "quick run emits valid report" `Quick
+            (test_quick_run s report);
+          Alcotest.test_case "guard verdicts" `Quick (test_guard_verdicts s report);
+        ] )
+  in
   Alcotest.run "bench_smoke"
-    [
-      ( "perf",
-        [
-          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_quick_run_emits_valid_report;
-        ] );
-      ( "events",
-        [
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_events_quick_run_emits_valid_report;
-          Alcotest.test_case "guard verdicts" `Quick test_events_guard_verdicts;
-        ] );
-      ( "hier",
-        [
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_hier_quick_run_emits_valid_report;
-          Alcotest.test_case "guard verdicts" `Quick test_hier_guard_verdicts;
-        ] );
-      ( "replay",
-        [
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_replay_quick_run_emits_valid_report;
-          Alcotest.test_case "guard verdicts" `Quick test_replay_guard_verdicts;
-        ] );
-      ( "churn",
-        [
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_churn_quick_run_emits_valid_report;
-          Alcotest.test_case "guard verdicts" `Quick test_churn_guard_verdicts;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_parallel_quick_run_emits_valid_report;
-          Alcotest.test_case "guard verdicts" `Quick test_parallel_guard_verdicts;
-        ] );
-      ( "shard",
-        [
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_shard_quick_run_emits_valid_report;
-          Alcotest.test_case "guard verdicts" `Quick test_shard_guard_verdicts;
-        ] );
-      ( "hiershard",
-        [
-          Alcotest.test_case "quick run emits valid report" `Quick
-            test_hiershard_quick_run_emits_valid_report;
-          Alcotest.test_case "guard verdicts" `Quick test_hiershard_guard_verdicts;
-        ] );
-      ( "guard",
-        [
-          Alcotest.test_case "headline extraction" `Quick test_headline_of_report;
-          Alcotest.test_case "guard verdicts" `Quick test_guard_verdicts;
-          Alcotest.test_case "tracing disabled allocates nothing" `Quick
-            test_tracing_disabled_allocates_nothing;
-        ] );
-    ]
+    (List.map suite_tests Experiments.Suites.all
+    @ [
+        ( "guard",
+          [
+            Alcotest.test_case "headline extraction" `Quick test_headline_extraction;
+            Alcotest.test_case "judge edge cases" `Quick test_judge_edges;
+            Alcotest.test_case "bounds pinned in both profiles" `Quick test_bounds_pinned;
+            Alcotest.test_case "committed baselines fail closed" `Quick
+              test_committed_baselines_fail_closed;
+            Alcotest.test_case "tracing disabled allocates nothing" `Quick
+              test_tracing_disabled_allocates_nothing;
+          ] );
+      ])

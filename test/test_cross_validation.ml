@@ -193,7 +193,7 @@ let prop_flat_equivalence_all_disciplines =
                 ~on_depart:(fun p t -> log := (p.Net.Packet.flow, p.Net.Packet.seq, t) :: !log)
                 ()
             in
-            List.iter (fun r -> ignore (Hpfq.Server.add_session server ~rate:r ())) rates;
+            List.iter (fun r -> ignore (Hpfq.Server.open_session server ~rate:r ())) rates;
             List.iter
               (fun (at, s, z) ->
                 ignore

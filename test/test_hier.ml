@@ -46,9 +46,9 @@ let test_flat_tree_equals_standalone () =
         ~on_depart:(fun pkt t -> log := (names.(pkt.Net.Packet.flow), t) :: !log)
         ()
     in
-    let a = Hpfq.Server.add_session server ~rate:0.5 () in
-    let b = Hpfq.Server.add_session server ~rate:0.3 () in
-    let c = Hpfq.Server.add_session server ~rate:0.2 () in
+    let a = Sched.Session_handle.slot (Hpfq.Server.open_session server ~rate:0.5 ()) in
+    let b = Sched.Session_handle.slot (Hpfq.Server.open_session server ~rate:0.3 ()) in
+    let c = Sched.Session_handle.slot (Hpfq.Server.open_session server ~rate:0.2 ()) in
     ignore
       (Sim.schedule sim ~at:0.0 (fun () ->
            for _ = 1 to 5 do

@@ -75,8 +75,9 @@ let test_mixed_sizes_wfi_bound () =
       ()
   in
   server := Some srv;
-  ignore (Hpfq.Server.add_session srv ~rate:r0 ());
-  let bgs = List.init 3 (fun _ -> Hpfq.Server.add_session srv ~rate:0.25 ()) in
+  ignore (Hpfq.Server.open_session srv ~rate:r0 ());
+  let bgs = List.init 3 (fun _ ->
+      Sched.Session_handle.slot (Hpfq.Server.open_session srv ~rate:0.25 ())) in
   (* sparse small-packet session: every packet meets an empty own queue *)
   ignore
     (Traffic.Source.cbr ~sim

@@ -179,7 +179,7 @@ let test_detached_trace_records_no_scheduler_events () =
       ()
   in
   for _ = 1 to 3 do
-    ignore (Hpfq.Server.add_session server ~rate:0.25 ())
+    ignore (Hpfq.Server.open_session server ~rate:0.25 ())
   done;
   let trace = Trace.attach_server server in
   Trace.detach trace;

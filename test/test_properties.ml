@@ -40,7 +40,7 @@ let run_workload factory (n, packets) =
       ~on_depart:(fun pkt t -> departures := (pkt, t) :: !departures)
       ()
   in
-  List.iter (fun r -> ignore (Server.add_session server ~rate:r ())) (equal_rates n);
+  List.iter (fun r -> ignore (Server.open_session server ~rate:r ())) (equal_rates n);
   List.iter
     (fun (at, session, size) ->
       ignore
@@ -110,9 +110,10 @@ let prop_wf2q_plus_bandwidth_guarantee =
       let server =
         Server.create ~sim ~rate:1.0 ~policy:(Hpfq.Wf2q_plus.make ~rate:1.0) ()
       in
-      let s0 = Server.add_session server ~rate:r0 () in
+      let s0 = Sched.Session_handle.slot (Server.open_session server ~rate:r0 ()) in
       let bg_rate = (1.0 -. r0) /. float_of_int n_bg in
-      let bgs = List.init n_bg (fun _ -> Server.add_session server ~rate:bg_rate ()) in
+      let bgs = List.init n_bg (fun _ ->
+          Sched.Session_handle.slot (Server.open_session server ~rate:bg_rate ())) in
       ignore
         (Sim.schedule sim ~at:0.0 (fun () ->
              for _ = 1 to 100 do
@@ -327,10 +328,11 @@ let prop_wf2q_plus_delay_bound =
           ()
       in
       server := Some srv;
-      ignore (Server.add_session srv ~rate:r0 ());
+      ignore (Server.open_session srv ~rate:r0 ());
       let nbg = 4 in
       let bg_rate = (1.0 -. r0) /. float_of_int nbg in
-      let bgs = List.init nbg (fun _ -> Server.add_session srv ~rate:bg_rate ()) in
+      let bgs = List.init nbg (fun _ ->
+          Sched.Session_handle.slot (Server.open_session srv ~rate:bg_rate ())) in
       let emit ~size_bits = ignore (Server.inject srv ~session:0 ~size_bits) in
       ignore
         (Traffic.Source.leaky_bucket_greedy ~sim ~emit ~sigma_bits:sigma ~rho:r0

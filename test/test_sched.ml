@@ -17,7 +17,7 @@ let run_script ~factory ~rates script =
       ~on_depart:(fun pkt t -> log := (pkt.Net.Packet.flow, t) :: !log)
       ()
   in
-  List.iter (fun r -> ignore (Server.add_session server ~rate:r ())) rates;
+  List.iter (fun r -> ignore (Server.open_session server ~rate:r ())) rates;
   List.iter
     (fun (at, session, size) ->
       ignore
@@ -60,8 +60,8 @@ let test_drr_byte_fairness () =
   let server =
     Server.create ~sim ~rate:1.0 ~policy:(factory.Sched.Sched_intf.make ~rate:1.0) ()
   in
-  let a = Server.add_session server ~rate:0.5 () in
-  let b = Server.add_session server ~rate:0.5 () in
+  let a = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
+  let b = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
   ignore
     (Sim.schedule sim ~at:0.0 (fun () ->
          for _ = 1 to 400 do
@@ -86,8 +86,8 @@ let test_wrr_packet_bias () =
   let server =
     Server.create ~sim ~rate:1.0 ~policy:(factory.Sched.Sched_intf.make ~rate:1.0) ()
   in
-  let a = Server.add_session server ~rate:0.5 () in
-  let b = Server.add_session server ~rate:0.5 () in
+  let a = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
+  let b = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
   ignore
     (Sim.schedule sim ~at:0.0 (fun () ->
          for _ = 1 to 200 do
@@ -149,8 +149,8 @@ let test_virtual_time_monotone () =
       let sim = Sim.create () in
       let policy = factory.Sched.Sched_intf.make ~rate:1.0 in
       let server = Server.create ~sim ~rate:1.0 ~policy () in
-      let a = Server.add_session server ~rate:0.5 () in
-      let b = Server.add_session server ~rate:0.5 () in
+      let a = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
+      let b = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
       let last = ref neg_infinity in
       let ok = ref true in
       for k = 0 to 20 do

@@ -17,8 +17,9 @@ let run_fig2 factory =
       ~on_depart:(fun pkt time -> departures := (pkt.Net.Packet.flow, time) :: !departures)
       ()
   in
-  let s1 = Server.add_session server ~rate:0.5 () in
-  let others = List.init 10 (fun _ -> Server.add_session server ~rate:0.05 ()) in
+  let s1 = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
+  let others = List.init 10 (fun _ ->
+      Sched.Session_handle.slot (Server.open_session server ~rate:0.05 ())) in
   ignore
     (Sim.schedule sim ~at:0.0 (fun () ->
          for _ = 1 to 11 do
@@ -87,8 +88,8 @@ let test_rate_guarantee () =
       let server =
         Server.create ~sim ~rate:1.0 ~policy:(factory.Sched.Sched_intf.make ~rate:1.0) ()
       in
-      let a = Server.add_session server ~rate:0.5 () in
-      let b = Server.add_session server ~rate:0.5 () in
+      let a = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
+      let b = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
       ignore
         (Sim.schedule sim ~at:0.0 (fun () ->
              for _ = 1 to 100 do
@@ -121,7 +122,8 @@ let test_server_drops () =
       ~on_drop:(fun _ _ -> incr drops)
       ()
   in
-  let s = Server.add_session server ~rate:1.0 ~queue_capacity_bits:3.5 () in
+  let s =
+    Sched.Session_handle.slot (Server.open_session server ~rate:1.0 ~queue_capacity_bits:3.5 ()) in
   ignore
     (Sim.schedule sim ~at:0.0 (fun () ->
          for _ = 1 to 5 do
@@ -147,8 +149,8 @@ let test_idle_restart () =
           ~on_depart:(fun pkt t -> departures := (pkt.Net.Packet.flow, t) :: !departures)
           ()
       in
-      let a = Server.add_session server ~rate:0.5 () in
-      let b = Server.add_session server ~rate:0.5 () in
+      let a = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
+      let b = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
       ignore (Sim.schedule sim ~at:0.0 (fun () -> ignore (Server.inject server ~session:a ~size_bits:1.0)));
       ignore (Sim.schedule sim ~at:10.0 (fun () -> ignore (Server.inject server ~session:b ~size_bits:1.0)));
       Sim.run sim;

@@ -134,9 +134,10 @@ let test_bwfi_bound_various_rates () =
           ()
       in
       server := Some srv;
-      ignore (Hpfq.Server.add_session srv ~rate:r0 ());
+      ignore (Hpfq.Server.open_session srv ~rate:r0 ());
       let bg_rate = (1.0 -. r0) /. float_of_int n in
-      let bgs = List.init n (fun _ -> Hpfq.Server.add_session srv ~rate:bg_rate ()) in
+      let bgs = List.init n (fun _ ->
+          Sched.Session_handle.slot (Hpfq.Server.open_session srv ~rate:bg_rate ())) in
       ignore
         (Engine.Simulator.schedule sim ~at:0.0 (fun () ->
              for _ = 1 to n do
@@ -185,7 +186,8 @@ let seeded_depart_hash factory =
     let weights = Array.init n (fun _ -> 0.05 +. Random.State.float rng 1.0) in
     let total = Array.fold_left ( +. ) 0.0 weights in
     let sessions =
-      Array.map (fun w -> Hpfq.Server.add_session server ~rate:(w /. total) ()) weights
+      Array.map (fun w ->
+          Sched.Session_handle.slot (Hpfq.Server.open_session server ~rate:(w /. total) ())) weights
     in
     for _ = 1 to packets do
       let at = Random.State.float rng horizon in
