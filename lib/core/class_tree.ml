@@ -22,8 +22,11 @@ let validate t =
     let n = name t and r = rate t in
     if Hashtbl.mem seen n then err "duplicate node name %S" n;
     Hashtbl.replace seen n ();
-    if r <= 0.0 then err "node %S has non-positive rate %g" n r;
+    if not (Float.is_finite r) then err "node %S has non-finite rate %g" n r
+    else if r <= 0.0 then err "node %S has non-positive rate %g" n r;
     match t with
+    | Leaf { queue_capacity_bits = Some c; _ } when not (Float.is_finite c) ->
+      err "leaf %S has non-finite queue capacity %g" n c
     | Leaf { queue_capacity_bits = Some c; _ } when c <= 0.0 ->
       err "leaf %S has non-positive queue capacity %g" n c
     | Leaf _ -> ()

@@ -33,8 +33,9 @@ val with_queue_caps : float -> t -> t
     @raise Invalid_argument if [bits <= 0]. *)
 
 val validate : t -> (unit, string list) result
-(** Checks: positive rates; unique names; interior nodes have ≥1 child;
-    child rates sum to ≤ parent rate (tolerance 1e-6 relative). *)
+(** Checks: finite positive rates and queue capacities; unique names;
+    interior nodes have ≥1 child; child rates sum to ≤ parent rate
+    (tolerance 1e-6 relative). *)
 
 val leaves : t -> (string * float) list
 (** Leaf names with rates, left-to-right. *)

@@ -25,9 +25,9 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
      credit walk and RESET-PATH are array iterations, not recursion.
 
    Both engines run the kernel's eq. 27-29 code, so the generic and flat
-   engines agree exactly — enforced by the qcheck lockstep differential in
-   test/test_hier_flat.ml, and against the independent int-tick
-   [Wf2q_plus_fixed] by the fixed-point lockstep there.
+   engines agree exactly — enforced by the qcheck lockstep table in
+   test/lockstep.ml, and against the independent int-tick
+   [Wf2q_plus_fixed] by the fixed-point row there.
 
    The epoch layer (DESIGN.md §15) runs the same procedures with the
    root's WF2Q+ synced in epochs. Interior nodes run on their post-dated

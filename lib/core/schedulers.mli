@@ -1,6 +1,6 @@
 (** The unified scheduler-construction surface.
 
-    Historically each discipline grew its own entry point — [Wf2q_plus.make],
+    Historically each discipline grew its own entry point — a per-module [make],
     [Sched.Gps_based.wfq], [Sched.Round_robin.drr ()], [Hier.create],
     [Hier_flat.create] — with drifting signatures. This module is the one
     front door: every constructor takes the same labelled arguments

@@ -67,5 +67,5 @@ val epoch_lag_bound : epoch:int -> l_max:float -> rate:float -> float
     [(k−1) · L_max / rate] of service lag. At [k = 1] the bound is [0]:
     the engine is bit-identical to the sequential schedule. Asserted
     against measured per-packet departure-time lag on random trees in
-    test/test_subtree.ml.
+    test/lockstep.ml.
     @raise Invalid_argument if [epoch < 1], [l_max <= 0] or [rate <= 0]. *)

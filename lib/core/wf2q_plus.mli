@@ -33,9 +33,4 @@
     [σ_i/r_i + L_max/r] for a [(σ_i, r_i)]-leaky-bucket session. The test
     suite checks all three empirically. *)
 
-val make : rate:float -> Sched.Sched_intf.t
-(** @deprecated Build through {!Schedulers.make} (the unified [~rate] /
-    [?observer] / [?initial_sessions] surface); [make] remains as its
-    plumbing. *)
-
 val factory : Sched.Sched_intf.factory

@@ -21,9 +21,4 @@
     a qcheck property verifies every packet departs within one max-packet
     transmission time of its departure under {!Wf2q_plus}. *)
 
-val make : rate:float -> Sched.Sched_intf.t
-(** @deprecated Prefer the unified constructor surface in
-    [Hpfq.Schedulers]; this per-discipline entry point remains as its
-    plumbing. *)
-
 val factory : Sched.Sched_intf.factory

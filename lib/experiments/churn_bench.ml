@@ -165,7 +165,7 @@ let soak_rate = 0.3 (* L/r = 10/3: no finite binary representation *)
    and V advances purely by the per-service increment — isolating the
    accumulation behaviour the soak is after. *)
 let soak_float ~packets =
-  let p = Hpfq.Wf2q_plus.make ~rate:soak_rate in
+  let p = Hpfq.Disciplines.wf2q_plus.make ~rate:soak_rate in
   let h = p.Intf.open_session ~rate:soak_rate in
   let s = p.Intf.session_of_handle h in
   p.Intf.backlog ~now:0.0 ~session:s ~head_bits:1.0;

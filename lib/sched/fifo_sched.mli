@@ -1,9 +1,4 @@
 (** Global FIFO across sessions: serve packets strictly in arrival order,
     ignoring rates. The no-isolation baseline for fairness benches. *)
 
-val make : rate:float -> Sched_intf.t
-(** @deprecated Prefer the unified constructor surface in
-    [Hpfq.Schedulers]; this per-discipline entry point remains as its
-    plumbing. *)
-
 val factory : Sched_intf.factory

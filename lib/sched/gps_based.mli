@@ -16,10 +16,5 @@
 
 type discipline = Sff | Seff
 
-val make : discipline:discipline -> name:string -> rate:float -> Sched_intf.t
-(** @deprecated Prefer the unified constructor surface in
-    [Hpfq.Schedulers]; this per-discipline entry point remains as its
-    plumbing. *)
-
 val wfq : Sched_intf.factory
 val wf2q : Sched_intf.factory

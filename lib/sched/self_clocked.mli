@@ -16,10 +16,5 @@
 
 type flavour = Scfq | Sfq
 
-val make : flavour:flavour -> name:string -> rate:float -> Sched_intf.t
-(** @deprecated Prefer the unified constructor surface in
-    [Hpfq.Schedulers]; this per-discipline entry point remains as its
-    plumbing. *)
-
 val scfq : Sched_intf.factory
 val sfq : Sched_intf.factory

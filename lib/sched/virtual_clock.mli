@@ -6,9 +6,4 @@
     one that over-sends is punished indefinitely. Included as a baseline to
     contrast with the PFQ family on fairness benches. *)
 
-val make : rate:float -> Sched_intf.t
-(** @deprecated Prefer the unified constructor surface in
-    [Hpfq.Schedulers]; this per-discipline entry point remains as its
-    plumbing. *)
-
 val factory : Sched_intf.factory

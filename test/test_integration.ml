@@ -62,7 +62,7 @@ let test_mixed_sizes_wfi_bound () =
   let max_extra = ref 0.0 in
   let server = ref None in
   let srv =
-    Hpfq.Server.create ~sim ~rate:1.0 ~policy:(Hpfq.Wf2q_plus.make ~rate:1.0)
+    Hpfq.Server.create ~sim ~rate:1.0 ~policy:(Hpfq.Disciplines.wf2q_plus.make ~rate:1.0)
       ~on_depart:(fun pkt t ->
         if pkt.Net.Packet.flow = 0 then begin
           let srv = Option.get !server in

@@ -11,8 +11,9 @@
    2. Handle hygiene: freelist reuse recycles slots, generation tags make
       stale handles raise rather than alias the next tenant.
    3. Close-under-backlog: the [`Drain]/[`Drop] contract on every
-      registered discipline, on the packet Server, and in lockstep on
-      both hierarchy engines under random churn.
+      registered discipline, on the packet Server, and on both hierarchy
+      engines (their lockstep under random leaf churn is a row of
+      test/lockstep.ml, run here).
    4. Soak smoke: the long-horizon drift harness — fixed-point V is
       exactly n times the per-packet step where float V has measurable
       rounding error.
@@ -336,164 +337,34 @@ let test_server_wire_packet_finishes () =
   Alcotest.(check int) "committed packet still departed" 1 !departed;
   Alcotest.(check int) "slot freed at departure" 0 (Hpfq.Server.live_sessions srv)
 
-(* ---- hierarchy engines: lockstep under leaf churn ---- *)
-
-type churn_scenario = {
-  spec : CT.t;
-  leaves : string list;
-  packets : (float * int * float) list;
-  churn : (float * int * [ `Close_drop | `Close_drain | `Reopen ]) list;
-}
-
-let churn_scenario_gen rng =
-  let k = 2 + Random.State.int rng 4 in
-  let spec =
-    CT.node "root" ~rate:1.0
-      (List.init k (fun g ->
-           let gr = 0.999 /. float_of_int k in
-           CT.node
-             (Printf.sprintf "g%d" g)
-             ~rate:gr
-             (List.init 2 (fun l ->
-                  CT.leaf (Printf.sprintf "g%d-l%d" g l) ~rate:(0.499 *. gr)))))
-  in
-  let leaves = List.map fst (CT.leaves spec) in
-  let n_leaves = List.length leaves in
-  let packets =
-    List.init
-      (20 + Random.State.int rng 100)
-      (fun _ ->
-        ( Random.State.float rng 10.0,
-          Random.State.int rng n_leaves,
-          0.1 +. Random.State.float rng 1.9 ))
-  in
-  let churn =
-    List.init
-      (Random.State.int rng 12)
-      (fun _ ->
-        let action =
-          match Random.State.int rng 3 with
-          | 0 -> `Close_drop
-          | 1 -> `Close_drain
-          | _ -> `Reopen
-        in
-        (Random.State.float rng 10.0, Random.State.int rng n_leaves, action))
-  in
-  { spec; leaves; packets; churn }
-
-let print_churn_scenario s =
-  Format.asprintf "%a@ packets=[%s]@ churn=[%s]" CT.pp s.spec
-    (String.concat "; "
-       (List.map (fun (t, l, z) -> Printf.sprintf "(%h,%d,%h)" t l z) s.packets))
-    (String.concat "; "
-       (List.map
-          (fun (t, l, a) ->
-            Printf.sprintf "(%h,%d,%s)" t l
-              (match a with
-              | `Close_drop -> "drop"
-              | `Close_drain -> "drain"
-              | `Reopen -> "reopen"))
-          s.churn))
-
-(* Both engines replay the same arrival + churn program; ops gate on the
-   engine's own leaf_state, so any behavioural divergence surfaces as a
-   trace difference. *)
-let replay_churn engine s =
-  let sim = Sim.create () in
-  let log = ref [] in
-  let drops = ref [] in
-  let h =
-    HE.create ~sim ~spec:s.spec ~factory:Hpfq.Disciplines.wf2q_plus ~engine
-      ~on_depart:(fun pkt ~leaf t -> log := (leaf, pkt.Net.Packet.seq, t) :: !log)
-      ~on_drop:(fun pkt ~leaf t -> drops := (leaf, pkt.Net.Packet.seq, t) :: !drops)
-      ()
-  in
-  let ids = Array.of_list (List.map (HE.leaf_id h) s.leaves) in
-  List.iter
-    (fun (at, leaf, size) ->
-      ignore
-        (Sim.schedule sim ~at (fun () ->
-             if HE.leaf_state h ~leaf:ids.(leaf) = `Open then
-               ignore (HE.inject h ~leaf:ids.(leaf) ~size_bits:size))))
-    s.packets;
-  List.iter
-    (fun (at, leaf, action) ->
-      ignore
-        (Sim.schedule sim ~at (fun () ->
-             let id = ids.(leaf) in
-             match action with
-             | `Close_drop ->
-               if HE.leaf_state h ~leaf:id = `Open then
-                 HE.close_leaf h ~leaf:id ~policy:`Drop
-             | `Close_drain ->
-               if HE.leaf_state h ~leaf:id = `Open then
-                 HE.close_leaf h ~leaf:id ~policy:`Drain
-             | `Reopen ->
-               if HE.leaf_state h ~leaf:id = `Closed then HE.reopen_leaf h ~leaf:id)))
-    s.churn;
-  Sim.run sim;
-  let states =
-    List.map (fun (name, id) -> (name, HE.leaf_state h ~leaf:id))
-      (List.combine s.leaves (Array.to_list ids))
-  in
-  let clocks =
-    List.map
-      (fun n -> (n, HE.departed_bits h ~node:n))
-      (List.map fst (CT.leaves s.spec))
-  in
-  (List.rev !log, List.rev !drops, HE.drops h, states, clocks)
-
-let prop_hier_lockstep_churn =
-  Q.Test.make ~count:300
-    ~name:"flat engine replays generic bit-for-bit under leaf churn"
-    (Q.make churn_scenario_gen ~print:print_churn_scenario)
-    (fun s -> replay_churn `Generic s = replay_churn `Flat s)
+(* ---- hierarchy engines: the committed-head retract ---- *)
 
 let test_hier_drop_close_retracts () =
   (* deterministic pin of the committed-head retract: close a leaf whose
      head is committed up the tree but not on the wire; its packets drop
-     and the sibling takes over immediately on both engines *)
-  List.iter
-    (fun engine ->
-      let sim = Sim.create () in
-      let log = ref [] in
-      let spec =
-        CT.node "root" ~rate:1.0
-          [ CT.leaf "a" ~rate:0.499; CT.leaf "b" ~rate:0.499 ]
-      in
-      let h =
-        HE.create ~sim ~spec ~factory:Hpfq.Disciplines.wf2q_plus ~engine
-          ~on_depart:(fun _ ~leaf t -> log := (leaf, t) :: !log)
-          ()
-      in
-      let a = HE.leaf_id h "a" and b = HE.leaf_id h "b" in
-      ignore
-        (Sim.schedule sim ~at:0.0 (fun () ->
-             HE.inject_many h ~leaf:a ~size_bits:1.0 ~count:4;
-             HE.inject_many h ~leaf:b ~size_bits:1.0 ~count:4));
-      ignore
-        (Sim.schedule sim ~at:1.5 (fun () -> HE.close_leaf h ~leaf:a ~policy:`Drop));
-      Sim.run sim;
-      let a_out = List.length (List.filter (fun (l, _) -> l = "a") !log) in
-      let b_out = List.length (List.filter (fun (l, _) -> l = "b") !log) in
-      Alcotest.(check int) "b drained in full" 4 b_out;
-      Alcotest.(check bool) "a stopped at the close" true (a_out < 4);
-      Alcotest.(check int) "a's queue was dropped" (4 - a_out) (HE.drops h);
-      Alcotest.(check bool) "a reads closed" true (HE.leaf_state h ~leaf:a = `Closed);
-      (* reopen: fresh stamps, serviceable again *)
-      HE.reopen_leaf h ~leaf:a;
-      Alcotest.(check bool) "a reads open again" true
-        (HE.leaf_state h ~leaf:a = `Open);
-      ignore
-        (Sim.schedule sim
-           ~at:(Sim.now sim +. 0.1)
-           (fun () -> HE.inject_many h ~leaf:a ~size_bits:1.0 ~count:2));
-      Sim.run sim;
-      let a_after =
-        List.length (List.filter (fun (l, _) -> l = "a") !log) - a_out
-      in
-      Alcotest.(check int) "reopened leaf served" 2 a_after)
-    [ `Generic; `Flat ]
+     and the sibling takes over immediately on both engines; reopened
+     (no op rejected, so it read closed), the leaf is served again *)
+  let spec = CT.node "root" ~rate:1.0 [ CT.leaf "a" ~rate:0.499; CT.leaf "b" ~rate:0.499 ] in
+  let inject at leaf n = List.init n (fun _ -> Lockstep.At (at, Inject (leaf, 1.0))) in
+  let s =
+    Lockstep.fixed spec
+      (inject 0.0 0 4 @ inject 0.0 1 4
+      @ Lockstep.[ At (1.5, Close (0, `Drop)); At (20.0, Reopen 0) ]
+      @ inject 20.1 0 2)
+  in
+  let o = Lockstep.(run generic s) in
+  Alcotest.(check (option string)) "flat = generic exactly" None
+    Lockstep.(diff o (run flat s));
+  let served leaf ~before =
+    List.length (List.filter (fun (l, _, t) -> l = leaf && t < before) o.departs)
+  in
+  let a_out = served "a" ~before:20.0 in
+  Alcotest.(check int) "b drained in full" 4 (served "b" ~before:infinity);
+  Alcotest.(check bool) "a stopped at the close" true (a_out < 4);
+  Alcotest.(check int) "a's queue was dropped" (4 - a_out) o.drops;
+  Alcotest.(check int) "no op rejected" 0 o.rejected;
+  Alcotest.(check int) "reopened leaf served" 2 (served "a" ~before:infinity - a_out);
+  Alcotest.(check bool) "a reads open again" true (List.assoc "a" o.states = `Open)
 
 (* ---- 4. soak smoke: drift after 10^7 packets ---- *)
 
@@ -516,7 +387,7 @@ let test_soak_smoke () =
 (* ---- 5. Flow_table.Sessions: open-on-first-arrival ---- *)
 
 let test_flow_sessions () =
-  let policy = Hpfq.Wf2q_plus.make ~rate:1.0 in
+  let policy = float_engine.Intf.make ~rate:1.0 in
   let t = Shard.Flow_table.Sessions.create ~policy ~default_rate:0.01 () in
   Alcotest.(check bool) "unknown before first arrival" false
     (Shard.Flow_table.Sessions.known t ~flow:7);
@@ -610,6 +481,7 @@ let test_facade_error_paths () =
 
 let () =
   Alcotest.run "lifecycle"
+  @@ Lockstep.with_rows
     [
       ( "facade",
         [
@@ -636,8 +508,6 @@ let () =
           Alcotest.test_case "hier drop close retracts committed head" `Quick
             test_hier_drop_close_retracts;
         ] );
-      ( "hier-churn",
-        List.map QCheck_alcotest.to_alcotest [ prop_hier_lockstep_churn ] );
       ( "soak", [ Alcotest.test_case "fixed vs float drift" `Slow test_soak_smoke ] );
       ( "flow-table",
         [ Alcotest.test_case "open-on-first-arrival" `Quick test_flow_sessions ] );

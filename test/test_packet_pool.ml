@@ -1,7 +1,7 @@
 (* Packet_pool handle lifecycle: generation staleness, freelist reuse and
    double-free detection (mirroring test_lifecycle.ml's session-pool
    coverage), plus multi-Domain uid uniqueness for the boxed Packet.make
-   counter. *)
+   counter. The boxed-vs-pooled row of test/lockstep.ml runs here. *)
 
 module P = Net.Packet_pool
 
@@ -115,6 +115,7 @@ let test_multi_domain_uid_unique () =
 
 let () =
   Alcotest.run "packet_pool"
+  @@ Lockstep.with_rows
     [
       ( "pool",
         [

@@ -108,7 +108,7 @@ let prop_wf2q_plus_bandwidth_guarantee =
     (fun (n_bg, r0) ->
       let sim = Sim.create () in
       let server =
-        Server.create ~sim ~rate:1.0 ~policy:(Hpfq.Wf2q_plus.make ~rate:1.0) ()
+        Server.create ~sim ~rate:1.0 ~policy:(Hpfq.Disciplines.wf2q_plus.make ~rate:1.0) ()
       in
       let s0 = Sched.Session_handle.slot (Server.open_session server ~rate:r0 ()) in
       let bg_rate = (1.0 -. r0) /. float_of_int n_bg in
@@ -321,7 +321,7 @@ let prop_wf2q_plus_delay_bound =
       let server = ref None in
       let srv =
         Server.create ~sim ~rate:1.0
-          ~policy:(Hpfq.Wf2q_plus.make ~rate:1.0)
+          ~policy:(Hpfq.Disciplines.wf2q_plus.make ~rate:1.0)
           ~on_depart:(fun pkt t ->
             if pkt.Net.Packet.flow = 0 then
               max_delay := Float.max !max_delay (t -. pkt.Net.Packet.arrival))

@@ -3,16 +3,15 @@
    The burst-drain contract (Server/Hier/Hier_flat [burst_max]): departure
    order, times and every public clock are *bit-identical* at every cap —
    a departure only runs inline when it would have been the very next
-   event anyway. Property-tested here against the per-packet reference on
-   random trees with churn, then end-to-end through Netgraph.Pipeline.
+   event anyway. Tested end-to-end through Netgraph.Pipeline here; the
+   random-tree burst and streamed-replay relations are rows of
+   test/lockstep.ml, run here.
 
    The trace layer: lossless CSV (%.17g round-trip, byte-stable re-save),
    the HPFQTRC2 binary format, format sniffing, malformed-input
    diagnostics, internet-mix determinism, and batched replay grouping. *)
 
-module Q = QCheck
 module Sim = Engine.Simulator
-module HE = Hpfq.Hier_engine
 module CT = Hpfq.Class_tree
 module Trace = Traffic.Trace
 
@@ -253,124 +252,10 @@ let test_internet_mix_deterministic () =
         Alcotest.failf "size %g outside the mix bounds" e.Trace.size_bits)
     t
 
-(* ---- lockstep: burst-drained replay = per-packet replay ---- *)
-
-(* Random trees (depth <= 5, fan-out <= 8, node budget 48) with random
-   arrivals and leaf close/reopen churn, mirroring test_hier_flat's
-   generator; the property replays each scenario per-packet (burst 1) and
-   at each larger cap, requiring the exact same departure log, drops and
-   final clock — on both engines. *)
-
-type scenario = {
-  spec : CT.t;
-  leaves : string list;
-  packets : (float * int * float) list; (* (time, leaf index, size_bits) *)
-  churn : (float * int * bool * float) list;
-      (* (close time, leaf index, drop?, reopen delay) *)
-}
-
-let scenario_gen rng =
-  let budget = ref 48 in
-  let fresh = ref 0 in
-  let rec gen ~depth rate =
-    decr budget;
-    let name =
-      let id = !fresh in
-      incr fresh;
-      Printf.sprintf "n%d" id
-    in
-    let leaf () =
-      let cap =
-        if Random.State.int rng 6 = 0 then Some (1.0 +. Random.State.float rng 6.0)
-        else None
-      in
-      CT.leaf ?queue_capacity_bits:cap name ~rate
-    in
-    if depth >= 5 || !budget <= 0 || (depth > 0 && Random.State.int rng 3 = 0) then
-      leaf ()
-    else begin
-      let k = min (1 + Random.State.int rng 8) (max 1 !budget) in
-      let weights = Array.init k (fun _ -> 0.2 +. Random.State.float rng 0.8) in
-      let total = Array.fold_left ( +. ) 0.0 weights in
-      let scale = 0.999 *. rate /. total in
-      CT.node name ~rate
-        (List.init k (fun i -> gen ~depth:(depth + 1) (weights.(i) *. scale)))
-    end
-  in
-  let spec = gen ~depth:0 1.0 in
-  let leaves = List.map fst (CT.leaves spec) in
-  let n_leaves = List.length leaves in
-  let n_packets = 1 + Random.State.int rng 120 in
-  let packets =
-    List.init n_packets (fun _ ->
-        ( Random.State.float rng 12.0,
-          Random.State.int rng n_leaves,
-          0.1 +. Random.State.float rng 1.9 ))
-  in
-  let churn =
-    List.init (Random.State.int rng 4) (fun _ ->
-        ( Random.State.float rng 10.0,
-          Random.State.int rng n_leaves,
-          Random.State.bool rng,
-          0.2 +. Random.State.float rng 4.0 ))
-  in
-  { spec; leaves; packets; churn }
-
-let print_scenario s =
-  Format.asprintf "%a@ packets=[%s]@ churn=[%s]" CT.pp s.spec
-    (String.concat "; "
-       (List.map (fun (t, l, z) -> Printf.sprintf "(%h,%d,%h)" t l z) s.packets))
-    (String.concat "; "
-       (List.map
-          (fun (t, l, d, r) -> Printf.sprintf "(%h,%d,%b,%h)" t l d r)
-          s.churn))
-
-let replay engine ~burst s =
-  let sim = Sim.create () in
-  let log = ref [] in
-  let on_depart pkt ~leaf t = log := (leaf, pkt.Net.Packet.seq, t) :: !log in
-  let h =
-    HE.create ~sim ~spec:s.spec ~factory:wf2q_plus ~engine ~on_depart
-      ~burst_max:burst ()
-  in
-  let ids = Array.of_list (List.map (HE.leaf_id h) s.leaves) in
-  List.iter
-    (fun (at, leaf, size) ->
-      ignore
-        (Sim.schedule sim ~at (fun () ->
-             (* the leaf may be closed by churn at this instant; a rejected
-                arrival is part of the scenario, identically in every run *)
-             try ignore (HE.inject h ~leaf:ids.(leaf) ~size_bits:size)
-             with Invalid_argument _ -> ())))
-    s.packets;
-  List.iter
-    (fun (at, leaf, drop, reopen_after) ->
-      let policy = if drop then `Drop else `Drain in
-      ignore
-        (Sim.schedule sim ~at (fun () ->
-             try HE.close_leaf h ~leaf:ids.(leaf) ~policy
-             with Invalid_argument _ -> ()));
-      ignore
-        (Sim.schedule sim ~at:(at +. reopen_after) (fun () ->
-             try HE.reopen_leaf h ~leaf:ids.(leaf)
-             with Invalid_argument _ -> ())))
-    s.churn;
-  Sim.run sim;
-  (List.rev !log, HE.drops h, HE.departed_bits h ~node:(HE.root_name h), Sim.now sim)
-
-let bursts = [ 2; 8; 64; max_int ]
-
-let prop_burst_lockstep engine name =
-  Q.Test.make ~count:400 ~name
-    (Q.make scenario_gen ~print:print_scenario)
-    (fun s ->
-      let reference = replay engine ~burst:1 s in
-      List.for_all (fun burst -> replay engine ~burst s = reference) bursts)
-
 (* ---- batched trace replay = per-event trace replay ---- *)
 
 (* A trace with deliberate timestamp collisions across leaves: grouped
-   scheduling must reproduce the per-event departure log exactly. *)
+   scheduling must reproduce the per-event outcome exactly. *)
 let test_batched_replay_grouping () =
   let trace =
     Trace.internet_mix ~seed:11L ~leaves:[ "a1"; "a2"; "b1"; "b2"; "b3" ]
@@ -397,130 +282,11 @@ let test_batched_replay_grouping () =
           ];
       ]
   in
-  let run batched =
-    let sim = Sim.create () in
-    let log = ref [] in
-    let h =
-      HE.create ~sim ~spec ~factory:wf2q_plus
-        ~on_depart:(fun pkt ~leaf t -> log := (leaf, pkt.Net.Packet.seq, t) :: !log)
-        ~burst_max:8 ()
-    in
-    let emit_for ~leaf =
-      let id = HE.leaf_id h leaf in
-      Some (fun ~size_bits -> ignore (HE.inject h ~leaf:id ~size_bits))
-    in
-    let n = Trace.replay ~batched ~sim ~emit_for trace in
-    Sim.run sim;
-    (n, List.rev !log)
-  in
-  let n1, per_event = run false in
-  let n2, grouped = run true in
-  Alcotest.(check int) "same arrivals scheduled" n1 n2;
-  Alcotest.(check bool) "identical departure logs" true (per_event = grouped)
-
-(* ---- streamed trace replay = eager per-event scheduling ---- *)
-
-(* The replay that [Trace.replay] replaced, kept as the oracle: one
-   simulator event per arrival (or per run of adjacent equal-time
-   arrivals when batched), all scheduled at install. *)
-let eager_replay ~batched ~sim ~emit_for events =
-  if not batched then
-    List.fold_left
-      (fun count e ->
-        match emit_for ~leaf:e.Trace.leaf with
-        | None -> count
-        | Some emit ->
-          ignore (Sim.schedule sim ~at:e.Trace.time (fun () -> emit ~size_bits:e.Trace.size_bits));
-          count + 1)
-      0 events
-  else begin
-    let scheduled = ref 0 in
-    let rec take_run time acc = function
-      | e :: rest when e.Trace.time = time -> take_run time (e :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let rec loop = function
-      | [] -> ()
-      | e :: _ as evs ->
-        let run, rest = take_run e.Trace.time [] evs in
-        let acts =
-          List.filter_map
-            (fun ev ->
-              Option.map (fun emit -> (emit, ev.Trace.size_bits)) (emit_for ~leaf:ev.Trace.leaf))
-            run
-        in
-        (match acts with
-        | [] -> ()
-        | acts ->
-          scheduled := !scheduled + List.length acts;
-          ignore
-            (Sim.schedule sim ~at:e.Trace.time (fun () ->
-                 List.iter (fun (emit, size_bits) -> emit ~size_bits) acts)));
-        loop rest
-    in
-    loop events;
-    !scheduled
-  end
-
-type stream_case = {
-  s : scenario; (* tree; its packets become direct injects around the install *)
-  trace : Trace.event list; (* unsorted, colliding times, some unknown leaves *)
-}
-
-let stream_case_gen rng =
-  let s = scenario_gen rng in
-  let leaves = Array.of_list ("ghost" :: s.leaves) in
-  let at () = 0.25 *. float_of_int (Random.State.int rng 40) in
-  let trace =
-    List.init (Random.State.int rng 150) (fun _ ->
-        {
-          Trace.time = at ();
-          leaf = leaves.(Random.State.int rng (Array.length leaves));
-          size_bits = 0.1 +. Random.State.float rng 1.9;
-        })
-  in
-  let packets = List.map (fun (_, leaf, size) -> (at (), leaf, size)) s.packets in
-  { s = { s with packets }; trace }
-
-(* Direct injects are scheduled half before and half after the replay is
-   installed, at the trace's grid times, so they tie with trace arrivals
-   on both sides of its reserved sequence numbers. *)
-let run_stream_case ~replay ~batched ~burst c =
-  let sim = Sim.create () in
-  let log = ref [] in
-  let on_depart pkt ~leaf t = log := (leaf, pkt.Net.Packet.seq, t) :: !log in
-  let h =
-    HE.create ~sim ~spec:c.s.spec ~factory:wf2q_plus ~engine:`Flat ~on_depart ~burst_max:burst ()
-  in
-  let ids = Array.of_list (List.map (HE.leaf_id h) c.s.leaves) in
-  let inject (at, leaf, size) =
-    ignore (Sim.schedule sim ~at (fun () -> ignore (HE.inject h ~leaf:ids.(leaf) ~size_bits:size)))
-  in
-  let early, late = List.partition (fun (at, _, _) -> at < 5.0) c.s.packets in
-  List.iter inject early;
-  let emit_for ~leaf =
-    match List.assoc_opt leaf (HE.leaf_ids h) with
-    | None -> None
-    | Some id -> Some (fun ~size_bits -> ignore (HE.inject h ~leaf:id ~size_bits))
-  in
-  let n = replay ~batched ~sim ~emit_for c.trace in
-  List.iter inject late;
-  Sim.run sim;
-  (n, List.rev !log, HE.drops h, Sim.now sim)
-
-let prop_stream_replay =
-  Q.Test.make ~count:200 ~name:"flat: streamed replay = eager replay, bursts 1/8/inf"
-    (Q.make stream_case_gen ~print:(fun c ->
-         print_scenario c.s ^ " trace=["
-         ^ String.concat "; "
-             (List.map (fun e -> Printf.sprintf "(%h,%s,%h)" e.Trace.time e.leaf e.size_bits) c.trace)
-         ^ "]"))
-    (fun c ->
-      List.for_all
-        (fun (batched, burst) ->
-          run_stream_case ~replay:(fun ~batched -> Trace.replay ~batched) ~batched ~burst c
-          = run_stream_case ~replay:eager_replay ~batched ~burst c)
-        [ (false, 1); (false, 8); (false, max_int); (true, 1); (true, 8); (true, max_int) ])
+  let s = Lockstep.fixed spec [ Lockstep.Install trace ] in
+  let per_event = Lockstep.(run (cfg ~burst:8 Flat) s) in
+  let grouped = Lockstep.(run (cfg ~burst:8 ~batched:true Flat) s) in
+  Alcotest.(check int) "same arrivals scheduled" per_event.installed grouped.installed;
+  Alcotest.(check (option string)) "identical outcomes" None (Lockstep.diff per_event grouped)
 
 (* ---- pipeline: end-to-end delays identical at burst_max > 1 ---- *)
 
@@ -573,8 +339,8 @@ let test_pipeline_burst_invariance () =
     [ 2; 4; 64 ]
 
 let () =
-  let seeded = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf1a7; 42 |]) in
   Alcotest.run "replay"
+  @@ Lockstep.with_rows
     [
       ( "trace_csv",
         [
@@ -594,20 +360,10 @@ let () =
           Alcotest.test_case "deterministic in seed" `Quick
             test_internet_mix_deterministic;
         ] );
-      ( "lockstep",
-        [
-          seeded
-            (prop_burst_lockstep `Flat
-               "flat: burst-drained replay = per-packet replay");
-          seeded
-            (prop_burst_lockstep `Generic
-               "generic: burst-drained replay = per-packet replay");
-        ] );
       ( "replay",
         [
           Alcotest.test_case "batched grouping = per-event" `Quick
             test_batched_replay_grouping;
-          seeded prop_stream_replay;
           Alcotest.test_case "pipeline delays burst-invariant" `Quick
             test_pipeline_burst_invariance;
         ] );

@@ -75,7 +75,50 @@ let test_errors () =
   expect_error "cap on interior" "link 1 [5] { a 1 }";
   expect_error "bad char" "link 1 { a@b 1 }";
   expect_error "empty" "";
-  expect_error "missing semicolon" "link 1 { a 0.5 b 0.5 }"
+  expect_error "missing semicolon" "link 1 { a 0.5 b 0.5 }";
+  (* 400 digits overflow to inf, and every check below compares with inf *)
+  let nines = String.make 400 '9' in
+  let text = Printf.sprintf "root %s { a %s; b 1 }" nines nines in
+  Alcotest.(check (result reject string)) "non-finite rates named"
+    (Error "invalid tree: node \"root\" has non-finite rate inf; node \"a\" has non-finite rate inf")
+    (TS.parse text);
+  expect_error "non-finite queue capacity" (Printf.sprintf "root 1 { a 1 [%s] }" nines)
+
+(* [parse] answers Ok or Error on any input: it never raises and never
+   hangs (the loops below finish). *)
+let parse_total text =
+  match TS.parse text with
+  | Ok _ | Error _ -> ()
+  | exception e -> Alcotest.failf "parse %S raised %s" text (Printexc.to_string e)
+
+let test_fuzz () =
+  let rng = Random.State.make [| 0x7ee; 5 |] in
+  let byte () = Char.chr (Random.State.int rng 256) in
+  for _ = 1 to 2000 do
+    parse_total (String.init (Random.State.int rng 80) (fun _ -> byte ()))
+  done;
+  List.iter
+    (fun tree ->
+      let text = TS.to_string tree in
+      for cut = 0 to String.length text do
+        parse_total (String.sub text 0 cut)
+      done;
+      (* 1-3 byte edits, each an overwrite, a deletion or an insertion *)
+      for _ = 1 to 2000 do
+        let s = ref text in
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          let n = String.length !s in
+          let i = Random.State.int rng n in
+          let head = String.sub !s 0 i and tail k = String.sub !s k (n - k) in
+          s :=
+            match Random.State.int rng 3 with
+            | 0 -> head ^ String.make 1 (byte ()) ^ tail (i + 1)
+            | 1 -> head ^ tail (i + 1)
+            | _ -> head ^ String.make 1 (byte ()) ^ tail i
+        done;
+        parse_total !s
+      done)
+    [ Experiments.Paper_hierarchies.fig3; Experiments.Paper_hierarchies.fig8 ]
 
 let test_parse_file () =
   let path = Filename.temp_file "hpfq_tree" ".cfg" in
@@ -113,6 +156,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "paper trees roundtrip" `Quick test_roundtrip_paper_trees;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "fuzz" `Quick test_fuzz;
           Alcotest.test_case "file IO" `Quick test_parse_file;
           Alcotest.test_case "parsed tree runs" `Quick test_parsed_tree_runs;
         ] );

@@ -7,7 +7,7 @@ module P = Sched.Sched_intf
 let feq = Alcotest.float 1e-9
 
 let make_two () =
-  let p = Hpfq.Wf2q_plus.make ~rate:1.0 in
+  let p = Hpfq.Disciplines.wf2q_plus.make ~rate:1.0 in
   let a = p.P.session_of_handle (p.P.open_session ~rate:0.5) in
   let b = p.P.session_of_handle (p.P.open_session ~rate:0.5) in
   (p, a, b)
@@ -87,7 +87,7 @@ let test_errors () =
 (* Rate differentiation: over a long backlogged run, service converges to
    the rate ratio (3:1). *)
 let test_rate_ratio () =
-  let p = Hpfq.Wf2q_plus.make ~rate:1.0 in
+  let p = Hpfq.Disciplines.wf2q_plus.make ~rate:1.0 in
   let a = p.P.session_of_handle (p.P.open_session ~rate:0.75) in
   let b = p.P.session_of_handle (p.P.open_session ~rate:0.25) in
   p.P.backlog ~now:0.0 ~session:a ~head_bits:1.0;
@@ -118,7 +118,7 @@ let test_bwfi_bound_various_rates () =
       let n = 10 in
       let srv =
         Hpfq.Server.create ~sim ~rate:1.0
-          ~policy:(Hpfq.Wf2q_plus.make ~rate:1.0)
+          ~policy:(Hpfq.Disciplines.wf2q_plus.make ~rate:1.0)
           ~on_depart:(fun pkt t ->
             if pkt.Net.Packet.flow = 0 then
               if !sent then begin
