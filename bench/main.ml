@@ -3,7 +3,9 @@
    complexity microbenchmarks backing the O(log N) claim.
 
      dune exec bench/main.exe            run the figures and the perf,
-                                         events, hier and churn suites
+                                         events (the simulator's calendar
+                                         queue under timer churn), hier
+                                         and churn suites
      dune exec bench/main.exe -- ID...   run selected ids: the figures
        fig2 fig4 fig5 fig6 fig7 fig9 wfi bounds complexity heaps refclock e2e,
      every bench suite's <name>, <name>-quick and <name>-guard

@@ -14,6 +14,25 @@
 
 open Cmdliner
 
+(* Numeric options an experiment cannot run with are rejected while the
+   command line is parsed, naming the option (exit 124), rather than
+   escaping later as an uncaught exception or running on a NaN. *)
+let checked base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let pos_int = checked Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+let nonneg_int = checked Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
+
+let pos_float =
+  checked Arg.float ~expected:"a finite number > 0" (fun x ->
+      x > 0.0 && Float.is_finite x)
+
 let discipline_conv =
   let parse s =
     match Hpfq.Disciplines.find s with
@@ -38,28 +57,6 @@ let discipline_arg =
 
 let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"PATH" ~doc:"Dump series to CSV.")
-
-let backend_conv =
-  let parse s =
-    match Engine.Simulator.backend_of_string s with
-    | Ok b -> Ok b
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt b = Format.pp_print_string fmt (Engine.Simulator.backend_name b) in
-  Arg.conv (parse, print)
-
-let event_set_arg =
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "event-set" ] ~docv:"heap|calendar"
-        ~doc:
-          "Pending-event-set backend for every simulator this run creates \
-           (default: calendar, or the HPFQ_EVENT_SET environment variable).")
-
-(* experiments build their simulators internally, so the knob sets the
-   process-wide default rather than threading a parameter through each *)
-let set_event_set = Option.iter Engine.Simulator.set_default_backend
 
 let hier_engine_conv =
   let parse s =
@@ -88,7 +85,7 @@ let hier_engine_arg =
 let subtree_shards_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Subtree engine: root-child subtree shards (default: one per root \
@@ -96,7 +93,7 @@ let subtree_shards_arg =
 
 let subtree_epoch_arg =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "epoch" ] ~docv:"K"
         ~doc:
           "Subtree engine: integrate staged arrivals at the root every \
@@ -106,7 +103,7 @@ let subtree_epoch_arg =
 
 let subtree_workers_arg =
   Arg.(
-    value & opt int 0
+    value & opt nonneg_int 0
     & info [ "epoch-workers" ] ~docv:"N"
         ~doc:
           "Subtree engine: worker domains flushing the shards' staged \
@@ -124,16 +121,21 @@ let engine_term =
     $ subtree_epoch_arg $ subtree_workers_arg)
 
 let horizon_arg default =
-  Arg.(value & opt float default & info [ "horizon" ] ~docv:"SECONDS" ~doc:"Simulated time.")
+  Arg.(value & opt pos_float default & info [ "horizon" ] ~docv:"SECONDS" ~doc:"Simulated time.")
 
 let seed_arg = Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
 (* -- worker pool --------------------------------------------------------- *)
 
 let jobs_arg =
+  let max = Parallel.Pool.max_jobs in
+  let jobs =
+    checked Arg.int ~expected:(Printf.sprintf "an integer in 1..%d" max) (fun n ->
+        n >= 1 && n <= max)
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for sweep/grid work (default: $(b,HPFQ_JOBS), or \
@@ -172,8 +174,7 @@ let fig2_cmd =
 (* -- trace --------------------------------------------------------------- *)
 
 let trace_cmd =
-  let run event_set engine discipline horizon out format capacity metrics_out =
-    set_event_set event_set;
+  let run engine discipline horizon out format capacity metrics_out =
     let spec = Experiments.Paper_hierarchies.fig3 in
     let sim = Engine.Simulator.create () in
     let h = Hpfq.Hier_engine.create ~sim ~spec ~factory:discipline ~engine () in
@@ -205,9 +206,8 @@ let trace_cmd =
       cancelled;
     let st = Engine.Simulator.stats sim in
     Printf.printf
-      "event set: backend=%s pending=%d garbage=%d capacity=%d pool=%d \
-       compactions=%d resizes=%d\n"
-      (Engine.Simulator.backend_name st.Engine.Simulator.stat_backend)
+      "event set: pending=%d garbage=%d capacity=%d pool=%d compactions=%d \
+       resizes=%d\n"
       st.Engine.Simulator.live st.Engine.Simulator.cancelled_in_set
       st.Engine.Simulator.set_capacity st.Engine.Simulator.pool_capacity
       st.Engine.Simulator.compactions st.Engine.Simulator.resizes;
@@ -232,7 +232,7 @@ let trace_cmd =
   let capacity_arg =
     Arg.(
       value
-      & opt int 262144
+      & opt pos_int 262144
       & info [ "capacity" ] ~docv:"N" ~doc:"Event ring capacity (oldest dropped beyond).")
   in
   let metrics_arg =
@@ -247,23 +247,13 @@ let trace_cmd =
          "Run the Fig. 3 hierarchy saturated and dump the structured \
           packet/virtual-time event trace.")
     Term.(
-      const run $ event_set_arg $ hier_engine_arg $ discipline_arg
+      const run $ hier_engine_arg $ discipline_arg
       $ horizon_arg 0.5 $ out_arg $ format_arg $ capacity_arg $ metrics_arg)
 
 (* -- delay --------------------------------------------------------------- *)
 
 let delay_cmd =
-  let run event_set engine pool discipline scenario_id horizon seed replications csv =
-    set_event_set event_set;
-    if replications < 1 then
-      invalid_arg (Printf.sprintf "replications must be >= 1, got %d" replications);
-    let scenario =
-      match scenario_id with
-      | 1 -> Experiments.Delay_experiment.S1_constant_and_trains
-      | 2 -> Experiments.Delay_experiment.S2_overloaded_poisson
-      | 3 -> Experiments.Delay_experiment.S3_overload_and_trains
-      | n -> invalid_arg (Printf.sprintf "scenario must be 1..3, got %d" n)
-    in
+  let run engine pool discipline scenario horizon seed replications csv =
     let results =
       if replications = 1 then
         (* the historical single-run path: same seed → same output as ever *)
@@ -295,11 +285,22 @@ let delay_cmd =
       csv
   in
   let scenario_arg =
-    Arg.(value & opt int 1 & info [ "s"; "scenario" ] ~docv:"1|2|3" ~doc:"Traffic scenario.")
+    let scenarios =
+      Experiments.Delay_experiment.
+        [
+          ("1", S1_constant_and_trains);
+          ("2", S2_overloaded_poisson);
+          ("3", S3_overload_and_trains);
+        ]
+    in
+    Arg.(
+      value
+      & opt (enum scenarios) Experiments.Delay_experiment.S1_constant_and_trains
+      & info [ "s"; "scenario" ] ~docv:"1|2|3" ~doc:"Traffic scenario.")
   in
   let replications_arg =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "replications" ] ~docv:"K"
           ~doc:
             "Replications with independent (seed-derived) arrival streams, \
@@ -307,15 +308,14 @@ let delay_cmd =
   in
   Cmd.v (Cmd.info "delay" ~doc:"RT-1 delay experiment (paper Figs. 4-7).")
     Term.(
-      const run $ event_set_arg $ engine_term $ pool_term
+      const run $ engine_term $ pool_term
       $ discipline_arg $ scenario_arg $ horizon_arg 10.0 $ seed_arg
       $ replications_arg $ csv_arg)
 
 (* -- link-sharing -------------------------------------------------------- *)
 
 let link_sharing_cmd =
-  let run event_set engine pool discipline horizon csv =
-    set_event_set event_set;
+  let run engine pool discipline horizon csv =
     let result =
       Experiments.Link_sharing.run ~pool ~engine ~factory:discipline ~horizon ()
     in
@@ -332,15 +332,14 @@ let link_sharing_cmd =
   in
   Cmd.v (Cmd.info "link-sharing" ~doc:"Hierarchical link sharing with TCP (paper Figs. 8-9).")
     Term.(
-      const run $ event_set_arg $ engine_term $ pool_term
+      const run $ engine_term $ pool_term
       $ discipline_arg
       $ horizon_arg Experiments.Paper_hierarchies.fig8_horizon $ csv_arg)
 
 (* -- wfi ----------------------------------------------------------------- *)
 
 let wfi_cmd =
-  let run event_set pool ns =
-    set_event_set event_set;
+  let run pool ns =
     Printf.printf "%-12s %6s %14s %18s\n" "discipline" "N" "measured T-WFI" "WF2Q+ bound";
     (* the whole discipline × N grid goes through the pool at once, so -j
        covers all of it; sweep_grid's factory-major order matches the
@@ -352,16 +351,15 @@ let wfi_cmd =
       (Experiments.Wfi_probe.sweep_grid ~pool ~factories:Hpfq.Disciplines.pfq ~ns ())
   in
   let ns_arg =
-    Arg.(value & opt (list int) [ 4; 8; 16; 32; 64 ] & info [ "n" ] ~docv:"N,..." ~doc:"Session counts.")
+    Arg.(value & opt (list pos_int) [ 4; 8; 16; 32; 64 ] & info [ "n" ] ~docv:"N,..." ~doc:"Session counts.")
   in
   Cmd.v (Cmd.info "wfi" ~doc:"Empirical worst-case fair index sweep.")
-    Term.(const run $ event_set_arg $ pool_term $ ns_arg)
+    Term.(const run $ pool_term $ ns_arg)
 
 (* -- custom -------------------------------------------------------------- *)
 
 let custom_cmd =
-  let run event_set engine pool discipline tree_file horizon =
-    set_event_set event_set;
+  let run engine pool discipline tree_file horizon =
     match Hpfq.Tree_syntax.parse_file tree_file with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -370,12 +368,10 @@ let custom_cmd =
       Format.printf "Running all-leaves-saturated workload on:@.%a@."
         Hpfq.Class_tree.pp spec;
       let leaves = Hpfq.Class_tree.leaves spec in
-      (* snapshot the event-set choice before any worker spawns; the
-         packet and fluid halves are independent, so they fan out on the
-         pool like Link_sharing.run *)
-      let config = Engine.Simulator.snapshot_config () in
+      (* the packet and fluid halves are independent, so they fan out on
+         the pool like Link_sharing.run *)
       let run_packet () =
-        let sim = Engine.Simulator.create_configured config in
+        let sim = Engine.Simulator.create () in
         let h = Hpfq.Hier_engine.create ~sim ~spec ~factory:discipline ~engine () in
         let packet = 8.0 *. 1024.0 *. 8.0 in
         List.iter
@@ -426,15 +422,14 @@ let custom_cmd =
     (Cmd.info "custom"
        ~doc:"Saturate every leaf of a user-defined hierarchy and compare shares to H-GPS.")
     Term.(
-      const run $ event_set_arg $ engine_term $ pool_term
+      const run $ engine_term $ pool_term
       $ discipline_arg $ tree_arg $ horizon_arg 2.0)
 
 (* -- shard --------------------------------------------------------------- *)
 
 let shard_cmd =
-  let run event_set engine pool links shards rounds flows_per_link overload seed
+  let run engine pool links shards rounds flows_per_link overload seed
       observe json metrics_out =
-    set_event_set event_set;
     let workers = Parallel.Pool.jobs pool in
     let workload =
       {
@@ -528,26 +523,26 @@ let shard_cmd =
       workers
   in
   let links_arg =
-    Arg.(value & opt int 64 & info [ "links" ] ~docv:"N" ~doc:"Output links (ports) in the device.")
+    Arg.(value & opt pos_int 64 & info [ "links" ] ~docv:"N" ~doc:"Output links (ports) in the device.")
   in
   let shards_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:"Mailbox shards links are partitioned over (default: one per worker).")
   in
   let rounds_arg =
-    Arg.(value & opt int 200 & info [ "rounds" ] ~docv:"N" ~doc:"Ingress router rounds.")
+    Arg.(value & opt nonneg_int 200 & info [ "rounds" ] ~docv:"N" ~doc:"Ingress router rounds.")
   in
   let flows_arg =
     Arg.(
-      value & opt int 4
+      value & opt pos_int 4
       & info [ "flows-per-link" ] ~docv:"N" ~doc:"Average flow population per link.")
   in
   let overload_arg =
     Arg.(
-      value & opt float 1.2
+      value & opt pos_float 1.2
       & info [ "overload" ] ~docv:"X"
           ~doc:"Offered load / link capacity; > 1 exercises queue caps and drops.")
   in
@@ -576,20 +571,15 @@ let shard_cmd =
           H-WF2Q+ instance, fanned over -j worker domains behind the batched \
           ingress router. Stdout is bit-identical for any -j.")
     Term.(
-      const run $ event_set_arg $ hier_engine_arg $ pool_term $ links_arg
+      const run $ hier_engine_arg $ pool_term $ links_arg
       $ shards_arg $ rounds_arg $ flows_arg $ overload_arg $ seed_arg
       $ observe_arg $ json_arg $ metrics_arg)
 
 (* -- replay -------------------------------------------------------------- *)
 
 let replay_cmd =
-  let run event_set engine trace_file tree_file burst seed duration mean_pkts
+  let run engine trace_file tree_file burst seed duration mean_pkts
       headroom save =
-    set_event_set event_set;
-    if burst < 1 then begin
-      Printf.eprintf "error: --burst-max must be >= 1\n";
-      exit 1
-    end;
     let user_spec =
       Option.map
         (fun f ->
@@ -682,7 +672,7 @@ let replay_cmd =
   in
   let burst_arg =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "burst-max" ] ~docv:"N"
           ~doc:
             "Burst-drain cap: consecutive departures one simulator event may \
@@ -691,19 +681,19 @@ let replay_cmd =
   in
   let duration_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt pos_float 1.0
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"Horizon of the generated trace (ignored with --trace).")
   in
   let mean_pkts_arg =
     Arg.(
-      value & opt float 64.0
+      value & opt pos_float 64.0
       & info [ "mean-pkts" ] ~docv:"N"
           ~doc:"Mean packets per leaf of the generated trace (ignored with --trace).")
   in
   let headroom_arg =
     Arg.(
-      value & opt float 1.25
+      value & opt pos_float 1.25
       & info [ "headroom" ] ~docv:"X"
           ~doc:"Link rate / offered load for the default hierarchy (ignored with --tree).")
   in
@@ -723,7 +713,7 @@ let replay_cmd =
           H-WF2Q+ hierarchy with burst-drained departures, printing the \
           deterministic departure hash.")
     Term.(
-      const run $ event_set_arg $ engine_term $ trace_arg
+      const run $ engine_term $ trace_arg
       $ tree_arg $ burst_arg $ seed_arg $ duration_arg $ mean_pkts_arg
       $ headroom_arg $ save_arg)
 
@@ -756,7 +746,7 @@ let churn_cmd =
   let soak_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "soak" ] ~docv:"PKTS"
           ~doc:
             "Also run the long-horizon virtual-time soak for PKTS packets, \

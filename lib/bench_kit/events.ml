@@ -3,9 +3,9 @@
    The paper's evaluation runs on a NETSIM-derived discrete event
    simulator under timer-heavy workloads — TCP retransmit-timer churn,
    on/off sources — so the pending-event set is the simulator's hottest
-   structure after the scheduler itself. This suite A/Bs the two
-   Event_set backends (slot heap vs calendar queue) on a classic "hold
-   model": [n] self-perpetuating timers, each fire rescheduling itself
+   structure after the scheduler itself. This suite measures the
+   simulator's calendar queue on a classic "hold model": [n]
+   self-perpetuating timers, each fire rescheduling itself
    with an increment drawn from one of four distributions:
 
    - uniform:       U(0, 2T) — the textbook steady-state hold model;
@@ -20,11 +20,10 @@
    Every run reports events/second through the full simulator loop
    (schedule + fire, plus cancel + re-arm for cancel-heavy) and GC minor
    words per event; timer actions are pre-allocated so the loop itself
-   allocates nothing and the words/event column is a pure backend
-   comparison. Results go to BENCH_events.json (same machine-readable
-   role as BENCH_hotpath.json) with per-workload calendar/heap ratios and
-   a cancel-heavy 64k-timer headline, which [probe] re-measures for the
-   guard. *)
+   allocates nothing and the words/event column is the event set's own.
+   Results go to BENCH_events.json (same machine-readable role as
+   BENCH_hotpath.json) with a cancel-heavy 64k-timer headline, which
+   [probe] re-measures for the guard. *)
 
 module Sim = Engine.Simulator
 
@@ -41,7 +40,6 @@ let all_dists = [ Uniform; Bursty; Cancel_heavy; Wide_horizon ]
 type row = {
   dist : dist;
   n : int; (* steady-state pending timers *)
-  row_backend : Sim.backend;
   events_per_sec : float;
   minor_words_per_event : float;
   fired : int;
@@ -52,10 +50,9 @@ type row = {
 
 (* One churn run: prime [n] timers, then let each fire re-arm itself until
    the fire budget is spent; the final generation drains un-rearmed.
-   Deterministic per (dist, n): the PRNG seed ignores the backend, so both
-   backends replay the same increment stream. *)
-let run_churn ~backend ~dist ~n ~events =
-  let sim = Sim.create ~backend () in
+   Deterministic per (dist, n): the PRNG seed is keyed by both. *)
+let run_churn ~dist ~n ~events =
+  let sim = Sim.create () in
   let rng = Random.State.make [| 0xCA1E17; Hashtbl.hash (dist_name dist); n |] in
   let mean = 1.0 in
   let draw () =
@@ -112,7 +109,6 @@ let run_churn ~backend ~dist ~n ~events =
   {
     dist;
     n;
-    row_backend = backend;
     events_per_sec = float_of_int fired /. wall;
     minor_words_per_event = minor /. float_of_int (max 1 fired);
     fired;
@@ -134,7 +130,6 @@ let row_json r =
     [
       ("dist", Json.Str (dist_name r.dist));
       ("n", Json.Num (float_of_int r.n));
-      ("backend", Json.Str (Sim.backend_name r.row_backend));
       ("events_per_sec", Json.Num r.events_per_sec);
       ("minor_words_per_event", Json.Num r.minor_words_per_event);
       ("fired", Json.Num (float_of_int r.fired));
@@ -143,110 +138,54 @@ let row_json r =
       ("resizes", Json.Num (float_of_int r.resizes));
     ]
 
-let find_row rows ~dist ~n ~backend =
-  List.find_opt
-    (fun r -> r.dist = dist && r.n = n && r.row_backend = backend)
-    rows
-
-let ratios rows =
-  List.filter_map
-    (fun (dist, n) ->
-      match
-        ( find_row rows ~dist ~n ~backend:Sim.Calendar,
-          find_row rows ~dist ~n ~backend:Sim.Slot_heap )
-      with
-      | Some c, Some h ->
-        Some (dist, n, c.events_per_sec /. h.events_per_sec)
-      | _ -> None)
-    (List.sort_uniq compare (List.map (fun r -> (r.dist, r.n)) rows))
-
 let json_of_run ~quick rows =
   let headline =
-    match
-      ( find_row rows ~dist:headline_dist ~n:headline_n ~backend:Sim.Calendar,
-        find_row rows ~dist:headline_dist ~n:headline_n ~backend:Sim.Slot_heap )
-    with
-    | Some c, Some h ->
+    match List.find_opt (fun r -> r.dist = headline_dist && r.n = headline_n) rows with
+    | Some c ->
       Json.Obj
         [
           ("workload", Json.Str "cancel_heavy_n65536");
           ("calendar_events_per_sec", Json.Num c.events_per_sec);
-          ("heap_events_per_sec", Json.Num h.events_per_sec);
-          ("ratio", Json.Num (c.events_per_sec /. h.events_per_sec));
         ]
-    | _ -> Json.Null
+    | None -> Json.Null
   in
   Json.Obj
     [
-      ("schema", Json.Str "hpfq-bench-events-v1");
+      ("schema", Json.Str "hpfq-bench-events-v2");
       ("bench", Json.Str "events");
       ("quick", Json.Bool quick);
       ("headline", headline);
       ("rows", Json.Arr (List.map row_json rows));
-      ( "ratios",
-        Json.Arr
-          (List.map
-             (fun (dist, n, ratio) ->
-               Json.Obj
-                 [
-                   ("dist", Json.Str (dist_name dist));
-                   ("n", Json.Num (float_of_int n));
-                   ("calendar_over_heap", Json.Num ratio);
-                 ])
-             (ratios rows)) );
     ]
 
 let report ~quick =
-  (* dist × n × backend cells are independent (each builds its own
-     simulator with an explicit backend and a cell-keyed PRNG); fanning
-     them out carries the usual contention caveat — parallel numbers are
-     only comparable at the same -j, guards measure sequentially *)
+  (* dist × n cells are independent (each builds its own simulator with a
+     cell-keyed PRNG); fanning them out carries the usual contention
+     caveat — parallel numbers are only comparable at the same -j, guards
+     measure sequentially *)
   let pool = Parallel.Pool.create () in
   let grid =
     List.concat_map
-      (fun dist ->
-        List.concat_map
-          (fun n ->
-            let events = budget ~quick n in
-            List.map
-              (fun backend -> (backend, dist, n, events))
-              [ Sim.Slot_heap; Sim.Calendar ])
-          (sizes ~quick))
+      (fun dist -> List.map (fun n -> (dist, n, budget ~quick n)) (sizes ~quick))
       all_dists
   in
   let rows =
     Parallel.Pool.map_list pool
-      ~f:(fun (backend, dist, n, events) -> run_churn ~backend ~dist ~n ~events)
+      ~f:(fun (dist, n, events) -> run_churn ~dist ~n ~events)
       grid
   in
-  Printf.printf "%-14s %8s %10s %16s %12s %8s %8s\n" "dist" "n" "backend"
-    "events/sec" "words/event" "compact" "resize";
+  Printf.printf "%-14s %8s %16s %12s %8s %8s\n" "dist" "n" "events/sec"
+    "words/event" "compact" "resize";
   List.iter
     (fun r ->
-      Printf.printf "%-14s %8d %10s %16.0f %12.3f %8d %8d\n" (dist_name r.dist)
-        r.n
-        (Sim.backend_name r.row_backend)
+      Printf.printf "%-14s %8d %16.0f %12.3f %8d %8d\n" (dist_name r.dist) r.n
         r.events_per_sec r.minor_words_per_event r.compactions r.resizes)
     rows;
-  Printf.printf "\n%-14s %8s %22s\n" "dist" "n" "calendar/heap speedup";
-  List.iter
-    (fun (dist, n, ratio) ->
-      Printf.printf "%-14s %8d %22.2fx\n" (dist_name dist) n ratio)
-    (ratios rows);
   json_of_run ~quick rows
 
-(* The guard's fresh side: the cancel-heavy headline on both backends. *)
+(* The guard's fresh side: the cancel-heavy headline. *)
 let probe ~quick =
   let n = if quick then 256 else headline_n in
-  let events = budget ~quick n in
-  let cal = run_churn ~backend:Sim.Calendar ~dist:headline_dist ~n ~events in
-  let heap = run_churn ~backend:Sim.Slot_heap ~dist:headline_dist ~n ~events in
+  let cal = run_churn ~dist:headline_dist ~n ~events:(budget ~quick n) in
   Json.Obj
-    [
-      ( "headline",
-        Json.Obj
-          [
-            ("calendar_events_per_sec", Json.Num cal.events_per_sec);
-            ("ratio", Json.Num (cal.events_per_sec /. heap.events_per_sec));
-          ] );
-    ]
+    [ ("headline", Json.Obj [ ("calendar_events_per_sec", Json.Num cal.events_per_sec) ]) ]

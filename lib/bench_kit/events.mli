@@ -1,11 +1,11 @@
 (** Event-set churn benchmark backing `dune exec bench/main.exe -- events`.
 
-    A/Bs the simulator's pending-set backends (slot heap vs calendar
-    queue) on hold-model timer workloads — uniform, bursty, cancel-heavy
-    (TCP retransmit-timer reset churn) and wide-horizon increment
-    distributions — at steady-state populations up to 64k pending timers,
-    then writes a machine-readable report (BENCH_events.json) with
-    per-workload calendar/heap speedups and a cancel-heavy 64k headline. *)
+    Measures the simulator's calendar-queue pending set on hold-model
+    timer workloads — uniform, bursty, cancel-heavy (TCP retransmit-timer
+    reset churn) and wide-horizon increment distributions — at
+    steady-state populations up to 64k pending timers, then writes a
+    machine-readable report (BENCH_events.json) with a cancel-heavy 64k
+    headline. *)
 
 type dist = Uniform | Bursty | Cancel_heavy | Wide_horizon
 
@@ -15,7 +15,6 @@ val all_dists : dist list
 type row = {
   dist : dist;
   n : int;  (** steady-state pending timers *)
-  row_backend : Engine.Simulator.backend;
   events_per_sec : float;
   minor_words_per_event : float;  (** GC minor words per fired event *)
   fired : int;
@@ -24,20 +23,18 @@ type row = {
   resizes : int;
 }
 
-val run_churn :
-  backend:Engine.Simulator.backend -> dist:dist -> n:int -> events:int -> row
+val run_churn : dist:dist -> n:int -> events:int -> row
 (** One deterministic churn run: [n] self-perpetuating timers re-arming
     until [events] fires are spent, then draining. The PRNG seed depends
-    only on [(dist, n)], so both backends replay the same increments. *)
+    only on [(dist, n)]. *)
 
 val report : quick:bool -> Json.t
-(** Run the full grid (4 distributions x sizes x both backends), print a
-    table plus speedups, and return the report ([Suite.run] writes it).
+(** Run the full grid (4 distributions x sizes), print a table, and
+    return the report ([Suite.run] writes it).
     [quick] shrinks sizes/budgets to smoke-test levels. Cells fan out on
     [Parallel.Pool.create ()] (concurrent cells contend, so parallel
     numbers are only comparable at the same [-j]). *)
 
 val probe : quick:bool -> Json.t
-(** The guard's fresh side: the cancel-heavy headline on both backends,
-    [headline.calendar_events_per_sec] and the calendar/heap
-    [headline.ratio] (64k timers; [quick]: 256). *)
+(** The guard's fresh side: the cancel-heavy headline
+    [headline.calendar_events_per_sec] (64k timers; [quick]: 256). *)

@@ -169,12 +169,8 @@ let one_level ~pool ~quick ~factory () =
    policy-cycle loop above has no simulator to amortize). *)
 let server_batched_burst = 64
 
-let server_throughput ?config ~n ~burst_max ~target_pkts () =
-  let sim =
-    match config with
-    | Some c -> Engine.Simulator.create_configured c
-    | None -> Engine.Simulator.create ()
-  in
+let server_throughput ~n ~burst_max ~target_pkts () =
+  let sim = Engine.Simulator.create () in
   let factory = Hpfq.Disciplines.wf2q_plus in
   let policy = factory.Sched.Sched_intf.make ~rate:1.0 in
   let departs = ref 0 in
@@ -224,13 +220,13 @@ let server_throughput ?config ~n ~burst_max ~target_pkts () =
   let pkts = float_of_int !departs in
   (pkts /. wall, minor /. Float.max 1.0 pkts, gc_delta_of ~before:s0 ~after:s1, pkts)
 
-let server_rows ?config ~quick () =
+let server_rows ~quick () =
   let n = 4096 in
   let target_pkts = if quick then 2_000 else 400_000 in
   List.map
     (fun burst ->
       let pps, words, gc, pkts =
-        server_throughput ?config ~n ~burst_max:burst ~target_pkts ()
+        server_throughput ~n ~burst_max:burst ~target_pkts ()
       in
       {
         s_burst = burst;
@@ -255,14 +251,10 @@ let rec uniform_spec ~depth ~fanout ~name ~rate =
 (* Every leaf kept at a steady backlog of two packets: prime with two,
    re-inject one on each departure. The horizon is sized so roughly
    [target_pkts] packets depart whatever the tree's root rate. *)
-let hier_throughput_spec ?config ?engine ~spec ~factory ~pkt_bits ~target_pkts () =
+let hier_throughput_spec ?engine ~spec ~factory ~pkt_bits ~target_pkts () =
   let module HE = Hpfq.Hier_engine in
   let leaves = ref [] in
-  let sim =
-    match config with
-    | Some c -> Engine.Simulator.create_configured c
-    | None -> Engine.Simulator.create ()
-  in
+  let sim = Engine.Simulator.create () in
   let departs = ref 0 in
   let reinject_name = Hashtbl.create 256 in
   let hier = HE.create ~sim ~spec ~factory ?engine () in
@@ -296,8 +288,8 @@ let hier_throughput_spec ?config ?engine ~spec ~factory ~pkt_bits ~target_pkts (
 
 (* Root rate 1 bit/s and 1-bit packets make the simulated horizon equal
    the departure count. *)
-let hier_throughput ?config ?engine ~depth ~fanout ~factory ~target_pkts () =
-  hier_throughput_spec ?config ?engine
+let hier_throughput ?engine ~depth ~fanout ~factory ~target_pkts () =
+  hier_throughput_spec ?engine
     ~spec:(uniform_spec ~depth ~fanout ~name:"root" ~rate:1.0)
     ~factory ~pkt_bits:1.0 ~target_pkts ()
 
@@ -308,7 +300,6 @@ let hier_throughput ?config ?engine ~depth ~fanout ~factory ~target_pkts () =
    stays sequential; the committed baseline is always -j1 (the guard
    measures sequentially regardless). *)
 let hier_rows ~pool ~quick ~factory () =
-  let config = Engine.Simulator.snapshot_config () in
   let combos =
     if quick then [ (2, 4) ]
     else
@@ -321,7 +312,7 @@ let hier_rows ~pool ~quick ~factory () =
       if leaves > max_hier_leaves then Either.Right (depth, fanout, leaves)
       else begin
         let n_leaves, pps, words =
-          hier_throughput ~config ~depth ~fanout ~factory ~target_pkts ()
+          hier_throughput ~depth ~fanout ~factory ~target_pkts ()
         in
         Either.Left
           {

@@ -55,7 +55,6 @@ type gc_delta = {
 }
 
 val server_throughput :
-  ?config:Engine.Simulator.config ->
   n:int ->
   burst_max:int ->
   target_pkts:int ->
@@ -79,7 +78,6 @@ val server_batched_burst : int
 (** Burst cap used for the batched side of [batched_headline] (64). *)
 
 val hier_throughput_spec :
-  ?config:Engine.Simulator.config ->
   ?engine:Hpfq.Hier_engine.choice ->
   spec:Hpfq.Class_tree.t ->
   factory:Sched.Sched_intf.factory ->

@@ -1,4 +1,4 @@
-(* Calendar-queue pending-set backend (R. Brown, CACM 1988), adapted to
+(* Calendar-queue pending set (R. Brown, CACM 1988), adapted to
    the slot pool and to lazy cancellation.
 
    Time is cut into buckets of [width] seconds; bucket [vb land mask]

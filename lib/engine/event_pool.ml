@@ -1,12 +1,12 @@
-(* Slot-indexed struct-of-arrays storage for pending events, shared by
-   every pending-set backend (see Event_set). The pool owns the event
-   *fields* — fire time, FIFO sequence, action closure, lifecycle state,
-   cancellation generation — while a backend owns only an ordering
-   structure over slot indices. Keeping the fields here means a backend
-   compares two events with two array loads and no per-event record ever
-   exists; keeping the freelist here means slot reuse (and therefore
-   generation bumping, which is what makes stale cancels safe) has a
-   single owner no matter which backend is plugged in. *)
+(* Slot-indexed struct-of-arrays storage for pending events (see
+   Event_set). The pool owns the event *fields* — fire time, FIFO
+   sequence, action closure, lifecycle state, cancellation generation —
+   while a pending set owns only an ordering structure over slot indices.
+   Keeping the fields here means a set compares two events with two array
+   loads and no per-event record ever exists; keeping the freelist here
+   means slot reuse (and therefore generation bumping, which is what makes
+   stale cancels safe) has a single owner, which also lets the tests run
+   the calendar and its reference heap over one pool. *)
 
 type t = {
   mutable times : float array; (* unboxed fire times *)

@@ -2,9 +2,9 @@
 
     The pool owns every event's fields (fire time, FIFO sequence, action,
     lifecycle state, cancellation generation) plus the slot freelist; the
-    pending-set backends ({!Slot_heap}, {!Calendar_queue}) order bare slot
-    indices over it. The record is exposed so backends read fields with
-    plain array loads — this is the simulator hot path. *)
+    pending sets ({!Calendar_queue}, and {!Slot_heap}, its test reference)
+    order bare slot indices over it. The record is exposed so they read
+    fields with plain array loads — this is the simulator hot path. *)
 
 type t = {
   mutable times : float array;  (** unboxed fire times, slot-indexed *)
@@ -44,4 +44,4 @@ val is_live : t -> int -> bool
 
 val before : t -> int -> int -> bool
 (** [(time, seq)] strict order between two slots — the ordering every
-    backend must agree on. *)
+    pending set must agree on. *)

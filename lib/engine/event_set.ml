@@ -1,36 +1,30 @@
-(* The pending-event-set contract every simulator backend implements.
+(* The pending-event-set contract.
 
-   A backend orders bare slot indices of an Event_pool by the pool's
-   (time, seq) key. Cancellation is *not* a backend operation: the
+   An event set orders bare slot indices of an Event_pool by the pool's
+   (time, seq) key. Cancellation is *not* an event-set operation: the
    simulator flips the slot's pool state to [st_cancelled] in O(1) and the
-   backend drops cancelled entries lazily — while searching for the next
-   live event ([peek_live]/[pop_live] free any cancelled entry standing
-   between the current position and the answer) and wholesale under
-   [compact], which the simulator triggers whenever cancelled entries
-   outnumber live ones so memory stays bounded under cancel churn.
+   set drops cancelled entries lazily — while searching for the next live
+   event ([peek_live]/[pop_live] free any cancelled entry standing between
+   the current position and the answer) and wholesale under [compact],
+   which the simulator triggers whenever cancelled entries outnumber live
+   ones so memory stays bounded under cancel churn.
 
-   Two implementations ship:
+   Two implementations:
 
-   - [Slot_heap] — the PR-1 binary heap of slots, O(log n) per
-     schedule/extract, no tuning, kept as the cross-checked reference
-     (the lockstep qcheck differential in test/test_event_set.ml drives
-     both backends through identical op sequences);
    - [Calendar_queue] — a Brown-style bucketed circular calendar,
      amortized O(1) per schedule/extract on the near-future-timer
-     distributions discrete event simulation actually produces, the
-     default since it wins every churn workload in `bench events`.
-
-   The simulator dispatches over a two-constructor variant rather than a
-   first-class module so backend calls stay direct (one predictable
-   branch); this module type pins the contract both must satisfy and is
-   checked by the [module _ : Event_set.S] ascriptions below each
-   implementation's use site in Simulator. *)
+     distributions discrete event simulation actually produces. The
+     simulator runs it.
+   - [Slot_heap] — a binary heap of slots, O(log n) per schedule/extract,
+     no tuning, small enough to audit. Nothing runs it but the tests: the
+     lockstep differential in test/test_event_set.ml drives both through
+     identical op sequences over one pool and compares every answer. *)
 
 module type S = sig
   type t
 
   val create : Event_pool.t -> t
-  (** Empty set over [pool]. The backend keeps the pool handle: ordering
+  (** Empty set over [pool]. The set keeps the pool handle: ordering
       reads and lazy reclamation ([Event_pool.free] of cancelled slots it
       removes) go through it. *)
 
@@ -62,6 +56,6 @@ module type S = sig
   (** Drop every cancelled entry and free its slot. *)
 
   val resizes : t -> int
-  (** Internal structural resizes so far (0 for backends that never
+  (** Internal structural resizes so far (0 for sets that never
       restructure; bucket-array rebuilds for the calendar). *)
 end

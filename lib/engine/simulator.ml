@@ -1,4 +1,4 @@
-(* Pooled event loop over a pluggable pending-event set.
+(* Pooled event loop over a calendar-queue pending-event set.
 
    Events live in a struct-of-arrays pool ([Event_pool]) indexed by slot:
    fire times stay unboxed, freed slots recycle through a freelist, and a
@@ -8,14 +8,12 @@
    stale id (event already fired, or slot since reused) is detected and
    ignored instead of killing an unrelated event.
 
-   The *order* over pending slots is a backend behind the [Event_set.S]
-   contract — a binary slot heap (the O(log n) reference) or a calendar
-   queue (amortized O(1) on timer-churn workloads, the default). Both
-   drop cancelled events lazily; when cancelled entries outnumber live
-   ones the structure is compacted, bounding memory under cancel-heavy
-   workloads such as TCP retransmit-timer churn. `bench events` A/Bs the
-   backends and test/test_event_set.ml drives both through identical op
-   sequences in lockstep. *)
+   The *order* over pending slots is a [Calendar_queue] (amortized O(1)
+   on timer-churn workloads). It drops cancelled events lazily; when
+   cancelled entries outnumber live ones the structure is compacted,
+   bounding memory under cancel-heavy workloads such as TCP
+   retransmit-timer churn. test/test_event_set.ml drives it and the
+   reference [Slot_heap] through identical op sequences in lockstep. *)
 
 (* [pack] puts the slot index in bits 31+ of an OCaml int. On a 63-bit
    platform slots up to 2^31 coexist with 31 generation bits; on a 32-bit
@@ -47,66 +45,9 @@ type probe = {
   on_cancel : at:float -> now:float -> unit;
 }
 
-(* ---- pending-set backends ---- *)
-
-type backend = Slot_heap | Calendar
-
-(* Compile-time check that both implementations satisfy the contract. *)
-module _ : Event_set.S = Slot_heap
-module _ : Event_set.S = Calendar_queue
-
-(* Dispatch over a two-constructor variant keeps backend calls direct
-   (one predictable branch) instead of going through a first-class
-   module's closure record. *)
-type event_set = Heap of Slot_heap.t | Cal of Calendar_queue.t
-
-let backend_name = function Slot_heap -> "heap" | Calendar -> "calendar"
-
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "heap" | "slot-heap" | "slot_heap" | "binary" -> Ok Slot_heap
-  | "calendar" | "calendar-queue" | "calendar_queue" | "cq" -> Ok Calendar
-  | other ->
-    Error
-      (Printf.sprintf
-         "unknown event-set backend %S (expected \"heap\" or \"calendar\")"
-         other)
-
-(* Process-wide default, so drivers (bench, hpfq_sim) can A/B every
-   simulator an experiment creates without threading a parameter through
-   each one: the HPFQ_EVENT_SET environment variable seeds it, and
-   [set_default_backend] backs the CLI knob. An [Atomic] (not a plain
-   ref) since parallel sweeps run simulators on multiple domains — but
-   the real domain-safety contract is stronger: sweep workers never read
-   this at all. They read a [config] snapshotted once, on the parent
-   domain, before any worker spawns ([snapshot_config] below), so a
-   mid-sweep [set_default_backend] cannot make task 12 run on a
-   different backend than task 3. *)
-let default_backend_ref =
-  Atomic.make
-    (match Sys.getenv_opt "HPFQ_EVENT_SET" with
-    | None -> Calendar
-    | Some s -> (
-      match backend_of_string s with
-      | Ok b -> b
-      | Error msg ->
-        Printf.eprintf "warning: HPFQ_EVENT_SET: %s; using calendar\n%!" msg;
-        Calendar))
-
-let default_backend () = Atomic.get default_backend_ref
-let set_default_backend b = Atomic.set default_backend_ref b
-
-(* Every process-wide mutable default a simulator consults at [create]
-   time, flattened into an immutable record. Today that is only the
-   event-set backend; new defaults must join this record so the
-   snapshot-before-spawn discipline keeps covering them. *)
-type config = { cfg_backend : backend }
-
-let snapshot_config () = { cfg_backend = default_backend () }
-
 type t = {
   pool : Event_pool.t;
-  es : event_set;
+  es : Calendar_queue.t;
   mutable clock : float;
       (* A mutable float field of a mixed record boxes on every store (one
          per fired event) — but [now] then returns the existing box for
@@ -126,19 +67,11 @@ type t = {
          would not have crossed. *)
 }
 
-let create ?backend () =
-  let backend =
-    match backend with Some b -> b | None -> Atomic.get default_backend_ref
-  in
+let create () =
   let pool = Event_pool.create () in
-  let es =
-    match backend with
-    | Slot_heap -> Heap (Slot_heap.create pool)
-    | Calendar -> Cal (Calendar_queue.create pool)
-  in
   {
     pool;
-    es;
+    es = Calendar_queue.create pool;
     clock = 0.0;
     next_seq = 0;
     fired = 0;
@@ -148,42 +81,8 @@ let create ?backend () =
     horizon = infinity;
   }
 
-let create_configured config = create ~backend:config.cfg_backend ()
-
-let backend t = match t.es with Heap _ -> Slot_heap | Cal _ -> Calendar
 let now t = t.clock
 let run_horizon t = t.horizon
-
-let es_add t slot =
-  match t.es with Heap h -> Slot_heap.add h slot | Cal c -> Calendar_queue.add c slot
-
-let es_peek_live t =
-  match t.es with
-  | Heap h -> Slot_heap.peek_live h
-  | Cal c -> Calendar_queue.peek_live c
-
-let es_pop_live t =
-  match t.es with
-  | Heap h -> Slot_heap.pop_live h
-  | Cal c -> Calendar_queue.pop_live c
-
-let es_size t =
-  match t.es with Heap h -> Slot_heap.size h | Cal c -> Calendar_queue.size c
-
-let es_capacity t =
-  match t.es with
-  | Heap h -> Slot_heap.capacity h
-  | Cal c -> Calendar_queue.capacity c
-
-let es_compact t =
-  match t.es with
-  | Heap h -> Slot_heap.compact h
-  | Cal c -> Calendar_queue.compact c
-
-let es_resizes t =
-  match t.es with
-  | Heap h -> Slot_heap.resizes h
-  | Cal c -> Calendar_queue.resizes c
 
 (* ---- public API ---- *)
 
@@ -203,7 +102,7 @@ let[@inline] insert t ~at ~seq action =
   pool.Event_pool.actions.(slot) <- action;
   Bytes.set pool.Event_pool.state slot Event_pool.st_live;
   t.live <- t.live + 1;
-  es_add t slot;
+  Calendar_queue.add t.es slot;
   (match t.probe with
   | None -> ()
   | Some p -> p.on_schedule ~at ~now:t.clock);
@@ -219,7 +118,7 @@ let schedule t ~at action =
 (* A stream is [schedule] of n actions, done lazily. Install reserves the
    n sequence numbers that n [schedule] calls would have taken, so entry k
    carries exactly the key (times.(k), base + k) it would have had, and
-   both backends order by that key alone. Only one entry is pending at a
+   the calendar orders by that key alone. Only one entry is pending at a
    time: entry k schedules entry k + 1 before running its own body, so
    while the body runs the pending set holds the same minimum — and
    [peek_time] reads the same value — as under eager scheduling, where
@@ -270,9 +169,9 @@ let cancel t id =
     | Some p -> p.on_cancel ~at:pool.Event_pool.times.(slot) ~now:t.clock);
     (* cancelled-in-structure = size - live; compact once they exceed the
        live population (and the structure is big enough to be worth it) *)
-    let size = es_size t in
+    let size = Calendar_queue.size t.es in
     if size >= compact_min_size && size - t.live > t.live then begin
-      es_compact t;
+      Calendar_queue.compact t.es;
       t.compactions <- t.compactions + 1
     end
   end
@@ -280,7 +179,7 @@ let cancel t id =
 let pending t = t.live
 
 let peek_time t =
-  let slot = es_peek_live t in
+  let slot = Calendar_queue.peek_live t.es in
   if slot < 0 then infinity else t.pool.Event_pool.times.(slot)
 
 (* Burst-draining handlers move the clock themselves between inline
@@ -301,7 +200,7 @@ let advance_clock t ~to_ =
   t.clock <- to_
 
 let step t =
-  let slot = es_pop_live t in
+  let slot = Calendar_queue.pop_live t.es in
   if slot < 0 then false
   else begin
     let pool = t.pool in
@@ -334,7 +233,7 @@ let run ?until t =
       (fun () ->
         let continue = ref true in
         while !continue do
-          let slot = es_peek_live t in
+          let slot = Calendar_queue.peek_live t.es in
           if slot < 0 then continue := false
           else if t.pool.Event_pool.times.(slot) <= horizon then
             ignore (step t)
@@ -348,7 +247,6 @@ let set_probe t p = t.probe <- p
 (* ---- occupancy / structure stats ---- *)
 
 type stats = {
-  stat_backend : backend;
   live : int;
   cancelled_in_set : int;
   set_capacity : int;
@@ -357,13 +255,12 @@ type stats = {
   resizes : int;
 }
 
-let stats t =
+let stats (t : t) =
   {
-    stat_backend = backend t;
     live = t.live;
-    cancelled_in_set = es_size t - t.live;
-    set_capacity = es_capacity t;
+    cancelled_in_set = Calendar_queue.size t.es - t.live;
+    set_capacity = Calendar_queue.capacity t.es;
     pool_capacity = Event_pool.capacity t.pool;
     compactions = t.compactions;
-    resizes = es_resizes t;
+    resizes = Calendar_queue.resizes t.es;
   }

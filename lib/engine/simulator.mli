@@ -6,11 +6,11 @@
     keeps runs deterministic. Event handlers may schedule and cancel further
     events freely.
 
-    The pending set is pluggable ({!backend}): a binary slot heap (O(log n)
-    per operation, the audited reference) or a Brown-style calendar queue
-    (amortized O(1) on timer-churn workloads, the default). Both preserve
-    the same fire order, clock behaviour and trace output; `bench events`
-    A/Bs them and a lockstep differential test pins their equivalence. *)
+    The pending set is a Brown-style calendar queue ({!Calendar_queue}),
+    amortized O(1) on timer-churn workloads. {!Slot_heap}, a binary heap
+    under the same {!Event_set.S} contract, is its test reference: a
+    lockstep differential drives both through identical op sequences and
+    compares every answer. *)
 
 type t
 
@@ -21,50 +21,8 @@ val stale_id : event_id
 (** An id that matches no event, past or future: {!cancel} on it is always
     a no-op. Useful as the initial value of a pre-sized id array. *)
 
-(** {2 Pending-set backends} *)
-
-type backend =
-  | Slot_heap  (** binary heap of event slots: O(log n), no tuning *)
-  | Calendar  (** bucketed calendar queue: amortized O(1), adaptive width *)
-
-val backend_name : backend -> string
-(** ["heap"] / ["calendar"]. *)
-
-val backend_of_string : string -> (backend, string) result
-(** Accepts ["heap"]/["slot-heap"]/["binary"] and
-    ["calendar"]/["calendar-queue"]/["cq"], case-insensitively. *)
-
-val default_backend : unit -> backend
-(** Backend used by {!create} when none is passed. Seeded from the
-    [HPFQ_EVENT_SET] environment variable ("heap" or "calendar"; invalid
-    values warn on stderr), otherwise {!Calendar}. *)
-
-val set_default_backend : backend -> unit
-(** Override the process-wide default — the hook behind CLI knobs, so a
-    driver can A/B every simulator an experiment creates internally.
-    Domain-safe (the default lives in an [Atomic]), but parallel sweeps
-    must not rely on that: see {!snapshot_config}. *)
-
-type config = { cfg_backend : backend }
-(** Every process-wide mutable default consulted by {!create}, flattened
-    into an immutable snapshot. Parallel sweeps call {!snapshot_config}
-    {e once, before spawning workers}, and each task builds its private
-    simulator with {!create_configured} — workers never read the live
-    process defaults, so a concurrent {!set_default_backend} cannot split
-    one sweep across two backends. *)
-
-val snapshot_config : unit -> config
-(** Read the process-wide defaults once. *)
-
-val create_configured : config -> t
-(** [create ~backend:config.cfg_backend ()]. *)
-
-val create : ?backend:backend -> unit -> t
-(** New simulator at time [0.] with an empty pending set.
-    [backend] defaults to {!default_backend}[ ()]. *)
-
-val backend : t -> backend
-(** The backend this simulator was created with. *)
+val create : unit -> t
+(** New simulator at time [0.] with an empty pending set. *)
 
 val now : t -> float
 (** Current virtual time in seconds. Starts at [0.]. *)
@@ -147,17 +105,16 @@ val events_processed : t -> int
     resize behaviour is observable in traces (see [Obs.Trace.sim_report]). *)
 
 type stats = {
-  stat_backend : backend;
   live : int;  (** pending and not cancelled (= {!pending}) *)
   cancelled_in_set : int;
       (** cancelled entries still occupying the structure: garbage the
           next compaction reclaims; kept below the live count *)
   set_capacity : int;
-      (** allocated extent of the ordering structure (heap array length /
-          calendar bucket count) *)
+      (** allocated extent of the ordering structure (calendar bucket
+          count) *)
   pool_capacity : int;  (** event-pool slots (free + in use) *)
   compactions : int;  (** cancelled-entry sweeps triggered so far *)
-  resizes : int;  (** backend structural resizes (calendar rebuilds) *)
+  resizes : int;  (** structural resizes (calendar rebuilds) *)
 }
 
 val stats : t -> stats

@@ -1,7 +1,7 @@
-(* Reference pending-set backend: a binary min-heap of pool slots ordered
-   by (time, seq). O(log n) schedule/extract, no tuning knobs, behaviour
-   easy to audit — the calendar backend is cross-checked against it by the
-   lockstep differential test. Extracted verbatim from the PR-1 simulator;
+(* Reference pending set: a binary min-heap of pool slots ordered by
+   (time, seq). O(log n) schedule/extract, no tuning knobs, behaviour easy
+   to audit. The simulator does not run it; the calendar queue is
+   cross-checked against it by the lockstep differential test. Extracted verbatim from the PR-1 simulator;
    only the pool indirection is new. *)
 
 type t = {

@@ -27,12 +27,10 @@ let rt1_delay_bound =
   | Ok bound -> bound
   | Error msg -> invalid_arg msg
 
-let run ?config ?rng ?engine ~factory ~scenario ?(horizon = 10.0) ?(seed = 1L) () =
-  let sim =
-    match config with
-    | Some c -> Sim.create_configured c
-    | None -> Sim.create ()
-  in
+let run ?rng ?engine ~factory ~scenario ?(horizon = 10.0) ?(seed = 1L) () =
+  if not (horizon > 0.0) then
+    invalid_arg (Printf.sprintf "Delay_experiment.run: horizon %g must be > 0" horizon);
+  let sim = Sim.create () in
   let rng = match rng with Some r -> r | None -> Engine.Rng.create seed in
   let delays = Stats.Delay_stats.create () in
   let lag = Stats.Service_curve.create () in
@@ -114,15 +112,13 @@ let run ?config ?rng ?engine ~factory ~scenario ?(horizon = 10.0) ?(seed = 1L) (
    randomness comes from [Rng.for_task base k] — keyed by the replication
    index, not the flat task index, so every discipline replays the same k
    arrival streams (paired comparison) and the streams don't shift when a
-   discipline is added to the grid. The backend config is snapshotted
-   before the workers spawn; results come back in grid order, bit-identical
-   for any worker count. *)
+   discipline is added to the grid. Results come back in grid order,
+   bit-identical for any worker count. *)
 let run_sweep ?pool ?engine ~factories ~scenario ?horizon ?(seed = 1L) ?(replications = 1)
     () =
   if replications < 1 then
     invalid_arg "Delay_experiment.run_sweep: replications must be >= 1";
   let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
-  let config = Sim.snapshot_config () in
   let base = Engine.Rng.create seed in
   let grid =
     Array.of_list
@@ -133,7 +129,7 @@ let run_sweep ?pool ?engine ~factories ~scenario ?horizon ?(seed = 1L) ?(replica
   Array.to_list
     (Parallel.Pool.map pool ~tasks:(Array.length grid) ~f:(fun i ->
          let factory, k = grid.(i) in
-         run ~config ~rng:(Engine.Rng.for_task base k) ?engine ~factory ~scenario
+         run ~rng:(Engine.Rng.for_task base k) ?engine ~factory ~scenario
            ?horizon ()))
 
 let summary_row r =

@@ -28,7 +28,6 @@ type result = {
 }
 
 val run :
-  ?config:Engine.Simulator.config ->
   ?rng:Engine.Rng.t ->
   ?engine:Hpfq.Hier_engine.choice ->
   factory:Sched.Sched_intf.factory ->
@@ -37,12 +36,12 @@ val run :
   ?seed:int64 ->
   unit ->
   result
-(** Default [horizon] 10 s, [seed] 1. Deterministic given both. [config]
-    pins the event-set backend (parallel sweeps pass a pre-spawn
-    snapshot); [rng] overrides the seed-derived generator — {!run_sweep}
+(** Default [horizon] 10 s, [seed] 1. Deterministic given both. [rng]
+    overrides the seed-derived generator — {!run_sweep}
     passes stable per-replication streams derived with
     {!Engine.Rng.for_task}. [engine] selects the hierarchy engine
-    (default [`Auto]: flat for WF²Q+, generic otherwise). *)
+    (default [`Auto]: flat for WF²Q+, generic otherwise).
+    @raise Invalid_argument if [horizon] is not > 0 (NaN included). *)
 
 val run_sweep :
   ?pool:Parallel.Pool.t ->

@@ -52,9 +52,9 @@ let topologies ~quick =
 let headline_topology = "fig3"
 let default_target_pkts ~quick = if quick then 500 else 100_000
 
-let measure ?config ~spec ~pkt_bits ~engine ~target_pkts ~topology () =
+let measure ~spec ~pkt_bits ~engine ~target_pkts ~topology () =
   let n_leaves, pps, words =
-    Perf.hier_throughput_spec ?config ~engine:(engine_choice engine) ~spec
+    Perf.hier_throughput_spec ~engine:(engine_choice engine) ~spec
       ~factory:Hpfq.Disciplines.wf2q_plus ~pkt_bits ~target_pkts ()
   in
   {
@@ -134,7 +134,6 @@ let report ~quick =
      contend for the machine, so parallel numbers are only comparable at
      the same -j; the committed baseline and [probe] run sequentially *)
   let pool = Parallel.Pool.create () in
-  let config = Engine.Simulator.snapshot_config () in
   let target_pkts = default_target_pkts ~quick in
   let grid =
     List.concat_map
@@ -147,7 +146,7 @@ let report ~quick =
   let rows =
     Parallel.Pool.map_list pool
       ~f:(fun (topology, spec, pkt_bits, engine) ->
-        measure ~config ~spec ~pkt_bits ~engine ~target_pkts ~topology ())
+        measure ~spec ~pkt_bits ~engine ~target_pkts ~topology ())
       grid
   in
   Printf.printf "%-18s %8s %10s %16s %12s\n" "topology" "leaves" "engine"

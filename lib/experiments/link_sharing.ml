@@ -23,12 +23,8 @@ type result = {
 (* Phase boundaries implied by the on/off schedule. *)
 let breakpoints = [ 0.5; 5.0; 5.25; 6.0; 6.75; 7.5; 8.0; 8.25; 9.0; 10.0 ]
 
-let run_packet ?config ?engine ~factory ~horizon () =
-  let sim =
-    match config with
-    | Some c -> Sim.create_configured c
-    | None -> Sim.create ()
-  in
+let run_packet ?engine ~factory ~horizon () =
+  let sim = Sim.create () in
   let meters =
     List.map (fun leaf -> (leaf, Stats.Bandwidth_meter.create ())) H.fig8_tcp_leaves
   in
@@ -148,14 +144,15 @@ let average_over series ~t0 ~t1 =
 
 let run ?pool ?engine ?(factory = Hpfq.Disciplines.wf2q_plus) ?(horizon = H.fig8_horizon)
     ?seed:_ () =
+  if not (horizon > 0.0) then
+    invalid_arg (Printf.sprintf "Link_sharing.run: horizon %g must be > 0" horizon);
   (* the packet system and the fluid ideal share nothing — they are the
      two natural tasks of this experiment, so a 2-worker pool halves its
      wall clock; both halves are deterministic, so fan-out is free *)
   let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
-  let config = Sim.snapshot_config () in
   let halves =
     Parallel.Pool.map pool ~tasks:2 ~f:(fun i ->
-        if i = 0 then `Packet (run_packet ~config ?engine ~factory ~horizon ())
+        if i = 0 then `Packet (run_packet ?engine ~factory ~horizon ())
         else `Fluid (run_fluid ~horizon))
   in
   let measured, tcp_stats =

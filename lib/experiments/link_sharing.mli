@@ -43,7 +43,8 @@ val run :
     packet run and the fluid ideal are independent; with a [pool] of two
     or more workers they run on separate domains (the result is identical
     either way — both halves are deterministic). [engine] selects the
-    hierarchy engine (default [`Auto]). *)
+    hierarchy engine (default [`Auto]).
+    @raise Invalid_argument if [horizon] is not > 0 (NaN included). *)
 
 val run_grid :
   ?pool:Parallel.Pool.t ->

@@ -94,12 +94,8 @@ type row = {
   depart_hash : string;
 }
 
-let measure ?config ?(engine = `Auto) ~spec ~trace ~burst () =
-  let sim =
-    match config with
-    | Some c -> Engine.Simulator.create_configured c
-    | None -> Engine.Simulator.create ()
-  in
+let measure ?(engine = `Auto) ~spec ~trace ~burst () =
+  let sim = Engine.Simulator.create () in
   let departures = ref 0 in
   let hash = ref golden in
   let hier =
@@ -220,7 +216,6 @@ let check_hashes rows =
 
 let report ~quick =
   let w = workload ~quick in
-  let config = Engine.Simulator.snapshot_config () in
   let spec, trace = setup w in
   Printf.printf "trace: %d arrivals over %d leaves, %.3gs horizon\n%!"
     (List.length trace)
@@ -228,7 +223,7 @@ let report ~quick =
     w.duration;
   (* the ladder runs sequentially on purpose: rungs share the machine the
      same way, so the speedup column is internally consistent *)
-  let rows = List.map (fun burst -> measure ~config ~spec ~trace ~burst ()) ladder in
+  let rows = List.map (fun burst -> measure ~spec ~trace ~burst ()) ladder in
   Printf.printf "%10s %10s %10s %16s %12s  %s\n" "burst_max" "arrivals"
     "departs" "pkts/sec" "words/pkt" "depart_hash";
   List.iter

@@ -24,7 +24,6 @@ val scale_rates : float -> Hpfq.Class_tree.t -> Hpfq.Class_tree.t
     how a unit-rate spec is sized to a trace's offered load. *)
 
 val measure :
-  ?config:Engine.Simulator.config ->
   ?engine:Hpfq.Hier_engine.choice ->
   spec:Hpfq.Class_tree.t ->
   trace:Traffic.Trace.event list ->

@@ -32,18 +32,17 @@ let perf =
 let events =
   {
     name = "events";
-    title = "EVENTS: pending-set churn, heap vs calendar";
+    title = "EVENTS: pending-set churn, calendar queue";
     out = "BENCH_events.json";
     report = Bench_kit.Events.report;
     required =
-      [ [ "schema" ]; [ "ratios"; "calendar_over_heap" ] ]
-      @ rows [ "dist"; "n"; "backend"; "events_per_sec"; "minor_words_per_event" ];
+      [ [ "schema" ] ]
+      @ rows [ "dist"; "n"; "events_per_sec"; "minor_words_per_event" ];
     probe = Bench_kit.Events.probe;
     guards =
       [
         Relative
           { path = headline "calendar_events_per_sec"; tol = { local = 0.2; ci = 0.5 } };
-        Floor { path = headline "ratio"; floor = { local = 1.0; ci = 0.0 } };
       ];
   }
 

@@ -12,13 +12,9 @@ type measurement = {
 let r0 = 0.5
 let packet_bits = 1.0
 
-let measure ?config ~factory ~n () =
+let measure ~factory ~n () =
   if n < 1 then invalid_arg "Wfi_probe.measure: n must be >= 1";
-  let sim =
-    match config with
-    | Some c -> Sim.create_configured c
-    | None -> Sim.create ()
-  in
+  let sim = Sim.create () in
   let probe_delay = ref nan in
   let probe_sent = ref false in
   let session0_departures = ref 0 in
@@ -77,13 +73,11 @@ let measure ?config ~factory ~n () =
   }
 
 (* The sweep grid is the pool's canonical workload: every (discipline, N)
-   cell builds its own private simulator from a config snapshotted before
-   the workers spawn, so the grid runs on any number of domains and the
-   result list is bit-identical to the sequential one (cells are
-   RNG-free; index order does the rest). *)
+   cell builds its own private simulator, so the grid runs on any number
+   of domains and the result list is bit-identical to the sequential one
+   (cells are RNG-free; index order does the rest). *)
 let sweep_grid ?pool ~factories ~ns () =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
-  let config = Sim.snapshot_config () in
   let grid =
     Array.of_list
       (List.concat_map (fun factory -> List.map (fun n -> (factory, n)) ns) factories)
@@ -91,6 +85,6 @@ let sweep_grid ?pool ~factories ~ns () =
   Array.to_list
     (Parallel.Pool.map pool ~tasks:(Array.length grid) ~f:(fun i ->
          let factory, n = grid.(i) in
-         measure ~config ~factory ~n ()))
+         measure ~factory ~n ()))
 
 let sweep ?pool ~factory ~ns () = sweep_grid ?pool ~factories:[ factory ] ~ns ()

@@ -20,14 +20,11 @@ type measurement = {
 }
 
 val measure :
-  ?config:Engine.Simulator.config ->
   factory:Sched.Sched_intf.factory ->
   n:int ->
   unit ->
   measurement
-(** One probe run on a private simulator. [config] pins the event-set
-    backend (parallel sweeps pass a pre-spawn snapshot); without it the
-    process default is read, as before. *)
+(** One probe run on a private simulator. *)
 
 val sweep :
   ?pool:Parallel.Pool.t ->
@@ -44,7 +41,6 @@ val sweep_grid :
   unit ->
   measurement list
 (** The discipline × N grid, in row-major (factory-outer) order. Cells
-    fan out on [pool] (default: sequential); each builds its own
-    simulator from a {!Engine.Simulator.snapshot_config} taken before any
-    worker spawns, and the result order is the grid order regardless of
-    worker count — the output is bit-identical for any [-j]. *)
+    fan out on [pool] (default: sequential); each builds its own private
+    simulator, and the result order is the grid order regardless of worker
+    count — the output is bit-identical for any [-j]. *)

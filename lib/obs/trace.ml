@@ -230,10 +230,6 @@ let sim_report ?(name = "sim-events") t =
         (* one attached simulator is the normal case; suffix only beyond *)
         let key k = if i = 0 then k else Printf.sprintf "%s#%d" k i in
         [
-          [
-            key "backend";
-            Engine.Simulator.backend_name st.Engine.Simulator.stat_backend;
-          ];
           [ key "pending"; string_of_int st.Engine.Simulator.live ];
           [
             key "cancelled_in_set";
@@ -254,19 +250,8 @@ let sim_report ?(name = "sim-events") t =
         | _ ->
           let stats = List.map Engine.Simulator.stats sims in
           let sum f = List.fold_left (fun a st -> a + f st) 0 stats in
-          let backends =
-            List.sort_uniq compare
-              (List.map
-                 (fun st ->
-                   Engine.Simulator.backend_name st.Engine.Simulator.stat_backend)
-                 stats)
-          in
           [
             [ "sims"; string_of_int (List.length sims) ];
-            [
-              "backend/total";
-              (match backends with [ b ] -> b | bs -> String.concat "+" bs);
-            ];
             [ "pending/total"; string_of_int (sum (fun st -> st.Engine.Simulator.live)) ];
             [
               "cancelled_in_set/total";

@@ -55,7 +55,7 @@ val sim_counters : t -> int * int * int
 val sim_report : ?name:string -> t -> Stats.Report.t
 (** Event-loop activity as a [metric,value] table: the probe counters
     plus, per attached simulator, a live {!Engine.Simulator.stats}
-    snapshot (backend, pending, cancelled-in-structure, capacities,
+    snapshot (pending, cancelled-in-structure, capacities,
     compactions, resizes). With more than one simulator attached (via
     {!attach_sim} or {!of_sims}), per-sim keys beyond the first carry a
     [#i] suffix and aggregate [<key>/total] rows are appended. Rows are

@@ -24,12 +24,6 @@
       per-task streams with {!Engine.Rng.for_task}), no shared simulator,
       no worker identity.
 
-    Tasks must not read process-wide mutable defaults (e.g. the
-    [HPFQ_EVENT_SET]-seeded event-set backend): snapshot them {e before}
-    the call — see {!Engine.Simulator.snapshot_config} — so a concurrent
-    mutation cannot make two workers see different configurations
-    mid-sweep.
-
     A pool is a configuration, not a set of live threads: {!map} spawns
     its domains on entry and joins them before it returns (fork-join), so
     no state persists between calls and a [~jobs:1] pool is exactly the
@@ -48,10 +42,14 @@ type t
 val create : ?jobs:int -> unit -> t
 (** A pool running at most [jobs] worker domains (including the calling
     one). Defaults to {!default_jobs}[ ()].
-    @raise Invalid_argument if [jobs < 1]. *)
+    @raise Invalid_argument if [jobs] is below 1 or above {!max_jobs}. *)
 
 val jobs : t -> int
 (** Worker-domain budget this pool was created with. *)
+
+val max_jobs : int
+(** The largest [jobs] {!create} accepts (1024): a guard against
+    oversubscription typos such as [-j 1e6]. *)
 
 val default_jobs : unit -> int
 (** The process default: the [HPFQ_JOBS] environment variable if set to a

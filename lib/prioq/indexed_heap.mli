@@ -2,9 +2,9 @@
 
     Keys are small non-negative integers (session/child indices). Each key
     appears at most once. Priorities are floats with an integer tie-breaker
-    (the key itself) so ordering is deterministic. This is the structure
-    backing the eligible/ineligible session sets of the WF²Q+ scheduler:
-    [update] supports both decrease-key and increase-key. *)
+    (the key itself) so ordering is deterministic. [update] supports both
+    decrease-key and increase-key. The schedulers run {!Indexed_heap4};
+    this binary heap is the reference the tests check it against. *)
 
 type t
 

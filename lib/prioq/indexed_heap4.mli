@@ -1,5 +1,6 @@
-(** 4-ary indexed min-heap over integer keys — the hot-path default for the
-    WF²Q+ eligible/waiting session sets.
+(** 4-ary indexed min-heap over integer keys — the session heap every
+    scheduler runs (the WF²Q+ eligible/waiting sets, the GPS-based
+    disciplines, Virtual Clock, SCFQ/SFQ, FIFO and the GPS clock).
 
     Same contract and ordering (priority, then key, deterministic) as
     {!Indexed_heap}; the two agree pop-for-pop on any operation trace, and

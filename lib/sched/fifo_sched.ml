@@ -3,7 +3,7 @@ type session = { order : int Queue.t; mutable backlogged : bool }
 let make ~rate:_ =
   let sessions : session Vec.t = Vec.create () in
   let pool = Session_pool.create ~name:"Fifo_sched" () in
-  let ready = Prioq.Indexed_heap.create 16 in
+  let ready = Prioq.Indexed_heap4.create 16 in
   let backlogged_count = ref 0 in
   let arrival_counter = ref 0 in
   let observer : Sched_intf.observer option ref = ref None in
@@ -21,7 +21,7 @@ let make ~rate:_ =
       match policy with
       | `Drain -> Session_pool.mark_draining pool slot
       | `Drop ->
-        Prioq.Indexed_heap.remove ready slot;
+        Prioq.Indexed_heap4.remove ready slot;
         Queue.clear s.order;
         s.backlogged <- false;
         decr backlogged_count;
@@ -48,7 +48,7 @@ let make ~rate:_ =
     Session_pool.check_live pool session;
     (Vec.get sessions session).backlogged <- true;
     incr backlogged_count;
-    Prioq.Indexed_heap.add ready ~key:session ~prio:(head_order session);
+    Prioq.Indexed_heap4.add ready ~key:session ~prio:(head_order session);
     match !observer with
     | None -> ()
     | Some o ->
@@ -58,8 +58,8 @@ let make ~rate:_ =
   let requeue ~now ~session ~head_bits =
     Session_pool.check_live pool session;
     ignore (Queue.pop (Vec.get sessions session).order);
-    Prioq.Indexed_heap.remove ready session;
-    Prioq.Indexed_heap.add ready ~key:session ~prio:(head_order session);
+    Prioq.Indexed_heap4.remove ready session;
+    Prioq.Indexed_heap4.add ready ~key:session ~prio:(head_order session);
     match !observer with
     | None -> ()
     | Some o ->
@@ -70,7 +70,7 @@ let make ~rate:_ =
     Session_pool.check_live pool session;
     let s = Vec.get sessions session in
     ignore (Queue.pop s.order);
-    Prioq.Indexed_heap.remove ready session;
+    Prioq.Indexed_heap4.remove ready session;
     s.backlogged <- false;
     decr backlogged_count;
     if Session_pool.is_draining pool session then Session_pool.free pool session;
@@ -79,7 +79,7 @@ let make ~rate:_ =
     | Some o -> o.Sched_intf.on_idle ~now ~vtime:(float_of_int !arrival_counter) ~session
   in
   let select ~now =
-    match Prioq.Indexed_heap.min_key ready with
+    match Prioq.Indexed_heap4.min_key ready with
     | None -> None
     | Some session ->
       (match !observer with

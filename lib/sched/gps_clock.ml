@@ -8,7 +8,7 @@ type session = {
 type t = {
   rate : float;
   sessions : session Vec.t;
-  departures : Prioq.Indexed_heap.t; (* fluid-backlogged sessions keyed by last_finish *)
+  departures : Prioq.Indexed_heap4.t; (* fluid-backlogged sessions keyed by last_finish *)
   mutable active_rate_sum : float;   (* Σ r_i over fluid-backlogged sessions *)
   mutable v : float;
   mutable v_time : float;            (* server time at which [v] was computed *)
@@ -20,7 +20,7 @@ let create ~rate =
   {
     rate;
     sessions = Vec.create ();
-    departures = Prioq.Indexed_heap.create 16;
+    departures = Prioq.Indexed_heap4.create 16;
     active_rate_sum = 0.0;
     v = 0.0;
     v_time = 0.0;
@@ -37,7 +37,7 @@ let add_session t ~rate =
    departure epoch) or consumes the remaining real-time interval. *)
 let rec advance t ~now =
   if now > t.v_time then begin
-    match Prioq.Indexed_heap.min_binding t.departures with
+    match Prioq.Indexed_heap4.min_binding t.departures with
     | None -> t.v_time <- now (* fluid system idle: V frozen (at 0) *)
     | Some (idx, f_min) ->
       let slope = t.rate /. t.active_rate_sum in
@@ -46,10 +46,10 @@ let rec advance t ~now =
         let s = Vec.get t.sessions idx in
         t.v <- f_min;
         t.v_time <- t.v_time +. dt_to_departure;
-        ignore (Prioq.Indexed_heap.pop_min t.departures);
+        ignore (Prioq.Indexed_heap4.pop_min t.departures);
         s.in_fluid <- false;
         t.active_rate_sum <- t.active_rate_sum -. s.rate;
-        if Prioq.Indexed_heap.is_empty t.departures then begin
+        if Prioq.Indexed_heap4.is_empty t.departures then begin
           (* busy period ended: reset per Parekh–Gallager *)
           t.active_rate_sum <- 0.0;
           t.v <- 0.0;
@@ -76,9 +76,9 @@ let on_arrival t ~now ~session ~size_bits =
   if not s.in_fluid then begin
     s.in_fluid <- true;
     t.active_rate_sum <- t.active_rate_sum +. s.rate;
-    Prioq.Indexed_heap.add t.departures ~key:session ~prio:finish
+    Prioq.Indexed_heap4.add t.departures ~key:session ~prio:finish
   end
-  else Prioq.Indexed_heap.update t.departures ~key:session ~prio:finish;
+  else Prioq.Indexed_heap4.update t.departures ~key:session ~prio:finish;
   (start, finish)
 
 let virtual_time t ~now =
@@ -95,4 +95,4 @@ let gps_backlogged t ~now ~session =
 
 let busy t ~now =
   advance t ~now;
-  not (Prioq.Indexed_heap.is_empty t.departures)
+  not (Prioq.Indexed_heap4.is_empty t.departures)

@@ -12,7 +12,7 @@ type state = {
   flavour : flavour;
   sessions : session Vec.t;
   pool : Session_pool.t;
-  ready : Prioq.Indexed_heap.t; (* keyed by F (SCFQ) or S (SFQ) *)
+  ready : Prioq.Indexed_heap4.t; (* keyed by F (SCFQ) or S (SFQ) *)
   mutable v : float;            (* tag of the packet in service *)
   mutable epoch : int;
   mutable in_service : bool;
@@ -32,7 +32,7 @@ let make ~flavour ~name ~rate:_ =
       flavour;
       sessions = Vec.create ();
       pool = Session_pool.create ~name:name ();
-      ready = Prioq.Indexed_heap.create 16;
+      ready = Prioq.Indexed_heap4.create 16;
       v = 0.0;
       epoch = 0;
       in_service = false;
@@ -63,7 +63,7 @@ let make ~flavour ~name ~rate:_ =
       match policy with
       | `Drain -> Session_pool.mark_draining t.pool slot
       | `Drop ->
-        Prioq.Indexed_heap.remove t.ready slot;
+        Prioq.Indexed_heap4.remove t.ready slot;
         Stamp_queue.clear s.stamps;
         s.backlogged <- false;
         t.backlogged_count <- t.backlogged_count - 1;
@@ -101,7 +101,7 @@ let make ~flavour ~name ~rate:_ =
     let s = Vec.get t.sessions session in
     s.backlogged <- true;
     t.backlogged_count <- t.backlogged_count + 1;
-    Prioq.Indexed_heap.add t.ready ~key:session ~prio:(head_key session);
+    Prioq.Indexed_heap4.add t.ready ~key:session ~prio:(head_key session);
     match t.observer with
     | None -> ()
     | Some o -> o.Sched_intf.on_backlog ~now ~vtime:t.v ~session ~head_bits
@@ -110,8 +110,8 @@ let make ~flavour ~name ~rate:_ =
     Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     Stamp_queue.drop s.stamps;
-    Prioq.Indexed_heap.remove t.ready session;
-    Prioq.Indexed_heap.add t.ready ~key:session ~prio:(head_key session);
+    Prioq.Indexed_heap4.remove t.ready session;
+    Prioq.Indexed_heap4.add t.ready ~key:session ~prio:(head_key session);
     match t.observer with
     | None -> ()
     | Some o -> o.Sched_intf.on_requeue ~now ~vtime:t.v ~session ~head_bits
@@ -120,7 +120,7 @@ let make ~flavour ~name ~rate:_ =
     Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
     Stamp_queue.drop s.stamps;
-    Prioq.Indexed_heap.remove t.ready session;
+    Prioq.Indexed_heap4.remove t.ready session;
     s.backlogged <- false;
     t.backlogged_count <- t.backlogged_count - 1;
     if t.backlogged_count = 0 then begin
@@ -135,7 +135,7 @@ let make ~flavour ~name ~rate:_ =
     | Some o -> o.Sched_intf.on_idle ~now ~vtime:t.v ~session
   in
   let select ~now =
-    match Prioq.Indexed_heap.min_key t.ready with
+    match Prioq.Indexed_heap4.min_key t.ready with
     | None -> None
     | Some session ->
       let s = Vec.get t.sessions session in

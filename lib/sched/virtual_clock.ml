@@ -10,7 +10,7 @@ type session = {
 let make ~rate:_ =
   let sessions : session Vec.t = Vec.create () in
   let pool = Session_pool.create ~name:"Virtual_clock" () in
-  let ready = Prioq.Indexed_heap.create 16 in
+  let ready = Prioq.Indexed_heap4.create 16 in
   let backlogged_count = ref 0 in
   let last_selected_stamp = ref 0.0 in
   let observer : Sched_intf.observer option ref = ref None in
@@ -31,7 +31,7 @@ let make ~rate:_ =
       match policy with
       | `Drain -> Session_pool.mark_draining pool slot
       | `Drop ->
-        Prioq.Indexed_heap.remove ready slot;
+        Prioq.Indexed_heap4.remove ready slot;
         Stamp_queue.clear s.stamps;
         s.backlogged <- false;
         decr backlogged_count;
@@ -58,7 +58,7 @@ let make ~rate:_ =
     Session_pool.check_live pool session;
     (Vec.get sessions session).backlogged <- true;
     incr backlogged_count;
-    Prioq.Indexed_heap.add ready ~key:session ~prio:(head_stamp session);
+    Prioq.Indexed_heap4.add ready ~key:session ~prio:(head_stamp session);
     match !observer with
     | None -> ()
     | Some o -> o.Sched_intf.on_backlog ~now ~vtime:!last_selected_stamp ~session ~head_bits
@@ -66,8 +66,8 @@ let make ~rate:_ =
   let requeue ~now ~session ~head_bits =
     Session_pool.check_live pool session;
     Stamp_queue.drop (Vec.get sessions session).stamps;
-    Prioq.Indexed_heap.remove ready session;
-    Prioq.Indexed_heap.add ready ~key:session ~prio:(head_stamp session);
+    Prioq.Indexed_heap4.remove ready session;
+    Prioq.Indexed_heap4.add ready ~key:session ~prio:(head_stamp session);
     match !observer with
     | None -> ()
     | Some o -> o.Sched_intf.on_requeue ~now ~vtime:!last_selected_stamp ~session ~head_bits
@@ -76,7 +76,7 @@ let make ~rate:_ =
     Session_pool.check_live pool session;
     let s = Vec.get sessions session in
     Stamp_queue.drop s.stamps;
-    Prioq.Indexed_heap.remove ready session;
+    Prioq.Indexed_heap4.remove ready session;
     s.backlogged <- false;
     decr backlogged_count;
     if Session_pool.is_draining pool session then Session_pool.free pool session;
@@ -85,7 +85,7 @@ let make ~rate:_ =
     | Some o -> o.Sched_intf.on_idle ~now ~vtime:!last_selected_stamp ~session
   in
   let select ~now =
-    match Prioq.Indexed_heap.min_binding ready with
+    match Prioq.Indexed_heap4.min_binding ready with
     | None -> None
     | Some (session, stamp) ->
       last_selected_stamp := stamp;

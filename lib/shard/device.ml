@@ -66,10 +66,11 @@ let create ?(workers = 1) ?shards ?(mailbox_capacity = 256)
   if workload.rounds < 0 then invalid_arg "Device.create: rounds must be >= 0";
   if workload.burst_max < 0 then
     invalid_arg "Device.create: burst_max must be >= 0";
-  if workload.packet_bits <= 0.0 then
+  (* [not (x > 0.0)] so that NaN is rejected too *)
+  if not (workload.packet_bits > 0.0) then
     invalid_arg "Device.create: packet_bits must be positive";
-  if workload.overload <= 0.0 then
-    invalid_arg "Device.create: overload must be positive";
+  if not (workload.overload > 0.0 && Float.is_finite workload.overload) then
+    invalid_arg "Device.create: overload must be positive and finite";
   let spec =
     match spec with
     | Some s -> s
@@ -156,8 +157,8 @@ type link_state = {
   ls_trace_obs : Obs.Trace.t option;
 }
 
-let make_link_state t ~config ~link =
-  let sim = Sim.create_configured config in
+let make_link_state t ~link =
+  let sim = Sim.create () in
   let pkts = ref 0 and bits = ref 0.0 and hash = ref 0L in
   let trace = ref [] in
   let engine =
@@ -263,7 +264,6 @@ let owned_links t ~shard =
 
 let run t =
   let w = t.workload in
-  let config = Sim.snapshot_config () in
   let flows = w.flows_per_link * t.links in
   let dt = round_dt t in
   (* A dedicated consumer per mailbox is what makes bounded backpressure
@@ -277,7 +277,7 @@ let run t =
   let slots : link_result option array = Array.make t.links None in
   let consume shard =
     let states =
-      List.map (fun link -> make_link_state t ~config ~link) (owned_links t ~shard)
+      List.map (fun link -> make_link_state t ~link) (owned_links t ~shard)
     in
     let by_link = Hashtbl.create 16 in
     List.iter (fun s -> Hashtbl.replace by_link s.ls_link s) states;
@@ -391,10 +391,9 @@ let run_link_reference t ~link =
   if link < 0 || link >= t.links then
     invalid_arg (Printf.sprintf "Device.run_link_reference: link %d out of range" link);
   let w = t.workload in
-  let config = Sim.snapshot_config () in
   let flows = w.flows_per_link * t.links in
   let dt = round_dt t in
-  let s = make_link_state t ~config ~link in
+  let s = make_link_state t ~link in
   let leaves = List.length (Hpfq.Class_tree.leaves t.spec) in
   let root = Rng.create w.seed in
   (* only this link's flows — for_task streams are independent per index,

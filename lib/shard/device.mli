@@ -67,7 +67,8 @@ val create :
     backpressure requires a dedicated consumer per mailbox.
     [record_traces] keeps full per-link departure traces (tests);
     [observe] attaches a per-link {!Obs.Trace} and keeps its metrics.
-    @raise Invalid_argument on nonsensical geometry or workload. *)
+    @raise Invalid_argument on nonsensical geometry or workload (a NaN
+    or infinite [overload] included). *)
 
 val links : t -> int
 val shards : t -> int

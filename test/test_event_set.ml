@@ -1,85 +1,129 @@
-(* Pending-set backends: slot heap vs calendar queue.
+(* The simulator's pending-event set: the calendar queue, checked against
+   the reference slot heap.
 
-   The two backends must be observationally identical through the
-   Simulator API — same fire order, same clocks, same pending counts —
-   under any interleaving of schedule / cancel / step / run~until. The
-   lockstep qcheck property below drives both through the same random op
-   sequence and compares full traces; the unit tests pin the run~until
-   horizon semantics, cancelled-top reclamation, compaction triggering
-   and the calendar's resize / far-future behaviour. *)
+   Below the simulator, the two [Event_set.S] implementations must give
+   the same answer to every peek and pop under any interleaving of add,
+   cancel (a pool state flip, as the simulator does it), peek_live,
+   pop_live and compact. The lockstep qcheck property drives both over
+   one [Event_pool] through the same random op sequence and compares
+   every answer. The unit tests then pin, through the Simulator API, the
+   run~until horizon semantics, cancelled-top reclamation, compaction
+   triggering, stream installation and the calendar's resize /
+   far-future behaviour. *)
 
 module Sim = Engine.Simulator
+module Pool = Engine.Event_pool
+module Cal = Engine.Calendar_queue
+module Heap = Engine.Slot_heap
 
-(* ---- lockstep differential property ---- *)
+(* ---- Event_set.S lockstep: calendar queue vs slot heap ---- *)
 
 type op =
-  | Schedule of float (* delay from now *)
-  | Chain of float * float (* handler schedules a follow-up: exercises
-                              the calendar's rewind-on-add path *)
-  | Cancel of int (* index into ids issued so far (stale ids included) *)
-  | Step
-  | Run_until of float (* horizon = now + delay *)
+  | Add of float (* delay past the last popped time *)
+  | Cancel of int (* index into the events added so far *)
+  | Peek
+  | Pop
+  | Compact
 
 let op_to_string = function
-  | Schedule d -> Printf.sprintf "sched %h" d
-  | Chain (a, b) -> Printf.sprintf "chain %h %h" a b
+  | Add d -> Printf.sprintf "add +%h" d
   | Cancel k -> Printf.sprintf "cancel#%d" k
-  | Step -> "step"
-  | Run_until d -> Printf.sprintf "until +%h" d
+  | Peek -> "peek"
+  | Pop -> "pop"
+  | Compact -> "compact"
 
 let print_ops ops = String.concat "; " (List.map op_to_string ops)
 
-(* Everything observable: each fire (tag, time) interleaved with the
-   (clock, pending) snapshot taken after every op. Identical op replay
-   must yield identical traces on both backends. *)
-type entry = Fired of int * float | After of int * float * int
+(* Every event gets one slot in each structure, both keyed by the same
+   (time, seq), so the two answers to a peek or pop must name the same
+   event. A popped slot is freed by the caller, as the simulator does;
+   cancelled slots are freed by the structure that reclaims them. Returns
+   the first disagreement, if any. *)
+let lockstep_mismatch ops =
+  let pool = Pool.create () in
+  let cal = Cal.create pool and heap = Heap.create pool in
+  (* slot -> event index, per structure; events are numbered by their
+     Add, which is also their seq *)
+  let owner = Hashtbl.create 64 in
+  let n = List.length ops in
+  let slots = Array.make n (-1, -1) (* event -> (cal slot, heap slot) *)
+  and pending = Array.make n false (* event -> neither popped nor cancelled *)
+  and events = ref 0 and live = ref 0 and floor = ref 0.0 in
+  let alloc ~at ~seq ~side =
+    let slot = Pool.alloc pool in
+    pool.Pool.times.(slot) <- at;
+    pool.Pool.seqs.(slot) <- seq;
+    Bytes.set pool.Pool.state slot Pool.st_live;
+    Hashtbl.replace owner (side, slot) seq;
+    slot
+  in
+  let name side slot = if slot < 0 then -1 else Hashtbl.find owner (side, slot) in
+  let answer what i c h =
+    let ec = name `Cal c and eh = name `Heap h in
+    if ec = eh then None
+    else Some (Printf.sprintf "op %d %s: calendar event %d, heap event %d" i what ec eh)
+  in
+  let step i op =
+    match op with
+    | Add d ->
+      let e = !events and at = !floor +. d in
+      let c = alloc ~at ~seq:e ~side:`Cal and h = alloc ~at ~seq:e ~side:`Heap in
+      slots.(e) <- (c, h);
+      pending.(e) <- true;
+      incr events;
+      incr live;
+      Cal.add cal c;
+      Heap.add heap h;
+      None
+    | Cancel k ->
+      (if !events > 0 then
+         let e = k mod !events in
+         if pending.(e) then begin
+           let c, h = slots.(e) in
+           Bytes.set pool.Pool.state c Pool.st_cancelled;
+           Bytes.set pool.Pool.state h Pool.st_cancelled;
+           pending.(e) <- false;
+           decr live
+         end);
+      None
+    | Peek -> answer "peek_live" i (Cal.peek_live cal) (Heap.peek_live heap)
+    | Pop ->
+      let c = Cal.pop_live cal and h = Heap.pop_live heap in
+      let r = answer "pop_live" i c h in
+      if r = None && c >= 0 then begin
+        pending.(name `Cal c) <- false;
+        decr live;
+        floor := pool.Pool.times.(c);
+        Pool.free pool c;
+        Pool.free pool h
+      end;
+      r
+    | Compact ->
+      Cal.compact cal;
+      Heap.compact heap;
+      if Cal.size cal = !live && Heap.size heap = !live then None
+      else
+        Some
+          (Printf.sprintf "op %d compact: calendar holds %d, heap %d, live %d" i
+             (Cal.size cal) (Heap.size heap) !live)
+  in
+  let rec go i = function
+    | [] ->
+      (* drain: the remaining pops must agree too *)
+      if !live = 0 then None else (match step i Pop with None -> go (i + 1) [] | r -> r)
+    | op :: rest -> ( match step i op with None -> go (i + 1) rest | r -> r)
+  in
+  go 0 ops
 
-let run_trace backend ops =
-  let sim = Sim.create ~backend () in
-  let log = ref [] in
-  let ids = ref [] in
-  let tags = ref 0 in
-  let fresh_tag () =
-    let t = !tags in
-    incr tags;
-    t
-  in
-  let log_fire tag = log := Fired (tag, Sim.now sim) :: !log in
-  let sched d =
-    let tag = fresh_tag () in
-    ids := Sim.schedule_after sim ~delay:d (fun () -> log_fire tag) :: !ids
-  in
-  let sched_chain d1 d2 =
-    let tag = fresh_tag () in
-    ids :=
-      Sim.schedule_after sim ~delay:d1 (fun () ->
-          log_fire tag;
-          let tag2 = fresh_tag () in
-          ids :=
-            Sim.schedule_after sim ~delay:d2 (fun () -> log_fire tag2) :: !ids)
-      :: !ids
-  in
-  List.iteri
-    (fun i op ->
-      (match op with
-      | Schedule d -> sched d
-      | Chain (d1, d2) -> sched_chain d1 d2
-      | Cancel k -> (
-        match !ids with
-        | [] -> ()
-        | l -> Sim.cancel sim (List.nth l (k mod List.length l)))
-      | Step -> ignore (Sim.step sim)
-      | Run_until d -> Sim.run ~until:(Sim.now sim +. d) sim);
-      log := After (i, Sim.now sim, Sim.pending sim) :: !log)
-    ops;
-  Sim.run sim;
-  (List.rev !log, Sim.now sim, Sim.events_processed sim)
-
+(* Exact ties (delay 0, or equal multiples of 0.25) exercise the seq
+   tie-break; the far tail drives the calendar's resize and direct-search
+   paths. *)
 let gen_delay =
   QCheck.Gen.frequency
     [
-      (6, QCheck.Gen.map (fun u -> 2.0 *. u) (QCheck.Gen.float_bound_inclusive 1.0));
-      (1, QCheck.Gen.return 0.0) (* exact ties: FIFO tie-break *);
+      (4, QCheck.Gen.map (fun u -> 2.0 *. u) (QCheck.Gen.float_bound_inclusive 1.0));
+      (2, QCheck.Gen.map (fun i -> 0.25 *. float_of_int i) (QCheck.Gen.int_bound 8));
+      (1, QCheck.Gen.return 0.0);
       ( 1,
         QCheck.Gen.map
           (fun u -> 1000.0 *. u)
@@ -89,11 +133,11 @@ let gen_delay =
 let gen_op ~cancel_weight =
   QCheck.Gen.frequency
     [
-      (5, QCheck.Gen.map (fun d -> Schedule d) gen_delay);
-      (2, QCheck.Gen.map2 (fun a b -> Chain (a, b)) gen_delay gen_delay);
+      (6, QCheck.Gen.map (fun d -> Add d) gen_delay);
       (cancel_weight, QCheck.Gen.map (fun k -> Cancel k) QCheck.Gen.nat);
-      (2, QCheck.Gen.return Step);
-      (1, QCheck.Gen.map (fun d -> Run_until d) gen_delay);
+      (1, QCheck.Gen.return Peek);
+      (3, QCheck.Gen.return Pop);
+      (1, QCheck.Gen.return Compact);
     ]
 
 let gen_ops ~cancel_weight ~max_len =
@@ -103,9 +147,11 @@ let gen_ops ~cancel_weight ~max_len =
 
 let lockstep name ~count ~cancel_weight ~max_len =
   QCheck.Test.make ~name ~count
-    (QCheck.make (gen_ops ~cancel_weight ~max_len) ~print:print_ops)
+    (QCheck.make (gen_ops ~cancel_weight ~max_len) ~print:print_ops ~shrink:QCheck.Shrink.list)
     (fun ops ->
-      run_trace Sim.Slot_heap ops = run_trace Sim.Calendar ops)
+      match lockstep_mismatch ops with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
 
 let prop_lockstep =
   lockstep "heap and calendar replay identically" ~count:300 ~cancel_weight:2
@@ -116,19 +162,16 @@ let prop_lockstep =
 let prop_lockstep_churn =
   lockstep "lockstep under cancel churn" ~count:80 ~cancel_weight:8 ~max_len:400
 
-(* ---- unit tests, parameterized by backend ---- *)
+(* ---- Simulator unit tests ---- *)
 
-let both name f =
-  [
-    Alcotest.test_case (name ^ " (heap)") `Quick (fun () -> f Sim.Slot_heap);
-    Alcotest.test_case (name ^ " (calendar)") `Quick (fun () -> f Sim.Calendar);
-  ]
+(* Each runs once, on the simulator's calendar queue. *)
+let case name f = Alcotest.test_case (name ^ " (calendar)") `Quick f
 
 (* run ~until boundary: an event exactly at the horizon fires, the next
    representable instant after it does not, and the clock lands on the
    horizon even when nothing fires. *)
-let test_until_boundary backend =
-  let sim = Sim.create ~backend () in
+let test_until_boundary () =
+  let sim = Sim.create () in
   let fired = ref [] in
   let tag t () = fired := t :: !fired in
   ignore (Sim.schedule sim ~at:1.0 (tag "early"));
@@ -148,15 +191,15 @@ let test_until_boundary backend =
   Alcotest.(check (float 0.0)) "clock at last event" (Float.succ 5.0)
     (Sim.now sim)
 
-let test_until_empty backend =
-  let sim = Sim.create ~backend () in
+let test_until_empty () =
+  let sim = Sim.create () in
   Sim.run ~until:3.0 sim;
   Alcotest.(check (float 0.0)) "clock advances with no events" 3.0 (Sim.now sim)
 
 (* a cancelled earliest event must be skipped and its structure entry
    reclaimed by the peek, not merely ignored *)
-let test_cancelled_top_reclaimed backend =
-  let sim = Sim.create ~backend () in
+let test_cancelled_top_reclaimed () =
+  let sim = Sim.create () in
   let count = ref 0 in
   let first = Sim.schedule sim ~at:1.0 (fun () -> incr count) in
   for i = 2 to 10 do
@@ -175,8 +218,8 @@ let test_cancelled_top_reclaimed backend =
   Sim.run sim;
   Alcotest.(check int) "survivors all fired" 9 !count
 
-let test_compaction_trigger backend =
-  let sim = Sim.create ~backend () in
+let test_compaction_trigger () =
+  let sim = Sim.create () in
   let ids =
     Array.init 256 (fun i ->
         Sim.schedule sim ~at:(float_of_int (i + 1)) ignore)
@@ -192,18 +235,10 @@ let test_compaction_trigger backend =
   Sim.run sim;
   Alcotest.(check int) "only survivors fired" 64 (Sim.events_processed sim)
 
-let test_stats_backend backend =
-  let sim = Sim.create ~backend () in
-  let st = Sim.stats sim in
-  Alcotest.(check string)
-    "stats names the backend"
-    (Sim.backend_name backend)
-    (Sim.backend_name st.Sim.stat_backend)
-
 (* stale ids: cancel after fire is a no-op, and must not kill an
    unrelated event that reused the slot (generation check) *)
-let test_stale_cancel backend =
-  let sim = Sim.create ~backend () in
+let test_stale_cancel () =
+  let sim = Sim.create () in
   Sim.cancel sim Sim.stale_id;
   let fired = ref 0 in
   let old_id = Sim.schedule sim ~at:1.0 (fun () -> incr fired) in
@@ -219,8 +254,8 @@ let test_stale_cancel backend =
 
 (* a far-future outlier (clamped virtual bucket, direct-search path on the
    calendar) must not disturb near-term ordering, and must fire last *)
-let test_far_future backend =
-  let sim = Sim.create ~backend () in
+let test_far_future () =
+  let sim = Sim.create () in
   let log = ref [] in
   ignore (Sim.schedule sim ~at:1.0e12 (fun () -> log := "far" :: !log));
   for i = 1 to 50 do
@@ -239,7 +274,7 @@ let test_far_future backend =
   Alcotest.(check (float 0.0)) "clock at outlier" 1.0e12 (Sim.now sim)
 
 let test_calendar_resizes () =
-  let sim = Sim.create ~backend:Sim.Calendar () in
+  let sim = Sim.create () in
   for i = 1 to 1000 do
     ignore (Sim.schedule sim ~at:(0.01 *. float_of_int i) ignore)
   done;
@@ -256,8 +291,8 @@ let test_calendar_resizes () =
 
 (* A NaN time compares false both ways; admitted, it fired between 1.0
    and 0.5 and then pulled the clock back to 0.5. *)
-let test_nan_rejected backend =
-  let sim = Sim.create ~backend () in
+let test_nan_rejected () =
+  let sim = Sim.create () in
   let fired = ref [] in
   let tag t () = fired := t :: !fired in
   ignore (Sim.schedule sim ~at:1.0 (tag 1.0));
@@ -279,8 +314,8 @@ let test_nan_rejected backend =
 (* ---- streams: [Sim.stream] = eager [Sim.schedule] of every entry ---- *)
 
 (* Install rejects bad times before installing anything. *)
-let test_stream_rejects backend =
-  let sim = Sim.create ~backend () in
+let test_stream_rejects () =
+  let sim = Sim.create () in
   Sim.run ~until:1.0 sim;
   let rejects name times =
     (match Sim.stream sim times (fun _ -> Alcotest.fail "entry fired") with
@@ -299,13 +334,13 @@ let test_stream_rejects backend =
 
 (* One entry pending at a time, and an entry allocates no more than an
    eagerly scheduled event holding a shared closure. *)
-let test_stream_footprint backend =
+let test_stream_footprint () =
   let n = 20_000 in
   let times = Array.init n (fun i -> 0.001 *. float_of_int (i / 2)) in
   let count = ref 0 in
   let action _ = incr count in
   let run_words install =
-    let sim = Sim.create ~backend () in
+    let sim = Sim.create () in
     install sim;
     let w0 = Gc.minor_words () in
     Sim.run sim;
@@ -372,8 +407,8 @@ let print_sprog p =
    the earliest pending time, at every fire and after every op. *)
 type sentry = S_fired of int * float * float | S_after of int * float * float
 
-let run_sprog backend ~stream p =
-  let sim = Sim.create ~backend () in
+let run_sprog ~stream p =
+  let sim = Sim.create () in
   let log = ref [] in
   let ids = Hashtbl.create 16 and labels = ref 0 in
   (* behaviour c: 1 mod 3 schedules a runtime event (c / 3) * 0.25 later
@@ -407,11 +442,10 @@ let run_sprog backend ~stream p =
   Sim.run sim;
   (List.rev !log, Sim.now sim, Sim.events_processed sim)
 
-let prop_stream_eager backend =
-  QCheck.Test.make ~count:400
-    ~name:(Printf.sprintf "stream = eager schedule (%s)" (Sim.backend_name backend))
+let prop_stream_eager =
+  QCheck.Test.make ~count:400 ~name:"stream = eager schedule (calendar)"
     (QCheck.make gen_sprog ~print:print_sprog)
-    (fun p -> run_sprog backend ~stream:true p = run_sprog backend ~stream:false p)
+    (fun p -> run_sprog ~stream:true p = run_sprog ~stream:false p)
 
 let suite_qcheck =
   List.map
@@ -419,8 +453,7 @@ let suite_qcheck =
     [
       prop_lockstep;
       prop_lockstep_churn;
-      prop_stream_eager Sim.Slot_heap;
-      prop_stream_eager Sim.Calendar;
+      prop_stream_eager;
     ]
 
 let () =
@@ -428,19 +461,25 @@ let () =
     [
       ("lockstep", suite_qcheck);
       ( "run-until",
-        both "horizon boundary" test_until_boundary
-        @ both "empty horizon" test_until_empty
-        @ both "cancelled top reclaimed" test_cancelled_top_reclaimed );
+        [
+          case "horizon boundary" test_until_boundary;
+          case "empty horizon" test_until_empty;
+          case "cancelled top reclaimed" test_cancelled_top_reclaimed;
+        ] );
       ( "occupancy",
-        both "compaction trigger" test_compaction_trigger
-        @ both "stats backend" test_stats_backend
-        @ both "stale cancel" test_stale_cancel );
+        [
+          case "compaction trigger" test_compaction_trigger;
+          case "stale cancel" test_stale_cancel;
+        ] );
       ( "times",
-        both "nan rejected" test_nan_rejected
-        @ both "stream rejects bad times" test_stream_rejects
-        @ both "stream footprint" test_stream_footprint );
+        [
+          case "nan rejected" test_nan_rejected;
+          case "stream rejects bad times" test_stream_rejects;
+          case "stream footprint" test_stream_footprint;
+        ] );
       ( "calendar",
-        both "far-future outlier" test_far_future
-        @ [ Alcotest.test_case "adaptive resize" `Quick test_calendar_resizes ]
-      );
+        [
+          case "far-future outlier" test_far_future;
+          Alcotest.test_case "adaptive resize" `Quick test_calendar_resizes;
+        ] );
     ]

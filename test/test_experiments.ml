@@ -102,6 +102,25 @@ let test_link_sharing_short () =
       Alcotest.(check bool) (leaf ^ " few timeouts") true (timeouts <= 2))
     r.E.Link_sharing.tcp_stats
 
+(* a horizon that is not > 0 is a named error, not an empty run whose
+   report then fails somewhere else *)
+let test_bad_horizon_rejected () =
+  List.iter
+    (fun horizon ->
+      let rejects name f =
+        match f () with
+        | exception Invalid_argument msg ->
+          Alcotest.(check bool) (name ^ " names itself: " ^ msg) true
+            (String.starts_with ~prefix:name msg)
+        | _ -> Alcotest.failf "%s accepted horizon %g" name horizon
+      in
+      rejects "Delay_experiment.run" (fun () ->
+          ignore
+            (E.Delay_experiment.run ~factory:Hpfq.Disciplines.wf2q_plus
+               ~scenario:E.Delay_experiment.S1_constant_and_trains ~horizon ()));
+      rejects "Link_sharing.run" (fun () -> ignore (E.Link_sharing.run ~horizon ())))
+    [ 0.0; -1.0; Float.nan ]
+
 let () =
   Alcotest.run "experiments"
     [
@@ -112,6 +131,7 @@ let () =
           Alcotest.test_case "scenarios differ" `Quick test_delay_scenarios_differ;
           Alcotest.test_case "wfi probe shapes" `Quick test_wfi_probe_shapes;
           Alcotest.test_case "hierarchies valid" `Quick test_paper_hierarchies_valid;
+          Alcotest.test_case "bad horizon rejected" `Quick test_bad_horizon_rejected;
           Alcotest.test_case "link sharing (short)" `Slow test_link_sharing_short;
         ] );
     ]

@@ -122,10 +122,6 @@ let test_sim_report () =
     (List.assoc_opt "scheduled" assoc);
   Alcotest.(check (option string)) "fired" (Some "22")
     (List.assoc_opt "fired" assoc);
-  Alcotest.(check (option string))
-    "backend"
-    (Some (Engine.Simulator.backend_name (Engine.Simulator.default_backend ())))
-    (List.assoc_opt "backend" assoc);
   Alcotest.(check (option string)) "run drained" (Some "0")
     (List.assoc_opt "pending" assoc);
   Alcotest.(check (option string)) "no garbage retained" (Some "0")

@@ -7,13 +7,10 @@
      pairwise distinct, parent left untouched;
    - sweeps are bit-identical across -j1 / -j4 / -j8 and equal to the
      pre-pool sequential formulation (the determinism contract on real
-     workloads);
-   - workers read a pre-spawn config snapshot, so a concurrent
-     [set_default_backend] cannot split one sweep across two backends. *)
+     workloads). *)
 
 module Pool = Parallel.Pool
 module Rng = Engine.Rng
-module Sim = Engine.Simulator
 module Q = QCheck
 
 (* ---- Pool.map as Array.init ---- *)
@@ -266,34 +263,6 @@ let test_forkjoin_map_still_matches_sequential () =
     "delegated map" (Array.init 31 (fun i -> i * 3))
     (Pool.map pool ~tasks:31 ~f:(fun i -> i * 3))
 
-(* ---- config snapshot isolates workers from default mutation ---- *)
-
-let other = function Sim.Slot_heap -> Sim.Calendar | Sim.Calendar -> Sim.Slot_heap
-
-let test_workers_do_not_observe_default_mutation () =
-  let saved = Sim.default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Sim.set_default_backend saved)
-    (fun () ->
-      let pinned = other saved in
-      Sim.set_default_backend pinned;
-      let config = Sim.snapshot_config () in
-      let pool = Pool.create ~jobs:4 () in
-      let backends =
-        Pool.map pool ~tasks:16 ~f:(fun i ->
-            (* one task races a default flip against everyone else — the
-               snapshot, not the live default, must decide the backend *)
-            if i = 0 then Sim.set_default_backend (other pinned);
-            let sim = Sim.create_configured config in
-            (Sim.stats sim).Sim.stat_backend)
-      in
-      Array.iteri
-        (fun i b ->
-          Alcotest.(check string)
-            (Printf.sprintf "task %d pinned to the snapshot" i)
-            (Sim.backend_name pinned) (Sim.backend_name b))
-        backends)
-
 let suite =
   [
     ("map matches sequential at -j1/-j4/-j7", `Quick, test_map_matches_sequential);
@@ -318,9 +287,6 @@ let suite =
     ("fork-join map delegates unchanged", `Quick, test_forkjoin_map_still_matches_sequential);
     ("wfi sweep bit-identical across -j", `Slow, test_wfi_sweep_deterministic_across_jobs);
     ("delay sweep bit-identical across -j", `Slow, test_delay_sweep_deterministic_across_jobs);
-    ( "config snapshot shields workers from default mutation",
-      `Quick,
-      test_workers_do_not_observe_default_mutation );
   ]
 
 let () = Alcotest.run "parallel" [ ("pool", suite) ]

@@ -202,6 +202,11 @@ let test_device_rejects_bad_config () =
   invalid (fun () ->
       Shard.Device.create
         ~workload:{ (Shard.Device.default_workload ~rounds:1) with Shard.Device.overload = 0.0 }
+        ~links:1 ());
+  invalid (fun () ->
+      Shard.Device.create
+        ~workload:
+          { (Shard.Device.default_workload ~rounds:1) with Shard.Device.overload = Float.nan }
         ~links:1 ())
 
 (* ---- merged reports ---- *)
