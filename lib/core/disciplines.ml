@@ -1,14 +1,14 @@
 let wf2q_plus = Wf2q_plus.factory
 let wf2q_plus_fixed = Wf2q_plus_fixed.factory
 let wf2q_plus_per_packet = Wf2q_plus_stamped.factory
-let wfq = Sched.Gps_based.wfq
-let wf2q = Sched.Gps_based.wf2q
-let scfq = Sched.Self_clocked.scfq
-let sfq = Sched.Self_clocked.sfq
-let virtual_clock = Sched.Virtual_clock.factory
+let wfq = Sched.Tagged.wfq
+let wf2q = Sched.Tagged.wf2q
+let scfq = Sched.Tagged.scfq
+let sfq = Sched.Tagged.sfq
+let virtual_clock = Sched.Tagged.virtual_clock
 let drr = Sched.Round_robin.drr ()
 let wrr = Sched.Round_robin.wrr ()
-let fifo = Sched.Fifo_sched.factory
+let fifo = Sched.Tagged.fifo
 
 let all =
   [

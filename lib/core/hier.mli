@@ -11,7 +11,7 @@
     the node clocks.
 
     Instantiating every node with {!Wf2q_plus} gives H-WF²Q+; with
-    {!Sched.Gps_based.wfq} gives the H-WFQ the paper compares against; any
+    {!Sched.Tagged.wfq} gives the H-WFQ the paper compares against; any
     mix is allowed (e.g. a different discipline per level).
 
     The [root_clock] option selects what "now" means for the root node's

@@ -1,15 +1,15 @@
 (** The unified scheduler-construction surface.
 
     Historically each discipline grew its own entry point — a per-module [make],
-    [Sched.Gps_based.wfq], [Sched.Round_robin.drr ()], [Hier.create],
+    [Sched.Tagged.wfq], [Sched.Round_robin.drr ()], [Hier.create],
     [Hier_flat.create] — with drifting signatures. This module is the one
     front door: every constructor takes the same labelled arguments
     ([~rate], [?observer], [?initial_sessions]) and returns the policy
     together with the generation-tagged handles of any sessions opened at
     construction. The per-discipline factories and [create] functions remain
-    as the plumbing underneath (and for code that needs a discipline's
-    extended surface, e.g. {!Wf2q_plus_fixed.v_ticks}), but are deprecated
-    as the default way to build a scheduler.
+    as the plumbing underneath ({!Hier} builds every node from a factory)
+    and for code that needs a discipline's extended surface, e.g.
+    {!Wf2q_plus_fixed.v_ticks}.
 
     Sessions opened later go through {!Sched.Sched_intf.open_session} /
     [close_session] on the returned policy — see {!Sched.Session_pool} for

@@ -40,6 +40,8 @@ let make ~rate =
   in
   let requeue ~now ~session ~head_bits =
     Session_pool.check_live pool session;
+    if not (K.is_backlogged k 0 session) then
+      invalid_arg "Wf2q_plus: requeue of idle session";
     K.requeue k 0 session ~now ~head_bits
   in
   let set_idle ~now ~session =

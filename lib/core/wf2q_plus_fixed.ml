@@ -152,6 +152,8 @@ let policy t =
   in
   let requeue ~now ~session ~head_bits =
     Session_pool.check_live t.pool session;
+    if Bytes.get t.backlogged session = '\000' then
+      invalid_arg "Wf2q_plus_fixed: requeue of idle session";
     let bits = bits_of_float head_bits in
     (* eq. 28, busy branch: S = F *)
     let start = t.finishes.(session) in

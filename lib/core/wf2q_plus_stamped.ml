@@ -64,7 +64,12 @@ let make ~rate =
   in
   let requeue ~now ~session ~head_bits =
     Session_pool.check_live pool session;
-    Stamp_queue.drop (Vec.get sessions session).stamps;
+    if not (K.is_backlogged k 0 session) then
+      invalid_arg "Wf2q_plus_stamped: requeue of idle session";
+    let q = (Vec.get sessions session).stamps in
+    if Stamp_queue.length q < 2 then
+      invalid_arg "Wf2q_plus_stamped: requeue without a stamped next packet";
+    Stamp_queue.drop q;
     stamp_head session;
     K.unplace k 0 session;
     K.place k 0 session;
@@ -75,6 +80,8 @@ let make ~rate =
   in
   let set_idle ~now ~session =
     Session_pool.check_live pool session;
+    if not (K.is_backlogged k 0 session) then
+      invalid_arg "Wf2q_plus_stamped: set_idle of idle session";
     Stamp_queue.drop (Vec.get sessions session).stamps;
     K.set_idle k 0 session ~now;
     if Session_pool.is_draining pool session then Session_pool.free pool session

@@ -77,8 +77,9 @@ let grow t =
   t.capacity <- cap
 
 let alloc ?(mark = 0) t ~flow ~seq ~size_bits ~arrival =
-  if size_bits <= 0.0 then
-    invalid_arg "Packet_pool.alloc: size must be positive";
+  (* one comparison pair that NaN and both infinities fail *)
+  if not (size_bits > 0.0 && size_bits < infinity) then
+    invalid_arg "Packet_pool.alloc: size must be positive and finite";
   if t.free_head < 0 then grow t;
   let slot = t.free_head in
   t.free_head <- t.next_free.(slot);

@@ -24,7 +24,8 @@ val create : ?initial_capacity:int -> unit -> t
 val alloc :
   ?mark:int -> t -> flow:int -> seq:int -> size_bits:float -> arrival:float -> handle
 (** O(1) via the freelist; grows the arena when no slot is free.
-    @raise Invalid_argument if [size_bits <= 0]. *)
+    @raise Invalid_argument unless [size_bits] is positive and finite
+    (NaN and infinity are rejected). *)
 
 val free : t -> handle -> unit
 (** Recycle the slot and bump its generation, invalidating [handle].

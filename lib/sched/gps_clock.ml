@@ -64,7 +64,7 @@ let rec advance t ~now =
       end
   end
 
-let on_arrival t ~now ~session ~size_bits =
+let on_arrival t ~now ~session ~size_bits stamps =
   if size_bits <= 0.0 then invalid_arg "Gps_clock.on_arrival: size must be positive";
   advance t ~now;
   let s = Vec.get t.sessions session in
@@ -79,7 +79,7 @@ let on_arrival t ~now ~session ~size_bits =
     Prioq.Indexed_heap4.add t.departures ~key:session ~prio:finish
   end
   else Prioq.Indexed_heap4.update t.departures ~key:session ~prio:finish;
-  (start, finish)
+  Stamp_queue.push stamps ~start ~finish
 
 let virtual_time t ~now =
   advance t ~now;

@@ -22,10 +22,12 @@ val create : rate:float -> t
 val add_session : t -> rate:float -> int
 (** Register a session with guaranteed rate [r_i]; returns its index. *)
 
-val on_arrival : t -> now:float -> session:int -> size_bits:float -> float * float
-(** Feed a packet into the fluid system; returns its virtual
-    [(start, finish)] stamps per eqs. 6–7. Arrival times per session must be
-    non-decreasing, and [now] non-decreasing overall. *)
+val on_arrival :
+  t -> now:float -> session:int -> size_bits:float -> Stamp_queue.t -> unit
+(** Feed a packet into the fluid system and push its virtual
+    [(start, finish)] stamps per eqs. 6–7 onto the given queue (no tuple is
+    returned, so the per-packet path allocates nothing). Arrival times per
+    session must be non-decreasing, and [now] non-decreasing overall. *)
 
 val virtual_time : t -> now:float -> float
 (** [V_GPS(now)]. *)

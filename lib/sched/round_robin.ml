@@ -72,6 +72,7 @@ let make_policy ~name ~quantum_of ~serve_cost ~rate =
   let backlog ~now ~session ~head_bits =
     Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
+    if s.backlogged then invalid_arg (name ^ ": backlog of backlogged session");
     s.backlogged <- true;
     s.head_bits <- head_bits;
     s.deficit <- 0.0;
@@ -84,7 +85,9 @@ let make_policy ~name ~quantum_of ~serve_cost ~rate =
   in
   let requeue ~now ~session ~head_bits =
     Session_pool.check_live t.pool session;
-    (Vec.get t.sessions session).head_bits <- head_bits;
+    let s = Vec.get t.sessions session in
+    if not s.backlogged then invalid_arg (name ^ ": requeue of idle session");
+    s.head_bits <- head_bits;
     match t.observer with
     | None -> ()
     | Some o -> o.Sched_intf.on_requeue ~now ~vtime:t.rounds ~session ~head_bits
@@ -92,14 +95,15 @@ let make_policy ~name ~quantum_of ~serve_cost ~rate =
   let set_idle ~now ~session =
     Session_pool.check_live t.pool session;
     let s = Vec.get t.sessions session in
-    s.backlogged <- false;
-    s.deficit <- 0.0;
-    s.topped <- false;
-    t.backlogged_count <- t.backlogged_count - 1;
+    if not s.backlogged then invalid_arg (name ^ ": set_idle of idle session");
     (* The served session is always at the front of the active list. *)
     (match Queue.peek_opt t.active with
     | Some front when front = session -> ignore (Queue.pop t.active)
     | Some _ | None -> invalid_arg (name ^ ": set_idle of non-front session"));
+    s.backlogged <- false;
+    s.deficit <- 0.0;
+    s.topped <- false;
+    t.backlogged_count <- t.backlogged_count - 1;
     if Session_pool.is_draining t.pool session then Session_pool.free t.pool session;
     match t.observer with
     | None -> ()

@@ -37,10 +37,18 @@
     [S = max(F, V(now))], while one reaching the head of a continuously
     backlogged queue stamps [S = F].
 
-    The disciplines in this repository raise [Invalid_argument] from
-    [arrive], [backlog], [requeue] and [set_idle] on a session that is not
-    open (closed, or never opened), before touching any state
-    ({!Session_pool.check_live}).
+    {2 Misuse}
+
+    Every discipline in this repository rejects a call that breaks the
+    protocol with [Invalid_argument "<name>: …"], raised before any state
+    changes, so [backlogged_count] and the next [select] are as if the call
+    never happened:
+    - [arrive], [backlog], [requeue] or [set_idle] on a session that is not
+      open (closed, or never opened; {!Session_pool.check_live});
+    - [backlog] of a session that is already backlogged;
+    - [requeue] or [set_idle] of a session that is not backlogged.
+
+    [open_session] rejects a rate [<= 0].
 
     {2 Observability}
 
@@ -136,8 +144,7 @@ type t = {
 }
 
 (** Constructor type shared by all disciplines: a standalone factory taking
-    the server rate in bits/second.
-    @deprecated Prefer the unified labelled constructor surface in
-    [Hpfq.Schedulers] ([~rate], [?observer], [?initial_sessions]); the
-    factory records remain the plumbing underneath it. *)
+    the server rate in bits/second. [Hpfq.Hier] builds every interior node
+    from one, and [Hpfq.Schedulers] wraps it in the labelled constructor
+    surface ([~rate], [?observer], [?initial_sessions]). *)
 type factory = { kind : string; make : rate:float -> t }

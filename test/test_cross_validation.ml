@@ -49,9 +49,9 @@ let prop_property1 =
         List.map
           (fun (at, session, size) ->
             let epoch = Sched.Gps_clock.epoch clock ~now:at in
-            let _, finish =
-              Sched.Gps_clock.on_arrival clock ~now:at ~session ~size_bits:size
-            in
+            let stamps = Sched.Stamp_queue.create () in
+            Sched.Gps_clock.on_arrival clock ~now:at ~session ~size_bits:size stamps;
+            let finish = Sched.Stamp_queue.peek_finish stamps in
             ignore (Fluid.Gps.arrive fluid ~at ~session ~size_bits:size);
             seqs.(session) <- seqs.(session) + 1;
             ((session, seqs.(session)), epoch, finish))

@@ -4,13 +4,20 @@ module G = Sched.Gps_clock
 
 let feq = Alcotest.float 1e-9
 
+(* [G.on_arrival] pushes the packet's (S, F) onto a stamp queue; read
+   them back as a pair. *)
+let arrive g ~now ~session ~size_bits =
+  let q = Sched.Stamp_queue.create () in
+  G.on_arrival g ~now ~session ~size_bits q;
+  (Sched.Stamp_queue.peek_start q, Sched.Stamp_queue.peek_finish q)
+
 (* Two equal-rate sessions, both arrive at t=0 with unit packets on a
    unit-rate server: V slope 1 while both backlogged. *)
 let test_two_equal_sessions () =
   let g = G.create ~rate:1.0 in
   let s0 = G.add_session g ~rate:0.5 and s1 = G.add_session g ~rate:0.5 in
-  let st0, f0 = G.on_arrival g ~now:0.0 ~session:s0 ~size_bits:1.0 in
-  let st1, f1 = G.on_arrival g ~now:0.0 ~session:s1 ~size_bits:1.0 in
+  let st0, f0 = arrive g ~now:0.0 ~session:s0 ~size_bits:1.0 in
+  let st1, f1 = arrive g ~now:0.0 ~session:s1 ~size_bits:1.0 in
   Alcotest.check feq "s0 start" 0.0 st0;
   Alcotest.check feq "s0 finish" 2.0 f0;
   Alcotest.check feq "s1 start" 0.0 st1;
@@ -26,7 +33,7 @@ let test_two_equal_sessions () =
 let test_single_backlogged_slope () =
   let g = G.create ~rate:1.0 in
   let s0 = G.add_session g ~rate:0.5 and _s1 = G.add_session g ~rate:0.5 in
-  let _ = G.on_arrival g ~now:0.0 ~session:s0 ~size_bits:4.0 in
+  let _ = arrive g ~now:0.0 ~session:s0 ~size_bits:4.0 in
   (* virtual span = 4/0.5 = 8; real drain time = 4/1 = 4; slope 2 *)
   Alcotest.check feq "V(1) with lone session" 2.0 (G.virtual_time g ~now:1.0);
   Alcotest.(check bool) "still backlogged" true (G.gps_backlogged g ~now:3.9 ~session:s0);
@@ -39,9 +46,9 @@ let test_fig2_fluid_departures () =
   let s1 = G.add_session g ~rate:0.5 in
   let others = List.init 10 (fun _ -> G.add_session g ~rate:0.05) in
   for _ = 1 to 11 do
-    ignore (G.on_arrival g ~now:0.0 ~session:s1 ~size_bits:1.0)
+    ignore (arrive g ~now:0.0 ~session:s1 ~size_bits:1.0)
   done;
-  List.iter (fun s -> ignore (G.on_arrival g ~now:0.0 ~session:s ~size_bits:1.0)) others;
+  List.iter (fun s -> ignore (arrive g ~now:0.0 ~session:s ~size_bits:1.0)) others;
   (* All backlogged, slope 1. Others' virtual finish = 1/0.05 = 20, reached
      at t=20; session 1's last virtual finish = 22, reached at t=21 (slope
      doubles once alone). *)
@@ -53,9 +60,9 @@ let test_fig2_fluid_departures () =
 let test_stamp_chaining () =
   let g = G.create ~rate:1.0 in
   let s = G.add_session g ~rate:0.25 and s' = G.add_session g ~rate:0.75 in
-  let _ = G.on_arrival g ~now:0.0 ~session:s' ~size_bits:100.0 in
-  let st1, f1 = G.on_arrival g ~now:0.0 ~session:s ~size_bits:1.0 in
-  let st2, f2 = G.on_arrival g ~now:0.0 ~session:s ~size_bits:1.0 in
+  let _ = arrive g ~now:0.0 ~session:s' ~size_bits:100.0 in
+  let st1, f1 = arrive g ~now:0.0 ~session:s ~size_bits:1.0 in
+  let st2, f2 = arrive g ~now:0.0 ~session:s ~size_bits:1.0 in
   Alcotest.check feq "S1" 0.0 st1;
   Alcotest.check feq "F1 = L/r_i" 4.0 f1;
   Alcotest.check feq "S2 = F1" 4.0 st2;
@@ -65,9 +72,9 @@ let test_stamp_chaining () =
 let test_late_arrival_uses_v () =
   let g = G.create ~rate:1.0 in
   let s0 = G.add_session g ~rate:0.5 and s1 = G.add_session g ~rate:0.5 in
-  let _ = G.on_arrival g ~now:0.0 ~session:s0 ~size_bits:10.0 in
+  let _ = arrive g ~now:0.0 ~session:s0 ~size_bits:10.0 in
   (* alone: slope 2, so V(2) = 4 *)
-  let st, _f = G.on_arrival g ~now:2.0 ~session:s1 ~size_bits:1.0 in
+  let st, _f = arrive g ~now:2.0 ~session:s1 ~size_bits:1.0 in
   Alcotest.check feq "late S = V(a)" 4.0 st
 
 (* After the system drains, old finish tags must not leak into the next
@@ -75,9 +82,9 @@ let test_late_arrival_uses_v () =
 let test_epoch_reset_clears_tags () =
   let g = G.create ~rate:1.0 in
   let s0 = G.add_session g ~rate:1.0 in
-  let _ = G.on_arrival g ~now:0.0 ~session:s0 ~size_bits:5.0 in
+  let _ = arrive g ~now:0.0 ~session:s0 ~size_bits:5.0 in
   Alcotest.check feq "V mid-burst" 3.0 (G.virtual_time g ~now:3.0);
-  let st, f = G.on_arrival g ~now:100.0 ~session:s0 ~size_bits:5.0 in
+  let st, f = arrive g ~now:100.0 ~session:s0 ~size_bits:5.0 in
   Alcotest.check feq "fresh busy period starts at V=0" 0.0 st;
   Alcotest.check feq "fresh finish" 5.0 f
 

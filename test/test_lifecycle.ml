@@ -280,6 +280,63 @@ let test_closed_session_rejected () =
         (p.Intf.select ~now:0.0))
     Hpfq.Disciplines.all
 
+(* Protocol misuse on an open session — a second [backlog], [requeue] or
+   [set_idle] of an idle session — must raise a named [Invalid_argument]
+   before touching any state: a twin instance that never saw the bad calls
+   keeps the same backlogged count and serves the same schedule. *)
+let test_protocol_misuse_rejected () =
+  List.iter
+    (fun factory ->
+      let kind = factory.Intf.kind in
+      let rates = [| 0.5; 0.25; 0.25 |] in
+      let make () = fst (Hpfq.Schedulers.make ~rate:1.0 ~initial_sessions:rates factory) in
+      let a = make () and b = make () in
+      (* queued packets per session: 0 has two, 1 has one, 2 stays idle *)
+      let queued = [| [| 2; 1; 0 |]; [| 2; 1; 0 |] |] in
+      List.iteri
+        (fun i p ->
+          Array.iteri
+            (fun session n ->
+              for _ = 1 to n do
+                p.Intf.arrive ~now:0.0 ~session ~size_bits:1.0
+              done;
+              if n > 0 then p.Intf.backlog ~now:0.0 ~session ~head_bits:1.0)
+            queued.(i))
+        [ a; b ];
+      (* serve one packet on each: the served session stays the same *)
+      let step i p ~now =
+        match p.Intf.select ~now with
+        | None -> None
+        | Some s ->
+          let q = queued.(i) in
+          q.(s) <- q.(s) - 1;
+          if q.(s) > 0 then p.Intf.requeue ~now ~session:s ~head_bits:1.0
+          else p.Intf.set_idle ~now ~session:s;
+          Some s
+      in
+      Alcotest.(check (option int)) (kind ^ ": first pick agrees") (step 1 b ~now:0.0)
+        (step 0 a ~now:0.0);
+      let rejects name f =
+        match f () with
+        | () -> Alcotest.failf "%s: %s was accepted" kind name
+        | exception Invalid_argument msg when String.contains msg ':' -> ()
+        | exception Invalid_argument msg -> Alcotest.failf "%s: %s: unnamed %S" kind name msg
+        | exception e -> Alcotest.failf "%s: %s raised %s" kind name (Printexc.to_string e)
+      in
+      (* session 0 had two packets, so it is still backlogged *)
+      rejects "double backlog" (fun () -> a.Intf.backlog ~now:1.0 ~session:0 ~head_bits:1.0);
+      rejects "requeue of idle" (fun () -> a.Intf.requeue ~now:1.0 ~session:2 ~head_bits:1.0);
+      rejects "set_idle of idle" (fun () -> a.Intf.set_idle ~now:1.0 ~session:2);
+      Alcotest.(check int) (kind ^ ": backlogged count unchanged")
+        (b.Intf.backlogged_count ()) (a.Intf.backlogged_count ());
+      let rec drain now =
+        let sa = step 0 a ~now and sb = step 1 b ~now in
+        Alcotest.(check (option int)) (Printf.sprintf "%s: pick at %g" kind now) sb sa;
+        if sa <> None then drain (now +. 1.0)
+      in
+      drain 1.0)
+    Hpfq.Disciplines.all
+
 let test_server_close_under_backlog () =
   let sim = Sim.create () in
   let departed = ref [] in
@@ -502,6 +559,8 @@ let () =
             test_close_backlogged_all_disciplines;
           Alcotest.test_case "closed session rejected, every discipline" `Quick
             test_closed_session_rejected;
+          Alcotest.test_case "protocol misuse rejected, every discipline" `Quick
+            test_protocol_misuse_rejected;
           Alcotest.test_case "server drain/drop" `Quick test_server_close_under_backlog;
           Alcotest.test_case "server wire packet finishes" `Quick
             test_server_wire_packet_finishes;

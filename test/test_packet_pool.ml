@@ -27,8 +27,66 @@ let test_field_reads () =
 
 let test_rejects_empty () =
   let pool = P.create () in
-  Alcotest.(check bool) "zero size rejected" true
-    (raises_invalid (fun () -> ignore (alloc pool ~bits:0.0 ())))
+  List.iter
+    (fun bits ->
+      Alcotest.(check bool) (Printf.sprintf "size %g rejected" bits) true
+        (raises_invalid (fun () -> ignore (alloc pool ~bits ()))))
+    [ 0.0; -1.0; nan; infinity; neg_infinity ];
+  Alcotest.(check int) "nothing allocated" 0 (P.live_count pool)
+
+(* A bad size fails at the engine's inject, before any policy stamps it:
+   the engine then serves a good packet as if the bad ones never came. *)
+let test_engines_reject_non_finite () =
+  let module Sim = Engine.Simulator in
+  let module CT = Hpfq.Class_tree in
+  let spec = CT.node "link" ~rate:1.0 [ CT.leaf "a" ~rate:0.5; CT.leaf "b" ~rate:0.5 ] in
+  let engines =
+    [
+      ( "Server",
+        fun sim log ->
+          let srv, hs =
+            Hpfq.Schedulers.server ~sim ~rate:1.0 ~initial_sessions:[| 0.5; 0.5 |]
+              ~on_depart:(fun _ t -> log := t :: !log)
+              Hpfq.Disciplines.wf2q_plus ()
+          in
+          ( (fun size_bits -> ignore (Hpfq.Server.inject_handle srv ~handle:hs.(0) ~size_bits)),
+            Hpfq.Server.pool srv ) );
+      ( "Hier",
+        fun sim log ->
+          let h =
+            Hpfq.Hier.create ~sim ~spec
+              ~make_policy:(Hpfq.Hier.uniform Hpfq.Disciplines.wf2q_plus)
+              ~on_depart:(fun _ ~leaf:_ t -> log := t :: !log)
+              ()
+          in
+          let leaf = Hpfq.Hier.leaf_id h "a" in
+          ((fun size_bits -> ignore (Hpfq.Hier.inject h ~leaf ~size_bits)), Hpfq.Hier.pool h) );
+      ( "Hier_flat",
+        fun sim log ->
+          let h =
+            Hpfq.Hier_flat.create ~sim ~spec ~on_depart:(fun _ ~leaf:_ t -> log := t :: !log) ()
+          in
+          let leaf = Hpfq.Hier_flat.leaf_id h "a" in
+          ( (fun size_bits -> ignore (Hpfq.Hier_flat.inject h ~leaf ~size_bits)),
+            Hpfq.Hier_flat.pool h ) );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let sim = Sim.create () and log = ref [] in
+      let inject, pool = make sim log in
+      ignore
+        (Sim.schedule sim ~at:0.0 (fun () ->
+             List.iter
+               (fun bits ->
+                 Alcotest.(check bool) (Printf.sprintf "%s: size %g rejected" name bits) true
+                   (raises_invalid (fun () -> inject bits)))
+               [ nan; infinity; neg_infinity; 0.0 ];
+             inject 1.0));
+      Sim.run sim;
+      Alcotest.(check (list (float 0.0))) (name ^ ": only the good packet departs") [ 1.0 ] !log;
+      Alcotest.(check int) (name ^ ": no handle left live") 0 (P.live_count pool))
+    engines
 
 let test_generation_staleness () =
   let pool = P.create () in
@@ -121,6 +179,8 @@ let () =
         [
           Alcotest.test_case "field reads" `Quick test_field_reads;
           Alcotest.test_case "rejects empty" `Quick test_rejects_empty;
+          Alcotest.test_case "engines reject non-finite" `Quick
+            test_engines_reject_non_finite;
           Alcotest.test_case "generation staleness" `Quick test_generation_staleness;
           Alcotest.test_case "double free" `Quick test_double_free;
           Alcotest.test_case "freelist reuse" `Quick test_freelist_reuse_order;
