@@ -4,8 +4,8 @@
     Same semantics as
     [Hier.create ~make_policy:(Hier.uniform Wf2q_plus.factory)] — the ARRIVE
     / RESTART-NODE / RESET-PATH procedures of paper §4 over eq. 27/28/29
-    one-level nodes, identical {!Sched.Float_cmp} slack and
-    {!Prioq.Indexed_heap4} tie-breaking — so the two engines produce
+    one-level nodes, identical {!Sched.Float_cmp} slack and the same
+    [(F_i, slot)] tie order — so the two engines produce
     bit-identical departure orders and clocks (enforced by the qcheck
     lockstep differential in the test suite). What changes is the machine
     shape: per-node fields are struct-of-arrays indexed by node id, every

@@ -1,14 +1,25 @@
 (** The WF²Q+ building block (paper §3.4), written once.
 
     One value holds the WF²Q+ state of any number of one-level nodes over
-    flat arenas: per node, V and its timestamp, the backlogged count, the
-    eligible ([S_i ≤ V], keyed by [F_i]) and waiting (keyed by [S_i])
-    {!Prioq.Indexed_heap4}s, and an observer slot; per (node, slot), at
-    arena index [sbase.(node) + slot], the session rate, [S_i], [F_i], the
-    head size and a backlogged byte. {!Wf2q_plus} and
-    {!Wf2q_plus_stamped} are one-node instances; {!Hier_flat} runs one
-    node per interior tree node (§4: one-level servers as building
-    blocks).
+    flat arenas: per node, V and its timestamp, the backlogged count and
+    an observer slot; per (node, slot), at arena index
+    [sbase.(node) + slot], the session rate, [S_i], [F_i], the head size
+    and a state byte. {!Wf2q_plus} and {!Wf2q_plus_stamped} are one-node
+    instances; {!Hier_flat} runs one node per interior tree node (§4:
+    one-level servers as building blocks).
+
+    How a node files its backlogged slots is fixed at {!create} by its
+    slot count, never by an option:
+    - a node created with 1 to {!scan_max} slots scans: each slot's state
+      byte says idle, eligible ([S_i ≤ V]) or waiting, the filing
+      primitives write only that byte, and {!select} scans the node's
+      slots;
+    - any other node keeps an eligible (keyed by [F_i]) and a waiting
+      (keyed by [S_i]) {!Prioq.Indexed_heap4}. One-node instances are
+      created with 0 slots and grown, so they always keep the heaps.
+
+    Both filings select the same slot, [F_i] ties going to the lowest
+    slot, so a schedule does not depend on which one a node runs.
 
     Every operation takes a node id and a slot. The float-taking
     primitives are [[@inline]]: without flambda a float argument to a call
@@ -23,15 +34,20 @@
 
 type t
 
+val scan_max : int
+(** 8: a node created with [1..scan_max] slots scans, any other keeps
+    heaps. *)
+
 val create : rate:float array -> slots:int array -> t
 (** [create ~rate ~slots]: one node per index, with server rate [rate.(n)]
-    and [slots.(n)] session slots (0 for a hierarchy's leaves). [rate] is
-    kept, not copied. Slot rates start at 0: open each slot with
+    and [slots.(n)] session slots (0 for a hierarchy's leaves); a node of
+    1 to {!scan_max} slots scans, any other keeps heaps. [rate] is kept,
+    not copied. Slot rates start at 0: open each slot with
     {!reset_slot}. *)
 
 val grow : t -> int -> unit
 (** [grow k n] makes the arenas hold at least [n] slots. Only for one-node
-    instances, whose sessions open dynamically. *)
+    instances created with 0 slots, whose sessions open dynamically. *)
 
 val observer : t -> int -> Sched.Sched_intf.observer option
 val set_observer : t -> int -> Sched.Sched_intf.observer option -> unit
@@ -62,8 +78,10 @@ val reset_slot : t -> int -> int -> rate:float -> unit
 
 val select : t -> int -> now:float -> int
 (** eq. 27 threshold [max(V(now), min S)], promotion of the waiting
-    sessions it makes eligible, SEFF pop, then RESTART-NODE lines 12–13:
-    V and its timestamp are post-dated by the selected head's [L/r_n].
+    sessions it makes eligible, SEFF pick of the lowest [(F_i, slot)]
+    (the eligible heap's minimum, or found by the scan), then
+    RESTART-NODE lines 12–13: V and its timestamp are post-dated by the
+    selected head's [L/r_n].
     Returns the slot, or [-1] when nothing is backlogged. *)
 
 (** {2 Pre-stamped heads} — for callers that compute [(S, F)] themselves
@@ -78,7 +96,11 @@ val enqueue : t -> int -> int -> now:float -> head_bits:float -> unit
 
 val place : t -> int -> int -> unit
 (** File a slot by its stamps: eligible if [S ≤ V] (with
-    {!Sched.Float_cmp} slack), else waiting. *)
+    {!Sched.Float_cmp} slack), else waiting; into a heap, or on a scan
+    node into the slot's state byte. *)
 
 val unplace : t -> int -> int -> unit
-(** Remove a slot from both heaps. *)
+(** Remove a slot from both heaps of a heap node. A scan node has no
+    heaps and files by the state byte alone, which the {!place},
+    {!set_idle} or {!remove} that follows rewrites, so there it does
+    nothing. *)

@@ -1,7 +1,7 @@
 (** 4-ary indexed min-heap over integer keys — the session heap every
-    scheduler runs (the WF²Q+ eligible/waiting sets, the ready and waiting
-    heaps of the tag-sorted disciplines in [Sched.Tagged], and the GPS
-    clock).
+    scheduler runs (the WF²Q+ eligible/waiting sets of nodes wider than
+    the kernel's scan cutoff, the ready and waiting heaps of the
+    tag-sorted disciplines in [Sched.Tagged], and the GPS clock).
 
     Same contract and ordering (priority, then key, deterministic) as
     {!Indexed_heap}; the two agree pop-for-pop on any operation trace, and

@@ -446,6 +446,12 @@ let table =
       shape = { tree with depth = 4; root_fan_out = (1, 4); fan_out = (1, 4); budget = 40; dyadic = true };
       pairs = [ (cfg (Generic Hpfq.Disciplines.wf2q_plus_fixed), flat) ]; relation = Exact;
       count = 300; seed = Some [| 0xf1a7; 42 |] };
+    (* fan-outs on both sides of the kernel's scan cutoff, so generic's
+       heaps face flat nodes that scan and flat nodes that keep heaps *)
+    { host = "test_hier_flat"; group = "lockstep";
+      name = "scan/heap cutoff: flat replays generic bit-for-bit";
+      shape = { tree with depth = 3; root_fan_out = (1, 16); fan_out = (1, 16); budget = 64 };
+      pairs = [ (generic, flat) ]; relation = Exact; count = 200; seed = Some [| 0xf1a7; 16 |] };
     { host = "test_hier_flat"; group = "lockstep";
       name = "subtree engine at epoch=1 replays flat bit-for-bit (shards 1/2/3)";
       shape = sharded;
@@ -495,9 +501,21 @@ let table =
       pairs = [ (generic, flat) ]; relation = Exact; count = 300; seed = None };
   ]
 
+(* a flat node with at most this many children scans, a wider one keeps heaps *)
+let scan_max = Hpfq.Wf2q_kernel.scan_max
+
 let test_of_row r =
   let syncs = ref 0 in
+  (* interior nodes built on each side of [scan_max] *)
+  let scan_nodes = ref 0 and heap_nodes = ref 0 in
+  let rec count t =
+    let kids = CT.children t in
+    if not (CT.is_leaf t) then
+      if List.length kids <= scan_max then incr scan_nodes else incr heap_nodes;
+    List.iter count kids
+  in
   let prop s =
+    count s.spec;
     List.iter
       (fun (ca, cb) ->
         let a = run ca s and b = run cb s in
@@ -518,9 +536,13 @@ let test_of_row r =
     fun () ->
       qcheck ();
       (* a bound is vacuous if B never staged an arrival *)
-      match r.relation with
+      (match r.relation with
       | Within_lag -> Alcotest.(check bool) "staged syncs occurred" true (!syncs > 0)
-      | Exact | Exact_drop_set -> () )
+      | Exact | Exact_drop_set -> ());
+      (* so is a row drawing fan-outs past the cutoff that never crosses it *)
+      if max (snd r.shape.root_fan_out) (snd r.shape.fan_out) > scan_max then
+        Alcotest.(check (pair bool bool)) "scan and heap nodes built" (true, true)
+          (!scan_nodes > 0, !heap_nodes > 0) )
 
 (* A later change may add rows or raise counts, never drop or cut one,
    nor move one to another host. *)
@@ -529,6 +551,7 @@ let pinned =
   [
     ("test_hier_flat", ("flat engine replays generic bit-for-bit", 500, f1a7));
     ("test_hier_flat", ("flat engine replays generic over WF2Q+fx bit-for-bit", 300, f1a7));
+    ("test_hier_flat", ("scan/heap cutoff: flat replays generic bit-for-bit", 200, Some [| 0xf1a7; 16 |]));
     ("test_hier_flat", ("subtree engine at epoch=1 replays flat bit-for-bit (shards 1/2/3)", 320, s5b7));
     ("test_hier_flat", ("epoch>1 schedules are bit-identical across worker counts", 120, s5b7));
     ("test_hier_flat", ("epoch>1 schedules are shard-count invariant (drop log as a set)", 120, s5b7));

@@ -87,6 +87,55 @@ let test_deep_chain_golden () =
   Alcotest.(check (list (pair string (float 1e-9)))) "flat matches golden" golden (times f);
   Alcotest.(check (option string)) "flat = generic exactly" None (Lockstep.diff g f)
 
+(* Fan-out 4 puts every flat node on the kernel's slot scan, while
+   generic runs the heaps; the two must agree where the scan can go
+   wrong. Equal weights and sizes tie every F_i, so the pick must fall to
+   the lowest slot, as in the heaps' (prio, key) order. A slot requeued
+   with S_i exactly on V's slack boundary is filed eligible, and the next
+   selection post-dates V from V(now), not from that S_i. A slot filed
+   waiting keeps eq. 27's threshold at its S_i even when that S_i is
+   within slack of V(now). *)
+let test_scan_ties_and_slack () =
+  let tied =
+    let group g =
+      CT.node g ~rate:0.25 (List.init 4 (fun i -> CT.leaf (Printf.sprintf "%s%d" g i) ~rate:0.0625))
+    in
+    Lockstep.fixed
+      (CT.node "root" ~rate:1.0 (List.map group [ "a"; "b"; "c"; "d" ]))
+      (List.concat_map (fun l -> burst_at 0.0 l 1.0 2) (List.init 16 Fun.id)
+      @ List.concat_map (fun l -> burst_at 40.0 l 1.0 1) [ 15; 5; 10; 0 ])
+  in
+  let g = Lockstep.(run generic tied) and f = Lockstep.(run flat tied) in
+  Alcotest.(check (option string)) "tied: flat = generic exactly" None (Lockstep.diff g f);
+  let first n o = List.filteri (fun i _ -> i < n) (List.map (fun (l, _, _) -> l) o.Lockstep.departs) in
+  Alcotest.(check (list string)) "tied: lowest slot first at every level"
+    [ "a0"; "b0"; "c0"; "d0"; "a1"; "b1"; "c1"; "d1" ]
+    (first 8 f);
+  (* d's first packet has F = [bound] = 1 + slack(1) exactly; a, c and b
+     before it bring V to exactly 1.0 when d requeues with S = [bound]. *)
+  let bound = 1.0 +. (Sched.Float_cmp.epsilon *. 2.0) in
+  let x = bound *. 0.25 in
+  let quad = CT.node "root" ~rate:1.0 (List.map (fun l -> CT.leaf l ~rate:0.25) [ "a"; "b"; "c"; "d" ]) in
+  let slack =
+    Lockstep.fixed quad
+      (burst_at 0.0 0 0.25 1 @ burst_at 0.0 1 0.25 1 @ burst_at 0.0 2 (0.5 -. x) 1
+      @ [ Lockstep.At (0.0, Inject (3, x)); At (0.0, Inject (3, 0.25)) ])
+  in
+  let g = Lockstep.(run generic slack) and f = Lockstep.(run flat slack) in
+  Alcotest.(check (option string)) "slack: flat = generic exactly" None (Lockstep.diff g f);
+  Alcotest.(check (list string)) "slack: service order" [ "a"; "c"; "b"; "d"; "d" ]
+    (first 5 f);
+  Alcotest.(check (list (pair string (float 0.0)))) "slack: V post-dated from V(now) = 1"
+    [ ("root", 1.25) ] f.Lockstep.vtimes;
+  (* d idles after [0, x] with F = [bound]; its next packet arrives when
+     V(now) = 1.0 exactly and waits, since V = x, so S = [bound] sets the
+     threshold. *)
+  let waiting = Lockstep.fixed quad [ At (0.0, Inject (3, x)); At (1.0, Inject (3, 0.25)) ] in
+  let g = Lockstep.(run generic waiting) and f = Lockstep.(run flat waiting) in
+  Alcotest.(check (option string)) "waiting: flat = generic exactly" None (Lockstep.diff g f);
+  Alcotest.(check (list (pair string (float 0.0)))) "waiting: V post-dated from S = bound"
+    [ ("root", bound +. 0.25) ] f.Lockstep.vtimes
+
 (* On a one-level tree the flat root is a standalone WF2Q+; the
    per-packet-stamped ablation (an independent implementation of the same
    fluid system) serves every packet within one packet time of it. *)
@@ -335,6 +384,7 @@ let () =
              Alcotest.test_case "trace event streams identical" `Quick test_trace_parity;
              Alcotest.test_case "deep chain golden" `Quick test_deep_chain_golden;
              Alcotest.test_case "stamped root spot check" `Quick test_stamped_root_spot_check;
+             Alcotest.test_case "scan ties and slack boundary" `Quick test_scan_ties_and_slack;
            ] );
          ( "facade",
            [
