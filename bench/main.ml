@@ -280,39 +280,38 @@ let complexity () =
   print_endline
     "(WF2Q+ should grow ~log N; exact-GPS WFQ may show super-log growth; DRR is O(1))"
 
+module type HEAP = sig
+  type t
+
+  val create : int -> t
+  val add : t -> key:int -> prio:float -> unit
+  val is_empty : t -> bool
+  val pop_min : t -> (int * float) option
+end
+
 let heaps () =
-  section "HEAPS: push+pop cost, binary vs pairing vs indexed";
+  section "HEAPS: add+pop cost, 4-ary (every scheduler) vs binary (its test reference)";
   let sizes = [ 256; 4096 ] in
+  let cycle (module H : HEAP) seeds () =
+    let h = H.create (Array.length seeds) in
+    Array.iteri (fun k p -> H.add h ~key:k ~prio:p) seeds;
+    while not (H.is_empty h) do
+      ignore (H.pop_min h)
+    done
+  in
+  let heaps =
+    [ ("indexed4", (module Prioq.Indexed_heap4 : HEAP)); ("indexed", (module Prioq.Indexed_heap)) ]
+  in
   let tests =
     List.concat_map
       (fun n ->
         let seeds = Array.init n (fun i -> float_of_int ((i * 7919) mod 104729)) in
-        [
-          Bechamel.Test.make
-            ~name:(Printf.sprintf "binary/N=%d" n)
-            (Bechamel.Staged.stage (fun () ->
-                 let h = Prioq.Binary_heap.create ~cmp:compare ~dummy:0.0 () in
-                 Array.iter (Prioq.Binary_heap.push h) seeds;
-                 while not (Prioq.Binary_heap.is_empty h) do
-                   ignore (Prioq.Binary_heap.pop h)
-                 done));
-          Bechamel.Test.make
-            ~name:(Printf.sprintf "pairing/N=%d" n)
-            (Bechamel.Staged.stage (fun () ->
-                 let h = Prioq.Pairing_heap.create ~cmp:compare in
-                 Array.iter (Prioq.Pairing_heap.push h) seeds;
-                 while not (Prioq.Pairing_heap.is_empty h) do
-                   ignore (Prioq.Pairing_heap.pop h)
-                 done));
-          Bechamel.Test.make
-            ~name:(Printf.sprintf "indexed/N=%d" n)
-            (Bechamel.Staged.stage (fun () ->
-                 let h = Prioq.Indexed_heap.create n in
-                 Array.iteri (fun k p -> Prioq.Indexed_heap.add h ~key:k ~prio:p) seeds;
-                 while not (Prioq.Indexed_heap.is_empty h) do
-                   ignore (Prioq.Indexed_heap.pop_min h)
-                 done));
-        ])
+        List.map
+          (fun (name, heap) ->
+            Bechamel.Test.make
+              ~name:(Printf.sprintf "%s/N=%d" name n)
+              (Bechamel.Staged.stage (cycle heap seeds)))
+          heaps)
       sizes
   in
   let rows = run_bechamel (Bechamel.Test.make_grouped ~name:"heap" tests) in

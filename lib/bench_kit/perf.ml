@@ -164,7 +164,8 @@ let one_level ~pool ~quick ~factory () =
    grouped-replay idiom) and departures drain inline between ticks, so
    the event set is touched ~2x per tick instead of ~2x per packet.
    Departure times and order are bit-identical either way (the
-   burst-drain contract, test/lockstep.ml); only the event-set traffic
+   burst-drain contract of [Hpfq.Link], checked on the server by
+   test_server's "burst drain = per-packet" property); only the event-set traffic
    changes — which is exactly what this row isolates (the pure
    policy-cycle loop above has no simulator to amortize). *)
 let server_batched_burst = 64

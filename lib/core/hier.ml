@@ -61,21 +61,8 @@ type t = {
   mutable on_depart : Net.Packet_pool.handle -> leaf:string -> float -> unit;
   mutable on_drop : Net.Packet_pool.handle -> leaf:string -> float -> unit;
   mutable on_transmit_start : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable link_busy : bool;
+  link : Link.t;
   mutable drops : int;
-  (* The single packet on the wire (the link serves one packet at a time),
-     plus a preallocated completion callback so steady-state transmission
-     scheduling allocates nothing per packet. *)
-  mutable in_flight : Net.Packet_pool.handle;
-  mutable complete_cb : unit -> unit;
-  (* Burst-drain state (see Server): while a drain activation runs
-     ([in_batch]), [start_transmission] records its commitment here
-     instead of scheduling the completion event — [in_flight] already
-     carries the committed packet, so only the due time needs a slot. *)
-  mutable burst_max : int;
-  mutable in_batch : bool;
-  mutable batch_has : bool;
-  mutable batch_due : float;
 }
 
 let uniform factory ~level:_ ~name:_ ~rate = factory.Sched_intf.make ~rate
@@ -142,68 +129,13 @@ let rec restart_node t n =
     end
 
 and start_transmission t =
-  if not t.link_busy then begin
-    let root = t.nodes.(t.root) in
-    let pkt = root.logical in
-    if pkt >= 0 then begin
-      t.link_busy <- true;
-      t.in_flight <- pkt;
-      if t.on_transmit_start != nop_leaf_cb then
-        t.on_transmit_start pkt
-          ~leaf:t.nodes.(Net.Packet_pool.flow t.pool pkt).name
-          (Engine.Simulator.now t.sim);
-      let duration = Net.Packet_pool.size_bits t.pool pkt /. root.rate in
-      (* [now +. duration] is the exact float [schedule_after ~delay]
-         computes — batched and per-packet fire times must agree bitwise. *)
-      let due = Engine.Simulator.now t.sim +. duration in
-      if t.in_batch then begin
-        t.batch_has <- true;
-        t.batch_due <- due
-      end
-      else ignore (Engine.Simulator.schedule t.sim ~at:due t.complete_cb)
-    end
+  if not (Link.busy t.link) then begin
+    let pkt = t.nodes.(t.root).logical in
+    if pkt >= 0 then Link.start t.link pkt
   end
 
-(* One event activation drains up to [burst_max] consecutive departures.
-   The next departure runs inline only when it would have been the very
-   next event anyway: within the burst cap, not past the horizon of the
-   enclosing [run ~until] ([<=]: an event exactly at the horizon fires),
-   and strictly before the earliest pending event (at equal times the
-   pending event carries the smaller schedule seq and wins the FIFO
-   tie-break, so it must fire first). *)
-and drain t pkt0 =
-  let sim = t.sim in
-  let steps = ref 1 in
-  let pkt = ref pkt0 in
-  let continue = ref true in
-  while !continue do
-    t.in_batch <- true;
-    t.batch_has <- false;
-    complete_transmission t !pkt;
-    t.in_batch <- false;
-    if not t.batch_has then continue := false
-    else begin
-      let due = t.batch_due in
-      if
-        !steps < t.burst_max
-        && due <= Engine.Simulator.run_horizon sim
-        && due < Engine.Simulator.peek_time sim
-      then begin
-        Engine.Simulator.advance_clock sim ~to_:due;
-        incr steps;
-        if t.in_flight < 0 then invalid_arg "Hier: drain lost the in-flight packet";
-        pkt := t.in_flight;
-        t.in_flight <- no_pkt
-      end
-      else begin
-        ignore (Engine.Simulator.schedule sim ~at:due t.complete_cb);
-        continue := false
-      end
-    end
-  done
-
+(* Transmission complete: the link has already cleared its busy flag. *)
 and complete_transmission t pkt =
-  t.link_busy <- false;
   let now = Engine.Simulator.now t.sim in
   (* account W_n along the transmitted packet's precomputed leaf-to-root path *)
   let leaf = t.nodes.(Net.Packet_pool.flow t.pool pkt) in
@@ -271,7 +203,6 @@ and drop_queue t n fifo =
 
 let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_drop
     ?(burst_max = 1) () =
-  if burst_max < 1 then invalid_arg "Hier.create: burst_max must be >= 1";
   (match Class_tree.validate spec with
   | Ok () -> ()
   | Error errors ->
@@ -370,14 +301,8 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
       on_depart = nop_leaf_cb;
       on_drop = nop_leaf_cb;
       on_transmit_start = nop_leaf_cb;
-      link_busy = false;
+      link = Link.create ~sim ~pool ~rate:root_node.rate ~burst_max;
       drops = 0;
-      in_flight = no_pkt;
-      complete_cb = ignore;
-      burst_max;
-      in_batch = false;
-      batch_has = false;
-      batch_due = 0.0;
     }
   in
   (match on_depart with
@@ -389,13 +314,7 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
   | None -> ()
   | Some f ->
     t.on_drop <- (fun h ~leaf now -> f (Net.Packet_pool.to_packet pool h) ~leaf now));
-  t.complete_cb <-
-    (fun () ->
-      let pkt = t.in_flight in
-      if pkt < 0 then
-        invalid_arg "Hier: transmission completed with nothing in flight";
-      t.in_flight <- no_pkt;
-      drain t pkt);
+  Link.set_complete t.link (complete_transmission t);
   t
 
 (* -- Public operations --------------------------------------------------- *)
@@ -466,7 +385,7 @@ let close_leaf t ~leaf ~policy =
     | `Drop ->
       (* handle equality replaces the boxed plane's physical equality: a
          handle names one allocation, so [=] is exact identity *)
-      let on_wire = t.link_busy && t.in_flight = pkt in
+      let on_wire = Link.in_flight t.link = pkt in
       if on_wire then n.lifecycle <- `Drop_pending
       else begin
         drop_queue t n fifo;
@@ -592,11 +511,8 @@ let inject_many ?(mark = 0) t ~leaf ~size_bits ~count =
       end
     done
 
-let set_burst_max t n =
-  if n < 1 then invalid_arg "Hier.set_burst_max: burst_max must be >= 1";
-  t.burst_max <- n
-
-let burst_max t = t.burst_max
+let set_burst_max t n = Link.set_burst_max t.link n
+let burst_max t = Link.burst_max t.link
 
 let queue_bits t ~leaf =
   match t.nodes.(leaf).kind with
@@ -615,7 +531,7 @@ let node_virtual_time t ~node =
   let n = node_by_name t node in
   (policy_of n).Sched_intf.virtual_time ~now:(node_now t n)
 
-let link_busy t = t.link_busy
+let link_busy t = Link.busy t.link
 let drops t = t.drops
 
 (* -- Observability ------------------------------------------------------- *)
@@ -626,7 +542,11 @@ let compose_leaf_cb f g =
 let add_depart_handle_hook t f = t.on_depart <- compose_leaf_cb t.on_depart f
 let add_drop_handle_hook t f = t.on_drop <- compose_leaf_cb t.on_drop f
 let add_transmit_start_handle_hook t f =
-  t.on_transmit_start <- compose_leaf_cb t.on_transmit_start f
+  t.on_transmit_start <- compose_leaf_cb t.on_transmit_start f;
+  Link.set_on_start t.link (fun pkt ->
+      t.on_transmit_start pkt
+        ~leaf:t.nodes.(Net.Packet_pool.flow t.pool pkt).name
+        (Engine.Simulator.now t.sim))
 
 let boxed t f =
   fun h ~leaf now -> f (Net.Packet_pool.to_packet t.pool h) ~leaf now

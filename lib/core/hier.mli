@@ -52,7 +52,7 @@ val create :
     [burst_max] (default 1) bounds how many consecutive departures one
     simulator event may execute while the link stays backlogged; departure
     times, stamps and callback order are bit-identical at every setting
-    (see {!Server.create}).
+    (the burst rule of {!Link}, which drives the root's link).
     @raise Invalid_argument if [spec] fails {!Class_tree.validate} or
     [burst_max < 1]. *)
 

@@ -5,8 +5,9 @@
     fast path. [`Auto] (the default) picks flat when the requested factory
     is WF²Q+ and generic otherwise, so WF²Q+-only trees (the paper's
     headline system) get the fast engine without callers caring.
-    [`Subtree] is {!Hier_flat} with its epoch layer configured (root-child
-    subtrees sharded over worker Domains, the root synced in epochs).
+    A [`Subtree] choice builds the same [Flat] engine with its epoch layer
+    configured (root-child subtrees sharded over worker Domains, the root
+    synced in epochs).
 
     Both engines are driven through the shared subset of their surfaces
     below; use {!generic}/{!flat} to reach engine-specific APIs (e.g.
@@ -22,8 +23,7 @@ type subtree = {
 
 type t =
   | Generic of Hier.t
-  | Flat of Hier_flat.t
-  | Subtree of Hier_flat.t  (** created with the [`Subtree] settings *)
+  | Flat of Hier_flat.t  (** also what a [`Subtree] choice builds *)
 
 type choice = [ `Generic | `Flat | `Auto | `Subtree of subtree ]
 
@@ -61,16 +61,13 @@ val set_burst_max : t -> int -> unit
 
 val burst_max : t -> int
 
-val kind : t -> [ `Generic | `Flat | `Subtree ]
-
-val kind_name : t -> string
-(** ["generic"], ["flat"], or the subtree engine's self-description
-    (shards/epoch/workers). *)
+val kind : t -> [ `Generic | `Flat ]
 
 val generic : t -> Hier.t option
 
 val flat : t -> Hier_flat.t option
-(** The {!Hier_flat} engine behind [`Flat] and [`Subtree]. *)
+(** The {!Hier_flat} engine behind [`Flat] and [`Subtree] (read its
+    epoch-layer settings with {!Hier_flat.shards} and friends). *)
 
 (** {2 Shared surface} — each delegates to the engine's function of the
     same name; see {!Hier} for contracts. *)

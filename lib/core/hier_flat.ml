@@ -110,18 +110,8 @@ type t = {
   mutable on_depart : Net.Packet_pool.handle -> leaf:string -> float -> unit;
   mutable on_drop : Net.Packet_pool.handle -> leaf:string -> float -> unit;
   mutable on_transmit_start : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable link_busy : bool;
+  link : Link.t;
   mutable drops : int;
-  mutable in_flight_leaf : int; (* the wire packet is that leaf's fifo head *)
-  mutable complete_cb : unit -> unit;
-  (* Burst-drain state (see Server): while a drain activation runs
-     ([in_batch]), [start_transmission] records its commitment here
-     instead of scheduling the completion event — [in_flight_leaf] already
-     identifies the committed packet, so only the due time needs a slot. *)
-  mutable burst_max : int;
-  mutable in_batch : bool;
-  mutable batch_has : bool;
-  mutable batch_due : float;
   (* -- the epoch layer -- *)
   shards : int; (* effective: <= number of root children *)
   epoch : int;
@@ -246,70 +236,15 @@ let rec restart_node t n =
   end
 
 and start_transmission t =
-  if not t.link_busy then begin
+  if not (Link.busy t.link) then begin
     let leaf = t.logical.(t.root) in
-    if leaf >= 0 then begin
-      let pkt = Net.Fifo.peek_exn t.fifos.(leaf) in
-      t.link_busy <- true;
-      (* the wire packet stays at its leaf's fifo head until RESET-PATH pops
-         it, so remembering the leaf id is enough — no option allocation *)
-      t.in_flight_leaf <- leaf;
-      if t.on_transmit_start != nop_leaf_cb then
-        t.on_transmit_start pkt ~leaf:t.names.(leaf) (Engine.Simulator.now t.sim);
-      let duration = Net.Packet_pool.size_bits t.pool pkt /. t.rate.(t.root) in
-      (* [now +. duration] is the exact float [schedule_after ~delay]
-         computes — batched and per-packet fire times must agree bitwise. *)
-      let due = Engine.Simulator.now t.sim +. duration in
-      if t.in_batch then begin
-        t.batch_has <- true;
-        t.batch_due <- due
-      end
-      else ignore (Engine.Simulator.schedule t.sim ~at:due t.complete_cb)
-    end
+    (* the wire packet stays at its leaf's fifo head until RESET-PATH pops it *)
+    if leaf >= 0 then Link.start t.link (Net.Fifo.peek_exn t.fifos.(leaf))
   end
 
-(* One event activation drains up to [burst_max] consecutive departures.
-   The next departure runs inline only when it would have been the very
-   next event anyway: within the burst cap, not past the horizon of the
-   enclosing [run ~until] ([<=]: an event exactly at the horizon fires),
-   and strictly before the earliest pending event (at equal times the
-   pending event carries the smaller schedule seq and wins the FIFO
-   tie-break, so it must fire first). [complete_transmission] refreshes
-   [now_cache] at entry, so the cascade sees the advanced clock. *)
-and drain t leaf0 =
-  let sim = t.sim in
-  let steps = ref 1 in
-  let leaf = ref leaf0 in
-  let continue = ref true in
-  while !continue do
-    t.in_batch <- true;
-    t.batch_has <- false;
-    complete_transmission t (Net.Fifo.peek_exn t.fifos.(!leaf));
-    t.in_batch <- false;
-    if not t.batch_has then continue := false
-    else begin
-      let due = t.batch_due in
-      if
-        !steps < t.burst_max
-        && due <= Engine.Simulator.run_horizon sim
-        && due < Engine.Simulator.peek_time sim
-      then begin
-        Engine.Simulator.advance_clock sim ~to_:due;
-        incr steps;
-        let l = t.in_flight_leaf in
-        if l < 0 then invalid_arg "Hier_flat: drain lost the in-flight leaf";
-        t.in_flight_leaf <- -1;
-        leaf := l
-      end
-      else begin
-        ignore (Engine.Simulator.schedule sim ~at:due t.complete_cb);
-        continue := false
-      end
-    end
-  done
-
+(* Transmission complete: the link has already cleared its busy flag. A
+   burst drain has advanced the clock, so [now_cache] is refreshed first. *)
 and complete_transmission t pkt =
-  t.link_busy <- false;
   let now = Engine.Simulator.now t.sim in
   Array.unsafe_set t.now_cache 0 now;
   if t.epoch > 1 then begin
@@ -336,7 +271,7 @@ and complete_transmission t pkt =
   Net.Packet_pool.free t.pool pkt;
   (* never leave the link idle with staged work: the sequential schedule
      would have started one of those packets already *)
-  if t.epoch > 1 && (not t.link_busy) && t.staged_total > 0 then sync_now t
+  if t.epoch > 1 && (not (Link.busy t.link)) && t.staged_total > 0 then sync_now t
 
 (* RESET-PATH: clear the logical queues down the transmitted packet's path
    (it IS the active path — every logical head on it is this packet),
@@ -516,7 +451,6 @@ let stage t pkt ~leaf =
 
 let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
     ?(burst_max = 1) ?shards ?(workers = 0) ?(epoch = 1) () =
-  if burst_max < 1 then invalid_arg "Hier_flat.create: burst_max must be >= 1";
   if epoch < 1 then invalid_arg "Hier_flat.create: epoch must be >= 1";
   if workers < 0 then invalid_arg "Hier_flat.create: workers must be >= 0";
   (match shards with
@@ -609,6 +543,8 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
     end
   done;
   let pool = Net.Packet_pool.create () in
+  (* before the worker Domains: a bad [burst_max] must not leak them *)
+  let link = Link.create ~sim ~pool ~rate:rate.(root) ~burst_max in
   let dummy_fifo = Net.Fifo.create ~pool () in
   let fifos =
     Array.init n_nodes (fun id ->
@@ -669,14 +605,8 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       on_depart = nop_leaf_cb;
       on_drop = nop_leaf_cb;
       on_transmit_start = nop_leaf_cb;
-      link_busy = false;
+      link;
       drops = 0;
-      in_flight_leaf = -1;
-      complete_cb = ignore;
-      burst_max;
-      in_batch = false;
-      batch_has = false;
-      batch_due = 0.0;
       shards;
       epoch;
       workers;
@@ -701,13 +631,7 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
   | Some f ->
     t.on_drop <-
       (fun h ~leaf now -> f (Net.Packet_pool.to_packet pool h) ~leaf now));
-  t.complete_cb <-
-    (fun () ->
-      let leaf = t.in_flight_leaf in
-      if leaf < 0 then
-        invalid_arg "Hier_flat: transmission completed with nothing in flight";
-      t.in_flight_leaf <- -1;
-      drain t leaf);
+  Link.set_complete t.link (complete_transmission t);
   Log.info (fun m ->
       m "created flat H-WF2Q+ server: %d nodes, %d leaves, root rate %a, %d shards, \
          epoch %d"
@@ -739,10 +663,12 @@ let leaf_id t name =
 let leaf_name t (id : Hier.leaf) = t.names.((id :> int))
 let leaf_ids t = List.map (fun (nm, id) -> (nm, Hier.unsafe_leaf_of_int id)) t.leaf_list
 
+let check_open_leaf t ~fn leaf =
+  if t.children_len.(leaf) <> 0 then invalid_arg (fn ^ ": not a leaf");
+  if Bytes.get t.lifecycle leaf <> '\000' then invalid_arg (fn ^ ": leaf is closed")
+
 let inject_at t ~mark ~leaf ~size_bits ~now =
-  if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.inject: not a leaf";
-  if Bytes.get t.lifecycle leaf <> '\000' then
-    invalid_arg "Hier_flat.inject: leaf is closed";
+  check_open_leaf t ~fn:"Hier_flat.inject" leaf;
   let pkt =
     Net.Packet_pool.alloc t.pool ~mark ~flow:leaf ~seq:t.next_seq.(leaf) ~size_bits
       ~arrival:now
@@ -752,7 +678,7 @@ let inject_at t ~mark ~leaf ~size_bits ~now =
      now, integrated at the next sync); one on an idle link takes the
      inline path — the sequential schedule would start it immediately, and
      deferring it would break the lag bound *)
-  if t.epoch > 1 && (t.link_busy || t.staged_total > 0) then stage t pkt ~leaf
+  if t.epoch > 1 && (Link.busy t.link || t.staged_total > 0) then stage t pkt ~leaf
   else arrive t pkt ~leaf;
   pkt
 
@@ -771,6 +697,8 @@ let inject_many ?(mark = 0) t ~(leaf : Hier.leaf) ~size_bits ~count =
      one fifo push + one (observer-only) arrive *)
   if count < 0 then invalid_arg "Hier_flat.inject_many: negative count";
   let leaf = (leaf :> int) in
+  (* checked before the [count = 0] shortcut, as [Hier.inject_many] does *)
+  check_open_leaf t ~fn:"Hier_flat.inject_many" leaf;
   if count > 0 then begin
     let now = Engine.Simulator.now t.sim in
     Array.unsafe_set t.now_cache 0 now;
@@ -810,7 +738,7 @@ let close_leaf t ~(leaf : Hier.leaf) ~policy =
     match policy with
     | `Drain -> Bytes.set t.lifecycle leaf '\001'
     | `Drop ->
-      if t.link_busy && t.in_flight_leaf = leaf then
+      if Link.in_flight t.link = Net.Fifo.peek_exn t.fifos.(leaf) then
         (* the wire packet is never recalled; RESET-PATH completes the
            close at its departure *)
         Bytes.set t.lifecycle leaf '\002'
@@ -871,16 +799,13 @@ let node_virtual_time t ~node =
   Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
   K.linear_v t.k id ~now:(node_now t id)
 
-let link_busy t = t.link_busy
+let link_busy t = Link.busy t.link
 let drops t =
   sync_if_staged t;
   t.drops
 
-let set_burst_max t n =
-  if n < 1 then invalid_arg "Hier_flat.set_burst_max: burst_max must be >= 1";
-  t.burst_max <- n
-
-let burst_max t = t.burst_max
+let set_burst_max t n = Link.set_burst_max t.link n
+let burst_max t = Link.burst_max t.link
 
 (* -- Observability -------------------------------------------------------- *)
 
@@ -894,7 +819,11 @@ let add_depart_handle_hook t f = t.on_depart <- compose_leaf_cb t.on_depart f
 let add_drop_handle_hook t f = t.on_drop <- compose_leaf_cb t.on_drop f
 
 let add_transmit_start_handle_hook t f =
-  t.on_transmit_start <- compose_leaf_cb t.on_transmit_start f
+  t.on_transmit_start <- compose_leaf_cb t.on_transmit_start f;
+  Link.set_on_start t.link (fun pkt ->
+      t.on_transmit_start pkt
+        ~leaf:t.names.(Net.Packet_pool.flow t.pool pkt)
+        (Engine.Simulator.now t.sim))
 
 (* Boxed compat wrappers: materialise a [Net.Packet.t] per event. *)
 let boxed t f = fun h ~leaf now -> f (Net.Packet_pool.to_packet t.pool h) ~leaf now

@@ -66,8 +66,8 @@ val create :
   t
 (** Every interior node runs WF²Q+ over its children; [root_clock] has the
     same meaning as in {!Hier.create}, [burst_max] (default 1) as in
-    {!Server.create} — departure times, stamps and callback order are
-    bit-identical at every setting.
+    {!Server.create} — the burst rule of {!Link}: departure times, stamps
+    and callback order are bit-identical at every setting.
 
     The epoch layer: [epoch] (default [1]) is the root sync period in
     departures. [shards] (default: one per root child) is clamped to the
@@ -132,7 +132,9 @@ val inject_many : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> count:i
 (** [count] same-size packets arrive back to back at the current simulation
     time. After the first packet the subtree already has a logical head, so
     each further packet is one FIFO push plus one (observer-only) arrive —
-    the batched form of the common backlog-building loop. *)
+    the batched form of the common backlog-building loop.
+    @raise Invalid_argument if the leaf is closed or closing, or [count] is
+    negative — also when [count = 0]. *)
 
 val close_leaf : t -> leaf:Hier.leaf -> policy:Sched.Sched_intf.close_policy -> unit
 (** Same contract as {!Hier.close_leaf}: idle leaves close immediately,

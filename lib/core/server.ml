@@ -18,84 +18,22 @@ type session = {
    etc. install — a server with no boxed hooks never builds a box. *)
 type t = {
   sim : Engine.Simulator.t;
-  rate : float;
   policy : Sched_intf.t;
   pool : Net.Packet_pool.t;
   sessions : session Vec.t;
   mutable on_depart : Net.Packet_pool.handle -> float -> unit;
   mutable on_drop : Net.Packet_pool.handle -> float -> unit;
   mutable on_transmit_start : Net.Packet_pool.handle -> float -> unit;
-  mutable busy : bool;
+  link : Link.t;
   departed_total : float array; (* 1-element, same unboxing trick *)
-  (* Completion-event state. Only one transmission commitment can exist at
-     a time ([busy] blocks re-entry until its completion runs), so the
-     scheduled callback is preallocated once and reads the committed
-     session/handle from these slots — no per-packet closure. *)
-  mutable ev_session : int;
-  mutable ev_handle : Net.Packet_pool.handle;
-  mutable ev_cb : unit -> unit;
-  (* Burst-drain state. While a drain activation is running ([in_batch]),
-     [start_transmission] records its commitment into the [batch_*] slots
-     instead of scheduling a completion event; the drain loop then decides
-     whether to execute that completion inline or fall back to an event. *)
-  mutable burst_max : int;
-  mutable in_batch : bool;
-  mutable batch_has : bool;
-  mutable batch_session : int;
-  mutable batch_pkt : Net.Packet_pool.handle;
-  batch_due : float array; (* 1-element: written once per departed packet *)
 }
 
 let nop2 _ _ = ()
 
-(* Sentinel for "no completion callback installed yet". A named top-level
-   function, NOT [ignore]: referencing an external like [ignore] as a value
-   eta-expands to a fresh closure at each use site, so [t.ev_cb == ignore]
-   would never be true and the real callback would never be installed. *)
-let nop_unit () = ()
-
-let create ~sim ~rate ~policy ?on_depart ?on_drop ?(burst_max = 1) () =
-  if rate <= 0.0 then invalid_arg "Server.create: rate must be positive";
-  if burst_max < 1 then invalid_arg "Server.create: burst_max must be >= 1";
-  let pool = Net.Packet_pool.create () in
-  let t =
-    {
-      sim;
-      rate;
-      policy;
-      pool;
-      sessions = Vec.create ();
-      on_depart = nop2;
-      on_drop = nop2;
-      on_transmit_start = nop2;
-      busy = false;
-      departed_total = [| 0.0 |];
-      ev_session = -1;
-      ev_handle = Net.Packet_pool.none;
-      ev_cb = nop_unit;
-      burst_max;
-      in_batch = false;
-      batch_has = false;
-      batch_session = -1;
-      batch_pkt = Net.Packet_pool.none;
-      batch_due = [| 0.0 |];
-    }
-  in
-  (match on_depart with
-  | None -> ()
-  | Some f -> t.on_depart <- (fun h now -> f (Net.Packet_pool.to_packet pool h) now));
-  (match on_drop with
-  | None -> ()
-  | Some f -> t.on_drop <- (fun h now -> f (Net.Packet_pool.to_packet pool h) now));
-  t
-
 let pool t = t.pool
 
-let set_burst_max t n =
-  if n < 1 then invalid_arg "Server.set_burst_max: burst_max must be >= 1";
-  t.burst_max <- n
-
-let burst_max t = t.burst_max
+let set_burst_max t n = Link.set_burst_max t.link n
+let burst_max t = Link.burst_max t.link
 
 (* Hook setters compose with (run after) whatever is installed, so tracing
    can piggyback on a server whose owner already registered callbacks.
@@ -105,7 +43,9 @@ let compose2 f g = if f == nop2 then g else fun a b -> f a b; g a b
 let add_depart_handle_hook t f = t.on_depart <- compose2 t.on_depart f
 let add_drop_handle_hook t f = t.on_drop <- compose2 t.on_drop f
 let add_transmit_start_handle_hook t f =
-  t.on_transmit_start <- compose2 t.on_transmit_start f
+  t.on_transmit_start <- compose2 t.on_transmit_start f;
+  Link.set_on_start t.link (fun pkt ->
+      t.on_transmit_start pkt (Engine.Simulator.now t.sim))
 
 let boxed t f = fun h now -> f (Net.Packet_pool.to_packet t.pool h) now
 let add_depart_hook t f = add_depart_handle_hook t (boxed t f)
@@ -171,7 +111,7 @@ let close_session t ~policy h =
   end
 
 let rec start_transmission t =
-  if not t.busy then begin
+  if not (Link.busy t.link) then begin
     let now = Engine.Simulator.now t.sim in
     match t.policy.Sched_intf.select ~now with
     | None -> ()
@@ -182,78 +122,18 @@ let rec start_transmission t =
       let pkt = Net.Fifo.peek_exn s.fifo in
       Net.Fifo.drop_head s.fifo;
       s.in_service <- true;
-      t.busy <- true;
-      t.on_transmit_start pkt now;
-      let duration = Net.Packet_pool.size_bits t.pool pkt /. t.rate in
-      (* [now +. duration] is the exact float [schedule_after ~delay]
-         computes — the two paths must agree bit-for-bit on fire times. *)
-      let due = now +. duration in
-      if t.in_batch then begin
-        t.batch_has <- true;
-        t.batch_session <- session;
-        t.batch_pkt <- pkt;
-        t.batch_due.(0) <- due
-      end
-      else begin
-        t.ev_session <- session;
-        t.ev_handle <- pkt;
-        (* installed on first use: [create] runs before [drain] is in
-           scope; one closure per server for the whole run *)
-        if t.ev_cb == nop_unit then
-          t.ev_cb <- (fun () -> drain t t.ev_session t.ev_handle);
-        ignore (Engine.Simulator.schedule t.sim ~at:due t.ev_cb)
-      end
+      Link.start t.link pkt
   end
 
-(* One event activation drains up to [burst_max] consecutive departures.
-   Each [complete] may commit at most one follow-up transmission (recorded
-   via the [batch_*] slots); the next departure runs inline only when it
-   would have been the very next event anyway: within the burst cap, not
-   past the horizon of the enclosing [run ~until] ([<=]: an event exactly
-   at the horizon fires), and strictly before the earliest pending event
-   (at equal times the pending event carries the smaller schedule seq and
-   wins the FIFO tie-break, so it must fire first). *)
-and drain t session pkt =
-  let sim = t.sim in
-  let steps = ref 1 in
-  let session = ref session in
-  let pkt = ref pkt in
-  let continue = ref true in
-  while !continue do
-    t.in_batch <- true;
-    t.batch_has <- false;
-    complete t !session !pkt;
-    t.in_batch <- false;
-    if not t.batch_has then continue := false
-    else begin
-      let due = t.batch_due.(0) in
-      if
-        !steps < t.burst_max
-        && due <= Engine.Simulator.run_horizon sim
-        && due < Engine.Simulator.peek_time sim
-      then begin
-        Engine.Simulator.advance_clock sim ~to_:due;
-        incr steps;
-        session := t.batch_session;
-        pkt := t.batch_pkt
-      end
-      else begin
-        t.ev_session <- t.batch_session;
-        t.ev_handle <- t.batch_pkt;
-        ignore (Engine.Simulator.schedule sim ~at:due t.ev_cb);
-        continue := false
-      end
-    end
-  done
-
-and complete t session pkt =
+(* Transmission complete: the link has already cleared its busy flag. *)
+and complete t pkt =
   let now = Engine.Simulator.now t.sim in
+  let session = Net.Packet_pool.flow t.pool pkt in
   let s = Vec.get t.sessions session in
   let size_bits = Net.Packet_pool.size_bits t.pool pkt in
   s.in_service <- false;
   s.departed_bits.(0) <- s.departed_bits.(0) +. size_bits;
   t.departed_total.(0) <- t.departed_total.(0) +. size_bits;
-  t.busy <- false;
   (match s.closing with
   | Some `Drop ->
     (* close was deferred while this packet held the link: discard the
@@ -273,6 +153,31 @@ and complete t session pkt =
   t.on_depart pkt now;
   Net.Packet_pool.free t.pool pkt;
   start_transmission t
+
+let create ~sim ~rate ~policy ?on_depart ?on_drop ?(burst_max = 1) () =
+  if rate <= 0.0 then invalid_arg "Server.create: rate must be positive";
+  let pool = Net.Packet_pool.create () in
+  let t =
+    {
+      sim;
+      policy;
+      pool;
+      sessions = Vec.create ();
+      on_depart = nop2;
+      on_drop = nop2;
+      on_transmit_start = nop2;
+      link = Link.create ~sim ~pool ~rate ~burst_max;
+      departed_total = [| 0.0 |];
+    }
+  in
+  Link.set_complete t.link (complete t);
+  (match on_depart with
+  | None -> ()
+  | Some f -> t.on_depart <- (fun h now -> f (Net.Packet_pool.to_packet pool h) now));
+  (match on_drop with
+  | None -> ()
+  | Some f -> t.on_drop <- (fun h now -> f (Net.Packet_pool.to_packet pool h) now));
+  t
 
 let inject t ~session ~size_bits =
   let now = Engine.Simulator.now t.sim in
@@ -333,7 +238,7 @@ let inject_batch t ~session ~size_bits ~count =
 let queue_bits t ~session = Net.Fifo.bits (Vec.get t.sessions session).fifo
 let session_count t = Vec.length t.sessions
 let live_sessions t = t.policy.Sched_intf.live_sessions ()
-let busy t = t.busy
+let busy t = Link.busy t.link
 let policy t = t.policy
 let departed_bits t ~session = (Vec.get t.sessions session).departed_bits.(0)
 let departed_bits_total t = t.departed_total.(0)

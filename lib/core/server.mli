@@ -33,9 +33,9 @@ val create :
     [burst_max] (default 1) bounds how many consecutive departures one
     simulator event may execute while the link stays backlogged: at 1 every
     packet costs one event (the classic per-packet loop); larger values
-    amortize event-set traffic over bursts. Departure times, stamps and
-    callback order are bit-identical at every setting — a departure only
-    runs inline when it would have been the very next event anyway.
+    amortize event-set traffic over bursts. The server's {!Link} owns the
+    burst rule: departure times, stamps and callback order are
+    bit-identical at every setting.
     @raise Invalid_argument if [burst_max < 1]. *)
 
 val set_burst_max : t -> int -> unit

@@ -127,7 +127,7 @@ let attach_engine ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) e =
   | HE.Generic h ->
     Hpfq.Hier.iter_interior h (fun ~id ~name:_ ~level:_ ~children ~policy ->
         interior ~id ~children policy.Sched_intf.set_observer)
-  | HE.Flat h | HE.Subtree h ->
+  | HE.Flat h ->
     Hpfq.Hier_flat.iter_interior h (fun ~id ~name:_ ~level:_ ~children ->
         interior ~id ~children (Hpfq.Hier_flat.set_node_observer_id h ~node:id)));
   (* handle hooks: the tracing layer fires per packet, so it reads the

@@ -23,7 +23,7 @@ val attach_engine : ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier_engi
     hierarchy's node ids; link events carry the packet's leaf id. Event
     streams from the generic and flat engines on the same workload are
     identical (the lockstep tests rely on this).
-    @raise Invalid_argument on a [`Subtree] engine at [epoch > 1], from
+    @raise Invalid_argument on a flat engine at [epoch > 1], from
     {!Hpfq.Hier_flat.set_node_observer_id}. *)
 
 val attach_server :

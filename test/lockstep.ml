@@ -49,19 +49,20 @@ type shape = {
   early_leaf : float; (* chance a node between root and [depth] is a leaf *)
   weights : float * float; (* child weights, scaled to 0.999 of the parent *)
   caps : bool; (* one leaf in six gets a drop-tail cap *)
-  dyadic : bool; (* power-of-two rates, whole-bit sizes, times on a 2^-10 grid *)
+  dyadic : bool; (* power-of-two rates, whole-bit sizes *)
+  grid : float; (* timed ops at multiples of [grid]; 0: anywhere *)
   root_ref : bool; (* one scenario in four drives the root on `Reference_time *)
   ops : int * int; (* timed-op count *)
   horizon : float;
   churn : churn;
-  trace : bool; (* times on a 0.25 grid, a trace installed at half time *)
+  trace : bool; (* a trace installed at half time, its times on [grid] too *)
 }
 
 type scenario = { spec : CT.t; leaves : string list; root_ref : bool; steps : step list }
 
 let tree =
   { depth = 5; root_fan_out = (1, 8); fan_out = (1, 8); budget = 48; early_leaf = 1.0 /. 3.0;
-    weights = (0.2, 1.0); caps = true; dyadic = false; root_ref = true; ops = (1, 120);
+    weights = (0.2, 1.0); caps = true; dyadic = false; grid = 0.0; root_ref = true; ops = (1, 120);
     horizon = 12.0; churn = Calm; trace = false }
 
 let range rng (lo, hi) = lo + Random.State.int rng (hi - lo + 1)
@@ -102,9 +103,8 @@ let gen_scenario g rng =
   let spec = gen_tree g rng in
   let leaves = List.map fst (CT.leaves spec) in
   let time () =
-    if g.trace then 0.25 *. float_of_int (Random.State.int rng (int_of_float (4.0 *. g.horizon)))
-    else if g.dyadic then
-      float_of_int (Random.State.int rng (int_of_float (1024.0 *. g.horizon))) /. 1024.0
+    if g.grid > 0.0 then
+      g.grid *. float_of_int (Random.State.int rng (int_of_float (g.horizon /. g.grid)))
     else Random.State.float rng g.horizon
   in
   let size () = if g.dyadic then float_of_int (range rng (1, 4)) else frange rng (0.1, 2.0) in
@@ -433,8 +433,12 @@ let epoch ?(shards = 2) ?(workers = 0) epoch = cfg (Epoch { shards; workers; epo
 
 let table =
   let sharded = { tree with root_fan_out = (2, 8) } in
-  (* arrivals plus 0..3 close-then-reopen pairs on one leaf *)
-  let churned = { tree with root_ref = false; ops = (1, 120); churn = Pairs (3, 10.0) } in
+  (* arrivals plus 0..3 close-then-reopen pairs on one leaf; whole-bit
+     packets on the unit-rate root, arriving on a unit grid, so departures
+     tie with pending arrivals: the burst drain's edge case *)
+  let churned =
+    { tree with root_ref = false; ops = (1, 120); churn = Pairs (3, 10.0); dyadic = true; grid = 1.0 }
+  in
   let bursts a b = List.map (fun burst -> (a, { b with burst })) [ 2; 8; 64; max_int ] in
   [
     { host = "test_hier_flat"; group = "lockstep"; name = "flat engine replays generic bit-for-bit";
@@ -443,7 +447,8 @@ let table =
        int-tick WF2Q+fx is an oracle that shares no code with the kernel *)
     { host = "test_hier_flat"; group = "lockstep";
       name = "flat engine replays generic over WF2Q+fx bit-for-bit";
-      shape = { tree with depth = 4; root_fan_out = (1, 4); fan_out = (1, 4); budget = 40; dyadic = true };
+      shape = { tree with depth = 4; root_fan_out = (1, 4); fan_out = (1, 4); budget = 40;
+                dyadic = true; grid = 1.0 /. 1024.0 };
       pairs = [ (cfg (Generic Hpfq.Disciplines.wf2q_plus_fixed), flat) ]; relation = Exact;
       count = 300; seed = Some [| 0xf1a7; 42 |] };
     (* fan-outs on both sides of the kernel's scan cutoff, so generic's
@@ -486,7 +491,7 @@ let table =
       shape = churned; pairs = bursts generic generic; relation = Exact; count = 400;
       seed = Some [| 0xf1a7; 42 |] };
     { host = "test_replay"; group = "replay"; name = "flat: streamed replay = eager replay, bursts 1/8/inf";
-      shape = { tree with root_ref = false; horizon = 10.0; trace = true };
+      shape = { tree with root_ref = false; horizon = 10.0; grid = 0.25; trace = true };
       pairs =
         List.map
           (fun (batched, burst) -> (cfg ~replay:`Eager ~batched ~burst Flat, cfg ~batched ~burst Flat))

@@ -209,6 +209,43 @@ let test_inject_many () =
   Alcotest.(check (list (triple string int (float 0.0))))
     "inject_many = repeated inject" looped batched
 
+(* Both engines accept and reject the same [inject_many] calls, at count 0
+   as at count 1: an interior node, a closed leaf and a closing leaf are
+   rejected before any packet is made. *)
+let test_inject_many_rejections () =
+  let verdicts engine =
+    let sim = Sim.create () in
+    let h = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine () in
+    let a1 = HE.leaf_id h "a1" and a2 = HE.leaf_id h "a2" and b1 = HE.leaf_id h "b1" in
+    let interior =
+      let rec find id = if HE.node_name h id = "A" then id else find (id + 1) in
+      Hpfq.Hier.unsafe_leaf_of_int (find 0)
+    in
+    HE.close_leaf h ~leaf:a2 ~policy:`Drop;
+    HE.inject_many h ~leaf:b1 ~size_bits:1.0 ~count:3;
+    HE.close_leaf h ~leaf:b1 ~policy:`Drain;
+    List.concat_map
+      (fun count ->
+        List.map
+          (fun (what, leaf) ->
+            ( Printf.sprintf "%s, count %d" what count,
+              not (raises_invalid (fun () -> HE.inject_many h ~leaf ~size_bits:1.0 ~count))
+            ))
+          [ ("open leaf", a1); ("interior", interior); ("closed", a2); ("closing", b1) ])
+      [ 0; 1 ]
+  in
+  let generic = verdicts `Generic and flat = verdicts `Flat in
+  Alcotest.(check (list (pair string bool))) "flat accepts what generic accepts" generic flat;
+  Alcotest.(check (list (pair string bool)))
+    "only the open leaf is accepted"
+    [
+      ("open leaf, count 0", true); ("interior, count 0", false);
+      ("closed, count 0", false); ("closing, count 0", false);
+      ("open leaf, count 1", true); ("interior, count 1", false);
+      ("closed, count 1", false); ("closing, count 1", false);
+    ]
+    flat
+
 let test_flat_rejects_leaf_root () =
   let sim = Sim.create () in
   Alcotest.(check bool) "bare-leaf spec rejected" true
@@ -347,9 +384,7 @@ let test_facade () =
       ~on_depart:(fun pkt ~leaf t -> log := (leaf, pkt.Net.Packet.seq, t) :: !log)
       ()
   in
-  Alcotest.(check bool) "kind is `Subtree" true (HE.kind h = `Subtree);
-  Alcotest.(check string) "kind_name self-describes" "subtree(shards=2,epoch=1,workers=0)"
-    (HE.kind_name h);
+  Alcotest.(check bool) "a `Subtree choice builds `Flat" true (HE.kind h = `Flat);
   Alcotest.(check bool) "generic projection is None" true (HE.generic h = None);
   (match HE.flat h with
   | Some f -> Alcotest.(check int) "flat projection is the engine" 2 (HF.shards f)
@@ -372,8 +407,11 @@ let test_choice_payload () =
   Alcotest.(check string) "and prints back" "subtree" (HE.choice_to_string (subtree 8));
   let sim = Sim.create () in
   let h = Hpfq.Schedulers.hier ~sim ~spec:fig3ish ~engine:(subtree ~shards:2 3) () in
-  Alcotest.(check string) "settings reach the engine" "subtree(shards=2,epoch=3,workers=0)"
-    (HE.kind_name h)
+  match HE.flat h with
+  | Some f ->
+    Alcotest.(check (list int)) "settings reach the engine (shards, epoch, workers)"
+      [ 2; 3; 0 ] [ HF.shards f; HF.epoch f; HF.workers f ]
+  | None -> Alcotest.fail "flat projection is None"
 
 let () =
   Alcotest.run "hier_flat"
@@ -398,6 +436,8 @@ let () =
              Alcotest.test_case "leaf lookup errors" `Quick test_flat_leaf_lookup;
              Alcotest.test_case "engine selection" `Quick test_engine_selection;
              Alcotest.test_case "inject_many" `Quick test_inject_many;
+             Alcotest.test_case "inject_many rejections match" `Quick
+               test_inject_many_rejections;
              Alcotest.test_case "leaf root rejected" `Quick test_flat_rejects_leaf_root;
              Alcotest.test_case "create validation" `Quick test_create_validation;
              Alcotest.test_case "partition" `Quick test_partition;

@@ -54,15 +54,6 @@ let test_hgps_current_rate () =
   Alcotest.(check bool) "busy" true (Fluid.Hgps.busy fluid)
 
 let test_heap_aux_operations () =
-  let h = Prioq.Binary_heap.create ~cmp:compare ~dummy:0 () in
-  List.iter (Prioq.Binary_heap.push h) [ 3; 1; 2 ];
-  let seen = ref 0 in
-  Prioq.Binary_heap.iter_unordered (fun x -> seen := !seen + x) h;
-  Alcotest.(check int) "iter visits all" 6 !seen;
-  let p = Prioq.Pairing_heap.create ~cmp:compare in
-  List.iter (Prioq.Pairing_heap.push p) [ 5; 4 ];
-  Prioq.Pairing_heap.clear p;
-  Alcotest.(check bool) "pairing clear" true (Prioq.Pairing_heap.is_empty p);
   let ih = Prioq.Indexed_heap.create 4 in
   Prioq.Indexed_heap.add ih ~key:1 ~prio:2.0;
   Prioq.Indexed_heap.add_or_update ih ~key:1 ~prio:1.0;

@@ -7,40 +7,6 @@ let check_sorted name xs =
   in
   Alcotest.(check bool) (name ^ " sorted") true (ok xs)
 
-module BH = Prioq.Binary_heap
-
-let bh_create () = BH.create ~cmp:compare ~dummy:0 ()
-
-let test_bh_basic () =
-  let h = bh_create () in
-  Alcotest.(check bool) "empty" true (BH.is_empty h);
-  List.iter (BH.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  Alcotest.(check int) "length" 7 (BH.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (BH.peek h);
-  Alcotest.(check bool) "invariant" true (BH.check_invariant h);
-  check_sorted "binary heap" (BH.to_sorted_list h);
-  Alcotest.(check int) "non-destructive to_sorted_list" 7 (BH.length h)
-
-let test_bh_pop_order () =
-  let h = bh_create () in
-  let input = List.init 200 (fun i -> (i * 7919) mod 557) in
-  List.iter (BH.push h) input;
-  let rec drain acc = match BH.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  let out = drain [] in
-  Alcotest.(check (list int)) "pop = sort" (List.sort compare input) out
-
-let test_bh_clear () =
-  let h = bh_create () in
-  List.iter (BH.push h) [ 3; 1; 2 ];
-  BH.clear h;
-  Alcotest.(check bool) "cleared" true (BH.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (BH.pop h)
-
-let test_bh_exn () =
-  let h = bh_create () in
-  Alcotest.check_raises "peek_exn" Not_found (fun () -> ignore (BH.peek_exn h));
-  Alcotest.check_raises "pop_exn" Not_found (fun () -> ignore (BH.pop_exn h))
-
 module IH = Prioq.Indexed_heap
 
 let test_ih_basic () =
@@ -244,40 +210,9 @@ let test_ih4_unsafe_accessors () =
   IH4.drop_min h; (* no-op on empty *)
   Alcotest.(check bool) "empty again" true (IH4.is_empty h)
 
-module PH = Prioq.Pairing_heap
-
-let test_ph_basic () =
-  let h = PH.create ~cmp:compare in
-  List.iter (PH.push h) [ 4; 2; 8; 1 ];
-  Alcotest.(check (option int)) "peek" (Some 1) (PH.peek h);
-  check_sorted "pairing heap" (PH.to_sorted_list h)
-
-let test_ph_meld () =
-  let a = PH.create ~cmp:compare and b = PH.create ~cmp:compare in
-  List.iter (PH.push a) [ 5; 3 ];
-  List.iter (PH.push b) [ 4; 1 ];
-  PH.meld a b;
-  Alcotest.(check int) "melded size" 4 (PH.length a);
-  Alcotest.(check int) "src emptied" 0 (PH.length b);
-  Alcotest.(check (option int)) "melded min" (Some 1) (PH.pop a)
-
-let test_ph_pop_order () =
-  let h = PH.create ~cmp:compare in
-  let input = List.init 300 (fun i -> (i * 2654435761) mod 1009) in
-  List.iter (PH.push h) input;
-  let rec drain acc = match PH.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  Alcotest.(check (list int)) "pop = sort" (List.sort compare input) (drain [])
-
 let () =
   Alcotest.run "prioq"
     [
-      ( "binary_heap",
-        [
-          Alcotest.test_case "basic" `Quick test_bh_basic;
-          Alcotest.test_case "pop order" `Quick test_bh_pop_order;
-          Alcotest.test_case "clear" `Quick test_bh_clear;
-          Alcotest.test_case "exceptions" `Quick test_bh_exn;
-        ] );
       ( "indexed_heap",
         [
           Alcotest.test_case "basic" `Quick test_ih_basic;
@@ -296,11 +231,5 @@ let () =
           Alcotest.test_case "binary vs 4-ary 100k-op trace" `Quick
             test_binary_vs_4ary_trace;
           Alcotest.test_case "4-ary unsafe accessors" `Quick test_ih4_unsafe_accessors;
-        ] );
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basic" `Quick test_ph_basic;
-          Alcotest.test_case "meld" `Quick test_ph_meld;
-          Alcotest.test_case "pop order" `Quick test_ph_pop_order;
         ] );
     ]
