@@ -106,9 +106,8 @@ let subtree_workers_arg =
     value & opt nonneg_int 0
     & info [ "epoch-workers" ] ~docv:"N"
         ~doc:
-          "Subtree engine: worker domains flushing the shards' staged \
-           arrivals at each sync (default: 0, which runs the flushes \
-           inline, bit-identical to any worker count for a given epoch).")
+          "Subtree engine: accepted and validated, with no effect: every \
+           sync flushes the staged arrivals inline (default: 0).")
 
 let with_subtree_settings engine shards epoch workers =
   match engine with

@@ -6,8 +6,8 @@
     is WF²Q+ and generic otherwise, so WF²Q+-only trees (the paper's
     headline system) get the fast engine without callers caring.
     A [`Subtree] choice builds the same [Flat] engine with its epoch layer
-    configured (root-child subtrees sharded over worker Domains, the root
-    synced in epochs).
+    configured (root-child subtrees staged per shard, the root synced in
+    epochs).
 
     Both engines are driven through the shared subset of their surfaces
     below; use {!generic}/{!flat} to reach engine-specific APIs (e.g.

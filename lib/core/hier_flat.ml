@@ -33,13 +33,14 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    root's WF2Q+ synced in epochs. Interior nodes run on their post-dated
    clocks [tn], never on simulation time, and preorder numbering makes
    every root-child subtree a contiguous id range — so shards are disjoint
-   index regions of these arenas, safe to mutate from different Domains
-   with [Pool.Persistent.await] as the happens-before edge. At [epoch = 1]
-   (the default) nothing is staged and the engine is exactly the
-   sequential one. At [epoch = k > 1], arrivals landing while the link
-   transmits are staged per shard; at latest every k-1 departures, and
-   always before the link would go idle, a sync flushes them through the
-   normal ARRIVE / RESTART-NODE code with [flushing] set. That flag
+   index regions of these arenas. At [epoch = 1] (the default) nothing is
+   staged and the engine is exactly the sequential one. At [epoch = k > 1],
+   arrivals landing while the link transmits are staged per shard; at
+   latest every k-1 departures, and always before the link would go idle,
+   a sync flushes them, shard by shard on the calling domain, through the
+   normal ARRIVE / RESTART-NODE code with [flushing] set. A sync stages
+   too few arrivals to pay for a cross-Domain round, so none is made
+   (DESIGN.md §15, "Why every sync flushes inline"). That flag
    switches behaviour at exactly three boundary points, all touching
    coordinator-owned state: a restart reaching the root records a
    root-child proposal instead, an arrival backlogging a root child
@@ -47,8 +48,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    coordinator then applies the proposals to the root in canonical slot
    order, which gives the (k-1) * l_max / r lag bound of
    {!Theory.epoch_lag_bound}. *)
-
-module Pool = Parallel.Pool
 
 (* Each shard stages at most this many arrivals between syncs; a full
    buffer forces an early sync. *)
@@ -115,12 +114,10 @@ type t = {
   (* -- the epoch layer -- *)
   shards : int; (* effective: <= number of root children *)
   epoch : int;
-  workers : Pool.Persistent.t option; (* Some iff epoch > 1 and workers > 0 *)
   node_shard : int array; (* node id -> owning shard; -1 at the root *)
   (* staged arrival handles, [stage_slots] per shard from [s * stage_slots].
-     Staging (coordinator, between syncs) and flushing (the shard's worker,
-     inside a pool round) never overlap, and submit/await orders them, so
-     a plain array is enough. A flush compacts its dropped handles into
+     Staging (between syncs) and flushing (inside a sync) never overlap,
+     so a plain array is enough. A flush compacts its dropped handles into
      the front of the shard's region; the coordinator lifts them out
      before it fires any hook ([take_parked_drops]). *)
   staged : int array;
@@ -313,8 +310,8 @@ and arrive t pkt ~leaf =
   if not (Net.Fifo.push t.fifos.(leaf) pkt) then begin
     if t.flushing then begin
       (* park the handle at the front of its shard's staging region; the
-         coordinator counts it, fires [on_drop] and frees it after the round
-         (workers never free) *)
+         coordinator counts it, fires [on_drop] and frees it after the
+         round *)
       let s = t.node_shard.(leaf) in
       let d = t.staged_drops.(s) in
       t.staged.((s * stage_slots) + d) <- pkt;
@@ -352,8 +349,8 @@ and arrive t pkt ~leaf =
     end
   end
 
-(* One shard's flush, on its worker Domain (or inline): touches only
-   shard-owned node and arena indices plus the shard's staging cells. *)
+(* One shard's flush: touches only shard-owned node and arena indices plus
+   the shard's staging cells. *)
 and flush_shard t s =
   let base = s * stage_slots in
   let n = t.staged_len.(s) in
@@ -369,14 +366,9 @@ and sync_now t =
     t.staged_total <- 0;
     t.syncs <- t.syncs + 1;
     t.flushing <- true;
-    (match t.workers with
-    | Some pool ->
-      let round = Pool.Persistent.submit pool ~tasks:t.shards ~f:(flush_shard t) in
-      ignore (Pool.Persistent.await round)
-    | None ->
-      for s = 0 to t.shards - 1 do
-        flush_shard t s
-      done);
+    for s = 0 to t.shards - 1 do
+      flush_shard t s
+    done;
     t.flushing <- false;
     apply_proposals t
   end
@@ -452,7 +444,11 @@ let stage t pkt ~leaf =
 let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
     ?(burst_max = 1) ?shards ?(workers = 0) ?(epoch = 1) () =
   if epoch < 1 then invalid_arg "Hier_flat.create: epoch must be >= 1";
-  if workers < 0 then invalid_arg "Hier_flat.create: workers must be >= 0";
+  (* validated, though no sync runs on a worker Domain *)
+  if workers < 0 || workers > Parallel.Pool.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Hier_flat.create: workers must be in 0..%d, got %d"
+         Parallel.Pool.max_jobs workers);
   (match shards with
   | Some s when s < 1 -> invalid_arg "Hier_flat.create: shards must be >= 1"
   | _ -> ());
@@ -543,7 +539,6 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
     end
   done;
   let pool = Net.Packet_pool.create () in
-  (* before the worker Domains: a bad [burst_max] must not leak them *)
   let link = Link.create ~sim ~pool ~rate:rate.(root) ~burst_max in
   let dummy_fifo = Net.Fifo.create ~pool () in
   let fifos =
@@ -567,10 +562,6 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       node_shard.(id) <- !cur
     end
   done;
-  let workers =
-    if epoch > 1 && workers > 0 then Some (Pool.Persistent.create ~domains:workers ())
-    else None
-  in
   let t =
     {
       sim;
@@ -609,7 +600,6 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       drops = 0;
       shards;
       epoch;
-      workers;
       node_shard;
       staged = (if epoch > 1 then Array.make (shards * stage_slots) (-1) else [||]);
       staged_len = Array.make shards 0;
@@ -638,10 +628,10 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
         n_nodes (List.length t.leaf_list) Engine.Units.pp_rate rate.(root) shards epoch);
   t
 
-let shutdown t = Option.iter Pool.Persistent.shutdown t.workers
+let shutdown (_ : t) = ()
 let shards t = t.shards
 let epoch t = t.epoch
-let workers t = match t.workers with Some p -> Pool.Persistent.domains p | None -> 0
+let workers (_ : t) = 0
 let sync_rounds t = t.syncs
 let node_shard t id = t.node_shard.(id)
 
@@ -849,7 +839,8 @@ let iter_interior t f =
         ~children:(Array.sub t.child_ids t.children_off.(id) t.children_len.(id))
   done
 
-(* At epoch > 1 the backlog/requeue events would fire on worker domains. *)
+(* At epoch > 1 a staged arrival's backlog/requeue events would fire at
+   the sync, shard by shard, not when the packet arrived. *)
 let check_observer_epoch t fn observer =
   if t.epoch > 1 && Option.is_some observer then
     invalid_arg (Printf.sprintf "Hier_flat.%s: observers require epoch = 1" fn)

@@ -28,15 +28,14 @@
 
     {2 The epoch layer}
 
-    The same engine also runs one hierarchy across Domains. Interior nodes
+    The same engine also runs the root's WF²Q+ in epochs. Interior nodes
     run eq. 27–29 on their post-dated reference clocks [T_n] — only the
     root reads the simulator — so a root-child subtree's state is a pure
     function of the operations applied to it, and the preorder numbering
     makes each such subtree a contiguous node-id range. Shards own disjoint
-    index regions of the arenas; worker Domains from a
-    {!Parallel.Pool.Persistent} integrate staged arrivals through the
-    normal ARRIVE / RESTART-NODE code, and the root's WF²Q+ stays on the
-    calling (coordinator) domain. [epoch] selects the regime:
+    index regions of the arenas; a sync integrates each shard's staged
+    arrivals through the normal ARRIVE / RESTART-NODE code, on the calling
+    domain. [epoch] selects the regime:
 
     - [epoch = 1] (default): nothing is staged — the sequential engine at
       any shard/worker count.
@@ -46,7 +45,7 @@
       new head to the root in canonical slot order. Per-session service lag
       vs the sequential schedule is bounded by [(k-1) * l_max / r]
       ({!Theory.epoch_lag_bound}); with the shard partition fixed, results
-      are bit-identical at any worker count. Lifecycle operations and
+      are bit-identical at any [workers] value. Lifecycle operations and
       state accessors run a sync first, so they observe every staged
       arrival. *)
 
@@ -72,19 +71,17 @@ val create :
     The epoch layer: [epoch] (default [1]) is the root sync period in
     departures. [shards] (default: one per root child) is clamped to the
     number of root children; each shard stages at most 256 arrivals, and a
-    full shard forces an early sync. [workers] (default [0]) worker Domains
-    run the flush rounds — [0] runs them inline on the calling domain,
-    bit-identical to any positive count. Worker Domains are spawned only
-    when [epoch > 1] and [workers > 0]; release them with {!shutdown}.
+    full shard forces an early sync. [workers] (default [0]) is validated
+    and has no effect: every sync flushes inline on the calling domain,
+    because a sync stages too few arrivals to pay for a handoff to a
+    worker Domain, and no Domain is spawned.
     @raise Invalid_argument if [spec] fails {!Class_tree.validate}, its
-    root is a leaf, [burst_max < 1], [shards < 1], [workers < 0] or
-    [epoch < 1]. *)
+    root is a leaf, [burst_max < 1], [shards < 1], [workers] is outside
+    [0 .. ]{!Parallel.Pool.max_jobs} or [epoch < 1]. *)
 
 val shutdown : t -> unit
-(** Join the worker Domains (idempotent; a no-op without any). Pools left
-    open are closed by {!Parallel.Pool.Persistent}'s [at_exit] hook, but
-    long-lived processes building many engines should shut each one
-    down. *)
+(** A no-op: the engine holds no worker Domain. It stays usable, and
+    later syncs keep the same schedule. *)
 
 val shards : t -> int
 (** Effective shard count after clamping. *)
@@ -92,7 +89,7 @@ val shards : t -> int
 val epoch : t -> int
 
 val workers : t -> int
-(** Worker Domains actually spawned ([0] at [epoch = 1]). *)
+(** Worker Domains spawned: always [0]. *)
 
 val sync_rounds : t -> int
 (** Number of epoch syncs that integrated at least one staged arrival
@@ -119,8 +116,7 @@ val leaf_ids : t -> (string * Hier.leaf) list
 val pool : t -> Net.Packet_pool.t
 (** The hierarchy's packet arena (to read fields of a handle inside a
     [_handle_] hook, or to materialise a boxed view). Alloc and free are
-    coordinator-only; shard workers only read fields of live handles
-    during a sync round. *)
+    coordinator-only. *)
 
 val inject : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> Net.Packet_pool.handle
 (** Same contract as {!Hier.inject}: returns the packet's pool handle; if

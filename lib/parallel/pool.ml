@@ -45,13 +45,13 @@ let create ?jobs () =
 let jobs t = t.jobs
 let cores () = Domain.recommended_domain_count ()
 
-(* Progress is observability, not synchronization: one mutex serializes the
-   Logs call (reporters are not domain-safe) and rate-limits it. Losing the
-   race to report is fine — the final task always logs, so a watcher sees
-   the sweep finish. *)
+(* Progress is observability, not synchronization: the pool's one mutex
+   serializes the Logs call (reporters are not domain-safe) and rate-limits
+   it. Losing the race to report is fine — the final task always logs, so a
+   watcher sees the sweep finish. *)
 type progress = {
   completed : int Atomic.t;
-  lock : Mutex.t;
+  lock : Mutex.t; (* owned by the pool, shared by its rounds *)
   mutable last_emit : float;
 }
 
@@ -83,7 +83,7 @@ type round_core = {
   run1 : int -> unit; (* compute task i into its slot; may raise *)
 }
 
-let make_round ~tasks ~executors ~run1 =
+let make_round ~tasks ~executors ~progress_lock ~run1 =
   {
     tasks;
     (* ~4 chunks per executor: coarse enough that the cursor is cold, fine
@@ -91,7 +91,7 @@ let make_round ~tasks ~executors ~run1 =
     chunk = max 1 (tasks / (max 1 executors * 4));
     next = Atomic.make 0;
     failure = Atomic.make None;
-    progress = { completed = Atomic.make 0; lock = Mutex.create (); last_emit = 0.0 };
+    progress = { completed = Atomic.make 0; lock = progress_lock; last_emit = 0.0 };
     run1;
   }
 
@@ -141,6 +141,7 @@ module Persistent = struct
     mutable active : int; (* worker domains currently inside a round *)
     mutable outstanding : bool; (* a round was submitted and not yet awaited *)
     mutable closed : bool;
+    progress_lock : Mutex.t; (* every round's progress logging *)
   }
 
   type t = {
@@ -248,6 +249,7 @@ module Persistent = struct
         active = 0;
         outstanding = false;
         closed = false;
+        progress_lock = Mutex.create ();
       }
     in
     let t = { state; domains = [] } in
@@ -262,7 +264,7 @@ module Persistent = struct
     let core =
       make_round ~tasks
         ~executors:(max 1 (List.length t.domains))
-        ~run1:(fun i -> results.(i) <- Some (f i))
+        ~progress_lock:st.progress_lock ~run1:(fun i -> results.(i) <- Some (f i))
     in
     Mutex.lock st.m;
     if st.closed then begin
@@ -314,7 +316,7 @@ module Persistent = struct
       let core =
         make_round ~tasks
           ~executors:(1 + List.length t.domains)
-          ~run1:(fun i -> results.(i) <- Some (f i))
+          ~progress_lock:st.progress_lock ~run1:(fun i -> results.(i) <- Some (f i))
       in
       Mutex.lock st.m;
       if st.closed then begin

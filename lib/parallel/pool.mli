@@ -91,6 +91,14 @@ val map_list : t -> f:('a -> 'b) -> 'a list -> 'b list
     free to run its own stage (e.g. a shard router feeding mailboxes)
     concurrently with the workers, then collect at {!Persistent.await}.
 
+    A caller with nothing else to do should use {!Persistent.map}, which
+    works the round too: [submit] + [await] makes the caller wait out a
+    full Mutex + Condition handoff to a sleeping worker. An empty round of
+    4 no-op tasks at 1 worker costs about 16 µs that way and about 1 µs
+    through [map] (release, 2-vCPU host; [bench parallel] prints both).
+    Either is still more than a handful of short tasks is worth: run
+    those inline.
+
     At most one round may be outstanding per pool at a time ({!Persistent.submit}
     before the previous {!Persistent.await} is an [Invalid_argument]) —
     the generation protocol guarantees a worker executes each round at
@@ -139,7 +147,8 @@ end
 
     Each completed task emits one line on the [hpfq.parallel] {!Logs}
     source at [Info] level, rate-limited to at most one line per 100 ms
-    (the final task always reports). Off by default — [Logs]' default
+    per round (the final task always reports), and serialized by one
+    mutex per pool. Off by default — [Logs]' default
     reporter and level suppress it; drivers opt in by installing a
     reporter and raising the source's level (see [hpfq_sim --progress]). *)
 

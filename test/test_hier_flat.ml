@@ -256,7 +256,9 @@ let test_create_validation () =
   let mk ?shards ?workers ?epoch () = HF.create ~sim ~spec:fig3ish ?shards ?workers ?epoch () in
   Alcotest.(check bool) "epoch 0 rejected" true (raises_invalid (mk ~epoch:0));
   Alcotest.(check bool) "shards 0 rejected" true (raises_invalid (mk ~shards:0));
-  Alcotest.(check bool) "workers -1 rejected" true (raises_invalid (mk ~workers:(-1)))
+  Alcotest.(check bool) "workers -1 rejected" true (raises_invalid (mk ~workers:(-1)));
+  Alcotest.(check bool) "workers above Pool.max_jobs rejected" true
+    (raises_invalid (mk ~workers:(Parallel.Pool.max_jobs + 1) ~epoch:8))
 
 let test_partition () =
   let sim = Sim.create () in
@@ -365,6 +367,38 @@ let test_reentrant_hooks () =
       ("fill a region", nested_sync_run ~burst:300 ~read:false);
     ]
 
+(* [shutdown] mid-run leaves the engine usable: syncs after it, of 200
+   staged arrivals each, keep the schedule of a run that never had
+   workers. *)
+let test_shutdown_mid_run () =
+  let run ~workers =
+    let sim = Sim.create () in
+    let t = HF.create ~sim ~spec:capped ~shards:2 ~workers ~epoch:4 () in
+    let log = ref [] and syncs_at_shutdown = ref (-1) in
+    HF.add_depart_hook t (fun p ~leaf now -> log := (`D, leaf, p.Net.Packet.seq, now) :: !log);
+    HF.add_drop_hook t (fun p ~leaf now -> log := (`X, leaf, p.Net.Packet.seq, now) :: !log);
+    let leaves = [| "a1"; "a2"; "b1"; "b2" |] in
+    List.iter
+      (fun at ->
+        ignore
+          (Sim.schedule sim ~at (fun () ->
+               for i = 0 to 199 do
+                 ignore (HF.inject t ~leaf:(HF.leaf_id t leaves.(i mod 4)) ~size_bits:1.0)
+               done)))
+      [ 0.0; 60.0; 150.0; 210.0 ];
+    ignore
+      (Sim.schedule sim ~at:100.0 (fun () ->
+           syncs_at_shutdown := HF.sync_rounds t;
+           HF.shutdown t));
+    Sim.run sim;
+    (List.rev !log, !syncs_at_shutdown, HF.sync_rounds t)
+  in
+  let log0, _, _ = run ~workers:0 in
+  let log1, syncs_then, syncs = run ~workers:1 in
+  Alcotest.(check bool) "synced before shutdown" true (syncs_then > 0);
+  Alcotest.(check bool) "synced after shutdown" true (syncs > syncs_then);
+  Alcotest.(check bool) "schedule = workers 0" true (log0 = log1)
+
 let test_lag_bound_formula () =
   let b = Hpfq.Theory.epoch_lag_bound in
   Alcotest.(check (float 0.0)) "epoch 1 is exact" 0.0 (b ~epoch:1 ~l_max:2.0 ~rate:0.5);
@@ -443,5 +477,6 @@ let () =
              Alcotest.test_case "partition" `Quick test_partition;
              Alcotest.test_case "observer gate" `Quick test_observer_gate;
              Alcotest.test_case "hooks inject during a sync" `Quick test_reentrant_hooks;
+             Alcotest.test_case "syncs after shutdown" `Quick test_shutdown_mid_run;
            ] );
        ])
