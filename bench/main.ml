@@ -2,15 +2,18 @@
    evaluation (see DESIGN.md's per-experiment index) and runs the
    complexity microbenchmarks backing the O(log N) claim.
 
-     dune exec bench/main.exe            run the figures and the perf,
-                                         events (the simulator's calendar
-                                         queue under timer churn), hier
-                                         and churn suites
+     dune exec bench/main.exe            run the figures and the events
+                                         (the simulator's calendar queue
+                                         under timer churn), hier and
+                                         churn suites
      dune exec bench/main.exe -- ID...   run selected ids: the figures
        fig2 fig4 fig5 fig6 fig7 fig9 wfi bounds complexity heaps refclock e2e,
      every bench suite's <name>, <name>-quick and <name>-guard
-     (lib/experiments/suites.ml), check, perf-headline, trace-overhead
-     and soak.
+     (lib/experiments/suites.ml), check, trace-overhead and soak.
+
+   Throughput of the layers benchmark/ measures (one port, a deep tree,
+   trace replay, the epoch layer) is judged there, against the parent
+   commit on the same host: `bash benchmark/run.sh --workload port_4k`.
 
    Benches and guards belong in the release profile
    (`dune exec --profile release bench/main.exe -- check`): the dev
@@ -216,27 +219,6 @@ let bounds () =
 (* COMPLEXITY: per-operation cost vs number of sessions (bechamel)     *)
 (* ------------------------------------------------------------------ *)
 
-(* A policy instance with [n] perpetually backlogged sessions; each staged
-   operation is one full scheduling cycle: select + arrive + requeue. *)
-let loaded_policy factory n =
-  let policy = factory.Sched.Sched_intf.make ~rate:1.0 in
-  let rate = 1.0 /. float_of_int n in
-  for _ = 1 to n do
-    ignore Sched.Sched_intf.(policy.session_of_handle (policy.open_session ~rate))
-  done;
-  let now = ref 0.0 in
-  for i = 0 to n - 1 do
-    policy.Sched.Sched_intf.arrive ~now:0.0 ~session:i ~size_bits:1.0;
-    policy.Sched.Sched_intf.backlog ~now:0.0 ~session:i ~head_bits:1.0
-  done;
-  fun () ->
-    match policy.Sched.Sched_intf.select ~now:!now with
-    | None -> ()
-    | Some s ->
-      now := !now +. 1.0;
-      policy.Sched.Sched_intf.arrive ~now:!now ~session:s ~size_bits:1.0;
-      policy.Sched.Sched_intf.requeue ~now:!now ~session:s ~head_bits:1.0
-
 let run_bechamel tests =
   let open Bechamel in
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None () in
@@ -270,7 +252,7 @@ let complexity () =
           (fun n ->
             Bechamel.Test.make
               ~name:(Printf.sprintf "%s/N=%d" factory.Sched.Sched_intf.kind n)
-              (Bechamel.Staged.stage (loaded_policy factory n)))
+              (Bechamel.Staged.stage (Bench_kit.Perf.loaded_policy factory n)))
           sizes)
       factories
   in
@@ -581,16 +563,12 @@ let suites =
       ])
     Experiments.Suites.all
 
-let perf_headline () =
-  Printf.printf "headline_pkts_per_sec %.0f\n%!" (Bench_kit.Perf.headline ())
-
 (* every quick run, the fresh and committed report checks, every guard *)
 let check () = if not (Bench_kit.Suite.check Experiments.Suites.all) then exit 1
 
 let benches =
   figures @ suites
   @ [
-      ("perf-headline", perf_headline);
       ("trace-overhead", trace_overhead);
       ("soak", soak);
       ("check", check);
@@ -600,7 +578,7 @@ let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as ids) -> ids
-    | _ -> List.map fst figures @ [ "perf"; "events"; "hier"; "churn" ]
+    | _ -> List.map fst figures @ [ "events"; "hier"; "churn" ]
   in
   List.iter
     (fun id ->

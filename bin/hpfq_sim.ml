@@ -7,7 +7,6 @@
      link-sharing  Figs. 8-9: TCP sessions vs ideal H-GPS
      wfi           T-WFI probe sweep over the number of sessions
      replay        trace replay (CSV/binary/synthetic) with burst-drained departures
-     churn         session open/close lifecycle bench + virtual-time soak
      tree          print the paper hierarchies with shares
      custom        run a user tree file (hpfq syntax) saturated, vs H-GPS
    Each command can dump CSV series for external plotting. *)
@@ -101,23 +100,15 @@ let subtree_epoch_arg =
            engine; $(docv)>1 trades exactness for throughput with \
            per-session service lag at most ($(docv)-1)*l_max/r.")
 
-let subtree_workers_arg =
-  Arg.(
-    value & opt nonneg_int 0
-    & info [ "epoch-workers" ] ~docv:"N"
-        ~doc:
-          "Subtree engine: accepted and validated, with no effect: every \
-           sync flushes the staged arrivals inline (default: 0).")
-
-let with_subtree_settings engine shards epoch workers =
+let with_subtree_settings engine shards epoch =
   match engine with
-  | `Subtree _ -> `Subtree { Hpfq.Hier_engine.shards; workers; epoch }
+  | `Subtree _ -> `Subtree { Hpfq.Hier_engine.shards; epoch }
   | (`Generic | `Flat | `Auto) as e -> e
 
 let engine_term =
   Term.(
     const with_subtree_settings $ hier_engine_arg $ subtree_shards_arg
-    $ subtree_epoch_arg $ subtree_workers_arg)
+    $ subtree_epoch_arg)
 
 let horizon_arg default =
   Arg.(value & opt pos_float default & info [ "horizon" ] ~docv:"SECONDS" ~doc:"Simulated time.")
@@ -716,48 +707,6 @@ let replay_cmd =
       $ tree_arg $ burst_arg $ seed_arg $ duration_arg $ mean_pkts_arg
       $ headroom_arg $ save_arg)
 
-(* -- churn --------------------------------------------------------------- *)
-
-let churn_cmd =
-  let run quick out soak_packets =
-    ignore (Bench_kit.Suite.run Experiments.Suites.churn ~quick ~out);
-    match soak_packets with
-    | None -> ()
-    | Some n ->
-      Printf.printf "\nsoak: virtual-time drift after %d packets at rate 0.3\n" n;
-      List.iter
-        (fun r ->
-          Printf.printf "  %-10s v_end=%.6f drift=%.3e exact=%b\n"
-            r.Experiments.Churn_bench.s_engine r.s_v_end r.s_drift r.s_exact)
-        (Experiments.Churn_bench.soak ~packets:n ())
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Shrink the grid to smoke-test scale (10^4 sessions).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_churn.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
-  in
-  let soak_arg =
-    Arg.(
-      value
-      & opt (some pos_int) None
-      & info [ "soak" ] ~docv:"PKTS"
-          ~doc:
-            "Also run the long-horizon virtual-time soak for PKTS packets, \
-             diffing fixed-point against float drift.")
-  in
-  Cmd.v
-    (Cmd.info "churn"
-       ~doc:
-         "Session-lifecycle benchmark: open/close/reopen churn at 10^5-10^6 \
-          concurrent sessions on the fixed-point and float WF2Q+ engines.")
-    Term.(const run $ quick_arg $ out_arg $ soak_arg)
-
 (* -- tree ---------------------------------------------------------------- *)
 
 let tree_cmd =
@@ -779,5 +728,5 @@ let () =
              ~doc:"Reproduction driver for Bennett & Zhang, SIGCOMM'96.")
           [
             fig2_cmd; trace_cmd; delay_cmd; link_sharing_cmd; wfi_cmd; shard_cmd;
-            replay_cmd; churn_cmd; tree_cmd; custom_cmd;
+            replay_cmd; tree_cmd; custom_cmd;
           ]))

@@ -21,9 +21,8 @@
    (schedule + fire, plus cancel + re-arm for cancel-heavy) and GC minor
    words per event; timer actions are pre-allocated so the loop itself
    allocates nothing and the words/event column is the event set's own.
-   Results go to BENCH_events.json (same machine-readable role as
-   BENCH_hotpath.json) with a cancel-heavy 64k-timer headline, which
-   [probe] re-measures for the guard. *)
+   Results go to BENCH_events.json with a cancel-heavy 64k-timer
+   headline, which [probe] re-measures for the guard. *)
 
 module Sim = Engine.Simulator
 

@@ -1,6 +1,6 @@
 (** Minimal JSON tree with an emitter and a strict parser.
 
-    Used by the perf harness to write [BENCH_*.json] and by the smoke test
+    Used by the bench suites to write [BENCH_*.json] and by the smoke test
     to read the file back and assert required keys, avoiding an external
     JSON dependency. Numbers are floats; NaN/infinite values emit as
     [null]. *)

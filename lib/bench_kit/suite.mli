@@ -47,9 +47,9 @@ type guard =
           [baseline], with no tolerance. *)
 
 type t = {
-  name : string;  (** bench id, e.g. ["perf"] *)
+  name : string;  (** bench id, e.g. ["hier"] *)
   title : string;  (** banner line *)
-  out : string;  (** committed baseline, e.g. ["BENCH_hotpath.json"] *)
+  out : string;  (** committed baseline, e.g. ["BENCH_hier.json"] *)
   report : quick:bool -> Json.t;
       (** Measure the grid, print its table, return the report. *)
   required : string list list;  (** paths every report carries *)

@@ -1,4 +1,4 @@
-type subtree = { shards : int option; workers : int; epoch : int }
+type subtree = { shards : int option; epoch : int }
 
 type t = Generic of Hier.t | Flat of Hier_flat.t
 
@@ -8,7 +8,7 @@ let choice_of_string = function
   | "generic" -> Ok `Generic
   | "flat" -> Ok `Flat
   | "auto" -> Ok `Auto
-  | "subtree" -> Ok (`Subtree { shards = None; workers = 0; epoch = 1 })
+  | "subtree" -> Ok (`Subtree { shards = None; epoch = 1 })
   | s ->
     Error
       (Printf.sprintf "unknown hier engine %S (expected generic|flat|auto|subtree)" s)
@@ -29,18 +29,18 @@ let create ~sim ~spec ~factory ?(engine = `Auto) ?(root_clock = `Real_time)
         (Printf.sprintf "Hier_engine.create: %s engine only implements WF2Q+, not %s"
            name discipline)
   in
-  let flat ?shards ?workers ?epoch () =
+  let flat ?shards ?epoch () =
     Hier_flat.create ~sim ~spec ~root_clock ?on_depart ?on_drop ~burst_max ?shards
-      ?workers ?epoch ()
+      ?epoch ()
   in
   match engine with
   | `Flat ->
     require_flat "flat";
     Flat (flat ())
   | `Auto when flat_ok -> Flat (flat ())
-  | `Subtree { shards; workers; epoch } ->
+  | `Subtree { shards; epoch } ->
     require_flat "subtree";
-    Flat (flat ?shards ~workers ~epoch ())
+    Flat (flat ?shards ~epoch ())
   | `Generic | `Auto ->
     Generic
       (Hier.create ~sim ~spec ~make_policy:(Hier.uniform factory) ~root_clock

@@ -15,11 +15,10 @@
 
 type subtree = {
   shards : int option;  (** default: one per root child *)
-  workers : int;
   epoch : int;
 }
 (** Settings of the [`Subtree] engine: {!Hier_flat.create}'s epoch layer
-    ([shards], [workers], [epoch]; see there for their meaning). *)
+    ([shards], [epoch]; see there for their meaning). *)
 
 type t =
   | Generic of Hier.t
@@ -29,8 +28,7 @@ type choice = [ `Generic | `Flat | `Auto | `Subtree of subtree ]
 
 val choice_of_string : string -> (choice, string) result
 (** Parses ["generic" | "flat" | "auto" | "subtree"] (the [--hier-engine]
-    CLI values); ["subtree"] carries [shards = None], [workers = 0] and
-    [epoch = 1]. *)
+    CLI values); ["subtree"] carries [shards = None] and [epoch = 1]. *)
 
 val choice_to_string : choice -> string
 

@@ -631,7 +631,6 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
 let shutdown (_ : t) = ()
 let shards t = t.shards
 let epoch t = t.epoch
-let workers (_ : t) = 0
 let sync_rounds t = t.syncs
 let node_shard t id = t.node_shard.(id)
 

@@ -38,14 +38,14 @@
     domain. [epoch] selects the regime:
 
     - [epoch = 1] (default): nothing is staged — the sequential engine at
-      any shard/worker count.
+      any shard count.
     - [epoch = k > 1]: arrivals landing while the link transmits are
       staged; at latest every [k-1] departures — and always before the link
       would go idle — a sync integrates them and applies each root child's
       new head to the root in canonical slot order. Per-session service lag
       vs the sequential schedule is bounded by [(k-1) * l_max / r]
-      ({!Theory.epoch_lag_bound}); with the shard partition fixed, results
-      are bit-identical at any [workers] value. Lifecycle operations and
+      ({!Theory.epoch_lag_bound}); across shard counts only the order of
+      the drops accounted at one sync may move. Lifecycle operations and
       state accessors run a sync first, so they observe every staged
       arrival. *)
 
@@ -87,9 +87,6 @@ val shards : t -> int
 (** Effective shard count after clamping. *)
 
 val epoch : t -> int
-
-val workers : t -> int
-(** Worker Domains spawned: always [0]. *)
 
 val sync_rounds : t -> int
 (** Number of epoch syncs that integrated at least one staged arrival

@@ -16,6 +16,5 @@ val report : quick:bool -> Bench_kit.Json.t
     the same [-j]). *)
 
 val probe : quick:bool -> Bench_kit.Json.t
-(** The guard's fresh side: Fig. 3 on both engines —
-    [headline.flat_pkts_per_sec], the flat/generic [headline.speedup] and
-    both engines' minor words/packet. *)
+(** The guard's fresh side: Fig. 3 on both engines — the flat/generic
+    [headline.speedup] and both engines' minor words/packet. *)

@@ -4,17 +4,15 @@
    this one scales ONE giant hierarchy: the root's child subtrees
    partitioned over Hier_flat's epoch-layer shards, the root's WF2Q+ run in
    epochs.
+   Every sync runs on the calling domain, so each cell runs on one core.
    Two claims, guarded differently:
 
    - *exactness at epoch 1*: every epoch = 1 rung must produce the same
      departure hash as the sequential Hier_flat reference, at any shard
-     or worker count — binding on every host, even single-core;
-   - *worker invariance at epoch > 1*: with the partition fixed, the
-     schedule (hence the hash) must not depend on the worker count;
-   - *throughput*: epoch-batched rungs within the host's core budget
-     should stay near the sequential reference (the root sync is the
-     sequential section, so this is a no-regression floor, not a linear
-     speedup curve). Oversubscribed rungs are reported, not gated. *)
+     count — binding on every host;
+   - *throughput*: epoch-batched rungs should stay near the sequential
+     reference (the root sync is the sequential section, so this is a
+     no-regression floor, not a linear speedup curve). *)
 
 module Json = Bench_kit.Json
 module HF = Hpfq.Hier_flat
@@ -23,7 +21,6 @@ module CT = Hpfq.Class_tree
 type row = {
   shards : int;
   epoch : int;
-  workers : int;
   wall_s : float;
   pkts : int;
   pkts_per_sec : float;
@@ -102,11 +99,11 @@ let run_flat ~spec ~program =
   Engine.Simulator.run sim;
   (Unix.gettimeofday () -. t0, !pkts, !hash)
 
-let run_cell ~spec ~program ~shards ~epoch ~workers =
+let run_cell ~spec ~program ~shards ~epoch =
   let sim = Engine.Simulator.create () in
   let pkts = ref 0 and hash = ref 0xcbf29ce484222325L in
   let t =
-    HF.create ~sim ~spec ~shards ~workers ~epoch
+    HF.create ~sim ~spec ~shards ~epoch
       ~on_depart:(fun pkt ~leaf t ->
         incr pkts;
         hash := hash_depart !hash pkt ~leaf t)
@@ -123,9 +120,7 @@ let run_cell ~spec ~program ~shards ~epoch ~workers =
     program;
   let t0 = Unix.gettimeofday () in
   Engine.Simulator.run sim;
-  let wall = Unix.gettimeofday () -. t0 in
-  HF.shutdown t;
-  (wall, !pkts, !hash)
+  (Unix.gettimeofday () -. t0, !pkts, !hash)
 
 let measure ?(quick = false) () =
   let cores = Parallel.Pool.cores () in
@@ -138,10 +133,7 @@ let measure ?(quick = false) () =
       (fun shards ->
         List.map
           (fun epoch ->
-            let workers =
-              if epoch = 1 then 0 else max 0 (min shards (cores - 1))
-            in
-            let wall, pkts, hash = run_cell ~spec ~program ~shards ~epoch ~workers in
+            let wall, pkts, hash = run_cell ~spec ~program ~shards ~epoch in
             if epoch = 1 && hash <> flat_hash then
               failwith
                 (Printf.sprintf
@@ -151,26 +143,10 @@ let measure ?(quick = false) () =
                    shards
                    (Shard.Device.hash_hex hash)
                    (Shard.Device.hash_hex flat_hash));
-            if epoch > 1 && workers > 0 then begin
-              (* worker invariance: the same cell flushed inline *)
-              let _, pkts0, hash0 =
-                run_cell ~spec ~program ~shards ~epoch ~workers:0
-              in
-              if pkts0 <> pkts || hash0 <> hash then
-                failwith
-                  (Printf.sprintf
-                     "Hiershard_bench: shards=%d epoch=%d not worker-invariant \
-                      (hash %s with %d workers vs %s inline)"
-                     shards epoch
-                     (Shard.Device.hash_hex hash)
-                     workers
-                     (Shard.Device.hash_hex hash0))
-            end;
             let pps = float_of_int pkts /. wall in
             {
               shards;
               epoch;
-              workers;
               wall_s = wall;
               pkts;
               pkts_per_sec = pps;
@@ -206,7 +182,6 @@ let json_of_run ~quick ~cores ~flat_pps ~flat_hash rows =
       [
         ("shards", Json.Num (float_of_int r.shards));
         ("epoch", Json.Num (float_of_int r.epoch));
-        ("workers", Json.Num (float_of_int r.workers));
         ("wall_s", Json.Num r.wall_s);
         ("pkts", Json.Num (float_of_int r.pkts));
         ("pkts_per_sec", Json.Num r.pkts_per_sec);
@@ -230,9 +205,7 @@ let json_of_run ~quick ~cores ~flat_pps ~flat_hash rows =
       Json.Obj
         [
           ( "workload",
-            Json.Str
-              (Printf.sprintf "hiershard_s%d_e%d_w%d" r.shards r.epoch r.workers)
-          );
+            Json.Str (Printf.sprintf "hiershard_s%d_e%d" r.shards r.epoch) );
           ("pkts_per_sec", Json.Num r.pkts_per_sec);
           ("ratio_vs_flat", Json.Num r.ratio_vs_flat);
           ("cores", Json.Num (float_of_int cores));
@@ -259,22 +232,20 @@ let report ~quick =
   let cores, flat_pps, flat_hash, rows = measure ~quick () in
   Printf.printf "cores=%d, Hier_flat reference %.0f pkts/s, hash %s\n" cores
     flat_pps flat_hash;
-  Printf.printf "%7s %6s %8s %12s %14s %8s %6s  %s\n" "shards" "epoch" "workers"
-    "wall (s)" "pkts/s" "ratio" "exact" "depart_hash";
+  Printf.printf "%7s %6s %12s %14s %8s %6s  %s\n" "shards" "epoch" "wall (s)"
+    "pkts/s" "ratio" "exact" "depart_hash";
   List.iter
     (fun r ->
-      Printf.printf "%7d %6d %8d %12.3f %14.0f %7.2fx %6b  %s\n" r.shards
-        r.epoch r.workers r.wall_s r.pkts_per_sec r.ratio_vs_flat r.exact
+      Printf.printf "%7d %6d %12.3f %14.0f %7.2fx %6b  %s\n" r.shards r.epoch
+        r.wall_s r.pkts_per_sec r.ratio_vs_flat r.exact
         (Shard.Device.hash_hex r.depart_hash))
     rows;
   json_of_run ~quick ~cores ~flat_pps ~flat_hash rows
 
-(* Exactness and worker invariance are checked inside [measure] on every
-   host; a 1-core host can verify only those, so it runs the quick grid.
-   The throughput floor applies where coordinator + workers fit the
-   host's cores. *)
+(* Exactness is checked inside [measure]; every cell runs on one core, so
+   the throughput floor applies to every row on every host. *)
 let probe ~quick =
-  let cores, _, _, rows = measure ~quick:(quick || Parallel.Pool.cores () < 2) () in
+  let _, _, _, rows = measure ~quick () in
   Json.Obj
     [
       ( "rows",
@@ -284,12 +255,10 @@ let probe ~quick =
                Json.Obj
                  [
                    ( "label",
-                     Json.Str
-                       (Printf.sprintf "shards=%d epoch=%d workers=%d" r.shards r.epoch
-                          r.workers) );
+                     Json.Str (Printf.sprintf "shards=%d epoch=%d" r.shards r.epoch) );
                    ("value", Json.Num r.ratio_vs_flat);
                    ("expected", Json.Num 1.0);
-                   ("enforced", Json.Bool (r.workers + 1 <= max 1 cores));
+                   ("enforced", Json.Bool true);
                  ])
              rows) );
     ]

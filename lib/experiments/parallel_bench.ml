@@ -16,8 +16,8 @@
      must not cost anything", while an 8-core machine is held to the real
      3x-at-j8 target.
 
-   Results go to BENCH_parallel.json (same machine-readable role as
-   BENCH_hotpath.json); [probe] re-measures the ladder for the guard. *)
+   Results go to BENCH_parallel.json; [probe] re-measures the ladder for
+   the guard. *)
 
 module Json = Bench_kit.Json
 

@@ -39,15 +39,16 @@ val measure :
     [burst] and on every machine. *)
 
 val report : quick:bool -> Bench_kit.Json.t
-(** Run the ladder and return the report. [quick] shrinks the trace to
-    smoke-test size.
+(** Run the ladder and return the report, then print (without recording)
+    {!Bench_kit.Perf.server_throughput} at burst_max 1, 8 and 64 for
+    N = 4096 — the batching gain of a one-level server, for comparison.
+    [quick] shrinks the trace and the server runs to smoke-test size.
     @raise Failure if a rung does not drain the trace, or any rung's
     departure hash or count disagrees with the others. *)
 
 val probe : quick:bool -> Bench_kit.Json.t
 (** The guard's fresh side: the per-packet and batched rungs, best of
-    three each — [headline.batched_pkts_per_sec], the batched/per-packet
-    [headline.speedup], [headline.batched_minor_words_per_pkt], and both
+    three each — the batched/per-packet [headline.speedup], [headline.batched_minor_words_per_pkt], and both
     rungs' hashes ([headline.depart_hash] for the batched one,
     [headline.per_packet_depart_hash]). [quick] uses the smoke-test
     trace, whose hash only a quick report carries. *)

@@ -3,9 +3,6 @@
     [<name>], [<name>-quick] and [<name>-guard] ids and its [check] run
     from {!all}. *)
 
-val churn : Bench_kit.Suite.t
-(** Also run by [hpfq_sim churn]. *)
-
 val all : Bench_kit.Suite.t list
-(** perf, events, hier, replay, churn, parallel, shard, hiershard — in
+(** events, hier, replay, churn, parallel, shard, hiershard — in
     [check] order. *)

@@ -168,7 +168,7 @@ type engine =
   | Boxed
   | Generic of Sched.Sched_intf.factory
   | Flat
-  | Epoch of { shards : int; workers : int; epoch : int }
+  | Epoch of { shards : int; epoch : int }
 
 (* [replay] says how an [Install] is scheduled *)
 type config = { engine : engine; burst : int; replay : [ `Stream | `Eager ]; batched : bool }
@@ -181,8 +181,7 @@ let config_name c =
   | Boxed -> "boxed"
   | Generic f -> "generic(" ^ f.Sched.Sched_intf.kind ^ ")"
   | Flat -> "flat"
-  | Epoch { shards; workers; epoch } ->
-    Printf.sprintf "epoch(k=%d,shards=%d,workers=%d)" epoch shards workers)
+  | Epoch { shards; epoch } -> Printf.sprintf "epoch(k=%d,shards=%d)" epoch shards)
   ^ (if c.burst = 1 then "" else Printf.sprintf " burst=%d" c.burst)
   ^ (if c.replay = `Eager then " eager" else "")
   ^ if c.batched then " batched" else ""
@@ -279,8 +278,7 @@ let plane c ~sim s ~on_depart ~on_drop =
   match c.engine with
   | Generic f -> pooled f `Generic
   | Flat -> pooled wf2q_plus `Flat
-  | Epoch { shards; workers; epoch } ->
-    pooled wf2q_plus (`Subtree { HE.shards = Some shards; workers; epoch })
+  | Epoch { shards; epoch } -> pooled wf2q_plus (`Subtree { HE.shards = Some shards; epoch })
   | Boxed ->
     let h =
       Bhier.create ~sim ~spec:s.spec ~make_policy:(Bhier.uniform wf2q_plus) ~root_clock
@@ -429,7 +427,7 @@ type row = {
 
 let generic = cfg (Generic wf2q_plus)
 let flat = cfg Flat
-let epoch ?(shards = 2) ?(workers = 0) epoch = cfg (Epoch { shards; workers; epoch })
+let epoch ?(shards = 2) epoch = cfg (Epoch { shards; epoch })
 
 let table =
   let sharded = { tree with root_fan_out = (2, 8) } in
@@ -460,24 +458,19 @@ let table =
     { host = "test_hier_flat"; group = "lockstep";
       name = "subtree engine at epoch=1 replays flat bit-for-bit (shards 1/2/3)";
       shape = sharded;
-      pairs = [ (flat, epoch ~shards:1 1); (flat, epoch 1); (flat, epoch ~shards:3 ~workers:2 1) ];
+      pairs = [ (flat, epoch ~shards:1 1); (flat, epoch 1); (flat, epoch ~shards:3 1) ];
       relation = Exact; count = 320; seed = Some [| 0x5b7; 96 |] };
-    { host = "test_hier_flat"; group = "epoch";
-      name = "epoch>1 schedules are bit-identical across worker counts";
-      shape = sharded; pairs = List.map (fun k -> (epoch k, epoch ~workers:2 k)) [ 2; 5 ];
-      relation = Exact; count = 120; seed = Some [| 0x5b7; 96 |] };
     (* drops are accounted per shard at the sync: their order may move *)
     { host = "test_hier_flat"; group = "epoch";
       name = "epoch>1 schedules are shard-count invariant (drop log as a set)";
       shape = sharded; pairs = [ (epoch ~shards:1 4, epoch ~shards:3 4) ];
       relation = Exact_drop_set; count = 120; seed = Some [| 0x5b7; 96 |] };
     (* shallow trees with large leaf shares (the tightest bound), an
-       overloaded burst so arrivals get staged, no caps; epoch 8 runs a
-       worker domain so the pooled flush path is bounded too *)
+       overloaded burst so arrivals get staged, no caps *)
     { host = "test_hier_flat"; group = "epoch"; name = "lag bound measured";
       shape = { tree with depth = 2; root_fan_out = (2, 4); fan_out = (2, 2); early_leaf = 2.0 /. 3.0;
                 weights = (0.5, 1.0); caps = false; root_ref = false; ops = (80, 199); horizon = 4.0 };
-      pairs = [ (flat, epoch 2); (flat, epoch ~workers:1 8); (flat, epoch 64) ];
+      pairs = [ (flat, epoch 2); (flat, epoch 8); (flat, epoch 64) ];
       relation = Within_lag; count = 10; seed = Some [| 0x1a9; 0xb0d |] };
     { host = "test_packet_pool"; group = "boxed-vs-pooled";
       name = "pooled plane replays the boxed plane byte-for-byte (generic/flat/subtree)";
@@ -558,7 +551,6 @@ let pinned =
     ("test_hier_flat", ("flat engine replays generic over WF2Q+fx bit-for-bit", 300, f1a7));
     ("test_hier_flat", ("scan/heap cutoff: flat replays generic bit-for-bit", 200, Some [| 0xf1a7; 16 |]));
     ("test_hier_flat", ("subtree engine at epoch=1 replays flat bit-for-bit (shards 1/2/3)", 320, s5b7));
-    ("test_hier_flat", ("epoch>1 schedules are bit-identical across worker counts", 120, s5b7));
     ("test_hier_flat", ("epoch>1 schedules are shard-count invariant (drop log as a set)", 120, s5b7));
     ("test_hier_flat", ("lag bound measured", 10, Some [| 0x1a9; 0xb0d |]));
     ( "test_packet_pool",

@@ -26,7 +26,7 @@ let raises_invalid f =
     false
   with Invalid_argument _ -> true
 
-let subtree ?shards ?(workers = 0) epoch = `Subtree { HE.shards; workers; epoch }
+let subtree ?shards epoch = `Subtree { HE.shards; epoch }
 
 (* ---- observer-stamp parity: generic = flat = epoch 1 ---- *)
 
@@ -265,7 +265,6 @@ let test_partition () =
   let t = HF.create ~sim ~spec:fig3ish ~shards:8 () in
   Alcotest.(check int) "shards clamp to root children" 2 (HF.shards t);
   Alcotest.(check int) "epoch default" 1 (HF.epoch t);
-  Alcotest.(check int) "workers default" 0 (HF.workers t);
   Alcotest.(check int) "sync_rounds starts at 0" 0 (HF.sync_rounds t);
   Alcotest.(check string) "node 0 is the root" (HF.root_name t) (HF.node_name t 0);
   Alcotest.(check int) "root is coordinator-owned" (-1) (HF.node_shard t 0);
@@ -435,16 +434,15 @@ let test_facade () =
            ()))
 
 let test_choice_payload () =
-  Alcotest.(check bool) "\"subtree\" parses to shards unset, 0 workers, epoch 1" true
-    (HE.choice_of_string "subtree"
-    = Ok (`Subtree { HE.shards = None; workers = 0; epoch = 1 }));
+  Alcotest.(check bool) "\"subtree\" parses to shards unset, epoch 1" true
+    (HE.choice_of_string "subtree" = Ok (`Subtree { HE.shards = None; epoch = 1 }));
   Alcotest.(check string) "and prints back" "subtree" (HE.choice_to_string (subtree 8));
   let sim = Sim.create () in
   let h = Hpfq.Schedulers.hier ~sim ~spec:fig3ish ~engine:(subtree ~shards:2 3) () in
   match HE.flat h with
   | Some f ->
-    Alcotest.(check (list int)) "settings reach the engine (shards, epoch, workers)"
-      [ 2; 3; 0 ] [ HF.shards f; HF.epoch f; HF.workers f ]
+    Alcotest.(check (list int)) "settings reach the engine (shards, epoch)" [ 2; 3 ]
+      [ HF.shards f; HF.epoch f ]
   | None -> Alcotest.fail "flat projection is None"
 
 let () =
