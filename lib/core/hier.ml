@@ -7,7 +7,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type leaf = int
 
 type kind =
-  | Leaf_node of { fifo : Net.Fifo.t; mutable next_seq : int }
+  | Leaf_node of { mutable next_seq : int } (* its queue: [queues]' queue [id] *)
   | Interior of { policy : Sched_intf.t }
 
 (* Leaf lifecycle: [`Draining] keeps its schedule place until the queue
@@ -39,6 +39,7 @@ type node = {
 type t = {
   sim : Engine.Simulator.t;
   pool : Net.Packet_pool.t; (* every packet in this hierarchy lives here *)
+  queues : Net.Queues.t; (* queue n = leaf n's *)
   nodes : node array;
   (* Per-node reference clocks T_n and work counters W_n live in plain
      float arrays indexed by node id, not in the (mixed) node records:
@@ -147,7 +148,7 @@ and complete_transmission t pkt =
   t.on_depart pkt ~leaf:leaf.name now;
   reset_path t;
   (* the departed packet's cell recycles only after its callbacks fired
-     and RESET-PATH dequeued it from the leaf ring *)
+     and RESET-PATH dequeued it from the leaf queue *)
   Net.Packet_pool.free t.pool pkt
 
 (* RESET-PATH: walk down the active path clearing logical queues, dequeue
@@ -161,24 +162,24 @@ and reset_path t =
       n.active_child <- -1;
       if c < 0 then invalid_arg "Hier: reset_path lost the active child";
       descend t.nodes.(c)
-    | Leaf_node { fifo; _ } ->
-      if Net.Fifo.is_empty fifo then
+    | Leaf_node _ ->
+      if Net.Queues.is_empty t.queues n.id then
         invalid_arg "Hier: transmitted packet missing from its leaf queue";
-      Net.Fifo.drop_head fifo;
+      Net.Queues.drop_head t.queues n.id;
       let q = t.nodes.(n.parent) in
       let q_now = node_now t q in
       (match n.lifecycle with
       | `Drop_pending ->
         (* a `Drop close was deferred while this leaf's head held the wire:
            discard the rest of the queue and finish the close now *)
-        drop_queue t n fifo;
+        drop_queue t n;
         (policy_of q).Sched_intf.set_idle ~now:q_now ~session:n.session_in_parent;
         (policy_of q).Sched_intf.close_session ~now:q_now ~policy:`Drop
           n.handle_in_parent;
         n.lifecycle <- `Closed
       | `Open | `Draining | `Closed ->
-        if not (Net.Fifo.is_empty fifo) then begin
-          let next = Net.Fifo.peek_exn fifo in
+        if not (Net.Queues.is_empty t.queues n.id) then begin
+          let next = Net.Queues.peek_exn t.queues n.id in
           n.logical <- next;
           (policy_of q).Sched_intf.requeue ~now:q_now ~session:n.session_in_parent
             ~head_bits:(Net.Packet_pool.size_bits t.pool next)
@@ -192,10 +193,10 @@ and reset_path t =
   in
   descend t.nodes.(t.root)
 
-and drop_queue t n fifo =
+and drop_queue t n =
   let now = Engine.Simulator.now t.sim in
-  while not (Net.Fifo.is_empty fifo) do
-    let p = Net.Fifo.pop_exn fifo in
+  while not (Net.Queues.is_empty t.queues n.id) do
+    let p = Net.Queues.pop_exn t.queues n.id in
     t.drops <- t.drops + 1;
     t.on_drop p ~leaf:n.name now;
     Net.Packet_pool.free t.pool p
@@ -208,6 +209,7 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
   | Error errors ->
     invalid_arg ("Hier.create: invalid tree: " ^ String.concat "; " errors));
   let pool = Net.Packet_pool.create () in
+  let queues = Net.Queues.create ~pool () in
   let nodes = ref [] in
   let counter = ref 0 in
   let by_name = Hashtbl.create 16 in
@@ -216,15 +218,19 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
     let id = !counter in
     incr counter;
     let name = Class_tree.name spec and rate = Class_tree.rate spec in
+    (* one queue per node, added in id order, so queue [id] is node
+       [id]'s; an interior node's stays empty *)
+    let capacity_bits =
+      match spec with
+      | Class_tree.Leaf { queue_capacity_bits; _ } -> queue_capacity_bits
+      | Class_tree.Node _ -> None
+    in
+    ignore (Net.Queues.add ?capacity_bits queues : int);
     let kind =
       match spec with
-      | Class_tree.Leaf { queue_capacity_bits; _ } ->
+      | Class_tree.Leaf _ ->
         leaf_list := (name, id) :: !leaf_list;
-        Leaf_node
-          {
-            fifo = Net.Fifo.create ?capacity_bits:queue_capacity_bits ~pool ();
-            next_seq = 1;
-          }
+        Leaf_node { next_seq = 1 }
       | Class_tree.Node _ -> Interior { policy = make_policy ~level ~name ~rate }
     in
     let n =
@@ -290,6 +296,7 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
     {
       sim;
       pool;
+      queues;
       nodes = arr;
       tn = Array.make !counter 0.0;
       departed_bits = Array.make !counter 0.0;
@@ -359,11 +366,9 @@ let leaf_state t ~leaf =
      after a departure. *)
 let close_leaf t ~leaf ~policy =
   let n = t.nodes.(leaf) in
-  let fifo =
-    match n.kind with
-    | Leaf_node { fifo; _ } -> fifo
-    | Interior _ -> invalid_arg "Hier.close_leaf: not a leaf"
-  in
+  (match n.kind with
+  | Leaf_node _ -> ()
+  | Interior _ -> invalid_arg "Hier.close_leaf: not a leaf");
   (match n.lifecycle with
   | `Open -> ()
   | `Draining | `Drop_pending | `Closed ->
@@ -388,7 +393,7 @@ let close_leaf t ~leaf ~policy =
       let on_wire = Link.in_flight t.link = pkt in
       if on_wire then n.lifecycle <- `Drop_pending
       else begin
-        drop_queue t n fifo;
+        drop_queue t n;
         n.logical <- no_pkt;
         (* erase the committed chain: every ancestor whose logical head IS
            this packet committed it via RESTART-NODE *)
@@ -450,11 +455,11 @@ let inject ?(mark = 0) t ~leaf ~size_bits =
         ~arrival:now
     in
     l.next_seq <- l.next_seq + 1;
-    if not (Net.Fifo.push l.fifo pkt) then begin
+    if not (Net.Queues.push t.queues leaf pkt) then begin
       t.drops <- t.drops + 1;
       Log.debug (fun m ->
           m "drop at leaf %s: %g bits, queue %g bits full" n.name size_bits
-            (Net.Fifo.bits l.fifo));
+            (Net.Queues.bits t.queues leaf));
       t.on_drop pkt ~leaf:n.name now;
       Net.Packet_pool.free t.pool pkt;
       pkt
@@ -492,7 +497,7 @@ let inject_many ?(mark = 0) t ~leaf ~size_bits ~count =
           ~arrival:now
       in
       l.next_seq <- l.next_seq + 1;
-      if not (Net.Fifo.push l.fifo pkt) then begin
+      if not (Net.Queues.push t.queues leaf pkt) then begin
         t.drops <- t.drops + 1;
         t.on_drop pkt ~leaf:n.name now;
         Net.Packet_pool.free t.pool pkt
@@ -516,7 +521,7 @@ let burst_max t = Link.burst_max t.link
 
 let queue_bits t ~leaf =
   match t.nodes.(leaf).kind with
-  | Leaf_node { fifo; _ } -> Net.Fifo.bits fifo
+  | Leaf_node _ -> Net.Queues.bits t.queues leaf
   | Interior _ -> invalid_arg "Hier.queue_bits: not a leaf"
 
 let node_by_name t name =
@@ -533,6 +538,7 @@ let node_virtual_time t ~node =
 
 let link_busy t = Link.busy t.link
 let drops t = t.drops
+let held_packets t = Net.Queues.total_length t.queues
 
 (* -- Observability ------------------------------------------------------- *)
 

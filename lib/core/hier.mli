@@ -135,6 +135,11 @@ val node_virtual_time : t -> node:string -> float
 val link_busy : t -> bool
 val drops : t -> int
 
+val held_packets : t -> int
+(** Packets queued at the leaves. The packet on the wire stays at its
+    leaf's head until its departure hooks have run, so it is among them.
+    O(nodes). *)
+
 (** {2 Observability}
 
     The tracing layer ([lib/obs]) attaches to a hierarchy through these: the

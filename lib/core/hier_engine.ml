@@ -105,6 +105,10 @@ let link_busy = function
   | Generic h -> Hier.link_busy h
   | Flat h -> Hier_flat.link_busy h
 
+let held_packets = function
+  | Generic h -> Hier.held_packets h
+  | Flat h -> Hier_flat.held_packets h
+
 let drops = function
   | Generic h -> Hier.drops h
   | Flat h -> Hier_flat.drops h

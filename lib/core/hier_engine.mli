@@ -99,6 +99,7 @@ val ref_time : t -> node:string -> float
 val node_virtual_time : t -> node:string -> float
 val link_busy : t -> bool
 val drops : t -> int
+val held_packets : t -> int
 val add_depart_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
 val add_drop_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
 val add_transmit_start_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit

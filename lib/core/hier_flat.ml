@@ -84,7 +84,7 @@ type t = {
   logical : int array; (* leaf id owning this subtree's head packet, -1 *)
   logical_bits : float array; (* size of that head packet *)
   (* -- per-leaf physical queues -- *)
-  fifos : Net.Fifo.t array; (* shared dummy at interior slots *)
+  queues : Net.Queues.t; (* queue n = leaf n's; interior ids' stay empty *)
   next_seq : int array;
   (* per-leaf lifecycle: '\000' open, '\001' draining, '\002' `Drop close
      deferred behind the wire packet, '\003' closed. Slots are re-initialised
@@ -165,10 +165,9 @@ let p_select t node = K.select t.k node ~now:(node_now t node)
 
 let drop_leaf_queue t leaf =
   let now = Engine.Simulator.now t.sim in
-  let fifo = t.fifos.(leaf) in
   let name = t.names.(leaf) in
-  while not (Net.Fifo.is_empty fifo) do
-    let p = Net.Fifo.pop_exn fifo in
+  while not (Net.Queues.is_empty t.queues leaf) do
+    let p = Net.Queues.pop_exn t.queues leaf in
     t.drops <- t.drops + 1;
     t.on_drop p ~leaf:name now;
     Net.Packet_pool.free t.pool p
@@ -235,8 +234,8 @@ let rec restart_node t n =
 and start_transmission t =
   if not (Link.busy t.link) then begin
     let leaf = t.logical.(t.root) in
-    (* the wire packet stays at its leaf's fifo head until RESET-PATH pops it *)
-    if leaf >= 0 then Link.start t.link (Net.Fifo.peek_exn t.fifos.(leaf))
+    (* the wire packet stays at its leaf's queue head until RESET-PATH pops it *)
+    if leaf >= 0 then Link.start t.link (Net.Queues.peek_exn t.queues leaf)
   end
 
 (* Transmission complete: the link has already cleared its busy flag. A
@@ -263,7 +262,7 @@ and complete_transmission t pkt =
   done;
   t.on_depart pkt ~leaf:t.names.(leaf) now;
   reset_path t leaf;
-  (* the handle outlives RESET-PATH (which pops it from the leaf fifo) and
+  (* the handle outlives RESET-PATH (which pops it from the leaf queue) and
      every callback; only now is the slot safe to recycle *)
   Net.Packet_pool.free t.pool pkt;
   (* never leave the link idle with staged work: the sequential schedule
@@ -280,8 +279,7 @@ and reset_path t leaf =
     t.logical.(n) <- -1;
     t.active_child.(n) <- -1
   done;
-  let fifo = t.fifos.(leaf) in
-  Net.Fifo.drop_head fifo;
+  Net.Queues.drop_head t.queues leaf;
   let q = t.parent.(leaf) in
   (match Bytes.get t.lifecycle leaf with
   | '\002' ->
@@ -291,8 +289,8 @@ and reset_path t leaf =
     p_set_idle t q ~child:leaf;
     Bytes.set t.lifecycle leaf '\003'
   | state ->
-    if not (Net.Fifo.is_empty fifo) then begin
-      let next = Net.Fifo.peek_exn fifo in
+    if not (Net.Queues.is_empty t.queues leaf) then begin
+      let next = Net.Queues.peek_exn t.queues leaf in
       t.logical.(leaf) <- leaf;
       t.logical_bits.(leaf) <- Net.Packet_pool.size_bits t.pool next;
       p_requeue t q ~child:leaf
@@ -307,7 +305,7 @@ and reset_path t leaf =
    staged one inside a flush round. Reads the size back from the pool so no
    float crosses the call. *)
 and arrive t pkt ~leaf =
-  if not (Net.Fifo.push t.fifos.(leaf) pkt) then begin
+  if not (Net.Queues.push t.queues leaf pkt) then begin
     if t.flushing then begin
       (* park the handle at the front of its shard's staging region; the
          coordinator counts it, fires [on_drop] and frees it after the
@@ -322,7 +320,7 @@ and arrive t pkt ~leaf =
       Log.debug (fun m ->
           m "drop at leaf %s: %g bits, queue %g bits full" t.names.(leaf)
             (Net.Packet_pool.size_bits t.pool pkt)
-            (Net.Fifo.bits t.fifos.(leaf)));
+            (Net.Queues.bits t.queues leaf));
       t.on_drop pkt ~leaf:t.names.(leaf) (Array.unsafe_get t.now_cache 0);
       Net.Packet_pool.free t.pool pkt
     end
@@ -540,12 +538,10 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
   done;
   let pool = Net.Packet_pool.create () in
   let link = Link.create ~sim ~pool ~rate:rate.(root) ~burst_max in
-  let dummy_fifo = Net.Fifo.create ~pool () in
-  let fifos =
-    Array.init n_nodes (fun id ->
-        if is_leaf.(id) then Net.Fifo.create ?capacity_bits:capacity.(id) ~pool ()
-        else dummy_fifo)
-  in
+  let queues = Net.Queues.create ~queues:n_nodes ~pool () in
+  Array.iteri
+    (fun id cap -> Option.iter (fun c -> Net.Queues.reset ~capacity_bits:c queues id) cap)
+    capacity;
   (* shard assignment: root-child subtrees round-robin over the effective
      shard count; preorder contiguity means one pass suffices *)
   let root_children = children_len.(root) in
@@ -588,7 +584,7 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       active_child = Array.make n_nodes (-1);
       logical = Array.make n_nodes (-1);
       logical_bits = Array.make n_nodes 0.0;
-      fifos;
+      queues;
       next_seq = Array.make n_nodes 1;
       lifecycle = Bytes.make n_nodes '\000';
       k;
@@ -683,7 +679,7 @@ let inject_many ?(mark = 0) t ~(leaf : Hier.leaf) ~size_bits ~count =
   (* batched arrivals stamped with one clock read (the clock cannot move
      during injection, so stamps match [count] separate injects bitwise);
      after the first packet the leaf has a head, so each further packet is
-     one fifo push + one (observer-only) arrive *)
+     one queue push + one (observer-only) arrive *)
   if count < 0 then invalid_arg "Hier_flat.inject_many: negative count";
   let leaf = (leaf :> int) in
   (* checked before the [count = 0] shortcut, as [Hier.inject_many] does *)
@@ -727,7 +723,7 @@ let close_leaf t ~(leaf : Hier.leaf) ~policy =
     match policy with
     | `Drain -> Bytes.set t.lifecycle leaf '\001'
     | `Drop ->
-      if Link.in_flight t.link = Net.Fifo.peek_exn t.fifos.(leaf) then
+      if Link.in_flight t.link = Net.Queues.peek_exn t.queues leaf then
         (* the wire packet is never recalled; RESET-PATH completes the
            close at its departure *)
         Bytes.set t.lifecycle leaf '\002'
@@ -770,7 +766,7 @@ let queue_bits t ~(leaf : Hier.leaf) =
   sync_if_staged t;
   let leaf = (leaf :> int) in
   if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.queue_bits: not a leaf";
-  Net.Fifo.bits t.fifos.(leaf)
+  Net.Queues.bits t.queues leaf
 
 let departed_bits t ~node =
   sync_if_staged t;
@@ -792,6 +788,9 @@ let link_busy t = Link.busy t.link
 let drops t =
   sync_if_staged t;
   t.drops
+
+(* reads without syncing: counting must not move the schedule *)
+let held_packets t = Net.Queues.total_length t.queues + t.staged_total
 
 let set_burst_max t n = Link.set_burst_max t.link n
 let burst_max t = Link.burst_max t.link

@@ -152,6 +152,11 @@ val node_virtual_time : t -> node:string -> float
 val link_busy : t -> bool
 val drops : t -> int
 
+val held_packets : t -> int
+(** Packets queued at the leaves or staged for the next sync. As in
+    {!Hier.held_packets}, the packet on the wire is among them until its
+    departure hooks have run. O(nodes). *)
+
 (** {2 Observability}
 
     Mirrors {!Hier}: packet-level hooks at the link, a per-node

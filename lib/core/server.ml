@@ -1,16 +1,23 @@
 open Sched
 
-type session = {
-  rate : float;
-  fifo : Net.Fifo.t;
-  handle : Session_handle.t; (* the policy's handle for this incarnation *)
-  mutable next_seq : int;
-  mutable has_head : bool;   (* a packet of ours is registered with the policy *)
-  mutable in_service : bool; (* our head is currently on the link *)
-  mutable closing : Sched_intf.close_policy option; (* Some = close requested *)
-  departed_bits : float array; (* 1-element: a mutable float field in this
-                                  mixed record would box on every store *)
-}
+(* Sessions live in flat arrays indexed by session slot, one short run of
+   words each, with no record per session:
+   - [sess.(3i .. 3i+2)]: the policy's handle for this incarnation, the
+     next sequence number, and the state bits below;
+   - [departed.(i)]: W_i(0, now);
+   - queue [i] of [queues]: the session's packets.
+   The policy may hand back a recycled slot; the arrays mirror its slot
+   table. *)
+let f_handle = 0
+let f_seq = 1
+let f_state = 2
+
+(* state bits *)
+let has_head = 1 (* a packet of ours is registered with the policy *)
+let in_service = 2 (* our head is currently on the link *)
+let closing_drain = 4 (* close requested, `Drain *)
+let closing_drop = 8 (* close requested, `Drop *)
+let closing = closing_drain lor closing_drop
 
 (* The hot path moves [Net.Packet_pool.handle]s (immediate ints); hooks are
    handle-based internally, and the boxed [Net.Packet.t] view is
@@ -20,13 +27,18 @@ type t = {
   sim : Engine.Simulator.t;
   policy : Sched_intf.t;
   pool : Net.Packet_pool.t;
-  sessions : session Vec.t;
+  queues : Net.Queues.t; (* queue i = session slot i *)
+  mutable sess : int array;
+  mutable departed : float array;
   mutable on_depart : Net.Packet_pool.handle -> float -> unit;
   mutable on_drop : Net.Packet_pool.handle -> float -> unit;
   mutable on_transmit_start : Net.Packet_pool.handle -> float -> unit;
   link : Link.t;
-  departed_total : float array; (* 1-element, same unboxing trick *)
+  departed_total : float array; (* 1-element: a float field here would box *)
 }
+
+let[@inline] state t i = t.sess.((3 * i) + f_state)
+let[@inline] set_state t i v = t.sess.((3 * i) + f_state) <- v
 
 let nop2 _ _ = ()
 
@@ -55,28 +67,33 @@ let add_transmit_start_hook t f = add_transmit_start_handle_hook t (boxed t f)
 let open_session t ~rate ?queue_capacity_bits () =
   let handle = t.policy.Sched_intf.open_session ~rate in
   let slot = t.policy.Sched_intf.session_of_handle handle in
-  let fifo = Net.Fifo.create ?capacity_bits:queue_capacity_bits ~pool:t.pool () in
-  let fresh =
-    {
-      rate;
-      fifo;
-      handle;
-      next_seq = 1;
-      has_head = false;
-      in_service = false;
-      closing = None;
-      departed_bits = [| 0.0 |];
-    }
-  in
-  (* The policy may hand back a recycled slot; mirror its slot table. *)
-  if slot = Vec.length t.sessions then ignore (Vec.push t.sessions fresh)
-  else Vec.set t.sessions slot fresh;
+  if slot < Net.Queues.count t.queues then
+    Net.Queues.reset ?capacity_bits:queue_capacity_bits t.queues slot
+  else begin
+    ignore (Net.Queues.add ?capacity_bits:queue_capacity_bits t.queues : int);
+    (* doubling copies the int cells in a typed loop: [Array.blit] into
+       an int array in the major heap runs the write barrier per element *)
+    if 3 * (slot + 1) > Array.length t.sess then begin
+      let sess = Array.make (6 * slot) 0 in
+      for i = 0 to (3 * slot) - 1 do
+        Array.unsafe_set sess i (Array.unsafe_get t.sess i)
+      done;
+      let departed = Array.make (2 * slot) 0.0 in
+      Array.blit t.departed 0 departed 0 slot;
+      t.sess <- sess;
+      t.departed <- departed
+    end
+  end;
+  t.sess.((3 * slot) + f_handle) <- Session_handle.to_int handle;
+  t.sess.((3 * slot) + f_seq) <- 1;
+  set_state t slot 0;
+  t.departed.(slot) <- 0.0;
   handle
 
-let drop_queue t s =
+let drop_queue t session =
   let now = Engine.Simulator.now t.sim in
-  while not (Net.Fifo.is_empty s.fifo) do
-    let h = Net.Fifo.pop_exn s.fifo in
+  while not (Net.Queues.is_empty t.queues session) do
+    let h = Net.Queues.pop_exn t.queues session in
     t.on_drop h now;
     Net.Packet_pool.free t.pool h
   done
@@ -91,22 +108,21 @@ let drop_queue t s =
      transmission-complete event. *)
 let close_session t ~policy h =
   let slot = t.policy.Sched_intf.session_of_handle h in
-  let s = Vec.get t.sessions slot in
-  if s.closing <> None then invalid_arg "Server.close_session: already closing";
+  let st = state t slot in
+  if st land closing <> 0 then invalid_arg "Server.close_session: already closing";
   let now = Engine.Simulator.now t.sim in
-  if s.in_service then begin
-    s.closing <- Some policy;
+  let st = st lor (match policy with `Drain -> closing_drain | `Drop -> closing_drop) in
+  set_state t slot st;
+  if st land in_service <> 0 then begin
     match policy with
     | `Drain -> t.policy.Sched_intf.close_session ~now ~policy h
     | `Drop -> () (* deferred to [complete]: the policy still holds the head *)
   end
-  else if s.has_head then begin
-    s.closing <- Some policy;
-    (match policy with `Drain -> () | `Drop -> drop_queue t s; s.has_head <- false);
-    t.policy.Sched_intf.close_session ~now ~policy h
-  end
   else begin
-    s.closing <- Some policy;
+    if st land has_head <> 0 && policy = `Drop then begin
+      drop_queue t slot;
+      set_state t slot (st land lnot has_head)
+    end;
     t.policy.Sched_intf.close_session ~now ~policy h
   end
 
@@ -116,12 +132,10 @@ let rec start_transmission t =
     match t.policy.Sched_intf.select ~now with
     | None -> ()
     | Some session ->
-      let s = Vec.get t.sessions session in
-      if Net.Fifo.is_empty s.fifo then
+      if Net.Queues.is_empty t.queues session then
         invalid_arg "Server: policy selected an empty session";
-      let pkt = Net.Fifo.peek_exn s.fifo in
-      Net.Fifo.drop_head s.fifo;
-      s.in_service <- true;
+      let pkt = Net.Queues.pop_exn t.queues session in
+      set_state t session (state t session lor in_service);
       Link.start t.link pkt
   end
 
@@ -129,27 +143,27 @@ let rec start_transmission t =
 and complete t pkt =
   let now = Engine.Simulator.now t.sim in
   let session = Net.Packet_pool.flow t.pool pkt in
-  let s = Vec.get t.sessions session in
   let size_bits = Net.Packet_pool.size_bits t.pool pkt in
-  s.in_service <- false;
-  s.departed_bits.(0) <- s.departed_bits.(0) +. size_bits;
+  let st = state t session land lnot in_service in
+  set_state t session st;
+  t.departed.(session) <- t.departed.(session) +. size_bits;
   t.departed_total.(0) <- t.departed_total.(0) +. size_bits;
-  (match s.closing with
-  | Some `Drop ->
+  if st land closing_drop <> 0 then begin
     (* close was deferred while this packet held the link: discard the
        rest of the queue and finish the close now *)
-    drop_queue t s;
-    s.has_head <- false;
+    drop_queue t session;
+    set_state t session (st land lnot has_head);
     t.policy.Sched_intf.set_idle ~now ~session;
-    t.policy.Sched_intf.close_session ~now ~policy:`Drop s.handle
-  | Some `Drain | None ->
-    if Net.Fifo.is_empty s.fifo then begin
-      s.has_head <- false;
-      t.policy.Sched_intf.set_idle ~now ~session
-    end
-    else
-      t.policy.Sched_intf.requeue ~now ~session
-        ~head_bits:(Net.Packet_pool.size_bits t.pool (Net.Fifo.peek_exn s.fifo)));
+    t.policy.Sched_intf.close_session ~now ~policy:`Drop
+      (Session_handle.of_int_unsafe t.sess.((3 * session) + f_handle))
+  end
+  else if Net.Queues.is_empty t.queues session then begin
+    set_state t session (st land lnot has_head);
+    t.policy.Sched_intf.set_idle ~now ~session
+  end
+  else
+    t.policy.Sched_intf.requeue ~now ~session
+      ~head_bits:(Net.Packet_pool.size_bits t.pool (Net.Queues.peek_exn t.queues session));
   t.on_depart pkt now;
   Net.Packet_pool.free t.pool pkt;
   start_transmission t
@@ -162,7 +176,9 @@ let create ~sim ~rate ~policy ?on_depart ?on_drop ?(burst_max = 1) () =
       sim;
       policy;
       pool;
-      sessions = Vec.create ();
+      queues = Net.Queues.create ~pool ();
+      sess = Array.make 3 0;
+      departed = [| 0.0 |];
       on_depart = nop2;
       on_drop = nop2;
       on_transmit_start = nop2;
@@ -179,29 +195,41 @@ let create ~sim ~rate ~policy ?on_depart ?on_drop ?(burst_max = 1) () =
   | Some f -> t.on_drop <- (fun h now -> f (Net.Packet_pool.to_packet pool h) now));
   t
 
-let inject t ~session ~size_bits =
-  let now = Engine.Simulator.now t.sim in
-  let s = Vec.get t.sessions session in
-  if s.closing <> None then invalid_arg "Server.inject: session is closed";
-  let pkt =
-    Net.Packet_pool.alloc t.pool ~flow:session ~seq:s.next_seq ~size_bits
-      ~arrival:now
-  in
-  s.next_seq <- s.next_seq + 1;
-  if not (Net.Fifo.push s.fifo pkt) then begin
+let[@inline never] unknown_session fn session =
+  invalid_arg (Printf.sprintf "Server.%s: unknown session %d" fn session)
+
+(* Every session-indexed entry point names an index that was never opened
+   before it touches any state. *)
+let[@inline] check_session t ~fn session =
+  if session < 0 || session >= Net.Queues.count t.queues then unknown_session fn session
+
+(* One arrival at [now]: the caller has checked the session is open. *)
+let[@inline] arrive t ~session ~size_bits ~now =
+  let c = 3 * session in
+  let seq = t.sess.(c + f_seq) in
+  let pkt = Net.Packet_pool.alloc t.pool ~flow:session ~seq ~size_bits ~arrival:now in
+  t.sess.(c + f_seq) <- seq + 1;
+  if not (Net.Queues.push t.queues session pkt) then begin
     t.on_drop pkt now;
-    Net.Packet_pool.free t.pool pkt;
-    pkt
+    Net.Packet_pool.free t.pool pkt
   end
   else begin
     t.policy.Sched_intf.arrive ~now ~session ~size_bits;
-    if not s.has_head then begin
-      s.has_head <- true;
+    let st = t.sess.(c + f_state) in
+    if st land has_head = 0 then begin
+      t.sess.(c + f_state) <- st lor has_head;
       t.policy.Sched_intf.backlog ~now ~session ~head_bits:size_bits
-    end;
-    start_transmission t;
-    pkt
-  end
+    end
+  end;
+  pkt
+
+let inject t ~session ~size_bits =
+  check_session t ~fn:"inject" session;
+  let now = Engine.Simulator.now t.sim in
+  if state t session land closing <> 0 then invalid_arg "Server.inject: session is closed";
+  let pkt = arrive t ~session ~size_bits ~now in
+  start_transmission t;
+  pkt
 
 let inject_handle t ~handle ~size_bits =
   inject t ~session:(t.policy.Sched_intf.session_of_handle handle) ~size_bits
@@ -211,34 +239,28 @@ let inject_handle t ~handle ~size_bits =
    bit-identical to [count] separate injects), and the transmission chain
    kicked once at the end instead of per packet. *)
 let inject_batch t ~session ~size_bits ~count =
+  check_session t ~fn:"inject_batch" session;
   if count < 0 then invalid_arg "Server.inject_batch: negative count";
   let now = Engine.Simulator.now t.sim in
-  let s = Vec.get t.sessions session in
-  if s.closing <> None then invalid_arg "Server.inject_batch: session is closed";
+  if state t session land closing <> 0 then
+    invalid_arg "Server.inject_batch: session is closed";
   for _ = 1 to count do
-    let pkt =
-      Net.Packet_pool.alloc t.pool ~flow:session ~seq:s.next_seq ~size_bits
-        ~arrival:now
-    in
-    s.next_seq <- s.next_seq + 1;
-    if not (Net.Fifo.push s.fifo pkt) then begin
-      t.on_drop pkt now;
-      Net.Packet_pool.free t.pool pkt
-    end
-    else begin
-      t.policy.Sched_intf.arrive ~now ~session ~size_bits;
-      if not s.has_head then begin
-        s.has_head <- true;
-        t.policy.Sched_intf.backlog ~now ~session ~head_bits:size_bits
-      end
-    end
+    ignore (arrive t ~session ~size_bits ~now : Net.Packet_pool.handle)
   done;
   if count > 0 then start_transmission t
 
-let queue_bits t ~session = Net.Fifo.bits (Vec.get t.sessions session).fifo
-let session_count t = Vec.length t.sessions
+let queue_bits t ~session =
+  check_session t ~fn:"queue_bits" session;
+  Net.Queues.bits t.queues session
+
+let queued_packets t = Net.Queues.total_length t.queues
+let session_count t = Net.Queues.count t.queues
 let live_sessions t = t.policy.Sched_intf.live_sessions ()
 let busy t = Link.busy t.link
 let policy t = t.policy
-let departed_bits t ~session = (Vec.get t.sessions session).departed_bits.(0)
+
+let departed_bits t ~session =
+  check_session t ~fn:"departed_bits" session;
+  t.departed.(session)
+
 let departed_bits_total t = t.departed_total.(0)

@@ -9,12 +9,14 @@
     experiments (Fig. 2, WFI measurements) and as the reference semantics
     the hierarchical server must reduce to on a one-level tree.
 
-    Packets live in a per-server {!Net.Packet_pool}; the engine moves
-    immediate int handles and allocates no boxes on the hot path. Boxed
-    {!Net.Packet.t} views are materialised only inside the boxed hook
-    wrappers; the [_handle_] hook variants observe raw handles (valid
-    during the callback — a departed/dropped packet's handle is recycled
-    as soon as its callbacks return). *)
+    Sessions live in flat arrays indexed by session slot, and each
+    session's queue is one queue of a {!Net.Queues} set over the server's
+    {!Net.Packet_pool}. The engine moves immediate int handles and
+    allocates no boxes on the hot path. Boxed {!Net.Packet.t} views are
+    materialised only inside the boxed hook wrappers; the [_handle_] hook
+    variants observe raw handles (valid during the callback — a
+    departed/dropped packet's handle is recycled as soon as its callbacks
+    return). *)
 
 type t
 
@@ -70,7 +72,8 @@ val inject : t -> session:int -> size_bits:float -> Net.Packet_pool.handle
 (** A packet of [size_bits] arrives on [session] at the current simulation
     time. Returns its pool handle. If the queue was full the drop callback
     has already fired and the handle is already recycled (stale).
-    @raise Invalid_argument if the session is closed or closing. *)
+    @raise Invalid_argument ["Server.inject: unknown session n"] if slot
+    [n] was never opened, or if the session is closed or closing. *)
 
 val inject_handle :
   t -> handle:Sched.Session_handle.t -> size_bits:float -> Net.Packet_pool.handle
@@ -82,12 +85,17 @@ val inject_batch : t -> session:int -> size_bits:float -> count:int -> unit
     current simulation time, stamped with one clock read and kicking the
     transmission chain once. Per-packet drop callbacks still fire for
     packets the queue rejects.
-    @raise Invalid_argument if the session is closed or [count] is
-    negative. *)
+    @raise Invalid_argument if the session was never opened (named as for
+    {!inject}), is closed, or [count] is negative. *)
 
 val queue_bits : t -> session:int -> float
 (** Current backlog Q_i(t) of the session, excluding any packet already
-    committed to the link. *)
+    committed to the link.
+    @raise Invalid_argument if the session was never opened. *)
+
+val queued_packets : t -> int
+(** Packets waiting in all session queues; the one on the link is not
+    among them. O(sessions). *)
 
 val busy : t -> bool
 val policy : t -> Sched.Sched_intf.t
@@ -119,6 +127,7 @@ val add_transmit_start_handle_hook :
   t -> (Net.Packet_pool.handle -> float -> unit) -> unit
 
 val departed_bits : t -> session:int -> float
-(** Cumulative W_i(0, now): bits of the session fully transmitted. *)
+(** Cumulative W_i(0, now): bits of the session fully transmitted.
+    @raise Invalid_argument if the session was never opened. *)
 
 val departed_bits_total : t -> float

@@ -1,91 +1,19 @@
-(* Growable intrusive ring of pool handles. The queue owns no boxes: each
-   element is an immediate int naming a [Packet_pool] cell, so push/pop
-   touch only the int ring and the 1-element float accumulator. Capacity
-   is a power of two (index masking); the ring doubles when full. [bits]
-   accounting reads sizes from the pool, and — exactly like the boxed
-   queue it replaces — snaps to 0.0 whenever the queue empties so float
-   cancellation error cannot accumulate across busy periods. *)
+(* A one-queue [Queues] set: queue 0 is the FIFO. *)
 
-type t = {
-  pool : Packet_pool.t;
-  mutable buf : int array;
-  mutable head : int; (* index of the front element *)
-  mutable len : int;
-  mutable mask : int; (* ring capacity - 1 (power of two) *)
-  capacity_bits : float;
-  bits : float array; (* 1-element: a mutable float field here would box *)
-  mutable drops : int;
-}
+type t = Queues.t
 
-let initial_ring = 8
+let create ?capacity_bits ~pool () =
+  let t = Queues.create ~pool () in
+  ignore (Queues.add ?capacity_bits t : int);
+  t
 
-let create ?(capacity_bits = infinity) ~pool () =
-  if capacity_bits <= 0.0 then invalid_arg "Fifo.create: capacity must be positive";
-  {
-    pool;
-    buf = Array.make initial_ring Packet_pool.none;
-    head = 0;
-    len = 0;
-    mask = initial_ring - 1;
-    capacity_bits;
-    bits = [| 0.0 |];
-    drops = 0;
-  }
-
-let pool t = t.pool
-
-let grow t =
-  let old_cap = t.mask + 1 in
-  let cap = 2 * old_cap in
-  let buf = Array.make cap Packet_pool.none in
-  (* unroll the ring so the front lands at index 0 *)
-  for i = 0 to t.len - 1 do
-    buf.(i) <- t.buf.((t.head + i) land t.mask)
-  done;
-  t.buf <- buf;
-  t.head <- 0;
-  t.mask <- cap - 1
-
-let push t h =
-  let sz = Packet_pool.size_bits t.pool h in
-  if t.bits.(0) +. sz > t.capacity_bits then begin
-    t.drops <- t.drops + 1;
-    false
-  end
-  else begin
-    if t.len > t.mask then grow t;
-    t.buf.((t.head + t.len) land t.mask) <- h;
-    t.len <- t.len + 1;
-    t.bits.(0) <- t.bits.(0) +. sz;
-    true
-  end
-
-let[@inline] peek_exn t =
-  if t.len = 0 then raise Queue.Empty;
-  t.buf.(t.head)
-
-let pop_exn t =
-  if t.len = 0 then raise Queue.Empty;
-  let h = t.buf.(t.head) in
-  t.head <- (t.head + 1) land t.mask;
-  t.len <- t.len - 1;
-  if t.len = 0 then begin
-    t.head <- 0;
-    t.bits.(0) <- 0.0
-  end
-  else t.bits.(0) <- t.bits.(0) -. Packet_pool.size_bits t.pool h;
-  h
-
-let drop_head t = ignore (pop_exn t : int)
-
-let[@inline] length t = t.len
-let[@inline] bits t = t.bits.(0)
-let[@inline] is_empty t = t.len = 0
-let drops t = t.drops
-
-(* Empties the ring WITHOUT freeing the handles — callers that want the
-   cells recycled must drain with [pop_exn] and free each handle. *)
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.bits.(0) <- 0.0
+let pool = Queues.pool
+let[@inline] push t h = Queues.push t 0 h
+let[@inline] peek_exn t = Queues.peek_exn t 0
+let[@inline] pop_exn t = Queues.pop_exn t 0
+let[@inline] drop_head t = Queues.drop_head t 0
+let[@inline] length t = Queues.length t 0
+let[@inline] bits t = Queues.bits t 0
+let[@inline] is_empty t = Queues.is_empty t 0
+let drops t = Queues.drops t 0
+let clear t = Queues.clear t 0

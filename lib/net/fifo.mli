@@ -5,10 +5,11 @@
     [bits] = Q_i(t), the backlog in bits including the head packet, which is
     the quantity appearing in the T-WFI definition (paper eq. 10).
 
-    The queue is an intrusive int ring over a {!Packet_pool}: elements are
-    immediate handles, so no cons cells, boxes or options are allocated on
-    the push/pop path. The queue never frees handles — ownership stays with
-    the engine that allocated them. *)
+    A view of a one-queue {!Queues} set over a {!Packet_pool}: the same
+    code, so the same flat layout (the chain runs through the packets' link
+    words) and the same contracts. Nothing is allocated on the push/pop
+    path. The queue never frees handles — ownership stays with the engine
+    that allocated them. *)
 
 type t
 
@@ -22,7 +23,9 @@ val pool : t -> Packet_pool.t
 val push : t -> Packet_pool.handle -> bool
 (** Append. Returns [false] (without enqueueing) if the packet's bits would
     exceed the capacity; the drop counter is incremented and the caller
-    keeps ownership of the handle. *)
+    keeps ownership of the handle.
+    @raise Invalid_argument on a stale handle or one already in a queue
+    (this one or another); no queue changes. *)
 
 val peek_exn : t -> Packet_pool.handle
 (** @raise Queue.Empty when the queue is empty. *)
@@ -44,5 +47,6 @@ val is_empty : t -> bool
 val drops : t -> int
 
 val clear : t -> unit
-(** Empty the ring without freeing handles; the caller is responsible for
-    recycling them (or leaking them deliberately, e.g. at teardown). *)
+(** Empty the queue without freeing handles (they become unqueued); the
+    caller is responsible for recycling them (or leaking them
+    deliberately, e.g. at teardown). *)

@@ -1,14 +1,18 @@
-(** Struct-of-arrays packet arena with generation-tagged int handles.
+(** Packet arena of interleaved cells with generation-tagged int handles.
 
-    The zero-allocation packet plane: packets live as parallel flat-array
-    cells, named by immediate-int handles (slot in the low 31 bits,
-    allocation generation above — the [Sched.Session_handle] encoding).
-    Engines move handles; a boxed {!Packet.t} is materialised only at API
-    boundaries via {!to_packet}, with [uid] = the handle itself.
+    The zero-allocation packet plane: each packet is one int cell (flow,
+    seq, mark, generation, queue link) and one float cell (size, arrival)
+    in two flat arrays, named by an immediate-int handle (slot in the low
+    31 bits, allocation generation above — the [Sched.Session_handle]
+    encoding). Engines move handles; a boxed {!Packet.t} is materialised
+    only at API boundaries via {!to_packet}, with [uid] = the handle
+    itself.
 
-    A pool is single-domain: alloc/free must stay on one Domain (sharded
-    engines confine them to the coordinator and hand workers read-only
-    access to live handles across a fork/join barrier). *)
+    The link word also chains the packet through its queue: {!Queues}
+    keeps only each queue's head and tail, so a packet is in at most one
+    queue at a time.
+
+    A pool is single-domain: every operation stays on one Domain. *)
 
 type t
 
@@ -29,7 +33,8 @@ val alloc :
 
 val free : t -> handle -> unit
 (** Recycle the slot and bump its generation, invalidating [handle].
-    @raise Invalid_argument on a stale handle or double free. *)
+    @raise Invalid_argument on a stale handle, a double free, or a handle
+    still in a queue. *)
 
 val flow : t -> handle -> int
 val seq : t -> handle -> int
@@ -52,3 +57,22 @@ val generation_of : handle -> int
 
 val live_count : t -> int
 val capacity : t -> int
+
+(** {2 Queue links}
+
+    The chain {!Queues} threads through the link words. These trust their
+    handle: {!Queues} validates it (with {!size_bits}) first. *)
+
+val queued : t -> handle -> bool
+(** Is the packet in a queue? *)
+
+val link_tail : t -> last:handle -> handle -> unit
+(** Make the unqueued packet the new tail of a queue whose tail was
+    [last] ({!none}: the queue was empty). *)
+
+val unlink_head : t -> handle -> handle
+(** Take a queue's head out of its chain: returns its successor
+    ({!none} if it was the tail) and marks it unqueued. *)
+
+val size_bits_unchecked : t -> handle -> float
+(** {!size_bits} of a handle known to be live (a queued one). *)

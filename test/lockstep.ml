@@ -252,6 +252,7 @@ type plane = {
   clock : string -> float * float;
   vtime : string -> float;
   live : unit -> int; (* packet handles still allocated *)
+  held : unit -> int; (* packets queued at leaves or staged *)
   flat : HF.t option;
 }
 
@@ -272,6 +273,7 @@ let plane c ~sim s ~on_depart ~on_drop =
       clock = (fun node -> (HE.departed_bits h ~node, HE.ref_time h ~node));
       vtime = (fun node -> HE.node_virtual_time h ~node);
       live = (fun () -> Net.Packet_pool.live_count (HE.pool h));
+      held = (fun () -> HE.held_packets h);
       flat = HE.flat h;
     }
   in
@@ -295,15 +297,30 @@ let plane c ~sim s ~on_depart ~on_drop =
       clock = (fun node -> (Bhier.departed_bits h ~node, Bhier.ref_time h ~node));
       vtime = (fun node -> Bhier.node_virtual_time h ~node);
       live = (fun () -> 0);
+      held = (fun () -> 0);
       flat = None;
     }
 
 let run c s =
   let sim = Sim.create () in
   let departs = ref [] and drop_log = ref [] and rejected = ref 0 and installed = ref 0 in
-  let on_depart pkt ~leaf t = departs := (leaf, pkt.Net.Packet.seq, t) :: !departs in
+  let conserved = ref ignore in
+  let on_depart pkt ~leaf t =
+    !conserved ();
+    departs := (leaf, pkt.Net.Packet.seq, t) :: !departs
+  in
   let on_drop pkt ~leaf t = drop_log := (leaf, pkt.Net.Packet.seq, t) :: !drop_log in
   let p = plane c ~sim s ~on_depart ~on_drop in
+  (* pool conservation at every departure: each live handle is queued at
+     a leaf, staged, on the wire or departing. The departing packet is
+     the one that was on the wire, and it stays at its leaf's head until
+     its hooks have run, so the queues and stages hold all of them. *)
+  (conserved :=
+     fun () ->
+       if p.live () <> p.held () then
+         failwith
+           (Printf.sprintf "%s: %d packet handles live at a departure, %d held"
+              (config_name c) (p.live ()) (p.held ())));
   Fun.protect ~finally:(fun () -> Option.iter HF.shutdown p.flat) @@ fun () ->
   let apply op =
     try

@@ -460,6 +460,18 @@ let test_bare_cycle_words () =
     Alcotest.failf "bare WF2Q+ cycle allocates %.3f words/pkt, ceiling %.2f" words
       bare_cycle_words_ceiling
 
+(* The same loop through the Server and the event loop
+   ([Perf.server_throughput], N = 4096, burst cap 64) allocates 8.0 minor
+   words per packet in release builds; the ceiling keeps the data-plane
+   layout from adding any. Release only, as above. *)
+let server_words_ceiling = 8.0 *. (1.0 +. Suite.words_tol)
+
+let test_server_words () =
+  let _, words = Perf.server_throughput ~n:4096 ~burst_max:64 ~target_pkts:200_000 () in
+  if Bench_kit.Build_info.profile = "release" && words > server_words_ceiling then
+    Alcotest.failf "Server path allocates %.3f words/pkt, ceiling %.2f" words
+      server_words_ceiling
+
 let () =
   let suite_tests (s : Suite.t) =
     let report = quick_report s in
@@ -483,5 +495,6 @@ let () =
             Alcotest.test_case "tracing disabled allocates nothing" `Quick
               test_tracing_disabled_allocates_nothing;
             Alcotest.test_case "bare cycle words/pkt ceiling" `Quick test_bare_cycle_words;
+            Alcotest.test_case "server words/pkt ceiling" `Quick test_server_words;
           ] );
       ])

@@ -137,6 +137,39 @@ let test_server_drops () =
      immediately and p2..p4 fit. Exactly one drop. *)
   Alcotest.(check int) "drop count" 1 !drops
 
+(* A session index that was never opened is a named error, raised before
+   any state changes: no packet is allocated, nothing departs. *)
+let test_unknown_session () =
+  let sim = Sim.create () in
+  let departed = ref 0 in
+  let server =
+    Server.create ~sim ~rate:1.0
+      ~policy:(Hpfq.Disciplines.wf2q_plus.Sched.Sched_intf.make ~rate:1.0)
+      ~on_depart:(fun _ _ -> incr departed)
+      ()
+  in
+  let s = Sched.Session_handle.slot (Server.open_session server ~rate:0.5 ()) in
+  let named fn n f =
+    Alcotest.check_raises
+      (Printf.sprintf "%s on session %d" fn n)
+      (Invalid_argument (Printf.sprintf "Server.%s: unknown session %d" fn n))
+      (fun () -> ignore (f n))
+  in
+  List.iter
+    (fun n ->
+      named "inject" n (fun session -> Server.inject server ~session ~size_bits:1.0);
+      named "inject_batch" n (fun session ->
+          Server.inject_batch server ~session ~size_bits:1.0 ~count:2);
+      named "queue_bits" n (fun session -> Server.queue_bits server ~session);
+      named "departed_bits" n (fun session -> Server.departed_bits server ~session))
+    [ s + 1; 7; -1 ];
+  Alcotest.(check int) "no packet allocated" 0
+    (Net.Packet_pool.live_count (Server.pool server));
+  ignore (Server.inject server ~session:s ~size_bits:1.0);
+  Sim.run sim;
+  Alcotest.(check int) "the open session still serves" 1 !departed;
+  Alcotest.check feq "its work counter" 1.0 (Server.departed_bits server ~session:s)
+
 (* Empty-system idle periods: the server restarts cleanly after draining. *)
 let test_idle_restart () =
   List.iter
@@ -236,6 +269,13 @@ let run_burst factory sc burst_max =
   in
   (* closed loop: some departures inject a follow-up into the next session *)
   Server.add_depart_hook server (fun p t ->
+      (* pool conservation: every live handle is queued, on the wire or
+         this departing one *)
+      let live = Net.Packet_pool.live_count (Server.pool server)
+      and held = Server.queued_packets server + Bool.to_int (Server.busy server) + 1 in
+      if live <> held then
+        QCheck.Test.fail_reportf "%s: %d packet handles live at a departure, %d held"
+          factory.Sched.Sched_intf.kind live held;
       let flow = p.Net.Packet.flow and seq = p.Net.Packet.seq in
       departs := (flow, seq, t) :: !departs;
       if (flow + seq) mod 3 = 0 && seq < 30 then
@@ -307,6 +347,7 @@ let () =
           Alcotest.test_case "rate guarantee" `Quick test_rate_guarantee;
           Alcotest.test_case "drop accounting" `Quick test_server_drops;
           Alcotest.test_case "idle restart" `Quick test_idle_restart;
+          Alcotest.test_case "unknown session is a named error" `Quick test_unknown_session;
           Alcotest.test_case "burst drain = per-packet, every discipline" `Quick
             test_burst_drain_invariance;
         ] );
