@@ -346,61 +346,71 @@ let wfi_cmd =
   Cmd.v (Cmd.info "wfi" ~doc:"Empirical worst-case fair index sweep.")
     Term.(const run $ pool_term $ ns_arg)
 
+(* A tree file both engines accept, or exit 1 naming what is wrong: a
+   syntax error, a failed validation, or a bare-leaf root. *)
+let load_tree path =
+  let fail e =
+    Printf.eprintf "error: %s\n" e;
+    exit 1
+  in
+  match Hpfq.Tree_syntax.parse_file path with
+  | Error e -> fail e
+  | Ok spec -> (
+    match Hpfq.Hier_tree.create spec with
+    | _ -> spec
+    | exception Invalid_argument e -> fail e)
+
 (* -- custom -------------------------------------------------------------- *)
 
 let custom_cmd =
   let run engine pool discipline tree_file horizon =
-    match Hpfq.Tree_syntax.parse_file tree_file with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
-    | Ok spec ->
-      Format.printf "Running all-leaves-saturated workload on:@.%a@."
-        Hpfq.Class_tree.pp spec;
-      let leaves = Hpfq.Class_tree.leaves spec in
-      (* the packet and fluid halves are independent, so they fan out on
-         the pool like Link_sharing.run *)
-      let run_packet () =
-        let sim = Engine.Simulator.create () in
-        let h = Hpfq.Hier_engine.create ~sim ~spec ~factory:discipline ~engine () in
-        let packet = 8.0 *. 1024.0 *. 8.0 in
-        List.iter
-          (fun (name, _) ->
-            let leaf = Hpfq.Hier_engine.leaf_id h name in
-            ignore
-              (Traffic.Source.greedy ~sim
-                 ~emit:(fun ~size_bits ->
-                   ignore (Hpfq.Hier_engine.inject h ~leaf ~size_bits))
-                 ~packet_bits:packet
-                 ~backlog_packets:
-                   (max 8 (int_of_float (Hpfq.Class_tree.rate spec *. 0.5 /. packet)))
-                 ~top_up_every:0.25 ~stop_at:horizon ()))
-          leaves;
-        Engine.Simulator.run ~until:horizon sim;
-        List.map
-          (fun (name, _) -> (name, Hpfq.Hier_engine.departed_bits h ~node:name))
-          leaves
-      in
-      let run_fluid () =
-        let fluid = Fluid.Hgps.create ~spec () in
-        List.iter
-          (fun (name, _) ->
-            Fluid.Hgps.set_persistent fluid ~at:0.0
-              ~leaf:(Fluid.Hgps.leaf_id fluid name) true)
-          leaves;
-        Fluid.Hgps.advance fluid ~to_:horizon;
-        List.map (fun (name, _) -> (name, Fluid.Hgps.served_bits fluid ~node:name)) leaves
-      in
-      let halves =
-        Parallel.Pool.map pool ~tasks:2 ~f:(fun i ->
-            if i = 0 then run_packet () else run_fluid ())
-      in
-      Format.printf "@.%-20s %14s %14s@." "leaf" "measured" "H-GPS ideal";
-      List.iter2
-        (fun (name, measured) (_, ideal) ->
-          Format.printf "%-20s %10.3f Mbps %10.3f Mbps@." name
-            (measured /. horizon /. 1e6) (ideal /. horizon /. 1e6))
-        halves.(0) halves.(1)
+    let spec = load_tree tree_file in
+    Format.printf "Running all-leaves-saturated workload on:@.%a@."
+      Hpfq.Class_tree.pp spec;
+    let leaves = Hpfq.Class_tree.leaves spec in
+    (* the packet and fluid halves are independent, so they fan out on
+       the pool like Link_sharing.run *)
+    let run_packet () =
+      let sim = Engine.Simulator.create () in
+      let h = Hpfq.Hier_engine.create ~sim ~spec ~factory:discipline ~engine () in
+      let packet = 8.0 *. 1024.0 *. 8.0 in
+      List.iter
+        (fun (name, _) ->
+          let leaf = Hpfq.Hier_engine.leaf_id h name in
+          ignore
+            (Traffic.Source.greedy ~sim
+               ~emit:(fun ~size_bits ->
+                 ignore (Hpfq.Hier_engine.inject h ~leaf ~size_bits))
+               ~packet_bits:packet
+               ~backlog_packets:
+                 (max 8 (int_of_float (Hpfq.Class_tree.rate spec *. 0.5 /. packet)))
+               ~top_up_every:0.25 ~stop_at:horizon ()))
+        leaves;
+      Engine.Simulator.run ~until:horizon sim;
+      List.map
+        (fun (name, _) -> (name, Hpfq.Hier_engine.departed_bits h ~node:name))
+        leaves
+    in
+    let run_fluid () =
+      let fluid = Fluid.Hgps.create ~spec () in
+      List.iter
+        (fun (name, _) ->
+          Fluid.Hgps.set_persistent fluid ~at:0.0
+            ~leaf:(Fluid.Hgps.leaf_id fluid name) true)
+        leaves;
+      Fluid.Hgps.advance fluid ~to_:horizon;
+      List.map (fun (name, _) -> (name, Fluid.Hgps.served_bits fluid ~node:name)) leaves
+    in
+    let halves =
+      Parallel.Pool.map pool ~tasks:2 ~f:(fun i ->
+          if i = 0 then run_packet () else run_fluid ())
+    in
+    Format.printf "@.%-20s %14s %14s@." "leaf" "measured" "H-GPS ideal";
+    List.iter2
+      (fun (name, measured) (_, ideal) ->
+        Format.printf "%-20s %10.3f Mbps %10.3f Mbps@." name
+          (measured /. horizon /. 1e6) (ideal /. horizon /. 1e6))
+      halves.(0) halves.(1)
   in
   let tree_arg =
     Arg.(
@@ -570,16 +580,7 @@ let shard_cmd =
 let replay_cmd =
   let run engine trace_file tree_file burst seed duration mean_pkts
       headroom save =
-    let user_spec =
-      Option.map
-        (fun f ->
-          match Hpfq.Tree_syntax.parse_file f with
-          | Ok s -> s
-          | Error e ->
-            Printf.eprintf "error: %s\n" e;
-            exit 1)
-        tree_file
-    in
+    let user_spec = Option.map load_tree tree_file in
     let trace =
       match trace_file with
       | Some path -> (

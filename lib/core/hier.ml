@@ -4,10 +4,10 @@ let log_src = Logs.Src.create "hpfq.hier" ~doc:"H-PFQ hierarchical server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type leaf = int
+type leaf = Hier_tree.leaf
 
 type kind =
-  | Leaf_node of { mutable next_seq : int } (* its queue: [queues]' queue [id] *)
+  | Leaf_node (* its queue: [queues]' queue [id] *)
   | Interior of { policy : Sched_intf.t }
 
 (* Leaf lifecycle: [`Draining] keeps its schedule place until the queue
@@ -22,10 +22,10 @@ type lifecycle = [ `Open | `Draining | `Drop_pending | `Closed ]
    is gone. *)
 type node = {
   id : int;
-  name : string;
   mutable rate : float;
-  level : int;
-  parent : int; (* -1 for root *)
+  (* slot -> child id: the index's slots at creation, then whatever slot
+     the policy hands a reopened child (a non-recycling discipline hands
+     a new one) *)
   mutable children : int array;
   kind : kind;
   mutable session_in_parent : int;
@@ -47,28 +47,22 @@ type t = {
      and mutable floats in a mixed record would box on each store. *)
   tn : float array;                         (* reference time T_n, post-dated *)
   departed_bits : float array;              (* W_n(0, now) *)
-  (* Each leaf's leaf-to-root path (leaf first, root last), precomputed at
-     create: the W_n credit walk in [complete_transmission] runs once per
-     transmitted packet, and an array iteration beats re-deriving the path
-     by parent-chasing recursion every time. Interior ids hold [||]. *)
-  paths : int array array;
+  next_seq : int array;                     (* a leaf's next packet seq *)
+  (* the index's arrays, read directly on the hot paths *)
+  parent : int array;
+  names : string array;
+  path_off : int array;
+  path_len : int array;
+  path_nodes : int array;
   root : int;
-  by_name : (string, int) Hashtbl.t;
-  leaf_list : (string * int) list;
   root_clock : [ `Real_time | `Reference_time ];
-  (* Hooks are handle-based internally; the boxed [Net.Packet.t] view is
-     materialised only inside the compat wrappers installed by
-     [add_depart_hook] and friends. *)
-  mutable on_depart : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable on_drop : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable on_transmit_start : Net.Packet_pool.handle -> leaf:string -> float -> unit;
+  tree : Hier_tree.t;
+  hooks : Hier_tree.hooks;
   link : Link.t;
   mutable drops : int;
 }
 
 let uniform factory ~level:_ ~name:_ ~rate = factory.Sched_intf.make ~rate
-
-let nop_leaf_cb _ ~leaf:_ _ = ()
 
 let is_root t n = n.id = t.root
 
@@ -81,7 +75,7 @@ let node_now t n =
 let policy_of n =
   match n.kind with
   | Interior { policy } -> policy
-  | Leaf_node _ -> invalid_arg "Hier: leaf has no policy"
+  | Leaf_node -> invalid_arg "Hier: leaf has no policy"
 
 let no_pkt = Net.Packet_pool.none
 
@@ -105,7 +99,7 @@ let rec restart_node t n =
     n.busy <- true;
     if is_root t n then start_transmission t
     else begin
-      let q = t.nodes.(n.parent) in
+      let q = t.nodes.(t.parent.(n.id)) in
       let q_now = node_now t q in
       (* the committed head is a fresh logical packet in the parent's system *)
       (policy_of q).Sched_intf.arrive ~now:q_now ~session:n.session_in_parent ~size_bits:bits;
@@ -123,7 +117,7 @@ let rec restart_node t n =
     let was_busy = n.busy in
     n.busy <- false;
     if not (is_root t n) then begin
-      let q = t.nodes.(n.parent) in
+      let q = t.nodes.(t.parent.(n.id)) in
       if was_busy then
         (policy_of q).Sched_intf.set_idle ~now:(node_now t q) ~session:n.session_in_parent;
       if was_busy && q.logical < 0 then restart_node t q
@@ -139,13 +133,14 @@ and start_transmission t =
 and complete_transmission t pkt =
   let now = Engine.Simulator.now t.sim in
   (* account W_n along the transmitted packet's precomputed leaf-to-root path *)
-  let leaf = t.nodes.(Net.Packet_pool.flow t.pool pkt) in
-  let path = t.paths.(leaf.id) in
+  let leaf = Net.Packet_pool.flow t.pool pkt in
   let bits = Net.Packet_pool.size_bits t.pool pkt in
-  for k = 0 to Array.length path - 1 do
-    t.departed_bits.(path.(k)) <- t.departed_bits.(path.(k)) +. bits
+  let off = t.path_off.(leaf) in
+  for k = off to off + t.path_len.(leaf) - 1 do
+    let n = t.path_nodes.(k) in
+    t.departed_bits.(n) <- t.departed_bits.(n) +. bits
   done;
-  t.on_depart pkt ~leaf:leaf.name now;
+  t.hooks.on_depart pkt ~leaf:t.names.(leaf) now;
   reset_path t;
   (* the departed packet's cell recycles only after its callbacks fired
      and RESET-PATH dequeued it from the leaf queue *)
@@ -162,11 +157,11 @@ and reset_path t =
       n.active_child <- -1;
       if c < 0 then invalid_arg "Hier: reset_path lost the active child";
       descend t.nodes.(c)
-    | Leaf_node _ ->
+    | Leaf_node ->
       if Net.Queues.is_empty t.queues n.id then
         invalid_arg "Hier: transmitted packet missing from its leaf queue";
       Net.Queues.drop_head t.queues n.id;
-      let q = t.nodes.(n.parent) in
+      let q = t.nodes.(t.parent.(n.id)) in
       let q_now = node_now t q in
       (match n.lifecycle with
       | `Drop_pending ->
@@ -198,69 +193,34 @@ and drop_queue t n =
   while not (Net.Queues.is_empty t.queues n.id) do
     let p = Net.Queues.pop_exn t.queues n.id in
     t.drops <- t.drops + 1;
-    t.on_drop p ~leaf:n.name now;
+    t.hooks.on_drop p ~leaf:t.names.(n.id) now;
     Net.Packet_pool.free t.pool p
   done
 
 let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_drop
     ?(burst_max = 1) () =
-  (match Class_tree.validate spec with
-  | Ok () -> ()
-  | Error errors ->
-    invalid_arg ("Hier.create: invalid tree: " ^ String.concat "; " errors));
+  let tree = Hier_tree.create spec in
+  let n = Hier_tree.node_count tree in
   let pool = Net.Packet_pool.create () in
-  let queues = Net.Queues.create ~pool () in
-  let nodes = ref [] in
-  let counter = ref 0 in
-  let by_name = Hashtbl.create 16 in
-  let leaf_list = ref [] in
-  let rec build ~level ~parent spec =
-    let id = !counter in
-    incr counter;
-    let name = Class_tree.name spec and rate = Class_tree.rate spec in
-    (* one queue per node, added in id order, so queue [id] is node
-       [id]'s; an interior node's stays empty *)
-    let capacity_bits =
-      match spec with
-      | Class_tree.Leaf { queue_capacity_bits; _ } -> queue_capacity_bits
-      | Class_tree.Node _ -> None
-    in
-    ignore (Net.Queues.add ?capacity_bits queues : int);
-    let kind =
-      match spec with
-      | Class_tree.Leaf _ ->
-        leaf_list := (name, id) :: !leaf_list;
-        Leaf_node { next_seq = 1 }
-      | Class_tree.Node _ -> Interior { policy = make_policy ~level ~name ~rate }
-    in
-    let n =
-      {
-        id;
-        name;
-        rate;
-        level;
-        parent;
-        children = [||];
-        kind;
-        session_in_parent = -1;
-        handle_in_parent = Session_handle.of_int_unsafe (-1);
-        lifecycle = `Open;
-        busy = false;
-        logical = no_pkt;
-        active_child = -1;
-      }
-    in
-    nodes := n :: !nodes;
-    Hashtbl.replace by_name name id;
-    let child_ids =
-      List.map (fun c -> (build ~level:(level + 1) ~parent:id c).id) (Class_tree.children spec)
-    in
-    n.children <- Array.of_list child_ids;
-    n
+  let node id =
+    let name = tree.names.(id) and rate = tree.rate.(id) in
+    {
+      id;
+      rate;
+      children =
+        Array.sub tree.child_ids tree.children_off.(id) tree.children_len.(id);
+      kind =
+        (if Hier_tree.is_leaf tree id then Leaf_node
+         else Interior { policy = make_policy ~level:tree.level.(id) ~name ~rate });
+      session_in_parent = -1;
+      handle_in_parent = Session_handle.of_int_unsafe (-1);
+      lifecycle = `Open;
+      busy = false;
+      logical = no_pkt;
+      active_child = -1;
+    }
   in
-  let root_node = build ~level:0 ~parent:(-1) spec in
-  let arr = Array.make !counter root_node in
-  List.iter (fun n -> arr.(n.id) <- n) !nodes;
+  let nodes = Array.init n node in
   (* register each child as a session of its parent's policy *)
   Array.iter
     (fun n ->
@@ -268,59 +228,39 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
       | Interior { policy } ->
         Array.iter
           (fun cid ->
-            let child = arr.(cid) in
+            let child = nodes.(cid) in
             let h = policy.Sched_intf.open_session ~rate:child.rate in
             child.handle_in_parent <- h;
             child.session_in_parent <- policy.Sched_intf.session_of_handle h)
           n.children
-      | Leaf_node _ -> ())
-    arr;
+      | Leaf_node -> ())
+    nodes;
   Log.info (fun m ->
-      m "created H-PFQ server: %d nodes, %d leaves, root rate %a" !counter
-        (List.length !leaf_list) Engine.Units.pp_rate root_node.rate);
-  let paths = Array.make !counter [||] in
-  Array.iter
-    (fun n ->
-      match n.kind with
-      | Interior _ -> ()
-      | Leaf_node _ ->
-        let path = Array.make (n.level + 1) n.id in
-        let m = ref n in
-        for k = 0 to n.level do
-          path.(k) <- !m.id;
-          if !m.parent >= 0 then m := arr.(!m.parent)
-        done;
-        paths.(n.id) <- path)
-    arr;
+      m "created H-PFQ server: %d nodes, %d leaves, root rate %a" n
+        (List.length tree.leaves) Engine.Units.pp_rate tree.rate.(0));
+  let link = Link.create ~sim ~pool ~rate:tree.rate.(0) ~burst_max in
   let t =
     {
       sim;
       pool;
-      queues;
-      nodes = arr;
-      tn = Array.make !counter 0.0;
-      departed_bits = Array.make !counter 0.0;
-      paths;
-      root = root_node.id;
-      by_name;
-      leaf_list = List.rev !leaf_list;
+      queues = Hier_tree.make_queues tree ~pool;
+      nodes;
+      tn = Array.make n 0.0;
+      departed_bits = Array.make n 0.0;
+      next_seq = Array.make n 1;
+      parent = tree.parent;
+      names = tree.names;
+      path_off = tree.path_off;
+      path_len = tree.path_len;
+      path_nodes = tree.path_nodes;
+      root = 0;
       root_clock;
-      on_depart = nop_leaf_cb;
-      on_drop = nop_leaf_cb;
-      on_transmit_start = nop_leaf_cb;
-      link = Link.create ~sim ~pool ~rate:root_node.rate ~burst_max;
+      tree;
+      hooks = Hier_tree.hooks tree ~sim ~pool ~link ?on_depart ?on_drop ();
+      link;
       drops = 0;
     }
   in
-  (match on_depart with
-  | None -> ()
-  | Some f ->
-    t.on_depart <-
-      (fun h ~leaf now -> f (Net.Packet_pool.to_packet pool h) ~leaf now));
-  (match on_drop with
-  | None -> ()
-  | Some f ->
-    t.on_drop <- (fun h ~leaf now -> f (Net.Packet_pool.to_packet pool h) ~leaf now));
   Link.set_complete t.link (complete_transmission t);
   t
 
@@ -328,24 +268,17 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
 
 let pool t = t.pool
 
-let leaf_id t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some id -> (
-    match t.nodes.(id).kind with
-    | Leaf_node _ -> id
-    | Interior _ ->
-      invalid_arg
-        (Printf.sprintf "Hier.leaf_id: %S is an interior node, not a leaf" name))
-  | None -> raise Not_found
+include Hier_tree.Surface (struct
+  type engine = t
 
-let leaf_name t id = t.nodes.(id).name
-let leaf_ids t = t.leaf_list
-let unsafe_leaf_of_int (id : int) : leaf = id
+  let index t = t.tree
+  let hooks t = t.hooks
+end)
 
 (* -- Leaf lifecycle ------------------------------------------------------ *)
 
-let leaf_state t ~leaf =
-  match t.nodes.(leaf).lifecycle with
+let leaf_state t ~(leaf : leaf) =
+  match t.nodes.((leaf :> int)).lifecycle with
   | `Open -> `Open
   | `Draining | `Drop_pending -> `Closing
   | `Closed -> `Closed
@@ -364,16 +297,16 @@ let leaf_state t ~leaf =
      the normal restart cascade re-selects a head at every cleared
      ancestor, issuing requeue/set_idle upward exactly as RESET-PATH does
      after a departure. *)
-let close_leaf t ~leaf ~policy =
-  let n = t.nodes.(leaf) in
+let close_leaf t ~(leaf : leaf) ~policy =
+  let n = t.nodes.((leaf :> int)) in
   (match n.kind with
-  | Leaf_node _ -> ()
+  | Leaf_node -> ()
   | Interior _ -> invalid_arg "Hier.close_leaf: not a leaf");
   (match n.lifecycle with
   | `Open -> ()
   | `Draining | `Drop_pending | `Closed ->
     invalid_arg "Hier.close_leaf: leaf already closed or closing");
-  let q = t.nodes.(n.parent) in
+  let q = t.nodes.(t.parent.(n.id)) in
   let qp = policy_of q in
   let q_now = node_now t q in
   let pkt = n.logical in
@@ -401,7 +334,7 @@ let close_leaf t ~leaf ~policy =
           if m.logical = pkt then begin
             m.logical <- no_pkt;
             m.active_child <- -1;
-            if not (is_root t m) then clear_up t.nodes.(m.parent)
+            if not (is_root t m) then clear_up t.nodes.(t.parent.(m.id))
           end
         in
         clear_up q;
@@ -412,10 +345,10 @@ let close_leaf t ~leaf ~policy =
         if q.logical < 0 then restart_node t q
       end
 
-let reopen_leaf ?rate t ~leaf =
-  let n = t.nodes.(leaf) in
+let reopen_leaf ?rate t ~(leaf : leaf) =
+  let n = t.nodes.((leaf :> int)) in
   (match n.kind with
-  | Leaf_node _ -> ()
+  | Leaf_node -> ()
   | Interior _ -> invalid_arg "Hier.reopen_leaf: not a leaf");
   (match n.lifecycle with
   | `Closed -> ()
@@ -426,7 +359,7 @@ let reopen_leaf ?rate t ~leaf =
     if r <= 0.0 then invalid_arg "Hier.reopen_leaf: rate must be positive";
     n.rate <- r
   | None -> ());
-  let q = t.nodes.(n.parent) in
+  let q = t.nodes.(t.parent.(n.id)) in
   let qp = policy_of q in
   let h = qp.Sched_intf.open_session ~rate:n.rate in
   let slot = qp.Sched_intf.session_of_handle h in
@@ -442,41 +375,45 @@ let reopen_leaf ?rate t ~leaf =
   n.handle_in_parent <- h;
   n.lifecycle <- `Open
 
-let inject ?(mark = 0) t ~leaf ~size_bits =
-  let n = t.nodes.(leaf) in
+let open_leaf ~fn t (leaf : leaf) =
+  let n = t.nodes.((leaf :> int)) in
   match n.kind with
-  | Interior _ -> invalid_arg "Hier.inject: not a leaf"
-  | Leaf_node _ when n.lifecycle <> `Open ->
-    invalid_arg "Hier.inject: leaf is closed"
-  | Leaf_node l ->
-    let now = Engine.Simulator.now t.sim in
-    let pkt =
-      Net.Packet_pool.alloc ~mark t.pool ~flow:leaf ~seq:l.next_seq ~size_bits
-        ~arrival:now
-    in
-    l.next_seq <- l.next_seq + 1;
-    if not (Net.Queues.push t.queues leaf pkt) then begin
-      t.drops <- t.drops + 1;
-      Log.debug (fun m ->
-          m "drop at leaf %s: %g bits, queue %g bits full" n.name size_bits
-            (Net.Queues.bits t.queues leaf));
-      t.on_drop pkt ~leaf:n.name now;
-      Net.Packet_pool.free t.pool pkt;
-      pkt
+  | Interior _ -> invalid_arg (fn ^ ": not a leaf")
+  | Leaf_node when n.lifecycle <> `Open -> invalid_arg (fn ^ ": leaf is closed")
+  | Leaf_node -> n
+
+(* ARRIVE: a packet stamped [now] joins open leaf [n]'s queue. *)
+let arrive t n ~mark ~size_bits ~now =
+  let leaf = n.id in
+  let pkt =
+    Net.Packet_pool.alloc ~mark t.pool ~flow:leaf ~seq:t.next_seq.(leaf) ~size_bits ~arrival:now
+  in
+  t.next_seq.(leaf) <- t.next_seq.(leaf) + 1;
+  if not (Net.Queues.push t.queues leaf pkt) then begin
+    t.drops <- t.drops + 1;
+    Log.debug (fun m ->
+        m "drop at leaf %s: %g bits, queue %g bits full" t.names.(leaf) size_bits
+          (Net.Queues.bits t.queues leaf));
+    t.hooks.on_drop pkt ~leaf:t.names.(leaf) now;
+    Net.Packet_pool.free t.pool pkt
+  end
+  else begin
+    let q = t.nodes.(t.parent.(leaf)) in
+    let q_now = node_now t q in
+    (policy_of q).Sched_intf.arrive ~now:q_now ~session:n.session_in_parent ~size_bits;
+    if n.logical < 0 then begin
+      (* ARRIVE lines 2-3: otherwise the subtree already has a head *)
+      n.logical <- pkt;
+      (policy_of q).Sched_intf.backlog ~now:q_now ~session:n.session_in_parent
+        ~head_bits:size_bits;
+      if not q.busy then restart_node t q
     end
-    else begin
-      let q = t.nodes.(n.parent) in
-      let q_now = node_now t q in
-      (policy_of q).Sched_intf.arrive ~now:q_now ~session:n.session_in_parent ~size_bits;
-      if n.logical < 0 then begin
-        (* ARRIVE lines 2-3: otherwise the subtree already has a head *)
-        n.logical <- pkt;
-        (policy_of q).Sched_intf.backlog ~now:q_now ~session:n.session_in_parent
-          ~head_bits:size_bits;
-        if not q.busy then restart_node t q
-      end;
-      pkt
-    end
+  end;
+  pkt
+
+let inject ?(mark = 0) t ~leaf ~size_bits =
+  let n = open_leaf ~fn:"Hier.inject" t leaf in
+  arrive t n ~mark ~size_bits ~now:(Engine.Simulator.now t.sim)
 
 (* Batched arrival: [count] same-size packets stamped with a single clock
    read. The clock cannot move during injection, so the result is
@@ -484,51 +421,21 @@ let inject ?(mark = 0) t ~leaf ~size_bits =
    and stamp overhead is hoisted. *)
 let inject_many ?(mark = 0) t ~leaf ~size_bits ~count =
   if count < 0 then invalid_arg "Hier.inject_many: negative count";
-  let n = t.nodes.(leaf) in
-  match n.kind with
-  | Interior _ -> invalid_arg "Hier.inject_many: not a leaf"
-  | Leaf_node _ when n.lifecycle <> `Open ->
-    invalid_arg "Hier.inject_many: leaf is closed"
-  | Leaf_node l ->
-    let now = Engine.Simulator.now t.sim in
-    for _ = 1 to count do
-      let pkt =
-        Net.Packet_pool.alloc ~mark t.pool ~flow:leaf ~seq:l.next_seq ~size_bits
-          ~arrival:now
-      in
-      l.next_seq <- l.next_seq + 1;
-      if not (Net.Queues.push t.queues leaf pkt) then begin
-        t.drops <- t.drops + 1;
-        t.on_drop pkt ~leaf:n.name now;
-        Net.Packet_pool.free t.pool pkt
-      end
-      else begin
-        let q = t.nodes.(n.parent) in
-        let q_now = node_now t q in
-        (policy_of q).Sched_intf.arrive ~now:q_now ~session:n.session_in_parent
-          ~size_bits;
-        if n.logical < 0 then begin
-          n.logical <- pkt;
-          (policy_of q).Sched_intf.backlog ~now:q_now ~session:n.session_in_parent
-            ~head_bits:size_bits;
-          if not q.busy then restart_node t q
-        end
-      end
-    done
+  let n = open_leaf ~fn:"Hier.inject_many" t leaf in
+  let now = Engine.Simulator.now t.sim in
+  for _ = 1 to count do
+    ignore (arrive t n ~mark ~size_bits ~now)
+  done
 
 let set_burst_max t n = Link.set_burst_max t.link n
 let burst_max t = Link.burst_max t.link
 
-let queue_bits t ~leaf =
-  match t.nodes.(leaf).kind with
-  | Leaf_node _ -> Net.Queues.bits t.queues leaf
+let queue_bits t ~(leaf : leaf) =
+  match t.nodes.((leaf :> int)).kind with
+  | Leaf_node -> Net.Queues.bits t.queues (leaf :> int)
   | Interior _ -> invalid_arg "Hier.queue_bits: not a leaf"
 
-let node_by_name t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some id -> t.nodes.(id)
-  | None -> raise Not_found
-
+let node_by_name t name = t.nodes.(Hier_tree.node_id t.tree name)
 let departed_bits t ~node = t.departed_bits.((node_by_name t node).id)
 let ref_time t ~node = t.tn.((node_by_name t node).id)
 
@@ -542,43 +449,5 @@ let held_packets t = Net.Queues.total_length t.queues
 
 (* -- Observability ------------------------------------------------------- *)
 
-let compose_leaf_cb f g =
-  if f == nop_leaf_cb then g else fun pkt ~leaf now -> f pkt ~leaf now; g pkt ~leaf now
-
-let add_depart_handle_hook t f = t.on_depart <- compose_leaf_cb t.on_depart f
-let add_drop_handle_hook t f = t.on_drop <- compose_leaf_cb t.on_drop f
-let add_transmit_start_handle_hook t f =
-  t.on_transmit_start <- compose_leaf_cb t.on_transmit_start f;
-  Link.set_on_start t.link (fun pkt ->
-      t.on_transmit_start pkt
-        ~leaf:t.nodes.(Net.Packet_pool.flow t.pool pkt).name
-        (Engine.Simulator.now t.sim))
-
-let boxed t f =
-  fun h ~leaf now -> f (Net.Packet_pool.to_packet t.pool h) ~leaf now
-
-let add_depart_hook t f = add_depart_handle_hook t (boxed t f)
-let add_drop_hook t f = add_drop_handle_hook t (boxed t f)
-let add_transmit_start_hook t f = add_transmit_start_handle_hook t (boxed t f)
-let root_name t = t.nodes.(t.root).name
-let node_name t id = t.nodes.(id).name
-
-let iter_interior t f =
-  Array.iter
-    (fun n ->
-      match n.kind with
-      | Leaf_node _ -> ()
-      | Interior { policy } ->
-        f ~id:n.id ~name:n.name ~level:n.level ~children:n.children ~policy)
-    t.nodes
-
-let node_count t = Array.length t.nodes
-
-let leaf_path t ~leaf =
-  match t.nodes.(leaf).kind with
-  | Leaf_node _ -> Array.copy t.paths.(leaf)
-  | Interior _ -> invalid_arg "Hier.leaf_path: not a leaf"
-
-let set_node_observer t ~node observer =
-  let n = node_by_name t node in
-  (policy_of n).Sched_intf.set_observer observer
+let set_node_observer_id t ~node observer =
+  (policy_of t.nodes.(node)).Sched_intf.set_observer observer

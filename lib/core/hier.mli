@@ -29,12 +29,9 @@
 
 type t
 
-type leaf = private int
-(** A validated leaf identity. Values come from {!leaf_id}/{!leaf_ids}
-    (or, for code that persists raw node ids, {!unsafe_leaf_of_int}); the
-    underlying node id is recovered with [(l :> int)]. Keeping the type
-    abstract stops arbitrary ints — session slots, node ids of interior
-    nodes, hashes — from being passed where a leaf is required. *)
+type leaf = Hier_tree.leaf
+(** A validated leaf identity, shared by both engines (see
+    {!Hier_tree.leaf}); the node id is [(l :> int)]. *)
 
 val create :
   sim:Engine.Simulator.t ->
@@ -53,7 +50,8 @@ val create :
     simulator event may execute while the link stays backlogged; departure
     times, stamps and callback order are bit-identical at every setting
     (the burst rule of {!Link}, which drives the root's link).
-    @raise Invalid_argument if [spec] fails {!Class_tree.validate} or
+    @raise Invalid_argument if {!Hier_tree.create} rejects [spec] (it
+    fails {!Class_tree.validate}, or its root is a leaf) or
     [burst_max < 1]. *)
 
 val set_burst_max : t -> int -> unit
@@ -65,18 +63,6 @@ val burst_max : t -> int
 val uniform : Sched.Sched_intf.factory -> level:int -> name:string -> rate:float -> Sched.Sched_intf.t
 (** Use one discipline at every node:
     [create ~make_policy:(uniform Wf2q_plus.factory) ...]. *)
-
-val leaf_id : t -> string -> leaf
-(** @raise Not_found if no node has that name.
-    @raise Invalid_argument if the name belongs to an interior node. *)
-
-val leaf_name : t -> leaf -> string
-val leaf_ids : t -> (string * leaf) list
-
-val unsafe_leaf_of_int : int -> leaf
-(** Escape hatch for code that stores raw node ids (e.g. a packet's [flow]
-    field, which is its leaf's node id). The int is NOT validated — prefer
-    {!leaf_id}. *)
 
 val pool : t -> Net.Packet_pool.t
 (** The hierarchy's packet arena (to read fields of a handle inside a
@@ -140,62 +126,17 @@ val held_packets : t -> int
     leaf's head until its departure hooks have run, so it is among them.
     O(nodes). *)
 
-(** {2 Observability}
+(** {2 The tree}
 
-    The tracing layer ([lib/obs]) attaches to a hierarchy through these: the
-    packet-level hooks see link events, and [iter_interior] exposes every
-    node's policy so a per-node {!Sched.Sched_intf.observer} can be
-    installed. All hooks compose with (run after) the callbacks given at
-    creation; with none installed the hot path is unchanged. *)
+    Ids, names, paths and the leaf hooks come from the hierarchy's
+    {!Hier_tree} index and hook set. Hooks compose with (run after) the
+    callbacks given at creation; with none installed the hot path is
+    unchanged. *)
 
-val add_depart_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-(** Append a departure callback (fires when the last bit leaves the link).
-    Materialises a boxed packet per departure. *)
+include Hier_tree.SURFACE with type engine := t
 
-val add_drop_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-(** Append a drop callback. *)
+(** {2 Observability} *)
 
-val add_transmit_start_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-(** Append a callback fired when a packet's first bit goes onto the link. *)
-
-val add_depart_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-(** Allocation-free {!add_depart_hook}: the callback receives the pool
-    handle, valid for the duration of the call only. *)
-
-val add_drop_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-
-val add_transmit_start_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-
-val root_name : t -> string
-
-val node_name : t -> int -> string
-(** Name of any node id (leaves included; total over ids handed out). *)
-
-val node_count : t -> int
-(** Total nodes (interior + leaves); ids are [0 .. node_count - 1]. *)
-
-val leaf_path : t -> leaf:leaf -> int array
-(** The precomputed leaf→root path of node ids (leaf first, root last) — the
-    walk [complete_transmission] credits W_n along; exposed so tracing can
-    credit the same way without re-deriving parents.
-    @raise Invalid_argument if [leaf] is interior. *)
-
-val iter_interior :
-  t ->
-  (id:int ->
-  name:string ->
-  level:int ->
-  children:int array ->
-  policy:Sched.Sched_intf.t ->
-  unit) ->
-  unit
-(** Visit every interior node in id (preorder) order. [children.(s)] is the
-    node id behind the policy's session index [s]. *)
-
-val set_node_observer : t -> node:string -> Sched.Sched_intf.observer option -> unit
-(** Install or remove an observer on the named interior node's policy.
-    @raise Not_found if no such node.
+val set_node_observer_id : t -> node:int -> Sched.Sched_intf.observer option -> unit
+(** Install or remove an observer on interior node [node]'s policy.
     @raise Invalid_argument if the node is a leaf. *)

@@ -50,17 +50,12 @@ let kind = function Generic _ -> `Generic | Flat _ -> `Flat
 let generic = function Generic h -> Some h | Flat _ -> None
 let flat = function Flat h -> Some h | Generic _ -> None
 
-let leaf_id = function
-  | Generic h -> Hier.leaf_id h
-  | Flat h -> Hier_flat.leaf_id h
+include Hier_tree.Surface (struct
+  type engine = t
 
-let leaf_name = function
-  | Generic h -> Hier.leaf_name h
-  | Flat h -> Hier_flat.leaf_name h
-
-let leaf_ids = function
-  | Generic h -> Hier.leaf_ids h
-  | Flat h -> Hier_flat.leaf_ids h
+  let index = function Generic h -> Hier.index h | Flat h -> Hier_flat.index h
+  let hooks = function Generic h -> Hier.hooks h | Flat h -> Hier_flat.hooks h
+end)
 
 let inject ?(mark = 0) t ~leaf ~size_bits =
   match t with
@@ -113,56 +108,9 @@ let drops = function
   | Generic h -> Hier.drops h
   | Flat h -> Hier_flat.drops h
 
-let add_depart_hook t f =
-  match t with
-  | Generic h -> Hier.add_depart_hook h f
-  | Flat h -> Hier_flat.add_depart_hook h f
-
-let add_drop_hook t f =
-  match t with
-  | Generic h -> Hier.add_drop_hook h f
-  | Flat h -> Hier_flat.add_drop_hook h f
-
-let add_transmit_start_hook t f =
-  match t with
-  | Generic h -> Hier.add_transmit_start_hook h f
-  | Flat h -> Hier_flat.add_transmit_start_hook h f
-
-let add_depart_handle_hook t f =
-  match t with
-  | Generic h -> Hier.add_depart_handle_hook h f
-  | Flat h -> Hier_flat.add_depart_handle_hook h f
-
-let add_drop_handle_hook t f =
-  match t with
-  | Generic h -> Hier.add_drop_handle_hook h f
-  | Flat h -> Hier_flat.add_drop_handle_hook h f
-
-let add_transmit_start_handle_hook t f =
-  match t with
-  | Generic h -> Hier.add_transmit_start_handle_hook h f
-  | Flat h -> Hier_flat.add_transmit_start_handle_hook h f
-
 let pool = function
   | Generic h -> Hier.pool h
   | Flat h -> Hier_flat.pool h
-
-let root_name = function
-  | Generic h -> Hier.root_name h
-  | Flat h -> Hier_flat.root_name h
-
-let node_name = function
-  | Generic h -> Hier.node_name h
-  | Flat h -> Hier_flat.node_name h
-
-let node_count = function
-  | Generic h -> Hier.node_count h
-  | Flat h -> Hier_flat.node_count h
-
-let leaf_path t ~leaf =
-  match t with
-  | Generic h -> Hier.leaf_path h ~leaf
-  | Flat h -> Hier_flat.leaf_path h ~leaf
 
 let close_leaf t ~leaf ~policy =
   match t with

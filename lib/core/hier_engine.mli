@@ -70,52 +70,35 @@ val flat : t -> Hier_flat.t option
 (** {2 Shared surface} — each delegates to the engine's function of the
     same name; see {!Hier} for contracts. *)
 
-val leaf_id : t -> string -> Hier.leaf
-val leaf_name : t -> Hier.leaf -> string
-val leaf_ids : t -> (string * Hier.leaf) list
 val pool : t -> Net.Packet_pool.t
 (** The engine's packet arena (to read fields of a handle inside a
     [_handle_] hook). *)
 
-val inject : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> Net.Packet_pool.handle
+val inject : ?mark:int -> t -> leaf:Hier_tree.leaf -> size_bits:float -> Net.Packet_pool.handle
 (** Returns the packet's pool handle; stale already if the queue dropped
     it (the drop callback has fired). *)
 
-val inject_many : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> count:int -> unit
+val inject_many : ?mark:int -> t -> leaf:Hier_tree.leaf -> size_bits:float -> count:int -> unit
 (** Batched arrivals stamped with one clock read — the [enqueue_batch]
     API; bit-identical to [count] separate {!inject} calls. *)
 
-val close_leaf : t -> leaf:Hier.leaf -> policy:Sched.Sched_intf.close_policy -> unit
+val close_leaf : t -> leaf:Hier_tree.leaf -> policy:Sched.Sched_intf.close_policy -> unit
 (** Close a leaf class on either engine; see {!Hier.close_leaf}. *)
 
-val reopen_leaf : ?rate:float -> t -> leaf:Hier.leaf -> unit
+val reopen_leaf : ?rate:float -> t -> leaf:Hier_tree.leaf -> unit
 (** Re-open a closed leaf; see {!Hier.reopen_leaf}. *)
 
-val leaf_state : t -> leaf:Hier.leaf -> [ `Open | `Closing | `Closed ]
+val leaf_state : t -> leaf:Hier_tree.leaf -> [ `Open | `Closing | `Closed ]
 
-val queue_bits : t -> leaf:Hier.leaf -> float
+val queue_bits : t -> leaf:Hier_tree.leaf -> float
 val departed_bits : t -> node:string -> float
 val ref_time : t -> node:string -> float
 val node_virtual_time : t -> node:string -> float
 val link_busy : t -> bool
 val drops : t -> int
 val held_packets : t -> int
-val add_depart_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-val add_drop_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-val add_transmit_start_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
 
-val add_depart_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-(** Allocation-free hook variants: the callback sees the pool handle, valid
-    for the duration of the call only. *)
+(** {2 The tree} — answered from the engine's {!Hier_tree} index and hook
+    set, the same for both engines. *)
 
-val add_drop_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-
-val add_transmit_start_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-
-val root_name : t -> string
-val node_name : t -> int -> string
-val node_count : t -> int
-val leaf_path : t -> leaf:Hier.leaf -> int array
+include Hier_tree.SURFACE with type engine := t

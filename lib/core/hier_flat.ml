@@ -21,8 +21,8 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    - every WF2Q+ operation is a direct static call into the kernel (no
      [Sched_intf.t] record of closures, no labeled-float boxing at closure
      boundaries: the kernel's primitives are inlined);
-   - each leaf's leaf-to-root path is precomputed at [create], so the W_n
-     credit walk and RESET-PATH are array iterations, not recursion.
+   - the topology (children, slots, leaf-to-root paths) is the shared
+     [Hier_tree] index, so RESET-PATH and the W_n credit are array walks.
 
    Both engines run the kernel's eq. 27-29 code, so the generic and flat
    engines agree exactly — enforced by the qcheck lockstep table in
@@ -56,23 +56,18 @@ let stage_slots = 256
 type t = {
   sim : Engine.Simulator.t;
   pool : Net.Packet_pool.t; (* every packet in this hierarchy lives here *)
-  n_nodes : int;
   root : int;
   root_real : bool; (* root policy runs on simulation time (`Real_time) *)
-  (* -- static topology, indexed by node id (preorder, root = 0) -- *)
+  (* -- static topology: the index's arrays (see [Hier_tree]), read
+     directly on the hot paths -- *)
+  tree : Hier_tree.t;
   parent : int array; (* -1 at the root *)
-  rate : float array;
-  level : int array;
-  session_in_parent : int array; (* slot in the parent's policy, -1 at root *)
-  children_off : int array; (* interior -> offset into child_ids *)
+  rate : float array; (* a copy: reopen may change a leaf's rate *)
+  session_in_parent : int array; (* the index's slots; a leaf keeps its slot *)
+  children_off : int array;
   children_len : int array; (* 0 for leaves *)
-  child_ids : int array; (* all children, grouped per interior node *)
+  child_ids : int array;
   names : string array;
-  by_name : (string, int) Hashtbl.t;
-  leaf_list : (string * int) list;
-  (* precomputed leaf-to-root paths: leaf's nodes at
-     path_nodes.(path_off.(leaf) .. path_off.(leaf) + path_len.(leaf) - 1),
-     ordered leaf first, root last *)
   path_off : int array;
   path_len : int array;
   path_nodes : int array;
@@ -103,12 +98,7 @@ type t = {
      so stores stay unboxed. *)
   now_cache : float array;
   (* -- link state -- *)
-  (* Hooks are handle-based internally; boxed [Net.Packet.t] views are
-     materialised only inside the compat wrappers installed by
-     [add_depart_hook] and friends. *)
-  mutable on_depart : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable on_drop : Net.Packet_pool.handle -> leaf:string -> float -> unit;
-  mutable on_transmit_start : Net.Packet_pool.handle -> leaf:string -> float -> unit;
+  hooks : Hier_tree.hooks;
   link : Link.t;
   mutable drops : int;
   (* -- the epoch layer -- *)
@@ -133,8 +123,6 @@ type t = {
      'b' backlog, 'r' requeue, 'i' idle *)
   proposal : Bytes.t;
 }
-
-let nop_leaf_cb _ ~leaf:_ _ = ()
 
 let[@inline] node_now t n =
   if n = t.root && t.root_real then Array.unsafe_get t.now_cache 0 else t.tn.(n)
@@ -169,7 +157,7 @@ let drop_leaf_queue t leaf =
   while not (Net.Queues.is_empty t.queues leaf) do
     let p = Net.Queues.pop_exn t.queues leaf in
     t.drops <- t.drops + 1;
-    t.on_drop p ~leaf:name now;
+    t.hooks.on_drop p ~leaf:name now;
     Net.Packet_pool.free t.pool p
   done
 
@@ -260,7 +248,7 @@ and complete_transmission t pkt =
     let n = t.path_nodes.(off + k) in
     t.departed_bits.(n) <- t.departed_bits.(n) +. bits
   done;
-  t.on_depart pkt ~leaf:t.names.(leaf) now;
+  t.hooks.on_depart pkt ~leaf:t.names.(leaf) now;
   reset_path t leaf;
   (* the handle outlives RESET-PATH (which pops it from the leaf queue) and
      every callback; only now is the slot safe to recycle *)
@@ -321,7 +309,7 @@ and arrive t pkt ~leaf =
           m "drop at leaf %s: %g bits, queue %g bits full" t.names.(leaf)
             (Net.Packet_pool.size_bits t.pool pkt)
             (Net.Queues.bits t.queues leaf));
-      t.on_drop pkt ~leaf:t.names.(leaf) (Array.unsafe_get t.now_cache 0);
+      t.hooks.on_drop pkt ~leaf:t.names.(leaf) (Array.unsafe_get t.now_cache 0);
       Net.Packet_pool.free t.pool pkt
     end
   end
@@ -391,7 +379,7 @@ and apply_proposals t =
   for i = 0 to Array.length dropped - 1 do
     let p = dropped.(i) in
     t.drops <- t.drops + 1;
-    t.on_drop p
+    t.hooks.on_drop p
       ~leaf:t.names.(Net.Packet_pool.flow t.pool p)
       (Net.Packet_pool.arrival t.pool p);
     Net.Packet_pool.free t.pool p
@@ -450,101 +438,20 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
   (match shards with
   | Some s when s < 1 -> invalid_arg "Hier_flat.create: shards must be >= 1"
   | _ -> ());
-  (match Class_tree.validate spec with
-  | Ok () -> ()
-  | Error errors ->
-    invalid_arg ("Hier_flat.create: invalid tree: " ^ String.concat "; " errors));
-  (match spec with
-  | Class_tree.Leaf _ -> invalid_arg "Hier_flat.create: root must be an interior node"
-  | Class_tree.Node _ -> ());
-  let n_nodes = Class_tree.count_nodes spec in
-  let parent = Array.make n_nodes (-1) in
-  let rate = Array.make n_nodes 0.0 in
-  let level = Array.make n_nodes 0 in
-  let session_in_parent = Array.make n_nodes (-1) in
-  let children_off = Array.make n_nodes 0 in
-  let children_len = Array.make n_nodes 0 in
-  let names = Array.make n_nodes "" in
-  let by_name = Hashtbl.create 16 in
-  let is_leaf = Array.make n_nodes false in
-  let capacity = Array.make n_nodes None in
-  (* preorder ids, same assignment as [Hier.create] so the two engines agree
-     on node numbering (handy for cross-validation and tooling) *)
-  let counter = ref 0 in
-  let leaf_list = ref [] in
-  let rec number ~lvl ~par s =
-    let id = !counter in
-    incr counter;
-    names.(id) <- Class_tree.name s;
-    rate.(id) <- Class_tree.rate s;
-    level.(id) <- lvl;
-    parent.(id) <- par;
-    Hashtbl.replace by_name names.(id) id;
-    (match s with
-    | Class_tree.Leaf { queue_capacity_bits; _ } ->
-      is_leaf.(id) <- true;
-      capacity.(id) <- queue_capacity_bits;
-      leaf_list := (names.(id), id) :: !leaf_list
-    | Class_tree.Node _ -> ());
-    List.iter (fun c -> ignore (number ~lvl:(lvl + 1) ~par:id c)) (Class_tree.children s);
-    id
-  in
-  let root = number ~lvl:0 ~par:(-1) spec in
-  (* children tables: recover each node's child ids (contiguous in preorder
-     numbering only per subtree, so collect from the parent array) *)
-  let kids = Array.make n_nodes [] in
-  for id = n_nodes - 1 downto 1 do
-    kids.(parent.(id)) <- id :: kids.(parent.(id))
-  done;
-  let total_children = n_nodes - 1 in
-  let child_ids = Array.make (max 1 total_children) (-1) in
-  let next_off = ref 0 in
-  for id = 0 to n_nodes - 1 do
-    let cs = kids.(id) in
-    children_off.(id) <- !next_off;
-    List.iteri
-      (fun slot c ->
-        child_ids.(!next_off + slot) <- c;
-        session_in_parent.(c) <- slot)
-      cs;
-    children_len.(id) <- List.length cs;
-    next_off := !next_off + children_len.(id)
-  done;
+  let tree = Hier_tree.create spec in
+  let n_nodes = Hier_tree.node_count tree in
+  let root = 0 in
+  let rate = Array.copy tree.rate in
   (* one kernel node per node, with one slot per child *)
-  let k = K.create ~rate ~slots:children_len in
+  let k = K.create ~rate ~slots:tree.children_len in
   for id = 1 to n_nodes - 1 do
-    K.reset_slot k parent.(id) session_in_parent.(id) ~rate:rate.(id)
-  done;
-  (* leaf-to-root paths, flattened *)
-  let path_off = Array.make n_nodes 0 in
-  let path_len = Array.make n_nodes 0 in
-  let total_path = ref 0 in
-  for id = 0 to n_nodes - 1 do
-    if is_leaf.(id) then begin
-      path_off.(id) <- !total_path;
-      path_len.(id) <- level.(id) + 1;
-      total_path := !total_path + path_len.(id)
-    end
-  done;
-  let path_nodes = Array.make (max 1 !total_path) (-1) in
-  for id = 0 to n_nodes - 1 do
-    if is_leaf.(id) then begin
-      let n = ref id in
-      for k = 0 to path_len.(id) - 1 do
-        path_nodes.(path_off.(id) + k) <- !n;
-        n := parent.(!n)
-      done
-    end
+    K.reset_slot k tree.parent.(id) tree.slot.(id) ~rate:rate.(id)
   done;
   let pool = Net.Packet_pool.create () in
   let link = Link.create ~sim ~pool ~rate:rate.(root) ~burst_max in
-  let queues = Net.Queues.create ~queues:n_nodes ~pool () in
-  Array.iteri
-    (fun id cap -> Option.iter (fun c -> Net.Queues.reset ~capacity_bits:c queues id) cap)
-    capacity;
   (* shard assignment: root-child subtrees round-robin over the effective
      shard count; preorder contiguity means one pass suffices *)
-  let root_children = children_len.(root) in
+  let root_children = tree.children_len.(root) in
   let shards =
     match shards with
     | Some s -> max 1 (min s root_children)
@@ -552,46 +459,39 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
   in
   let node_shard = Array.make n_nodes (-1) in
   let cur = ref (-1) in
-  for id = 0 to n_nodes - 1 do
-    if id <> root then begin
-      if parent.(id) = root then cur := session_in_parent.(id) mod shards;
-      node_shard.(id) <- !cur
-    end
+  for id = 1 to n_nodes - 1 do
+    if tree.parent.(id) = root then cur := tree.slot.(id) mod shards;
+    node_shard.(id) <- !cur
   done;
   let t =
     {
       sim;
       pool;
-      n_nodes;
       root;
       root_real = (root_clock = `Real_time);
-      parent;
+      tree;
+      parent = tree.parent;
       rate;
-      level;
-      session_in_parent;
-      children_off;
-      children_len;
-      child_ids;
-      names;
-      by_name;
-      leaf_list = List.rev !leaf_list;
-      path_off;
-      path_len;
-      path_nodes;
+      session_in_parent = tree.slot;
+      children_off = tree.children_off;
+      children_len = tree.children_len;
+      child_ids = tree.child_ids;
+      names = tree.names;
+      path_off = tree.path_off;
+      path_len = tree.path_len;
+      path_nodes = tree.path_nodes;
       tn = Array.make n_nodes 0.0;
       departed_bits = Array.make n_nodes 0.0;
       busy = Bytes.make n_nodes '\000';
       active_child = Array.make n_nodes (-1);
       logical = Array.make n_nodes (-1);
       logical_bits = Array.make n_nodes 0.0;
-      queues;
+      queues = Hier_tree.make_queues tree ~pool;
       next_seq = Array.make n_nodes 1;
       lifecycle = Bytes.make n_nodes '\000';
       k;
       now_cache = [| 0.0 |];
-      on_depart = nop_leaf_cb;
-      on_drop = nop_leaf_cb;
-      on_transmit_start = nop_leaf_cb;
+      hooks = Hier_tree.hooks tree ~sim ~pool ~link ?on_depart ?on_drop ();
       link;
       drops = 0;
       shards;
@@ -604,24 +504,14 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       since_sync = 0;
       syncs = 0;
       flushing = false;
-      proposal = Bytes.make (max 1 root_children) '\000';
+      proposal = Bytes.make root_children '\000';
     }
   in
-  (match on_depart with
-  | None -> ()
-  | Some f ->
-    t.on_depart <-
-      (fun h ~leaf now -> f (Net.Packet_pool.to_packet pool h) ~leaf now));
-  (match on_drop with
-  | None -> ()
-  | Some f ->
-    t.on_drop <-
-      (fun h ~leaf now -> f (Net.Packet_pool.to_packet pool h) ~leaf now));
   Link.set_complete t.link (complete_transmission t);
   Log.info (fun m ->
       m "created flat H-WF2Q+ server: %d nodes, %d leaves, root rate %a, %d shards, \
          epoch %d"
-        n_nodes (List.length t.leaf_list) Engine.Units.pp_rate rate.(root) shards epoch);
+        n_nodes (List.length tree.leaves) Engine.Units.pp_rate rate.(root) shards epoch);
   t
 
 let shutdown (_ : t) = ()
@@ -632,21 +522,13 @@ let node_shard t id = t.node_shard.(id)
 
 (* -- Public operations ---------------------------------------------------- *)
 
-let node_by_name t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some id -> id
-  | None -> raise Not_found
+let pool t = t.pool
+include Hier_tree.Surface (struct
+  type engine = t
 
-let leaf_id t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some id when t.children_len.(id) = 0 -> Hier.unsafe_leaf_of_int id
-  | Some id ->
-    invalid_arg
-      (Printf.sprintf "Hier_flat.leaf_id: %S is an interior node, not a leaf" t.names.(id))
-  | None -> raise Not_found
-
-let leaf_name t (id : Hier.leaf) = t.names.((id :> int))
-let leaf_ids t = List.map (fun (nm, id) -> (nm, Hier.unsafe_leaf_of_int id)) t.leaf_list
+  let index t = t.tree
+  let hooks t = t.hooks
+end)
 
 let check_open_leaf t ~fn leaf =
   if t.children_len.(leaf) <> 0 then invalid_arg (fn ^ ": not a leaf");
@@ -672,10 +554,10 @@ let inject_one t ~mark ~leaf ~size_bits =
   Array.unsafe_set t.now_cache 0 now;
   inject_at t ~mark ~leaf ~size_bits ~now
 
-let inject ?(mark = 0) t ~(leaf : Hier.leaf) ~size_bits =
+let inject ?(mark = 0) t ~(leaf : Hier_tree.leaf) ~size_bits =
   inject_one t ~mark ~leaf:(leaf :> int) ~size_bits
 
-let inject_many ?(mark = 0) t ~(leaf : Hier.leaf) ~size_bits ~count =
+let inject_many ?(mark = 0) t ~(leaf : Hier_tree.leaf) ~size_bits ~count =
   (* batched arrivals stamped with one clock read (the clock cannot move
      during injection, so stamps match [count] separate injects bitwise);
      after the first packet the leaf has a head, so each further packet is
@@ -694,7 +576,7 @@ let inject_many ?(mark = 0) t ~(leaf : Hier.leaf) ~size_bits ~count =
 
 (* -- Leaf lifecycle ------------------------------------------------------ *)
 
-let leaf_state t ~(leaf : Hier.leaf) =
+let leaf_state t ~(leaf : Hier_tree.leaf) =
   match Bytes.get t.lifecycle (leaf :> int) with
   | '\000' -> `Open
   | '\001' | '\002' -> `Closing
@@ -708,7 +590,7 @@ let leaf_state t ~(leaf : Hier.leaf) =
    observer event — the kernel's [remove], as in
    [Wf2q_plus.close_session `Drop] — and lets the restart cascade repair
    the cleared ancestors. *)
-let close_leaf t ~(leaf : Hier.leaf) ~policy =
+let close_leaf t ~(leaf : Hier_tree.leaf) ~policy =
   sync_if_staged t;
   let leaf = (leaf :> int) in
   if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.close_leaf: not a leaf";
@@ -745,7 +627,7 @@ let close_leaf t ~(leaf : Hier.leaf) ~policy =
         if t.logical.(q) < 0 then restart_node t q
       end
 
-let reopen_leaf ?rate t ~(leaf : Hier.leaf) =
+let reopen_leaf ?rate t ~(leaf : Hier_tree.leaf) =
   sync_if_staged t;
   let leaf = (leaf :> int) in
   if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.reopen_leaf: not a leaf";
@@ -762,7 +644,7 @@ let reopen_leaf ?rate t ~(leaf : Hier.leaf) =
   K.reset_slot t.k t.parent.(leaf) t.session_in_parent.(leaf) ~rate:t.rate.(leaf);
   Bytes.set t.lifecycle leaf '\000'
 
-let queue_bits t ~(leaf : Hier.leaf) =
+let queue_bits t ~(leaf : Hier_tree.leaf) =
   sync_if_staged t;
   let leaf = (leaf :> int) in
   if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.queue_bits: not a leaf";
@@ -770,15 +652,15 @@ let queue_bits t ~(leaf : Hier.leaf) =
 
 let departed_bits t ~node =
   sync_if_staged t;
-  t.departed_bits.(node_by_name t node)
+  t.departed_bits.(Hier_tree.node_id t.tree node)
 
 let ref_time t ~node =
   sync_if_staged t;
-  t.tn.(node_by_name t node)
+  t.tn.(Hier_tree.node_id t.tree node)
 
 let node_virtual_time t ~node =
   sync_if_staged t;
-  let id = node_by_name t node in
+  let id = Hier_tree.node_id t.tree node in
   if t.children_len.(id) = 0 then
     invalid_arg "Hier_flat.node_virtual_time: leaf has no policy";
   Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
@@ -797,46 +679,6 @@ let burst_max t = Link.burst_max t.link
 
 (* -- Observability -------------------------------------------------------- *)
 
-let compose_leaf_cb f g =
-  if f == nop_leaf_cb then g
-  else fun pkt ~leaf now ->
-    f pkt ~leaf now;
-    g pkt ~leaf now
-
-let add_depart_handle_hook t f = t.on_depart <- compose_leaf_cb t.on_depart f
-let add_drop_handle_hook t f = t.on_drop <- compose_leaf_cb t.on_drop f
-
-let add_transmit_start_handle_hook t f =
-  t.on_transmit_start <- compose_leaf_cb t.on_transmit_start f;
-  Link.set_on_start t.link (fun pkt ->
-      t.on_transmit_start pkt
-        ~leaf:t.names.(Net.Packet_pool.flow t.pool pkt)
-        (Engine.Simulator.now t.sim))
-
-(* Boxed compat wrappers: materialise a [Net.Packet.t] per event. *)
-let boxed t f = fun h ~leaf now -> f (Net.Packet_pool.to_packet t.pool h) ~leaf now
-let add_depart_hook t f = add_depart_handle_hook t (boxed t f)
-let add_drop_hook t f = add_drop_handle_hook t (boxed t f)
-let add_transmit_start_hook t f = add_transmit_start_handle_hook t (boxed t f)
-
-let pool t = t.pool
-
-let root_name t = t.names.(t.root)
-let node_name t id = t.names.(id)
-let node_count t = t.n_nodes
-
-let leaf_path t ~(leaf : Hier.leaf) =
-  let leaf = (leaf :> int) in
-  if t.children_len.(leaf) <> 0 then invalid_arg "Hier_flat.leaf_path: not a leaf";
-  Array.sub t.path_nodes t.path_off.(leaf) t.path_len.(leaf)
-
-let iter_interior t f =
-  for id = 0 to t.n_nodes - 1 do
-    if t.children_len.(id) > 0 then
-      f ~id ~name:t.names.(id) ~level:t.level.(id)
-        ~children:(Array.sub t.child_ids t.children_off.(id) t.children_len.(id))
-  done
-
 (* At epoch > 1 a staged arrival's backlog/requeue events would fire at
    the sync, shard by shard, not when the packet arrived. *)
 let check_observer_epoch t fn observer =
@@ -845,13 +687,9 @@ let check_observer_epoch t fn observer =
 
 let set_node_observer_id t ~node observer =
   check_observer_epoch t "set_node_observer_id" observer;
-  if node < 0 || node >= t.n_nodes || t.children_len.(node) = 0 then
+  if node < 0 || node >= Hier_tree.node_count t.tree || t.children_len.(node) = 0 then
     invalid_arg "Hier_flat.set_node_observer_id: not an interior node";
   K.set_observer t.k node observer
 
 let set_node_observer t ~node observer =
-  check_observer_epoch t "set_node_observer" observer;
-  let id = node_by_name t node in
-  if t.children_len.(id) = 0 then
-    invalid_arg "Hier_flat.set_node_observer: leaf has no policy";
-  K.set_observer t.k id observer
+  set_node_observer_id t ~node:(Hier_tree.node_id t.tree node) observer

@@ -19,7 +19,7 @@
     system); mixed-discipline hierarchies still go through the generic
     {!Hier}. The {!Hier_engine} facade picks automatically.
 
-    Node ids are assigned in the same preorder as {!Hier.create}, so ids,
+    Both engines number nodes through the same {!Hier_tree} index, so ids,
     names, and per-node counters line up across engines.
 
     Packets live in a per-hierarchy {!Net.Packet_pool}; the engine moves
@@ -75,9 +75,10 @@ val create :
     and has no effect: every sync flushes inline on the calling domain,
     because a sync stages too few arrivals to pay for a handoff to a
     worker Domain, and no Domain is spawned.
-    @raise Invalid_argument if [spec] fails {!Class_tree.validate}, its
-    root is a leaf, [burst_max < 1], [shards < 1], [workers] is outside
-    [0 .. ]{!Parallel.Pool.max_jobs} or [epoch < 1]. *)
+    @raise Invalid_argument if {!Hier_tree.create} rejects [spec] (it
+    fails {!Class_tree.validate}, or its root is a leaf), [burst_max < 1],
+    [shards < 1], [workers] is outside [0 .. ]{!Parallel.Pool.max_jobs}
+    or [epoch < 1]. *)
 
 val shutdown : t -> unit
 (** A no-op: the engine holds no worker Domain. It stays usable, and
@@ -101,27 +102,18 @@ val set_burst_max : t -> int -> unit
 
 val burst_max : t -> int
 
-val leaf_id : t -> string -> Hier.leaf
-(** Leaf identities share {!Hier.leaf}, so code written against one engine
-    (or the {!Hier_engine} facade) type-checks against the other.
-    @raise Not_found if no node has that name.
-    @raise Invalid_argument if the name belongs to an interior node. *)
-
-val leaf_name : t -> Hier.leaf -> string
-val leaf_ids : t -> (string * Hier.leaf) list
-
 val pool : t -> Net.Packet_pool.t
 (** The hierarchy's packet arena (to read fields of a handle inside a
     [_handle_] hook, or to materialise a boxed view). Alloc and free are
     coordinator-only. *)
 
-val inject : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> Net.Packet_pool.handle
+val inject : ?mark:int -> t -> leaf:Hier_tree.leaf -> size_bits:float -> Net.Packet_pool.handle
 (** Same contract as {!Hier.inject}: returns the packet's pool handle; if
     the queue was full the drop callback has already fired and the handle
     is already recycled (stale).
     @raise Invalid_argument if the leaf is closed or closing. *)
 
-val inject_many : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> count:int -> unit
+val inject_many : ?mark:int -> t -> leaf:Hier_tree.leaf -> size_bits:float -> count:int -> unit
 (** [count] same-size packets arrive back to back at the current simulation
     time. After the first packet the subtree already has a logical head, so
     each further packet is one FIFO push plus one (observer-only) arrive —
@@ -129,20 +121,20 @@ val inject_many : ?mark:int -> t -> leaf:Hier.leaf -> size_bits:float -> count:i
     @raise Invalid_argument if the leaf is closed or closing, or [count] is
     negative — also when [count = 0]. *)
 
-val close_leaf : t -> leaf:Hier.leaf -> policy:Sched.Sched_intf.close_policy -> unit
+val close_leaf : t -> leaf:Hier_tree.leaf -> policy:Sched.Sched_intf.close_policy -> unit
 (** Same contract as {!Hier.close_leaf}: idle leaves close immediately,
     [`Drain] keeps the schedule place until the queue empties, [`Drop]
     hands queued packets to the drop callback and retracts the committed
     head from every ancestor (the wire packet, if it is this leaf's,
     always finishes and completes the close at departure). *)
 
-val reopen_leaf : ?rate:float -> t -> leaf:Hier.leaf -> unit
+val reopen_leaf : ?rate:float -> t -> leaf:Hier_tree.leaf -> unit
 (** Same contract as {!Hier.reopen_leaf}: re-opens a closed leaf in place
     with fresh WF²Q+ stamps, optionally at a new [rate]. *)
 
-val leaf_state : t -> leaf:Hier.leaf -> [ `Open | `Closing | `Closed ]
+val leaf_state : t -> leaf:Hier_tree.leaf -> [ `Open | `Closing | `Closed ]
 
-val queue_bits : t -> leaf:Hier.leaf -> float
+val queue_bits : t -> leaf:Hier_tree.leaf -> float
 val departed_bits : t -> node:string -> float
 val ref_time : t -> node:string -> float
 
@@ -157,50 +149,27 @@ val held_packets : t -> int
     {!Hier.held_packets}, the packet on the wire is among them until its
     departure hooks have run. O(nodes). *)
 
+(** {2 The tree}
+
+    Ids, names, paths and the leaf hooks come from the engine's
+    {!Hier_tree} index and hook set, as for {!Hier}. *)
+
+include Hier_tree.SURFACE with type engine := t
+
 (** {2 Observability}
 
-    Mirrors {!Hier}: packet-level hooks at the link, a per-node
-    {!Sched.Sched_intf.observer} slot at each interior node. With no
-    observer installed the per-operation cost is one array load and a
-    branch. *)
-
-val add_depart_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-(** Materialises a boxed packet per departure; prefer the [_handle_]
-    variant on hot paths. *)
-
-val add_drop_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-val add_transmit_start_hook : t -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
-
-val add_depart_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-(** Allocation-free {!add_depart_hook}: the callback receives the pool
-    handle, valid for the duration of the call only. *)
-
-val add_drop_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-
-val add_transmit_start_handle_hook :
-  t -> (Net.Packet_pool.handle -> leaf:string -> float -> unit) -> unit
-
-val root_name : t -> string
-val node_name : t -> int -> string
-val node_count : t -> int
-
-val leaf_path : t -> leaf:Hier.leaf -> int array
-(** The precomputed leaf→root path (leaf first, root last).
-    @raise Invalid_argument if [leaf] is interior. *)
-
-val iter_interior :
-  t -> (id:int -> name:string -> level:int -> children:int array -> unit) -> unit
-(** Visit every interior node in id (preorder) order. [children.(s)] is the
-    node id behind session slot [s]. Unlike {!Hier.iter_interior} there is
-    no [policy] argument — install observers via {!set_node_observer_id}. *)
-
-val set_node_observer : t -> node:string -> Sched.Sched_intf.observer option -> unit
-(** @raise Not_found if no such node.
-    @raise Invalid_argument if the node is a leaf, or when installing an
-    observer at [epoch > 1] (backlog and requeue events would fire on
-    worker domains). Clearing is always allowed. *)
+    A per-node {!Sched.Sched_intf.observer} slot at each interior node.
+    With no observer installed the per-operation cost is one array load
+    and a branch. *)
 
 val set_node_observer_id : t -> node:int -> Sched.Sched_intf.observer option -> unit
-(** Same, by node id (as handed to {!iter_interior}). *)
+(** Install or remove an observer on interior node [node] (an id, as
+    handed to {!iter_interior}).
+    @raise Invalid_argument if the node is a leaf, or when installing an
+    observer at [epoch > 1]: a staged arrival's backlog and requeue events
+    would fire at the sync, shard by shard, not when the packet arrived.
+    Clearing is always allowed. *)
+
+val set_node_observer : t -> node:string -> Sched.Sched_intf.observer option -> unit
+(** The same, by name.
+    @raise Not_found if no such node. *)

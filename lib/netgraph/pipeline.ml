@@ -44,7 +44,7 @@ let create ~sim ~hops ~make_policy ?(propagation_delay = 0.001)
   and hop_departure t index pool h time =
     match
       Hashtbl.find_opt t.routing
-        (index, Hpfq.Hier.unsafe_leaf_of_int (Net.Packet_pool.flow pool h))
+        (index, Hpfq.Hier_tree.unsafe_leaf_of_int (Net.Packet_pool.flow pool h))
     with
     | None -> () (* leaf not owned by a pipeline flow: local traffic *)
     | Some flow ->

@@ -5,7 +5,6 @@ type t = {
   metrics : Metrics.t;
   node_names : string array;
   session_nodes : int array array; (* interior id -> session idx -> child node id *)
-  parents : int array;             (* node id -> parent id, -1 at the root *)
   paths : int array array;         (* leaf id -> leaf-to-root path; [||] elsewhere *)
   mutable detach_fns : (unit -> unit) list;
   mutable sims : Engine.Simulator.t list; (* attach order, oldest last *)
@@ -64,38 +63,26 @@ let observer t ~node =
         Metrics.on_select t.metrics ~node ~vtime);
   }
 
-let record_link t ~kind ~leaf_node ~time ~bits =
-  Recorder.record t.recorder ~kind ~node:leaf_node ~session:(-1) ~time ~vtime:Float.nan
-    ~bits
+(* A link-level event of packet [p], whose leaf is node [offset + flow].
+   The tracing layer fires per packet, so it reads the pool directly
+   instead of materialising boxed packets. A departure credits W_n up the
+   leaf's leaf-to-root path. *)
+let link_event t pool ~offset kind p time =
+  let leaf_node = offset + Net.Packet_pool.flow pool p in
+  let bits = Net.Packet_pool.size_bits pool p in
+  Recorder.record t.recorder ~kind ~node:leaf_node ~session:(-1) ~time ~vtime:Float.nan ~bits;
+  match kind with
+  | Event.Depart ->
+    Array.iter (fun node -> Metrics.credit_served t.metrics ~node ~bits) t.paths.(leaf_node)
+  | Event.Drop -> Metrics.on_drop t.metrics ~node:leaf_node
+  | _ -> ()
 
-(* Credit W_n up the leaf's path: the precomputed path array when the
-   attach function provided one (hierarchies), else a parent walk. *)
-let credit_path t ~leaf_node ~bits =
-  let path = t.paths.(leaf_node) in
-  if Array.length path > 0 then
-    for k = 0 to Array.length path - 1 do
-      Metrics.credit_served t.metrics ~node:path.(k) ~bits
-    done
-  else begin
-    let node = ref leaf_node in
-    while !node >= 0 do
-      Metrics.credit_served t.metrics ~node:!node ~bits;
-      node := t.parents.(!node)
-    done
-  end
-
-let make ~recorder ~node_names ~session_nodes ~parents ?paths () =
-  let paths =
-    match paths with
-    | Some p -> p
-    | None -> Array.make (Array.length node_names) [||]
-  in
+let make ~recorder ~node_names ~session_nodes ~paths =
   {
     recorder;
     metrics = Metrics.create ~names:node_names;
     node_names;
     session_nodes;
-    parents;
     paths;
     detach_fns = [];
     sims = [];
@@ -109,44 +96,27 @@ let attach_engine ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) e =
   let n = HE.node_count e in
   let paths = Array.make n [||] in
   List.iter
-    (fun (_, (leaf : Hpfq.Hier.leaf)) -> paths.((leaf :> int)) <- HE.leaf_path e ~leaf)
+    (fun (_, (leaf : Hpfq.Hier_tree.leaf)) -> paths.((leaf :> int)) <- HE.leaf_path e ~leaf)
     (HE.leaf_ids e);
   let t =
     make ~recorder:(Recorder.create ~capacity ~on_full ())
       ~node_names:(Array.init n (HE.node_name e))
-      ~session_nodes:(Array.make n [||]) ~parents:(Array.make n (-1)) ~paths ()
-  in
-  let interior ~id ~children set_observer =
-    t.session_nodes.(id) <- children;
-    Array.iter (fun cid -> t.parents.(cid) <- id) children;
-    set_observer (Some (observer t ~node:id));
-    t.detach_fns <- (fun () -> set_observer None) :: t.detach_fns
+      ~session_nodes:(Array.make n [||]) ~paths
   in
   (* the observer install is the one engine-specific step *)
-  (match e with
-  | HE.Generic h ->
-    Hpfq.Hier.iter_interior h (fun ~id ~name:_ ~level:_ ~children ~policy ->
-        interior ~id ~children policy.Sched_intf.set_observer)
-  | HE.Flat h ->
-    Hpfq.Hier_flat.iter_interior h (fun ~id ~name:_ ~level:_ ~children ->
-        interior ~id ~children (Hpfq.Hier_flat.set_node_observer_id h ~node:id)));
-  (* handle hooks: the tracing layer fires per packet, so it reads the
-     pool directly instead of materialising boxed packets *)
-  let pool = HE.pool e in
-  HE.add_transmit_start_handle_hook e (fun p ~leaf:_ time ->
-      record_link t ~kind:Event.Transmit_start
-        ~leaf_node:(Net.Packet_pool.flow pool p) ~time
-        ~bits:(Net.Packet_pool.size_bits pool p));
-  HE.add_depart_handle_hook e (fun p ~leaf:_ time ->
-      let leaf_node = Net.Packet_pool.flow pool p in
-      let bits = Net.Packet_pool.size_bits pool p in
-      record_link t ~kind:Event.Depart ~leaf_node ~time ~bits;
-      credit_path t ~leaf_node ~bits);
-  HE.add_drop_handle_hook e (fun p ~leaf:_ time ->
-      let leaf_node = Net.Packet_pool.flow pool p in
-      record_link t ~kind:Event.Drop ~leaf_node ~time
-        ~bits:(Net.Packet_pool.size_bits pool p);
-      Metrics.on_drop t.metrics ~node:leaf_node);
+  let set_observer =
+    match e with
+    | HE.Generic h -> Hpfq.Hier.set_node_observer_id h
+    | HE.Flat h -> Hpfq.Hier_flat.set_node_observer_id h
+  in
+  HE.iter_interior e (fun ~id ~name:_ ~level:_ ~children ->
+      t.session_nodes.(id) <- children;
+      set_observer ~node:id (Some (observer t ~node:id));
+      t.detach_fns <- (fun () -> set_observer ~node:id None) :: t.detach_fns);
+  let link = link_event t (HE.pool e) ~offset:0 in
+  HE.add_transmit_start_handle_hook e (fun p ~leaf:_ time -> link Event.Transmit_start p time);
+  HE.add_depart_handle_hook e (fun p ~leaf:_ time -> link Event.Depart p time);
+  HE.add_drop_handle_hook e (fun p ~leaf:_ time -> link Event.Drop p time);
   t
 
 let attach_server ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest)
@@ -164,29 +134,17 @@ let attach_server ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest)
   in
   let session_nodes = Array.make (1 + sessions) [||] in
   session_nodes.(0) <- Array.init sessions (fun i -> 1 + i);
-  let parents = Array.init (1 + sessions) (fun id -> if id = 0 then -1 else 0) in
+  let paths = Array.init (1 + sessions) (fun id -> if id = 0 then [||] else [| id; 0 |]) in
   let t =
-    make ~recorder:(Recorder.create ~capacity ~on_full ()) ~node_names ~session_nodes
-      ~parents ()
+    make ~recorder:(Recorder.create ~capacity ~on_full ()) ~node_names ~session_nodes ~paths
   in
   let policy = Hpfq.Server.policy srv in
   policy.Sched_intf.set_observer (Some (observer t ~node:0));
   t.detach_fns <- [ (fun () -> policy.Sched_intf.set_observer None) ];
-  let pool = Hpfq.Server.pool srv in
-  Hpfq.Server.add_transmit_start_handle_hook srv (fun p time ->
-      record_link t ~kind:Event.Transmit_start
-        ~leaf_node:(1 + Net.Packet_pool.flow pool p)
-        ~time ~bits:(Net.Packet_pool.size_bits pool p));
-  Hpfq.Server.add_depart_handle_hook srv (fun p time ->
-      let leaf_node = 1 + Net.Packet_pool.flow pool p in
-      let bits = Net.Packet_pool.size_bits pool p in
-      record_link t ~kind:Event.Depart ~leaf_node ~time ~bits;
-      credit_path t ~leaf_node ~bits);
-  Hpfq.Server.add_drop_handle_hook srv (fun p time ->
-      let leaf_node = 1 + Net.Packet_pool.flow pool p in
-      record_link t ~kind:Event.Drop ~leaf_node ~time
-        ~bits:(Net.Packet_pool.size_bits pool p);
-      Metrics.on_drop t.metrics ~node:leaf_node);
+  let link = link_event t (Hpfq.Server.pool srv) ~offset:1 in
+  Hpfq.Server.add_transmit_start_handle_hook srv (link Event.Transmit_start);
+  Hpfq.Server.add_depart_handle_hook srv (link Event.Depart);
+  Hpfq.Server.add_drop_handle_hook srv (link Event.Drop);
   t
 
 (* A reporting-only trace: no engine, no observers, no probes — just a
@@ -196,7 +154,7 @@ let of_sims sims =
   let t =
     make
       ~recorder:(Recorder.create ~capacity:1 ~on_full:Recorder.Drop_oldest ())
-      ~node_names:[||] ~session_nodes:[||] ~parents:[||] ()
+      ~node_names:[||] ~session_nodes:[||] ~paths:[||]
   in
   (* [t.sims] holds attach order newest-first; sim_report reverses it *)
   t.sims <- List.rev sims;

@@ -22,7 +22,8 @@ val attach_engine : ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier_engi
     events, [Drop_oldest]). Node ids in recorded events are the
     hierarchy's node ids; link events carry the packet's leaf id. Event
     streams from the generic and flat engines on the same workload are
-    identical (the lockstep tests rely on this).
+    identical (the lockstep tests rely on this). Session labels resolve
+    through the tree's slot map at creation ({!Hpfq.Hier_tree}).
     @raise Invalid_argument on a flat engine at [epoch > 1], from
     {!Hpfq.Hier_flat.set_node_observer_id}. *)
 

@@ -256,13 +256,16 @@ type plane = {
   flat : HF.t option;
 }
 
-let plane c ~sim s ~on_depart ~on_drop =
+(* [checks] are a pooled engine's first departure and drop hooks: they
+   see the handle before the boxed hooks materialise a packet from it. *)
+let plane c ~sim s ~on_depart ~on_drop ~checks:(at_depart, at_drop) =
   let root_clock = if s.root_ref then `Reference_time else `Real_time in
   let pooled factory engine =
-    let h =
-      HE.create ~sim ~spec:s.spec ~factory ~engine ~root_clock ~on_depart ~on_drop
-        ~burst_max:c.burst ()
-    in
+    let h = HE.create ~sim ~spec:s.spec ~factory ~engine ~root_clock ~burst_max:c.burst () in
+    HE.add_depart_handle_hook h (fun _ ~leaf:_ _ -> at_depart ());
+    HE.add_drop_handle_hook h (fun _ ~leaf _ -> at_drop leaf);
+    HE.add_depart_hook h on_depart;
+    HE.add_drop_hook h on_drop;
     let id = Array.of_list (List.map (HE.leaf_id h) s.leaves) in
     {
       inject = (fun l size_bits -> ignore (HE.inject h ~leaf:id.(l) ~size_bits));
@@ -304,33 +307,50 @@ let plane c ~sim s ~on_depart ~on_drop =
 let run c s =
   let sim = Sim.create () in
   let departs = ref [] and drop_log = ref [] and rejected = ref 0 and installed = ref 0 in
-  let conserved = ref ignore in
-  let on_depart pkt ~leaf t =
-    !conserved ();
-    departs := (leaf, pkt.Net.Packet.seq, t) :: !departs
-  in
+  let departing = ref ignore and dropping = ref ignore in
+  let on_depart pkt ~leaf t = departs := (leaf, pkt.Net.Packet.seq, t) :: !departs in
   let on_drop pkt ~leaf t = drop_log := (leaf, pkt.Net.Packet.seq, t) :: !drop_log in
-  let p = plane c ~sim s ~on_depart ~on_drop in
-  (* pool conservation at every departure: each live handle is queued at
-     a leaf, staged, on the wire or departing. The departing packet is
-     the one that was on the wire, and it stays at its leaf's head until
-     its hooks have run, so the queues and stages hold all of them. *)
-  (conserved :=
-     fun () ->
-       if p.live () <> p.held () then
-         failwith
-           (Printf.sprintf "%s: %d packet handles live at a departure, %d held"
-              (config_name c) (p.live ()) (p.held ())));
+  let checks = ((fun () -> !departing ()), fun leaf -> !dropping leaf) in
+  let p = plane c ~sim s ~on_depart ~on_drop ~checks in
+  let index = List.mapi (fun i leaf -> (leaf, i)) s.leaves in
+  (* Pool conservation: each live handle is queued at a leaf, staged, on
+     the wire, departing or being dropped. The departing packet is the one
+     that was on the wire, and it stays at its leaf's head until its
+     departure hooks have run, so at a departure and after every op the
+     queues and stages hold all of them. A dropped packet is still
+     allocated in its drop hook but held nowhere: one handle more, or
+     two when the drop finishes a `Drop close deferred behind the wire
+     packet (the leaf is still closing): RESET-PATH has dequeued the
+     departed packet but frees it only after the drops. An epoch sync
+     parks its drops and frees them one at a time after their hooks, so
+     at epoch > 1 a drop hook only sees more live handles than held. *)
+  let conserved where ok =
+    let live = p.live () and held = p.held () in
+    if not (ok ~live ~held) then
+      failwith
+        (Printf.sprintf "%s: %d packet handles live %s, %d held" (config_name c) live where held)
+  in
+  let pooled = match c.engine with Boxed -> false | Generic _ | Flat | Epoch _ -> true in
+  let multi_epoch = match c.engine with Epoch { epoch; _ } -> epoch > 1 | _ -> false in
+  if pooled then begin
+    departing := (fun () -> conserved "at a departure" (fun ~live ~held -> live = held));
+    dropping :=
+      fun leaf ->
+        let deferred = p.state (List.assoc leaf index) = `Closing in
+        conserved "at a drop" (fun ~live ~held ->
+            if multi_epoch then live > held
+            else live = held + if deferred then 2 else 1)
+  end;
   Fun.protect ~finally:(fun () -> Option.iter HF.shutdown p.flat) @@ fun () ->
   let apply op =
-    try
-      match op with
-      | Inject (l, size) -> p.inject l size
-      | Close (l, policy) -> p.close l policy
-      | Reopen l -> p.reopen l
-    with Invalid_argument _ -> incr rejected
+    (try
+       match op with
+       | Inject (l, size) -> p.inject l size
+       | Close (l, policy) -> p.close l policy
+       | Reopen l -> p.reopen l
+     with Invalid_argument _ -> incr rejected);
+    if pooled then conserved "after an op" (fun ~live ~held -> live = held)
   in
-  let index = List.mapi (fun i leaf -> (leaf, i)) s.leaves in
   let emit_for ~leaf =
     Option.map (fun l ~size_bits -> apply (Inject (l, size_bits))) (List.assoc_opt leaf index)
   in

@@ -217,6 +217,23 @@ let test_invalid_tree_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A bare-leaf spec validates, but no hierarchy can be built on it: both
+   engines refuse it through their shared index, with one message. *)
+let test_leaf_root_rejected () =
+  let spec = CT.leaf "solo" ~rate:1.0 in
+  let error create =
+    match create (Sim.create ()) with () -> None | exception Invalid_argument e -> Some e
+  in
+  let generic =
+    error (fun sim -> ignore (Hier.create ~sim ~spec ~make_policy:(Hier.uniform wf2q_plus) ()))
+  in
+  let flat = error (fun sim -> ignore (Hpfq.Hier_flat.create ~sim ~spec ())) in
+  Alcotest.(check (option string))
+    "generic rejects it"
+    (Some "Hier_tree.create: root \"solo\" is a leaf; the root must be an interior node")
+    generic;
+  Alcotest.(check (option string)) "flat raises the same error" generic flat
+
 let test_leaf_lookup () =
   let sim = Sim.create () in
   let h = Hier.create ~sim ~spec:section22_spec ~make_policy:(Hier.uniform wf2q_plus) () in
@@ -283,6 +300,7 @@ let () =
         [
           Alcotest.test_case "flat tree = standalone" `Quick test_flat_tree_equals_standalone;
           Alcotest.test_case "invalid tree rejected" `Quick test_invalid_tree_rejected;
+          Alcotest.test_case "leaf root rejected" `Quick test_leaf_root_rejected;
           Alcotest.test_case "leaf lookup" `Quick test_leaf_lookup;
         ] );
       ( "bandwidth",

@@ -55,8 +55,8 @@ let test_trace_parity () =
   (* [compare] rather than [=]: link-level events stamp vtime = NaN *)
   Alcotest.(check bool) "generic = flat" true (compare g f = 0)
 
-(* At epoch > 1 observers would fire on worker domains, so attaching is
-   refused there. *)
+(* At epoch > 1 a staged arrival's observer events would fire at the
+   sync, not at arrival, so attaching is refused there. *)
 let test_trace_attach () =
   let f = traced_events `Flat in
   Alcotest.(check bool) "flat = epoch 1" true (compare f (traced_events (subtree ~shards:2 1)) = 0);
@@ -219,7 +219,7 @@ let test_inject_many_rejections () =
     let a1 = HE.leaf_id h "a1" and a2 = HE.leaf_id h "a2" and b1 = HE.leaf_id h "b1" in
     let interior =
       let rec find id = if HE.node_name h id = "A" then id else find (id + 1) in
-      Hpfq.Hier.unsafe_leaf_of_int (find 0)
+      Hpfq.Hier_tree.unsafe_leaf_of_int (find 0)
     in
     HE.close_leaf h ~leaf:a2 ~policy:`Drop;
     HE.inject_many h ~leaf:b1 ~size_bits:1.0 ~count:3;
