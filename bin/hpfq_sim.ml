@@ -75,7 +75,8 @@ let hier_engine_arg =
           "Hierarchy engine: $(b,generic) composes one-level policies per \
            node, $(b,flat) is the monomorphic flattened H-WF2Q+ fast path \
            (bit-identical schedules), $(b,subtree) partitions the root's \
-           child subtrees over worker domains with epoch-batched root sync \
+           child subtrees into shards whose arrivals are staged and \
+           integrated at the root in epochs, all on the calling domain \
            (see --shards/--epoch). $(b,auto) picks flat for WF2Q+ and \
            generic otherwise.")
 
@@ -428,8 +429,8 @@ let custom_cmd =
 (* -- shard --------------------------------------------------------------- *)
 
 let shard_cmd =
-  let run engine pool links shards rounds flows_per_link overload seed
-      observe json metrics_out =
+  let run engine pool links rounds flows_per_link overload seed observe json
+      metrics_out =
     let workers = Parallel.Pool.jobs pool in
     let workload =
       {
@@ -439,27 +440,14 @@ let shard_cmd =
         seed;
       }
     in
-    let t =
-      Shard.Device.create ~workers ?shards ~engine ~workload ~observe ~links ()
-    in
+    let t = Shard.Device.create ~workers ~engine ~workload ~observe ~links () in
     let r = Shard.Device.run t in
     (* everything on stdout is a pure function of the workload — the CI
-       smoke diffs -j2 against -j1 — so wall clock AND geometry (worker
-       count, shard ownership) go to stderr *)
+       smoke diffs -j2 against -j1 — so wall clock and worker count go to
+       stderr *)
     Printf.printf "links=%d rounds=%d flows/link=%d overload=%g seed=%Ld\n"
       (Shard.Device.links t) rounds flows_per_link overload seed;
-    let stdout_report =
-      (* Device.report minus the geometry-dependent shard-owner column *)
-      let rep = Shard.Device.report r in
-      let drop_shard = function
-        | link :: _shard :: rest -> link :: rest
-        | row -> row
-      in
-      Stats.Report.make ~name:(Stats.Report.name rep)
-        ~columns:(drop_shard (Stats.Report.columns rep))
-        ~rows:(fun () -> List.map drop_shard (Stats.Report.rows rep))
-    in
-    print_string (Stats.Report.to_string stdout_report);
+    print_string (Stats.Report.to_string (Shard.Device.report r));
     print_string (Stats.Report.to_string (Shard.Device.sim_report r));
     Option.iter
       (fun path ->
@@ -477,7 +465,6 @@ let shard_cmd =
           Json.Obj
             [
               ("link", Json.Num (float_of_int lr.Shard.Device.link));
-              ("shard", Json.Num (float_of_int lr.Shard.Device.shard));
               ("pkts", Json.Num (float_of_int lr.Shard.Device.departed_pkts));
               ("bits", Json.Num lr.Shard.Device.departed_bits);
               ("drops", Json.Num (float_of_int lr.Shard.Device.drops));
@@ -497,7 +484,6 @@ let shard_cmd =
              ([
                 ("schema", Json.Str "hpfq-sim-shard-v1");
                 ("links", Json.Num (float_of_int (Shard.Device.links t)));
-                ("shards", Json.Num (float_of_int (Shard.Device.shards t)));
                 ("workers", Json.Num (float_of_int workers));
                 ("rounds", Json.Num (float_of_int rounds));
                 ("flows_per_link", Json.Num (float_of_int flows_per_link));
@@ -525,15 +511,11 @@ let shard_cmd =
   let links_arg =
     Arg.(value & opt pos_int 64 & info [ "links" ] ~docv:"N" ~doc:"Output links (ports) in the device.")
   in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some pos_int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Mailbox shards links are partitioned over (default: one per worker).")
-  in
   let rounds_arg =
-    Arg.(value & opt nonneg_int 200 & info [ "rounds" ] ~docv:"N" ~doc:"Ingress router rounds.")
+    Arg.(
+      value & opt nonneg_int 200
+      & info [ "rounds" ] ~docv:"N"
+          ~doc:"Arrival rounds; every flow draws one burst per round.")
   in
   let flows_arg =
     Arg.(
@@ -567,13 +549,13 @@ let shard_cmd =
   Cmd.v
     (Cmd.info "shard"
        ~doc:
-         "Run the sharded multi-port device: N links, each an independent \
-          H-WF2Q+ instance, fanned over -j worker domains behind the batched \
-          ingress router. Stdout is bit-identical for any -j.")
+         "Run the multi-port device: N links, each an independent H-WF2Q+ \
+          instance replaying its own arrivals, fanned over -j worker \
+          domains. Stdout is bit-identical for any -j.")
     Term.(
-      const run $ hier_engine_arg $ pool_term $ links_arg
-      $ shards_arg $ rounds_arg $ flows_arg $ overload_arg $ seed_arg
-      $ observe_arg $ json_arg $ metrics_arg)
+      const run $ hier_engine_arg $ pool_term $ links_arg $ rounds_arg
+      $ flows_arg $ overload_arg $ seed_arg $ observe_arg $ json_arg
+      $ metrics_arg)
 
 (* -- replay -------------------------------------------------------------- *)
 

@@ -26,8 +26,8 @@ val for_task : t -> int -> t
 val mix64 : int64 -> int64
 (** The raw SplitMix64 finalizer: a stateless avalanche permutation of
     the full 64-bit space. Exposed for deterministic hashing jobs that
-    must agree across processes and worker counts — e.g. the shard
-    router's flow table and departure-trace fingerprints — where
+    must agree across processes and worker counts — e.g. the device's
+    flow table and departure-trace fingerprints — where
     [Hashtbl.hash]'s truncation and version sensitivity would not do. *)
 
 val next_int64 : t -> int64

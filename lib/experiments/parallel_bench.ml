@@ -132,38 +132,6 @@ let json_of_run ~quick ~cores ~tasks rows =
       ("rows", Json.Arr (List.map row_json rows));
     ]
 
-(* -- the handoff alone ----------------------------------------------------- *)
-
-(* The cost of one empty [Persistent] round at 1 worker and 4 no-op tasks:
-   the synchronization an epoch sync pays on top of its flush work.
-   [submit]+[await] leaves every task to the worker; [map] lets the caller
-   claim tasks too. Best of 3 batches, in µs per round. *)
-let handoff_us ~quick =
-  let rounds = if quick then 2_000 else 20_000 in
-  let p = Parallel.Pool.Persistent.create ~domains:1 () in
-  let f (_ : int) = () in
-  let time round =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to rounds do
-        round ()
-      done;
-      best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int rounds)
-    done;
-    !best *. 1e6
-  in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.Persistent.shutdown p)
-    (fun () ->
-      let submit_await =
-        time (fun () ->
-            ignore
-              (Parallel.Pool.Persistent.await (Parallel.Pool.Persistent.submit p ~tasks:4 ~f)))
-      in
-      let map = time (fun () -> ignore (Parallel.Pool.Persistent.map p ~tasks:4 ~f)) in
-      (submit_await, map))
-
 let report ~quick =
   let cores, tasks, rows = measure ~quick () in
   Printf.printf "cores=%d, grid=%d tasks, determinism cross-checked per rung\n"
@@ -173,11 +141,6 @@ let report ~quick =
     (fun r ->
       Printf.printf "%6d %12.3f %9.2fx %13.2fx\n" r.jobs r.wall_s r.speedup r.floor)
     rows;
-  let submit_await, map = handoff_us ~quick in
-  Printf.printf
-    "empty Persistent round (1 worker, 4 tasks): submit+await %.2f us/round, map %.2f \
-     us/round\n"
-    submit_await map;
   json_of_run ~quick ~cores ~tasks rows
 
 (* Unlike the throughput guards this one does not diff a committed

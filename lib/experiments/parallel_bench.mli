@@ -17,10 +17,7 @@ val expected_floor : cores:int -> jobs:int -> float
 
 val report : quick:bool -> Bench_kit.Json.t
 (** Measure the ladder (best of 3 runs per rung; [quick] shrinks the grid
-    and runs once), print the table and return the report. Also prints,
-    outside the report, the µs per empty {!Parallel.Pool.Persistent}
-    round (1 worker, 4 no-op tasks) through [submit] + [await] and
-    through [map]: the handoff cost an epoch sync would pay.
+    and runs once), print the table and return the report.
     @raise Failure if any rung's results diverge from the [-j1]
     reference. *)
 

@@ -1,9 +1,10 @@
 (* Multi-port device scaling suite (bench id "shard").
 
    The parallel suite ("parallel") scales a fork-join sweep of
-   independent experiment cells; this one scales the steady-state
-   production engine: one device, N links, bounded mailboxes, persistent
-   workers. Same two claims, same guard philosophy:
+   independent experiment cells; this one scales the multi-port device,
+   whose links are the same kind of independent task: one device, N
+   links, each replayed whole by one worker. Same two claims, same guard
+   philosophy:
 
    - *determinism*: every (links, jobs) cell must produce the same
      device hash as the 1-worker run of that cell — the hash folds every
@@ -33,9 +34,12 @@ let jobs_ladder () =
 let links_grid ~quick = if quick then [ 16 ] else [ 64; 256; 1024 ]
 
 (* Size rounds so every grid point offers about the same total packet
-   count — wall clock then measures throughput, not workload size. *)
+   count — wall clock then measures throughput, not workload size. The
+   full grid's 8 M packets keep every -j1 rung above 1 s (1.3–2.7 s on a
+   2-vCPU host), long enough that a domain spawn or a scheduler hiccup
+   cannot decide a speedup. *)
 let rounds_for ~quick ~links =
-  let target = if quick then 20_000 else 200_000 in
+  let target = if quick then 20_000 else 8_000_000 in
   let w = Shard.Device.default_workload ~rounds:1 in
   let per_round = links * w.Shard.Device.flows_per_link * (w.Shard.Device.burst_max / 2) in
   max 10 (target / max 1 per_round)

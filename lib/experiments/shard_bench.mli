@@ -1,8 +1,8 @@
 (** Multi-port device scaling suite (bench id "shard").
 
-    Runs {!Shard.Device} — N independent H-WF²Q+ links sharded over
-    worker domains behind the batched ingress router — across a jobs
-    ladder and a links grid, and reports aggregate packet throughput and
+    Runs {!Shard.Device} — N independent H-WF²Q+ links replayed as a
+    fork-join over worker domains — across a jobs ladder and a links
+    grid (the full grid sized so every 1-worker rung runs over 1 s), and reports aggregate packet throughput and
     speedup vs the 1-worker run. Every rung's [device_hash] must equal
     the 1-worker hash for the same grid point (the device's determinism
     contract, checked on the real workload); any diff fails the suite

@@ -3,18 +3,13 @@
    Determinism comes from indexing, not scheduling: workers race only for
    *which* index they compute, never for where a result goes — slot [i] of
    [results] is written by exactly one domain and read by the caller after
-   the round completes (the await is the happens-before edge), so the
+   the round completes (the joins are the happens-before edge), so the
    returned array is the same for any worker count or interleaving.
 
    Chunked claiming ([fetch_and_add next chunk]) is static chunking with a
    work-stealing index: contiguous runs of indices keep per-task atomic
    traffic low, while idle workers keep pulling chunks so a grid whose
-   cells vary 100x in cost (e.g. wfi at N=4 vs N=128) still balances.
-
-   Two surfaces share that core. [Persistent] spawns its domains once and
-   feeds them rounds of tasks (long-lived shard workers, repeated sweeps);
-   the historical fork-join [map] is now a one-round persistent pool —
-   same semantics as ever, spawn/join contained within the call. *)
+   cells vary 100x in cost (e.g. wfi at N=4 vs N=128) still balances. *)
 
 let log_src = Logs.Src.create "hpfq.parallel" ~doc:"Sweep fan-out progress"
 
@@ -45,13 +40,13 @@ let create ?jobs () =
 let jobs t = t.jobs
 let cores () = Domain.recommended_domain_count ()
 
-(* Progress is observability, not synchronization: the pool's one mutex
+(* Progress is observability, not synchronization: the round's mutex
    serializes the Logs call (reporters are not domain-safe) and rate-limits
    it. Losing the race to report is fine — the final task always logs, so a
    watcher sees the sweep finish. *)
 type progress = {
   completed : int Atomic.t;
-  lock : Mutex.t; (* owned by the pool, shared by its rounds *)
+  lock : Mutex.t;
   mutable last_emit : float;
 }
 
@@ -72,9 +67,9 @@ let report progress ~tasks =
     Mutex.unlock progress.lock
   end
 
-(* ---- one round of tasks, executable by any number of domains ---- *)
+(* ---- one round of tasks, run by every domain of a map ---- *)
 
-type round_core = {
+type round = {
   tasks : int;
   chunk : int;
   next : int Atomic.t;
@@ -83,22 +78,22 @@ type round_core = {
   run1 : int -> unit; (* compute task i into its slot; may raise *)
 }
 
-let make_round ~tasks ~executors ~progress_lock ~run1 =
+let make_round ~tasks ~executors ~run1 =
   {
     tasks;
     (* ~4 chunks per executor: coarse enough that the cursor is cold, fine
        enough that one expensive tail chunk can still be stolen around *)
-    chunk = max 1 (tasks / (max 1 executors * 4));
+    chunk = max 1 (tasks / (executors * 4));
     next = Atomic.make 0;
     failure = Atomic.make None;
-    progress = { completed = Atomic.make 0; lock = progress_lock; last_emit = 0.0 };
+    progress = { completed = Atomic.make 0; lock = Mutex.create (); last_emit = 0.0 };
     run1;
   }
 
 (* Claim and run chunks until the cursor is exhausted or a failure is
    posted. Task exceptions are captured into [failure] (first one wins),
-   never raised — so this function itself cannot raise, which the
-   persistent workers' active-count bookkeeping relies on. *)
+   never raised — so this function itself cannot raise, which [map]'s
+   joins rely on. *)
 let execute_round r =
   let stop = ref false in
   while not !stop do
@@ -121,240 +116,36 @@ let execute_round r =
       done
   done
 
-let round_finished r =
-  Atomic.get r.next >= r.tasks || Atomic.get r.failure <> None
-
 let reraise_failure r =
   match Atomic.get r.failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-(* ---- persistent pool: spawn once, submit many rounds ---- *)
+(* ---- fork-join map ---- *)
 
-module Persistent = struct
-  type state = {
-    m : Mutex.t;
-    work : Condition.t; (* workers: a newer round was published, or close *)
-    settled : Condition.t; (* awaiters/submitters: a worker left a round *)
-    mutable current : (int * round_core) option; (* (generation, round) *)
-    mutable generation : int;
-    mutable active : int; (* worker domains currently inside a round *)
-    mutable outstanding : bool; (* a round was submitted and not yet awaited *)
-    mutable closed : bool;
-    progress_lock : Mutex.t; (* every round's progress logging *)
-  }
-
-  type t = {
-    state : state;
-    mutable domains : unit Domain.t list; (* emptied by the (joined) shutdown *)
-  }
-
-  type 'a round = {
-    core : round_core;
-    results : 'a option array;
-    pool : t;
-  }
-
-  (* Each worker remembers the generation it last executed, so republishing
-     [current] can never re-run a finished round: a round is replaced only
-     after [await] proved every index was claimed and every worker left. *)
-  let worker_loop st =
-    let seen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock st.m;
-      while
-        (not st.closed)
-        &&
-        match st.current with
-        | Some (gen, _) -> gen <= !seen
-        | None -> true
-      do
-        Condition.wait st.work st.m
-      done;
-      if st.closed then begin
-        Mutex.unlock st.m;
-        running := false
-      end
-      else begin
-        let gen, r =
-          match st.current with Some g -> g | None -> assert false
-        in
-        st.active <- st.active + 1;
-        Mutex.unlock st.m;
-        execute_round r;
-        (* cannot raise: task exceptions land in r.failure *)
-        Mutex.lock st.m;
-        st.active <- st.active - 1;
-        Condition.broadcast st.settled;
-        Mutex.unlock st.m;
-        seen := gen
-      end
-    done
-
-  let domains t = List.length t.domains
-
-  (* A leaked pool must not wedge process exit (domains blocked in
-     Condition.wait would keep the runtime from shutting down), so live
-     pools sit in one registry drained by a single at_exit hook —
-     registered once, not once per pool, since the fork-join [map] below
-     creates a pool per call. *)
-  let registry_lock = Mutex.create ()
-  let registry : t list ref = ref []
-  let registry_hooked = ref false
-
-  let unregister t =
-    Mutex.lock registry_lock;
-    registry := List.filter (fun p -> p != t) !registry;
-    Mutex.unlock registry_lock
-
-  let shutdown t =
-    let st = t.state in
-    Mutex.lock st.m;
-    let first = not st.closed in
-    st.closed <- true;
-    Condition.broadcast st.work;
-    Mutex.unlock st.m;
-    if first then begin
-      List.iter Domain.join t.domains;
-      t.domains <- [];
-      unregister t
-    end
-
-  let register t =
-    Mutex.lock registry_lock;
-    registry := t :: !registry;
-    let hook = not !registry_hooked in
-    registry_hooked := true;
-    Mutex.unlock registry_lock;
-    if hook then
-      at_exit (fun () ->
-          Mutex.lock registry_lock;
-          let live = !registry in
-          Mutex.unlock registry_lock;
-          List.iter shutdown live)
-
-  let create ?(domains = cores () - 1) () =
-    if domains < 0 || domains > max_jobs then
-      invalid_arg
-        (Printf.sprintf "Pool.Persistent.create: domains must be in 0..%d, got %d"
-           max_jobs domains);
-    let state =
-      {
-        m = Mutex.create ();
-        work = Condition.create ();
-        settled = Condition.create ();
-        current = None;
-        generation = 0;
-        active = 0;
-        outstanding = false;
-        closed = false;
-        progress_lock = Mutex.create ();
-      }
-    in
-    let t = { state; domains = [] } in
-    t.domains <- List.init domains (fun _ -> Domain.spawn (fun () -> worker_loop state));
-    if domains > 0 then register t;
-    t
-
-  let submit t ~tasks ~f =
-    if tasks < 0 then invalid_arg "Pool.Persistent.submit: negative task count";
-    let st = t.state in
-    let results = Array.make tasks None in
-    let core =
-      make_round ~tasks
-        ~executors:(max 1 (List.length t.domains))
-        ~progress_lock:st.progress_lock ~run1:(fun i -> results.(i) <- Some (f i))
-    in
-    Mutex.lock st.m;
-    if st.closed then begin
-      Mutex.unlock st.m;
-      invalid_arg "Pool.Persistent.submit: pool is shut down"
-    end;
-    if st.outstanding then begin
-      Mutex.unlock st.m;
-      invalid_arg "Pool.Persistent.submit: previous round not yet awaited"
-    end;
-    if List.length t.domains = 0 && tasks > 0 then begin
-      Mutex.unlock st.m;
-      invalid_arg "Pool.Persistent.submit: pool has no worker domains (use map)"
-    end;
-    st.outstanding <- true;
-    if tasks > 0 then begin
-      st.generation <- st.generation + 1;
-      st.current <- Some (st.generation, core);
-      Condition.broadcast st.work
-    end;
-    Mutex.unlock st.m;
-    { core; results; pool = t }
-
-  let collect round =
-    reraise_failure round.core;
-    Array.map
-      (function Some v -> v | None -> assert false (* every index was claimed *))
-      round.results
-
-  let await round =
-    let st = round.pool.state in
-    Mutex.lock st.m;
-    while not (round_finished round.core && st.active = 0) do
-      Condition.wait st.settled st.m
-    done;
-    st.outstanding <- false;
-    Mutex.unlock st.m;
-    collect round
-
-  (* Caller participates: claim chunks alongside the worker domains, then
-     await the stragglers. With zero domains this is exactly the
-     sequential loop. *)
-  let map t ~tasks ~f =
-    if tasks < 0 then invalid_arg "Pool.Persistent.map: negative task count";
-    if tasks = 0 then [||]
-    else begin
-      let st = t.state in
-      let results = Array.make tasks None in
-      let core =
-        make_round ~tasks
-          ~executors:(1 + List.length t.domains)
-          ~progress_lock:st.progress_lock ~run1:(fun i -> results.(i) <- Some (f i))
-      in
-      Mutex.lock st.m;
-      if st.closed then begin
-        Mutex.unlock st.m;
-        invalid_arg "Pool.Persistent.map: pool is shut down"
-      end;
-      if st.outstanding then begin
-        Mutex.unlock st.m;
-        invalid_arg "Pool.Persistent.map: previous round not yet awaited"
-      end;
-      st.outstanding <- true;
-      st.generation <- st.generation + 1;
-      st.current <- Some (st.generation, core);
-      Condition.broadcast st.work;
-      Mutex.unlock st.m;
-      execute_round core;
-      Mutex.lock st.m;
-      while not (round_finished core && st.active = 0) do
-        Condition.wait st.settled st.m
-      done;
-      st.outstanding <- false;
-      Mutex.unlock st.m;
-      reraise_failure core;
-      Array.map (function Some v -> v | None -> assert false) results
-    end
-end
-
-(* ---- fork-join facade (the historical API) ---- *)
-
+(* The caller and [min jobs tasks - 1] spawned domains all run the one
+   round; the joins are the happens-before edge for the result slots.
+   [execute_round] cannot raise, so a failed spawn still leaves the
+   domains already spawned to finish the round before it propagates. *)
 let map t ~tasks ~f =
   if tasks < 0 then invalid_arg "Pool.map: negative task count";
   if tasks = 0 then [||]
   else begin
     let workers = min t.jobs tasks in
-    let p = Persistent.create ~domains:(workers - 1) () in
+    let results = Array.make tasks None in
+    let r =
+      make_round ~tasks ~executors:workers ~run1:(fun i -> results.(i) <- Some (f i))
+    in
+    let domains = ref [] in
     Fun.protect
-      ~finally:(fun () -> Persistent.shutdown p)
-      (fun () -> Persistent.map p ~tasks ~f)
+      ~finally:(fun () -> List.iter Domain.join !domains)
+      (fun () ->
+        for _ = 2 to workers do
+          domains := Domain.spawn (fun () -> execute_round r) :: !domains
+        done;
+        execute_round r);
+    reraise_failure r;
+    Array.map (function Some v -> v | None -> assert false (* every index ran *)) results
   end
 
 let map_reduce t ~tasks ~f ~merge ~init =

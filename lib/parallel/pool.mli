@@ -25,17 +25,12 @@
       no worker identity.
 
     A pool is a configuration, not a set of live threads: {!map} spawns
-    its domains on entry and joins them before it returns (fork-join), so
-    no state persists between calls and a [~jobs:1] pool is exactly the
-    sequential loop (no domain is ever spawned). Exceptions from tasks
-    cancel the remaining work and are re-raised (first failure wins, with
-    its backtrace).
-
-    When the per-call spawn/join is the wrong shape — long-lived shard
-    workers, a sweep issued round after round — use {!Persistent}, which
-    spawns its domains once and feeds them rounds; {!map} is itself a
-    one-round persistent pool, so both surfaces share one execution core
-    and one determinism contract. *)
+    [min jobs tasks - 1] domains on entry, works the tasks alongside them
+    on the calling domain, and joins them before it returns (fork-join),
+    so no state persists between calls and a [~jobs:1] pool is exactly
+    the sequential loop (no domain is ever spawned). Exceptions from
+    tasks cancel the remaining work and are re-raised (first failure
+    wins, with its backtrace); the pool stays usable for further calls. *)
 
 type t
 
@@ -81,74 +76,12 @@ val map_list : t -> f:('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool ~f xs] is [List.map f xs] with the calls fanned out;
     order is preserved. *)
 
-(** {2 Persistent pools}
-
-    Spawn once, submit many rounds. A round is the same unit {!map}
-    executes — [tasks] indices claimed off one atomic cursor, results in
-    per-index slots, first failure wins — but the worker domains outlive
-    it, so consecutive rounds pay no spawn/join latency, and a round can
-    be {e submitted} without the caller participating: the caller stays
-    free to run its own stage (e.g. a shard router feeding mailboxes)
-    concurrently with the workers, then collect at {!Persistent.await}.
-
-    A caller with nothing else to do should use {!Persistent.map}, which
-    works the round too: [submit] + [await] makes the caller wait out a
-    full Mutex + Condition handoff to a sleeping worker. An empty round of
-    4 no-op tasks at 1 worker costs about 16 µs that way and about 1 µs
-    through [map] (release, 2-vCPU host; [bench parallel] prints both).
-    Either is still more than a handful of short tasks is worth: run
-    those inline.
-
-    At most one round may be outstanding per pool at a time ({!Persistent.submit}
-    before the previous {!Persistent.await} is an [Invalid_argument]) —
-    the generation protocol guarantees a worker executes each round at
-    most once, and replacement only after the previous round fully
-    settled. Pools left un-{!Persistent.shutdown} are closed by an
-    [at_exit] hook so leaked worker domains cannot wedge process exit. *)
-
-module Persistent : sig
-  type t
-
-  type 'a round
-  (** A submitted, not-yet-awaited round producing ['a] results. *)
-
-  val create : ?domains:int -> unit -> t
-  (** Spawn [domains] worker domains (default [cores () - 1]; [0] is
-      legal and makes {!map} the sequential loop).
-      @raise Invalid_argument if [domains] is negative or absurd. *)
-
-  val domains : t -> int
-  (** Live worker domains ([0] after {!shutdown}). *)
-
-  val submit : t -> tasks:int -> f:(int -> 'a) -> 'a round
-  (** Publish a round to the worker domains and return immediately; the
-      caller does not execute tasks. Requires [domains t >= 1] when
-      [tasks > 0] (otherwise nothing would ever run it — use {!map}).
-      @raise Invalid_argument on negative [tasks], a shut-down pool, or
-      an already-outstanding round. *)
-
-  val await : 'a round -> 'a array
-  (** Block until every index of the round is computed (or one failed),
-      then return results in task-index order, re-raising the first task
-      exception if any. The await is the happens-before edge: results
-      written by worker domains are safe to read after it. *)
-
-  val map : t -> tasks:int -> f:(int -> 'a) -> 'a array
-  (** Submit + participate + await: the calling domain claims chunks
-      alongside the workers. Same contract as the top-level {!map}. *)
-
-  val shutdown : t -> unit
-  (** Close the pool and join its domains. Idempotent. Must not be
-      called with a round outstanding (the round would never finish).
-      Subsequent {!submit}/{!map} raise [Invalid_argument]. *)
-end
-
 (** {2 Progress}
 
     Each completed task emits one line on the [hpfq.parallel] {!Logs}
     source at [Info] level, rate-limited to at most one line per 100 ms
-    per round (the final task always reports), and serialized by one
-    mutex per pool. Off by default — [Logs]' default
+    per call (the final task always reports), and serialized by one
+    mutex per call. Off by default — [Logs]' default
     reporter and level suppress it; drivers opt in by installing a
     reporter and raising the source's level (see [hpfq_sim --progress]). *)
 

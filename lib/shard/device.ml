@@ -22,9 +22,7 @@ let default_workload ~rounds =
 
 type t = {
   links : int;
-  shards : int;
   workers : int;
-  mailbox_capacity : int;
   engine : Hpfq.Hier_engine.choice;
   spec : Hpfq.Class_tree.t;
   workload : workload;
@@ -49,15 +47,12 @@ let default_spec ~queue_cap_pkts ~packet_bits =
            [ leaf "lo/a" ~rate:(0.2 *. r); leaf "lo/b" ~rate:(0.2 *. r) ];
        ])
 
-let create ?(workers = 1) ?shards ?(mailbox_capacity = 256)
-    ?(engine = `Auto) ?spec ?(queue_cap_pkts = 64) ?workload
-    ?(record_traces = false) ?(observe = false) ~links () =
-  let shards = match shards with Some s -> s | None -> workers in
+let create ?(workers = 1) ?(engine = `Auto) ?spec ?(queue_cap_pkts = 64)
+    ?workload ?(record_traces = false) ?(observe = false) ~links () =
   if links < 1 then invalid_arg "Device.create: links must be >= 1";
-  if workers < 1 then invalid_arg "Device.create: workers must be >= 1";
-  if shards < 1 then invalid_arg "Device.create: shards must be >= 1";
-  if mailbox_capacity < 1 then
-    invalid_arg "Device.create: mailbox_capacity must be >= 1";
+  if workers < 1 || workers > Parallel.Pool.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Device.create: workers must be in 1..%d" Parallel.Pool.max_jobs);
   let workload =
     match workload with Some w -> w | None -> default_workload ~rounds:50
   in
@@ -80,11 +75,9 @@ let create ?(workers = 1) ?shards ?(mailbox_capacity = 256)
   | Ok () -> ()
   | Error es ->
     invalid_arg ("Device.create: invalid spec: " ^ String.concat "; " es));
-  { links; shards; workers; mailbox_capacity; engine; spec; workload;
-    record_traces; observe }
+  { links; workers; engine; spec; workload; record_traces; observe }
 
 let links t = t.links
-let shards t = t.shards
 let workers t = t.workers
 let spec t = t.spec
 let workload t = t.workload
@@ -119,7 +112,6 @@ let hash_hex h = Printf.sprintf "%016Lx" h
 
 type link_result = {
   link : int;
-  shard : int;
   departed_pkts : int;
   departed_bits : float;
   drops : int;
@@ -142,7 +134,7 @@ type result = {
   device_hash : int64;
 }
 
-(* ---- the per-link simulation (shared by workers and the reference) ---- *)
+(* ---- the per-link simulation ---- *)
 
 type link_state = {
   ls_link : int;
@@ -153,7 +145,7 @@ type link_state = {
   ls_bits : float ref;
   ls_hash : int64 ref;
   ls_trace : (int * int * float) list ref; (* newest first *)
-  mutable ls_synced : float; (* sim advanced to this ingress stamp *)
+  mutable ls_synced : float; (* sim advanced to this round stamp *)
   ls_trace_obs : Obs.Trace.t option;
 }
 
@@ -162,9 +154,9 @@ let make_link_state t ~link =
   let pkts = ref 0 and bits = ref 0.0 and hash = ref 0L in
   let trace = ref [] in
   let engine =
-    (* the workload's ingress burst cap doubles as the link's drain cap:
-       backlogged shards retire whole bursts per simulator event (the
-       determinism contract keeps the device hash unchanged) *)
+    (* the workload's per-round burst cap doubles as the link's drain
+       cap: a backlogged link retires whole bursts per simulator event
+       (the determinism contract keeps the device hash unchanged) *)
     Hpfq.Hier_engine.create ~sim ~spec:t.spec
       ~factory:Hpfq.Disciplines.wf2q_plus ~engine:t.engine
       ~burst_max:(max 1 t.workload.burst_max) ()
@@ -216,12 +208,11 @@ let inject s ~leaf_slot ~size_bits ~count =
   Hpfq.Hier_engine.inject_many s.ls_engine ~leaf:s.ls_leaf_ids.(leaf_slot)
     ~size_bits ~count
 
-let finish t s ~shard =
+let finish t s =
   Sim.run s.ls_sim; (* drain: every queued packet departs *)
   Option.iter Obs.Trace.detach s.ls_trace_obs;
   {
     link = s.ls_link;
-    shard;
     departed_pkts = !(s.ls_pkts);
     departed_bits = !(s.ls_bits);
     drops = Hpfq.Hier_engine.drops s.ls_engine;
@@ -236,7 +227,7 @@ let finish t s ~shard =
     metrics =
       Option.map
         (fun tr ->
-          (* materialize in the owning worker: the caller reads the report
+          (* materialize in the link's task: the caller reads the report
              after the join, but the thunk must not re-touch live state *)
           let r = Obs.Trace.metrics_report tr in
           let rows = Stats.Report.rows r in
@@ -247,164 +238,21 @@ let finish t s ~shard =
         s.ls_trace_obs;
   }
 
-(* ---- ingress messages ---- *)
+(* ---- replay ---- *)
 
-type batch = { b_link : int; b_leaf : int; b_count : int }
-type msg = Round of { at : float; batches : batch array } | Close
-
-(* ---- the sharded run ---- *)
-
-let owned_links t ~shard =
-  let acc = ref [] in
-  for link = t.links - 1 downto 0 do
-    if Flow_table.shard_of_link ~links:t.links ~shards:t.shards link = shard
-    then acc := link :: !acc
-  done;
-  !acc
-
-let run t =
+(* One link's whole run: its flows (ascending ids) draw their bursts from
+   their own [for_task] streams round by round, so the replay needs
+   nothing from any other link. *)
+let replay t ~link ~flows =
   let w = t.workload in
-  let flows = w.flows_per_link * t.links in
-  let dt = round_dt t in
-  (* A dedicated consumer per mailbox is what makes bounded backpressure
-     deadlock-free; with fewer workers than shards one domain drains
-     mailboxes sequentially, so every round of every shard must fit. *)
-  let capacity =
-    if t.shards <= t.workers then t.mailbox_capacity
-    else max t.mailbox_capacity (w.rounds + 2)
-  in
-  let mailboxes = Array.init t.shards (fun _ -> Spsc.create ~capacity) in
-  let slots : link_result option array = Array.make t.links None in
-  let consume shard =
-    let states =
-      List.map (fun link -> make_link_state t ~link) (owned_links t ~shard)
-    in
-    let by_link = Hashtbl.create 16 in
-    List.iter (fun s -> Hashtbl.replace by_link s.ls_link s) states;
-    let mailbox = mailboxes.(shard) in
-    let rec loop () =
-      match Spsc.pop mailbox with
-      | Close -> ()
-      | Round { at; batches } ->
-        Array.iter
-          (fun b ->
-            let s = Hashtbl.find by_link b.b_link in
-            sync_to s ~at;
-            inject s ~leaf_slot:b.b_leaf ~size_bits:w.packet_bits
-              ~count:b.b_count)
-          batches;
-        loop ()
-    in
-    (match loop () with
-    | () -> ()
-    | exception e ->
-      (* unwedge the router before propagating: it may be blocked pushing
-         into this shard's bounded mailbox *)
-      let rec drain () = match Spsc.pop mailbox with Close -> () | Round _ -> drain () in
-      drain ();
-      raise e);
-    List.iter (fun s -> slots.(s.ls_link) <- Some (finish t s ~shard)) states
-  in
-  let produce () =
-    let root = Rng.create w.seed in
-    let rngs = Array.init flows (fun f -> Rng.for_task root f) in
-    let f_link = Array.init flows (fun f -> Flow_table.link_of_flow ~links:t.links f) in
-    let f_leaf =
-      let leaves = List.length (Hpfq.Class_tree.leaves t.spec) in
-      Array.init flows (fun f -> Flow_table.leaf_of_flow ~leaves f)
-    in
-    let f_shard =
-      Array.map (fun link -> Flow_table.shard_of_link ~links:t.links ~shards:t.shards link) f_link
-    in
-    let buffers = Array.make t.shards [] in
-    for r = 0 to w.rounds - 1 do
-      let at = float_of_int r *. dt in
-      Array.fill buffers 0 t.shards [];
-      for f = 0 to flows - 1 do
-        let count = Rng.int rngs.(f) (w.burst_max + 1) in
-        if count > 0 then
-          buffers.(f_shard.(f)) <-
-            { b_link = f_link.(f); b_leaf = f_leaf.(f); b_count = count }
-            :: buffers.(f_shard.(f))
-      done;
-      for s = 0 to t.shards - 1 do
-        match buffers.(s) with
-        | [] -> ()
-        | bs ->
-          Spsc.push mailboxes.(s)
-            (Round { at; batches = Array.of_list (List.rev bs) })
-      done
-    done;
-    Array.iter (fun mb -> Spsc.push mb Close) mailboxes
-  in
-  let pool = Parallel.Pool.Persistent.create ~domains:t.workers () in
-  let t0 = Unix.gettimeofday () in
-  let round = Parallel.Pool.Persistent.submit pool ~tasks:t.shards ~f:consume in
-  let outcome =
-    match produce () with
-    | () -> Ok ()
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      (* the workers block in [pop] until their Close arrives; a mailbox
-         whose consumer already exited is empty, so one more Close fits *)
-      Array.iter (fun mb -> Spsc.push mb Close) mailboxes;
-      Error (e, bt)
-  in
-  (* await even on a router failure: workers must settle before shutdown *)
-  let awaited =
-    match Parallel.Pool.Persistent.await round with
-    | _ -> Ok ()
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Parallel.Pool.Persistent.shutdown pool;
-  (match outcome with
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Ok () -> ());
-  (match awaited with
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Ok () -> ());
-  let per_link =
-    Array.mapi
-      (fun link -> function
-        | Some r -> r
-        | None ->
-          failwith (Printf.sprintf "Device.run: link %d has no result" link))
-      slots
-  in
-  let device_hash =
-    Array.fold_left (fun h r -> fold_hash h r.trace_hash) 0L per_link
-  in
-  {
-    per_link;
-    wall_s;
-    total_pkts = Array.fold_left (fun a r -> a + r.departed_pkts) 0 per_link;
-    total_bits = Array.fold_left (fun a r -> a +. r.departed_bits) 0.0 per_link;
-    total_drops = Array.fold_left (fun a r -> a + r.drops) 0 per_link;
-    total_events = Array.fold_left (fun a r -> a + r.events) 0 per_link;
-    device_hash;
-  }
-
-(* ---- sequential oracle ---- *)
-
-let run_link_reference t ~link =
-  if link < 0 || link >= t.links then
-    invalid_arg (Printf.sprintf "Device.run_link_reference: link %d out of range" link);
-  let w = t.workload in
-  let flows = w.flows_per_link * t.links in
   let dt = round_dt t in
   let s = make_link_state t ~link in
   let leaves = List.length (Hpfq.Class_tree.leaves t.spec) in
   let root = Rng.create w.seed in
-  (* only this link's flows — for_task streams are independent per index,
-     so skipping the other flows changes nothing for these *)
-  let mine = ref [] in
-  for f = flows - 1 downto 0 do
-    if Flow_table.link_of_flow ~links:t.links f = link then
-      mine :=
-        (Rng.for_task root f, Flow_table.leaf_of_flow ~leaves f) :: !mine
-  done;
-  let mine = Array.of_list !mine in
+  let mine =
+    Array.of_list
+      (List.map (fun f -> (Rng.for_task root f, Flow_table.leaf_of_flow ~leaves f)) flows)
+  in
   for r = 0 to w.rounds - 1 do
     let at = float_of_int r *. dt in
     Array.iter
@@ -416,18 +264,48 @@ let run_link_reference t ~link =
         end)
       mine
   done;
-  finish t s ~shard:(Flow_table.shard_of_link ~links:t.links ~shards:t.shards link)
+  finish t s
+
+let run t =
+  let t0 = Unix.gettimeofday () in
+  let flows = Array.make t.links [] in
+  for f = (t.workload.flows_per_link * t.links) - 1 downto 0 do
+    let link = Flow_table.link_of_flow ~links:t.links f in
+    flows.(link) <- f :: flows.(link)
+  done;
+  let pool = Parallel.Pool.create ~jobs:t.workers () in
+  let per_link =
+    Parallel.Pool.map pool ~tasks:t.links ~f:(fun link -> replay t ~link ~flows:flows.(link))
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  {
+    per_link;
+    wall_s;
+    total_pkts = Array.fold_left (fun a r -> a + r.departed_pkts) 0 per_link;
+    total_bits = Array.fold_left (fun a r -> a +. r.departed_bits) 0.0 per_link;
+    total_drops = Array.fold_left (fun a r -> a + r.drops) 0 per_link;
+    total_events = Array.fold_left (fun a r -> a + r.events) 0 per_link;
+    device_hash = Array.fold_left (fun h r -> fold_hash h r.trace_hash) 0L per_link;
+  }
+
+let run_link_reference t ~link =
+  if link < 0 || link >= t.links then
+    invalid_arg (Printf.sprintf "Device.run_link_reference: link %d out of range" link);
+  replay t ~link
+    ~flows:
+      (List.filter
+         (fun f -> Flow_table.link_of_flow ~links:t.links f = link)
+         (List.init (t.workload.flows_per_link * t.links) Fun.id))
 
 (* ---- merged reports ---- *)
 
 let report result =
   Stats.Report.make ~name:"shard-device"
-    ~columns:[ "link"; "shard"; "pkts"; "bits"; "drops"; "events"; "final_s"; "trace_hash" ]
+    ~columns:[ "link"; "pkts"; "bits"; "drops"; "events"; "final_s"; "trace_hash" ]
     ~rows:(fun () ->
       let row r =
         [
           string_of_int r.link;
-          string_of_int r.shard;
           string_of_int r.departed_pkts;
           Printf.sprintf "%.9g" r.departed_bits;
           string_of_int r.drops;
@@ -440,7 +318,6 @@ let report result =
       @ [
           [
             "device";
-            "-";
             string_of_int result.total_pkts;
             Printf.sprintf "%.9g" result.total_bits;
             string_of_int result.total_drops;

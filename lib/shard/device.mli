@@ -1,31 +1,29 @@
 (** Multi-port scheduling device: N independent output links, each its own
-    H-WF²Q+ instance on a private simulator, sharded over worker domains
-    behind a batched ingress router.
+    H-WF²Q+ instance on a private simulator, replayed in parallel over
+    worker domains.
 
     The paper defines H-WF²Q+ per output link; a device schedules hundreds
     of them at once. Here every link is one {!Hpfq.Hier_engine} (flat by
-    default) with its own {!Engine.Simulator}, links are partitioned over
-    shards by the stable {!Flow_table}, each shard is drained by one
-    worker domain from a {!Parallel.Pool.Persistent} pool, and the caller
-    acts as the ingress: it walks the flow table round by round, batches
-    arrivals per shard, and feeds bounded {!Spsc} mailboxes while the
-    workers run their links' event loops concurrently — a barrier-free
-    steady-state loop with backpressure, not a fork-join per round.
+    default) with its own {!Engine.Simulator}. The stable {!Flow_table}
+    wires each flow to one link and one leaf, and each flow draws its
+    bursts from its own {!Engine.Rng.for_task} stream, so no link depends
+    on another: {!run} is a fork-join {!Parallel.Pool.map} over the links,
+    each task replaying one link's arrivals round by round to the end of
+    its run.
 
     {2 Determinism contract}
 
-    A link's simulation consumes {e only} per-flow {!Engine.Rng.for_task}
-    streams and its own private simulator, and the router's flow table is
-    pure, so each link's departure trace (packet ids, sequence numbers,
-    departure stamps, drops) is a function of [(seed, workload, links,
-    spec)] alone — bit-identical for any worker or shard count, and
-    bit-identical to {!run_link_reference}, the plain sequential replay
-    of that one link with no pool, no mailboxes and no domains. The
-    lockstep tests hold {!run} to exactly that. *)
+    A link's simulation consumes {e only} its own flows' streams and its
+    own private simulator, so each link's departure trace (packet ids,
+    sequence numbers, departure stamps, drops) is a function of [(seed,
+    workload, links, spec)] alone — bit-identical for any worker count,
+    and bit-identical to {!run_link_reference}, the same replay of that
+    one link in the calling domain. The lockstep tests hold {!run} to
+    exactly that. *)
 
 type workload = {
   flows_per_link : int;  (** flow population = [flows_per_link * links] *)
-  rounds : int;  (** ingress rounds; one router pass per round *)
+  rounds : int;  (** arrival rounds; every flow draws one burst per round *)
   burst_max : int;
       (** per flow per round, a uniform draw in [0 .. burst_max] packets *)
   packet_bits : float;
@@ -46,8 +44,6 @@ type t
 
 val create :
   ?workers:int ->
-  ?shards:int ->
-  ?mailbox_capacity:int ->
   ?engine:Hpfq.Hier_engine.choice ->
   ?spec:Hpfq.Class_tree.t ->
   ?queue_cap_pkts:int ->
@@ -57,28 +53,23 @@ val create :
   links:int ->
   unit ->
   t
-(** [workers] (default 1) worker domains drain [shards] (default
-    [workers]) mailboxes. [spec] is the per-link class tree (default: a
+(** [workers] (default 1) is the {!Parallel.Pool} job count the links
+    are spread over. [spec] is the per-link class tree (default: a
     4-leaf two-level tree at 1 Gbps with every leaf queue capped at
     [queue_cap_pkts] packets — a user-supplied [spec] is taken as-is).
-    [mailbox_capacity] (default 256) bounds each shard mailbox; when
-    [shards > workers] one domain drains several mailboxes sequentially,
-    so the effective capacity is raised to hold a whole run — bounded
-    backpressure requires a dedicated consumer per mailbox.
     [record_traces] keeps full per-link departure traces (tests);
     [observe] attaches a per-link {!Obs.Trace} and keeps its metrics.
     @raise Invalid_argument on nonsensical geometry or workload (a NaN
-    or infinite [overload] included). *)
+    or infinite [overload] included, and [workers] outside
+    [1 .. Parallel.Pool.max_jobs]). *)
 
 val links : t -> int
-val shards : t -> int
 val workers : t -> int
 val spec : t -> Hpfq.Class_tree.t
 val workload : t -> workload
 
 type link_result = {
   link : int;
-  shard : int;  (** owner shard under this geometry *)
   departed_pkts : int;
   departed_bits : float;
   drops : int;
@@ -107,19 +98,20 @@ type result = {
 }
 
 val run : t -> result
-(** Spawn the worker pool, route the whole workload, drain every link,
-    join, aggregate. Worker exceptions re-raise here (after the mailboxes
-    are drained so the router cannot wedge). *)
+(** Replay every link ({!Parallel.Pool.map} over the links at [workers]
+    jobs), then aggregate. The first exception a link's replay raises
+    re-raises here, after every domain has been joined. *)
 
 val run_link_reference : t -> link:int -> link_result
-(** The determinism oracle: replay link [link] of the same configured
-    workload sequentially in the calling domain — no pool, no mailboxes.
-    Equal to [run t].per_link.(link) field for field (modulo [sim] and
-    [metrics] identity) for every worker/shard count. *)
+(** One link on its own: replay link [link] of the same configured
+    workload in the calling domain, with no pool — the replay each of
+    {!run}'s tasks performs. Equal to [run t].per_link.(link) field for
+    field (modulo [sim] and [metrics] identity) for every worker count.
+    @raise Invalid_argument if [link] is out of range. *)
 
 val report : result -> Stats.Report.t
-(** Per-link rows (link, shard, pkts, bits, drops, events, final time,
-    trace hash) plus a device-total row. *)
+(** Per-link rows (link, pkts, bits, drops, events, final time, trace
+    hash) plus a device-total row. *)
 
 val sim_report : result -> Stats.Report.t
 (** The merged event-set/occupancy table: {!Obs.Trace.sim_report} over

@@ -24,21 +24,6 @@ let leaf_of_flow ~leaves flow =
   if flow < 0 then invalid_arg "Flow_table.leaf_of_flow: flow must be >= 0";
   hash ~salt:leaf_salt flow mod leaves
 
-(* Block partition [link * shards / links]: contiguous link ranges per
-   shard, every shard non-empty when shards <= links, and — unlike
-   [link mod shards] — owning shard sets only coarsen/refine as the shard
-   count changes, which keeps per-shard working sets contiguous. *)
-let shard_of_link ~links ~shards link =
-  if links < 1 then invalid_arg "Flow_table.shard_of_link: links must be >= 1";
-  if shards < 1 then invalid_arg "Flow_table.shard_of_link: shards must be >= 1";
-  if link < 0 || link >= links then
-    invalid_arg
-      (Printf.sprintf "Flow_table.shard_of_link: link %d out of 0..%d" link (links - 1));
-  link * shards / links
-
-let shard_of_flow ~links ~shards flow =
-  shard_of_link ~links ~shards (link_of_flow ~links flow)
-
 (* Open-on-first-arrival session table: external flow ids map onto policy
    sessions that may not exist yet; the first packet of a flow opens its
    session at ingress, and a close simply forgets the mapping (a later

@@ -1,13 +1,12 @@
 (** Stable flow routing for the multi-port device.
 
-    Three pure functions of their arguments and nothing else — no state,
-    no RNG draws, no dependence on batch size, worker count, or call
-    order. That purity {e is} the flow-stability invariant the ingress
-    router relies on (and the property tests pin down): the same flow id
-    always lands on the same output link and the same class leaf, and a
-    link always belongs to the same shard for a given [(links, shards)]
-    geometry, so re-sharding the device (changing worker count) can only
-    re-partition whole links, never split one link's arrival stream.
+    Two pure functions of their arguments and nothing else — no state,
+    no RNG draws, no dependence on worker count or call order. That
+    purity {e is} the flow-stability invariant the device relies on (and
+    the property tests pin down): the same flow id always lands on the
+    same output link and the same class leaf, so each link's arrival
+    stream is fixed by the workload alone and a link can be replayed on
+    any domain, or on its own.
 
     Hashing is {!Engine.Rng.mix64} (SplitMix64 finalizer) rather than
     [Hashtbl.hash]: full 64-bit avalanche, identical across OCaml
@@ -24,19 +23,6 @@ val leaf_of_flow : leaves:int -> int -> int
     independent hash dimension from {!link_of_flow}, so sibling flows on
     one link spread over the link's classes.
     @raise Invalid_argument if [leaves < 1] or [flow < 0]. *)
-
-val shard_of_link : links:int -> shards:int -> int -> int
-(** [shard_of_link ~links ~shards link] — the shard in [0 .. shards-1]
-    that owns [link]. A block partition (links are contiguous per shard):
-    deterministic in [(links, shards, link)] alone, monotone in [link],
-    and every shard owns at least one link when [shards <= links].
-    @raise Invalid_argument if the geometry is invalid or [link] is out
-    of range. *)
-
-val shard_of_flow : links:int -> shards:int -> int -> int
-(** [shard_of_flow ~links ~shards flow] is
-    [shard_of_link ~links ~shards (link_of_flow ~links flow)] — the
-    composition the router actually uses. *)
 
 (** Open-on-first-arrival flow→session mapping for a dynamic session set.
 

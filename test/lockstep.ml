@@ -256,16 +256,27 @@ type plane = {
   flat : HF.t option;
 }
 
+(* Whatever a hook raises fails the run, naming the config and the hook:
+   [run] counts an op's [Invalid_argument] as a rejected op, and one raised
+   by a hook the op triggered (a read of a freed handle, say) must not
+   pass for that. *)
+let guard c hook f x ~leaf t =
+  try f x ~leaf t
+  with e ->
+    failwith (Printf.sprintf "%s: the %s hook raised %s" (config_name c) hook (Printexc.to_string e))
+
 (* [checks] are a pooled engine's first departure and drop hooks: they
-   see the handle before the boxed hooks materialise a packet from it. *)
+   see the handle before the boxed hooks materialise a packet from it,
+   which happens inside the guard. *)
 let plane c ~sim s ~on_depart ~on_drop ~checks:(at_depart, at_drop) =
   let root_clock = if s.root_ref then `Reference_time else `Real_time in
   let pooled factory engine =
     let h = HE.create ~sim ~spec:s.spec ~factory ~engine ~root_clock ~burst_max:c.burst () in
-    HE.add_depart_handle_hook h (fun _ ~leaf:_ _ -> at_depart ());
-    HE.add_drop_handle_hook h (fun _ ~leaf _ -> at_drop leaf);
-    HE.add_depart_hook h on_depart;
-    HE.add_drop_hook h on_drop;
+    let boxed hook f = guard c hook (fun p -> f (Net.Packet_pool.to_packet (HE.pool h) p)) in
+    HE.add_depart_handle_hook h (guard c "departure check" (fun _ ~leaf:_ _ -> at_depart ()));
+    HE.add_drop_handle_hook h (guard c "drop check" (fun _ ~leaf _ -> at_drop leaf));
+    HE.add_depart_handle_hook h (boxed "on_depart" on_depart);
+    HE.add_drop_handle_hook h (boxed "on_drop" on_drop);
     let id = Array.of_list (List.map (HE.leaf_id h) s.leaves) in
     {
       inject = (fun l size_bits -> ignore (HE.inject h ~leaf:id.(l) ~size_bits));
@@ -287,7 +298,7 @@ let plane c ~sim s ~on_depart ~on_drop ~checks:(at_depart, at_drop) =
   | Boxed ->
     let h =
       Bhier.create ~sim ~spec:s.spec ~make_policy:(Bhier.uniform wf2q_plus) ~root_clock
-        ~on_depart ~on_drop ()
+        ~on_depart:(guard c "on_depart" on_depart) ~on_drop:(guard c "on_drop" on_drop) ()
     in
     Bhier.set_burst_max h c.burst;
     let id = Array.of_list (List.map (Bhier.leaf_id h) s.leaves) in

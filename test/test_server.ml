@@ -252,7 +252,6 @@ let run_burst factory sc burst_max =
   let server =
     Server.create ~sim ~rate:1.0 ~burst_max
       ~policy:(factory.Sched.Sched_intf.make ~rate:1.0)
-      ~on_drop:(fun p t -> drops := (p.Net.Packet.flow, p.Net.Packet.seq, t) :: !drops)
       ()
   in
   let n = Array.length sc.rates in
@@ -262,27 +261,51 @@ let run_burst factory sc burst_max =
   in
   let slot i = Sched.Session_handle.slot handles.(i) in
   let closed = Array.make n false in
+  (* Pool conservation: every live handle is queued, on the wire, or one
+     of [extra] handles in hand — the departing packet inside a departure
+     hook, the dropped one inside a drop hook. *)
+  let conserved where ~extra =
+    let live = Net.Packet_pool.live_count (Server.pool server)
+    and held = Server.queued_packets server + Bool.to_int (Server.busy server) + extra in
+    if live <> held then
+      QCheck.Test.fail_reportf "%s: %d packet handles live %s, %d held"
+        factory.Sched.Sched_intf.kind live where held
+  in
+  (* What the test is doing when a drop hook runs: one of its scheduled
+     ops, a follow-up inject inside a departure hook (the departing packet
+     is in hand too), or neither: then [complete] is finishing a `Drop
+     close deferred behind the wire packet, and it frees the departed
+     packet only after the drops and the departure hooks. *)
+  let doing = ref `Completion in
+  let while_ what f =
+    doing := what;
+    f ();
+    doing := `Completion
+  in
   let inject i bits count =
     if not closed.(i) then
       if count = 1 then ignore (Server.inject server ~session:(slot i) ~size_bits:bits)
       else Server.inject_batch server ~session:(slot i) ~size_bits:bits ~count
   in
+  (* the check runs before the boxed hook reads the handle *)
+  Server.add_drop_handle_hook server (fun _ _ ->
+      conserved "at a drop"
+        ~extra:(match !doing with `Op -> 1 | `Departure | `Completion -> 2));
+  Server.add_drop_hook server (fun p t ->
+      drops := (p.Net.Packet.flow, p.Net.Packet.seq, t) :: !drops);
   (* closed loop: some departures inject a follow-up into the next session *)
   Server.add_depart_hook server (fun p t ->
-      (* pool conservation: every live handle is queued, on the wire or
-         this departing one *)
-      let live = Net.Packet_pool.live_count (Server.pool server)
-      and held = Server.queued_packets server + Bool.to_int (Server.busy server) + 1 in
-      if live <> held then
-        QCheck.Test.fail_reportf "%s: %d packet handles live at a departure, %d held"
-          factory.Sched.Sched_intf.kind live held;
+      conserved "at a departure" ~extra:1;
       let flow = p.Net.Packet.flow and seq = p.Net.Packet.seq in
       departs := (flow, seq, t) :: !departs;
       if (flow + seq) mod 3 = 0 && seq < 30 then
-        inject ((flow + 1) mod n) burst_sizes.(seq mod 4) 1);
+        while_ `Departure (fun () -> inject ((flow + 1) mod n) burst_sizes.(seq mod 4) 1));
   List.iter
     (fun (at, i, bits, count) ->
-      ignore (Sim.schedule sim ~at (fun () -> inject i bits count)))
+      ignore
+        (Sim.schedule sim ~at (fun () ->
+             while_ `Op (fun () -> inject i bits count);
+             conserved "after an inject" ~extra:0)))
     sc.arrivals;
   List.iter
     (fun (at, i, policy) ->
@@ -291,8 +314,9 @@ let run_burst factory sc burst_max =
              if not closed.(i) then begin
                closed.(i) <- true;
                let policy = if drop_ok then policy else `Drain in
-               Server.close_session server ~policy handles.(i)
-             end)))
+               while_ `Op (fun () -> Server.close_session server ~policy handles.(i))
+             end;
+             conserved "after a close" ~extra:0)))
     sc.closes;
   Sim.run ~until:sc.horizon sim;
   Sim.run sim;

@@ -1,106 +1,28 @@
-(* The sharded multi-port device, bottom up:
+(* The multi-port device, bottom up:
 
-   - Spsc: FIFO order, bounded capacity, cross-domain blocking handoff;
-   - Flow_table: pure and stable — the same (flow, geometry) always maps
-     to the same link/leaf/shard, whole links move atomically between
-     shards, every in-range output is hit;
+   - Flow_table: pure and stable — the same flow always maps to the same
+     link and leaf, in range;
    - Device: the lockstep differential. Random link counts, workloads
-     and worker/shard geometries must produce exactly equal per-link
-     departure traces, stamps, drop counts and hashes — -j1 vs -jK, and
-     both vs the plain sequential per-link oracle [run_link_reference];
+     and worker counts must produce exactly equal per-link departure
+     traces, stamps, drop counts and hashes — -j1 vs -jK, and both vs
+     the one-link replay [run_link_reference];
    - merged reports keep their shape (per-link rows + device totals). *)
 
 module Q = QCheck
 
-(* ---- Spsc ---- *)
-
-let test_spsc_fifo_and_capacity () =
-  let q = Shard.Spsc.create ~capacity:4 in
-  Alcotest.(check int) "rounded to a power of two" 4 (Shard.Spsc.capacity q);
-  Alcotest.(check bool) "push 4" true
-    (List.for_all (fun v -> Shard.Spsc.try_push q v) [ 1; 2; 3; 4 ]);
-  Alcotest.(check bool) "5th rejected: full" false (Shard.Spsc.try_push q 5);
-  Alcotest.(check int) "length" 4 (Shard.Spsc.length q);
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4 ]
-    (List.init 4 (fun _ -> Option.get (Shard.Spsc.try_pop q)));
-  Alcotest.(check (option int)) "empty" None (Shard.Spsc.try_pop q);
-  (match Shard.Spsc.create ~capacity:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 must be rejected")
-
-let test_spsc_cross_domain_blocking () =
-  (* a tiny mailbox forces both blocking paths: the producer fills it and
-     must sleep until the consumer drains; the consumer outruns it and
-     must sleep until more arrives. The order of everything received must
-     still be exactly the order sent. *)
-  let q = Shard.Spsc.create ~capacity:2 in
-  let n = 10_000 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let acc = ref [] in
-        let rec go () =
-          match Shard.Spsc.pop q with
-          | -1 -> List.rev !acc
-          | v ->
-            acc := v :: !acc;
-            go ()
-        in
-        go ())
-  in
-  for i = 0 to n - 1 do
-    Shard.Spsc.push q i
-  done;
-  Shard.Spsc.push q (-1);
-  let received = Domain.join consumer in
-  Alcotest.(check int) "all received" n (List.length received);
-  Alcotest.(check bool) "in order" true
-    (List.for_all2 ( = ) received (List.init n (fun i -> i)))
-
 (* ---- Flow_table ---- *)
 
-let geometry_gen =
-  Q.Gen.(
-    triple (int_range 1 64) (* links *) (int_range 1 8) (* shards *)
-      (int_range 0 4096) (* flow *))
-
-let prop_flow_table_stable_and_in_range =
-  Q.Test.make ~count:500 ~name:"flow_table: pure, in range, composition holds"
-    (Q.make geometry_gen) (fun (links, shards, flow) ->
+let prop_flow_table_pure_and_in_range =
+  Q.Test.make ~count:500 ~name:"flow_table: pure and in range"
+    (Q.make Q.Gen.(triple (int_range 1 64) (* links *) (int_range 1 8) (* leaves *)
+                     (int_range 0 4096) (* flow *)))
+    (fun (links, leaves, flow) ->
       let link = Shard.Flow_table.link_of_flow ~links flow in
-      let shard = Shard.Flow_table.shard_of_flow ~links ~shards flow in
-      link >= 0 && link < links && shard >= 0 && shard < shards
+      let leaf = Shard.Flow_table.leaf_of_flow ~leaves flow in
+      link >= 0 && link < links && leaf >= 0 && leaf < leaves
       (* pure: asking twice is identical *)
       && Shard.Flow_table.link_of_flow ~links flow = link
-      (* a flow's shard is its link's shard: re-sharding moves whole links *)
-      && Shard.Flow_table.shard_of_link ~links ~shards link = shard)
-
-let prop_same_flow_same_shard_across_worker_counts =
-  (* the satellite property: for a fixed links count, the (flow -> link)
-     map cannot depend on the shard/worker count at all *)
-  Q.Test.make ~count:300 ~name:"flow_table: link assignment ignores shards"
-    (Q.make Q.Gen.(pair (int_range 1 64) (int_range 0 4096)))
-    (fun (links, flow) ->
-      let link = Shard.Flow_table.link_of_flow ~links flow in
-      List.for_all
-        (fun shards ->
-          Shard.Flow_table.shard_of_flow ~links ~shards flow
-          = Shard.Flow_table.shard_of_link ~links ~shards link)
-        [ 1; 2; 3; 5; 8 ])
-
-let test_flow_table_covers_all_shards () =
-  (* block partition: with shards <= links every shard owns >= 1 link *)
-  List.iter
-    (fun (links, shards) ->
-      let owners =
-        List.sort_uniq compare
-          (List.init links (fun link ->
-               Shard.Flow_table.shard_of_link ~links ~shards link))
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "links=%d shards=%d" links shards)
-        (List.init shards (fun s -> s))
-        owners)
-    [ (1, 1); (4, 4); (16, 3); (64, 8); (1024, 7) ]
+      && Shard.Flow_table.leaf_of_flow ~leaves flow = leaf)
 
 let test_flow_table_rejects_bad_geometry () =
   let invalid f = match f () with
@@ -110,14 +32,13 @@ let test_flow_table_rejects_bad_geometry () =
   invalid (fun () -> Shard.Flow_table.link_of_flow ~links:0 3);
   invalid (fun () -> Shard.Flow_table.link_of_flow ~links:4 (-1));
   invalid (fun () -> Shard.Flow_table.leaf_of_flow ~leaves:0 3);
-  invalid (fun () -> Shard.Flow_table.shard_of_link ~links:4 ~shards:2 4);
-  invalid (fun () -> Shard.Flow_table.shard_of_link ~links:4 ~shards:0 1)
+  invalid (fun () -> Shard.Flow_table.leaf_of_flow ~leaves:4 (-1))
 
 (* ---- Device lockstep differential ---- *)
 
-let device ~workers ~shards ~links ~rounds ~seed =
+let device ~workers ~links ~rounds ~seed =
   let workload = { (Shard.Device.default_workload ~rounds) with seed } in
-  Shard.Device.create ~workers ~shards ~workload ~record_traces:true ~links ()
+  Shard.Device.create ~workers ~workload ~record_traces:true ~links ()
 
 let check_links_equal ~what (a : Shard.Device.link_result array)
     (b : Shard.Device.link_result array) =
@@ -146,35 +67,42 @@ let lockstep_gen =
   Q.Gen.(
     let* links = int_range 1 12 in
     let* workers = int_range 2 4 in
-    let* shards = int_range 1 6 in
     let* rounds = int_range 1 25 in
     let* seed = int64 in
-    return (links, workers, shards, rounds, seed))
+    return (links, workers, rounds, seed))
 
 let prop_device_lockstep_across_geometries =
   Q.Test.make ~count:12
     ~name:"device: -j1 trace == -jK trace == sequential oracle (random geometry)"
-    (Q.make lockstep_gen) (fun (links, workers, shards, rounds, seed) ->
-      let r1 = Shard.Device.run (device ~workers:1 ~shards:1 ~links ~rounds ~seed) in
-      let rk = Shard.Device.run (device ~workers ~shards ~links ~rounds ~seed) in
+    (Q.make lockstep_gen) (fun (links, workers, rounds, seed) ->
+      let r1 = Shard.Device.run (device ~workers:1 ~links ~rounds ~seed) in
+      let rk = Shard.Device.run (device ~workers ~links ~rounds ~seed) in
       ignore (check_links_equal ~what:"-j1 vs -jK" r1.Shard.Device.per_link rk.Shard.Device.per_link);
       if r1.Shard.Device.device_hash <> rk.Shard.Device.device_hash then
         Q.Test.fail_reportf "device hash diverges across worker counts";
-      (* every link against the no-pool, no-mailbox sequential replay *)
-      let t = device ~workers ~shards ~links ~rounds ~seed in
+      (* every link against its replay on its own, in this domain *)
+      let t = device ~workers ~links ~rounds ~seed in
       let oracle =
         Array.init links (fun link -> Shard.Device.run_link_reference t ~link)
       in
       check_links_equal ~what:"-jK vs oracle" rk.Shard.Device.per_link oracle)
 
-let test_device_shards_exceed_workers_and_links () =
-  (* more shards than workers (sequential multi-mailbox drain) and more
-     shards than links (some shards own nothing) must both still match *)
-  let r1 = Shard.Device.run (device ~workers:1 ~shards:1 ~links:3 ~rounds:12 ~seed:5L) in
-  let r2 = Shard.Device.run (device ~workers:2 ~shards:5 ~links:3 ~rounds:12 ~seed:5L) in
-  Alcotest.(check bool) "device hash equal" true
-    (r1.Shard.Device.device_hash = r2.Shard.Device.device_hash);
-  Alcotest.(check int) "pkts equal" r1.Shard.Device.total_pkts r2.Shard.Device.total_pkts
+let test_device_more_workers_than_links () =
+  (* -j4 on 3 links: the pool runs one task per link and spawns no idle
+     domain; the default workload at 60 rounds is the CI smoke's, whose
+     device hash is pinned *)
+  let run workers =
+    Shard.Device.run
+      (Shard.Device.create ~workers ~workload:(Shard.Device.default_workload ~rounds:60)
+         ~links:3 ())
+  in
+  let r1 = run 1 and r4 = run 4 in
+  Alcotest.(check string) "-j1 device hash pinned" "6432ffd1cb23147d"
+    (Shard.Device.hash_hex r1.Shard.Device.device_hash);
+  Alcotest.(check string) "-j4 = -j1"
+    (Shard.Device.hash_hex r1.Shard.Device.device_hash)
+    (Shard.Device.hash_hex r4.Shard.Device.device_hash);
+  Alcotest.(check int) "pkts equal" r1.Shard.Device.total_pkts r4.Shard.Device.total_pkts
 
 let test_device_overload_drops_deterministic () =
   let workload =
@@ -198,7 +126,7 @@ let test_device_rejects_bad_config () =
   in
   invalid (fun () -> Shard.Device.create ~links:0 ());
   invalid (fun () -> Shard.Device.create ~workers:0 ~links:1 ());
-  invalid (fun () -> Shard.Device.create ~shards:0 ~links:1 ());
+  invalid (fun () -> Shard.Device.create ~workers:(Parallel.Pool.max_jobs + 1) ~links:1 ());
   invalid (fun () ->
       Shard.Device.create
         ~workload:{ (Shard.Device.default_workload ~rounds:1) with Shard.Device.overload = 0.0 }
@@ -221,7 +149,7 @@ let test_reports_shape () =
   (match List.rev rows with
   | total :: _ -> (
     Alcotest.(check string) "total row tag" "device" (List.hd total);
-    match (List.nth total 2, r.Shard.Device.total_pkts) with
+    match (List.nth total 1, r.Shard.Device.total_pkts) with
     | cell, pkts -> Alcotest.(check string) "total pkts" (string_of_int pkts) cell)
   | [] -> Alcotest.fail "empty report");
   (* merged sim report: per-sim occupancy plus aggregate totals *)
@@ -259,22 +187,15 @@ let () =
   let rand = Random.State.make [| 0x5a4d |] in
   Alcotest.run "shard"
     [
-      ( "spsc",
-        [
-          ("fifo order and bounded capacity", `Quick, test_spsc_fifo_and_capacity);
-          ("cross-domain blocking handoff", `Quick, test_spsc_cross_domain_blocking);
-        ] );
       ( "flow_table",
         [
-          qcheck rand prop_flow_table_stable_and_in_range;
-          qcheck rand prop_same_flow_same_shard_across_worker_counts;
-          ("block partition covers every shard", `Quick, test_flow_table_covers_all_shards);
+          qcheck rand prop_flow_table_pure_and_in_range;
           ("invalid geometry rejected", `Quick, test_flow_table_rejects_bad_geometry);
         ] );
       ( "device",
         [
           qcheck rand prop_device_lockstep_across_geometries;
-          ("shards > workers and shards > links", `Quick, test_device_shards_exceed_workers_and_links);
+          ("more workers than links", `Quick, test_device_more_workers_than_links);
           ("overload drops deterministic across -j", `Quick, test_device_overload_drops_deterministic);
           ("invalid config rejected", `Quick, test_device_rejects_bad_config);
         ] );
