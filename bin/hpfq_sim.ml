@@ -599,8 +599,13 @@ let replay_cmd =
           Float.max 1e-9
             (List.fold_left (fun a e -> Float.max a e.Traffic.Trace.time) 0.0 trace)
         in
+        (* summed in time order, so a file whose rows are shuffled gets
+           the same link rate to the last bit *)
         let total_bits =
-          List.fold_left (fun a e -> a +. e.Traffic.Trace.size_bits) 0.0 trace
+          List.fold_left
+            (fun a e -> a +. e.Traffic.Trace.size_bits)
+            0.0
+            (List.stable_sort compare trace)
         in
         let rate = headroom *. total_bits /. span in
         let share = rate /. float_of_int (List.length names) in

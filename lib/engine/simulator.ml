@@ -117,33 +117,35 @@ let schedule t ~at action =
 
 (* A stream is [schedule] of n actions, done lazily. Install reserves the
    n sequence numbers that n [schedule] calls would have taken, so entry k
-   carries exactly the key (times.(k), base + k) it would have had, and
-   the calendar orders by that key alone. Only one entry is pending at a
+   carries exactly the key (time k, base + k) it would have had, and the
+   calendar orders by that key alone. Only one entry is pending at a
    time: entry k schedules entry k + 1 before running its own body, so
    while the body runs the pending set holds the same minimum — and
    [peek_time] reads the same value — as under eager scheduling, where
-   entries k + 1 .. n - 1 would all be waiting. One closure serves every
-   entry, so firing an entry allocates nothing. *)
-let stream t times action =
-  let n = Array.length times in
-  let floor = ref t.clock in
-  for k = 0 to n - 1 do
-    let at = times.(k) in
-    check_time ~fn:"stream" ~at ~floor:!floor (if k = 0 then "now" else "the previous time");
+   entries k + 1 .. n - 1 would all be waiting. Entry k + 1's time is
+   drawn then, while the clock reads entry k's time, so checking it
+   against [now] is checking that the times do not decrease. One closure
+   serves every entry and the source's float goes into the pool
+   unboxed, so firing an entry allocates nothing of the stream's own. *)
+let stream t ~n ~time action =
+  let draw k =
+    let at = time k in
+    check_time ~fn:"stream" ~at ~floor:t.clock "now";
     if at = infinity then invalid_arg "Simulator.stream: infinite time";
-    floor := at
-  done;
+    at
+  in
   if n > 0 then begin
+    let at = draw 0 in
     let base = t.next_seq in
     t.next_seq <- base + n;
     let next = ref 0 in
     let rec fire () =
       let k = !next in
       next := k + 1;
-      if k + 1 < n then ignore (insert t ~at:times.(k + 1) ~seq:(base + k + 1) fire);
+      if k + 1 < n then ignore (insert t ~at:(draw (k + 1)) ~seq:(base + k + 1) fire);
       action k
     in
-    ignore (insert t ~at:times.(0) ~seq:base fire)
+    ignore (insert t ~at ~seq:base fire)
   end
 
 let schedule_after t ~delay action =

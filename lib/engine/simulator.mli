@@ -32,26 +32,37 @@ val schedule : t -> at:float -> (unit -> unit) -> event_id
     @raise Invalid_argument if [at] is in the past or NaN (a NaN time
     would fire in no defined order and could move the clock backwards). *)
 
-val stream : t -> float array -> (int -> unit) -> unit
-(** [stream t times action] behaves exactly as scheduling
-    [fun () -> action k] at [times.(k)] for [k = 0, 1, …] in that order,
-    now — same fire order against every other event (including ties at
-    equal times), same clocks, and the same {!peek_time} seen from every
-    handler — while holding only one of them pending at a time.
+val stream : t -> n:int -> time:(int -> float) -> (int -> unit) -> unit
+(** [stream t ~n ~time action] behaves exactly as scheduling
+    [fun () -> action k] at [time k] for [k = 0, 1, …, n - 1] in that
+    order, now — same fire order against every other event (including
+    ties at equal times), same clocks, and the same {!peek_time} seen from
+    every handler — while holding only one of them pending at a time.
 
     How: install reserves the [n] consecutive sequence numbers that [n]
     {!schedule} calls would have taken, and entry [k] is keyed
-    [(times.(k), base + k)], the very key {!schedule} would have given
-    it. Entry [k + 1] is scheduled just before entry [k]'s action runs,
-    so the earliest pending time during that action is what it would
-    have been with all later entries waiting. Firing an entry allocates
-    nothing. Entries cannot be cancelled, and {!pending} counts the
-    stream as one event until its last entry fires.
+    [(time k, base + k)], the very key {!schedule} would have given it.
+    Entry [k + 1] is scheduled just before entry [k]'s action runs, so
+    the earliest pending time during that action is what it would have
+    been with all later entries waiting. Entries cannot be cancelled,
+    and {!pending} counts the stream as one event until its last entry
+    fires.
 
-    The simulator keeps [times]; the caller must not mutate it.
-    @raise Invalid_argument, before installing anything, if a time is
-    NaN or infinite, if [times.(0)] is before {!now}, or if the times
-    decrease. *)
+    [time] is an on-demand source: it is called once per entry, in order
+    — [time 0] at install, [time (k + 1)] when entry [k] fires, before
+    its action — so it can walk a cursor over a list. The simulator
+    stores each time unboxed and keeps no per-entry state, so firing
+    allocates nothing beyond what [time] and [action] do (a [time] that
+    returns a float already boxed, such as a record field, allocates
+    nothing).
+
+    @raise Invalid_argument if [time 0] is NaN, infinite or before {!now};
+    nothing is installed then. A later time is checked when it is drawn:
+    if it is NaN, infinite or before the time of the entry that draws it,
+    that entry raises [Invalid_argument] out of {!step} before its action
+    runs, and the stream ends there. Callers that must refuse a bad
+    sequence up front (as [Traffic.Trace.replay] does) validate it
+    first. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> event_id
 (** Schedule relative to [now]. Negative delays are rejected. *)

@@ -47,6 +47,12 @@ let grid ~quick =
   if quick then (Hpfq.Disciplines.[ wf2q_plus; wfq ], [ 8; 16; 24 ])
   else (Hpfq.Disciplines.pfq, [ 4; 8; 16; 24; 32; 48; 64 ])
 
+(* One pass of the full grid takes ~0.1 s at -j1 in release: too short a
+   rung to tell the pool's cost from host load. A rung runs the grid
+   [passes] times over in one map, so the -j1 rung lasts over 1 s on a
+   2-vCPU host (Shard_bench's [rounds_for] sizes its rungs the same way). *)
+let passes ~quick = if quick then 1 else 16
+
 let fingerprint (m : Wfi_probe.measurement) =
   Printf.sprintf "%s|%d|%.17g|%.17g|%.17g" m.discipline m.n m.measured_twfi
     m.wf2q_plus_bound m.probe_delay
@@ -63,6 +69,7 @@ let sweep_wall ~factories ~ns ~jobs =
    adds time. *)
 let measure ?(quick = false) () =
   let factories, ns = grid ~quick in
+  let factories = List.concat (List.init (passes ~quick) (fun _ -> factories)) in
   let runs = if quick then 1 else 3 in
   let cores = Parallel.Pool.cores () in
   let reference = ref None in
@@ -90,7 +97,7 @@ let measure ?(quick = false) () =
   in
   let t1 = match rows with (1, w) :: _ -> w | _ -> assert false in
   ( cores,
-    List.length (fst (grid ~quick)) * List.length (snd (grid ~quick)),
+    List.length factories * List.length ns,
     List.map
       (fun (jobs, wall) ->
         { jobs; wall_s = wall; speedup = t1 /. wall; floor = expected_floor ~cores ~jobs })

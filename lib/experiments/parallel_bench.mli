@@ -16,8 +16,10 @@ val expected_floor : cores:int -> jobs:int -> float
     punished. *)
 
 val report : quick:bool -> Bench_kit.Json.t
-(** Measure the ladder (best of 3 runs per rung; [quick] shrinks the grid
-    and runs once), print the table and return the report.
+(** Measure the ladder (each rung maps the grid 16 times over, so the
+    [-j1] rung lasts over 1 s; best of 3 runs per rung; [quick] maps the
+    small grid once and runs once), print the table and return the
+    report.
     @raise Failure if any rung's results diverge from the [-j1]
     reference. *)
 

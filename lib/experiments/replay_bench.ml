@@ -115,16 +115,12 @@ let measure ?(engine = `Auto) ~spec ~trace ~burst () =
         fold_hash !hash
           (depart_key ~flow:(Net.Packet_pool.flow pool h)
              ~seq:(Net.Packet_pool.seq pool h) ~time));
-  let leaf_ids = Hashtbl.create 256 in
-  List.iter
-    (fun (name, id) -> Hashtbl.replace leaf_ids name id)
-    (Hpfq.Hier_engine.leaf_ids hier);
+  (* [replay] asks once per distinct leaf: one lookup and one closure
+     each; a name that is no leaf of the tree is skipped *)
   let emit_for ~leaf =
-    match Hashtbl.find_opt leaf_ids leaf with
-    | None -> None
-    | Some id ->
-      Some
-        (fun ~size_bits -> ignore (Hpfq.Hier_engine.inject hier ~leaf:id ~size_bits))
+    match Hpfq.Hier_engine.leaf_id hier leaf with
+    | id -> Some (fun ~size_bits -> ignore (Hpfq.Hier_engine.inject hier ~leaf:id ~size_bits))
+    | exception (Not_found | Invalid_argument _) -> None
   in
   let arrivals = Trace.replay ~batched:(burst > 1) ~sim ~emit_for trace in
   let m0 = Gc.minor_words () in

@@ -268,59 +268,115 @@ let recorder ~sim =
   let dump () = List.stable_sort compare_event (List.rev !events) in
   (wrap, dump)
 
-let no_event = { time = 0.0; leaf = ""; size_bits = 0.0 }
-let no_emit ~size_bits:_ = ()
+(* A cursor over the trace list; [pos] is the head's position in it and
+   [idx] holds each position's emit index, -1 for an event whose leaf has
+   no emit. A cursor rests on an event with an emit, or at the end. *)
+type cursor = { mutable rest : event list; mutable pos : int; idx : Bytes.t }
 
-(* One simulator stream over the trace: the events stay in their records
-   (so each size reaches its emit as the record's own box) and a cursor
-   walks them; only the next activation is ever pending. *)
+let[@inline] emit_index idx pos = Int32.to_int (Bytes.get_int32_le idx (4 * pos))
+
+(* [c] on [rest], the list from position [pos], or past the events
+   without an emit that [rest] starts with *)
+let rec settle c rest pos =
+  match rest with
+  | _ :: tl when emit_index c.idx pos < 0 -> settle c tl (pos + 1)
+  | _ ->
+    c.rest <- rest;
+    c.pos <- pos
+
+(* past the head, and the events without an emit after it *)
+let[@inline] next c = match c.rest with _ :: tl -> settle c tl (c.pos + 1) | [] -> ()
+
+let[@inline] at_time c t = match c.rest with e :: _ -> e.time = t | [] -> false
+
+(* The list itself is the replay's only per-arrival state: next to it,
+   install keeps one 32-bit emit index per event (-1: the leaf has no
+   emit, the event is skipped) and one table entry per distinct leaf.
+   Two cursors walk the list: [time] gives the simulator stream the next
+   activation's time, [fire] applies an activation's arrivals. Both read
+   each time and size as the record's own box, so firing allocates
+   nothing. *)
 let replay ?(batched = false) ~sim ~emit_for events =
-  (* resolve the emits in list order, keeping the events that have one *)
-  let cap = List.length events in
-  let evs = Array.make cap no_event and emits = Array.make cap no_emit in
-  let n =
-    List.fold_left
-      (fun n e ->
-        match emit_for ~leaf:e.leaf with
-        | None -> n
+  let table = Hashtbl.create 64 and emits = ref [] and n_emits = ref 0 in
+  (* [find], not [find_opt]: a hit allocates no option *)
+  let resolve leaf =
+    match Hashtbl.find table leaf with
+    | i -> i
+    | exception Not_found ->
+      let i =
+        match emit_for ~leaf with
+        | None -> -1
         | Some emit ->
-          evs.(n) <- e;
-          emits.(n) <- emit;
-          n + 1)
-      0 events
+          emits := emit :: !emits;
+          incr n_emits;
+          !n_emits - 1
+      in
+      Hashtbl.add table leaf i;
+      i
   in
-  (* eager scheduling fires by (time, list position): a stable sort by time *)
-  let sorted = ref true in
-  for i = 1 to n - 1 do
-    if not (evs.(i - 1).time <= evs.(i).time) then sorted := false
-  done;
-  let evs, emits =
-    if !sorted then (evs, emits)
-    else begin
-      let order = Array.init n Fun.id in
-      Array.stable_sort (fun i j -> Float.compare evs.(i).time evs.(j).time) order;
-      (Array.map (fun i -> evs.(i)) order, Array.map (fun i -> emits.(i)) order)
-    end
+  (* One pass: resolve each event's emit, check the kept times, and count
+     the kept events and the activations (one per kept event, or per run
+     of equal kept times when batched). *)
+  let index events =
+    let idx = Bytes.create (4 * List.length events) in
+    let kept = ref 0 and activations = ref 0 and sorted = ref true in
+    let prev = ref nan in
+    List.iteri
+      (fun pos e ->
+        let i = resolve e.leaf in
+        Bytes.set_int32_le idx (4 * pos) (Int32.of_int i);
+        if i >= 0 then begin
+          if not (usable e.time) then
+            invalid_arg (Printf.sprintf "Trace.replay: time %g is negative or not finite" e.time);
+          if !kept > 0 && not (!prev <= e.time) then sorted := false;
+          if (not batched) || !kept = 0 || e.time <> !prev then incr activations;
+          incr kept;
+          prev := e.time
+        end)
+      events;
+    (idx, !kept, !activations, !sorted)
   in
-  (* one activation per event, or per run of equal times when batched *)
-  let times = Array.create_float n and activations = ref 0 in
-  for i = 0 to n - 1 do
-    if (not batched) || i = 0 || evs.(i).time <> evs.(i - 1).time then begin
-      times.(!activations) <- evs.(i).time;
-      incr activations
-    end
-  done;
-  let times = if !activations = n then times else Array.sub times 0 !activations in
-  if batched then begin
-    (* activation k applies the run of arrivals at times.(k) back to back *)
-    let cursor = ref 0 in
-    Engine.Simulator.stream sim times (fun k ->
-        let t = times.(k) in
-        while !cursor < n && evs.(!cursor).time = t do
-          let i = !cursor in
-          cursor := i + 1;
-          emits.(i) ~size_bits:evs.(i).size_bits
-        done)
-  end
-  else Engine.Simulator.stream sim times (fun i -> emits.(i) ~size_bits:evs.(i).size_bits);
-  n
+  (* eager scheduling fires by (time, list position): an unsorted list
+     is replaced by its kept events, stable-sorted by time *)
+  let events, (idx, kept, activations, _) =
+    match index events with
+    | (_, _, _, true) as scan -> (events, scan)
+    | _ ->
+      let events =
+        List.stable_sort
+          (fun a b -> Float.compare a.time b.time)
+          (List.filter (fun e -> resolve e.leaf >= 0) events)
+      in
+      (events, index events)
+  in
+  let emits = Array.of_list (List.rev !emits) in
+  (* [time k] leaves [times] on activation k + 1's first event; [fire k]
+     finds activation k's first event under [arrivals] *)
+  let times = { rest = events; pos = 0; idx } and arrivals = { rest = events; pos = 0; idx } in
+  settle times events 0;
+  settle arrivals events 0;
+  let time _ =
+    match times.rest with
+    | [] -> assert false (* [activations] counted every call *)
+    | e :: _ ->
+      next times;
+      if batched then while at_time times e.time do next times done;
+      e.time
+  in
+  let fire _ =
+    match arrivals.rest with
+    | [] -> assert false
+    | first :: _ ->
+      let more = ref true in
+      while !more do
+        match arrivals.rest with
+        | [] -> assert false
+        | e :: _ ->
+          let emit = emits.(emit_index idx arrivals.pos) in
+          next arrivals;
+          emit ~size_bits:e.size_bits;
+          more := batched && at_time arrivals first.time
+      done
+  in
+  Engine.Simulator.stream sim ~n:activations ~time fire;
+  kept

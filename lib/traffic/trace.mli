@@ -75,22 +75,27 @@ val replay :
   event list ->
   int
 (** Replay the trace into [sim]; events whose leaf has no emit are
-    skipped. [emit_for] is called once per event, at install, in list
-    order. Returns the number of arrivals installed.
+    skipped. [emit_for] is called once per distinct leaf, at install, in
+    order of the leaf's first appearance in the list (so a leaf without
+    an emit is asked once too). Returns the number of arrivals installed.
 
     The arrivals fire exactly as if each had been {!Engine.Simulator.schedule}d
     now, in list order: by time, list order breaking ties, before any
     event scheduled later at the same instant and after any scheduled
-    earlier. They are installed as one {!Engine.Simulator.stream} over
-    the events (stable-sorted by time first when the list is not in
-    time order), so the simulator holds O(1) of them pending and firing
-    one allocates nothing; memory is the events themselves plus three
-    words per event.
+    earlier. They are installed as one {!Engine.Simulator.stream} whose
+    cursors walk the caller's list (an unsorted list is replaced by its
+    kept events, stable-sorted by time, once), so the simulator holds
+    O(1) of them pending and firing one allocates nothing. The list is
+    the replay's only per-arrival state: install adds one 32-bit emit
+    index per event (4 bytes) and one table entry per distinct leaf.
+    The cursors hold only the list's unreplayed tail, so a caller that
+    drops its own reference lets the replayed part be collected.
 
     With [batched] (default false), each run of equal-time events is one
     activation that applies its arrivals back to back — fewer event-set
     operations. No other event can fire between equal-time arrivals
     either way, so the outcome is identical unless an arrival's own
     handler reads [peek_time], which then sees past the run.
-    @raise Invalid_argument if a time is NaN, infinite or before
-    [Simulator.now sim]; nothing is installed then. *)
+    @raise Invalid_argument if the time of an event with an emit is NaN,
+    infinite or before [Simulator.now sim]; nothing is installed then.
+    The times of skipped events are not looked at. *)

@@ -313,30 +313,59 @@ let test_nan_rejected () =
 
 (* ---- streams: [Sim.stream] = eager [Sim.schedule] of every entry ---- *)
 
-(* Install rejects bad times before installing anything. *)
+(* [times] as an on-demand source that records what is drawn *)
+let array_source times drawn k =
+  drawn := k :: !drawn;
+  times.(k)
+
+(* A bad first time is refused at install, with nothing installed; a bad
+   later time raises out of the entry that draws it, before that entry's
+   action, and ends the stream. *)
 let test_stream_rejects () =
   let sim = Sim.create () in
   Sim.run ~until:1.0 sim;
+  let stream times action =
+    let drawn = ref [] in
+    Sim.stream sim ~n:(Array.length times) ~time:(array_source times drawn) action;
+    drawn
+  in
   let rejects name times =
-    (match Sim.stream sim times (fun _ -> Alcotest.fail "entry fired") with
-    | () -> Alcotest.failf "%s: accepted" name
+    (match stream times (fun _ -> Alcotest.fail "entry fired") with
+    | _ -> Alcotest.failf "%s: accepted" name
     | exception Invalid_argument _ -> ());
     Alcotest.(check int) (name ^ ": nothing pending") 0 (Sim.pending sim)
   in
   rejects "before now" [| 0.5; 2.0 |];
-  rejects "decreasing" [| 1.0; 3.0; 2.0 |];
   rejects "nan first" [| Float.nan; 2.0 |];
-  rejects "nan later" [| 1.0; Float.nan |];
-  rejects "infinite" [| 1.0; infinity |];
-  Sim.stream sim [||] (fun _ -> Alcotest.fail "empty stream fired");
+  rejects "infinite first" [| infinity |];
+  let stops name times ~fired:want =
+    let fired = ref [] in
+    let drawn = stream times (fun k -> fired := k :: !fired) in
+    (match Sim.run sim with
+    | () -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check (list int)) (name ^ ": the entries before it fired") want (List.rev !fired);
+    Alcotest.(check (list int))
+      (name ^ ": drawn once each, in order, up to the bad one")
+      (List.init (List.length want + 2) Fun.id)
+      (List.rev !drawn);
+    Alcotest.(check int) (name ^ ": nothing pending") 0 (Sim.pending sim)
+  in
+  stops "decreasing" [| 1.0; 3.0; 2.0 |] ~fired:[ 0 ];
+  stops "nan later" [| 3.0; Float.nan |] ~fired:[];
+  stops "infinite later" [| 3.0; infinity |] ~fired:[];
+  Sim.stream sim ~n:0 ~time:(fun _ -> Alcotest.fail "empty stream drew a time") (fun _ ->
+      Alcotest.fail "empty stream fired");
+  let fired = Sim.events_processed sim in
   Sim.run sim;
-  Alcotest.(check int) "empty stream fires nothing" 0 (Sim.events_processed sim)
+  Alcotest.(check int) "empty stream fires nothing" fired (Sim.events_processed sim)
 
 (* One entry pending at a time, and an entry allocates no more than an
-   eagerly scheduled event holding a shared closure. *)
+   eagerly scheduled event holding a shared closure. The source walks a
+   float list, whose floats are boxed already, so it allocates nothing. *)
 let test_stream_footprint () =
   let n = 20_000 in
-  let times = Array.init n (fun i -> 0.001 *. float_of_int (i / 2)) in
+  let times = List.init n (fun i -> 0.001 *. float_of_int (i / 2)) in
   let count = ref 0 in
   let action _ = incr count in
   let run_words install =
@@ -348,14 +377,22 @@ let test_stream_footprint () =
   in
   let stream_words, sim =
     run_words (fun sim ->
-        Sim.stream sim times action;
+        let rest = ref times in
+        let time _ =
+          match !rest with
+          | t :: tl ->
+            rest := tl;
+            t
+          | [] -> Alcotest.fail "drew past the last entry"
+        in
+        Sim.stream sim ~n ~time action;
         Alcotest.(check int) "one entry pending" 1 (Sim.pending sim))
   in
   Alcotest.(check int) "every entry fired" n !count;
   Alcotest.(check int) "pool stays small" 16 (Sim.stats sim).Sim.pool_capacity;
   let shared () = incr count in
   let eager_words, _ =
-    run_words (fun sim -> Array.iter (fun at -> ignore (Sim.schedule sim ~at shared)) times)
+    run_words (fun sim -> List.iter (fun at -> ignore (Sim.schedule sim ~at shared)) times)
   in
   if stream_words > eager_words +. 64.0 then
     Alcotest.failf "stream run allocated %.0f words, eager %.0f" stream_words eager_words
@@ -428,7 +465,9 @@ let run_sprog ~stream p =
   Sim.run ~until:p.t0 sim;
   let codes = Array.of_list (List.map snd p.entries) in
   let entry k = body (1_000_000 + k) codes.(k) in
-  (if stream then Sim.stream sim (Array.of_list (List.map fst p.entries)) entry
+  (if stream then
+     let times = Array.of_list (List.map fst p.entries) in
+     Sim.stream sim ~n:(Array.length times) ~time:(Array.get times) entry
    else List.iteri (fun k (at, _) -> ignore (Sim.schedule sim ~at (fun () -> entry k))) p.entries);
   List.iter (fun (at, c) -> add at c) p.after;
   List.iteri

@@ -288,6 +288,152 @@ let test_batched_replay_grouping () =
   Alcotest.(check int) "same arrivals scheduled" per_event.installed grouped.installed;
   Alcotest.(check (option string)) "identical outcomes" None (Lockstep.diff per_event grouped)
 
+(* ---- streamed install = eager install, at the cursors' edges ---- *)
+
+(* "ghost" is no leaf of [edge_spec]: its events have no emit *)
+let edge_spec =
+  CT.node "link" ~rate:4.0 [ CT.leaf "a" ~rate:2.0; CT.leaf "b" ~rate:1.0; CT.leaf "c" ~rate:1.0 ]
+
+let ev time leaf = { Trace.time; leaf; size_bits = 1.0 }
+
+let same_as_eager name trace =
+  let s = Lockstep.fixed edge_spec [ Lockstep.Install trace ] in
+  List.iter
+    (fun (batched, burst) ->
+      let eager = Lockstep.(run (cfg ~replay:`Eager ~batched ~burst Flat) s) in
+      let streamed = Lockstep.(run (cfg ~batched ~burst Flat) s) in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s, batched=%b burst=%d" name batched burst)
+        None (Lockstep.diff eager streamed))
+    [ (false, 1); (true, 1); (false, 8); (true, 8) ]
+
+let no_op_emit ~size_bits:_ = ()
+let some_no_op = Some no_op_emit
+let ghostly ~leaf = if leaf = "ghost" then None else some_no_op
+
+let test_cursor_edges () =
+  same_as_eager "ghosts inside an equal-time run"
+    [ ev 1.0 "a"; ev 1.0 "ghost"; ev 1.0 "b"; ev 1.0 "ghost"; ev 1.0 "c"; ev 2.0 "a"; ev 2.0 "ghost" ];
+  same_as_eager "a ghost of another time inside an equal-time run"
+    [ ev 1.0 "a"; ev 1.0 "b"; ev 0.5 "ghost"; ev 1.0 "c"; ev 9.0 "ghost"; ev 2.0 "a" ];
+  same_as_eager "only ghosts out of order"
+    [ ev 0.5 "a"; ev 3.0 "ghost"; ev 1.0 "b"; ev 0.1 "ghost"; ev 1.0 "c"; ev 2.0 "a" ];
+  same_as_eager "kept events out of order, with ties"
+    [ ev 2.0 "a"; ev 1.0 "b"; ev 2.0 "c"; ev 1.0 "a"; ev 0.5 "ghost"; ev 1.0 "c"; ev 0.25 "b" ];
+  same_as_eager "empty" [];
+  same_as_eager "no event has an emit" [ ev 1.0 "ghost"; ev 0.5 "ghost" ];
+  List.iter
+    (fun (name, trace) ->
+      List.iter
+        (fun batched ->
+          let sim = Sim.create () in
+          Alcotest.(check int) (name ^ ": none installed") 0
+            (Trace.replay ~batched ~sim ~emit_for:ghostly trace);
+          Alcotest.(check int) (name ^ ": nothing pending") 0 (Sim.pending sim))
+        [ false; true ])
+    [ ("empty", []); ("no emit", [ ev 1.0 "ghost"; ev 0.5 "ghost" ]) ]
+
+(* A bad kept time refuses the whole install; a ghost's time is never
+   looked at. *)
+let test_install_refusals () =
+  let sim = Sim.create () in
+  ignore (Sim.schedule sim ~at:5.0 ignore);
+  Sim.run ~until:2.0 sim;
+  List.iter
+    (fun batched ->
+      let pending = Sim.pending sim in
+      List.iter
+        (fun (name, trace) ->
+          (match Trace.replay ~batched ~sim ~emit_for:ghostly trace with
+          | _ -> Alcotest.failf "%s (batched=%b): installed" name batched
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check int) (name ^ ": pending unchanged") pending (Sim.pending sim))
+        [
+          ("first kept time before now", [ ev 1.0 "a"; ev 3.0 "b" ]);
+          ("first kept time before now, after a ghost", [ ev 0.5 "ghost"; ev 1.5 "a"; ev 3.0 "b" ]);
+          ("earliest kept time before now, unsorted", [ ev 3.0 "a"; ev 1.0 "b" ]);
+          ("nan kept time", [ ev 3.0 "a"; ev Float.nan "b" ]);
+          ("infinite kept time", [ ev 3.0 "a"; ev infinity "b" ]);
+        ];
+      Alcotest.(check int) "a ghost before now is skipped" 1
+        (Trace.replay ~batched ~sim ~emit_for:ghostly
+           [ ev 0.5 "ghost"; ev Float.nan "ghost"; ev 3.0 "a" ]))
+    [ false; true ]
+
+let test_emit_for_once () =
+  List.iter
+    (fun (order, trace, leaves) ->
+      let calls = ref [] in
+      let emit_for ~leaf =
+        calls := leaf :: !calls;
+        ghostly ~leaf
+      in
+      ignore (Trace.replay ~sim:(Sim.create ()) ~emit_for trace);
+      Alcotest.(check (list string)) (order ^ ": once per leaf, first appearance first") leaves
+        (List.rev !calls))
+    [
+      ( "sorted",
+        [ ev 1.0 "c"; ev 1.0 "ghost"; ev 2.0 "a"; ev 2.0 "c"; ev 3.0 "ghost"; ev 4.0 "b" ],
+        [ "c"; "ghost"; "a"; "b" ] );
+      ( "unsorted",
+        [ ev 2.0 "b"; ev 1.0 "ghost"; ev 1.0 "a"; ev 3.0 "b"; ev 0.5 "ghost"; ev 0.7 "c"; ev 4.0 "a" ],
+        [ "b"; "ghost"; "a"; "c" ] );
+    ]
+
+(* ---- the replay's own footprint ---- *)
+
+(* Words [f] allocates, minor and major. Not [Gc.allocated_bytes]: on
+   OCaml 5.1 the minor count of [Gc.counters] adds the words allocated
+   before the call a second time when a minor collection falls inside
+   [f]; [Gc.minor_words] is exact. *)
+let allocated_words f =
+  let _, p0, j0 = Gc.counters () in
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  let w1 = Gc.minor_words () in
+  let _, p1, j1 = Gc.counters () in
+  (r, w1 -. w0 +. (j1 -. j0) -. (p1 -. p0))
+
+(* The list is the replay's state: install adds at most a 32-bit emit
+   index per event beyond O(leaves), and firing allocates nothing beyond
+   the event loop's clock. 64 leaves and a ghost, in runs of three equal
+   times, so batching groups. *)
+let test_footprint_ceiling () =
+  let n = 120_000 in
+  let names = Array.init 64 (Printf.sprintf "leaf%d") in
+  let trace =
+    List.init n (fun i ->
+        let leaf = if i mod 17 = 0 then "ghost" else names.(i mod 64) in
+        { Trace.time = 1e-6 *. float_of_int (i / 3); leaf; size_bits = 8.0 })
+  in
+  let kept = List.length (List.filter (fun e -> e.Trace.leaf <> "ghost") trace) in
+  let leaf_slack = 1024.0 *. float_of_int (Array.length names + 1) (* bytes *) in
+  List.iter
+    (fun batched ->
+      let sim = Sim.create () in
+      let installed, words =
+        allocated_words (fun () -> Trace.replay ~batched ~sim ~emit_for:ghostly trace)
+      in
+      let install_bytes = words *. float_of_int (Sys.word_size / 8) in
+      Alcotest.(check int) "kept events installed" kept installed;
+      let per_event = (install_bytes -. leaf_slack) /. float_of_int n in
+      if per_event > 5.0 then
+        Alcotest.failf "batched=%b: install allocated %.0f bytes, %.2f per event beyond O(leaves) > 5"
+          batched install_bytes per_event;
+      let e0 = Sim.events_processed sim and w0 = Gc.minor_words () in
+      Sim.run sim;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "every arrival fired" 0 (Sim.pending sim);
+      (* the event loop's own cost: [step] stores each fired event's time
+         into the clock, a float field of a mixed record, so one 2-word
+         box per activation *)
+      let replay_words = words -. (2.0 *. float_of_int (Sim.events_processed sim - e0)) in
+      if replay_words > 64.0 then
+        Alcotest.failf
+          "batched=%b: firing %d arrivals allocated %.0f minor words beyond the clock (%.4f each)"
+          batched installed replay_words (replay_words /. float_of_int installed))
+    [ false; true ]
+
 (* ---- pipeline: end-to-end delays identical at burst_max > 1 ---- *)
 
 let test_pipeline_burst_invariance () =
@@ -366,5 +512,9 @@ let () =
             test_batched_replay_grouping;
           Alcotest.test_case "pipeline delays burst-invariant" `Quick
             test_pipeline_burst_invariance;
+          Alcotest.test_case "cursor edges = eager" `Quick test_cursor_edges;
+          Alcotest.test_case "install refusals" `Quick test_install_refusals;
+          Alcotest.test_case "emit_for once per leaf" `Quick test_emit_for_once;
+          Alcotest.test_case "footprint ceiling" `Quick test_footprint_ceiling;
         ] );
     ]
