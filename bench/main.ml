@@ -1,13 +1,17 @@
-(* Benchmark harness: regenerates every table/figure of the paper's
-   evaluation (see DESIGN.md's per-experiment index) and runs the
-   complexity microbenchmarks backing the O(log N) claim.
+(* Benchmark harness: what no hpfq_sim command answers — the Fig. 5 lag
+   close-up, the adversarial delay bounds, the complexity and heap
+   microbenchmarks backing the O(log N) claim, the reference-clock and
+   end-to-end ablations — and the bench suites with their guards. The
+   paper's other figures are hpfq_sim commands (EXPERIMENTS.md):
+   `hpfq_sim fig2`, `delay -s 1|2|3 -d wf2q+,wfq,scfq,sfq`,
+   `link-sharing` and `wfi`.
 
-     dune exec bench/main.exe            run the figures and the events
-                                         (the simulator's calendar queue
+     dune exec bench/main.exe            run the ids below and the events
+                                         (the simulator's event sets
                                          under timer churn), hier and
                                          churn suites
-     dune exec bench/main.exe -- ID...   run selected ids: the figures
-       fig2 fig4 fig5 fig6 fig7 fig9 wfi bounds complexity heaps refclock e2e,
+     dune exec bench/main.exe -- ID...   run selected ids:
+       fig5 bounds complexity heaps refclock e2e,
      every bench suite's <name>, <name>-quick and <name>-guard
      (lib/experiments/suites.ml), check, trace-overhead and soak.
 
@@ -27,19 +31,7 @@
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
 
-(* ------------------------------------------------------------------ *)
-(* FIG2: service order walkthrough                                     *)
-(* ------------------------------------------------------------------ *)
-
-let fig2 () =
-  section "FIG2: GPS vs WFQ vs WF2Q vs WF2Q+ service order";
-  Experiments.Fig2_walkthrough.render Format.std_formatter
-    (Experiments.Fig2_walkthrough.run ())
-
-(* ------------------------------------------------------------------ *)
-(* FIG4/6/7: RT-1 delay under the three scenarios                      *)
-(* ------------------------------------------------------------------ *)
-
+(* the four one-level disciplines every delay table compares *)
 let delay_disciplines =
   [
     Hpfq.Disciplines.wf2q_plus;
@@ -47,39 +39,6 @@ let delay_disciplines =
     Hpfq.Disciplines.scfq;
     Hpfq.Disciplines.sfq;
   ]
-
-let delay_figure ~id ~scenario () =
-  section
-    (Printf.sprintf "%s: RT-1 delay, %s" id
-       (Experiments.Delay_experiment.scenario_name scenario));
-  let results =
-    List.map
-      (fun factory ->
-        Experiments.Delay_experiment.run ~factory ~scenario ~horizon:12.0 ())
-      delay_disciplines
-  in
-  List.iter (fun r -> print_endline (Experiments.Delay_experiment.summary_row r)) results;
-  Printf.printf "Cor.2 delay bound for RT-1 (H-WF2Q+): %.3f ms\n"
-    (Experiments.Delay_experiment.rt1_delay_bound *. 1e3);
-  (* the figure itself: max delay per 0.5 s window for the headline pair *)
-  (match results with
-  | wf2qp :: wfq :: _ ->
-    let series r =
-      Stats.Delay_stats.series_max_over_windows
-        r.Experiments.Delay_experiment.delays ~window:0.5
-    in
-    let s1 = series wf2qp and s2 = series wfq in
-    Printf.printf "%8s %14s %14s\n" "t(s)" "H-WF2Q+ (ms)" "H-WFQ (ms)";
-    List.iter2
-      (fun (t, d1) (_, d2) -> Printf.printf "%8.1f %14.3f %14.3f\n" t (d1 *. 1e3) (d2 *. 1e3))
-      s1
-      (if List.length s2 = List.length s1 then s2
-       else List.filteri (fun i _ -> i < List.length s1) s2)
-  | _ -> ())
-
-let fig4 = delay_figure ~id:"FIG4" ~scenario:Experiments.Delay_experiment.S1_constant_and_trains
-let fig6 = delay_figure ~id:"FIG6" ~scenario:Experiments.Delay_experiment.S2_overloaded_poisson
-let fig7 = delay_figure ~id:"FIG7" ~scenario:Experiments.Delay_experiment.S3_overload_and_trains
 
 (* ------------------------------------------------------------------ *)
 (* FIG5: service lag (arrivals vs service) close-up                    *)
@@ -116,53 +75,6 @@ let fig5 () =
     (fun (t, l) ->
       if Float.abs (t -. t_peak) <= 0.05 then Printf.printf "%8.4f %10.1f\n" t l)
     lags
-
-(* ------------------------------------------------------------------ *)
-(* FIG9: hierarchical link sharing vs ideal H-GPS                      *)
-(* ------------------------------------------------------------------ *)
-
-let fig9 () =
-  section "FIG9: link-sharing bandwidth vs ideal H-GPS";
-  let r = Experiments.Link_sharing.run () in
-  Experiments.Link_sharing.summary Format.std_formatter r;
-  (* aggregate tracking error over the measured window (paper: curves
-     "track very closely") *)
-  let errs =
-    List.concat_map
-      (fun interval ->
-        if interval.Experiments.Link_sharing.t0 >= 0.5 then
-          List.map
-            (fun (row : Experiments.Link_sharing.interval_row) ->
-              Float.abs (row.measured -. row.ideal) /. Float.max 1.0 row.ideal)
-            interval.Experiments.Link_sharing.rows
-        else [])
-      r.Experiments.Link_sharing.intervals
-  in
-  let mean_err = List.fold_left ( +. ) 0.0 errs /. float_of_int (List.length errs) in
-  Printf.printf "mean |measured-ideal|/ideal over all phases: %.1f%%\n" (mean_err *. 100.0)
-
-(* ------------------------------------------------------------------ *)
-(* WFI: worst-case fair index sweep (Theorem 3/4 + WFQ's N-growth)     *)
-(* ------------------------------------------------------------------ *)
-
-let wfi () =
-  section "WFI: measured T-WFI vs N (unit link, unit packets)";
-  let ns = [ 4; 8; 16; 32; 64; 128 ] in
-  Printf.printf "%-12s" "discipline";
-  List.iter (fun n -> Printf.printf " N=%-8d" n) ns;
-  Printf.printf "  (WF2Q+ bound: %.1f)\n"
-    (let m = Experiments.Wfi_probe.measure ~factory:Hpfq.Disciplines.wf2q_plus ~n:4 () in
-     m.wf2q_plus_bound);
-  List.iter
-    (fun factory ->
-      Printf.printf "%-12s" factory.Sched.Sched_intf.kind;
-      List.iter
-        (fun n ->
-          let m = Experiments.Wfi_probe.measure ~factory ~n () in
-          Printf.printf " %-10.1f" m.measured_twfi)
-        ns;
-      print_newline ())
-    Hpfq.Disciplines.pfq
 
 (* ------------------------------------------------------------------ *)
 (* BOUNDS: Theorem 4(3) / Corollary 2 delay bounds, adversarial load   *)
@@ -532,13 +444,7 @@ let trace_overhead () =
 
 let figures =
   [
-    ("fig2", fig2);
-    ("fig4", fig4);
     ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig9", fig9);
-    ("wfi", wfi);
     ("bounds", bounds);
     ("complexity", complexity);
     ("heaps", heaps);
@@ -548,7 +454,9 @@ let figures =
 
 (* Every registry suite answers to <name> (rewrites its committed
    BENCH_*.json), <name>-quick (smoke scale, BENCH_*_quick.json) and
-   <name>-guard (fresh probe vs the committed baseline; exit 1 on FAIL). *)
+   <name>-guard (a fresh probe judged within the run; the committed
+   baseline is read only for hashes and allocation ceilings; exit 1 on
+   FAIL). *)
 let suites =
   let module S = Bench_kit.Suite in
   List.concat_map

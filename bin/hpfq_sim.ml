@@ -3,7 +3,7 @@
    Subcommands mirror the per-experiment index in DESIGN.md:
      fig2          service-order walkthrough (GPS / WFQ / WF2Q / WF2Q+ / SCFQ)
      trace         structured packet/virtual-time trace of a paper hierarchy
-     delay         Figs. 4-7: RT-1 delay under a chosen H-PFQ discipline
+     delay         Figs. 4-7: RT-1 delay under each chosen H-PFQ discipline
      link-sharing  Figs. 8-9: TCP sessions vs ideal H-GPS
      wfi           T-WFI probe sweep over the number of sessions
      replay        trace replay (CSV/binary/synthetic) with burst-drained departures
@@ -244,17 +244,17 @@ let trace_cmd =
 (* -- delay --------------------------------------------------------------- *)
 
 let delay_cmd =
-  let run engine pool discipline scenario horizon seed replications csv =
+  let run engine pool disciplines scenario horizon seed replications csv =
     let results =
       if replications = 1 then
         (* the historical single-run path: same seed → same output as ever *)
-        [
-          Experiments.Delay_experiment.run ~engine ~factory:discipline ~scenario
-            ~horizon ~seed ();
-        ]
+        List.map
+          (fun factory ->
+            Experiments.Delay_experiment.run ~engine ~factory ~scenario ~horizon ~seed ())
+          disciplines
       else
-        Experiments.Delay_experiment.run_sweep ~pool ~engine
-          ~factories:[ discipline ] ~scenario ~horizon ~seed ~replications ()
+        Experiments.Delay_experiment.run_sweep ~pool ~engine ~factories:disciplines
+          ~scenario ~horizon ~seed ~replications ()
     in
     List.iter
       (fun r -> print_endline (Experiments.Delay_experiment.summary_row r))
@@ -263,17 +263,32 @@ let delay_cmd =
       (Experiments.Delay_experiment.rt1_delay_bound *. 1e3);
     Option.iter
       (fun path ->
-        let result = List.hd results in
+        (* each discipline's first replication (results run
+           replication-inner), its series named after it *)
+        let series (r : Experiments.Delay_experiment.result) =
+          [
+            ( "delay:" ^ r.discipline,
+              Stats.Delay_stats.series_max_over_windows r.delays ~window:0.05 );
+            ("lag:" ^ r.discipline, Stats.Service_curve.lag_series r.lag);
+          ]
+        in
         Stats.Csv.write_named_series ~path
           ~series:
-            [
-              ( "delay",
-                Stats.Delay_stats.series_max_over_windows result.Experiments.Delay_experiment.delays
-                  ~window:0.05 );
-              ("lag", Stats.Service_curve.lag_series result.lag);
-            ];
+            (List.concat
+               (List.filteri (fun i _ -> i mod replications = 0) (List.map series results)));
         Printf.printf "wrote %s\n" path)
       csv
+  in
+  let disciplines_arg =
+    let nonempty =
+      checked (Arg.list discipline_conv) ~expected:"one or more disciplines" (fun l ->
+          l <> [])
+    in
+    Arg.(
+      value
+      & opt nonempty [ Hpfq.Disciplines.wf2q_plus ]
+      & info [ "d"; "discipline" ] ~docv:"NAME,..."
+          ~doc:"One-level disciplines to build the hierarchy from, run in turn.")
   in
   let scenario_arg =
     let scenarios =
@@ -300,7 +315,7 @@ let delay_cmd =
   Cmd.v (Cmd.info "delay" ~doc:"RT-1 delay experiment (paper Figs. 4-7).")
     Term.(
       const run $ engine_term $ pool_term
-      $ discipline_arg $ scenario_arg $ horizon_arg 10.0 $ seed_arg
+      $ disciplines_arg $ scenario_arg $ horizon_arg 10.0 $ seed_arg
       $ replications_arg $ csv_arg)
 
 (* -- link-sharing -------------------------------------------------------- *)

@@ -19,8 +19,8 @@ let bound_in p b = match p with Local -> b.local | Ci -> b.ci
 let words_tol = 0.10
 
 type guard =
-  | Relative of { path : string list; tol : bound }
   | Floor of { path : string list; floor : bound }
+  | Ratio of { path : string list; floor : bound }
   | Ceiling of { path : string list }
   | Scaling of { slack : bound }
   | Hash of { fresh : string list; baseline : string list }
@@ -49,9 +49,9 @@ let num path json = Option.bind (find path json) Json.to_float
 let str path json = match find path json with Some (Json.Str s) -> Some s | _ -> None
 
 let baseline_paths = function
-  | Relative { path; _ } | Ceiling { path } -> [ path ]
+  | Ceiling { path } -> [ path ]
   | Hash { baseline; _ } -> [ baseline ]
-  | Floor _ | Scaling _ -> []
+  | Floor _ | Ratio _ | Scaling _ -> []
 
 let missing ?(baseline = false) t json =
   let paths =
@@ -61,6 +61,55 @@ let missing ?(baseline = false) t json =
   List.filter_map (fun p -> if find p json = None then Some (path_name p) else None) paths
 
 let quick_out t = Filename.remove_extension t.out ^ "_quick.json"
+
+(* -- same-run A/B ------------------------------------------------------------ *)
+
+(* Load drifts over seconds, so the two sides of a ratio are measured
+   back to back, and the order flips every pair so that neither side
+   always runs first. *)
+let pairs ~num ~den () =
+  let samples =
+    List.init 5 (fun i ->
+        if i mod 2 = 0 then
+          let d = den () in
+          (num (), d)
+        else
+          let x = num () in
+          (x, den ()))
+  in
+  let arr f = Json.Arr (List.map (fun s -> Json.Num (f s)) samples) in
+  Json.Obj [ ("num", arr fst); ("den", arr snd) ]
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n = 0 then nan
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* The median of a {!pairs} object's per-pair ratios, with the ratios,
+   or why there is none: every same-run verdict goes through here. *)
+let same_run json =
+  let samples k =
+    Option.bind (Json.member k json) Json.to_list
+    |> Option.map (List.filter_map Json.to_float)
+  in
+  match (samples "num", samples "den") with
+  | Some num, Some den when num <> [] && List.compare_lengths num den = 0 ->
+    if List.for_all (fun d -> d > 0.0 && Float.is_finite d) den
+       && List.for_all Float.is_finite num
+    then
+      let rs = List.map2 ( /. ) num den in
+      Ok (median rs, rs)
+    else Error "zero or non-finite sample"
+  | _ -> Error "num/den samples missing or unmatched"
+
+let ratio json = Result.fold ~ok:fst ~error:(fun _ -> nan) (same_run json)
+
+let show_pairs (m, rs) =
+  Printf.sprintf "median %.3fx of %d pairs: %s" m (List.length rs)
+    (String.concat " " (List.map (Printf.sprintf "%.3f") rs))
 
 (* -- provenance ------------------------------------------------------------ *)
 
@@ -140,18 +189,6 @@ let unreadable what path =
 
 let judge p ~baseline ~fresh guard =
   match guard with
-  | Relative { path; tol } -> (
-    let tol = bound_in p tol in
-    match (num path fresh, num path baseline) with
-    | Some f, Some b when b > 0.0 ->
-      {
-        ok = f /. b >= 1.0 -. tol;
-        text =
-          Printf.sprintf "%-40s fresh %14.0f vs baseline %14.0f: ratio %.3f (floor %.2f)"
-            (path_name path) f b (f /. b) (1.0 -. tol);
-      }
-    | None, _ -> unreadable "fresh" path
-    | _ -> unreadable "positive baseline" path)
   | Floor { path; floor } -> (
     let floor = bound_in p floor in
     match num path fresh with
@@ -160,6 +197,16 @@ let judge p ~baseline ~fresh guard =
         ok = f >= floor;
         text = Printf.sprintf "%-40s fresh %14.4g (floor %g)" (path_name path) f floor;
       }
+    | None -> unreadable "fresh" path)
+  | Ratio { path; floor } -> (
+    let floor = bound_in p floor in
+    match Option.map same_run (find path fresh) with
+    | Some (Ok ((m, _) as r)) ->
+      {
+        ok = m >= floor;
+        text = Printf.sprintf "%-40s %s (floor %g)" (path_name path) (show_pairs r) floor;
+      }
+    | Some (Error e) -> { ok = false; text = Printf.sprintf "%s: %s" (path_name path) e }
     | None -> unreadable "fresh" path)
   | Ceiling { path } -> (
     match (num path fresh, num path baseline) with
@@ -190,23 +237,23 @@ let judge p ~baseline ~fresh guard =
     let judged =
       List.map
         (fun row ->
-          let get k = Option.value ~default:nan (num [ k ] row) in
-          let floor = get "expected" *. (1.0 -. slack) in
-          let enforced = Json.member "enforced" row = Some (Json.Bool true) in
-          let ok = get "value" >= floor in
-          ( (not enforced) || ok,
-            Printf.sprintf "  %-28s %8.2fx  floor %6.2fx  %s"
-              (Option.value ~default:"?" (str [ "label" ] row))
-              (get "value") floor
-              (if not enforced then "info" else if ok then "yes" else "NO") ))
+          let label = Option.value ~default:"?" (str [ "label" ] row) in
+          let floor = Option.value ~default:nan (num [ "expected" ] row) *. (1.0 -. slack) in
+          match Option.map same_run (Json.member "pairs" row) with
+          | Some (Ok ((m, _) as r)) ->
+            ( m >= floor,
+              Printf.sprintf "  %-24s floor %5.2fx %-3s %s" label floor
+                (if m >= floor then "yes" else "NO")
+                (show_pairs r) )
+          | Some (Error e) -> (false, Printf.sprintf "  %-24s %s" label e)
+          | None -> (false, Printf.sprintf "  %-24s pairs missing" label))
         rows
     in
     {
       ok = rows <> [] && List.for_all fst judged;
       text =
         String.concat "\n"
-          (Printf.sprintf
-             "scaling rows (floor = expected x (1 - %.2f); info rows exceed the cores)" slack
+          (Printf.sprintf "scaling rows (floor = expected x (1 - %.2f))" slack
           :: List.map snd judged);
     }
 

@@ -27,21 +27,24 @@ val both : float -> bound
 val words_tol : float
 (** Band of every allocation ceiling: 0.10. *)
 
-(** Each kind is judged by one piece of code, {!judge}. *)
+(** Each kind is judged by one piece of code, {!judge}. Only [Ceiling]
+    and [Hash] read the committed baseline: a rate recorded on another
+    machine says nothing about this one, so every throughput gate is a
+    floor on a fresh measurement. *)
 type guard =
-  | Relative of { path : string list; tol : bound }
-      (** Fresh throughput at [path] is at least [1 - tol] times the
-          baseline's. *)
   | Floor of { path : string list; floor : bound }
-      (** Fresh value at [path] (an A/B ratio or an absolute rate) is at
-          least [floor]. *)
+      (** Fresh value at [path] (an absolute rate) is at least [floor]. *)
+  | Ratio of { path : string list; floor : bound }
+      (** Fresh [path] is a same-run A/B written by {!pairs}; the median
+          of its per-pair ratios is at least [floor]. A missing, short,
+          zero or non-finite sample fails. *)
   | Ceiling of { path : string list }
       (** Fresh minor words/packet at [path] is at most the baseline's
           times [1 + words_tol]. *)
   | Scaling of { slack : bound }
-      (** Every fresh [rows] entry with ["enforced": true] has ["value"] at
-          least ["expected"] times [1 - slack]; other rows are shown
-          only. *)
+      (** Every fresh [rows] entry's ["pairs"] ({!pairs}, read like
+          [Ratio]'s) has a median ratio of at least ["expected"] times
+          [1 - slack]; no rows fails. *)
   | Hash of { fresh : string list; baseline : string list }
       (** The fresh string at [fresh] equals the baseline's at
           [baseline], with no tolerance. *)
@@ -57,6 +60,24 @@ type t = {
       (** Fresh measurement for the guards ([quick]: smoke scale). *)
   guards : guard list;
 }
+
+val pairs : num:(unit -> float) -> den:(unit -> float) -> unit -> Json.t
+(** A same-run A/B: five pairs of one [num ()] and one [den ()]
+    measurement, run back to back with the order swapped every pair
+    (den first in the first pair), as [{"num": [...], "den": [...]}]
+    for a {!Ratio} or {!Scaling} guard. *)
+
+val median : float list -> float
+(** The middle value (the mean of the two middle values of an even
+    count); [nan] on an empty list. *)
+
+val same_run : Json.t -> (float * float list, string) result
+(** The median of a {!pairs} object's per-pair ratios, and the ratios;
+    [Error] when a sample is missing, unmatched, zero or not finite.
+    {!Ratio} and {!Scaling} judge with it. *)
+
+val ratio : Json.t -> float
+(** {!same_run}'s median, [nan] when there is none. *)
 
 val find : string list -> Json.t -> Json.t option
 val path_name : string list -> string

@@ -40,7 +40,11 @@ let session_grid ~quick = if quick then [ 10_000 ] else [ 100_000; 1_000_000 ]
 let headline_sessions ~quick = List.fold_left max 0 (session_grid ~quick)
 let churn_iters ~quick = if quick then 20_000 else 200_000
 
-let measure ~factory ~sessions ~iters () =
+(* A fresh policy with [sessions] open (the ramp timed), and one churn
+   step over them: make a random session backlogged, close it `Drop (heap
+   removal + retract), open its replacement (slot reuse + fresh stamps).
+   Two events per step. *)
+let open_sessions ~factory ~sessions =
   let policy, _ = Hpfq.Schedulers.make ~rate:1.0 factory in
   let r = 1.0 /. float_of_int sessions in
   let handles = Array.make sessions (Sched.Session_handle.of_int_unsafe 0) in
@@ -51,27 +55,54 @@ let measure ~factory ~sessions ~iters () =
   let ramp_wall = Unix.gettimeofday () -. t0 in
   let rng = Engine.Rng.create 0x5EEDL in
   let now = ref 0.0 in
-  let m0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
+  let step () =
     let idx = Engine.Rng.int rng sessions in
     let h = handles.(idx) in
-    (* close under backlog: the expensive path (heap removal + retract) *)
     let s = policy.Intf.session_of_handle h in
     policy.Intf.backlog ~now:!now ~session:s ~head_bits:1.0;
     policy.Intf.close_session ~now:!now ~policy:`Drop h;
     handles.(idx) <- policy.Intf.open_session ~rate:r;
     now := !now +. 1e-6
+  in
+  (policy, ramp_wall, step)
+
+(* The churn probe's reference at the same N: a hold model on the 4-ary
+   heap every scheduler runs, [n] keys, each step one drop-min and one
+   add a random increment later — the heap work a churn step pays for,
+   with none of the session machinery. Two operations per step. *)
+let heap_hold ~n =
+  let module H = Prioq.Indexed_heap4 in
+  let h = H.create n in
+  let rng = Engine.Rng.create 0x5EEDL in
+  for k = 0 to n - 1 do
+    H.add h ~key:k ~prio:(Engine.Rng.float rng 1.0)
+  done;
+  fun () ->
+    let k = H.min_key_unsafe h and p = H.min_prio_unsafe h in
+    H.drop_min h;
+    H.add h ~key:k ~prio:(p +. Engine.Rng.float rng 1.0)
+
+(* events (two per step) per second over [iters] steps, and the minor
+   words each event allocated *)
+let time_steps ~iters step =
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    step ()
   done;
   let wall = Unix.gettimeofday () -. t0 in
-  let minor = Gc.minor_words () -. m0 in
-  let events = 2 * iters in
+  let events = float_of_int (2 * iters) in
+  (events /. wall, (Gc.minor_words () -. m0) /. events)
+
+let measure ~factory ~sessions ~iters () =
+  let policy, ramp_wall, step = open_sessions ~factory ~sessions in
+  let churn_events_per_sec, minor_words_per_event = time_steps ~iters step in
   {
     engine = factory.Intf.kind;
     sessions;
     ramp_opens_per_sec = float_of_int sessions /. ramp_wall;
-    churn_events_per_sec = float_of_int events /. wall;
-    minor_words_per_event = minor /. float_of_int events;
+    churn_events_per_sec;
+    minor_words_per_event;
     live_after = policy.Intf.live_sessions ();
   }
 
@@ -139,13 +170,26 @@ let report ~quick =
     rows;
   json_of_run ~quick rows
 
-(* The guard's fresh side: the fixed-point headline cell. *)
+(* The guard's fresh side: the fixed-point headline cell against the
+   heap hold at the same N, in pairs over one policy and one heap. *)
 let probe ~quick =
   let sessions = if quick then 1_000 else headline_sessions ~quick:false in
   let iters = if quick then 5_000 else churn_iters ~quick:false in
-  let r = measure ~factory:Hpfq.Disciplines.wf2q_plus_fixed ~sessions ~iters () in
+  let _, _, step = open_sessions ~factory:Hpfq.Disciplines.wf2q_plus_fixed ~sessions in
+  let heap_step = heap_hold ~n:sessions in
+  let churn = ref [] in
+  let num () =
+    let rate = fst (time_steps ~iters step) in
+    churn := rate :: !churn;
+    rate
+  in
+  let ab = Bench_kit.Suite.pairs ~num ~den:(fun () -> fst (time_steps ~iters heap_step)) () in
   Json.Obj
-    [ ("headline", Json.Obj [ ("churn_events_per_sec", Json.Num r.churn_events_per_sec) ]) ]
+    [
+      ("churn_over_heap", ab);
+      ( "headline",
+        Json.Obj [ ("churn_events_per_sec", Json.Num (Bench_kit.Suite.median !churn)) ] );
+    ]
 
 (* -- virtual-time soak ---------------------------------------------------- *)
 

@@ -26,9 +26,11 @@ val report : quick:bool -> Bench_kit.Json.t
     @raise Failure if a cell leaks or loses sessions. *)
 
 val probe : quick:bool -> Bench_kit.Json.t
-(** The guard's fresh side: [headline.churn_events_per_sec] of the
-    fixed-point engine at 10⁶ sessions ([quick]: 10³ sessions, 5k
-    iterations). *)
+(** The guard's fresh side at 10⁶ sessions ([quick]: 10³ sessions, 5k
+    steps): [churn_over_heap], {!Bench_kit.Suite.pairs} of the
+    fixed-point engine's churn events/s and an [Indexed_heap4]
+    drop-min/add hold at the same N (each step two heap operations), and
+    [headline.churn_events_per_sec], the median churn rate. *)
 
 type soak_result = {
   s_engine : string;

@@ -9,9 +9,10 @@
    at a two-packet backlog — on the paper's Fig. 3 topology and on
    balanced trees of depth 2/4/6 up to 4096 leaves, then writes
    BENCH_hier.json with per-topology flat/generic speedups and a Fig. 3
-   headline. [probe] re-measures the headline's same-run speedup and
-   allocation for the guard; the flat engine's own throughput is
-   benchmark/'s tree_4k_d6 workload. *)
+   headline. [probe] re-measures the flat/generic ratio on the
+   balanced_d4_f8 row and the flat engine's Fig. 3 allocation for the
+   guard; the flat engine's own throughput is benchmark/'s tree_4k_d6
+   workload. *)
 
 module H = Paper_hierarchies
 module Perf = Bench_kit.Perf
@@ -165,26 +166,25 @@ let report ~quick =
     (speedups rows);
   json_of_run ~quick rows
 
-(* The guard's fresh side: the Fig. 3 headline on both engines. The
-   measured flat/generic margin is modest (~1.1x on Fig. 3, ~1.3x on deep
-   trees) because most of the per-packet cycle is simulator/fifo/heap
-   work common to both engines; the flat engine's decisive win is
-   allocation. *)
+(* The guard's fresh side. The flat/generic ratio is taken on the deep
+   4096-leaf tree, where the generic engine's per-level dispatch adds up
+   (~2x); on Fig. 3 most of the per-packet cycle is simulator, fifo and
+   heap work common to both engines, so its ratio (~1.1x) sits at the
+   noise floor. Fig. 3 still carries the flat engine's allocation
+   ceiling. *)
 let probe ~quick =
   let target_pkts = default_target_pkts ~quick in
-  let measure engine =
-    measure ~spec:H.fig3 ~pkt_bits:H.fig3_packet_bits ~engine ~target_pkts
+  let topology, spec, pkt_bits = balanced ~depth:4 ~fanout:(if quick then 2 else 8) in
+  let rate engine () =
+    (measure ~spec ~pkt_bits ~engine ~target_pkts ~topology ()).pkts_per_sec
+  in
+  let fig3 =
+    measure ~spec:H.fig3 ~pkt_bits:H.fig3_packet_bits ~engine:Flat ~target_pkts
       ~topology:headline_topology ()
   in
-  let flat = measure Flat in
-  let generic = measure Generic in
   Json.Obj
     [
+      ("flat_over_generic", Bench_kit.Suite.pairs ~num:(rate Flat) ~den:(rate Generic) ());
       ( "headline",
-        Json.Obj
-          [
-            ("speedup", Json.Num (flat.pkts_per_sec /. generic.pkts_per_sec));
-            ("flat_minor_words_per_pkt", Json.Num flat.minor_words_per_pkt);
-            ("generic_minor_words_per_pkt", Json.Num generic.minor_words_per_pkt);
-          ] );
+        Json.Obj [ ("flat_minor_words_per_pkt", Json.Num fig3.minor_words_per_pkt) ] );
     ]

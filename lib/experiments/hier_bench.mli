@@ -16,5 +16,7 @@ val report : quick:bool -> Bench_kit.Json.t
     the same [-j]). *)
 
 val probe : quick:bool -> Bench_kit.Json.t
-(** The guard's fresh side: Fig. 3 on both engines — the flat/generic
-    [headline.speedup] and both engines' minor words/packet. *)
+(** The guard's fresh side: [flat_over_generic], {!Bench_kit.Suite.pairs}
+    of the two engines' rates on the balanced depth-4 fan-out-8 tree (4096
+    leaves; [quick]: fan-out 2), and the flat engine's Fig. 3
+    [headline.flat_minor_words_per_pkt]. *)

@@ -10,24 +10,15 @@
    - *exactness at epoch 1*: every epoch = 1 rung must produce the same
      departure hash as the sequential Hier_flat reference, at any shard
      count — binding on every host;
-   - *throughput*: epoch-batched rungs should stay near the sequential
-     reference (the root sync is the sequential section, so this is a
-     no-regression floor, not a linear speedup curve). *)
+   - *throughput*: every rung, as same-run pairs against the sequential
+     reference, should stay near it (the root sync is the sequential
+     section, so this is a no-regression floor, not a linear speedup
+     curve). *)
 
 module Json = Bench_kit.Json
+module Suite = Bench_kit.Suite
 module HF = Hpfq.Hier_flat
 module CT = Hpfq.Class_tree
-
-type row = {
-  shards : int;
-  epoch : int;
-  wall_s : float;
-  pkts : int;
-  pkts_per_sec : float;
-  ratio_vs_flat : float;  (** pkts_per_sec / the Hier_flat reference's *)
-  depart_hash : int64;
-  exact : bool;  (** epoch = 1: hash must equal the flat reference *)
-}
 
 let shards_ladder () = [ 1; 4; 16 ]
 let epoch_ladder () = [ 1; 8; 64 ]
@@ -76,34 +67,13 @@ let hash_depart h pkt ~leaf t =
   let x = fold_hash x (Int64.of_int pkt.seq) in
   fold_hash x (Int64.bits_of_float t)
 
-let run_flat ~spec ~program =
-  let sim = Engine.Simulator.create () in
-  let pkts = ref 0 and hash = ref 0xcbf29ce484222325L in
-  let h =
-    HF.create ~sim ~spec
-      ~on_depart:(fun pkt ~leaf t ->
-        incr pkts;
-        hash := hash_depart !hash pkt ~leaf t)
-      ()
-  in
-  let ids =
-    Array.of_list (List.map (fun (name, _) -> HF.leaf_id h name) (CT.leaves spec))
-  in
-  List.iter
-    (fun (at, leaf, size_bits, count) ->
-      ignore
-        (Engine.Simulator.schedule sim ~at (fun () ->
-             HF.inject_many h ~leaf:ids.(leaf) ~size_bits ~count)))
-    program;
-  let t0 = Unix.gettimeofday () in
-  Engine.Simulator.run sim;
-  (Unix.gettimeofday () -. t0, !pkts, !hash)
-
-let run_cell ~spec ~program ~shards ~epoch =
+(* One run of the program: the sequential Hier_flat reference without
+   [shards]/[epoch], the epoch layer with them. *)
+let run ?shards ?epoch ~spec ~program () =
   let sim = Engine.Simulator.create () in
   let pkts = ref 0 and hash = ref 0xcbf29ce484222325L in
   let t =
-    HF.create ~sim ~spec ~shards ~epoch
+    HF.create ~sim ~spec ?shards ?epoch
       ~on_depart:(fun pkt ~leaf t ->
         incr pkts;
         hash := hash_depart !hash pkt ~leaf t)
@@ -122,143 +92,101 @@ let run_cell ~spec ~program ~shards ~epoch =
   Engine.Simulator.run sim;
   (Unix.gettimeofday () -. t0, !pkts, !hash)
 
-let measure ?(quick = false) () =
+(* The exactness contract, checked on every run: an epoch = 1 run
+   departs exactly as the flat reference, and the epoch alone fixes the
+   schedule, whatever the shard count ([seen] maps an epoch to the first
+   hash and shard count it produced). *)
+let check_hash ~flat_hash ~seen ~shards ~epoch hash =
+  if epoch = 1 && hash <> flat_hash then
+    failwith
+      (Printf.sprintf
+         "Hiershard_bench: shards=%d epoch=1 departure hash %s diverged from the \
+          Hier_flat reference %s — the exactness contract is broken"
+         shards (Shard.Device.hash_hex hash) (Shard.Device.hash_hex flat_hash));
+  match Hashtbl.find_opt seen epoch with
+  | None -> Hashtbl.replace seen epoch (hash, shards)
+  | Some (first, _) when first = hash -> ()
+  | Some (first, first_shards) ->
+    failwith
+      (Printf.sprintf "Hiershard_bench: epoch=%d hash %s at %d shards but %s at %d shards"
+         epoch (Shard.Device.hash_hex hash) shards (Shard.Device.hash_hex first)
+         first_shards)
+
+(* Each cell's rate over the flat reference's, as same-run pairs, every
+   run held to the exactness contract (the reference counts as an
+   epoch-1 run on 0 shards). Returns the flat hash, the first hash of
+   each epoch, and the cell function. *)
+let cells ~quick =
+  let spec = spec () and program = program ~quick in
+  let _, _, flat_hash = run ~spec ~program () in
+  let seen = Hashtbl.create 3 in
+  let rate ?shards ?epoch () =
+    let wall, pkts, hash = run ?shards ?epoch ~spec ~program () in
+    check_hash ~flat_hash ~seen ~shards:(Option.value shards ~default:0)
+      ~epoch:(Option.value epoch ~default:1) hash;
+    float_of_int pkts /. wall
+  in
+  ( flat_hash,
+    seen,
+    fun ~shards ~epoch -> Suite.pairs ~num:(rate ~shards ~epoch) ~den:(fun () -> rate ()) () )
+
+let grid () =
+  List.concat_map
+    (fun shards -> List.map (fun epoch -> (shards, epoch)) (epoch_ladder ()))
+    (shards_ladder ())
+
+let report ~quick =
   let cores = Parallel.Pool.cores () in
-  let spec = spec () in
-  let program = program ~quick in
-  let flat_wall, flat_pkts, flat_hash = run_flat ~spec ~program in
-  let flat_pps = float_of_int flat_pkts /. flat_wall in
+  let flat_hash, seen, cell = cells ~quick in
+  Printf.printf "cores=%d, Hier_flat reference hash %s\n" cores
+    (Shard.Device.hash_hex flat_hash);
+  Printf.printf "%7s %6s %8s %6s  %s\n" "shards" "epoch" "ratio" "exact" "depart_hash";
   let rows =
-    List.concat_map
-      (fun shards ->
-        List.map
-          (fun epoch ->
-            let wall, pkts, hash = run_cell ~spec ~program ~shards ~epoch in
-            if epoch = 1 && hash <> flat_hash then
-              failwith
-                (Printf.sprintf
-                   "Hiershard_bench: shards=%d epoch=1 departure hash %s \
-                    diverged from the Hier_flat reference %s — the exactness \
-                    contract is broken"
-                   shards
-                   (Shard.Device.hash_hex hash)
-                   (Shard.Device.hash_hex flat_hash));
-            let pps = float_of_int pkts /. wall in
-            {
-              shards;
-              epoch;
-              wall_s = wall;
-              pkts;
-              pkts_per_sec = pps;
-              ratio_vs_flat = pps /. flat_pps;
-              depart_hash = hash;
-              exact = epoch = 1;
-            })
-          (epoch_ladder ()))
-      (shards_ladder ())
-  in
-  (* the epoch alone fixes the schedule: one hash per epoch, whatever the
-     shard count *)
-  List.iter
-    (fun r ->
-      let first = List.find (fun f -> f.epoch = r.epoch) rows in
-      if r.depart_hash <> first.depart_hash then
-        failwith
-          (Printf.sprintf
-             "Hiershard_bench: epoch=%d hash %s at %d shards but %s at %d shards"
-             r.epoch
-             (Shard.Device.hash_hex r.depart_hash)
-             r.shards
-             (Shard.Device.hash_hex first.depart_hash)
-             first.shards))
-    rows;
-  (cores, flat_pps, Shard.Device.hash_hex flat_hash, rows)
-
-(* -- JSON report --------------------------------------------------------- *)
-
-let json_of_run ~quick ~cores ~flat_pps ~flat_hash rows =
-  let row_json r =
-    Json.Obj
-      [
-        ("shards", Json.Num (float_of_int r.shards));
-        ("epoch", Json.Num (float_of_int r.epoch));
-        ("wall_s", Json.Num r.wall_s);
-        ("pkts", Json.Num (float_of_int r.pkts));
-        ("pkts_per_sec", Json.Num r.pkts_per_sec);
-        ("ratio_vs_flat", Json.Num r.ratio_vs_flat);
-        ("depart_hash", Json.Str (Shard.Device.hash_hex r.depart_hash));
-        ("exact", Json.Bool r.exact);
-      ]
-  in
-  let headline =
-    let best =
-      List.fold_left
-        (fun acc r ->
-          match acc with
-          | Some b when b.ratio_vs_flat >= r.ratio_vs_flat -> acc
-          | _ -> Some r)
-        None
-        (List.filter (fun r -> r.epoch > 1) rows)
-    in
-    match best with
-    | Some r ->
-      Json.Obj
-        [
-          ( "workload",
-            Json.Str (Printf.sprintf "hiershard_s%d_e%d" r.shards r.epoch) );
-          ("pkts_per_sec", Json.Num r.pkts_per_sec);
-          ("ratio_vs_flat", Json.Num r.ratio_vs_flat);
-          ("cores", Json.Num (float_of_int cores));
-        ]
-    | None -> Json.Null
+    List.map
+      (fun (shards, epoch) ->
+        let pairs = cell ~shards ~epoch in
+        let hash = Shard.Device.hash_hex (fst (Hashtbl.find seen epoch)) in
+        Printf.printf "%7d %6d %7.2fx %6b  %s\n" shards epoch (Suite.ratio pairs) (epoch = 1)
+          hash;
+        Json.Obj
+          [
+            ("shards", Json.Num (float_of_int shards));
+            ("epoch", Json.Num (float_of_int epoch));
+            ("ratio_vs_flat", Json.Num (Suite.ratio pairs));
+            ("depart_hash", Json.Str hash);
+            ("exact", Json.Bool (epoch = 1));
+            ("pkts_per_sec", pairs);
+          ])
+      (grid ())
   in
   Json.Obj
     [
-      ("schema", Json.Str "hpfq-bench-hiershard-v1");
+      ("schema", Json.Str "hpfq-bench-hiershard-v2");
       ("bench", Json.Str "hiershard");
       ("quick", Json.Bool quick);
       ("cores", Json.Num (float_of_int cores));
       ( "workload",
         Json.Str
-          (Printf.sprintf "one_tree_%dx%d_overload1.5" root_children
-             leaves_per_child) );
-      ("flat_pkts_per_sec", Json.Num flat_pps);
-      ("flat_depart_hash", Json.Str flat_hash);
-      ("headline", headline);
-      ("rows", Json.Arr (List.map row_json rows));
+          (Printf.sprintf "one_tree_%dx%d_overload1.5" root_children leaves_per_child) );
+      ("flat_depart_hash", Json.Str (Shard.Device.hash_hex flat_hash));
+      ("rows", Json.Arr rows);
     ]
 
-let report ~quick =
-  let cores, flat_pps, flat_hash, rows = measure ~quick () in
-  Printf.printf "cores=%d, Hier_flat reference %.0f pkts/s, hash %s\n" cores
-    flat_pps flat_hash;
-  Printf.printf "%7s %6s %12s %14s %8s %6s  %s\n" "shards" "epoch" "wall (s)"
-    "pkts/s" "ratio" "exact" "depart_hash";
-  List.iter
-    (fun r ->
-      Printf.printf "%7d %6d %12.3f %14.0f %7.2fx %6b  %s\n" r.shards r.epoch
-        r.wall_s r.pkts_per_sec r.ratio_vs_flat r.exact
-        (Shard.Device.hash_hex r.depart_hash))
-    rows;
-  json_of_run ~quick ~cores ~flat_pps ~flat_hash rows
-
-(* Exactness is checked inside [measure]; every cell runs on one core, so
-   the throughput floor applies to every row on every host. *)
+(* Every cell runs on one core, so the throughput floor applies to every
+   row on every host. *)
 let probe ~quick =
-  let _, _, _, rows = measure ~quick () in
+  let _, _, cell = cells ~quick in
   Json.Obj
     [
       ( "rows",
         Json.Arr
           (List.map
-             (fun r ->
+             (fun (shards, epoch) ->
                Json.Obj
                  [
-                   ( "label",
-                     Json.Str (Printf.sprintf "shards=%d epoch=%d" r.shards r.epoch) );
-                   ("value", Json.Num r.ratio_vs_flat);
+                   ("label", Json.Str (Printf.sprintf "shards=%d epoch=%d" shards epoch));
+                   ("pairs", cell ~shards ~epoch);
                    ("expected", Json.Num 1.0);
-                   ("enforced", Json.Bool true);
                  ])
-             rows) );
+             (grid ())) );
     ]

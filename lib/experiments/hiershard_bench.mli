@@ -15,13 +15,15 @@
     the slack", not a linear speedup curve. *)
 
 val report : quick:bool -> Bench_kit.Json.t
-(** Measure the shards × epoch grid, print the table and return the
-    report.
+(** Measure the shards × epoch grid, each cell as same-run pairs against
+    the flat reference ({!Bench_kit.Suite.pairs}), print the table and
+    return the report: per cell its median [ratio_vs_flat], its hash and
+    the pairs of rates ([pkts_per_sec]).
     @raise Failure if any [epoch = 1] rung diverges from the flat
     reference, or one epoch's hash differs across shard counts. *)
 
 val probe : quick:bool -> Bench_kit.Json.t
-(** The guard's fresh side: one [rows] entry per cell with its
-    throughput ratio to the flat reference ([value]), the no-regression
-    target 1.0 ([expected]) and [enforced] true. Runs the quick grid when
-    [quick]; raises like {!report}. *)
+(** The guard's fresh side: one [rows] entry per cell, its throughput
+    over the flat reference's as {!Bench_kit.Suite.pairs} ([pairs]), and
+    the no-regression target 1.0 ([expected]). Runs the quick program
+    when [quick]; raises like {!report}, on every run. *)

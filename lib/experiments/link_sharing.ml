@@ -143,7 +143,7 @@ let average_over series ~t0 ~t1 =
     /. float_of_int (List.length points)
 
 let run ?pool ?engine ?(factory = Hpfq.Disciplines.wf2q_plus) ?(horizon = H.fig8_horizon)
-    ?seed:_ () =
+    () =
   if not (horizon > 0.0) then
     invalid_arg (Printf.sprintf "Link_sharing.run: horizon %g must be > 0" horizon);
   (* the packet system and the fluid ideal share nothing — they are the
@@ -181,16 +181,6 @@ let run ?pool ?engine ?(factory = Hpfq.Disciplines.wf2q_plus) ?(horizon = H.fig8
   in
   { discipline = factory.Sched.Sched_intf.kind; measured; ideal; intervals; tcp_stats }
 
-(* Scenario grid: one full run per discipline. Tasks run their two halves
-   inline (a sequential inner pool) — the outer grid is the better unit of
-   fan-out since cells outnumber the halves. *)
-let run_grid ?pool ?engine ~factories ?horizon () =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 () in
-  let inner = Parallel.Pool.create ~jobs:1 () in
-  Parallel.Pool.map_list pool
-    ~f:(fun factory -> run ~pool:inner ?engine ~factory ?horizon ())
-    factories
-
 let summary fmt r =
   Format.fprintf fmt "Link sharing under H-%s vs ideal H-GPS (Mbps):@." r.discipline;
   Format.fprintf fmt "%-14s" "interval";
@@ -210,4 +200,19 @@ let summary fmt r =
   List.iter
     (fun (leaf, retx, to_) -> Format.fprintf fmt " %s retx=%d timeouts=%d;" leaf retx to_)
     r.tcp_stats;
-  Format.fprintf fmt "@."
+  Format.fprintf fmt "@.";
+  (* the paper's "track very closely", as one number: every cell of
+     every phase after the 0.5 s start-up *)
+  let errs =
+    List.concat_map
+      (fun interval ->
+        if interval.t0 < 0.5 then []
+        else
+          List.map
+            (fun (row : interval_row) ->
+              Float.abs (row.measured -. row.ideal) /. Float.max 1.0 row.ideal)
+            interval.rows)
+      r.intervals
+  in
+  Format.fprintf fmt "mean |measured-ideal|/ideal over all phases: %.1f%%@."
+    (List.fold_left ( +. ) 0.0 errs /. float_of_int (List.length errs) *. 100.0)

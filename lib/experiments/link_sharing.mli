@@ -36,26 +36,17 @@ val run :
   ?engine:Hpfq.Hier_engine.choice ->
   ?factory:Sched.Sched_intf.factory ->
   ?horizon:float ->
-  ?seed:int64 ->
   unit ->
   result
-(** Defaults: WF²Q+, {!Paper_hierarchies.fig8_horizon}, seed 1. The
+(** Defaults: WF²Q+, {!Paper_hierarchies.fig8_horizon}; the experiment
+    draws no random numbers. The
     packet run and the fluid ideal are independent; with a [pool] of two
     or more workers they run on separate domains (the result is identical
     either way — both halves are deterministic). [engine] selects the
     hierarchy engine (default [`Auto]).
     @raise Invalid_argument if [horizon] is not > 0 (NaN included). *)
 
-val run_grid :
-  ?pool:Parallel.Pool.t ->
-  ?engine:Hpfq.Hier_engine.choice ->
-  factories:Sched.Sched_intf.factory list ->
-  ?horizon:float ->
-  unit ->
-  result list
-(** One full run per discipline, fanned out on [pool] (default:
-    sequential), results in [factories] order for any worker count. *)
-
 val summary : Format.formatter -> result -> unit
 (** Per-interval table: measured vs ideal bandwidth for each TCP session
-    (the numeric content of Fig. 9). *)
+    (the numeric content of Fig. 9), TCP health, and the mean relative
+    tracking error over every phase from 0.5 s on. *)

@@ -1,12 +1,12 @@
 (* Multicore scaling suite (bench id "parallel").
 
    Runs the same wfi sweep grid — the paper's discipline × session-count
-   evaluation grid, every cell a private simulator — under pools of 1, 2,
-   4 and 8 workers, and reports wall clock and speedup vs -j1. Two claims
-   are on the line:
+   evaluation grid, every cell a private simulator — under pools of 2, 4
+   and 8 workers, each rung as same-run pairs against -j1, and reports
+   the median speedup. Two claims are on the line:
 
-   - *determinism*: every rung of the ladder must produce bit-identical
-     results to the -j1 run (the suite serializes all measurements and
+   - *determinism*: every sweep at every -j must produce bit-identical
+     results to the first one (the suite serializes all measurements and
      fails hard on any diff — this is the pool's contract, checked on the
      real workload, not a toy);
    - *scaling*: speedup at -j J should approach min(J, cores). Speedup is
@@ -16,19 +16,13 @@
      must not cost anything", while an 8-core machine is held to the real
      3x-at-j8 target.
 
-   Results go to BENCH_parallel.json; [probe] re-measures the ladder for
-   the guard. *)
+   Results go to BENCH_parallel.json; [probe] re-measures the rungs the
+   guard gates. *)
 
 module Json = Bench_kit.Json
+module Suite = Bench_kit.Suite
 
-type row = {
-  jobs : int;
-  wall_s : float;
-  speedup : float; (* wall(-j1) / wall(-jN), >= 1 when parallelism helps *)
-  floor : float; (* cores-aware expected speedup at this rung *)
-}
-
-let jobs_ladder = [ 1; 2; 4; 8 ]
+let jobs_ladder = [ 2; 4; 8 ]
 
 (* The acceptance targets at full core budget: 1.7x at -j2, 3x at -j8
    (sub-linear — domains share the allocator and memory bandwidth, and
@@ -48,131 +42,98 @@ let grid ~quick =
   else (Hpfq.Disciplines.pfq, [ 4; 8; 16; 24; 32; 48; 64 ])
 
 (* One pass of the full grid takes ~0.1 s at -j1 in release: too short a
-   rung to tell the pool's cost from host load. A rung runs the grid
-   [passes] times over in one map, so the -j1 rung lasts over 1 s on a
-   2-vCPU host (Shard_bench's [rounds_for] sizes its rungs the same way). *)
+   sweep to tell the pool's cost from host load. A sweep runs the grid
+   [passes] times over in one map, so the -j1 sweep lasts over 1 s on a
+   2-vCPU host. *)
 let passes ~quick = if quick then 1 else 16
 
 let fingerprint (m : Wfi_probe.measurement) =
   Printf.sprintf "%s|%d|%.17g|%.17g|%.17g" m.discipline m.n m.measured_twfi
     m.wf2q_plus_bound m.probe_delay
 
-let sweep_wall ~factories ~ns ~jobs =
-  let pool = Parallel.Pool.create ~jobs () in
-  let t0 = Unix.gettimeofday () in
-  let ms = Wfi_probe.sweep_grid ~pool ~factories ~ns () in
-  let wall = Unix.gettimeofday () -. t0 in
-  (wall, List.map fingerprint ms)
-
-(* Best-of-[runs] wall clock per rung: scaling benches report the least
-   contended measurement, not the mean, because interference only ever
-   adds time. *)
-let measure ?(quick = false) () =
+(* Sweep rates at -j[jobs] and -j1 as same-run pairs; every sweep's
+   fingerprints must match the first one's, at any -j. *)
+let rung ~quick =
   let factories, ns = grid ~quick in
   let factories = List.concat (List.init (passes ~quick) (fun _ -> factories)) in
-  let runs = if quick then 1 else 3 in
-  let cores = Parallel.Pool.cores () in
   let reference = ref None in
-  let rows =
-    List.map
-      (fun jobs ->
-        let walls_and_prints =
-          List.init runs (fun _ -> sweep_wall ~factories ~ns ~jobs)
-        in
-        let wall =
-          List.fold_left (fun acc (w, _) -> Float.min acc w) infinity walls_and_prints
-        in
-        let prints = snd (List.hd walls_and_prints) in
-        (match !reference with
-        | None -> reference := Some prints
-        | Some ref_prints ->
-          if not (List.equal String.equal ref_prints prints) then
-            failwith
-              (Printf.sprintf
-                 "Parallel_bench: sweep at -j%d diverged from the -j1 \
-                  reference — the pool's determinism contract is broken"
-                 jobs));
-        (jobs, wall))
-      jobs_ladder
+  let rate jobs () =
+    let pool = Parallel.Pool.create ~jobs () in
+    let t0 = Unix.gettimeofday () in
+    let prints = List.map fingerprint (Wfi_probe.sweep_grid ~pool ~factories ~ns ()) in
+    let wall = Unix.gettimeofday () -. t0 in
+    (match !reference with
+    | None -> reference := Some prints
+    | Some first when List.equal String.equal first prints -> ()
+    | Some _ ->
+      failwith
+        (Printf.sprintf
+           "Parallel_bench: sweep at -j%d diverged from the first — the pool's \
+            determinism contract is broken"
+           jobs));
+    1.0 /. wall
   in
-  let t1 = match rows with (1, w) :: _ -> w | _ -> assert false in
-  ( cores,
-    List.length factories * List.length ns,
-    List.map
-      (fun (jobs, wall) ->
-        { jobs; wall_s = wall; speedup = t1 /. wall; floor = expected_floor ~cores ~jobs })
-      rows )
+  ( List.length factories * List.length ns,
+    fun jobs -> Suite.pairs ~num:(rate jobs) ~den:(rate 1) () )
 
-(* -- JSON report --------------------------------------------------------- *)
-
-let json_of_run ~quick ~cores ~tasks rows =
-  let row_json r =
-    Json.Obj
-      [
-        ("jobs", Json.Num (float_of_int r.jobs));
-        ("wall_s", Json.Num r.wall_s);
-        ("speedup", Json.Num r.speedup);
-        ("expected_floor", Json.Num r.floor);
-      ]
-  in
-  let headline =
-    match List.find_opt (fun r -> r.jobs = 8) rows with
-    | Some r ->
-      Json.Obj
-        [
-          ("workload", Json.Str "wfi_sweep_grid_j8");
-          ("speedup", Json.Num r.speedup);
-          ("expected_floor", Json.Num r.floor);
-          ("cores", Json.Num (float_of_int cores));
-        ]
-    | None -> Json.Null
-  in
+let report ~quick =
+  let cores = Parallel.Pool.cores () in
+  let tasks, rung = rung ~quick in
+  let rows = List.map (fun jobs -> (jobs, rung jobs)) jobs_ladder in
+  Printf.printf "cores=%d, grid=%d tasks, determinism cross-checked per sweep\n" cores tasks;
+  Printf.printf "%6s %10s %14s\n" "jobs" "speedup" "floor (cores)";
+  List.iter
+    (fun (jobs, pairs) ->
+      Printf.printf "%6d %9.2fx %13.2fx\n" jobs (Suite.ratio pairs)
+        (expected_floor ~cores ~jobs))
+    rows;
   Json.Obj
     [
-      ("schema", Json.Str "hpfq-bench-parallel-v1");
+      ("schema", Json.Str "hpfq-bench-parallel-v2");
       ("bench", Json.Str "parallel");
       ("quick", Json.Bool quick);
       ("cores", Json.Num (float_of_int cores));
       ("workload", Json.Str "wfi_sweep_grid");
       ("tasks", Json.Num (float_of_int tasks));
-      ("headline", headline);
-      ("rows", Json.Arr (List.map row_json rows));
+      ( "rows",
+        Json.Arr
+          (List.map
+             (fun (jobs, pairs) ->
+               Json.Obj
+                 [
+                   ("jobs", Json.Num (float_of_int jobs));
+                   ("speedup", Json.Num (Suite.ratio pairs));
+                   ("expected_floor", Json.Num (expected_floor ~cores ~jobs));
+                   ("sweeps_per_sec", pairs);
+                 ])
+             rows) );
     ]
 
-let report ~quick =
-  let cores, tasks, rows = measure ~quick () in
-  Printf.printf "cores=%d, grid=%d tasks, determinism cross-checked per rung\n"
-    cores tasks;
-  Printf.printf "%6s %12s %10s %14s\n" "jobs" "wall (s)" "speedup" "floor (cores)";
-  List.iter
-    (fun r ->
-      Printf.printf "%6d %12.3f %9.2fx %13.2fx\n" r.jobs r.wall_s r.speedup r.floor)
-    rows;
-  json_of_run ~quick ~cores ~tasks rows
+(* Speedup is a property of the host (core count, contention), so the
+   guard holds the cores-scaled floor on whatever machine it runs on and
+   the committed BENCH_parallel.json documents one machine. The probe
+   measures only the rungs it gates: from 2 jobs up to the host's cores.
+   Rungs beyond the cores are the report's: on a time-sliced core, extra
+   domains cost wall clock for runtime reasons (GC coordination,
+   allocator contention), not pool ones. A 1-core host runs the 2-job
+   rung on the quick grid, where its floor (1x) checks only that fan-out
+   costs nothing. *)
+let gated_rungs ~cores = List.filter (fun jobs -> jobs <= max 2 cores) jobs_ladder
 
-(* Unlike the throughput guards this one does not diff a committed
-   number: speedup is a property of the host (core count, contention), so
-   the committed BENCH_parallel.json documents one machine while the
-   guard holds the cores-scaled floor on whatever machine it runs on.
-   Rungs that oversubscribe the host (jobs > cores) are shown, not gated:
-   on a time-sliced core, extra domains cost wall clock for runtime
-   reasons (GC coordination, allocator contention), not pool ones. A
-   1-core host can only verify "fan-out costs nothing", which the quick
-   grid already shows. *)
 let probe ~quick =
-  let cores, _, rows = measure ~quick:(quick || Parallel.Pool.cores () < 2) () in
+  let cores = Parallel.Pool.cores () in
+  let _, rung = rung ~quick:(quick || cores < 2) in
   Json.Obj
     [
       ( "rows",
         Json.Arr
           (List.map
-             (fun r ->
+             (fun jobs ->
                Json.Obj
                  [
-                   ("label", Json.Str (Printf.sprintf "jobs=%d" r.jobs));
-                   ("value", Json.Num r.speedup);
-                   ("expected", Json.Num r.floor);
-                   ("enforced", Json.Bool (r.jobs <= max 1 cores));
+                   ("label", Json.Str (Printf.sprintf "jobs=%d" jobs));
+                   ("pairs", rung jobs);
+                   ("expected", Json.Num (expected_floor ~cores ~jobs));
                  ])
-             rows) );
+             (gated_rungs ~cores)) );
     ]

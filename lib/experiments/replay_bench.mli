@@ -47,8 +47,10 @@ val report : quick:bool -> Bench_kit.Json.t
     departure hash or count disagrees with the others. *)
 
 val probe : quick:bool -> Bench_kit.Json.t
-(** The guard's fresh side: the per-packet and batched rungs, best of
-    three each — the batched/per-packet [headline.speedup], [headline.batched_minor_words_per_pkt], and both
-    rungs' hashes ([headline.depart_hash] for the batched one,
+(** The guard's fresh side: [batched_over_per_packet],
+    {!Bench_kit.Suite.pairs} of the batched (burst 64) and per-packet
+    rungs' rates; the batched rung's
+    [headline.batched_minor_words_per_pkt]; and both rungs' hashes
+    ([headline.depart_hash] for the batched one,
     [headline.per_packet_depart_hash]). [quick] uses the smoke-test
     trace, whose hash only a quick report carries. *)

@@ -34,10 +34,14 @@ let quick_report suite =
          ignore (Suite.run suite ~quick:true ~out);
          Json.of_file out))
 
-(* every rate, wall clock and speedup anywhere in a report *)
+(* every rate, wall clock and speedup anywhere in a report; the samples
+   of a same-run pairs object count under the pairs' own key *)
 let rec measured key json acc =
   match json with
-  | Json.Obj fields -> List.fold_left (fun acc (k, v) -> measured k v acc) acc fields
+  | Json.Obj fields ->
+    List.fold_left
+      (fun acc (k, v) -> measured (if k = "num" || k = "den" then key else k) v acc)
+      acc fields
   | Json.Arr xs -> List.fold_left (fun acc v -> measured key v acc) acc xs
   | Json.Num x
     when List.exists
@@ -72,12 +76,6 @@ let one_hash_per ~group ~hash rows =
       Alcotest.(check int) (Printf.sprintf "%s=%d: one distinct %s" group g hash) 1
         (distinct hashes))
     (List.sort_uniq compare (List.map (int_ group) rows))
-
-let speedup_at_j1 rows =
-  match List.find_opt (fun r -> int_ "jobs" r = 1) rows with
-  | Some r ->
-    Alcotest.(check (float 1e-9)) "-j1 speedup is 1 by definition" 1.0 (num_ "speedup" r)
-  | None -> Alcotest.fail "no -j1 rung"
 
 (* The quick grid of each suite, and the invariants its rows must show. *)
 let check_grid name report =
@@ -115,17 +113,15 @@ let check_grid name report =
         Alcotest.(check int) "live sessions conserved" (int_ "sessions" r) (int_ "live_after" r))
       rows
   | "parallel" ->
-    let rows = rows "rows" report in
     Alcotest.(check (list int))
-      "one row per ladder rung" [ 1; 2; 4; 8 ] (List.map (int_ "jobs") rows);
-    speedup_at_j1 rows
+      "one row per ladder rung" Experiments.Parallel_bench.jobs_ladder
+      (List.map (int_ "jobs") (rows "rows" report))
   | "shard" ->
     let rows = rows "rows" report in
-    (* 1 link count x the jobs ladder, which includes the host's cores *)
+    (* 1 link count x the jobs ladder *)
     Alcotest.(check int) "one row per (links, jobs) cell"
-      (distinct [ 1; 2; 4; 8; cores ])
+      (List.length Experiments.Parallel_bench.jobs_ladder)
       (List.length rows);
-    speedup_at_j1 rows;
     one_hash_per ~group:"links" ~hash:"device_hash" rows
   | "hiershard" ->
     let rows = rows "rows" report in
@@ -157,27 +153,27 @@ let test_quick_run suite report () =
    report's value, which the quick probe must reproduce exactly. *)
 let trivial guard baseline =
   match guard with
-  | Suite.Relative { path; _ } -> (guard, set path (Json.Num 1.0) baseline)
-  | Ceiling { path } -> (guard, set path (Json.Num 1e9) baseline)
+  | Suite.Ceiling { path } -> (guard, set path (Json.Num 1e9) baseline)
   | Floor r -> (Floor { r with floor = Suite.both neg_infinity }, baseline)
+  | Ratio r -> (Ratio { r with floor = Suite.both neg_infinity }, baseline)
   | Scaling _ -> (Scaling { slack = Suite.both 1.0 }, baseline)
   | Hash _ -> (guard, baseline)
 
 let unreachable guard baseline =
   match guard with
-  | Suite.Relative { path; _ } -> (guard, set path (Json.Num 1e15) baseline)
-  | Ceiling { path } -> (guard, set path (Json.Num 1e-6) baseline)
+  | Suite.Ceiling { path } -> (guard, set path (Json.Num 1e-6) baseline)
   | Floor r -> (Floor { r with floor = Suite.both infinity }, baseline)
+  | Ratio r -> (Ratio { r with floor = Suite.both infinity }, baseline)
   | Scaling _ -> (Scaling { slack = Suite.both neg_infinity }, baseline)
   | Hash { baseline = path; _ } -> (guard, set path (Json.Str "ffffffffffffffff") baseline)
 
-(* A scaling probe gates only the rows that fit the host: jobs <= cores
-   (a hiershard cell runs on one core, so every row). Its verdict, in
-   either profile, is "every enforced row reaches its floor", whatever
-   this host measures. *)
+(* A scaling probe measures only the rows it gates: from 2 jobs up to
+   the host's cores (a hiershard cell runs on one core, so every cell).
+   Its verdict, in either profile, is "every row's median pair ratio
+   reaches its floor", whatever this host measures. *)
 let check_scaling_rows suite fresh slack =
-  let rows = rows "rows" fresh in
-  Alcotest.(check bool) "probe has rows" true (rows <> []);
+  let gated = rows "rows" fresh in
+  Alcotest.(check bool) "probe has rows" true (gated <> []);
   let label_int key r =
     List.find_map
       (fun kv ->
@@ -186,32 +182,28 @@ let check_scaling_rows suite fresh slack =
         | _ -> None)
       (String.split_on_char ' ' (str_ "label" r))
   in
-  List.iter
-    (fun r ->
-      let threads =
-        match (suite.Suite.name, label_int "jobs" r) with
-        | "hiershard", _ -> 1
-        | _, Some j -> j
-        | _ -> Alcotest.failf "unparsable label %s" (str_ "label" r)
-      in
-      Alcotest.(check bool)
-        (str_ "label" r ^ ": enforced iff it fits the cores")
-        (threads <= cores) (bool_ "enforced" r))
-    rows;
+  if suite.Suite.name <> "hiershard" then
+    Alcotest.(check (list int))
+      "rows are the gated rungs"
+      (List.filter_map (fun r -> label_int "jobs" r) gated)
+      (List.concat_map
+         (fun _ -> Experiments.Parallel_bench.gated_rungs ~cores)
+         (List.sort_uniq compare (List.map (label_int "links") gated)));
+  let median_ratio r =
+    let pairs = field Option.some "pairs" r in
+    let samples k = List.map (fun x -> Option.get (Json.to_float x)) (rows k pairs) in
+    Suite.median (List.map2 ( /. ) (samples "num") (samples "den"))
+  in
   List.iter
     (fun p ->
       let slack = match p with Suite.Local -> slack.Suite.local | Ci -> slack.ci in
       let expected =
-        List.for_all
-          (fun r ->
-            (not (bool_ "enforced" r))
-            || num_ "value" r >= num_ "expected" r *. (1.0 -. slack))
-          rows
+        List.for_all (fun r -> median_ratio r >= num_ "expected" r *. (1.0 -. slack)) gated
       in
       let v =
         Suite.judge p ~baseline:(Json.Obj []) ~fresh (Scaling { slack = Suite.both slack })
       in
-      Alcotest.(check bool) "verdict: every enforced row ok" expected v.ok)
+      Alcotest.(check bool) "verdict: every row ok" expected v.ok)
     [ Suite.Local; Ci ]
 
 let test_guard_verdicts suite report () =
@@ -304,42 +296,77 @@ let test_headline_extraction () =
    rarely reaches. *)
 let test_judge_edges () =
   let judge ?(baseline = Json.Obj []) fresh g = (Suite.judge Local ~baseline ~fresh g).ok in
-  let row ~enforced value =
+  let nums xs = Json.Arr (List.map (fun x -> Json.Num x) xs) in
+  let row ratios =
     Json.Obj
       [
         ("label", Json.Str "r");
-        ("value", Json.Num value);
+        ( "pairs",
+          Json.Obj [ ("num", nums ratios); ("den", nums (List.map (fun _ -> 1.0) ratios)) ] );
         ("expected", Json.Num 1.0);
-        ("enforced", Json.Bool enforced);
       ]
   in
   let scaling rs =
     judge (Json.Obj [ ("rows", Json.Arr rs) ]) (Scaling { slack = Suite.both 0.25 })
   in
-  Alcotest.(check bool) "info row below its floor is shown, not gated" true
-    (scaling [ row ~enforced:true 0.8; row ~enforced:false 0.01 ]);
-  Alcotest.(check bool) "enforced row below its floor fails" false
-    (scaling [ row ~enforced:true 0.7; row ~enforced:false 5.0 ]);
+  Alcotest.(check bool) "median over its floor passes despite one bad pair" true
+    (scaling [ row [ 0.8; 0.1; 0.9 ]; row [ 5.0 ] ]);
+  Alcotest.(check bool) "a row whose median is under its floor fails" false
+    (scaling [ row [ 0.7; 0.7; 5.0 ]; row [ 5.0 ] ]);
+  Alcotest.(check bool) "a row without pairs fails" false
+    (scaling [ Json.Obj [ ("label", Json.Str "r"); ("expected", Json.Num 0.0) ] ]);
   Alcotest.(check bool) "no rows fails" false (scaling []);
-  let headline v = Json.Obj [ ("headline", Json.Obj [ ("x", Json.Num v) ]) ] in
-  let relative b =
-    judge ~baseline:(headline b) (headline 1e9)
-      (Relative { path = [ "headline"; "x" ]; tol = Suite.both 0.2 })
+  let ab fields = Json.Obj [ ("ab", Json.Obj fields) ] in
+  let ratio ?(floor = 1.5) fresh =
+    judge fresh (Ratio { path = [ "ab" ]; floor = Suite.both floor })
   in
-  Alcotest.(check bool) "positive baseline judged" true (relative 1.0);
-  Alcotest.(check bool) "zero baseline is an error" false (relative 0.0);
-  Alcotest.(check bool) "negative baseline is an error" false (relative (-1.0));
+  Alcotest.(check bool) "median of the pair ratios judged" true
+    (ratio (ab [ ("num", nums [ 1.0; 4.0; 2.0 ]); ("den", nums [ 1.0; 2.0; 1.0 ]) ]));
+  Alcotest.(check bool) "median below the floor fails" false
+    (ratio ~floor:2.5 (ab [ ("num", nums [ 1.0; 6.0; 2.0 ]); ("den", nums [ 1.0; 2.0; 1.0 ]) ]));
+  (* a same-run ratio fails closed: no denominator is no verdict *)
+  Alcotest.(check bool) "zero denominator fails" false
+    (ratio ~floor:neg_infinity (ab [ ("num", nums [ 2.0; 2.0 ]); ("den", nums [ 1.0; 0.0 ]) ]));
+  Alcotest.(check bool) "missing denominator fails" false
+    (ratio ~floor:neg_infinity (ab [ ("num", nums [ 2.0; 2.0 ]) ]));
+  Alcotest.(check bool) "unmatched samples fail" false
+    (ratio ~floor:neg_infinity (ab [ ("num", nums [ 2.0; 2.0 ]); ("den", nums [ 1.0 ]) ]));
+  Alcotest.(check bool) "no samples fail" false
+    (ratio ~floor:neg_infinity (ab [ ("num", nums []); ("den", nums []) ]));
+  Alcotest.(check bool) "missing pairs object fails" false
+    (ratio ~floor:neg_infinity (Json.Obj []));
+  let headline v = Json.Obj [ ("headline", Json.Obj [ ("x", Json.Num v) ]) ] in
   Alcotest.(check bool) "missing fresh value fails" false
     (judge ~baseline:(headline 1.0) (Json.Obj []) (Ceiling { path = [ "headline"; "x" ] }))
+
+(* [pairs] runs the two sides back to back, swapping their order every
+   pair, and keeps each pair's samples together *)
+let test_pairs_alternate () =
+  let log = ref [] in
+  let side name v () =
+    log := name :: !log;
+    v
+  in
+  let json = Suite.pairs ~num:(side "num" 3.0) ~den:(side "den" 2.0) () in
+  Alcotest.(check (list string))
+    "call order"
+    [ "den"; "num"; "num"; "den"; "den"; "num"; "num"; "den"; "den"; "num" ]
+    (List.rev !log);
+  let v =
+    Suite.judge Local ~baseline:(Json.Obj []) ~fresh:(Json.Obj [ ("ab", json) ])
+      (Ratio { path = [ "ab" ]; floor = Suite.both 1.5 })
+  in
+  Alcotest.(check bool) "3/2 reaches a 1.5 floor" true v.ok;
+  Alcotest.(check (float 0.0)) "median of an even count" 2.5 (Suite.median [ 4.0; 1.0; 3.0; 2.0 ])
 
 (* Every bound, in both profiles. Changing one is a decision to make
    here, in the open. *)
 let test_bounds_pinned () =
   let describe = function
-    | Suite.Relative { path; tol } ->
-      Printf.sprintf "relative %s %g/%g" (Suite.path_name path) tol.local tol.ci
-    | Floor { path; floor } ->
+    | Suite.Floor { path; floor } ->
       Printf.sprintf "floor %s %g/%g" (Suite.path_name path) floor.local floor.ci
+    | Ratio { path; floor } ->
+      Printf.sprintf "ratio %s %g/%g" (Suite.path_name path) floor.local floor.ci
     | Ceiling { path } ->
       Printf.sprintf "ceiling %s +%g" (Suite.path_name path) Suite.words_tol
     | Scaling { slack } -> Printf.sprintf "scaling %g/%g" slack.local slack.ci
@@ -349,22 +376,22 @@ let test_bounds_pinned () =
   Alcotest.(check (list (pair string (list string))))
     "bounds (local/ci)"
     [
-      ("events", [ "relative headline.calendar_events_per_sec 0.2/0.5" ]);
+      ("events", [ "ratio calendar_over_heap 1.55/1" ]);
       ( "hier",
         [
-          "floor headline.speedup 1/1";
+          "ratio flat_over_generic 1.7/1.2";
           "ceiling headline.flat_minor_words_per_pkt +0.1";
         ] );
       ( "replay",
         [
           "hash headline.depart_hash = headline.depart_hash";
           "hash headline.per_packet_depart_hash = headline.depart_hash";
-          "floor headline.speedup 1/0";
+          "ratio batched_over_per_packet 1/0";
           "ceiling headline.batched_minor_words_per_pkt +0.1";
         ] );
       ( "churn",
         [
-          "relative headline.churn_events_per_sec 0.2/0.5";
+          "ratio churn_over_heap 0.6/0.3";
           "floor headline.churn_events_per_sec 100000/100000";
         ] );
       ("parallel", [ "scaling 0.25/0.6" ]);
@@ -489,6 +516,7 @@ let () =
             Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
             Alcotest.test_case "headline extraction" `Quick test_headline_extraction;
             Alcotest.test_case "judge edge cases" `Quick test_judge_edges;
+            Alcotest.test_case "same-run pairs alternate" `Quick test_pairs_alternate;
             Alcotest.test_case "bounds pinned in both profiles" `Quick test_bounds_pinned;
             Alcotest.test_case "committed baselines fail closed" `Quick
               test_committed_baselines_fail_closed;
