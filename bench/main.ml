@@ -1,17 +1,17 @@
-(* Benchmark harness: what no hpfq_sim command answers — the Fig. 5 lag
-   close-up, the adversarial delay bounds, the complexity and heap
-   microbenchmarks backing the O(log N) claim, the reference-clock and
-   end-to-end ablations — and the bench suites with their guards. The
-   paper's other figures are hpfq_sim commands (EXPERIMENTS.md):
-   `hpfq_sim fig2`, `delay -s 1|2|3 -d wf2q+,wfq,scfq,sfq`,
-   `link-sharing` and `wfi`.
+(* Benchmark harness: what no hpfq_sim command answers — the adversarial
+   delay bounds, the complexity and heap microbenchmarks backing the
+   O(log N) claim, the reference-clock and end-to-end ablations — and the
+   bench suites with their guards. The paper's figures are hpfq_sim
+   commands (EXPERIMENTS.md): `hpfq_sim fig2`, `delay -s 1|2|3 -d
+   wf2q+,wfq,scfq,sfq` (Figs. 4-7; Fig. 5's lag is its `lag_max=` column
+   and the `lag:<name>` series of `--csv`), `link-sharing` and `wfi`.
 
      dune exec bench/main.exe            run the ids below and the events
                                          (the simulator's event sets
                                          under timer churn), hier and
                                          churn suites
      dune exec bench/main.exe -- ID...   run selected ids:
-       fig5 bounds complexity heaps refclock e2e,
+       bounds complexity heaps refclock e2e,
      every bench suite's <name>, <name>-quick and <name>-guard
      (lib/experiments/suites.ml), check, trace-overhead and soak.
 
@@ -39,42 +39,6 @@ let delay_disciplines =
     Hpfq.Disciplines.scfq;
     Hpfq.Disciplines.sfq;
   ]
-
-(* ------------------------------------------------------------------ *)
-(* FIG5: service lag (arrivals vs service) close-up                    *)
-(* ------------------------------------------------------------------ *)
-
-let fig5 () =
-  section "FIG5: RT-1 arrivals vs service (max lag, packets)";
-  Printf.printf "%-12s %10s %14s\n" "discipline" "max lag" "delay bound ok";
-  List.iter
-    (fun factory ->
-      let r =
-        Experiments.Delay_experiment.run ~factory
-          ~scenario:Experiments.Delay_experiment.S1_constant_and_trains ~horizon:12.0 ()
-      in
-      let ok =
-        Stats.Delay_stats.max_delay r.delays
-        <= Experiments.Delay_experiment.rt1_delay_bound +. 1e-9
-      in
-      Printf.printf "%-12s %10.1f %14s\n" r.discipline
-        (Stats.Service_curve.max_lag r.lag)
-        (if ok then "yes" else "NO"))
-    delay_disciplines;
-  (* close-up: lag trajectory around the worst spike under H-WFQ *)
-  let r =
-    Experiments.Delay_experiment.run ~factory:Hpfq.Disciplines.wfq
-      ~scenario:Experiments.Delay_experiment.S1_constant_and_trains ~horizon:12.0 ()
-  in
-  let lags = Stats.Service_curve.lag_series r.lag in
-  let t_peak, _ =
-    List.fold_left (fun (bt, bl) (t, l) -> if l > bl then (t, l) else (bt, bl)) (0.0, -1.0) lags
-  in
-  Printf.printf "\nH-WFQ lag close-up around t=%.3f s:\n%8s %10s\n" t_peak "t(s)" "lag(pkt)";
-  List.iter
-    (fun (t, l) ->
-      if Float.abs (t -. t_peak) <= 0.05 then Printf.printf "%8.4f %10.1f\n" t l)
-    lags
 
 (* ------------------------------------------------------------------ *)
 (* BOUNDS: Theorem 4(3) / Corollary 2 delay bounds, adversarial load   *)
@@ -444,7 +408,6 @@ let trace_overhead () =
 
 let figures =
   [
-    ("fig5", fig5);
     ("bounds", bounds);
     ("complexity", complexity);
     ("heaps", heaps);

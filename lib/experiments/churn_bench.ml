@@ -8,6 +8,8 @@
    — pick a random session, make it backlogged, close it `Drop (heap
    removal + slot free), open a replacement (slot reuse + fresh stamps) —
    on both the fixed-point engine (the headline) and the float reference.
+   Each cell is one row: its churn rate over a bare heap hold at the same
+   N, as same-run pairs.
 
    The soak harness quantifies eq. 27-29 drift: a continuously backlogged
    session whose per-service virtual-time increment is non-dyadic
@@ -24,35 +26,21 @@ module Intf = Sched.Sched_intf
 
 (* -- churn grid ---------------------------------------------------------- *)
 
-type row = {
-  engine : string;
-  sessions : int;
-  ramp_opens_per_sec : float;
-  churn_events_per_sec : float;
-  minor_words_per_event : float;
-  live_after : int;
-}
-
 let engines = [ Hpfq.Disciplines.wf2q_plus_fixed; Hpfq.Disciplines.wf2q_plus ]
-let headline_engine = Hpfq.Disciplines.wf2q_plus_fixed.Intf.kind
+let headline_engine = Hpfq.Disciplines.wf2q_plus_fixed
 let floor = 1.0e5
 let session_grid ~quick = if quick then [ 10_000 ] else [ 100_000; 1_000_000 ]
 let headline_sessions ~quick = List.fold_left max 0 (session_grid ~quick)
 let churn_iters ~quick = if quick then 20_000 else 200_000
 
-(* A fresh policy with [sessions] open (the ramp timed), and one churn
-   step over them: make a random session backlogged, close it `Drop (heap
-   removal + retract), open its replacement (slot reuse + fresh stamps).
-   Two events per step. *)
+(* A fresh policy with [sessions] open, and one churn step over them:
+   make a random session backlogged, close it `Drop (heap removal +
+   retract), open its replacement (slot reuse + fresh stamps). Two
+   events per step. *)
 let open_sessions ~factory ~sessions =
   let policy, _ = Hpfq.Schedulers.make ~rate:1.0 factory in
   let r = 1.0 /. float_of_int sessions in
-  let handles = Array.make sessions (Sched.Session_handle.of_int_unsafe 0) in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to sessions - 1 do
-    handles.(i) <- policy.Intf.open_session ~rate:r
-  done;
-  let ramp_wall = Unix.gettimeofday () -. t0 in
+  let handles = Array.init sessions (fun _ -> policy.Intf.open_session ~rate:r) in
   let rng = Engine.Rng.create 0x5EEDL in
   let now = ref 0.0 in
   let step () =
@@ -64,9 +52,9 @@ let open_sessions ~factory ~sessions =
     handles.(idx) <- policy.Intf.open_session ~rate:r;
     now := !now +. 1e-6
   in
-  (policy, ramp_wall, step)
+  (policy, step)
 
-(* The churn probe's reference at the same N: a hold model on the 4-ary
+(* The churn rows' reference at the same N: a hold model on the 4-ary
    heap every scheduler runs, [n] keys, each step one drop-min and one
    add a random increment later — the heap work a churn step pays for,
    with none of the session machinery. Two operations per step. *)
@@ -94,102 +82,104 @@ let time_steps ~iters step =
   let events = float_of_int (2 * iters) in
   (events /. wall, (Gc.minor_words () -. m0) /. events)
 
-let measure ~factory ~sessions ~iters () =
-  let policy, ramp_wall, step = open_sessions ~factory ~sessions in
-  let churn_events_per_sec, minor_words_per_event = time_steps ~iters step in
+type row = {
+  engine : string;
+  sessions : int;
+  pairs : Json.t;  (** churn over heap-hold events/s *)
+  churn_events_per_sec : float;  (** the median churn sample *)
+  minor_words_per_event : float;
+  live_after : int;
+}
+
+(* One (engine, N) cell, the report's row and the guard's: churn steps
+   over one policy against the heap hold at the same N, as same-run
+   pairs.
+   @raise Failure if the policy leaks or loses sessions. *)
+let row ~quick ~factory ~sessions =
+  let iters = churn_iters ~quick in
+  let policy, step = open_sessions ~factory ~sessions in
+  let heap_step = heap_hold ~n:sessions in
+  let churn = ref [] and words = ref nan in
+  let num () =
+    let rate, w = time_steps ~iters step in
+    churn := rate :: !churn;
+    words := w;
+    rate
+  in
+  let pairs = Bench_kit.Suite.pairs ~num ~den:(fun () -> fst (time_steps ~iters heap_step)) () in
+  let live_after = policy.Intf.live_sessions () in
+  if live_after <> sessions then
+    failwith
+      (Printf.sprintf "Churn_bench: %s at %d sessions ended with %d live"
+         factory.Intf.kind sessions live_after);
   {
     engine = factory.Intf.kind;
     sessions;
-    ramp_opens_per_sec = float_of_int sessions /. ramp_wall;
-    churn_events_per_sec;
-    minor_words_per_event;
-    live_after = policy.Intf.live_sessions ();
+    pairs;
+    churn_events_per_sec = Bench_kit.Suite.median !churn;
+    minor_words_per_event = !words;
+    live_after;
   }
 
-(* -- JSON report --------------------------------------------------------- *)
+let headline r =
+  Json.Obj
+    [
+      ("workload", Json.Str "idle-open/backlog/close-drop/reopen churn");
+      ("engine", Json.Str r.engine);
+      ("sessions", Json.Num (float_of_int r.sessions));
+      ("churn_over_heap", Json.Num (Bench_kit.Suite.ratio r.pairs));
+      ("churn_events_per_sec", Json.Num r.churn_events_per_sec);
+      ("floor_events_per_sec", Json.Num floor);
+    ]
 
 let row_json r =
   Json.Obj
     [
       ("engine", Json.Str r.engine);
       ("sessions", Json.Num (float_of_int r.sessions));
-      ("ramp_opens_per_sec", Json.Num r.ramp_opens_per_sec);
+      ("churn_over_heap", Json.Num (Bench_kit.Suite.ratio r.pairs));
       ("churn_events_per_sec", Json.Num r.churn_events_per_sec);
       ("minor_words_per_event", Json.Num r.minor_words_per_event);
       ("live_after", Json.Num (float_of_int r.live_after));
-    ]
-
-let json_of_run ~quick rows =
-  let hs = headline_sessions ~quick in
-  let headline =
-    match
-      List.find_opt (fun r -> r.engine = headline_engine && r.sessions = hs) rows
-    with
-    | Some r ->
-      Json.Obj
-        [
-          ("workload", Json.Str "idle-open/backlog/close-drop/reopen churn");
-          ("engine", Json.Str r.engine);
-          ("sessions", Json.Num (float_of_int r.sessions));
-          ("churn_events_per_sec", Json.Num r.churn_events_per_sec);
-          ("floor_events_per_sec", Json.Num floor);
-        ]
-    | None -> Json.Null
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-churn-v1");
-      ("bench", Json.Str "churn");
-      ("quick", Json.Bool quick);
-      ("headline", headline);
-      ("rows", Json.Arr (List.map row_json rows));
+      ("events_per_sec", r.pairs);
     ]
 
 let report ~quick =
-  let iters = churn_iters ~quick in
+  Printf.printf "%-10s %10s %11s %18s %12s %10s\n" "engine" "sessions" "churn/heap"
+    "churn events/s" "words/event" "live";
   let rows =
     List.concat_map
       (fun sessions ->
-        List.map (fun factory -> measure ~factory ~sessions ~iters ()) engines)
+        List.map
+          (fun factory ->
+            let r = row ~quick ~factory ~sessions in
+            Printf.printf "%-10s %10d %10.2fx %18.0f %12.3f %10d\n%!" r.engine r.sessions
+              (Bench_kit.Suite.ratio r.pairs) r.churn_events_per_sec
+              r.minor_words_per_event r.live_after;
+            r)
+          engines)
       (session_grid ~quick)
   in
-  Printf.printf "%-10s %10s %16s %18s %12s %10s\n" "engine" "sessions" "ramp opens/s"
-    "churn events/s" "words/event" "live";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %10d %16.0f %18.0f %12.3f %10d\n" r.engine r.sessions
-        r.ramp_opens_per_sec r.churn_events_per_sec r.minor_words_per_event
-        r.live_after)
-    rows;
-  List.iter
-    (fun r ->
-      if r.live_after <> r.sessions then
-        failwith
-          (Printf.sprintf "Churn_bench: %s at %d sessions ended with %d live"
-             r.engine r.sessions r.live_after))
-    rows;
-  json_of_run ~quick rows
-
-(* The guard's fresh side: the fixed-point headline cell against the
-   heap hold at the same N, in pairs over one policy and one heap. *)
-let probe ~quick =
-  let sessions = if quick then 1_000 else headline_sessions ~quick:false in
-  let iters = if quick then 5_000 else churn_iters ~quick:false in
-  let _, _, step = open_sessions ~factory:Hpfq.Disciplines.wf2q_plus_fixed ~sessions in
-  let heap_step = heap_hold ~n:sessions in
-  let churn = ref [] in
-  let num () =
-    let rate = fst (time_steps ~iters step) in
-    churn := rate :: !churn;
-    rate
-  in
-  let ab = Bench_kit.Suite.pairs ~num ~den:(fun () -> fst (time_steps ~iters heap_step)) () in
+  let hs = headline_sessions ~quick in
   Json.Obj
     [
-      ("churn_over_heap", ab);
+      ("schema", Json.Str "hpfq-bench-churn-v2");
+      ("bench", Json.Str "churn");
+      ("quick", Json.Bool quick);
       ( "headline",
-        Json.Obj [ ("churn_events_per_sec", Json.Num (Bench_kit.Suite.median !churn)) ] );
+        headline
+          (List.find
+             (fun r -> r.engine = headline_engine.Intf.kind && r.sessions = hs)
+             rows) );
+      ("rows", Json.Arr (List.map row_json rows));
     ]
+
+(* The guard's fresh side: the report's headline cell. *)
+let probe ~quick =
+  let r =
+    row ~quick ~factory:headline_engine ~sessions:(headline_sessions ~quick)
+  in
+  Json.Obj [ ("churn_over_heap", r.pairs); ("headline", headline r) ]
 
 (* -- virtual-time soak ---------------------------------------------------- *)
 

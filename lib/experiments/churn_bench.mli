@@ -21,16 +21,18 @@ val floor : float
 
 val report : quick:bool -> Bench_kit.Json.t
 (** Run the grid (engines {WF²Q+fx, WF²Q+} × sessions {10⁵, 10⁶};
-    [~quick:true] shrinks to 10⁴ sessions and a shorter loop), print a
-    table and return the report (schema ["hpfq-bench-churn-v1"]).
+    [~quick:true] shrinks to 10⁴ sessions and a shorter loop), one cell
+    after another, print a table and return the report (schema
+    ["hpfq-bench-churn-v2"]). Each row is the cell's churn events/s over
+    an [Indexed_heap4] drop-min/add hold at the same N (each step two
+    heap operations) as {!Bench_kit.Suite.pairs}, with the median churn
+    rate; the headline is the fixed-point engine's largest cell.
     @raise Failure if a cell leaks or loses sessions. *)
 
 val probe : quick:bool -> Bench_kit.Json.t
-(** The guard's fresh side at 10⁶ sessions ([quick]: 10³ sessions, 5k
-    steps): [churn_over_heap], {!Bench_kit.Suite.pairs} of the
-    fixed-point engine's churn events/s and an [Indexed_heap4]
-    drop-min/add hold at the same N (each step two heap operations), and
-    [headline.churn_events_per_sec], the median churn rate. *)
+(** The guard's fresh side: the report's headline cell, as
+    [churn_over_heap] (its pairs) and [headline.churn_events_per_sec]
+    (its median churn rate). *)
 
 type soak_result = {
   s_engine : string;

@@ -7,29 +7,17 @@
    property test proves it), different constant factors. This suite
    measures both engines end to end — saturated steady state, every leaf
    at a two-packet backlog — on the paper's Fig. 3 topology and on
-   balanced trees of depth 2/4/6 up to 4096 leaves, then writes
-   BENCH_hier.json with per-topology flat/generic speedups and a Fig. 3
-   headline. [probe] re-measures the flat/generic ratio on the
-   balanced_d4_f8 row and the flat engine's Fig. 3 allocation for the
-   guard; the flat engine's own throughput is benchmark/'s tree_4k_d6
-   workload. *)
+   balanced trees of depth 2/4/6 up to 4096 leaves. Each topology is one
+   row of BENCH_hier.json: the flat engine's rate over the generic one's
+   as same-run pairs, with both engines' allocation, and Fig. 3's row is
+   the headline. [probe] measures the balanced_d4_f8 row for the ratio
+   guard and the Fig. 3 row for the flat engine's allocation ceiling;
+   the flat engine's own throughput is benchmark/'s tree_4k_d6 workload. *)
 
 module H = Paper_hierarchies
 module Perf = Bench_kit.Perf
 module Json = Bench_kit.Json
-
-type engine_kind = Generic | Flat
-
-let engine_name = function Generic -> "generic" | Flat -> "flat"
-let engine_choice = function Generic -> `Generic | Flat -> `Flat
-
-type row = {
-  topology : string;
-  leaves : int;
-  engine : engine_kind;
-  pkts_per_sec : float;
-  minor_words_per_pkt : float;
-}
+module Suite = Bench_kit.Suite
 
 (* Each cell: (label, spec, pkt_bits). Fig. 3 runs with the paper's 8 KB
    packets at its real rates; balanced trees use rate 1 and 1-bit packets
@@ -39,152 +27,107 @@ let balanced ~depth ~fanout =
     Perf.uniform_spec ~depth ~fanout ~name:"root" ~rate:1.0,
     1.0 )
 
+let fig3 = ("fig3", H.fig3, H.fig3_packet_bits)
+
+(* The guard's row: the deep 4096-leaf tree, where the generic engine's
+   per-level dispatch adds up (~2x); on Fig. 3 most of the per-packet
+   cycle is simulator, fifo and heap work common to both engines, so its
+   ratio (~1.1x) sits at the noise floor. *)
+let gated ~quick = balanced ~depth:4 ~fanout:(if quick then 2 else 8)
+
 let topologies ~quick =
-  if quick then [ ("fig3", H.fig3, H.fig3_packet_bits); balanced ~depth:2 ~fanout:4 ]
+  if quick then [ fig3; balanced ~depth:2 ~fanout:4 ]
   else
     [
-      ("fig3", H.fig3, H.fig3_packet_bits);
+      fig3;
       balanced ~depth:2 ~fanout:8 (* 64 leaves *);
       balanced ~depth:2 ~fanout:64 (* 4096 leaves *);
       balanced ~depth:4 ~fanout:4 (* 256 leaves *);
-      balanced ~depth:4 ~fanout:8 (* 4096 leaves *);
+      gated ~quick (* 4096 leaves *);
       balanced ~depth:6 ~fanout:2 (* 64 leaves *);
       balanced ~depth:6 ~fanout:4 (* 4096 leaves *);
     ]
 
-let headline_topology = "fig3"
-let default_target_pkts ~quick = if quick then 500 else 100_000
+type row = {
+  topology : string;
+  leaves : int;
+  pairs : Json.t;  (** flat over generic pkts/s *)
+  flat_words : float;
+  generic_words : float;
+}
 
-let measure ~spec ~pkt_bits ~engine ~target_pkts ~topology () =
-  let n_leaves, pps, words =
-    Perf.hier_throughput_spec ~engine:(engine_choice engine) ~spec
-      ~factory:Hpfq.Disciplines.wf2q_plus ~pkt_bits ~target_pkts ()
+(* One topology, the report's row and the guard's: the two engines'
+   saturated rates as same-run pairs, and each engine's minor words per
+   packet (the same in every run). *)
+let row ~quick (topology, spec, pkt_bits) =
+  let target_pkts = if quick then 500 else 100_000 in
+  let leaves = ref 0 and flat_words = ref nan and generic_words = ref nan in
+  let rate engine words () =
+    let n, pps, w =
+      Perf.hier_throughput_spec ~engine ~spec ~factory:Hpfq.Disciplines.wf2q_plus
+        ~pkt_bits ~target_pkts ()
+    in
+    leaves := int_of_float n;
+    words := w;
+    pps
   in
+  let pairs = Suite.pairs ~num:(rate `Flat flat_words) ~den:(rate `Generic generic_words) () in
   {
     topology;
-    leaves = int_of_float n_leaves;
-    engine;
-    pkts_per_sec = pps;
-    minor_words_per_pkt = words;
+    leaves = !leaves;
+    pairs;
+    flat_words = !flat_words;
+    generic_words = !generic_words;
   }
 
-(* -- JSON report --------------------------------------------------------- *)
+let headline r =
+  Json.Obj
+    [
+      ("workload", Json.Str (r.topology ^ "_saturated"));
+      ("flat_over_generic", Json.Num (Suite.ratio r.pairs));
+      ("flat_minor_words_per_pkt", Json.Num r.flat_words);
+      ("generic_minor_words_per_pkt", Json.Num r.generic_words);
+    ]
 
 let row_json r =
   Json.Obj
     [
       ("topology", Json.Str r.topology);
       ("leaves", Json.Num (float_of_int r.leaves));
-      ("engine", Json.Str (engine_name r.engine));
-      ("pkts_per_sec", Json.Num r.pkts_per_sec);
-      ("minor_words_per_pkt", Json.Num r.minor_words_per_pkt);
+      ("flat_over_generic", Json.Num (Suite.ratio r.pairs));
+      ("flat_minor_words_per_pkt", Json.Num r.flat_words);
+      ("generic_minor_words_per_pkt", Json.Num r.generic_words);
+      ("pkts_per_sec", r.pairs);
     ]
 
-let find_row rows ~topology ~engine =
-  List.find_opt (fun r -> r.topology = topology && r.engine = engine) rows
-
-let speedups rows =
-  List.filter_map
-    (fun topology ->
-      match
-        (find_row rows ~topology ~engine:Flat, find_row rows ~topology ~engine:Generic)
-      with
-      | Some f, Some g -> Some (topology, f, g, f.pkts_per_sec /. g.pkts_per_sec)
-      | _ -> None)
-    (List.sort_uniq compare (List.map (fun r -> r.topology) rows))
-
-let json_of_run ~quick rows =
-  let headline =
-    match
-      ( find_row rows ~topology:headline_topology ~engine:Flat,
-        find_row rows ~topology:headline_topology ~engine:Generic )
-    with
-    | Some f, Some g ->
-      Json.Obj
-        [
-          ("workload", Json.Str "fig3_saturated");
-          ("flat_pkts_per_sec", Json.Num f.pkts_per_sec);
-          ("generic_pkts_per_sec", Json.Num g.pkts_per_sec);
-          ("speedup", Json.Num (f.pkts_per_sec /. g.pkts_per_sec));
-          ("flat_minor_words_per_pkt", Json.Num f.minor_words_per_pkt);
-          ("generic_minor_words_per_pkt", Json.Num g.minor_words_per_pkt);
-        ]
-    | _ -> Json.Null
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "hpfq-bench-hier-v1");
-      ("bench", Json.Str "hier");
-      ("quick", Json.Bool quick);
-      ("headline", headline);
-      ("rows", Json.Arr (List.map row_json rows));
-      ( "speedups",
-        Json.Arr
-          (List.map
-             (fun (topology, f, _, ratio) ->
-               Json.Obj
-                 [
-                   ("topology", Json.Str topology);
-                   ("leaves", Json.Num (float_of_int f.leaves));
-                   ("flat_over_generic", Json.Num ratio);
-                 ])
-             (speedups rows)) );
-    ]
-
+(* Topologies run one after another: pairs must not share the machine
+   with another cell. *)
 let report ~quick =
-  (* topology × engine cells are independent full-stack simulations, so
-     they fan out on [pool] — with the usual caveat: concurrent cells
-     contend for the machine, so parallel numbers are only comparable at
-     the same -j; the committed baseline and [probe] run sequentially *)
-  let pool = Parallel.Pool.create () in
-  let target_pkts = default_target_pkts ~quick in
-  let grid =
-    List.concat_map
-      (fun (topology, spec, pkt_bits) ->
-        List.map
-          (fun engine -> (topology, spec, pkt_bits, engine))
-          [ Generic; Flat ])
+  Printf.printf "%-18s %8s %12s %12s %12s\n" "topology" "leaves" "flat/generic"
+    "flat w/pkt" "generic w/pkt";
+  let rows =
+    List.map
+      (fun t ->
+        let r = row ~quick t in
+        Printf.printf "%-18s %8d %11.2fx %12.3f %12.3f\n%!" r.topology r.leaves
+          (Suite.ratio r.pairs) r.flat_words r.generic_words;
+        r)
       (topologies ~quick)
   in
-  let rows =
-    Parallel.Pool.map_list pool
-      ~f:(fun (topology, spec, pkt_bits, engine) ->
-        measure ~spec ~pkt_bits ~engine ~target_pkts ~topology ())
-      grid
-  in
-  Printf.printf "%-18s %8s %10s %16s %12s\n" "topology" "leaves" "engine"
-    "pkts/sec" "words/pkt";
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s %8d %10s %16.0f %12.3f\n" r.topology r.leaves
-        (engine_name r.engine) r.pkts_per_sec r.minor_words_per_pkt)
-    rows;
-  Printf.printf "\n%-18s %8s %22s\n" "topology" "leaves" "flat/generic speedup";
-  List.iter
-    (fun (topology, f, _, ratio) ->
-      Printf.printf "%-18s %8d %22.2fx\n" topology f.leaves ratio)
-    (speedups rows);
-  json_of_run ~quick rows
-
-(* The guard's fresh side. The flat/generic ratio is taken on the deep
-   4096-leaf tree, where the generic engine's per-level dispatch adds up
-   (~2x); on Fig. 3 most of the per-packet cycle is simulator, fifo and
-   heap work common to both engines, so its ratio (~1.1x) sits at the
-   noise floor. Fig. 3 still carries the flat engine's allocation
-   ceiling. *)
-let probe ~quick =
-  let target_pkts = default_target_pkts ~quick in
-  let topology, spec, pkt_bits = balanced ~depth:4 ~fanout:(if quick then 2 else 8) in
-  let rate engine () =
-    (measure ~spec ~pkt_bits ~engine ~target_pkts ~topology ()).pkts_per_sec
-  in
-  let fig3 =
-    measure ~spec:H.fig3 ~pkt_bits:H.fig3_packet_bits ~engine:Flat ~target_pkts
-      ~topology:headline_topology ()
-  in
   Json.Obj
     [
-      ("flat_over_generic", Bench_kit.Suite.pairs ~num:(rate Flat) ~den:(rate Generic) ());
-      ( "headline",
-        Json.Obj [ ("flat_minor_words_per_pkt", Json.Num fig3.minor_words_per_pkt) ] );
+      ("schema", Json.Str "hpfq-bench-hier-v2");
+      ("bench", Json.Str "hier");
+      ("quick", Json.Bool quick);
+      ("headline", headline (List.hd rows));
+      ("rows", Json.Arr (List.map row_json rows));
+    ]
+
+(* The guard's fresh side: the gated row's pairs, and Fig. 3's row for
+   the flat engine's allocation ceiling. *)
+let probe ~quick =
+  Json.Obj
+    [
+      ("flat_over_generic", (row ~quick (gated ~quick)).pairs);
+      ("headline", headline (row ~quick fig3));
     ]

@@ -1,26 +1,23 @@
-type on_full = Drop_oldest | Drop_newest | Grow
-
 (* Struct-of-arrays ring: one byte + two ints + three unboxed floats per
    event, no per-event record. [record] therefore allocates nothing — the
    enabled-tracing hot path costs a handful of array stores. Event.t
-   records only materialise on iteration/export. *)
+   records only materialise on iteration/export. When full, the oldest
+   event is overwritten and counted as dropped. *)
 type t = {
-  on_full : on_full;
-  mutable kinds : Bytes.t;
-  mutable nodes : int array;
-  mutable sessions : int array;
-  mutable times : float array;
-  mutable vtimes : float array;
-  mutable bits : float array;
+  kinds : Bytes.t;
+  nodes : int array;
+  sessions : int array;
+  times : float array;
+  vtimes : float array;
+  bits : float array;
   mutable head : int; (* slot of the oldest retained event *)
   mutable len : int;
   mutable dropped : int;
 }
 
-let create ?(capacity = 65536) ?(on_full = Drop_oldest) () =
+let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   {
-    on_full;
     kinds = Bytes.create capacity;
     nodes = Array.make capacity 0;
     sessions = Array.make capacity 0;
@@ -41,56 +38,22 @@ let clear t =
   t.len <- 0;
   t.dropped <- 0
 
-(* Double the arrays, un-ringing into order (oldest at slot 0). *)
-let grow t =
-  let cap = capacity t in
-  let cap' = 2 * cap in
-  let kinds = Bytes.create cap' in
-  let nodes = Array.make cap' 0 in
-  let sessions = Array.make cap' 0 in
-  let times = Array.make cap' 0.0 in
-  let vtimes = Array.make cap' 0.0 in
-  let bits = Array.make cap' 0.0 in
-  let first = cap - t.head in
-  Bytes.blit t.kinds t.head kinds 0 first;
-  Bytes.blit t.kinds 0 kinds first t.head;
-  let blit src dst = Array.blit src t.head dst 0 first; Array.blit src 0 dst first t.head in
-  blit t.nodes nodes;
-  blit t.sessions sessions;
-  blit t.times times;
-  blit t.vtimes vtimes;
-  blit t.bits bits;
-  t.kinds <- kinds;
-  t.nodes <- nodes;
-  t.sessions <- sessions;
-  t.times <- times;
-  t.vtimes <- vtimes;
-  t.bits <- bits;
-  t.head <- 0
-
 let record t ~kind ~node ~session ~time ~vtime ~bits =
   let cap = capacity t in
   if t.len = cap then begin
-    match t.on_full with
-    | Grow -> grow t
-    | Drop_oldest ->
-      t.head <- (if t.head + 1 = cap then 0 else t.head + 1);
-      t.len <- t.len - 1;
-      t.dropped <- t.dropped + 1
-    | Drop_newest -> t.dropped <- t.dropped + 1
+    t.head <- (if t.head + 1 = cap then 0 else t.head + 1);
+    t.len <- t.len - 1;
+    t.dropped <- t.dropped + 1
   end;
-  if t.len < capacity t then begin
-    let cap = capacity t in
-    let slot = t.head + t.len in
-    let slot = if slot >= cap then slot - cap else slot in
-    Bytes.unsafe_set t.kinds slot (Event.kind_code kind);
-    Array.unsafe_set t.nodes slot node;
-    Array.unsafe_set t.sessions slot session;
-    Array.unsafe_set t.times slot time;
-    Array.unsafe_set t.vtimes slot vtime;
-    Array.unsafe_set t.bits slot bits;
-    t.len <- t.len + 1
-  end
+  let slot = t.head + t.len in
+  let slot = if slot >= cap then slot - cap else slot in
+  Bytes.unsafe_set t.kinds slot (Event.kind_code kind);
+  Array.unsafe_set t.nodes slot node;
+  Array.unsafe_set t.sessions slot session;
+  Array.unsafe_set t.times slot time;
+  Array.unsafe_set t.vtimes slot vtime;
+  Array.unsafe_set t.bits slot bits;
+  t.len <- t.len + 1
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Recorder.get: index out of range";

@@ -6,15 +6,11 @@
     built only when the buffer is read back ({!iter} / {!to_list} /
     {!drain}). *)
 
-type on_full =
-  | Drop_oldest  (** Ring semantics: keep the newest [capacity] events. *)
-  | Drop_newest  (** Freeze: keep the first [capacity] events. *)
-  | Grow  (** Double the storage; never drops (unbounded memory). *)
-
 type t
 
-val create : ?capacity:int -> ?on_full:on_full -> unit -> t
-(** Defaults: [capacity = 65536] events, [on_full = Drop_oldest].
+val create : ?capacity:int -> unit -> t
+(** A ring of [capacity] events (default 65536): once full, each new
+    event overwrites the oldest one, which counts as dropped.
     @raise Invalid_argument if [capacity <= 0]. *)
 
 val record :
@@ -26,15 +22,13 @@ val record :
   vtime:float ->
   bits:float ->
   unit
-(** Append an event. Allocation-free except when [on_full = Grow] doubles
-    the arrays. *)
+(** Append an event, dropping the oldest when full. Allocation-free. *)
 
 val length : t -> int
 (** Events currently retained. *)
 
-val capacity : t -> int
 val dropped : t -> int
-(** Events lost to [Drop_oldest]/[Drop_newest] so far. *)
+(** Events overwritten so far. *)
 
 val get : t -> int -> Event.t
 (** [get t i] is the [i]-th oldest retained event.

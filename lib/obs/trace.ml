@@ -91,7 +91,7 @@ let make ~recorder ~node_names ~session_nodes ~paths =
     sim_cancelled = 0;
   }
 
-let attach_engine ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) e =
+let attach_engine ?(capacity = 65536) e =
   let module HE = Hpfq.Hier_engine in
   let n = HE.node_count e in
   let paths = Array.make n [||] in
@@ -99,7 +99,7 @@ let attach_engine ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) e =
     (fun (_, (leaf : Hpfq.Hier_tree.leaf)) -> paths.((leaf :> int)) <- HE.leaf_path e ~leaf)
     (HE.leaf_ids e);
   let t =
-    make ~recorder:(Recorder.create ~capacity ~on_full ())
+    make ~recorder:(Recorder.create ~capacity ())
       ~node_names:(Array.init n (HE.node_name e))
       ~session_nodes:(Array.make n [||]) ~paths
   in
@@ -119,8 +119,7 @@ let attach_engine ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest) e =
   HE.add_drop_handle_hook e (fun p ~leaf:_ time -> link Event.Drop p time);
   t
 
-let attach_server ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest)
-    ?(name = "server") ?session_names srv =
+let attach_server ?(capacity = 65536) ?(name = "server") ?session_names srv =
   let sessions = Hpfq.Server.session_count srv in
   let session_name i =
     match session_names with
@@ -136,7 +135,7 @@ let attach_server ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest)
   session_nodes.(0) <- Array.init sessions (fun i -> 1 + i);
   let paths = Array.init (1 + sessions) (fun id -> if id = 0 then [||] else [| id; 0 |]) in
   let t =
-    make ~recorder:(Recorder.create ~capacity ~on_full ()) ~node_names ~session_nodes ~paths
+    make ~recorder:(Recorder.create ~capacity ()) ~node_names ~session_nodes ~paths
   in
   let policy = Hpfq.Server.policy srv in
   policy.Sched_intf.set_observer (Some (observer t ~node:0));
@@ -153,7 +152,7 @@ let attach_server ?(capacity = 65536) ?(on_full = Recorder.Drop_oldest)
 let of_sims sims =
   let t =
     make
-      ~recorder:(Recorder.create ~capacity:1 ~on_full:Recorder.Drop_oldest ())
+      ~recorder:(Recorder.create ~capacity:1 ())
       ~node_names:[||] ~session_nodes:[||] ~paths:[||]
   in
   (* [t.sims] holds attach order newest-first; sim_report reverses it *)

@@ -16,10 +16,10 @@
 
 type t
 
-val attach_engine : ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier_engine.t -> t
+val attach_engine : ?capacity:int -> Hpfq.Hier_engine.t -> t
 (** Instrument every interior node and the link of a hierarchy, on any
-    engine. [capacity]/[on_full] size the event ring (defaults 65536
-    events, [Drop_oldest]). Node ids in recorded events are the
+    engine. [capacity] sizes the event ring (default 65536 events; when
+    full, the oldest event is dropped). Node ids in recorded events are the
     hierarchy's node ids; link events carry the packet's leaf id. Event
     streams from the generic and flat engines on the same workload are
     identical (the lockstep tests rely on this). Session labels resolve
@@ -29,7 +29,6 @@ val attach_engine : ?capacity:int -> ?on_full:Recorder.on_full -> Hpfq.Hier_engi
 
 val attach_server :
   ?capacity:int ->
-  ?on_full:Recorder.on_full ->
   ?name:string ->
   ?session_names:string array ->
   Hpfq.Server.t ->

@@ -86,24 +86,32 @@ let check_grid name report =
     Alcotest.(check int) "row count" 4 (List.length rows);
     List.iter (fun r -> if int_ "fired" r <= 0 then Alcotest.fail "nothing fired") rows
   | "hier" ->
+    (* one row per topology, both engines' allocation in each *)
     let rows = rows "rows" report in
-    (* 2 topologies x 2 engines *)
-    Alcotest.(check int) "row count" 4 (List.length rows);
+    Alcotest.(check (list string))
+      "one row per topology" [ "fig3"; "balanced_d2_f4" ]
+      (List.map (str_ "topology") rows);
     List.iter
-      (fun engine ->
-        Alcotest.(check bool) ("fig3 has a " ^ engine ^ " row") true
-          (List.exists (fun r -> str_ "topology" r = "fig3" && str_ "engine" r = engine) rows))
-      [ "generic"; "flat" ]
+      (fun r ->
+        List.iter
+          (fun k -> if not (num_ k r > 0.0) then Alcotest.failf "%s not positive" k)
+          [ "flat_minor_words_per_pkt"; "generic_minor_words_per_pkt" ])
+      rows
   | "replay" ->
-    let rows = rows "rows" report in
-    (* ladder: 1, 2, 8, 64, unbounded *)
-    Alcotest.(check int) "row count" 5 (List.length rows);
+    let trace = rows "rows" report in
+    (* trace rungs 2, 8, 64 and unbounded, each against burst 1 *)
+    Alcotest.(check (list string))
+      "one row per trace rung" [ "2"; "8"; "64"; "inf" ]
+      (List.map (str_ "burst_label") trace);
     List.iter
       (fun r ->
         Alcotest.(check int) "trace fully drained" (int_ "arrivals" r) (int_ "departures" r))
-      rows;
+      trace;
     Alcotest.(check int) "one distinct departure hash" 1
-      (distinct (List.map (str_ "depart_hash") rows))
+      (distinct (List.map (str_ "depart_hash") trace));
+    Alcotest.(check (list int))
+      "one row per server rung" [ 8; 64 ]
+      (List.map (int_ "burst_max") (rows "server_rows" report))
   | "churn" ->
     let rows = rows "rows" report in
     (* 1 session count x 2 engines *)
@@ -135,6 +143,35 @@ let check_grid name report =
     one_hash_per ~group:"epoch" ~hash:"depart_hash" rows
   | name -> Alcotest.failf "suite %s has no grid check here" name
 
+(* Every table of a report (each top-level array of objects) is rows,
+   and each row carries the same-run pairs it was measured as. *)
+let check_row_pairs what report =
+  let tables =
+    match report with
+    | Json.Obj fields ->
+      List.filter_map
+        (fun (k, v) ->
+          match v with
+          | Json.Arr (Json.Obj _ :: _ as rows) -> Some (k, rows)
+          | _ -> None)
+        fields
+    | _ -> []
+  in
+  Alcotest.(check bool) (what ^ " has rows") true (tables <> []);
+  List.iter
+    (fun (table, rows) ->
+      List.iteri
+        (fun i row ->
+          let pairs =
+            match row with
+            | Json.Obj fields ->
+              List.exists (fun (_, v) -> Result.is_ok (Suite.same_run v)) fields
+            | _ -> false
+          in
+          if not pairs then Alcotest.failf "%s: %s[%d] carries no same-run pairs" what table i)
+        rows)
+    tables
+
 let test_quick_run suite report () =
   let report = Lazy.force report in
   Alcotest.(check (list string)) "required paths present" [] (Suite.missing suite report);
@@ -146,6 +183,7 @@ let test_quick_run suite report () =
   List.iter
     (fun (k, x) -> if not (x > 0.0) then Alcotest.failf "%s = %g is not positive" k x)
     measured;
+  check_row_pairs suite.Suite.name report;
   check_grid suite.Suite.name report
 
 (* Each guard made trivially true, or impossible, by a baseline value or a
@@ -386,7 +424,7 @@ let test_bounds_pinned () =
         [
           "hash headline.depart_hash = headline.depart_hash";
           "hash headline.per_packet_depart_hash = headline.depart_hash";
-          "ratio batched_over_per_packet 1/0";
+          "ratio server_batched_over_per_packet 1.4/1.2";
           "ceiling headline.batched_minor_words_per_pkt +0.1";
         ] );
       ( "churn",
@@ -444,6 +482,13 @@ let test_committed_baselines_fail_closed () =
                   Alcotest.failf "%s without %s passed" s.out (Suite.path_name path))
           | _ -> ())
         s.guards)
+    Experiments.Suites.all
+
+(* A committed baseline records what its guard judges: every row is
+   same-run pairs, never a single draw. *)
+let test_committed_rows_are_pairs () =
+  List.iter
+    (fun (s : Suite.t) -> check_row_pairs s.out (Json.of_file (Filename.concat ".." s.out)))
     Experiments.Suites.all
 
 (* Tracing-disabled overhead, the deterministic half: installing and then
@@ -520,6 +565,8 @@ let () =
             Alcotest.test_case "bounds pinned in both profiles" `Quick test_bounds_pinned;
             Alcotest.test_case "committed baselines fail closed" `Quick
               test_committed_baselines_fail_closed;
+            Alcotest.test_case "committed rows are same-run pairs" `Quick
+              test_committed_rows_are_pairs;
             Alcotest.test_case "tracing disabled allocates nothing" `Quick
               test_tracing_disabled_allocates_nothing;
             Alcotest.test_case "bare cycle words/pkt ceiling" `Quick test_bare_cycle_words;

@@ -206,33 +206,18 @@ let fill recorder n =
 let sessions recorder = List.map (fun e -> e.Event.session) (Recorder.to_list recorder)
 
 let test_ring_drop_oldest () =
-  let r = Recorder.create ~capacity:4 ~on_full:Recorder.Drop_oldest () in
+  let r = Recorder.create ~capacity:4 () in
   fill r 6;
   Alcotest.(check int) "length" 4 (Recorder.length r);
   Alcotest.(check int) "dropped" 2 (Recorder.dropped r);
   Alcotest.(check (list int)) "newest survive, oldest first" [ 2; 3; 4; 5 ] (sessions r);
   Alcotest.(check int) "get oldest" 2 (Recorder.get r 0).Event.session;
+  (match Recorder.get r 4 with
+  | _ -> Alcotest.fail "get past the end should raise"
+  | exception Invalid_argument _ -> ());
   Recorder.clear r;
   Alcotest.(check int) "cleared length" 0 (Recorder.length r);
   Alcotest.(check int) "cleared dropped" 0 (Recorder.dropped r)
-
-let test_ring_drop_newest () =
-  let r = Recorder.create ~capacity:4 ~on_full:Recorder.Drop_newest () in
-  fill r 6;
-  Alcotest.(check int) "length" 4 (Recorder.length r);
-  Alcotest.(check int) "dropped" 2 (Recorder.dropped r);
-  Alcotest.(check (list int)) "oldest survive" [ 0; 1; 2; 3 ] (sessions r)
-
-let test_ring_grow () =
-  let r = Recorder.create ~capacity:4 ~on_full:Recorder.Grow () in
-  fill r 100;
-  Alcotest.(check int) "length" 100 (Recorder.length r);
-  Alcotest.(check int) "dropped" 0 (Recorder.dropped r);
-  Alcotest.(check bool) "capacity grew" true (Recorder.capacity r >= 100);
-  Alcotest.(check int) "order preserved across growth" 99 (Recorder.get r 99).Event.session;
-  (match Recorder.get r 100 with
-  | _ -> Alcotest.fail "get past the end should raise"
-  | exception Invalid_argument _ -> ())
 
 let test_memory_sink_and_drain () =
   let r = Recorder.create ~capacity:8 () in
@@ -382,8 +367,6 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "drop oldest" `Quick test_ring_drop_oldest;
-          Alcotest.test_case "drop newest" `Quick test_ring_drop_newest;
-          Alcotest.test_case "grow" `Quick test_ring_grow;
           Alcotest.test_case "memory sink and drain" `Quick test_memory_sink_and_drain;
         ] );
       ( "metrics",
