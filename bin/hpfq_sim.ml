@@ -70,46 +70,12 @@ let hier_engine_arg =
   Arg.(
     value
     & opt hier_engine_conv `Auto
-    & info [ "hier-engine" ] ~docv:"generic|flat|auto|subtree"
+    & info [ "hier-engine" ] ~docv:"generic|flat|auto"
         ~doc:
           "Hierarchy engine: $(b,generic) composes one-level policies per \
            node, $(b,flat) is the monomorphic flattened H-WF2Q+ fast path \
-           (bit-identical schedules), $(b,subtree) partitions the root's \
-           child subtrees into shards whose arrivals are staged and \
-           integrated at the root in epochs, all on the calling domain \
-           (see --shards/--epoch). $(b,auto) picks flat for WF2Q+ and \
+           (bit-identical schedules). $(b,auto) picks flat for WF2Q+ and \
            generic otherwise.")
-
-(* [`Subtree] settings; they travel in the engine choice and only matter
-   with --hier-engine subtree. *)
-let subtree_shards_arg =
-  Arg.(
-    value
-    & opt (some pos_int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Subtree engine: root-child subtree shards (default: one per root \
-           child; clamped to the root's child count).")
-
-let subtree_epoch_arg =
-  Arg.(
-    value & opt pos_int 1
-    & info [ "epoch" ] ~docv:"K"
-        ~doc:
-          "Subtree engine: integrate staged arrivals at the root every \
-           $(docv) departures. $(docv)=1 is bit-identical to the flat \
-           engine; $(docv)>1 trades exactness for throughput with \
-           per-session service lag at most ($(docv)-1)*l_max/r.")
-
-let with_subtree_settings engine shards epoch =
-  match engine with
-  | `Subtree _ -> `Subtree { Hpfq.Hier_engine.shards; epoch }
-  | (`Generic | `Flat | `Auto) as e -> e
-
-let engine_term =
-  Term.(
-    const with_subtree_settings $ hier_engine_arg $ subtree_shards_arg
-    $ subtree_epoch_arg)
 
 let horizon_arg default =
   Arg.(value & opt pos_float default & info [ "horizon" ] ~docv:"SECONDS" ~doc:"Simulated time.")
@@ -314,7 +280,7 @@ let delay_cmd =
   in
   Cmd.v (Cmd.info "delay" ~doc:"RT-1 delay experiment (paper Figs. 4-7).")
     Term.(
-      const run $ engine_term $ pool_term
+      const run $ hier_engine_arg $ pool_term
       $ disciplines_arg $ scenario_arg $ horizon_arg 10.0 $ seed_arg
       $ replications_arg $ csv_arg)
 
@@ -338,7 +304,7 @@ let link_sharing_cmd =
   in
   Cmd.v (Cmd.info "link-sharing" ~doc:"Hierarchical link sharing with TCP (paper Figs. 8-9).")
     Term.(
-      const run $ engine_term $ pool_term
+      const run $ hier_engine_arg $ pool_term
       $ discipline_arg
       $ horizon_arg Experiments.Paper_hierarchies.fig8_horizon $ csv_arg)
 
@@ -438,7 +404,7 @@ let custom_cmd =
     (Cmd.info "custom"
        ~doc:"Saturate every leaf of a user-defined hierarchy and compare shares to H-GPS.")
     Term.(
-      const run $ engine_term $ pool_term
+      const run $ hier_engine_arg $ pool_term
       $ discipline_arg $ tree_arg $ horizon_arg 2.0)
 
 (* -- shard --------------------------------------------------------------- *)
@@ -706,7 +672,7 @@ let replay_cmd =
           H-WF2Q+ hierarchy with burst-drained departures, printing the \
           deterministic departure hash.")
     Term.(
-      const run $ engine_term $ trace_arg
+      const run $ hier_engine_arg $ trace_arg
       $ tree_arg $ burst_arg $ seed_arg $ duration_arg $ mean_pkts_arg
       $ headroom_arg $ save_arg)
 

@@ -1,46 +1,31 @@
-type subtree = { shards : int option; epoch : int }
-
 type t = Generic of Hier.t | Flat of Hier_flat.t
 
-type choice = [ `Generic | `Flat | `Auto | `Subtree of subtree ]
+type choice = [ `Generic | `Flat | `Auto ]
 
 let choice_of_string = function
   | "generic" -> Ok `Generic
   | "flat" -> Ok `Flat
   | "auto" -> Ok `Auto
-  | "subtree" -> Ok (`Subtree { shards = None; epoch = 1 })
   | s ->
     Error
-      (Printf.sprintf "unknown hier engine %S (expected generic|flat|auto|subtree)" s)
+      (Printf.sprintf "unknown hier engine %S (expected generic|flat|auto)" s)
 
 let choice_to_string = function
   | `Generic -> "generic"
   | `Flat -> "flat"
   | `Auto -> "auto"
-  | `Subtree _ -> "subtree"
 
 let create ~sim ~spec ~factory ?(engine = `Auto) ?(root_clock = `Real_time)
     ?on_depart ?on_drop ?(burst_max = 1) () =
   let discipline = factory.Sched.Sched_intf.kind in
   let flat_ok = discipline = Wf2q_plus.factory.Sched.Sched_intf.kind in
-  let require_flat name =
-    if not flat_ok then
-      invalid_arg
-        (Printf.sprintf "Hier_engine.create: %s engine only implements WF2Q+, not %s"
-           name discipline)
-  in
-  let flat ?shards ?epoch () =
-    Hier_flat.create ~sim ~spec ~root_clock ?on_depart ?on_drop ~burst_max ?shards
-      ?epoch ()
-  in
   match engine with
+  | (`Flat | `Auto) when flat_ok ->
+    Flat (Hier_flat.create ~sim ~spec ~root_clock ?on_depart ?on_drop ~burst_max ())
   | `Flat ->
-    require_flat "flat";
-    Flat (flat ())
-  | `Auto when flat_ok -> Flat (flat ())
-  | `Subtree { shards; epoch } ->
-    require_flat "subtree";
-    Flat (flat ?shards ~epoch ())
+    invalid_arg
+      (Printf.sprintf "Hier_engine.create: flat engine only implements WF2Q+, not %s"
+         discipline)
   | `Generic | `Auto ->
     Generic
       (Hier.create ~sim ~spec ~make_policy:(Hier.uniform factory) ~root_clock

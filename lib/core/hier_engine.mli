@@ -5,30 +5,20 @@
     fast path. [`Auto] (the default) picks flat when the requested factory
     is WF²Q+ and generic otherwise, so WF²Q+-only trees (the paper's
     headline system) get the fast engine without callers caring.
-    A [`Subtree] choice builds the same [Flat] engine with its epoch layer
-    configured (root-child subtrees staged per shard, the root synced in
-    epochs).
 
     Both engines are driven through the shared subset of their surfaces
     below; use {!generic}/{!flat} to reach engine-specific APIs (e.g.
     per-node observers through {!Obs}' attach functions). *)
 
-type subtree = {
-  shards : int option;  (** default: one per root child *)
-  epoch : int;
-}
-(** Settings of the [`Subtree] engine: {!Hier_flat.create}'s epoch layer
-    ([shards], [epoch]; see there for their meaning). *)
-
 type t =
   | Generic of Hier.t
-  | Flat of Hier_flat.t  (** also what a [`Subtree] choice builds *)
+  | Flat of Hier_flat.t
 
-type choice = [ `Generic | `Flat | `Auto | `Subtree of subtree ]
+type choice = [ `Generic | `Flat | `Auto ]
 
 val choice_of_string : string -> (choice, string) result
-(** Parses ["generic" | "flat" | "auto" | "subtree"] (the [--hier-engine]
-    CLI values); ["subtree"] carries [shards = None] and [epoch = 1]. *)
+(** Parses ["generic" | "flat" | "auto"] (the [--hier-engine] CLI
+    values). *)
 
 val choice_to_string : choice -> string
 
@@ -47,11 +37,9 @@ val create :
     use {!Hier.create} directly — they are generic-only). [burst_max]
     (default 1) is the burst-drain cap, forwarded to the chosen engine;
     departure times, stamps and callback order are bit-identical at every
-    setting (see {!Server.create}). [`Subtree] settings go to
-    {!Hier_flat.create}.
-    @raise Invalid_argument if [`Flat] or [`Subtree] is forced with a
-    non-WF²Q+ factory, [spec] is invalid, [burst_max < 1], or a
-    [`Subtree] setting is out of range. *)
+    setting (see {!Server.create}).
+    @raise Invalid_argument if [`Flat] is forced with a non-WF²Q+
+    factory, [spec] is invalid, or [burst_max < 1]. *)
 
 val set_burst_max : t -> int -> unit
 (** Change the burst cap; takes effect from the next drain activation.
@@ -64,8 +52,7 @@ val kind : t -> [ `Generic | `Flat ]
 val generic : t -> Hier.t option
 
 val flat : t -> Hier_flat.t option
-(** The {!Hier_flat} engine behind [`Flat] and [`Subtree] (read its
-    epoch-layer settings with {!Hier_flat.shards} and friends). *)
+(** The {!Hier_flat} engine behind [`Flat]. *)
 
 (** {2 Shared surface} — each delegates to the engine's function of the
     same name; see {!Hier} for contracts. *)

@@ -428,13 +428,8 @@ let stage t pkt ~leaf =
 (* -- Construction --------------------------------------------------------- *)
 
 let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
-    ?(burst_max = 1) ?shards ?(workers = 0) ?(epoch = 1) () =
+    ?(burst_max = 1) ?shards ?(epoch = 1) () =
   if epoch < 1 then invalid_arg "Hier_flat.create: epoch must be >= 1";
-  (* validated, though no sync runs on a worker Domain *)
-  if workers < 0 || workers > Parallel.Pool.max_jobs then
-    invalid_arg
-      (Printf.sprintf "Hier_flat.create: workers must be in 0..%d, got %d"
-         Parallel.Pool.max_jobs workers);
   (match shards with
   | Some s when s < 1 -> invalid_arg "Hier_flat.create: shards must be >= 1"
   | _ -> ());
@@ -514,7 +509,6 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
         n_nodes (List.length tree.leaves) Engine.Units.pp_rate rate.(root) shards epoch);
   t
 
-let shutdown (_ : t) = ()
 let shards t = t.shards
 let epoch t = t.epoch
 let sync_rounds t = t.syncs

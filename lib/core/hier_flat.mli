@@ -47,7 +47,10 @@
       ({!Theory.epoch_lag_bound}); across shard counts only the order of
       the drops accounted at one sync may move. Lifecycle operations and
       state accessors run a sync first, so they observe every staged
-      arrival. *)
+      arrival.
+
+    {!Hier_engine} has no choice that turns the layer on: callers build it
+    here (the [shard] library's adapter does, for [benchmark/]). *)
 
 type t
 
@@ -59,7 +62,6 @@ val create :
   ?on_drop:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?burst_max:int ->
   ?shards:int ->
-  ?workers:int ->
   ?epoch:int ->
   unit ->
   t
@@ -71,18 +73,11 @@ val create :
     The epoch layer: [epoch] (default [1]) is the root sync period in
     departures. [shards] (default: one per root child) is clamped to the
     number of root children; each shard stages at most 256 arrivals, and a
-    full shard forces an early sync. [workers] (default [0]) is validated
-    and has no effect: every sync flushes inline on the calling domain,
-    because a sync stages too few arrivals to pay for a handoff to a
-    worker Domain, and no Domain is spawned.
+    full shard forces an early sync. Every sync flushes inline on the
+    calling domain; no Domain is spawned.
     @raise Invalid_argument if {!Hier_tree.create} rejects [spec] (it
     fails {!Class_tree.validate}, or its root is a leaf), [burst_max < 1],
-    [shards < 1], [workers] is outside [0 .. ]{!Parallel.Pool.max_jobs}
-    or [epoch < 1]. *)
-
-val shutdown : t -> unit
-(** A no-op: the engine holds no worker Domain. It stays usable, and
-    later syncs keep the same schedule. *)
+    [shards < 1] or [epoch < 1]. *)
 
 val shards : t -> int
 (** Effective shard count after clamping. *)

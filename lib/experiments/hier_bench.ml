@@ -11,8 +11,9 @@
    row of BENCH_hier.json: the flat engine's rate over the generic one's
    as same-run pairs, with both engines' allocation, and Fig. 3's row is
    the headline. [probe] measures the balanced_d4_f8 row for the ratio
-   guard and the Fig. 3 row for the flat engine's allocation ceiling;
-   the flat engine's own throughput is benchmark/'s tree_4k_d6 workload. *)
+   guard and one flat run on Fig. 3 for the flat engine's allocation
+   ceiling; the flat engine's own throughput is benchmark/'s tree_4k_d6
+   workload. *)
 
 module H = Paper_hierarchies
 module Perf = Bench_kit.Perf
@@ -56,17 +57,19 @@ type row = {
   generic_words : float;
 }
 
+(* One saturated run: (leaf count, packets/second, minor words/packet). *)
+let run ~quick ~engine (_, spec, pkt_bits) =
+  Perf.hier_throughput_spec ~engine ~spec ~factory:Hpfq.Disciplines.wf2q_plus ~pkt_bits
+    ~target_pkts:(if quick then 500 else 100_000)
+    ()
+
 (* One topology, the report's row and the guard's: the two engines'
    saturated rates as same-run pairs, and each engine's minor words per
    packet (the same in every run). *)
-let row ~quick (topology, spec, pkt_bits) =
-  let target_pkts = if quick then 500 else 100_000 in
+let row ~quick ((topology, _, _) as cell) =
   let leaves = ref 0 and flat_words = ref nan and generic_words = ref nan in
   let rate engine words () =
-    let n, pps, w =
-      Perf.hier_throughput_spec ~engine ~spec ~factory:Hpfq.Disciplines.wf2q_plus
-        ~pkt_bits ~target_pkts ()
-    in
+    let n, pps, w = run ~quick ~engine cell in
     leaves := int_of_float n;
     words := w;
     pps
@@ -123,11 +126,12 @@ let report ~quick =
       ("rows", Json.Arr (List.map row_json rows));
     ]
 
-(* The guard's fresh side: the gated row's pairs, and Fig. 3's row for
-   the flat engine's allocation ceiling. *)
+(* The guard's fresh side: the gated row's pairs, and one flat run on
+   Fig. 3 for the flat engine's allocation ceiling. *)
 let probe ~quick =
+  let _, _, words = run ~quick ~engine:`Flat fig3 in
   Json.Obj
     [
       ("flat_over_generic", (row ~quick (gated ~quick)).pairs);
-      ("headline", headline (row ~quick fig3));
+      ("headline", Json.Obj [ ("flat_minor_words_per_pkt", Json.Num words) ]);
     ]

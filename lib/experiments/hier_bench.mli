@@ -15,5 +15,5 @@ val report : quick:bool -> Bench_kit.Json.t
 val probe : quick:bool -> Bench_kit.Json.t
 (** The guard's fresh side: [flat_over_generic], the pairs of the
     report's balanced depth-4 fan-out-8 row (4096 leaves; [quick]:
-    fan-out 2), and [headline.flat_minor_words_per_pkt] from the Fig. 3
-    row. *)
+    fan-out 2), and [headline.flat_minor_words_per_pkt] from one flat
+    run on Fig. 3. *)

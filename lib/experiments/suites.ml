@@ -1,4 +1,4 @@
-(* The seven bench suites, their report shapes and their guards. Every
+(* The six bench suites, their report shapes and their guards. Every
    bound is here, with its value on a dedicated host ([local]) and on a
    shared CI runner ([ci]). No throughput gate reads a committed number:
    each is a same-run ratio between the two code paths it justifies (or
@@ -137,17 +137,4 @@ let shard =
     guards = [ Scaling { slack = { local = 0.25; ci = 0.6 } } ];
   }
 
-let hiershard =
-  {
-    name = "hiershard";
-    title = "HIERSHARD: one tree, subtree shards x epoch";
-    out = "BENCH_hiershard.json";
-    report = Hiershard_bench.report;
-    required =
-      [ [ "schema" ]; [ "cores" ]; [ "flat_depart_hash" ] ]
-      @ rows [ "shards"; "epoch"; "ratio_vs_flat"; "depart_hash" ];
-    probe = Hiershard_bench.probe;
-    guards = [ Scaling { slack = { local = 0.35; ci = 0.6 } } ];
-  }
-
-let all = [ events; hier; replay; churn; parallel; shard; hiershard ]
+let all = [ events; hier; replay; churn; parallel; shard ]

@@ -4,5 +4,4 @@
     from {!all}. *)
 
 val all : Bench_kit.Suite.t list
-(** events, hier, replay, churn, parallel, shard, hiershard — in
-    [check] order. *)
+(** events, hier, replay, churn, parallel, shard — in [check] order. *)

@@ -270,8 +270,7 @@ let guard c hook f x ~leaf t =
    which happens inside the guard. *)
 let plane c ~sim s ~on_depart ~on_drop ~checks:(at_depart, at_drop) =
   let root_clock = if s.root_ref then `Reference_time else `Real_time in
-  let pooled factory engine =
-    let h = HE.create ~sim ~spec:s.spec ~factory ~engine ~root_clock ~burst_max:c.burst () in
+  let pooled h =
     let boxed hook f = guard c hook (fun p -> f (Net.Packet_pool.to_packet (HE.pool h) p)) in
     HE.add_depart_handle_hook h (guard c "departure check" (fun _ ~leaf:_ _ -> at_depart ()));
     HE.add_drop_handle_hook h (guard c "drop check" (fun _ ~leaf _ -> at_drop leaf));
@@ -292,9 +291,14 @@ let plane c ~sim s ~on_depart ~on_drop ~checks:(at_depart, at_drop) =
     }
   in
   match c.engine with
-  | Generic f -> pooled f `Generic
-  | Flat -> pooled wf2q_plus `Flat
-  | Epoch { shards; epoch } -> pooled wf2q_plus (`Subtree { HE.shards = Some shards; epoch })
+  | Generic factory ->
+    pooled (HE.create ~sim ~spec:s.spec ~factory ~engine:`Generic ~root_clock ~burst_max:c.burst ())
+  | Flat ->
+    pooled
+      (HE.create ~sim ~spec:s.spec ~factory:wf2q_plus ~engine:`Flat ~root_clock
+         ~burst_max:c.burst ())
+  | Epoch { shards; epoch } ->
+    pooled (HE.Flat (HF.create ~sim ~spec:s.spec ~root_clock ~burst_max:c.burst ~shards ~epoch ()))
   | Boxed ->
     let h =
       Bhier.create ~sim ~spec:s.spec ~make_policy:(Bhier.uniform wf2q_plus) ~root_clock
@@ -352,7 +356,6 @@ let run c s =
             if multi_epoch then live > held
             else live = held + if deferred then 2 else 1)
   end;
-  Fun.protect ~finally:(fun () -> Option.iter HF.shutdown p.flat) @@ fun () ->
   let apply op =
     (try
        match op with

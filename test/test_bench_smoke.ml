@@ -65,7 +65,6 @@ let field conv k row =
 let int_ = field (fun j -> Option.map int_of_float (Json.to_float j))
 let num_ = field Json.to_float
 let str_ = field (function Json.Str s -> Some s | _ -> None)
-let bool_ = field (function Json.Bool b -> Some b | _ -> None)
 let distinct xs = List.length (List.sort_uniq compare xs)
 
 (* rows whose [group] field equals each value share one [hash] *)
@@ -131,16 +130,6 @@ let check_grid name report =
       (List.length Experiments.Parallel_bench.jobs_ladder)
       (List.length rows);
     one_hash_per ~group:"links" ~hash:"device_hash" rows
-  | "hiershard" ->
-    let rows = rows "rows" report in
-    (* 3 shard counts x 3 epochs *)
-    Alcotest.(check int) "one row per (shards, epoch) cell" 9 (List.length rows);
-    List.iter
-      (fun r ->
-        Alcotest.(check bool) "exact flag marks exactly the epoch=1 rows" (int_ "epoch" r = 1)
-          (bool_ "exact" r))
-      rows;
-    one_hash_per ~group:"epoch" ~hash:"depart_hash" rows
   | name -> Alcotest.failf "suite %s has no grid check here" name
 
 (* Every table of a report (each top-level array of objects) is rows,
@@ -206,10 +195,10 @@ let unreachable guard baseline =
   | Hash { baseline = path; _ } -> (guard, set path (Json.Str "ffffffffffffffff") baseline)
 
 (* A scaling probe measures only the rows it gates: from 2 jobs up to
-   the host's cores (a hiershard cell runs on one core, so every cell).
+   the host's cores.
    Its verdict, in either profile, is "every row's median pair ratio
    reaches its floor", whatever this host measures. *)
-let check_scaling_rows suite fresh slack =
+let check_scaling_rows fresh slack =
   let gated = rows "rows" fresh in
   Alcotest.(check bool) "probe has rows" true (gated <> []);
   let label_int key r =
@@ -220,13 +209,12 @@ let check_scaling_rows suite fresh slack =
         | _ -> None)
       (String.split_on_char ' ' (str_ "label" r))
   in
-  if suite.Suite.name <> "hiershard" then
-    Alcotest.(check (list int))
-      "rows are the gated rungs"
-      (List.filter_map (fun r -> label_int "jobs" r) gated)
-      (List.concat_map
-         (fun _ -> Experiments.Parallel_bench.gated_rungs ~cores)
-         (List.sort_uniq compare (List.map (label_int "links") gated)));
+  Alcotest.(check (list int))
+    "rows are the gated rungs"
+    (List.filter_map (fun r -> label_int "jobs" r) gated)
+    (List.concat_map
+       (fun _ -> Experiments.Parallel_bench.gated_rungs ~cores)
+       (List.sort_uniq compare (List.map (label_int "links") gated)));
   let median_ratio r =
     let pairs = field Option.some "pairs" r in
     let samples k = List.map (fun x -> Option.get (Json.to_float x)) (rows k pairs) in
@@ -276,7 +264,7 @@ let test_guard_verdicts suite report () =
     suite.guards;
   List.iter
     (function
-      | Suite.Scaling { slack } -> check_scaling_rows suite fresh slack
+      | Suite.Scaling { slack } -> check_scaling_rows fresh slack
       | _ -> ())
     suite.guards;
   (match Suite.guard suite ~baseline:"/nonexistent/BENCH.json" Local with
@@ -434,7 +422,6 @@ let test_bounds_pinned () =
         ] );
       ("parallel", [ "scaling 0.25/0.6" ]);
       ("shard", [ "scaling 0.25/0.6" ]);
-      ("hiershard", [ "scaling 0.35/0.6" ]);
     ]
     (List.map
        (fun (s : Suite.t) -> (s.name, List.map describe s.guards))

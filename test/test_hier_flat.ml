@@ -1,9 +1,11 @@
 (* Flat H-WF2Q+ engine and its epoch layer: observer parity, the engine
-   facade, and the construction, partition and re-entrant-hook surface.
-   The schedule relations (flat = generic, epoch 1 = flat, epoch > 1
-   worker and shard invariance, the epoch lag bound) are rows of
-   test/lockstep.ml, run here; the golden deep chain and the stamped-root
-   spot check go through its runner as fixed scenarios. *)
+   facade, the construction, partition and re-entrant-hook surface, the
+   epoch layer's pinned overload hashes, and [Shard.Subtree], the layer's
+   entry for callers outside this library. The schedule relations (flat =
+   generic, epoch 1 = flat, epoch > 1 shard invariance, the epoch lag
+   bound) are rows of test/lockstep.ml, run here; the golden deep chain
+   and the stamped-root spot check go through its runner as fixed
+   scenarios. *)
 
 module Sim = Engine.Simulator
 module HF = Hpfq.Hier_flat
@@ -26,13 +28,16 @@ let raises_invalid f =
     false
   with Invalid_argument _ -> true
 
-let subtree ?shards epoch = `Subtree { HE.shards; epoch }
+let choice engine sim = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine ()
+
+(* the epoch layer, built on the flat engine directly *)
+let epoch_layer ?shards epoch sim = HE.Flat (HF.create ~sim ~spec:fig3ish ?shards ~epoch ())
 
 (* ---- observer-stamp parity: generic = flat = epoch 1 ---- *)
 
-let traced_events engine =
+let traced_events make =
   let sim = Sim.create () in
-  let h = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine () in
+  let h = make sim in
   let trace = Obs.Trace.attach_engine h in
   let leaves = Array.of_list (List.map snd (HE.leaf_ids h)) in
   ignore
@@ -50,7 +55,7 @@ let traced_events engine =
   Obs.Trace.events trace
 
 let test_trace_parity () =
-  let g = traced_events `Generic and f = traced_events `Flat in
+  let g = traced_events (choice `Generic) and f = traced_events (choice `Flat) in
   Alcotest.(check bool) "flat trace is non-empty" true (f <> []);
   (* [compare] rather than [=]: link-level events stamp vtime = NaN *)
   Alcotest.(check bool) "generic = flat" true (compare g f = 0)
@@ -58,11 +63,12 @@ let test_trace_parity () =
 (* At epoch > 1 a staged arrival's observer events would fire at the
    sync, not at arrival, so attaching is refused there. *)
 let test_trace_attach () =
-  let f = traced_events `Flat in
-  Alcotest.(check bool) "flat = epoch 1" true (compare f (traced_events (subtree ~shards:2 1)) = 0);
+  let f = traced_events (choice `Flat) in
+  Alcotest.(check bool) "flat = epoch 1" true
+    (compare f (traced_events (epoch_layer ~shards:2 1)) = 0);
   Alcotest.check_raises "epoch > 1 rejected by set_node_observer_id"
     (Invalid_argument "Hier_flat.set_node_observer_id: observers require epoch = 1")
-    (fun () -> ignore (traced_events (subtree 4)))
+    (fun () -> ignore (traced_events (epoch_layer 4)))
 
 (* ---- fixed scenarios through the lockstep runner ---- *)
 
@@ -253,12 +259,9 @@ let test_flat_rejects_leaf_root () =
 
 let test_create_validation () =
   let sim = Sim.create () in
-  let mk ?shards ?workers ?epoch () = HF.create ~sim ~spec:fig3ish ?shards ?workers ?epoch () in
+  let mk ?shards ?epoch () = HF.create ~sim ~spec:fig3ish ?shards ?epoch () in
   Alcotest.(check bool) "epoch 0 rejected" true (raises_invalid (mk ~epoch:0));
-  Alcotest.(check bool) "shards 0 rejected" true (raises_invalid (mk ~shards:0));
-  Alcotest.(check bool) "workers -1 rejected" true (raises_invalid (mk ~workers:(-1)));
-  Alcotest.(check bool) "workers above Pool.max_jobs rejected" true
-    (raises_invalid (mk ~workers:(Parallel.Pool.max_jobs + 1) ~epoch:8))
+  Alcotest.(check bool) "shards 0 rejected" true (raises_invalid (mk ~shards:0))
 
 let test_partition () =
   let sim = Sim.create () in
@@ -294,8 +297,7 @@ let test_observer_gate () =
 
 (* Hooks run on the coordinator while a sync applies its results, and may
    inject: those arrivals are staged into regions the sync's parked drops
-   have already left. Every packet must depart or drop exactly once,
-   identically at any worker count. *)
+   have already left. Every packet must depart or drop exactly once. *)
 let capped =
   CT.node "link" ~rate:1.0
     [
@@ -305,9 +307,9 @@ let capped =
         [ CT.leaf "b1" ~rate:0.2 ~queue_capacity_bits:2.0; CT.leaf "b2" ~rate:0.2 ];
     ]
 
-let hooked_run ~on_start ~bursts ~react ~workers =
+let hooked_run ~on_start ~bursts ~react () =
   let sim = Sim.create () in
-  let t = HF.create ~sim ~spec:capped ~shards:2 ~workers ~epoch:4 () in
+  let t = HF.create ~sim ~spec:capped ~shards:2 ~epoch:4 () in
   let injected = ref 0 and log = ref [] in
   let inject name =
     incr injected;
@@ -328,9 +330,7 @@ let hooked_run ~on_start ~bursts ~react ~workers =
              done)))
     bursts;
   Sim.run sim;
-  let drops = HF.drops t in
-  HF.shutdown t;
-  (!injected, drops, List.rev !log)
+  (!injected, HF.drops t, List.rev !log)
 
 (* A drop hook that injects into its own shard and then reads an accessor
    starts a sync nested in the one firing it; so does one that injects
@@ -348,15 +348,13 @@ let nested_sync_run ~burst ~read =
 let test_reentrant_hooks () =
   List.iter
     (fun (case, run) ->
-      let injected, drops, log = run ~workers:0 in
+      let injected, drops, log = run () in
       let departed = List.length (List.filter (fun (k, _, _, _) -> k = `D) log) in
       Alcotest.(check bool) (case ^ ": some drops at a sync") true (drops > 0);
       Alcotest.(check int) (case ^ ": every packet departs or drops once") injected
         (departed + drops);
       Alcotest.(check int) (case ^ ": one log entry per packet") injected
-        (List.length log);
-      let _, _, log1 = run ~workers:1 in
-      Alcotest.(check bool) (case ^ ": worker-count invariant") true (log = log1))
+        (List.length log))
     [
       ( "inject",
         hooked_run ~on_start:true ~bursts:[ "a1"; "b1"; "a1"; "b1"; "a1"; "b1" ]
@@ -365,38 +363,6 @@ let test_reentrant_hooks () =
       ("inject then read", nested_sync_run ~burst:1 ~read:true);
       ("fill a region", nested_sync_run ~burst:300 ~read:false);
     ]
-
-(* [shutdown] mid-run leaves the engine usable: syncs after it, of 200
-   staged arrivals each, keep the schedule of a run that never had
-   workers. *)
-let test_shutdown_mid_run () =
-  let run ~workers =
-    let sim = Sim.create () in
-    let t = HF.create ~sim ~spec:capped ~shards:2 ~workers ~epoch:4 () in
-    let log = ref [] and syncs_at_shutdown = ref (-1) in
-    HF.add_depart_hook t (fun p ~leaf now -> log := (`D, leaf, p.Net.Packet.seq, now) :: !log);
-    HF.add_drop_hook t (fun p ~leaf now -> log := (`X, leaf, p.Net.Packet.seq, now) :: !log);
-    let leaves = [| "a1"; "a2"; "b1"; "b2" |] in
-    List.iter
-      (fun at ->
-        ignore
-          (Sim.schedule sim ~at (fun () ->
-               for i = 0 to 199 do
-                 ignore (HF.inject t ~leaf:(HF.leaf_id t leaves.(i mod 4)) ~size_bits:1.0)
-               done)))
-      [ 0.0; 60.0; 150.0; 210.0 ];
-    ignore
-      (Sim.schedule sim ~at:100.0 (fun () ->
-           syncs_at_shutdown := HF.sync_rounds t;
-           HF.shutdown t));
-    Sim.run sim;
-    (List.rev !log, !syncs_at_shutdown, HF.sync_rounds t)
-  in
-  let log0, _, _ = run ~workers:0 in
-  let log1, syncs_then, syncs = run ~workers:1 in
-  Alcotest.(check bool) "synced before shutdown" true (syncs_then > 0);
-  Alcotest.(check bool) "synced after shutdown" true (syncs > syncs_then);
-  Alcotest.(check bool) "schedule = workers 0" true (log0 = log1)
 
 let test_lag_bound_formula () =
   let b = Hpfq.Theory.epoch_lag_bound in
@@ -413,14 +379,15 @@ let test_facade () =
   let sim = Sim.create () in
   let log = ref [] in
   let h =
-    HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:(subtree ~shards:2 1)
+    HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine:`Flat
       ~on_depart:(fun pkt ~leaf t -> log := (leaf, pkt.Net.Packet.seq, t) :: !log)
       ()
   in
-  Alcotest.(check bool) "a `Subtree choice builds `Flat" true (HE.kind h = `Flat);
+  Alcotest.(check bool) "a `Flat choice builds `Flat" true (HE.kind h = `Flat);
   Alcotest.(check bool) "generic projection is None" true (HE.generic h = None);
   (match HE.flat h with
-  | Some f -> Alcotest.(check int) "flat projection is the engine" 2 (HF.shards f)
+  | Some f ->
+    Alcotest.(check int) "flat projection is the engine" (HE.node_count h) (HF.node_count f)
   | None -> Alcotest.fail "flat projection is None");
   let a1 = HE.leaf_id h "a1" in
   ignore
@@ -430,20 +397,135 @@ let test_facade () =
   Alcotest.(check int) "three departures through the facade" 3 (List.length !log);
   Alcotest.(check bool) "non-WF2Q+ rejected" true
     (raises_invalid (fun () ->
-         HE.create ~sim ~spec:fig3ish ~factory:Hpfq.Disciplines.wfq ~engine:(subtree 1)
-           ()))
+         HE.create ~sim ~spec:fig3ish ~factory:Hpfq.Disciplines.wfq ~engine:`Flat ()))
 
+(* The choice carries no settings: the three names round-trip, and the
+   epoch layer is not one of them. *)
 let test_choice_payload () =
-  Alcotest.(check bool) "\"subtree\" parses to shards unset, epoch 1" true
-    (HE.choice_of_string "subtree" = Ok (`Subtree { HE.shards = None; epoch = 1 }));
-  Alcotest.(check string) "and prints back" "subtree" (HE.choice_to_string (subtree 8));
+  List.iter
+    (fun name ->
+      Alcotest.(check (result string string)) (name ^ " round-trips") (Ok name)
+        (Result.map HE.choice_to_string (HE.choice_of_string name)))
+    [ "generic"; "flat"; "auto" ];
+  match HE.choice_of_string "subtree" with
+  | Ok _ -> Alcotest.fail "\"subtree\" parsed"
+  | Error e ->
+    Alcotest.(check bool) "the error names generic|flat|auto" true
+      (String.ends_with ~suffix:"(expected generic|flat|auto)" e)
+
+(* ---- the epoch layer's overload program ---- *)
+
+(* 16 root-child subtrees of 4 leaves; 200k one-bit packets in bursts of
+   4, each at a random time and leaf, offered at 1.5x the link rate, so
+   arrivals land while the link transmits and the epoch layer stages
+   them. The departure hash folds (leaf, seq, time) FNV-1a style. *)
+let wide =
+  let sub i =
+    let r = 0.999 /. 16.0 in
+    CT.node (Printf.sprintf "sub%d" i) ~rate:r
+      (List.init 4 (fun j -> CT.leaf (Printf.sprintf "sub%d/leaf%d" i j) ~rate:(0.999 *. r /. 4.0)))
+  in
+  CT.node "root" ~rate:1.0 (List.init 16 sub)
+
+let wide_hash ?shards ?epoch () =
   let sim = Sim.create () in
-  let h = Hpfq.Schedulers.hier ~sim ~spec:fig3ish ~engine:(subtree ~shards:2 3) () in
-  match HE.flat h with
-  | Some f ->
-    Alcotest.(check (list int)) "settings reach the engine (shards, epoch)" [ 2; 3 ]
-      [ HF.shards f; HF.epoch f ]
-  | None -> Alcotest.fail "flat projection is None"
+  let fold h v = Int64.mul (Int64.logxor h v) 0x100000001b3L in
+  let hash = ref 0xcbf29ce484222325L in
+  let t =
+    HF.create ~sim ~spec:wide ?shards ?epoch
+      ~on_depart:(fun pkt ~leaf now ->
+        let h = fold !hash (Int64.of_int (Hashtbl.hash leaf)) in
+        let h = fold h (Int64.of_int pkt.Net.Packet.seq) in
+        hash := fold h (Int64.bits_of_float now))
+      ()
+  in
+  let ids = Array.of_list (List.map (fun (name, _) -> HF.leaf_id t name) (CT.leaves wide)) in
+  let rng = Random.State.make [| 0x415; 0x3aed |] in
+  let packets = 200_000 in
+  for _ = 1 to packets / 4 do
+    let leaf = ids.(Random.State.int rng 64) in
+    let at = Random.State.float rng (float_of_int packets /. 1.5) in
+    ignore (Sim.schedule sim ~at (fun () -> HF.inject_many t ~leaf ~size_bits:1.0 ~count:4))
+  done;
+  Sim.run sim;
+  Printf.sprintf "%016Lx" !hash
+
+(* Epoch 1 departs as the flat engine at every shard count, and the
+   epoch alone fixes the schedule at k > 1. *)
+let test_overload_pins () =
+  Alcotest.(check string) "flat" "d6d8221f9a356611" (wide_hash ());
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun (epoch, pinned) ->
+          Alcotest.(check string)
+            (Printf.sprintf "shards %d, epoch %d" shards epoch)
+            pinned
+            (wide_hash ~shards ~epoch ()))
+        [ (1, "d6d8221f9a356611"); (8, "4df118975fa39ddd"); (64, "463e21e622ce3bc9") ])
+    [ 1; 16 ]
+
+(* ---- Shard.Subtree: the epoch layer's entry outside this library ---- *)
+
+module ST = Shard.Subtree
+
+let test_subtree_workers_range () =
+  let sim = Sim.create () in
+  let mk workers () = ST.create ~sim ~spec:fig3ish ~workers ~epoch:8 () in
+  Alcotest.(check bool) "workers -1 rejected" true (raises_invalid (mk (-1)));
+  Alcotest.(check bool) "workers above Pool.max_jobs rejected" true
+    (raises_invalid (mk (Parallel.Pool.max_jobs + 1)));
+  Alcotest.(check bool) "workers 0 and Pool.max_jobs accepted" false
+    (raises_invalid (mk 0) || raises_invalid (mk Parallel.Pool.max_jobs))
+
+(* Four bursts of 200 arrivals into [capped], whose capped leaves drop:
+   the departure and drop log, the syncs run by t = 100 (where [midway]
+   is applied) and the syncs run in all. *)
+let overload_run ?(midway = ignore) make =
+  let sim = Sim.create () in
+  let t = make sim in
+  let log = ref [] and syncs_midway = ref (-1) in
+  HF.add_depart_hook t (fun p ~leaf now -> log := (`D, leaf, p.Net.Packet.seq, now) :: !log);
+  HF.add_drop_hook t (fun p ~leaf now -> log := (`X, leaf, p.Net.Packet.seq, now) :: !log);
+  let leaves = [| "a1"; "a2"; "b1"; "b2" |] in
+  List.iter
+    (fun at ->
+      ignore
+        (Sim.schedule sim ~at (fun () ->
+             for i = 0 to 199 do
+               ignore (HF.inject t ~leaf:(HF.leaf_id t leaves.(i mod 4)) ~size_bits:1.0)
+             done)))
+    [ 0.0; 60.0; 150.0; 210.0 ];
+  ignore
+    (Sim.schedule sim ~at:100.0 (fun () ->
+         syncs_midway := HF.sync_rounds t;
+         midway t));
+  Sim.run sim;
+  (List.rev !log, !syncs_midway, HF.sync_rounds t)
+
+let subtree ~workers ~epoch sim = ST.create ~sim ~spec:capped ~shards:2 ~workers ~epoch ()
+
+let test_subtree_workers_invariant () =
+  let log0, _, syncs = overload_run (subtree ~workers:0 ~epoch:4) in
+  let log1, _, _ = overload_run (subtree ~workers:1 ~epoch:4) in
+  Alcotest.(check bool) "epoch syncs ran" true (syncs > 0);
+  Alcotest.(check bool) "some drops" true (List.exists (fun (k, _, _, _) -> k = `X) log0);
+  Alcotest.(check bool) "workers 0 = workers 1" true (log0 = log1)
+
+let test_subtree_epoch1_is_flat () =
+  let flat, _, _ = overload_run (fun sim -> HF.create ~sim ~spec:capped ()) in
+  let st, _, syncs = overload_run (subtree ~workers:1 ~epoch:1) in
+  Alcotest.(check int) "no staged sync at epoch 1" 0 syncs;
+  Alcotest.(check bool) "departs and drops as Hier_flat" true (flat = st)
+
+(* [shutdown] mid-run leaves the engine usable: syncs after it keep the
+   schedule of a run that never shut down. *)
+let test_subtree_shutdown_mid_run () =
+  let log0, _, _ = overload_run (subtree ~workers:0 ~epoch:4) in
+  let log1, syncs_then, syncs = overload_run ~midway:ST.shutdown (subtree ~workers:1 ~epoch:4) in
+  Alcotest.(check bool) "synced before shutdown" true (syncs_then > 0);
+  Alcotest.(check bool) "synced after shutdown" true (syncs > syncs_then);
+  Alcotest.(check bool) "schedule = no shutdown" true (log0 = log1)
 
 let () =
   Alcotest.run "hier_flat"
@@ -462,7 +544,11 @@ let () =
              Alcotest.test_case "choice payload" `Quick test_choice_payload;
              Alcotest.test_case "trace attach" `Quick test_trace_attach;
            ] );
-         ("epoch", [ Alcotest.test_case "lag bound formula" `Quick test_lag_bound_formula ]);
+         ( "epoch",
+           [
+             Alcotest.test_case "lag bound formula" `Quick test_lag_bound_formula;
+             Alcotest.test_case "overload program pinned" `Quick test_overload_pins;
+           ] );
          ( "surface",
            [
              Alcotest.test_case "leaf lookup errors" `Quick test_flat_leaf_lookup;
@@ -475,6 +561,12 @@ let () =
              Alcotest.test_case "partition" `Quick test_partition;
              Alcotest.test_case "observer gate" `Quick test_observer_gate;
              Alcotest.test_case "hooks inject during a sync" `Quick test_reentrant_hooks;
-             Alcotest.test_case "syncs after shutdown" `Quick test_shutdown_mid_run;
+           ] );
+         ( "subtree",
+           [
+             Alcotest.test_case "workers range" `Quick test_subtree_workers_range;
+             Alcotest.test_case "workers 0 = workers 1" `Quick test_subtree_workers_invariant;
+             Alcotest.test_case "epoch 1 = Hier_flat" `Quick test_subtree_epoch1_is_flat;
+             Alcotest.test_case "syncs after shutdown" `Quick test_subtree_shutdown_mid_run;
            ] );
        ])
