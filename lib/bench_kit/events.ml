@@ -58,8 +58,9 @@ type clock = { mutable now : float }
    re-arm itself until the fire budget is spent; the final generation
    drains un-rearmed. Cancellation is a pool state flip, and the set is
    compacted once cancelled entries outnumber live ones, as in
-   [Simulator.cancel], so at most 2n + 2 slots are ever in use. Every
-   random draw is made before the clock starts and depends only on
+   [Simulator.cancel], so at most 2n + 2 slots are ever in use; the pool
+   hands out low slot indices first, so every index stays under [slots].
+   Every random draw is made before the clock starts and depends only on
    (dist, n), so both sets see the same timers and the timed loop is the
    set's work plus array reads. *)
 let hold ((module E) : set) ~dist ~n ~events =
@@ -77,19 +78,18 @@ let hold ((module E) : set) ~dist ~n ~events =
   let cancels = if dist = Cancel_heavy then events else 0 in
   let delays = Float.Array.init (n + events + cancels) draw in
   let victims = Array.init cancels (fun _ -> Random.State.int rng n) in
-  let pool = Pool.create ~capacity:((2 * n) + 64) () in
+  let slots = (2 * n) + 64 in
+  let pool = Pool.create ~capacity:slots () in
   let es = E.create pool in
   let pending = Array.make n (-1) (* timer -> its armed slot *)
-  and owner = Array.make (Pool.capacity pool) 0 (* slot -> timer *)
+  and owner = Array.make slots 0 (* slot -> timer *)
   and clock = { now = 0.0 }
   and armed = ref 0
   and live = ref 0
   and compactions = ref 0 in
   let arm i =
     let s = Pool.alloc pool in
-    pool.Pool.times.(s) <- clock.now +. Float.Array.get delays !armed;
-    pool.Pool.seqs.(s) <- !armed;
-    Bytes.set pool.Pool.state s Pool.st_live;
+    Pool.fill pool s ~at:(clock.now +. Float.Array.get delays !armed) ~seq:!armed;
     owner.(s) <- i;
     pending.(i) <- s;
     incr armed;
@@ -105,7 +105,7 @@ let hold ((module E) : set) ~dist ~n ~events =
   let s = ref (E.pop_live es) in
   while !s >= 0 do
     let i = owner.(!s) in
-    clock.now <- pool.Pool.times.(!s);
+    clock.now <- Pool.time pool !s;
     Pool.free pool !s;
     decr live;
     if !fired < events then begin
@@ -114,7 +114,7 @@ let hold ((module E) : set) ~dist ~n ~events =
         (* retransmit-timer reset: [pending.(j)] is j's armed slot (i's
            included, just re-armed), so every cancel is effective *)
         let j = victims.(!fired) in
-        Bytes.set pool.Pool.state pending.(j) Pool.st_cancelled;
+        Pool.cancel pool pending.(j);
         decr live;
         if E.size es >= 64 && E.size es - !live > !live then begin
           E.compact es;

@@ -18,6 +18,11 @@
 
    Adaptations here:
 
+   - No storage of its own per event: a bucket's chain runs through the
+     pending slots' pool links (Event_pool's one link word, the freelist
+     link while a slot is free), and a rebuild stages the live entries
+     on one chain through the same links. Every path that frees a slot
+     reads its link first, since [Event_pool.free] overwrites it.
    - Lazy resize keyed to live-event density: grow (double) when
      occupancy exceeds 2x the bucket count, shrink (halve) when it drops
      under half, both rebuilds re-estimating [width] as ~3x the *median*
@@ -43,8 +48,7 @@
      relative floor keeps the quotient small for every sane workload. *)
 
 type t = {
-  pool : Event_pool.t;
-  mutable next : int array; (* slot -> successor in its bucket chain, -1 end *)
+  pool : Event_pool.t; (* a pending slot's pool link is its chain successor *)
   mutable buckets : int array; (* bucket -> head slot, -1 empty *)
   mutable nbuckets : int; (* power of two *)
   mutable mask : int;
@@ -58,7 +62,6 @@ type t = {
   mutable found : int; (* cached result of the last search, -1 invalid *)
   mutable found_bucket : int; (* bucket [found] heads *)
   mutable resizes : int;
-  mutable scratch : int array; (* rebuild staging *)
   sample : float array; (* width estimation: sorted sample times *)
   gaps : float array; (* width estimation: sample gaps *)
 }
@@ -70,7 +73,6 @@ let vb_clamp = 4.0e15 (* floats count integers exactly to 2^53 ~ 9e15 *)
 let create pool =
   {
     pool;
-    next = Array.make (Event_pool.capacity pool) (-1);
     buckets = Array.make min_buckets (-1);
     nbuckets = min_buckets;
     mask = min_buckets - 1;
@@ -81,7 +83,6 @@ let create pool =
     found = -1;
     found_bucket = -1;
     resizes = 0;
-    scratch = [||];
     sample = Array.make sample_cap 0.0;
     gaps = Array.make sample_cap 0.0;
   }
@@ -98,20 +99,21 @@ let vb_of t time =
   let vb = int_of_float q in
   if time >= float_of_int (vb + 1) *. t.width then vb + 1 else vb
 
-let ensure_next t slot =
-  let n = Array.length t.next in
-  if slot >= n then begin
-    let next = Array.make (max (2 * n) (slot + 1)) (-1) in
-    Array.blit t.next 0 next 0 n;
-    t.next <- next
-  end
+(* A slot's fire time, read off its page: [Event_pool.time] boxes the
+   float wherever it is not inlined (the dev profile's -opaque). *)
+let[@inline] time t slot =
+  Array.unsafe_get
+    (Array.unsafe_get (Event_pool.times t.pool) (slot lsr Event_pool.page_bits))
+    (slot land Event_pool.page_mask)
+
+let[@inline] next t slot = Event_pool.link t.pool slot
+let[@inline] set_next t slot v = Event_pool.set_link t.pool slot v
 
 (* Raw sorted insert, no resize trigger (rebuild re-inserts through it).
    [vb_of] is open-coded: calling it would box [time] at the argument
    boundary, and this is the per-schedule hot path. *)
 let insert t slot =
-  ensure_next t slot;
-  let time = t.pool.Event_pool.times.(slot) in
+  let time = time t slot in
   let q = time /. t.width in
   let q = if q > vb_clamp then vb_clamp else q in
   let vb = int_of_float q in
@@ -121,31 +123,37 @@ let insert t slot =
   let b = vb land t.mask in
   let head = t.buckets.(b) in
   if head < 0 || Event_pool.before t.pool slot head then begin
-    t.next.(slot) <- head;
+    set_next t slot head;
     t.buckets.(b) <- slot
   end
   else begin
     let prev = ref head in
     let moving = ref true in
     while !moving do
-      let nx = t.next.(!prev) in
+      let nx = next t !prev in
       if nx >= 0 && Event_pool.before t.pool nx slot then prev := nx
       else moving := false
     done;
-    t.next.(slot) <- t.next.(!prev);
-    t.next.(!prev) <- slot
+    set_next t slot (next t !prev);
+    set_next t !prev slot
   end;
   t.size <- t.size + 1
 
 (* ~3x the median inter-event gap, scaled from a sorted sample of at most
-   [sample_cap] of the [live] staged slots (scratch.(0 .. live-1)). *)
-let estimate_width t live =
+   [sample_cap] of the [live] slots chained from [first]: entries 0,
+   stride, 2 stride, ... of the chain. *)
+let estimate_width t first live =
   if live < 2 then t.width
   else begin
     let k = min live sample_cap in
     let stride = live / k in
+    let s = ref first in
     for i = 0 to k - 1 do
-      t.sample.(i) <- t.pool.Event_pool.times.(t.scratch.(i * stride))
+      t.sample.(i) <- time t !s;
+      if i < k - 1 then
+        for _ = 1 to stride do
+          s := next t !s
+        done
     done;
     for i = 1 to k - 1 do
       (* insertion sort: k <= 64, allocation-free *)
@@ -188,24 +196,26 @@ let estimate_width t live =
   end
 
 (* Sweep everything out, free cancelled entries, re-estimate the width,
-   rebucket the live ones under [nbuckets'] buckets. *)
+   rebucket the live ones under [nbuckets'] buckets. The live entries are
+   staged on one chain, in bucket then chain order, through their own
+   links. *)
 let rebuild t nbuckets' =
-  if Array.length t.scratch < t.size then
-    t.scratch <- Array.make (max 64 (max (2 * Array.length t.scratch) t.size)) (-1);
-  let live = ref 0 in
+  let first = ref (-1) and last = ref (-1) and live = ref 0 in
   for b = 0 to t.nbuckets - 1 do
     let s = ref t.buckets.(b) in
     while !s >= 0 do
-      let nx = t.next.(!s) in
+      let nx = next t !s in
       if Event_pool.is_live t.pool !s then begin
-        t.scratch.(!live) <- !s;
+        if !last < 0 then first := !s else set_next t !last !s;
+        last := !s;
         incr live
       end
       else Event_pool.free t.pool !s;
       s := nx
     done
   done;
-  t.width <- estimate_width t !live;
+  if !last >= 0 then set_next t !last (-1);
+  t.width <- estimate_width t !first !live;
   if nbuckets' <> t.nbuckets then begin
     t.buckets <- Array.make nbuckets' (-1);
     t.nbuckets <- nbuckets';
@@ -217,8 +227,11 @@ let rebuild t nbuckets' =
   (* every entry's time is >= last_time, so this can only round down *)
   t.pos_vb <- vb_of t t.last_time.(0);
   t.resizes <- t.resizes + 1;
-  for i = 0 to !live - 1 do
-    insert t t.scratch.(i)
+  let s = ref !first in
+  while !s >= 0 do
+    let nx = next t !s in
+    insert t !s;
+    s := nx
   done
 
 let add t slot =
@@ -243,7 +256,7 @@ let direct_min t =
     done;
     if !best < 0 || Event_pool.is_live t.pool !best then searching := false
     else begin
-      t.buckets.(!best_bucket) <- t.next.(!best);
+      t.buckets.(!best_bucket) <- next t !best;
       t.size <- t.size - 1;
       Event_pool.free t.pool !best
     end
@@ -263,8 +276,7 @@ let find_live t =
         let head = t.buckets.(b) in
         if
           head >= 0
-          && t.pool.Event_pool.times.(head)
-             < float_of_int (t.pos_vb + 1) *. t.width
+          && time t head < float_of_int (t.pos_vb + 1) *. t.width
         then
           if Event_pool.is_live t.pool head then begin
             result := head;
@@ -272,7 +284,7 @@ let find_live t =
           end
           else begin
             (* cancelled entry inside the current year: reclaim, re-check *)
-            t.buckets.(b) <- t.next.(head);
+            t.buckets.(b) <- next t head;
             t.size <- t.size - 1;
             Event_pool.free t.pool head
           end
@@ -286,7 +298,7 @@ let find_live t =
             else begin
               result := m;
               t.found_bucket <- bm;
-              let v = t.pool.Event_pool.times.(m) in
+              let v = time t m in
               let vb = vb_of t v in
               (* resume the scan at the min's year when the mapping is
                  exact (it isn't for clamped far-future outliers) *)
@@ -307,9 +319,9 @@ let pop_live t =
   let s = find_live t in
   if s >= 0 then begin
     (* the found slot always heads its bucket *)
-    t.buckets.(t.found_bucket) <- t.next.(s);
+    t.buckets.(t.found_bucket) <- next t s;
     t.size <- t.size - 1;
-    t.last_time.(0) <- t.pool.Event_pool.times.(s);
+    t.last_time.(0) <- time t s;
     t.found <- -1;
     if t.nbuckets > min_buckets && t.size < t.nbuckets / 2 then begin
       (* shrink in one jump so a drained queue doesn't rebuild per pop *)
@@ -326,7 +338,7 @@ let compact t =
   for b = 0 to t.nbuckets - 1 do
     let rec skip s =
       if s >= 0 && not (Event_pool.is_live t.pool s) then begin
-        let nx = t.next.(s) in
+        let nx = next t s in
         Event_pool.free t.pool s;
         t.size <- t.size - 1;
         skip nx
@@ -337,9 +349,9 @@ let compact t =
     t.buckets.(b) <- head;
     if head >= 0 then begin
       let prev = ref head in
-      while t.next.(!prev) >= 0 do
-        let nx = skip t.next.(!prev) in
-        t.next.(!prev) <- nx;
+      while next t !prev >= 0 do
+        let nx = skip (next t !prev) in
+        set_next t !prev nx;
         if nx >= 0 then prev := nx
       done
     end

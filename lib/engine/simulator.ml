@@ -1,12 +1,13 @@
 (* Pooled event loop over a calendar-queue pending-event set.
 
-   Events live in a struct-of-arrays pool ([Event_pool]) indexed by slot:
-   fire times stay unboxed, freed slots recycle through a freelist, and a
-   steady schedule/fire workload allocates nothing per event beyond the
-   caller's closure. An [event_id] packs (slot, generation); the
-   generation bumps every time a slot is freed, so a cancel holding a
-   stale id (event already fired, or slot since reused) is detected and
-   ignored instead of killing an unrelated event.
+   Events live in a paged struct-of-arrays pool ([Event_pool]) indexed by
+   slot: fire times stay unboxed, freed slots recycle through a freelist,
+   growth appends a page without copying, and a steady schedule/fire
+   workload allocates nothing per event beyond the caller's closure. An
+   [event_id] packs (slot, generation); the generation bumps every time
+   a slot is freed, so a cancel holding a stale id (event already fired,
+   or slot since reused) is detected and ignored instead of killing an
+   unrelated event.
 
    The *order* over pending slots is a [Calendar_queue] (amortized O(1)
    on timer-churn workloads). It drops cancelled events lazily; when
@@ -81,6 +82,13 @@ let create () =
     horizon = infinity;
   }
 
+(* A slot's fire time, read off its page: [Event_pool.time] boxes the
+   float wherever it is not inlined (the dev profile's -opaque). *)
+let[@inline] time pool slot =
+  Array.unsafe_get
+    (Array.unsafe_get (Event_pool.times pool) (slot lsr Event_pool.page_bits))
+    (slot land Event_pool.page_mask)
+
 let now t = t.clock
 let run_horizon t = t.horizon
 
@@ -96,11 +104,8 @@ let[@inline] check_time ~fn ~at ~floor what =
 (* Put [action] in the pending set at [at] with FIFO key [seq]. *)
 let[@inline] insert t ~at ~seq action =
   let slot = Event_pool.alloc t.pool in
-  let pool = t.pool in
-  pool.Event_pool.times.(slot) <- at;
-  pool.Event_pool.seqs.(slot) <- seq;
-  pool.Event_pool.actions.(slot) <- action;
-  Bytes.set pool.Event_pool.state slot Event_pool.st_live;
+  Event_pool.fill t.pool slot ~at ~seq;
+  Event_pool.set_action t.pool slot action;
   t.live <- t.live + 1;
   Calendar_queue.add t.es slot;
   (match t.probe with
@@ -113,7 +118,7 @@ let schedule t ~at action =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let slot = insert t ~at ~seq action in
-  pack ~slot ~gen:t.pool.Event_pool.gens.(slot)
+  pack ~slot ~gen:(Event_pool.gen t.pool slot)
 
 (* A stream is [schedule] of n actions, done lazily. Install reserves the
    n sequence numbers that n [schedule] calls would have taken, so entry k
@@ -160,15 +165,15 @@ let cancel t id =
   let pool = t.pool in
   if
     slot < Event_pool.capacity pool
-    && pool.Event_pool.gens.(slot) = id_gen id
+    && Event_pool.gen pool slot = id_gen id
     && Event_pool.is_live pool slot
   then begin
-    Bytes.set pool.Event_pool.state slot Event_pool.st_cancelled;
-    pool.Event_pool.actions.(slot) <- Event_pool.no_action; (* release eagerly *)
+    Event_pool.cancel pool slot;
+    Event_pool.set_action pool slot Event_pool.no_action; (* release eagerly *)
     t.live <- t.live - 1;
     (match t.probe with
     | None -> ()
-    | Some p -> p.on_cancel ~at:pool.Event_pool.times.(slot) ~now:t.clock);
+    | Some p -> p.on_cancel ~at:(time pool slot) ~now:t.clock);
     (* cancelled-in-structure = size - live; compact once they exceed the
        live population (and the structure is big enough to be worth it) *)
     let size = Calendar_queue.size t.es in
@@ -182,7 +187,7 @@ let pending t = t.live
 
 let peek_time t =
   let slot = Calendar_queue.peek_live t.es in
-  if slot < 0 then infinity else t.pool.Event_pool.times.(slot)
+  if slot < 0 then infinity else time t.pool slot
 
 (* Burst-draining handlers move the clock themselves between inline
    departures. The two bounds make the motion indistinguishable from
@@ -206,10 +211,10 @@ let step t =
   if slot < 0 then false
   else begin
     let pool = t.pool in
-    t.clock <- pool.Event_pool.times.(slot);
+    t.clock <- time pool slot;
     t.live <- t.live - 1;
     t.fired <- t.fired + 1;
-    let action = pool.Event_pool.actions.(slot) in
+    let action = Event_pool.action pool slot in
     (* free before firing: the handler may schedule (reusing this slot)
        or cancel (the bumped generation makes its own id stale) *)
     Event_pool.free pool slot;
@@ -237,7 +242,7 @@ let run ?until t =
         while !continue do
           let slot = Calendar_queue.peek_live t.es in
           if slot < 0 then continue := false
-          else if t.pool.Event_pool.times.(slot) <= horizon then
+          else if time t.pool slot <= horizon then
             ignore (step t)
           else continue := false
         done;

@@ -123,7 +123,12 @@ type stats = {
   set_capacity : int;
       (** allocated extent of the ordering structure (calendar bucket
           count) *)
-  pool_capacity : int;  (** event-pool slots (free + in use) *)
+  pool_capacity : int;
+      (** event-pool slots (free + in use), 40 bytes each: 16 at
+          creation, doubling up to one page of {!Event_pool.page_size}
+          (4,096), then one page at a time. Past one page it is the peak
+          number of slots in use (pending events plus cancelled ones not
+          yet reclaimed) rounded up to a page. *)
   compactions : int;  (** cancelled-entry sweeps triggered so far *)
   resizes : int;  (** structural resizes (calendar rebuilds) *)
 }

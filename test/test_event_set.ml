@@ -51,9 +51,7 @@ let lockstep_mismatch ops =
   and events = ref 0 and live = ref 0 and floor = ref 0.0 in
   let alloc ~at ~seq ~side =
     let slot = Pool.alloc pool in
-    pool.Pool.times.(slot) <- at;
-    pool.Pool.seqs.(slot) <- seq;
-    Bytes.set pool.Pool.state slot Pool.st_live;
+    Pool.fill pool slot ~at ~seq;
     Hashtbl.replace owner (side, slot) seq;
     slot
   in
@@ -80,8 +78,8 @@ let lockstep_mismatch ops =
          let e = k mod !events in
          if pending.(e) then begin
            let c, h = slots.(e) in
-           Bytes.set pool.Pool.state c Pool.st_cancelled;
-           Bytes.set pool.Pool.state h Pool.st_cancelled;
+           Pool.cancel pool c;
+           Pool.cancel pool h;
            pending.(e) <- false;
            decr live
          end);
@@ -93,7 +91,7 @@ let lockstep_mismatch ops =
       if r = None && c >= 0 then begin
         pending.(name `Cal c) <- false;
         decr live;
-        floor := pool.Pool.times.(c);
+        floor := Pool.time pool c;
         Pool.free pool c;
         Pool.free pool h
       end;
@@ -161,6 +159,38 @@ let prop_lockstep =
    calendar's cancelled-head reclamation through the same lockstep check *)
 let prop_lockstep_churn =
   lockstep "lockstep under cancel churn" ~count:80 ~cancel_weight:8 ~max_len:400
+
+(* The same lockstep over more than three pages of pending events per
+   structure (the pool holds both structures' slots, so it appends pages
+   while both hold events): a fixed seed, adds with random cancels until
+   [3 * page_size + 512] of each are pending, then pops, cancels and
+   adds interleaved, then the full drain [lockstep_mismatch] ends with. *)
+let test_lockstep_pages () =
+  let rng = Random.State.make [| 0xa9e5; 3 |] in
+  let delay () =
+    if Random.State.int rng 8 = 0 then 0.25 *. float_of_int (Random.State.int rng 8)
+    else Random.State.float rng 50.0
+  in
+  let target = (3 * Pool.page_size) + 512 in
+  (* [live] is a lower bound: a cancel kills at most one pending event *)
+  let rec grow acc live =
+    if live >= target then List.rev acc
+    else if Random.State.int rng 10 = 0 then
+      grow (Cancel (Random.State.bits rng) :: acc) (live - 1)
+    else grow (Add (delay ()) :: acc) (live + 1)
+  in
+  let mixed =
+    List.init 20_000 (fun _ ->
+        match Random.State.int rng 10 with
+        | 0 | 1 -> Cancel (Random.State.bits rng)
+        | 2 | 3 | 4 -> Add (delay ())
+        | 5 -> Peek
+        | 6 when Random.State.int rng 50 = 0 -> Compact
+        | _ -> Pop)
+  in
+  match lockstep_mismatch (grow [] 0 @ mixed) with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
 
 (* ---- Simulator unit tests ---- *)
 
@@ -251,6 +281,61 @@ let test_stale_cancel () =
   Alcotest.(check int) "stale cancel is a no-op" 1 (Sim.pending sim);
   Sim.run sim;
   Alcotest.(check bool) "slot-reusing event survived" true !fresh
+
+(* Growth appends pages and moves no event: an id issued while the pool
+   had one page still cancels its event after pages were appended, and an
+   id whose slot was reused (by the first event scheduled after it fired)
+   cancels nothing. *)
+let test_ids_across_pages () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let early = Sim.schedule sim ~at:100.0 (fun () -> Alcotest.fail "cancelled event fired") in
+  let gone = Sim.schedule sim ~at:1.0 (fun () -> incr fired) in
+  Sim.run ~until:1.0 sim;
+  Alcotest.(check int) "the event at 1.0 fired" 1 !fired;
+  let cap0 = (Sim.stats sim).Sim.pool_capacity in
+  let reuser = ref false in
+  ignore (Sim.schedule sim ~at:2.0 (fun () -> reuser := true));
+  let pages = 4 in
+  for i = 1 to pages * Pool.page_size do
+    ignore (Sim.schedule sim ~at:(2.0 +. float_of_int i) (fun () -> incr fired))
+  done;
+  let cap = (Sim.stats sim).Sim.pool_capacity in
+  Alcotest.(check bool)
+    (Printf.sprintf "pages appended (capacity %d -> %d)" cap0 cap)
+    true
+    (cap0 <= Pool.page_size && cap >= pages * Pool.page_size);
+  let live = Sim.pending sim in
+  Sim.cancel sim gone;
+  Alcotest.(check int) "a reused slot's old id cancels nothing" live (Sim.pending sim);
+  Sim.cancel sim early;
+  Alcotest.(check int) "an id from before the appends cancels its event" (live - 1)
+    (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check bool) "the slot's new event fired" true !reuser;
+  Alcotest.(check int) "every other event fired" (1 + (pages * Pool.page_size)) !fired
+
+(* The pool's footprint: scheduling 200,000 pending events with one
+   shared action allocates at most 64 bytes per event, pages, page
+   directories and calendar buckets included. It reads 51.5 B: 40 B a
+   slot plus the calendar's doubling bucket arrays. Six parallel pool
+   arrays doubled by copying, plus the calendar's own link and staging
+   arrays, read 160 B. The times are boxed and the minor heap emptied
+   before the count starts, so only the simulator's allocation is
+   counted, and no promotion of earlier data is subtracted from it; the
+   figure is the same in the dev profile and in release. *)
+let test_schedule_bytes () =
+  let n = 200_000 in
+  let times = List.init n (fun i -> 1e-3 *. float_of_int ((i * 7919) mod n)) in
+  let sim = Sim.create () in
+  let shared () = () in
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  List.iter (fun at -> ignore (Sim.schedule sim ~at shared)) times;
+  let per_event = (Gc.allocated_bytes () -. b0) /. float_of_int n in
+  Alcotest.(check int) "all pending" n (Sim.pending sim);
+  if per_event > 64.0 then
+    Alcotest.failf "scheduling allocated %.1f B per pending event (ceiling 64)" per_event
 
 (* a far-future outlier (clamped virtual bucket, direct-search path on the
    calendar) must not disturb near-term ordering, and must fire last *)
@@ -498,7 +583,8 @@ let suite_qcheck =
 let () =
   Alcotest.run "event_set"
     [
-      ("lockstep", suite_qcheck);
+      ( "lockstep",
+        suite_qcheck @ [ Alcotest.test_case "lockstep over pages" `Quick test_lockstep_pages ] );
       ( "run-until",
         [
           case "horizon boundary" test_until_boundary;
@@ -509,6 +595,8 @@ let () =
         [
           case "compaction trigger" test_compaction_trigger;
           case "stale cancel" test_stale_cancel;
+          case "ids across page appends" test_ids_across_pages;
+          case "schedule bytes ceiling" test_schedule_bytes;
         ] );
       ( "times",
         [

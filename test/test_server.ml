@@ -355,6 +355,50 @@ let test_burst_drain_invariance () =
   (* the inline path must actually run, or the property proves nothing *)
   Alcotest.(check bool) "some bursts drained inline" true (!fewer_events > 0)
 
+(* A count pin for the inline drain, which the equivalence property above
+   cannot see: a drain that inlines fewer departures than its cap still
+   replays burst 1 exactly. On a saturated one-level server (every session
+   backlogged, each departure re-injecting into its own session, nothing
+   else pending) no pending event and no horizon stops a drain, so burst
+   64 must fire at most ceil(N/64) + 2 link events for N departures, and
+   burst 1 exactly N. *)
+let test_burst_event_count () =
+  let departures = 4096 and sessions = 8 in
+  let run burst_max =
+    let sim = Sim.create () in
+    let server =
+      Server.create ~sim ~rate:1.0 ~burst_max
+        ~policy:(Hpfq.Disciplines.wf2q_plus.Sched.Sched_intf.make ~rate:1.0)
+        ()
+    in
+    let slots =
+      Array.init sessions (fun _ ->
+          Sched.Session_handle.slot
+            (Server.open_session server ~rate:(1.0 /. float_of_int sessions) ()))
+    in
+    let injected = ref 0 and departed = ref 0 in
+    let inject i =
+      incr injected;
+      ignore (Server.inject server ~session:slots.(i) ~size_bits:1.0)
+    in
+    Server.add_depart_hook server (fun p _ ->
+        incr departed;
+        if !injected < departures then inject p.Net.Packet.flow);
+    for i = 0 to (2 * sessions) - 1 do
+      inject (i mod sessions)
+    done;
+    Sim.run sim;
+    Alcotest.(check int) (Printf.sprintf "burst %d: every packet departed" burst_max)
+      departures !departed;
+    Sim.events_processed sim
+  in
+  Alcotest.(check int) "burst 1 fires one link event per departure" departures (run 1);
+  let bound = ((departures + 63) / 64) + 2 in
+  let events = run 64 in
+  if events > bound then
+    Alcotest.failf "burst 64 fired %d link events for %d departures (at most %d)" events
+      departures bound
+
 let () =
   Alcotest.run "server"
     [
@@ -374,5 +418,7 @@ let () =
           Alcotest.test_case "unknown session is a named error" `Quick test_unknown_session;
           Alcotest.test_case "burst drain = per-packet, every discipline" `Quick
             test_burst_drain_invariance;
+          Alcotest.test_case "saturated burst 64 fires ceil(N/64) + 2 events" `Quick
+            test_burst_event_count;
         ] );
     ]
