@@ -163,8 +163,27 @@ let[@inline] requeue k node slot ~now ~head_bits =
     if Ih.mem e slot then
       if Float_cmp.le_with_slack start k.v.(node) then Ih.update e ~key:slot ~prio:finish
       else begin
-        Ih.remove e slot;
-        Ih.add k.waiting.(node) ~key:slot ~prio:start
+        let w = k.waiting.(node) in
+        (* The swap: when the slot is still the eligible root and the
+           waiting head x has S_x <= V(now), the next [select] promotes x
+           whatever else happens first (its threshold is at least V(now),
+           as V only moves in [commit] and time does not run backwards),
+           so x trades places with the slot now: two sift-downs instead
+           of this removal, the waiting insert and that promotion. The
+           test is exact: a slack promotion of an S_x just above V(now)
+           could leave the eligible set non-empty where [select] would
+           have found it empty and taken max(V, S_x) as its threshold,
+           moving the post-dated V. An empty [w] reads NaN: no swap. *)
+        if Ih.min_key_unsafe e = slot && Ih.min_prio_unsafe w <= linear_v k node ~now
+        then begin
+          let x = Ih.min_key_unsafe w in
+          Ih.replace_min w ~key:slot ~prio:start;
+          Ih.replace_min e ~key:x ~prio:k.s_finish.(k.sbase.(node) + x)
+        end
+        else begin
+          Ih.remove e slot;
+          Ih.add w ~key:slot ~prio:start
+        end
       end
     else begin
       Ih.remove k.waiting.(node) slot;

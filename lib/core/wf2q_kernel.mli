@@ -64,7 +64,14 @@ val backlog : t -> int -> int -> now:float -> head_bits:float -> unit
 
 val requeue : t -> int -> int -> now:float -> head_bits:float -> unit
 (** eq. 28, busy branch: [S = F], [F = S + head_bits/r_i]; an in-place
-    increase-key while the slot stays eligible. *)
+    increase-key while the slot stays eligible. On a heap node, when the
+    slot leaves the eligible set from its root and the waiting head [x]
+    has [S_x ≤ V(now)] (exact float [<=], no {!Sched.Float_cmp} slack),
+    the two swap places, one [replace_min] per heap: the next {!select}
+    would have promoted [x] anyway, so every selection and every V stays
+    the same. That holds because V moves only in {!select} and the
+    caller's clock never runs backwards: the next {!select} on the node
+    takes a [now] no earlier than this one's. *)
 
 val set_idle : t -> int -> int -> now:float -> unit
 (** The slot emptied: unmark and unfile it. *)

@@ -6,8 +6,10 @@
     Same contract and ordering (priority, then key, deterministic) as
     {!Indexed_heap}; the two agree pop-for-pop on any operation trace, and
     the test suite cross-checks them on randomized traces. Differences are
-    purely mechanical: half the tree depth, children contiguous in memory,
-    and iterative single-write hole sifts instead of pairwise swaps.
+    purely mechanical: half the tree depth, priorities and keys in separate
+    arrays (a node's four child priorities are 32 contiguous bytes),
+    iterative single-write hole sifts instead of pairwise swaps, and
+    {!replace_min}.
 
     Priorities must not be NaN (NaN is the internal empty-slot sentinel). *)
 
@@ -28,6 +30,13 @@ val update : t -> key:int -> prio:float -> unit
     @raise Invalid_argument if [key] is absent. *)
 
 val add_or_update : t -> key:int -> prio:float -> unit
+
+val replace_min : t -> key:int -> prio:float -> unit
+(** [replace_min h ~key ~prio] is [drop_min h; add h ~key ~prio] in one
+    sift-down: the minimum's key leaves and [(key, prio)] enters. [key]
+    may be the minimum's own key.
+    @raise Invalid_argument if the heap is empty, or [key] is negative or
+    present other than as the minimum. *)
 
 val remove : t -> int -> unit
 (** Remove [key] if present; no-op otherwise. *)

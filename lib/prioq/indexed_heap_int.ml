@@ -1,6 +1,10 @@
-(* Integer-priority port of {!Indexed_heap4} (see that module for the
-   layout rationale: 4-ary tree, interleaved (prio, key) slab, iterative
-   hole sifts). Differences here are forced by the element type only:
+(* Integer-priority twin of {!Indexed_heap4}: a 4-ary tree with
+   iterative hole sifts (see that module for the rationale). Each
+   (prio, key) pair is interleaved in one int slab, the layout
+   {!Indexed_heap4} kept before it split priorities and keys into two
+   arrays. This heap runs only the fixed-point engine (the float engine's
+   oracle, and the churn bench's), where the split was not measured. The
+   other differences are forced by the element type:
 
    - the slab is an [int array] — no boxing question arises, and the
      scratch-buffer handoff of the float heap is unnecessary (int

@@ -519,6 +519,37 @@ let test_bare_cycle_words () =
     Alcotest.failf "bare WF2Q+ cycle allocates %.3f words/pkt, ceiling %.2f" words
       bare_cycle_words_ceiling
 
+(* Under those 4.0 words, the WF2Q+ kernel itself allocates nothing: a
+   one-node kernel of 4096 heap-filed slots with 16 weight classes, driven
+   by [select] + [requeue] directly, reads 0 minor words over its loop in
+   release builds, where the kernel's float primitives inline into it.
+   [Gc.minor_words] counts every word ([Gc.quick_stat]'s count moves in
+   whole minor heaps). Release only, as above. *)
+let kernel_cycle_words ~n ~iters =
+  let module K = Hpfq.Wf2q_kernel in
+  let k = K.create ~rate:[| 1.0 |] ~slots:[| 0 |] in
+  K.grow k n;
+  for s = 0 to n - 1 do
+    K.reset_slot k 0 s ~rate:(float_of_int (1 + (s land 15)) /. float_of_int (9 * n));
+    K.backlog k 0 s ~now:0.0 ~head_bits:1.0
+  done;
+  (* one loop with no closure, so [now] and [m0] stay unboxed locals; the
+     first [n] cycles warm up *)
+  let now = ref 0.0 and m0 = ref 0.0 in
+  for i = 1 to n + iters do
+    if i = n + 1 then m0 := Gc.minor_words ();
+    let s = K.select k 0 ~now:!now in
+    now := !now +. 1.0;
+    K.requeue k 0 s ~now:!now ~head_bits:1.0
+  done;
+  Gc.minor_words () -. !m0
+
+let test_kernel_cycle_words () =
+  let words = kernel_cycle_words ~n:4096 ~iters:200_000 in
+  if Bench_kit.Build_info.profile = "release" && words > 0.0 then
+    Alcotest.failf "one-node WF2Q+ kernel cycle allocates %.0f words over 200,000 cycles"
+      words
+
 (* The same loop through the Server and the event loop
    ([Perf.server_throughput], N = 4096, burst cap 64) allocates 8.0 minor
    words per packet in release builds; the ceiling keeps the data-plane
@@ -557,6 +588,8 @@ let () =
             Alcotest.test_case "tracing disabled allocates nothing" `Quick
               test_tracing_disabled_allocates_nothing;
             Alcotest.test_case "bare cycle words/pkt ceiling" `Quick test_bare_cycle_words;
+            Alcotest.test_case "kernel cycle allocates nothing" `Quick
+              test_kernel_cycle_words;
             Alcotest.test_case "server words/pkt ceiling" `Quick test_server_words;
           ] );
       ])

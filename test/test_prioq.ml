@@ -65,6 +65,20 @@ let test_ih_add_duplicate_rejected () =
 
 module IH4 = Prioq.Indexed_heap4
 
+(* The binary heap has no [replace_min]; as the reference it takes it as
+   drop-min + add, which is [replace_min]'s contract. *)
+module IH_ref = struct
+  include Prioq.Indexed_heap
+
+  let replace_min h ~key ~prio =
+    ignore (pop_min h);
+    add h ~key ~prio
+end
+
+(* [replace_min] is defined on a non-empty heap for a key that is absent
+   or the minimum's own. *)
+let replace_ok ~length ~mem ~min_key k = length > 0 && ((not mem) || min_key = Some k)
+
 (* ---- model-based qcheck: both indexed heaps against a sorted-assoc
    reference.  The model is a plain association list; the expected minimum
    is the lexicographically smallest (prio, key) pair, matching the
@@ -79,12 +93,19 @@ module type INDEXED_HEAP = sig
   val add : t -> key:int -> prio:float -> unit
   val update : t -> key:int -> prio:float -> unit
   val remove : t -> int -> unit
+  val replace_min : t -> key:int -> prio:float -> unit
+  val min_key : t -> int option
   val min_binding : t -> (int * float) option
   val pop_min : t -> (int * float) option
   val check_invariant : t -> bool
 end
 
-type heap_op = Add of int * float | Update of int * float | Remove of int | Pop
+type heap_op =
+  | Add of int * float
+  | Update of int * float
+  | Replace of int * float
+  | Remove of int
+  | Pop
 
 let heap_op_gen =
   let open QCheck.Gen in
@@ -94,6 +115,7 @@ let heap_op_gen =
     [
       (4, map2 (fun k p -> Add (k, p)) key prio);
       (3, map2 (fun k p -> Update (k, p)) key prio);
+      (3, map2 (fun k p -> Replace (k, p)) key prio);
       (2, map (fun k -> Remove k) key);
       (2, return Pop);
     ]
@@ -101,6 +123,7 @@ let heap_op_gen =
 let heap_op_print = function
   | Add (k, p) -> Printf.sprintf "Add(%d,%g)" k p
   | Update (k, p) -> Printf.sprintf "Update(%d,%g)" k p
+  | Replace (k, p) -> Printf.sprintf "Replace(%d,%g)" k p
   | Remove k -> Printf.sprintf "Remove %d" k
   | Pop -> "Pop"
 
@@ -122,6 +145,11 @@ let model_apply op model =
   | Add (k, p) -> (k, p) :: List.remove_assoc k model
   | Update (k, p) ->
     if List.mem_assoc k model then (k, p) :: List.remove_assoc k model else model
+  | Replace (k, p) -> (
+    match model_min model with
+    | Some (m, _) when m = k || not (List.mem_assoc k model) ->
+      (k, p) :: List.remove_assoc k (List.remove_assoc m model)
+    | _ -> model)
   | Remove k -> List.remove_assoc k model
   | Pop -> (
     match model_min model with
@@ -140,6 +168,9 @@ let prop_heap_matches_model (type h) (module H : INDEXED_HEAP with type t = h) n
           | Add (k, p) ->
             if H.mem h k then H.update h ~key:k ~prio:p else H.add h ~key:k ~prio:p
           | Update (k, p) -> if H.mem h k then H.update h ~key:k ~prio:p
+          | Replace (k, p) ->
+            if replace_ok ~length:(H.length h) ~mem:(H.mem h k) ~min_key:(H.min_key h) k then
+              H.replace_min h ~key:k ~prio:p
           | Remove k -> H.remove h k
           | Pop -> ignore (H.pop_min h));
           model := model_apply op !model;
@@ -153,7 +184,8 @@ let prop_heap_matches_model (type h) (module H : INDEXED_HEAP with type t = h) n
 
 (* Randomized 100k-op trace driving the binary and 4-ary heaps in lockstep:
    their (prio, key) ordering is defined to be identical, so every pop and
-   every min must agree exactly. *)
+   every min must agree exactly. The binary heap takes [replace_min] as
+   drop-min + add. *)
 let test_binary_vs_4ary_trace () =
   let rng = Random.State.make [| 0x5EED |] in
   let ih = IH.create 16 and ih4 = IH4.create 16 in
@@ -174,16 +206,24 @@ let test_binary_vs_4ary_trace () =
     | 4 | 5 ->
       IH.remove ih k;
       IH4.remove ih4 k
-    | 6 | 7 ->
+    | 6 ->
       let a = IH.pop_min ih and b = IH4.pop_min ih4 in
       if a <> b then Alcotest.failf "pop mismatch at step %d" step
+    | 7 ->
+      if replace_ok ~length:(IH4.length ih4) ~mem:(IH4.mem ih4 k) ~min_key:(IH4.min_key ih4) k
+      then begin
+        IH_ref.replace_min ih ~key:k ~prio:p;
+        IH4.replace_min ih4 ~key:k ~prio:p
+      end
     | _ ->
       IH.add_or_update ih ~key:k ~prio:p;
       IH4.add_or_update ih4 ~key:k ~prio:p);
     if IH.min_binding ih <> IH4.min_binding ih4 then
       Alcotest.failf "min mismatch at step %d" step;
     if IH.length ih <> IH4.length ih4 then
-      Alcotest.failf "length mismatch at step %d" step
+      Alcotest.failf "length mismatch at step %d" step;
+    if not (IH.check_invariant ih && IH4.check_invariant ih4) then
+      Alcotest.failf "invariant broken at step %d" step
   done;
   Alcotest.(check bool) "invariants after trace" true
     (IH.check_invariant ih && IH4.check_invariant ih4);
@@ -210,6 +250,26 @@ let test_ih4_unsafe_accessors () =
   IH4.drop_min h; (* no-op on empty *)
   Alcotest.(check bool) "empty again" true (IH4.is_empty h)
 
+let test_ih4_replace_min_contract () =
+  let h = IH4.create 4 in
+  Alcotest.check_raises "empty heap"
+    (Invalid_argument "Indexed_heap4.replace_min: empty heap") (fun () ->
+      IH4.replace_min h ~key:0 ~prio:1.0);
+  IH4.add h ~key:0 ~prio:1.0;
+  IH4.add h ~key:1 ~prio:2.0;
+  Alcotest.check_raises "key present below the root"
+    (Invalid_argument "Indexed_heap4.replace_min: key present") (fun () ->
+      IH4.replace_min h ~key:1 ~prio:0.5);
+  IH4.replace_min h ~key:0 ~prio:3.0; (* the root's own key: an increase-key *)
+  Alcotest.(check (option (pair int (float 0.0)))) "root key re-entered" (Some (1, 2.0))
+    (IH4.min_binding h);
+  IH4.replace_min h ~key:9 ~prio:2.5; (* beyond initial capacity: must grow *)
+  Alcotest.(check bool) "old root gone" false (IH4.mem h 1);
+  Alcotest.(check (option (pair int (float 0.0)))) "new key placed" (Some (9, 2.5))
+    (IH4.min_binding h);
+  Alcotest.(check int) "length kept" 2 (IH4.length h);
+  Alcotest.(check bool) "invariant" true (IH4.check_invariant h)
+
 let () =
   Alcotest.run "prioq"
     [
@@ -225,11 +285,12 @@ let () =
       ( "indexed_heap_model",
         [
           QCheck_alcotest.to_alcotest
-            (prop_heap_matches_model (module Prioq.Indexed_heap) "binary indexed heap");
+            (prop_heap_matches_model (module IH_ref) "binary indexed heap");
           QCheck_alcotest.to_alcotest
             (prop_heap_matches_model (module Prioq.Indexed_heap4) "4-ary indexed heap");
           Alcotest.test_case "binary vs 4-ary 100k-op trace" `Quick
             test_binary_vs_4ary_trace;
           Alcotest.test_case "4-ary unsafe accessors" `Quick test_ih4_unsafe_accessors;
+          Alcotest.test_case "4-ary replace_min contract" `Quick test_ih4_replace_min_contract;
         ] );
     ]

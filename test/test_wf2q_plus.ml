@@ -56,6 +56,36 @@ let test_stamp_chaining_busy () =
   p.P.requeue ~now:2.0 ~session:b ~head_bits:1.0;
   Alcotest.(check (option int)) "alternation continues" (Some a) (p.P.select ~now:2.0)
 
+(* The requeue swap's test is exact. b waits at S = 2 while a, served
+   from V = 1, post-dates V to 2 - d, with d = 1e-10 inside the
+   Float_cmp slack above it. a's requeue empties the eligible set, so the
+   next select must take max(V, S_b) = 2 as its threshold and post-date V
+   from there; promoting b at the requeue by the slack test would leave
+   the threshold at 2 - d. *)
+let test_requeue_swap_exact () =
+  let p, a, b = make_two () in
+  let d = 1e-10 in
+  p.P.backlog ~now:0.0 ~session:b ~head_bits:1.0;
+  Alcotest.(check (option int)) "b alone" (Some b) (p.P.select ~now:0.0);
+  (* S_b = F_b = 2 > V = 1: b waits *)
+  p.P.requeue ~now:1.0 ~session:b ~head_bits:1.0;
+  p.P.backlog ~now:1.0 ~session:a ~head_bits:(1.0 -. d);
+  Alcotest.(check (option int)) "a eligible, b waiting" (Some a) (p.P.select ~now:1.0);
+  let now = 1.0 +. (1.0 -. d) in
+  let v_now = p.P.virtual_time ~now in
+  Alcotest.(check bool) "S_b within the slack above V(now)" true
+    (2.0 > v_now && Sched.Float_cmp.le_with_slack 2.0 v_now);
+  (* S_a = F_a = 3 - 2d > V: the eligible set empties *)
+  p.P.requeue ~now ~session:a ~head_bits:1.0;
+  Alcotest.(check (option int)) "b promoted" (Some b) (p.P.select ~now);
+  (* V(now) = threshold + 1 bit of service - the 1 time unit to its end *)
+  let v =
+    Alcotest.testable
+      (fun ppf -> Format.fprintf ppf "%.17g")
+      (fun x y -> Float.abs (x -. y) <= 1e-12)
+  in
+  Alcotest.check v "V post-dated from max(V, S_b)" 2.0 (p.P.virtual_time ~now)
+
 let test_real_time_advance () =
   (* standalone semantics: V gains the idle gap via the +tau term *)
   let p, a, _ = make_two () in
@@ -241,6 +271,7 @@ let () =
           Alcotest.test_case "V jumps to min start" `Quick test_v_jumps_to_min_start;
           Alcotest.test_case "stamp chaining" `Quick test_stamp_chaining_busy;
           Alcotest.test_case "real-time advance" `Quick test_real_time_advance;
+          Alcotest.test_case "requeue swap is exact" `Quick test_requeue_swap_exact;
         ] );
       ( "interface",
         [
