@@ -92,27 +92,21 @@ let bounds () =
     delay_disciplines
 
 (* ------------------------------------------------------------------ *)
-(* COMPLEXITY: per-operation cost vs number of sessions (bechamel)     *)
+(* COMPLEXITY: per-operation cost vs number of sessions (min of 3)     *)
 (* ------------------------------------------------------------------ *)
 
-let run_bechamel tests =
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (x :: _) -> x | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  List.sort compare rows
+(* ns per call of each named step: the least of 3 rounds of [iters]
+   calls, each round timing every step in turn *)
+let min_ns ~iters steps =
+  let ns = Array.make (List.length steps) infinity in
+  for _ = 1 to 3 do
+    List.iteri
+      (fun j (_, step) ->
+        let wall, _ = Bench_kit.Perf.time_loop step ~iters in
+        ns.(j) <- Float.min ns.(j) (wall *. 1e9 /. float_of_int iters))
+      steps
+  done;
+  List.mapi (fun j (name, _) -> (name, ns.(j))) steps
 
 let complexity () =
   section "COMPLEXITY: ns per scheduling cycle vs N (O(log N) claim)";
@@ -121,59 +115,65 @@ let complexity () =
     [ Hpfq.Disciplines.wf2q_plus; Hpfq.Disciplines.wfq; Hpfq.Disciplines.scfq;
       Hpfq.Disciplines.drr ]
   in
-  let tests =
+  let steps =
     List.concat_map
       (fun factory ->
         List.map
           (fun n ->
-            Bechamel.Test.make
-              ~name:(Printf.sprintf "%s/N=%d" factory.Sched.Sched_intf.kind n)
-              (Bechamel.Staged.stage (Bench_kit.Perf.loaded_policy factory n)))
+            ( Printf.sprintf "%s/N=%d" factory.Sched.Sched_intf.kind n,
+              Bench_kit.Perf.loaded_policy factory n ))
           sizes)
       factories
   in
-  let grouped = Bechamel.Test.make_grouped ~name:"cycle" tests in
-  let rows = run_bechamel grouped in
-  List.iter (fun (name, ns) -> Printf.printf "%-28s %10.1f ns/cycle\n" name ns) rows;
+  List.iter
+    (fun (name, ns) -> Printf.printf "%-28s %10.1f ns/cycle\n" name ns)
+    (min_ns ~iters:20_000 steps);
   print_endline
     "(WF2Q+ should grow ~log N; exact-GPS WFQ may show super-log growth; DRR is O(1))"
 
-module type HEAP = sig
-  type t
-
-  val create : int -> t
-  val add : t -> key:int -> prio:float -> unit
-  val is_empty : t -> bool
-  val pop_min : t -> (int * float) option
-end
-
+(* The hold the schedulers run, at [n] keys: each step takes the minimum
+   out and puts its key back a pseudo-random (30-bit LCG) increment later.
+   Only the 4-ary heap has [replace_min], the WF2Q+ kernel's swap. *)
 let heaps () =
-  section "HEAPS: add+pop cost, 4-ary (every scheduler) vs binary (its test reference)";
-  let sizes = [ 256; 4096 ] in
-  let cycle (module H : HEAP) seeds () =
-    let h = H.create (Array.length seeds) in
-    Array.iteri (fun k p -> H.add h ~key:k ~prio:p) seeds;
-    while not (H.is_empty h) do
-      ignore (H.pop_min h)
-    done
-  in
-  let heaps =
-    [ ("indexed4", (module Prioq.Indexed_heap4 : HEAP)); ("indexed", (module Prioq.Indexed_heap)) ]
-  in
-  let tests =
-    List.concat_map
-      (fun n ->
-        let seeds = Array.init n (fun i -> float_of_int ((i * 7919) mod 104729)) in
-        List.map
-          (fun (name, heap) ->
-            Bechamel.Test.make
-              ~name:(Printf.sprintf "%s/N=%d" name n)
-              (Bechamel.Staged.stage (cycle heap seeds)))
-          heaps)
-      sizes
-  in
-  let rows = run_bechamel (Bechamel.Test.make_grouped ~name:"heap" tests) in
-  List.iter (fun (name, ns) -> Printf.printf "%-24s %12.1f ns/full-cycle\n" name ns) rows
+  section "HEAPS: ns per hold step: 4-ary (every scheduler), int twin, binary (test reference)";
+  let module H4 = Prioq.Indexed_heap4 in
+  let module Hi = Prioq.Indexed_heap_int in
+  let module H2 = Prioq.Indexed_heap in
+  let x = ref 1 in
+  let next () = x := ((!x * 1103515245) + 12345) land 0x3fff_ffff; !x in
+  let later p = p +. float_of_int (next ()) in
+  List.iter
+    (fun n ->
+      let h4 = H4.create n and hi = Hi.create n and h2 = H2.create n in
+      for k = 0 to n - 1 do
+        let p = next () in
+        H4.add h4 ~key:k ~prio:(float_of_int p);
+        Hi.add hi ~key:k ~prio:p;
+        H2.add h2 ~key:k ~prio:(float_of_int p)
+      done;
+      let holds =
+        [
+          ( "indexed4 replace_min",
+            fun () ->
+              H4.replace_min h4 ~key:(H4.min_key_unsafe h4) ~prio:(later (H4.min_prio_unsafe h4)) );
+          ( "indexed4 drop_min+add",
+            fun () ->
+              let k = H4.min_key_unsafe h4 and p = H4.min_prio_unsafe h4 in
+              H4.drop_min h4;
+              H4.add h4 ~key:k ~prio:(later p) );
+          ( "int drop_min+add",
+            fun () ->
+              let k = Hi.min_key_unsafe hi and p = Hi.min_prio_unsafe hi in
+              Hi.drop_min hi;
+              Hi.add hi ~key:k ~prio:(p + next ()) );
+          ( "binary pop_min+add",
+            fun () -> Option.iter (fun (k, p) -> H2.add h2 ~key:k ~prio:(later p)) (H2.pop_min h2) );
+        ]
+      in
+      List.iter
+        (fun (name, ns) -> Printf.printf "n=%-8d %-22s %8.1f ns/step\n" n name ns)
+        (min_ns ~iters:100_000 holds))
+    [ 4096; 65536; 1_000_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* REFCLOCK: ablation — root policy on real vs reference time          *)

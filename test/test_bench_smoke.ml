@@ -550,6 +550,41 @@ let test_kernel_cycle_words () =
     Alcotest.failf "one-node WF2Q+ kernel cycle allocates %.0f words over 200,000 cycles"
       words
 
+(* The kernel's heap work alone, as a hold on [Indexed_heap4]: [n] keys,
+   each step takes the minimum out and puts its key back a pseudo-random
+   increment later, by one [replace_min] (the kernel's swap) or by
+   [drop_min] + [add]. At 4,096 keys every full fan's child pick is the
+   tournament; at 20,000, over four times its bound of 4,096, the deeper
+   fans take the loop. Both read 0 minor words in release builds. *)
+let heap_hold_words ~n ~iters ~replace =
+  let module H = Prioq.Indexed_heap4 in
+  let h = H.create n in
+  for k = 0 to n - 1 do
+    H.add h ~key:k ~prio:(float_of_int ((k * 7919) mod n))
+  done;
+  let x = ref 1 in
+  let m0 = ref (Gc.minor_words ()) in
+  for _ = 1 to iters do
+    x := ((!x * 1103515245) + 12345) land 0x3fff_ffff;
+    let k = H.min_key_unsafe h and p = H.min_prio_unsafe h +. float_of_int (!x lsr 16) in
+    if replace then H.replace_min h ~key:k ~prio:p
+    else begin
+      H.drop_min h;
+      H.add h ~key:k ~prio:p
+    end
+  done;
+  Gc.minor_words () -. !m0
+
+let test_heap_hold_words () =
+  List.iter
+    (fun (n, replace) ->
+      let words = heap_hold_words ~n ~iters:200_000 ~replace in
+      if Bench_kit.Build_info.profile = "release" && words > 0.0 then
+        Alcotest.failf "Indexed_heap4 %s hold at %d keys allocates %.0f words over 200,000 steps"
+          (if replace then "replace_min" else "drop_min + add")
+          n words)
+    [ (4096, true); (4096, false); (20_000, true); (20_000, false) ]
+
 (* The same loop through the Server and the event loop
    ([Perf.server_throughput], N = 4096, burst cap 64) allocates 8.0 minor
    words per packet in release builds; the ceiling keeps the data-plane
@@ -590,6 +625,7 @@ let () =
             Alcotest.test_case "bare cycle words/pkt ceiling" `Quick test_bare_cycle_words;
             Alcotest.test_case "kernel cycle allocates nothing" `Quick
               test_kernel_cycle_words;
+            Alcotest.test_case "heap holds allocate nothing" `Quick test_heap_hold_words;
             Alcotest.test_case "server words/pkt ceiling" `Quick test_server_words;
           ] );
       ])
