@@ -63,3 +63,9 @@ val clear : t -> unit
 
 val check_invariant : t -> bool
 (** Heap order + position-table + beyond-size-sentinel consistency. *)
+
+val cold : int
+(** Sift-down picks the least child of a full fan that starts below this
+    slot by a branch-free tournament, and of any other fan by a loop.
+    A constant of the structure (4,096), shared with
+    {!Indexed_heap_int}; tests size their heaps past it. *)
