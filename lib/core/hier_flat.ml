@@ -30,26 +30,20 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    [Wf2q_plus_fixed] by the fixed-point row there.
 
    The epoch layer (DESIGN.md §15) runs the same procedures with the
-   root's WF2Q+ synced in epochs. Interior nodes run on their post-dated
-   clocks [tn], never on simulation time, and preorder numbering makes
-   every root-child subtree a contiguous id range — so shards are disjoint
-   index regions of these arenas. At [epoch = 1] (the default) nothing is
+   root's WF2Q+ synced in epochs. At [epoch = 1] (the default) nothing is
    staged and the engine is exactly the sequential one. At [epoch = k > 1],
-   arrivals landing while the link transmits are staged per shard; at
-   latest every k-1 departures, and always before the link would go idle,
-   a sync flushes them, shard by shard on the calling domain, through the
-   normal ARRIVE / RESTART-NODE code with [flushing] set. A sync stages
-   too few arrivals to pay for a cross-Domain round, so none is made
-   (DESIGN.md §15, "Why every sync flushes inline"). That flag
-   switches behaviour at exactly three boundary points, all touching
-   coordinator-owned state: a restart reaching the root records a
-   root-child proposal instead, an arrival backlogging a root child
-   records one too, and a drop parks its handle for the coordinator. The
-   coordinator then applies the proposals to the root in canonical slot
-   order, which gives the (k-1) * l_max / r lag bound of
-   {!Theory.epoch_lag_bound}. *)
+   arrivals landing while the link transmits are staged in one buffer, in
+   arrival order; at latest every k-1 departures, and always before the
+   link would go idle, a sync flushes them through the normal ARRIVE /
+   RESTART-NODE code with [flushing] set. That flag switches behaviour at
+   exactly three boundary points, all touching the root's state: a restart
+   reaching the root records a root-child proposal instead, an arrival
+   backlogging a root child records one too, and a drop parks its handle
+   until the proposals are in. The sync then applies the proposals to the
+   root in canonical slot order, which gives the (k-1) * l_max / r lag
+   bound of {!Theory.epoch_lag_bound}. *)
 
-(* Each shard stages at most this many arrivals between syncs; a full
+(* The buffer stages at most this many arrivals between syncs; a full
    buffer forces an early sync. *)
 let stage_slots = 256
 
@@ -102,24 +96,21 @@ type t = {
   link : Link.t;
   mutable drops : int;
   (* -- the epoch layer -- *)
-  shards : int; (* effective: <= number of root children *)
   epoch : int;
-  node_shard : int array; (* node id -> owning shard; -1 at the root *)
-  (* staged arrival handles, [stage_slots] per shard from [s * stage_slots].
-     Staging (between syncs) and flushing (inside a sync) never overlap,
-     so a plain array is enough. A flush compacts its dropped handles into
-     the front of the shard's region; the coordinator lifts them out
-     before it fires any hook ([take_parked_drops]). *)
+  (* staged arrival handles, [stage_slots] of them. Staging (between
+     syncs) and flushing (inside a sync) never overlap, so one array is
+     enough. A flush compacts its dropped handles into the front of the
+     buffer; the sync lifts them out before it fires any hook
+     ([take_parked_drops]). *)
   staged : int array;
-  staged_len : int array;
-  staged_drops : int array;
-  mutable staged_total : int;
+  mutable staged_len : int;
+  mutable staged_drops : int;
   mutable since_sync : int; (* departures since the last sync *)
   mutable syncs : int;
-  (* set by the coordinator for the length of a flush round only *)
+  (* set for the length of a flush round only *)
   mutable flushing : bool;
   (* per-root-child boundary proposals recorded while flushing, applied
-     (and cleared) by the coordinator in slot order: '\000' none,
+     (and cleared) by [apply_proposals] in slot order: '\000' none,
      'b' backlog, 'r' requeue, 'i' idle *)
   proposal : Bytes.t;
 }
@@ -161,8 +152,8 @@ let drop_leaf_queue t leaf =
     Net.Packet_pool.free t.pool p
   done
 
-(* While flushing, the root belongs to the coordinator: a root child's
-   change of head is recorded for [apply_proposals] instead. *)
+(* While flushing, the root is left alone: a root child's change of head
+   is recorded for [apply_proposals] instead. *)
 let[@inline] propose t child kind = Bytes.set t.proposal t.session_in_parent.(child) kind
 
 let rec restart_node t n =
@@ -238,7 +229,7 @@ and complete_transmission t pkt =
        owns [logical] along its path, so applying proposals here cannot
        start a transmission out from under the reset. *)
     t.since_sync <- t.since_sync + 1;
-    if t.staged_total > 0 && t.since_sync >= t.epoch - 1 then sync_now t
+    if t.staged_len > 0 && t.since_sync >= t.epoch - 1 then sync_now t
   end;
   let leaf = Net.Packet_pool.flow t.pool pkt in
   let bits = Net.Packet_pool.size_bits t.pool pkt in
@@ -255,7 +246,7 @@ and complete_transmission t pkt =
   Net.Packet_pool.free t.pool pkt;
   (* never leave the link idle with staged work: the sequential schedule
      would have started one of those packets already *)
-  if t.epoch > 1 && (not (Link.busy t.link)) && t.staged_total > 0 then sync_now t
+  if t.epoch > 1 && (not (Link.busy t.link)) && t.staged_len > 0 then sync_now t
 
 (* RESET-PATH: clear the logical queues down the transmitted packet's path
    (it IS the active path — every logical head on it is this packet),
@@ -295,13 +286,11 @@ and reset_path t leaf =
 and arrive t pkt ~leaf =
   if not (Net.Queues.push t.queues leaf pkt) then begin
     if t.flushing then begin
-      (* park the handle at the front of its shard's staging region; the
-         coordinator counts it, fires [on_drop] and frees it after the
-         round *)
-      let s = t.node_shard.(leaf) in
-      let d = t.staged_drops.(s) in
-      t.staged.((s * stage_slots) + d) <- pkt;
-      t.staged_drops.(s) <- d + 1
+      (* park the handle at the front of the staging buffer, behind the
+         arrivals already flushed; [apply_proposals] counts it, fires
+         [on_drop] and frees it after the round *)
+      t.staged.(t.staged_drops) <- pkt;
+      t.staged_drops <- t.staged_drops + 1
     end
     else begin
       t.drops <- t.drops + 1;
@@ -335,25 +324,16 @@ and arrive t pkt ~leaf =
     end
   end
 
-(* One shard's flush: touches only shard-owned node and arena indices plus
-   the shard's staging cells. *)
-and flush_shard t s =
-  let base = s * stage_slots in
-  let n = t.staged_len.(s) in
-  t.staged_len.(s) <- 0;
-  for i = base to base + n - 1 do
-    let pkt = t.staged.(i) in
-    arrive t pkt ~leaf:(Net.Packet_pool.flow t.pool pkt)
-  done
-
 and sync_now t =
   t.since_sync <- 0;
-  if t.staged_total > 0 then begin
-    t.staged_total <- 0;
+  let n = t.staged_len in
+  if n > 0 then begin
+    t.staged_len <- 0;
     t.syncs <- t.syncs + 1;
     t.flushing <- true;
-    for s = 0 to t.shards - 1 do
-      flush_shard t s
+    for i = 0 to n - 1 do
+      let pkt = t.staged.(i) in
+      arrive t pkt ~leaf:(Net.Packet_pool.flow t.pool pkt)
     done;
     t.flushing <- false;
     apply_proposals t
@@ -362,7 +342,7 @@ and sync_now t =
 and apply_proposals t =
   let dropped = take_parked_drops t in
   (* canonical slot order, so the root-side heap insertion order — and with
-     it every tie-break — is independent of the shard partition *)
+     it every tie-break — is independent of the staging order *)
   let off = t.children_off.(t.root) in
   for slot = 0 to t.children_len.(t.root) - 1 do
     match Bytes.get t.proposal slot with
@@ -385,54 +365,39 @@ and apply_proposals t =
     Net.Packet_pool.free t.pool p
   done
 
-(* Lifts the flush round's parked drops out of the staging regions, in
-   shard order, before any hook can run: a hook may inject and start a
-   nested sync, which must find staged arrivals only. The round left every
-   region's staged count at 0, so nothing sits behind the drops. *)
+(* Lifts the flush round's parked drops out of the staging buffer, in
+   staging order, before any hook can run: a hook may inject and start a
+   nested sync, which must find staged arrivals only. The round left the
+   staged count at 0, so nothing sits behind the drops. *)
 and take_parked_drops t =
-  let n = ref 0 in
-  for s = 0 to t.shards - 1 do
-    n := !n + t.staged_drops.(s)
-  done;
-  if !n = 0 then [||]
-  else begin
-    let dropped = Array.make !n 0 in
-    let k = ref 0 in
-    for s = 0 to t.shards - 1 do
-      let d = t.staged_drops.(s) in
-      Array.blit t.staged (s * stage_slots) dropped !k d;
-      k := !k + d;
-      t.staged_drops.(s) <- 0
-    done;
-    dropped
-  end
+  let dropped = Array.sub t.staged 0 t.staged_drops in
+  t.staged_drops <- 0;
+  dropped
 
 (* Lifecycle operations and state accessors run an epoch boundary first, so
    they observe every staged arrival (a no-op at epoch 1). *)
 let sync_if_staged t =
-  if t.epoch > 1 && t.staged_total > 0 then begin
+  if t.epoch > 1 && t.staged_len > 0 then begin
     Array.unsafe_set t.now_cache 0 (Engine.Simulator.now t.sim);
     sync_now t
   end
 
 (* Called from [inject_at], which has refreshed [now_cache]. *)
-let stage t pkt ~leaf =
-  let s = t.node_shard.(leaf) in
-  (* a full region is an early epoch boundary, which empties it *)
-  if t.staged_len.(s) = stage_slots then sync_now t;
-  let n = t.staged_len.(s) in
-  t.staged.((s * stage_slots) + n) <- pkt;
-  t.staged_len.(s) <- n + 1;
-  t.staged_total <- t.staged_total + 1
+let stage t pkt =
+  (* a full buffer is an early epoch boundary, which empties it; its drop
+     hooks may stage a full buffer again *)
+  while t.staged_len = stage_slots do
+    sync_now t
+  done;
+  let n = t.staged_len in
+  t.staged.(n) <- pkt;
+  t.staged_len <- n + 1
 
 (* -- Construction --------------------------------------------------------- *)
 
 let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
-    ?(burst_max = 1) ?shards ?(epoch = 1) () =
+    ?(burst_max = 1) ?(epoch = 1) () =
   if epoch < 1 then invalid_arg "Hier_flat.create: epoch must be >= 1";
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Hier_flat.create: shards must be >= 1"
-  | _ -> ());
   let tree = Hier_tree.create spec in
   let n_nodes = Hier_tree.node_count tree in
   let root = 0 in
@@ -444,20 +409,6 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
   done;
   let pool = Net.Packet_pool.create () in
   let link = Link.create ~sim ~pool ~rate:rate.(root) ~burst_max in
-  (* shard assignment: root-child subtrees round-robin over the effective
-     shard count; preorder contiguity means one pass suffices *)
-  let root_children = tree.children_len.(root) in
-  let shards =
-    match shards with
-    | Some s -> max 1 (min s root_children)
-    | None -> max 1 root_children
-  in
-  let node_shard = Array.make n_nodes (-1) in
-  let cur = ref (-1) in
-  for id = 1 to n_nodes - 1 do
-    if tree.parent.(id) = root then cur := tree.slot.(id) mod shards;
-    node_shard.(id) <- !cur
-  done;
   let t =
     {
       sim;
@@ -489,30 +440,24 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       hooks = Hier_tree.hooks tree ~sim ~pool ~link ?on_depart ?on_drop ();
       link;
       drops = 0;
-      shards;
       epoch;
-      node_shard;
-      staged = (if epoch > 1 then Array.make (shards * stage_slots) (-1) else [||]);
-      staged_len = Array.make shards 0;
-      staged_drops = Array.make shards 0;
-      staged_total = 0;
+      staged = (if epoch > 1 then Array.make stage_slots (-1) else [||]);
+      staged_len = 0;
+      staged_drops = 0;
       since_sync = 0;
       syncs = 0;
       flushing = false;
-      proposal = Bytes.make root_children '\000';
+      proposal = Bytes.make tree.children_len.(root) '\000';
     }
   in
   Link.set_complete t.link (complete_transmission t);
   Log.info (fun m ->
-      m "created flat H-WF2Q+ server: %d nodes, %d leaves, root rate %a, %d shards, \
-         epoch %d"
-        n_nodes (List.length tree.leaves) Engine.Units.pp_rate rate.(root) shards epoch);
+      m "created flat H-WF2Q+ server: %d nodes, %d leaves, root rate %a, epoch %d"
+        n_nodes (List.length tree.leaves) Engine.Units.pp_rate rate.(root) epoch);
   t
 
-let shards t = t.shards
 let epoch t = t.epoch
 let sync_rounds t = t.syncs
-let node_shard t id = t.node_shard.(id)
 
 (* -- Public operations ---------------------------------------------------- *)
 
@@ -539,7 +484,7 @@ let inject_at t ~mark ~leaf ~size_bits ~now =
      now, integrated at the next sync); one on an idle link takes the
      inline path — the sequential schedule would start it immediately, and
      deferring it would break the lag bound *)
-  if t.epoch > 1 && (Link.busy t.link || t.staged_total > 0) then stage t pkt ~leaf
+  if t.epoch > 1 && (Link.busy t.link || t.staged_len > 0) then stage t pkt
   else arrive t pkt ~leaf;
   pkt
 
@@ -666,7 +611,7 @@ let drops t =
   t.drops
 
 (* reads without syncing: counting must not move the schedule *)
-let held_packets t = Net.Queues.total_length t.queues + t.staged_total
+let held_packets t = Net.Queues.total_length t.queues + t.staged_len
 
 let set_burst_max t n = Link.set_burst_max t.link n
 let burst_max t = Link.burst_max t.link
@@ -674,7 +619,7 @@ let burst_max t = Link.burst_max t.link
 (* -- Observability -------------------------------------------------------- *)
 
 (* At epoch > 1 a staged arrival's backlog/requeue events would fire at
-   the sync, shard by shard, not when the packet arrived. *)
+   the sync, not when the packet arrived. *)
 let check_observer_epoch t fn observer =
   if t.epoch > 1 && Option.is_some observer then
     invalid_arg (Printf.sprintf "Hier_flat.%s: observers require epoch = 1" fn)

@@ -28,26 +28,21 @@
 
     {2 The epoch layer}
 
-    The same engine also runs the root's WF²Q+ in epochs. Interior nodes
-    run eq. 27–29 on their post-dated reference clocks [T_n] — only the
-    root reads the simulator — so a root-child subtree's state is a pure
-    function of the operations applied to it, and the preorder numbering
-    makes each such subtree a contiguous node-id range. Shards own disjoint
-    index regions of the arenas; a sync integrates each shard's staged
-    arrivals through the normal ARRIVE / RESTART-NODE code, on the calling
-    domain. [epoch] selects the regime:
+    The same engine also runs the root's WF²Q+ in epochs. Arrivals are
+    staged in one buffer, and a sync integrates them in arrival order
+    through the normal ARRIVE / RESTART-NODE code. [epoch] selects the
+    regime:
 
-    - [epoch = 1] (default): nothing is staged — the sequential engine at
-      any shard count.
+    - [epoch = 1] (default): nothing is staged — the sequential engine.
     - [epoch = k > 1]: arrivals landing while the link transmits are
       staged; at latest every [k-1] departures — and always before the link
       would go idle — a sync integrates them and applies each root child's
       new head to the root in canonical slot order. Per-session service lag
       vs the sequential schedule is bounded by [(k-1) * l_max / r]
-      ({!Theory.epoch_lag_bound}); across shard counts only the order of
-      the drops accounted at one sync may move. Lifecycle operations and
-      state accessors run a sync first, so they observe every staged
-      arrival.
+      ({!Theory.epoch_lag_bound}). The drops a sync accounts reach
+      [on_drop] after its root update, in staging order. Lifecycle
+      operations and state accessors run a sync first, so they observe
+      every staged arrival.
 
     {!Hier_engine} has no choice that turns the layer on: callers build it
     here (the [shard] library's adapter does, for [benchmark/]). *)
@@ -61,7 +56,6 @@ val create :
   ?on_depart:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?on_drop:(Net.Packet.t -> leaf:string -> float -> unit) ->
   ?burst_max:int ->
-  ?shards:int ->
   ?epoch:int ->
   unit ->
   t
@@ -71,25 +65,17 @@ val create :
     and callback order are bit-identical at every setting.
 
     The epoch layer: [epoch] (default [1]) is the root sync period in
-    departures. [shards] (default: one per root child) is clamped to the
-    number of root children; each shard stages at most 256 arrivals, and a
-    full shard forces an early sync. Every sync flushes inline on the
-    calling domain; no Domain is spawned.
+    departures. The buffer stages at most 256 arrivals, and a full buffer
+    forces an early sync. Every sync runs on the calling domain.
     @raise Invalid_argument if {!Hier_tree.create} rejects [spec] (it
-    fails {!Class_tree.validate}, or its root is a leaf), [burst_max < 1],
-    [shards < 1] or [epoch < 1]. *)
-
-val shards : t -> int
-(** Effective shard count after clamping. *)
+    fails {!Class_tree.validate}, or its root is a leaf), [burst_max < 1]
+    or [epoch < 1]. *)
 
 val epoch : t -> int
 
 val sync_rounds : t -> int
 (** Number of epoch syncs that integrated at least one staged arrival
     (always [0] at [epoch = 1]). *)
-
-val node_shard : t -> int -> int
-(** Owning shard of a node id; [-1] for the root (coordinator-owned). *)
 
 val set_burst_max : t -> int -> unit
 (** Change the burst cap; takes effect from the next drain activation.
@@ -99,8 +85,8 @@ val burst_max : t -> int
 
 val pool : t -> Net.Packet_pool.t
 (** The hierarchy's packet arena (to read fields of a handle inside a
-    [_handle_] hook, or to materialise a boxed view). Alloc and free are
-    coordinator-only. *)
+    [_handle_] hook, or to materialise a boxed view). Only the engine
+    allocates and frees its handles. *)
 
 val inject : ?mark:int -> t -> leaf:Hier_tree.leaf -> size_bits:float -> Net.Packet_pool.handle
 (** Same contract as {!Hier.inject}: returns the packet's pool handle; if
@@ -162,7 +148,7 @@ val set_node_observer_id : t -> node:int -> Sched.Sched_intf.observer option -> 
     handed to {!iter_interior}).
     @raise Invalid_argument if the node is a leaf, or when installing an
     observer at [epoch > 1]: a staged arrival's backlog and requeue events
-    would fire at the sync, shard by shard, not when the packet arrived.
+    would fire at the sync, not when the packet arrived.
     Clearing is always allowed. *)
 
 val set_node_observer : t -> node:string -> Sched.Sched_intf.observer option -> unit

@@ -54,8 +54,8 @@ val path_rates : tree:Class_tree.t -> leaf:string -> (float list, string) result
 
 val epoch_lag_bound : epoch:int -> l_max:float -> rate:float -> float
 (** [(epoch − 1) · L_max / rate]: per-session service lag of the
-    epoch-batched root sync ({!Hier_flat.create} with [~epoch:k], the
-    subtree-sharded engine) against the sequential H-WF²Q+ schedule.
+    epoch-batched root sync ({!Hier_flat.create} with [~epoch:k]) against
+    the sequential H-WF²Q+ schedule.
 
     Derivation, in the paper's service-lag algebra: with epoch [k] the
     engine integrates a staged arrival at latest [k−1] link departures

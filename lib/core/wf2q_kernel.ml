@@ -18,8 +18,8 @@ let st_waiting = '\002' (* S_i > V; scan nodes only *)
 (* Every field is a plain array indexed by node id, or by the arena index
    [sbase.(node) + slot] for per-(node, session) state, so floats stay
    unboxed: a mixed int/float record would box every stamp store. The
-   arena fields are mutable only for [grow]; a hierarchy never grows, so
-   its shards can write disjoint index regions from different Domains. *)
+   arena fields are mutable only for [grow], which replaces them with
+   longer copies. *)
 type t = {
   rate : float array; (* r_n: the node's server rate *)
   v : float array; (* V, post-dated to the last selection's completion *)

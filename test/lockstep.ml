@@ -168,7 +168,7 @@ type engine =
   | Boxed
   | Generic of Sched.Sched_intf.factory
   | Flat
-  | Epoch of { shards : int; epoch : int }
+  | Epoch of int (* the epoch layer at this epoch *)
 
 (* [replay] says how an [Install] is scheduled *)
 type config = { engine : engine; burst : int; replay : [ `Stream | `Eager ]; batched : bool }
@@ -181,7 +181,7 @@ let config_name c =
   | Boxed -> "boxed"
   | Generic f -> "generic(" ^ f.Sched.Sched_intf.kind ^ ")"
   | Flat -> "flat"
-  | Epoch { shards; epoch } -> Printf.sprintf "epoch(k=%d,shards=%d)" epoch shards)
+  | Epoch epoch -> Printf.sprintf "epoch(k=%d)" epoch)
   ^ (if c.burst = 1 then "" else Printf.sprintf " burst=%d" c.burst)
   ^ (if c.replay = `Eager then " eager" else "")
   ^ if c.batched then " batched" else ""
@@ -297,8 +297,8 @@ let plane c ~sim s ~on_depart ~on_drop ~checks:(at_depart, at_drop) =
     pooled
       (HE.create ~sim ~spec:s.spec ~factory:wf2q_plus ~engine:`Flat ~root_clock
          ~burst_max:c.burst ())
-  | Epoch { shards; epoch } ->
-    pooled (HE.Flat (HF.create ~sim ~spec:s.spec ~root_clock ~burst_max:c.burst ~shards ~epoch ()))
+  | Epoch epoch ->
+    pooled (HE.Flat (HF.create ~sim ~spec:s.spec ~root_clock ~burst_max:c.burst ~epoch ()))
   | Boxed ->
     let h =
       Bhier.create ~sim ~spec:s.spec ~make_policy:(Bhier.uniform wf2q_plus) ~root_clock
@@ -346,7 +346,7 @@ let run c s =
         (Printf.sprintf "%s: %d packet handles live %s, %d held" (config_name c) live where held)
   in
   let pooled = match c.engine with Boxed -> false | Generic _ | Flat | Epoch _ -> true in
-  let multi_epoch = match c.engine with Epoch { epoch; _ } -> epoch > 1 | _ -> false in
+  let multi_epoch = match c.engine with Epoch epoch -> epoch > 1 | _ -> false in
   if pooled then begin
     departing := (fun () -> conserved "at a departure" (fun ~live ~held -> live = held));
     dropping :=
@@ -399,7 +399,6 @@ let run c s =
 
 type relation =
   | Exact
-  | Exact_drop_set (* the drop log compared as a multiset *)
   | Within_lag
       (* the same packets depart, as many drop, and each departs in B at
          most [lag_bound] (B's epoch, the scenario, its leaf) after A *)
@@ -435,7 +434,7 @@ let diff a b =
 (* Theory.epoch_lag_bound at B's epoch, the largest packet, the leaf's rate *)
 let lag_bound c s leaf =
   match c.engine with
-  | Epoch { epoch; _ } ->
+  | Epoch epoch ->
     let l_max =
       List.fold_left (fun m -> function At (_, Inject (_, z)) -> Float.max m z | _ -> m) 0.0 s.steps
     in
@@ -448,9 +447,6 @@ let by_key o = List.sort compare (List.map (fun (l, q, t) -> ((l, q), t)) o.depa
 let check relation cb s a b =
   match relation with
   | Exact -> diff a b
-  | Exact_drop_set ->
-    let sorted o = { o with drop_log = List.sort compare o.drop_log } in
-    diff (sorted a) (sorted b)
   | Within_lag ->
     let ka = by_key a and kb = by_key b in
     if List.map fst ka <> List.map fst kb then Some "departed packet sets differ"
@@ -478,10 +474,9 @@ type row = {
 
 let generic = cfg (Generic wf2q_plus)
 let flat = cfg Flat
-let epoch ?(shards = 2) epoch = cfg (Epoch { shards; epoch })
+let epoch k = cfg (Epoch k)
 
 let table =
-  let sharded = { tree with root_fan_out = (2, 8) } in
   (* arrivals plus 0..3 close-then-reopen pairs on one leaf; whole-bit
      packets on the unit-rate root, arriving on a unit grid, so departures
      tie with pending arrivals: the burst drain's edge case *)
@@ -507,15 +502,9 @@ let table =
       shape = { tree with depth = 3; root_fan_out = (1, 16); fan_out = (1, 16); budget = 64 };
       pairs = [ (generic, flat) ]; relation = Exact; count = 200; seed = Some [| 0xf1a7; 16 |] };
     { host = "test_hier_flat"; group = "lockstep";
-      name = "subtree engine at epoch=1 replays flat bit-for-bit (shards 1/2/3)";
-      shape = sharded;
-      pairs = [ (flat, epoch ~shards:1 1); (flat, epoch 1); (flat, epoch ~shards:3 1) ];
+      name = "subtree engine at epoch=1 replays flat bit-for-bit";
+      shape = { tree with root_fan_out = (2, 8) }; pairs = [ (flat, epoch 1) ];
       relation = Exact; count = 320; seed = Some [| 0x5b7; 96 |] };
-    (* drops are accounted per shard at the sync: their order may move *)
-    { host = "test_hier_flat"; group = "epoch";
-      name = "epoch>1 schedules are shard-count invariant (drop log as a set)";
-      shape = sharded; pairs = [ (epoch ~shards:1 4, epoch ~shards:3 4) ];
-      relation = Exact_drop_set; count = 120; seed = Some [| 0x5b7; 96 |] };
     (* shallow trees with large leaf shares (the tightest bound), an
        overloaded burst so arrivals get staged, no caps *)
     { host = "test_hier_flat"; group = "epoch"; name = "lag bound measured";
@@ -587,7 +576,7 @@ let test_of_row r =
       (* a bound is vacuous if B never staged an arrival *)
       (match r.relation with
       | Within_lag -> Alcotest.(check bool) "staged syncs occurred" true (!syncs > 0)
-      | Exact | Exact_drop_set -> ());
+      | Exact -> ());
       (* so is a row drawing fan-outs past the cutoff that never crosses it *)
       if max (snd r.shape.root_fan_out) (snd r.shape.fan_out) > scan_max then
         Alcotest.(check (pair bool bool)) "scan and heap nodes built" (true, true)
@@ -601,8 +590,7 @@ let pinned =
     ("test_hier_flat", ("flat engine replays generic bit-for-bit", 500, f1a7));
     ("test_hier_flat", ("flat engine replays generic over WF2Q+fx bit-for-bit", 300, f1a7));
     ("test_hier_flat", ("scan/heap cutoff: flat replays generic bit-for-bit", 200, Some [| 0xf1a7; 16 |]));
-    ("test_hier_flat", ("subtree engine at epoch=1 replays flat bit-for-bit (shards 1/2/3)", 320, s5b7));
-    ("test_hier_flat", ("epoch>1 schedules are shard-count invariant (drop log as a set)", 120, s5b7));
+    ("test_hier_flat", ("subtree engine at epoch=1 replays flat bit-for-bit", 320, s5b7));
     ("test_hier_flat", ("lag bound measured", 10, Some [| 0x1a9; 0xb0d |]));
     ( "test_packet_pool",
       ( "pooled plane replays the boxed plane byte-for-byte (generic/flat/subtree)", 400,

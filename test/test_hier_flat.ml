@@ -1,11 +1,10 @@
 (* Flat H-WF2Q+ engine and its epoch layer: observer parity, the engine
-   facade, the construction, partition and re-entrant-hook surface, the
-   epoch layer's pinned overload hashes, and [Shard.Subtree], the layer's
-   entry for callers outside this library. The schedule relations (flat =
-   generic, epoch 1 = flat, epoch > 1 shard invariance, the epoch lag
-   bound) are rows of test/lockstep.ml, run here; the golden deep chain
-   and the stamped-root spot check go through its runner as fixed
-   scenarios. *)
+   facade, the construction and re-entrant-hook surface, the epoch layer's
+   pinned overload hashes and staging buffer, and [Shard.Subtree], the
+   layer's entry for callers outside this library. The schedule relations
+   (flat = generic, epoch 1 = flat, the epoch lag bound) are rows of
+   test/lockstep.ml, run here; the golden deep chain and the stamped-root
+   spot check go through its runner as fixed scenarios. *)
 
 module Sim = Engine.Simulator
 module HF = Hpfq.Hier_flat
@@ -31,7 +30,7 @@ let raises_invalid f =
 let choice engine sim = HE.create ~sim ~spec:fig3ish ~factory:wf2q_plus ~engine ()
 
 (* the epoch layer, built on the flat engine directly *)
-let epoch_layer ?shards epoch sim = HE.Flat (HF.create ~sim ~spec:fig3ish ?shards ~epoch ())
+let epoch_layer epoch sim = HE.Flat (HF.create ~sim ~spec:fig3ish ~epoch ())
 
 (* ---- observer-stamp parity: generic = flat = epoch 1 ---- *)
 
@@ -65,7 +64,7 @@ let test_trace_parity () =
 let test_trace_attach () =
   let f = traced_events (choice `Flat) in
   Alcotest.(check bool) "flat = epoch 1" true
-    (compare f (traced_events (epoch_layer ~shards:2 1)) = 0);
+    (compare f (traced_events (epoch_layer 1)) = 0);
   Alcotest.check_raises "epoch > 1 rejected by set_node_observer_id"
     (Invalid_argument "Hier_flat.set_node_observer_id: observers require epoch = 1")
     (fun () -> ignore (traced_events (epoch_layer 4)))
@@ -259,30 +258,15 @@ let test_flat_rejects_leaf_root () =
 
 let test_create_validation () =
   let sim = Sim.create () in
-  let mk ?shards ?epoch () = HF.create ~sim ~spec:fig3ish ?shards ?epoch () in
-  Alcotest.(check bool) "epoch 0 rejected" true (raises_invalid (mk ~epoch:0));
-  Alcotest.(check bool) "shards 0 rejected" true (raises_invalid (mk ~shards:0))
+  Alcotest.(check bool) "epoch 0 rejected" true
+    (raises_invalid (fun () -> HF.create ~sim ~spec:fig3ish ~epoch:0 ()))
 
-let test_partition () =
+let test_create_defaults () =
   let sim = Sim.create () in
-  let t = HF.create ~sim ~spec:fig3ish ~shards:8 () in
-  Alcotest.(check int) "shards clamp to root children" 2 (HF.shards t);
+  let t = HF.create ~sim ~spec:fig3ish () in
   Alcotest.(check int) "epoch default" 1 (HF.epoch t);
   Alcotest.(check int) "sync_rounds starts at 0" 0 (HF.sync_rounds t);
-  Alcotest.(check string) "node 0 is the root" (HF.root_name t) (HF.node_name t 0);
-  Alcotest.(check int) "root is coordinator-owned" (-1) (HF.node_shard t 0);
-  for id = 1 to HF.node_count t - 1 do
-    let s = HF.node_shard t id in
-    if s < 0 || s >= HF.shards t then
-      Alcotest.failf "node %d (%s) landed on shard %d" id (HF.node_name t id) s
-  done;
-  (* subtree-contiguous: a node shares its non-root parent's shard *)
-  HF.iter_interior t (fun ~id ~name:_ ~level:_ ~children ->
-      Array.iter
-        (fun c ->
-          if id <> 0 && HF.node_shard t c <> HF.node_shard t id then
-            Alcotest.failf "node %d not on parent %d's shard" c id)
-        children)
+  Alcotest.(check string) "node 0 is the root" (HF.root_name t) (HF.node_name t 0)
 
 let test_observer_gate () =
   let sim = Sim.create () in
@@ -295,9 +279,9 @@ let test_observer_gate () =
     (raises_invalid (fun () -> HF.set_node_observer t2 ~node:"A" (Some observer)));
   HF.set_node_observer t2 ~node:"A" None (* clearing is always allowed *)
 
-(* Hooks run on the coordinator while a sync applies its results, and may
-   inject: those arrivals are staged into regions the sync's parked drops
-   have already left. Every packet must depart or drop exactly once. *)
+(* Hooks run while a sync applies its results, and may inject: those
+   arrivals are staged into buffer cells the sync's parked drops have
+   already left. Every packet must depart or drop exactly once. *)
 let capped =
   CT.node "link" ~rate:1.0
     [
@@ -309,7 +293,7 @@ let capped =
 
 let hooked_run ~on_start ~bursts ~react () =
   let sim = Sim.create () in
-  let t = HF.create ~sim ~spec:capped ~shards:2 ~epoch:4 () in
+  let t = HF.create ~sim ~spec:capped ~epoch:4 () in
   let injected = ref 0 and log = ref [] in
   let inject name =
     incr injected;
@@ -332,10 +316,10 @@ let hooked_run ~on_start ~bursts ~react () =
   Sim.run sim;
   (!injected, HF.drops t, List.rev !log)
 
-(* A drop hook that injects into its own shard and then reads an accessor
-   starts a sync nested in the one firing it; so does one that injects
-   more than a staging region holds. Either nested sync must find only
-   staged arrivals in the region, never the drops still being fired. *)
+(* A drop hook that injects and then reads an accessor starts a sync
+   nested in the one firing it; so does one that injects more than the
+   staging buffer holds. Either nested sync must find only staged
+   arrivals in the buffer, never the drops still being fired. *)
 let nested_sync_run ~burst ~read =
   hooked_run ~on_start:false ~bursts:(List.init 6 (fun _ -> "a1")) ~react:(fun t ~inject ~injected ~leaf:_ ->
       if injected < 1500 then begin
@@ -361,7 +345,7 @@ let test_reentrant_hooks () =
           ~react:(fun _ ~inject ~injected ~leaf ->
             if injected < 400 then inject (if leaf = "a1" then "b2" else "a2")) );
       ("inject then read", nested_sync_run ~burst:1 ~read:true);
-      ("fill a region", nested_sync_run ~burst:300 ~read:false);
+      ("fill the buffer", nested_sync_run ~burst:300 ~read:false);
     ]
 
 let test_lag_bound_formula () =
@@ -427,18 +411,17 @@ let wide =
   in
   CT.node "root" ~rate:1.0 (List.init 16 sub)
 
-let wide_hash ?shards ?epoch () =
-  let sim = Sim.create () in
+(* folds a departure into an FNV-1a hash started at 0xcbf29ce484222325 *)
+let fold_depart hash (pkt : Net.Packet.t) ~leaf now =
   let fold h v = Int64.mul (Int64.logxor h v) 0x100000001b3L in
+  let h = fold !hash (Int64.of_int (Hashtbl.hash leaf)) in
+  let h = fold h (Int64.of_int pkt.seq) in
+  hash := fold h (Int64.bits_of_float now)
+
+let wide_hash ?epoch () =
+  let sim = Sim.create () in
   let hash = ref 0xcbf29ce484222325L in
-  let t =
-    HF.create ~sim ~spec:wide ?shards ?epoch
-      ~on_depart:(fun pkt ~leaf now ->
-        let h = fold !hash (Int64.of_int (Hashtbl.hash leaf)) in
-        let h = fold h (Int64.of_int pkt.Net.Packet.seq) in
-        hash := fold h (Int64.bits_of_float now))
-      ()
-  in
+  let t = HF.create ~sim ~spec:wide ?epoch ~on_depart:(fold_depart hash) () in
   let ids = Array.of_list (List.map (fun (name, _) -> HF.leaf_id t name) (CT.leaves wide)) in
   let rng = Random.State.make [| 0x415; 0x3aed |] in
   let packets = 200_000 in
@@ -450,24 +433,89 @@ let wide_hash ?shards ?epoch () =
   Sim.run sim;
   Printf.sprintf "%016Lx" !hash
 
-(* Epoch 1 departs as the flat engine at every shard count, and the
-   epoch alone fixes the schedule at k > 1. *)
+(* Epoch 1 departs as the flat engine. *)
 let test_overload_pins () =
   Alcotest.(check string) "flat" "d6d8221f9a356611" (wide_hash ());
   List.iter
-    (fun shards ->
-      List.iter
-        (fun (epoch, pinned) ->
-          Alcotest.(check string)
-            (Printf.sprintf "shards %d, epoch %d" shards epoch)
-            pinned
-            (wide_hash ~shards ~epoch ()))
-        [ (1, "d6d8221f9a356611"); (8, "4df118975fa39ddd"); (64, "463e21e622ce3bc9") ])
-    [ 1; 16 ]
+    (fun (epoch, pinned) ->
+      Alcotest.(check string) (Printf.sprintf "epoch %d" epoch) pinned (wide_hash ~epoch ()))
+    [ (1, "d6d8221f9a356611"); (8, "4df118975fa39ddd"); (64, "463e21e622ce3bc9") ]
+
+(* One packet on [capped] starts the link at t = 0; the bursts arrive at
+   the same instant and are staged, and [react] runs at every drop. Fails
+   unless every packet departs or drops exactly once; returns the syncs
+   run by the end of the bursts, the syncs run in all, and the departure
+   hash. *)
+let staged_burst_run ?(react = fun ~inject:_ -> ()) bursts =
+  let sim = Sim.create () in
+  let t = HF.create ~sim ~spec:capped ~epoch:64 () in
+  let hash = ref 0xcbf29ce484222325L and seen = Hashtbl.create 1024 and injected = ref 0 in
+  let record kind leaf seq =
+    if Hashtbl.mem seen (leaf, seq) then Alcotest.failf "%s#%d logged twice" leaf seq;
+    Hashtbl.add seen (leaf, seq) kind
+  in
+  let inject (name, count) =
+    injected := !injected + count;
+    HF.inject_many t ~leaf:(HF.leaf_id t name) ~size_bits:1.0 ~count
+  in
+  HF.add_depart_hook t (fun pkt ~leaf now ->
+      record `D leaf pkt.Net.Packet.seq;
+      fold_depart hash pkt ~leaf now);
+  HF.add_drop_hook t (fun pkt ~leaf _ ->
+      record `X leaf pkt.Net.Packet.seq;
+      react ~inject);
+  let syncs_after_bursts = ref (-1) in
+  ignore
+    (Sim.schedule sim ~at:0.0 (fun () ->
+         List.iter inject (("a2", 1) :: bursts);
+         syncs_after_bursts := HF.sync_rounds t));
+  Sim.run sim;
+  Alcotest.(check bool) "some drops" true (HF.drops t > 0);
+  Alcotest.(check int) "every packet departs or drops once" !injected (Hashtbl.length seen);
+  Alcotest.(check int) "drop count = dropped packets" (HF.drops t)
+    (Hashtbl.fold (fun _ k n -> if k = `X then n + 1 else n) seen 0);
+  (!syncs_after_bursts, HF.sync_rounds t, Printf.sprintf "%016Lx" !hash)
+
+(* The staging buffer holds 256 arrivals: the 257th staged between syncs
+   forces an early sync. 699 arrivals over both root children, two of
+   them capped, run two early syncs inside the bursts; the rest drain at
+   epoch 64. *)
+let test_buffer_full_sync () =
+  let in_bursts, syncs, hash =
+    staged_burst_run [ ("a1", 150); ("a2", 200); ("b1", 150); ("b2", 200) ]
+  in
+  Alcotest.(check int) "two early syncs inside the bursts" 2 in_bursts;
+  Alcotest.(check bool) "later syncs at epoch boundaries" true (syncs > 2);
+  Alcotest.(check string) "departure hash" "852bf0caed2be321" hash
+
+(* An early sync's drop hooks may stage a whole buffer again before the
+   arrival that forced the sync is staged: that arrival must force
+   another sync, not land past the buffer's end. *)
+let test_buffer_refilled_by_hooks () =
+  let refilled = ref false in
+  let in_bursts, _, _ =
+    staged_burst_run
+      ~react:(fun ~inject ->
+        if not !refilled then begin
+          refilled := true;
+          inject ("a2", 256)
+        end)
+      [ ("a1", 257) ]
+  in
+  Alcotest.(check int) "the refill forces a second sync" 2 in_bursts
 
 (* ---- Shard.Subtree: the epoch layer's entry outside this library ---- *)
 
 module ST = Shard.Subtree
+
+(* [shards] is range-checked and otherwise unused: the engine stages into
+   one buffer. *)
+let test_subtree_shards_range () =
+  let sim = Sim.create () in
+  let mk shards () = ST.create ~sim ~spec:fig3ish ~shards ~epoch:8 () in
+  Alcotest.(check bool) "shards 0 rejected" true (raises_invalid (mk 0));
+  Alcotest.(check bool) "shards 1 and 16 accepted" false
+    (raises_invalid (mk 1) || raises_invalid (mk 16))
 
 let test_subtree_workers_range () =
   let sim = Sim.create () in
@@ -503,7 +551,7 @@ let overload_run ?(midway = ignore) make =
   Sim.run sim;
   (List.rev !log, !syncs_midway, HF.sync_rounds t)
 
-let subtree ~workers ~epoch sim = ST.create ~sim ~spec:capped ~shards:2 ~workers ~epoch ()
+let subtree ~workers ~epoch sim = ST.create ~sim ~spec:capped ~workers ~epoch ()
 
 let test_subtree_workers_invariant () =
   let log0, _, syncs = overload_run (subtree ~workers:0 ~epoch:4) in
@@ -548,6 +596,9 @@ let () =
            [
              Alcotest.test_case "lag bound formula" `Quick test_lag_bound_formula;
              Alcotest.test_case "overload program pinned" `Quick test_overload_pins;
+             Alcotest.test_case "buffer-full early sync" `Quick test_buffer_full_sync;
+             Alcotest.test_case "buffer refilled by drop hooks" `Quick
+               test_buffer_refilled_by_hooks;
            ] );
          ( "surface",
            [
@@ -558,7 +609,7 @@ let () =
                test_inject_many_rejections;
              Alcotest.test_case "leaf root rejected" `Quick test_flat_rejects_leaf_root;
              Alcotest.test_case "create validation" `Quick test_create_validation;
-             Alcotest.test_case "partition" `Quick test_partition;
+             Alcotest.test_case "create defaults" `Quick test_create_defaults;
              Alcotest.test_case "observer gate" `Quick test_observer_gate;
              Alcotest.test_case "hooks inject during a sync" `Quick test_reentrant_hooks;
            ] );
@@ -568,5 +619,6 @@ let () =
              Alcotest.test_case "workers 0 = workers 1" `Quick test_subtree_workers_invariant;
              Alcotest.test_case "epoch 1 = Hier_flat" `Quick test_subtree_epoch1_is_flat;
              Alcotest.test_case "syncs after shutdown" `Quick test_subtree_shutdown_mid_run;
+             Alcotest.test_case "shards range" `Quick test_subtree_shards_range;
            ] );
        ])
