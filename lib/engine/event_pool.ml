@@ -169,6 +169,6 @@ let alloc t =
 
 (* (time, seq) strict order: the tie-break makes same-instant events fire
    in schedule order, which keeps runs deterministic. *)
-let before t a b =
+let[@inline] before t a b =
   let ta = time t a and tb = time t b in
   ta < tb || (ta = tb && seq t a < seq t b)

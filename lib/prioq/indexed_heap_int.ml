@@ -47,14 +47,14 @@ let create capacity =
 let length h = h.size
 let is_empty h = h.size = 0
 
-let ensure_key_capacity h key =
+let grow_keys h key =
   let n = Array.length h.pos in
-  if key >= n then begin
-    let n' = max (key + 1) (2 * n) in
-    let pos = Array.make n' (-1) in
-    Array.blit h.pos 0 pos 0 n;
-    h.pos <- pos
-  end
+  let pos = Array.make (max (key + 1) (2 * n)) (-1) in
+  Array.blit h.pos 0 pos 0 n;
+  h.pos <- pos
+
+(* the test inline, the rare grow out of line: [add] makes no call for it *)
+let[@inline] ensure_key_capacity h key = if key >= Array.length h.pos then grow_keys h key
 
 let ensure_slot_capacity h =
   let n = Array.length h.data / 2 in

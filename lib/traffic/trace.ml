@@ -289,6 +289,49 @@ let[@inline] next c = match c.rest with _ :: tl -> settle c tl (c.pos + 1) | [] 
 
 let[@inline] at_time c t = match c.rest with e :: _ -> e.time = t | [] -> false
 
+(* Install's leaf name -> emit index map: open addressing over a
+   power-of-two table, linear probing, at most half full, doubled by
+   rehashing. [String.hash] reads every byte, so names that differ only
+   in the middle still spread. A cell is empty while its value is
+   [vacant], so "" is an ordinary key. A probe tries [==] first:
+   [load_binary] shares one string per leaf. *)
+type leaf_table = { mutable keys : string array; mutable vals : int array; mutable used : int }
+
+let vacant = min_int
+
+(* the cell holding [leaf], or the empty cell where it goes; a top-level
+   function, so a probe allocates no closure *)
+let rec probe keys vals mask leaf i =
+  if Array.unsafe_get vals i = vacant then i
+  else
+    let k = Array.unsafe_get keys i in
+    if k == leaf || String.equal k leaf then i else probe keys vals mask leaf ((i + 1) land mask)
+
+let[@inline] cell t leaf =
+  let mask = Array.length t.keys - 1 in
+  probe t.keys t.vals mask leaf (String.hash leaf land mask)
+
+let grow t =
+  let keys = t.keys and vals = t.vals in
+  let n = 2 * Array.length keys in
+  t.keys <- Array.make n "";
+  t.vals <- Array.make n vacant;
+  Array.iteri
+    (fun i v ->
+      if v <> vacant then begin
+        let c = cell t keys.(i) in
+        t.keys.(c) <- keys.(i);
+        t.vals.(c) <- v
+      end)
+    vals
+
+(* [c] is the empty cell [cell t leaf] returned *)
+let fill t c leaf v =
+  t.keys.(c) <- leaf;
+  t.vals.(c) <- v;
+  t.used <- t.used + 1;
+  if 2 * t.used > Array.length t.keys then grow t
+
 (* The list itself is the replay's only per-arrival state: next to it,
    install keeps one 32-bit emit index per event (-1: the leaf has no
    emit, the event is skipped) and one table entry per distinct leaf.
@@ -297,12 +340,14 @@ let[@inline] at_time c t = match c.rest with e :: _ -> e.time = t | [] -> false
    each time and size as the record's own box, so firing allocates
    nothing. *)
 let replay ?(batched = false) ~sim ~emit_for events =
-  let table = Hashtbl.create 64 and emits = ref [] and n_emits = ref 0 in
-  (* [find], not [find_opt]: a hit allocates no option *)
+  let table = { keys = Array.make 64 ""; vals = Array.make 64 vacant; used = 0 }
+  and emits = ref []
+  and n_emits = ref 0 in
   let resolve leaf =
-    match Hashtbl.find table leaf with
-    | i -> i
-    | exception Not_found ->
+    let c = cell table leaf in
+    let i = Array.unsafe_get table.vals c in
+    if i <> vacant then i
+    else begin
       let i =
         match emit_for ~leaf with
         | None -> -1
@@ -311,8 +356,9 @@ let replay ?(batched = false) ~sim ~emit_for events =
           incr n_emits;
           !n_emits - 1
       in
-      Hashtbl.add table leaf i;
+      fill table c leaf i;
       i
+    end
   in
   (* One pass: resolve each event's emit, check the kept times, and count
      the kept events and the activations (one per kept event, or per run

@@ -88,6 +88,11 @@ val replay :
     O(1) of them pending and firing one allocates nothing. The list is
     the replay's only per-arrival state: install adds one 32-bit emit
     index per event (4 bytes) and one table entry per distinct leaf.
+    Install costs per event one [String.hash] of the leaf name and a
+    probe of a flat table at most half full, which compares names by
+    [==] before [String.equal] ({!load_binary} shares one string per
+    leaf, so its events compare no bytes), plus the emit index; an
+    unsorted list pays it again to filter and to index its sorted copy.
     The cursors hold only the list's unreplayed tail, so a caller that
     drops its own reference lets the replayed part be collected.
 

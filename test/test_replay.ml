@@ -380,6 +380,89 @@ let test_emit_for_once () =
         [ "b"; "ghost"; "a"; "c" ] );
     ]
 
+(* Leaf resolution against a [Hashtbl] reference. 5,000 names of one
+   length share their first and last 8 bytes and differ only in the
+   middle; with "" and a ghost they make the install table grow several
+   times. "" comes first, so later names' probes cross its cell: a table
+   that marked an empty cell by its key would stop there. Then every
+   name appears three times, in a fresh shuffle per round.
+   The k-th [emit_for] call returns emit k, and every event has its own
+   size, so the fired (emit, size) pairs name the emit each event got. *)
+let test_leaf_resolution () =
+  let names =
+    Array.append [| ""; "ghost" |] (Array.init 5_000 (Printf.sprintf "leafhead%06dleaftail"))
+  in
+  let rng = Random.State.make [| 35 |] in
+  let shuffled () =
+    let a = Array.copy names in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let leaves = "" :: (shuffled () @ shuffled () @ shuffled ()) in
+  let fresh s = String.init (String.length s) (String.get s) in
+  let cases =
+    List.concat_map
+      (fun (order, time) ->
+        List.map
+          (fun (strings, copies) -> (order ^ ", " ^ strings, copies, time))
+          [ ("shared strings", Fun.id); ("fresh copies", fresh) ])
+      [
+        ("sorted", fun i -> float_of_int (i / 3));
+        ("unsorted", fun i -> float_of_int (i * 7919 mod 1009));
+      ]
+  in
+  List.iter
+    (fun (name, copies, time) ->
+      let trace =
+        List.mapi
+          (fun i leaf ->
+            { Trace.time = time i; leaf = copies leaf; size_bits = float_of_int i })
+          leaves
+      in
+      let reference = Hashtbl.create 64 and first_seen = ref [] and n_emits = ref 0 in
+      List.iter
+        (fun e ->
+          if not (Hashtbl.mem reference e.Trace.leaf) then begin
+            first_seen := e.leaf :: !first_seen;
+            Hashtbl.add reference e.leaf
+              (if e.leaf = "ghost" then -1
+               else begin
+                 incr n_emits;
+                 !n_emits - 1
+               end)
+          end)
+        trace;
+      let expected =
+        List.stable_sort
+          (fun a b -> Float.compare a.Trace.time b.Trace.time)
+          (List.filter (fun e -> e.Trace.leaf <> "ghost") trace)
+        |> List.map (fun e -> (Hashtbl.find reference e.Trace.leaf, e.size_bits))
+      in
+      let calls = ref [] and fired = ref [] and n_calls = ref 0 in
+      let emit_for ~leaf =
+        calls := leaf :: !calls;
+        if leaf = "ghost" then None
+        else begin
+          let k = !n_calls in
+          incr n_calls;
+          Some (fun ~size_bits -> fired := (k, size_bits) :: !fired)
+        end
+      in
+      let sim = Sim.create () in
+      Alcotest.(check int) (name ^ ": installed") (List.length expected)
+        (Trace.replay ~sim ~emit_for trace);
+      Alcotest.(check (list string)) (name ^ ": emit_for once per leaf, first appearance first")
+        (List.rev !first_seen) (List.rev !calls);
+      Sim.run sim;
+      if List.rev !fired <> expected then
+        Alcotest.failf "%s: an event fired into another leaf's emit, or out of order" name)
+    cases
+
 (* ---- the replay's own footprint ---- *)
 
 (* Words [f] allocates, minor and major. Not [Gc.allocated_bytes]: on
@@ -396,43 +479,51 @@ let allocated_words f =
 
 (* The list is the replay's state: install adds at most a 32-bit emit
    index per event beyond O(leaves), and firing allocates nothing beyond
-   the event loop's clock. 64 leaves and a ghost, in runs of three equal
-   times, so batching groups. *)
+   the event loop's clock. 64 or 4,096 leaves and a ghost, in runs of
+   three equal times, so batching groups; at 4,096 the install table
+   grows eight times inside the O(leaves) slack. *)
 let test_footprint_ceiling () =
   let n = 120_000 in
-  let names = Array.init 64 (Printf.sprintf "leaf%d") in
-  let trace =
-    List.init n (fun i ->
-        let leaf = if i mod 17 = 0 then "ghost" else names.(i mod 64) in
-        { Trace.time = 1e-6 *. float_of_int (i / 3); leaf; size_bits = 8.0 })
-  in
-  let kept = List.length (List.filter (fun e -> e.Trace.leaf <> "ghost") trace) in
-  let leaf_slack = 1024.0 *. float_of_int (Array.length names + 1) (* bytes *) in
   List.iter
-    (fun batched ->
-      let sim = Sim.create () in
-      let installed, words =
-        allocated_words (fun () -> Trace.replay ~batched ~sim ~emit_for:ghostly trace)
+    (fun leaves ->
+      let names = Array.init leaves (Printf.sprintf "leaf%d") in
+      let trace =
+        List.init n (fun i ->
+            let leaf = if i mod 17 = 0 then "ghost" else names.(i mod leaves) in
+            { Trace.time = 1e-6 *. float_of_int (i / 3); leaf; size_bits = 8.0 })
       in
-      let install_bytes = words *. float_of_int (Sys.word_size / 8) in
-      Alcotest.(check int) "kept events installed" kept installed;
-      let per_event = (install_bytes -. leaf_slack) /. float_of_int n in
-      if per_event > 5.0 then
-        Alcotest.failf "batched=%b: install allocated %.0f bytes, %.2f per event beyond O(leaves) > 5"
-          batched install_bytes per_event;
-      let e0 = Sim.events_processed sim and w0 = Gc.minor_words () in
-      Sim.run sim;
-      let words = Gc.minor_words () -. w0 in
-      Alcotest.(check int) "every arrival fired" 0 (Sim.pending sim);
-      (* the event loop's own cost: [step] stores each fired event's time
-         into the clock, a float field of a mixed record, so one 2-word
-         box per activation *)
-      let replay_words = words -. (2.0 *. float_of_int (Sim.events_processed sim - e0)) in
-      if replay_words > 64.0 then
-        Alcotest.failf
-          "batched=%b: firing %d arrivals allocated %.0f minor words beyond the clock (%.4f each)"
-          batched installed replay_words (replay_words /. float_of_int installed))
-    [ false; true ]
+      let kept = List.length (List.filter (fun e -> e.Trace.leaf <> "ghost") trace) in
+      let leaf_slack = 1024.0 *. float_of_int (leaves + 1) (* bytes *) in
+      List.iter
+        (fun batched ->
+          let sim = Sim.create () in
+          let installed, words =
+            allocated_words (fun () -> Trace.replay ~batched ~sim ~emit_for:ghostly trace)
+          in
+          let install_bytes = words *. float_of_int (Sys.word_size / 8) in
+          Alcotest.(check int) "kept events installed" kept installed;
+          let per_event = (install_bytes -. leaf_slack) /. float_of_int n in
+          if per_event > 5.0 then
+            Alcotest.failf
+              "%d leaves, batched=%b: install allocated %.0f bytes, %.2f per event beyond \
+               O(leaves) > 5"
+              leaves batched install_bytes per_event;
+          let e0 = Sim.events_processed sim and w0 = Gc.minor_words () in
+          Sim.run sim;
+          let words = Gc.minor_words () -. w0 in
+          Alcotest.(check int) "every arrival fired" 0 (Sim.pending sim);
+          (* the event loop's own cost: [step] stores each fired event's
+             time into the clock, a float field of a mixed record, so one
+             2-word box per activation *)
+          let replay_words = words -. (2.0 *. float_of_int (Sim.events_processed sim - e0)) in
+          if replay_words > 64.0 then
+            Alcotest.failf
+              "%d leaves, batched=%b: firing %d arrivals allocated %.0f minor words beyond \
+               the clock (%.4f each)"
+              leaves batched installed replay_words
+              (replay_words /. float_of_int installed))
+        [ false; true ])
+    [ 64; 4_096 ]
 
 (* ---- pipeline: end-to-end delays identical at burst_max > 1 ---- *)
 
@@ -515,6 +606,7 @@ let () =
           Alcotest.test_case "cursor edges = eager" `Quick test_cursor_edges;
           Alcotest.test_case "install refusals" `Quick test_install_refusals;
           Alcotest.test_case "emit_for once per leaf" `Quick test_emit_for_once;
+          Alcotest.test_case "leaf resolution = Hashtbl" `Quick test_leaf_resolution;
           Alcotest.test_case "footprint ceiling" `Quick test_footprint_ceiling;
         ] );
     ]
