@@ -9,7 +9,7 @@
    the end-to-end cost of event-set traffic that burst-draining amortizes.
 
    Every replay must produce the identical departure sequence: the run
-   folds (flow, seq, time) of each departure into an order-sensitive hash
+   folds (leaf number, seq, time) of each departure into an order-sensitive hash
    and the suite fails if any replay disagrees with the first — the
    determinism contract (bit-identical schedules at every burst_max)
    enforced on the real workload, not just the property tests. The
@@ -111,13 +111,21 @@ let measure ?(engine = `Auto) ~spec ~trace ~burst () =
     Hpfq.Hier_engine.create ~sim ~spec ~factory:Hpfq.Disciplines.wf2q_plus
       ~engine ~burst_max:burst ()
   in
+  (* a packet's [flow] is its leaf's node id; the hash keys on the leaf's
+     number instead (1 for the leftmost leaf, so a one-level tree's numbers
+     are its node ids), so it does not depend on how the index numbers
+     nodes *)
+  let number = Array.make (Hpfq.Hier_engine.node_count hier) 0 in
+  List.iteri
+    (fun i (_, (l : Hpfq.Hier.leaf)) -> number.((l :> int)) <- i + 1)
+    (Hpfq.Hier_engine.leaf_ids hier);
   (* handle hook: flow/seq are pool reads, no packet record per departure *)
   let pool = Hpfq.Hier_engine.pool hier in
   Hpfq.Hier_engine.add_depart_handle_hook hier (fun h ~leaf:_ time ->
       incr departures;
       hash :=
         fold_hash !hash
-          (depart_key ~flow:(Net.Packet_pool.flow pool h)
+          (depart_key ~flow:number.(Net.Packet_pool.flow pool h)
              ~seq:(Net.Packet_pool.seq pool h) ~time));
   (* [replay] asks once per distinct leaf: one lookup and one closure
      each; a name that is no leaf of the tree is skipped *)

@@ -163,20 +163,25 @@ let make_link_state t ~link =
   in
   (* handle hook: every field is read from the pool while the handle is
      live, so no packet record is materialised per departure *)
-  let pool = Hpfq.Hier_engine.pool engine in
-  Hpfq.Hier_engine.add_depart_handle_hook engine (fun h ~leaf:_ time ->
-      incr pkts;
-      bits := !bits +. Net.Packet_pool.size_bits pool h;
-      let flow = Net.Packet_pool.flow pool h
-      and seq = Net.Packet_pool.seq pool h in
-      hash := fold_hash !hash (depart_key ~flow ~seq ~time);
-      if t.record_traces then trace := (flow, seq, time) :: !trace);
   let leaf_ids =
     Array.of_list
       (List.map
          (fun (name, _) -> Hpfq.Hier_engine.leaf_id engine name)
          (Hpfq.Class_tree.leaves t.spec))
   in
+  (* a packet's [flow] is its leaf's node id; the trace keys on the leaf's
+     number instead (1 for the leftmost leaf), so it does not depend on how
+     the index numbers nodes *)
+  let number = Array.make (Hpfq.Hier_engine.node_count engine) 0 in
+  Array.iteri (fun i (l : Hpfq.Hier.leaf) -> number.((l :> int)) <- i + 1) leaf_ids;
+  let pool = Hpfq.Hier_engine.pool engine in
+  Hpfq.Hier_engine.add_depart_handle_hook engine (fun h ~leaf:_ time ->
+      incr pkts;
+      bits := !bits +. Net.Packet_pool.size_bits pool h;
+      let flow = number.(Net.Packet_pool.flow pool h)
+      and seq = Net.Packet_pool.seq pool h in
+      hash := fold_hash !hash (depart_key ~flow ~seq ~time);
+      if t.record_traces then trace := (flow, seq, time) :: !trace);
   let trace_obs =
     if t.observe then begin
       let tr = Obs.Trace.attach_engine ~capacity:1024 engine in

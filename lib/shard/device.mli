@@ -76,12 +76,13 @@ type link_result = {
   events : int;  (** simulator events processed *)
   final_time : float;  (** simulator clock after draining *)
   trace_hash : int64;
-      (** order-sensitive fingerprint of (flow, seq, stamp) departures —
+      (** order-sensitive fingerprint of (leaf number, seq, stamp) departures —
           always computed, so cheap cross-worker-count comparison needs
           no [record_traces] *)
   trace : (int * int * float) array option;
-      (** [(leaf node id, per-flow seq, departure stamp)] when
-          [record_traces] *)
+      (** [(leaf number, per-flow seq, departure stamp)] when
+          [record_traces]; a leaf's number is its position in
+          {!Hpfq.Class_tree.leaves} counted from 1, whatever the node ids *)
   sim : Engine.Simulator.t;  (** the link's (drained) simulator *)
   stats : Engine.Simulator.stats;
   metrics : Stats.Report.t option;  (** per-node counters when [observe] *)

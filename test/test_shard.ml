@@ -97,7 +97,7 @@ let test_device_more_workers_than_links () =
          ~links:3 ())
   in
   let r1 = run 1 and r4 = run 4 in
-  Alcotest.(check string) "-j1 device hash pinned" "6432ffd1cb23147d"
+  Alcotest.(check string) "-j1 device hash pinned" "254cba4b0bf3caa3"
     (Shard.Device.hash_hex r1.Shard.Device.device_hash);
   Alcotest.(check string) "-j4 = -j1"
     (Shard.Device.hash_hex r1.Shard.Device.device_hash)
