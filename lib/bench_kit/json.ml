@@ -108,11 +108,6 @@ let rec emit_compact b v =
 
 let to_buffer_compact b v = emit_compact b v
 
-let to_string_compact v =
-  let b = Buffer.create 256 in
-  emit_compact b v;
-  Buffer.contents b
-
 let to_string ?(indent = 2) v =
   let b = Buffer.create 4096 in
   emit b ~indent ~level:0 v;

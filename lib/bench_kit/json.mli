@@ -16,11 +16,9 @@ type t =
 val to_string : ?indent:int -> t -> string
 val to_file : ?indent:int -> string -> t -> unit
 
-val to_string_compact : t -> string
-(** Single-line form (no newlines, no padding) — one JSON-lines record. *)
-
 val to_buffer_compact : Buffer.t -> t -> unit
-(** Same, appended to an existing buffer (no trailing newline). *)
+(** The single-line form (no newlines, no padding), one JSON-lines record,
+    appended to a buffer (no trailing newline). *)
 
 exception Parse_error of string
 

@@ -10,10 +10,14 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    RESET-PATH over eq. 27/28/29 — but with the generic composition overhead
    flattened away:
 
-   - every per-node field ([tn], [departed_bits], [busy], [active_child],
-     the logical-head index, parent, rate) is a plain array indexed by node
-     id, so nothing is boxed and the leaf-to-root walks touch contiguous
-     memory instead of chasing record pointers;
+   - every per-node field ([tn], [departed_bits], [busy], the
+     logical-head index, parent, rate) is a plain array indexed by node
+     id, so nothing is boxed and no walk chases record pointers. The
+     index numbers nodes level by level, so the upper levels, which every
+     departure's RESET-PATH / RESTART-NODE cascade visits, share a few
+     cache lines of each array: the top five levels of a depth-6
+     fan-out-4 tree are ids 0-340, 2.7 KB of a float array, where
+     preorder ids spread them over the whole 44 KB;
    - every interior node is one node of a [Wf2q_kernel] (the same WF2Q+
      code [Wf2q_plus] runs as a one-node instance), whose per-(node,
      session) stamps live in flat arenas — the whole hierarchy's scheduler
@@ -69,7 +73,6 @@ type t = {
   tn : float array; (* reference time T_n, post-dated *)
   departed_bits : float array; (* W_n(0, now) *)
   busy : Bytes.t; (* '\001' while the node is in its parent's system *)
-  active_child : int array; (* node id, -1 when none *)
   logical : int array; (* leaf id owning this subtree's head packet, -1 *)
   logical_bits : float array; (* size of that head packet *)
   (* -- per-leaf physical queues -- *)
@@ -164,7 +167,6 @@ let rec restart_node t n =
     if leaf < 0 then
       invalid_arg "Hier_flat: policy selected a child with empty logical queue";
     let bits = t.logical_bits.(child) in
-    t.active_child.(n) <- child;
     t.logical.(n) <- leaf;
     t.logical_bits.(n) <- bits;
     (* RESTART-NODE line 13: post-date this node's reference clock *)
@@ -197,7 +199,6 @@ let rec restart_node t n =
     end
   end
   else begin
-    t.active_child.(n) <- -1;
     let was_busy = Bytes.unsafe_get t.busy n <> '\000' in
     Bytes.unsafe_set t.busy n '\000';
     if n <> t.root && was_busy then begin
@@ -255,8 +256,7 @@ and reset_path t leaf =
   let off = t.path_off.(leaf) and len = t.path_len.(leaf) in
   for k = len - 1 downto 0 do
     let n = t.path_nodes.(off + k) in
-    t.logical.(n) <- -1;
-    t.active_child.(n) <- -1
+    t.logical.(n) <- -1
   done;
   Net.Queues.drop_head t.queues leaf;
   let q = t.parent.(leaf) in
@@ -429,7 +429,6 @@ let create ~sim ~spec ?(root_clock = `Real_time) ?on_depart ?on_drop
       tn = Array.make n_nodes 0.0;
       departed_bits = Array.make n_nodes 0.0;
       busy = Bytes.make n_nodes '\000';
-      active_child = Array.make n_nodes (-1);
       logical = Array.make n_nodes (-1);
       logical_bits = Array.make n_nodes 0.0;
       queues = Hier_tree.make_queues tree ~pool;
@@ -556,7 +555,6 @@ let close_leaf t ~(leaf : Hier_tree.leaf) ~policy =
         while !walking do
           if t.logical.(!m) = leaf then begin
             t.logical.(!m) <- -1;
-            t.active_child.(!m) <- -1;
             if !m = t.root then walking := false else m := t.parent.(!m)
           end
           else walking := false

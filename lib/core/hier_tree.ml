@@ -32,12 +32,26 @@ let create spec =
   let children_len = Array.make n 0 and slot = Array.make n (-1) in
   let capacity_bits = Array.make n None and names = Array.make n "" in
   let by_name = Hashtbl.create 16 in
-  let leaves = ref [] and next = ref 0 in
-  (* preorder: a node's id comes before its subtree's, so every subtree is
-     a contiguous id range and the root is 0 *)
+  (* level order: the root is 0, then level 1 left to right, then level
+     2, ... A preorder walk meets each level's nodes left to right, so it
+     takes every id from its level's cursor; a first walk counts the nodes
+     per level to place the cursors. *)
+  let cursor = Array.make (Class_tree.depth spec) 0 in
+  let rec count lvl s =
+    cursor.(lvl) <- cursor.(lvl) + 1;
+    List.iter (count (lvl + 1)) (Class_tree.children s)
+  in
+  count 0 spec;
+  let first = ref 0 in
+  Array.iteri
+    (fun lvl nodes ->
+      cursor.(lvl) <- !first;
+      first := !first + nodes)
+    cursor;
+  let leaves = ref [] in
   let rec number ~lvl ~par ~slot_in_par s =
-    let id = !next in
-    incr next;
+    let id = cursor.(lvl) in
+    cursor.(lvl) <- id + 1;
     names.(id) <- Class_tree.name s;
     rate.(id) <- Class_tree.rate s;
     level.(id) <- lvl;
@@ -53,7 +67,8 @@ let create spec =
       List.iteri (fun k c -> number ~lvl:(lvl + 1) ~par:id ~slot_in_par:k c) children)
   in
   number ~lvl:0 ~par:(-1) ~slot_in_par:(-1) spec;
-  (* children grouped per node, in id order *)
+  (* children grouped per node, in id order; a node's children are
+     consecutive ids in slot order *)
   let children_off = Array.make n 0 in
   for id = 1 to n - 1 do
     children_off.(id) <- children_off.(id - 1) + children_len.(id - 1)
@@ -221,13 +236,19 @@ struct
     if not (is_leaf t leaf) then invalid_arg "Hier_tree.leaf_path: not a leaf";
     Array.sub t.path_nodes t.path_off.(leaf) t.path_len.(leaf)
 
+  (* preorder, walking the children from the root: ids are level order *)
   let iter_interior e f =
     let t = E.index e in
-    for id = 0 to Array.length t.names - 1 do
-      if not (is_leaf t id) then
-        f ~id ~name:t.names.(id) ~level:t.level.(id)
-          ~children:(Array.sub t.child_ids t.children_off.(id) t.children_len.(id))
-    done
+    let rec visit id =
+      let off = t.children_off.(id) and len = t.children_len.(id) in
+      if len > 0 then begin
+        f ~id ~name:t.names.(id) ~level:t.level.(id) ~children:(Array.sub t.child_ids off len);
+        for s = 0 to len - 1 do
+          visit t.child_ids.(off + s)
+        done
+      end
+    in
+    visit 0
 
   let add_depart_hook e = add_depart_hook (E.hooks e)
   let add_drop_hook e = add_drop_hook (E.hooks e)

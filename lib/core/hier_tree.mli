@@ -3,7 +3,7 @@
 
     The paper (§4) builds H-PFQ as one tree procedure over any one-level
     PFQ node, so the tree's shape does not depend on the node discipline.
-    Every shape decision is made here, once: the preorder ids, parents,
+    Every shape decision is made here, once: the level-order ids, parents,
     levels and rates, each node's children with the session slot each
     child first takes in its parent, the leaf→root paths, the leaf queue
     caps and the names. So are the leaf lookups and the leaf-hook set,
@@ -39,9 +39,17 @@ type t = private {
   by_name : (string, int) Hashtbl.t;
   leaves : (string * leaf) list;  (** left to right *)
 }
-(** Arrays are indexed by node id. Ids are preorder: the root is [0] and
-    every subtree is a contiguous id range. Engines read the arrays
-    directly on their hot paths; nothing changes after {!create}. *)
+(** Arrays are indexed by node id. Ids are level order: the root is [0],
+    then level 1 left to right, then level 2, and so on, so each node's
+    children are consecutive ids in slot order and [level] never
+    decreases with the id. Every departure walks its leaf's path to the
+    root, so the upper levels are the hot part of each per-node array;
+    level order packs them at its front (in a depth-6 fan-out-4 tree the
+    top five levels are ids [0 .. 340]), where preorder spread them over
+    the whole range. Leaves keep their left-to-right order in [leaves]
+    but not among the ids: a key that must not depend on the numbering
+    uses a leaf's position there. Engines read the arrays directly on
+    their hot paths; nothing changes after {!create}. *)
 
 val create : Class_tree.t -> t
 (** @raise Invalid_argument if the spec fails {!Class_tree.validate} or
@@ -120,8 +128,9 @@ module type SURFACE = sig
 
   val iter_interior :
     engine -> (id:int -> name:string -> level:int -> children:int array -> unit) -> unit
-  (** Visit every interior node in id (preorder) order. [children.(s)] is
-      the node id in session slot [s] at creation. *)
+  (** Visit every interior node in preorder (the root, then each child's
+      subtree in slot order), not in id order. [children.(s)] is the node
+      id in session slot [s] at creation. *)
 
   val add_depart_hook : engine -> (Net.Packet.t -> leaf:string -> float -> unit) -> unit
   (** Append a departure callback (fires when the last bit leaves the

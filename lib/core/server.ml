@@ -34,7 +34,6 @@ type t = {
   mutable on_drop : Net.Packet_pool.handle -> float -> unit;
   mutable on_transmit_start : Net.Packet_pool.handle -> float -> unit;
   link : Link.t;
-  departed_total : float array; (* 1-element: a float field here would box *)
 }
 
 let[@inline] state t i = t.sess.((3 * i) + f_state)
@@ -147,7 +146,6 @@ and complete t pkt =
   let st = state t session land lnot in_service in
   set_state t session st;
   t.departed.(session) <- t.departed.(session) +. size_bits;
-  t.departed_total.(0) <- t.departed_total.(0) +. size_bits;
   if st land closing_drop <> 0 then begin
     (* close was deferred while this packet held the link: discard the
        rest of the queue and finish the close now *)
@@ -183,7 +181,6 @@ let create ~sim ~rate ~policy ?on_depart ?on_drop ?(burst_max = 1) () =
       on_drop = nop2;
       on_transmit_start = nop2;
       link = Link.create ~sim ~pool ~rate ~burst_max;
-      departed_total = [| 0.0 |];
     }
   in
   Link.set_complete t.link (complete t);
@@ -262,5 +259,3 @@ let policy t = t.policy
 let departed_bits t ~session =
   check_session t ~fn:"departed_bits" session;
   t.departed.(session)
-
-let departed_bits_total t = t.departed_total.(0)

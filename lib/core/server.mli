@@ -129,5 +129,3 @@ val add_transmit_start_handle_hook :
 val departed_bits : t -> session:int -> float
 (** Cumulative W_i(0, now): bits of the session fully transmitted.
     @raise Invalid_argument if the session was never opened. *)
-
-val departed_bits_total : t -> float

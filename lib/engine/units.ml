@@ -3,7 +3,6 @@ let bytes_of_bits b = b /. 8.0
 let bits_of_kilobytes kb = 8.0 *. 1024.0 *. kb
 let mbps x = x *. 1.0e6
 let kbps x = x *. 1.0e3
-let gbps x = x *. 1.0e9
 let ms x = x *. 1.0e-3
 let us x = x *. 1.0e-6
 let seconds_to_ms x = x *. 1.0e3

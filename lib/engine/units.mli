@@ -12,7 +12,6 @@ val mbps : float -> float
 (** [mbps x] is [x] megabits/second expressed in bits/second. *)
 
 val kbps : float -> float
-val gbps : float -> float
 val ms : float -> float
 (** [ms x] is [x] milliseconds expressed in seconds. *)
 

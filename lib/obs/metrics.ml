@@ -76,7 +76,7 @@ let credit_served t ~node ~bits =
 
 let on_drop t ~node = t.nodes.(node).drops <- t.nodes.(node).drops + 1
 
-let report ?(name = "node-metrics") t =
+let report ?(name = "node-metrics") ~order t =
   Stats.Report.make ~name
     ~columns:
       [
@@ -94,20 +94,20 @@ let report ?(name = "node-metrics") t =
       ]
     ~rows:(fun () ->
       let cell = Printf.sprintf "%.9g" in
-      Array.to_list
-        (Array.map
-           (fun n ->
-             [
-               n.name;
-               string_of_int n.arrivals;
-               cell n.arrived_bits;
-               string_of_int n.selects;
-               string_of_int n.served_pkts;
-               cell n.served_bits;
-               string_of_int n.drops;
-               string_of_int n.max_backlog;
-               string_of_int n.busy_periods;
-               (if n.vtime_min <= n.vtime_max then cell n.vtime_min else "");
-               (if n.vtime_min <= n.vtime_max then cell n.vtime_max else "");
-             ])
-           t.nodes))
+      List.map
+        (fun id ->
+          let n = t.nodes.(id) in
+          [
+            n.name;
+            string_of_int n.arrivals;
+            cell n.arrived_bits;
+            string_of_int n.selects;
+            string_of_int n.served_pkts;
+            cell n.served_bits;
+            string_of_int n.drops;
+            string_of_int n.max_backlog;
+            string_of_int n.busy_periods;
+            (if n.vtime_min <= n.vtime_max then cell n.vtime_min else "");
+            (if n.vtime_min <= n.vtime_max then cell n.vtime_max else "");
+          ])
+        order)

@@ -42,6 +42,6 @@ val credit_served : t -> node:int -> bits:float -> unit
 
 val on_drop : t -> node:int -> unit
 
-val report : ?name:string -> t -> Stats.Report.t
-(** One row per node — the same {!Stats.Report} shape every instrument in
-    [lib/stats] exports. *)
+val report : ?name:string -> order:int list -> t -> Stats.Report.t
+(** One row per node id of [order], in that order — the same
+    {!Stats.Report} shape every instrument in [lib/stats] exports. *)

@@ -261,4 +261,13 @@ let events_report ?(name = "trace-events") t =
       Recorder.iter t.recorder (fun ev -> acc := Sink.csv_row ns ev :: !acc);
       List.rev !acc)
 
-let metrics_report ?name t = Metrics.report ?name t.metrics
+(* node rows in preorder, the tree's reading order, walking the sessions
+   from the root: a hierarchy's node ids are level order *)
+let metrics_report ?name t =
+  let rows = ref [] in
+  let rec visit id =
+    rows := id :: !rows;
+    Array.iter visit t.session_nodes.(id)
+  in
+  if Array.length t.session_nodes > 0 then visit 0;
+  Metrics.report ?name ~order:(List.rev !rows) t.metrics

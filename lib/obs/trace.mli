@@ -88,3 +88,5 @@ val events_report : ?name:string -> t -> Stats.Report.t
     (columns {!Sink.csv_header}). *)
 
 val metrics_report : ?name:string -> t -> Stats.Report.t
+(** The node counters ({!Metrics.report}), one row per node in preorder:
+    the root first, then each child's subtree in slot order. *)

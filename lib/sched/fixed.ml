@@ -14,19 +14,15 @@ let one ~shift = 1 lsl shift
 
 (* ticks per bit for a session of [rate] bits per vtime-second; rounding
    here is the engine's single quantization point. The effective rate is
-   2^shift / ipb, within a relative 2^-shift of the request for rates up
-   to ~2^(shift-1). Rates above 2^shift bits/s would floor to 0 ticks/bit;
-   clamp to 1 and let the caller pick a bigger shift (create-time check in
-   Wf2q_plus_fixed). *)
+   2^shift / ipb, and rounding ipb moves it by a relative error of up to
+   about rate / 2^(shift+1): 5e-4 at 1 kb/s with shift 20. Every rate
+   above ~2^shift / 1.5 rounds to 1 tick/bit (above 2^(shift+1) it would
+   round to 0 and is clamped), so all such sessions get one weight.
+   Nothing checks for this: Wf2q_plus_fixed.create checks only the shift's
+   range (ROADMAP item 12). *)
 let ticks_per_bit ~shift ~rate =
   if rate <= 0.0 then invalid_arg "Fixed.ticks_per_bit: rate must be positive";
   max 1 (int_of_float (Float.round (float_of_int (one ~shift) /. rate)))
 
 let of_float ~shift v = int_of_float (Float.round (v *. float_of_int (one ~shift)))
 let to_float ~shift ticks = float_of_int ticks /. float_of_int (one ~shift)
-
-(* Overflow horizon: OCaml ints carry 62 value bits; with the default
-   shift of 20 the representable virtual-time span is 2^42 vtime-seconds
-   (~1.4e5 years of busy service at rate parity), and a single session's
-   finish stamp overflows only after serving ~2^42 * rate bits. *)
-let horizon_seconds ~shift = to_float ~shift max_int

@@ -7,10 +7,14 @@
     accumulates per-packet rounding the way a float engine does — and
     eligibility tests are exact [<=] with no {!Float_cmp} slack.
 
-    Scale choice: [shift] trades rate resolution (relative rate error
-    [2^-shift]) against overflow horizon ([2^(62-shift)] vtime-seconds).
-    The default 20 supports rates up to ~[2^19] bits per vtime-second at
-    better than 2 ppm and a horizon of ~[4.4e12] vtime-seconds. *)
+    Scale choice: [shift] trades rate resolution against overflow horizon
+    ([2^(62-shift)] vtime-seconds, ~[4.4e12] at the default 20). The
+    relative rate error is up to about [rate / 2^(shift+1)], not
+    [2^-shift]: at shift 20 it is under 2 ppm only below ~4 bits per
+    vtime-second and 5e-4 at 1 kb/s, and every rate above ~0.7 Mb/s
+    rounds to 1 tick/bit, so such sessions all get the same weight.
+    Rates must be normalized well below [2^shift] for the weights to
+    hold; ROADMAP item 12 is the fix. *)
 
 val default_shift : int
 
@@ -24,6 +28,3 @@ val ticks_per_bit : shift:int -> rate:float -> int
 
 val of_float : shift:int -> float -> int
 val to_float : shift:int -> int -> float
-
-val horizon_seconds : shift:int -> float
-(** Largest representable virtual time, in vtime-seconds. *)

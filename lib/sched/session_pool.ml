@@ -102,8 +102,3 @@ let free t slot =
     t.next_free.(slot) <- t.free_head;
     t.free_head <- slot
   end
-
-let iter_live t f =
-  for slot = 0 to t.n_slots - 1 do
-    if t.state.(slot) <> Free then f slot
-  done

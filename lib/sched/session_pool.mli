@@ -55,4 +55,3 @@ val slot_count : t -> int
     cover. *)
 
 val capacity : t -> int
-val iter_live : t -> (int -> unit) -> unit

@@ -46,17 +46,6 @@ let samples t = List.rev t.samples
 let report ?(name = "delays") t =
   Report.of_points ~name ~x:"time" ~y:"delay" (samples t)
 
-let summary_report ?(name = "delay-summary") t =
-  Report.make ~name ~columns:[ "stat"; "value" ] ~rows:(fun () ->
-      let cell = Printf.sprintf "%.9g" in
-      [
-        [ "count"; string_of_int (count t) ];
-        [ "mean"; cell (mean t) ];
-        [ "stddev"; cell (stddev t) ];
-        [ "min"; cell (min_delay t) ];
-        [ "max"; cell (max_delay t) ];
-      ])
-
 let series_max_over_windows t ~window =
   if window <= 0.0 then invalid_arg "Delay_stats: window must be positive";
   let tbl = Hashtbl.create 64 in

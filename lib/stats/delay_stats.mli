@@ -28,5 +28,3 @@ val series_max_over_windows : t -> window:float -> (float * float) list
 val report : ?name:string -> t -> Report.t
 (** The samples as a [time,delay] table. *)
 
-val summary_report : ?name:string -> t -> Report.t
-(** One-row-per-statistic table: count, mean, stddev, min, max. *)

@@ -92,6 +92,64 @@ let test_deep_chain_golden () =
   Alcotest.(check (list (pair string (float 1e-9)))) "flat matches golden" golden (times f);
   Alcotest.(check (option string)) "flat = generic exactly" None (Lockstep.diff g f)
 
+(* ---- the tree index: level-order ids ---- *)
+
+(* Random unbalanced trees (depth up to 5, fan-out 1..8, a third of the
+   nodes below the root cut short as leaves). The index numbers nodes
+   level by level; every relation the engines read off it must hold, and
+   the two engines must still agree on the tree. *)
+let test_level_order_index () =
+  let rng = Random.State.make [| 0x1e7e1 |] in
+  for _ = 1 to 100 do
+    let s = Lockstep.gen_scenario Lockstep.tree rng in
+    let t = Hpfq.Hier_tree.create s.spec in
+    let n = Hpfq.Hier_tree.node_count t in
+    Alcotest.(check (pair string int)) "root is 0" (CT.name s.spec, -1) (t.names.(0), t.parent.(0));
+    for id = 1 to n - 1 do
+      if t.level.(id) < t.level.(id - 1) then Alcotest.failf "level falls at id %d" id;
+      (* level order lists the children of ids 0, 1, 2, ... as ids 1 .. n-1 *)
+      if t.child_ids.(id - 1) <> id then Alcotest.failf "CSR entry %d is not id %d" (id - 1) id
+    done;
+    (* each node's children: consecutive ids, in the spec's order *)
+    let rec walk spec =
+      let id = Hpfq.Hier_tree.node_id t (CT.name spec) in
+      let off = t.children_off.(id) and kids = CT.children spec in
+      Alcotest.(check int) "child count" (List.length kids) t.children_len.(id);
+      List.iteri
+        (fun slot kid ->
+          let c = t.child_ids.(off + slot) in
+          Alcotest.(check string) "slot order" (CT.name kid) t.names.(c);
+          Alcotest.(check (triple int int int)) "consecutive, parent, slot"
+            (t.child_ids.(off) + slot, id, slot) (c, t.parent.(c), t.slot.(c));
+          walk kid)
+        kids
+    in
+    walk s.spec;
+    Alcotest.(check (list string)) "leaves left to right"
+      (List.map fst (CT.leaves s.spec)) (List.map fst t.leaves);
+    List.iter
+      (fun (_, (leaf : Hpfq.Hier_tree.leaf)) ->
+        let leaf = (leaf :> int) in
+        let path = Array.sub t.path_nodes t.path_off.(leaf) t.path_len.(leaf) in
+        Alcotest.(check int) "path length" (t.level.(leaf) + 1) (Array.length path);
+        Alcotest.(check (pair int int)) "path ends" (leaf, 0) (path.(0), path.(Array.length path - 1));
+        Array.iteri
+          (fun k m -> if k > 0 then Alcotest.(check int) "path follows parent" t.parent.(path.(k - 1)) m)
+          path)
+      t.leaves;
+    (* iter_interior walks preorder, whatever the ids *)
+    let rec interior spec =
+      if CT.is_leaf spec then [] else CT.name spec :: List.concat_map interior (CT.children spec)
+    in
+    let visited = ref [] in
+    HF.iter_interior
+      (HF.create ~sim:(Sim.create ()) ~spec:s.spec ())
+      (fun ~id:_ ~name ~level:_ ~children:_ -> visited := name :: !visited);
+    Alcotest.(check (list string)) "iter_interior in preorder" (interior s.spec) (List.rev !visited);
+    Alcotest.(check (option string)) "flat = generic" None
+      Lockstep.(diff (run generic s) (run flat s))
+  done
+
 (* Fan-out 4 puts every flat node on the kernel's slot scan, while
    generic runs the heaps; the two must agree where the scan can go
    wrong. Equal weights and sizes tie every F_i, so the pick must fall to
@@ -583,6 +641,7 @@ let () =
            [
              Alcotest.test_case "trace event streams identical" `Quick test_trace_parity;
              Alcotest.test_case "deep chain golden" `Quick test_deep_chain_golden;
+             Alcotest.test_case "level-order index" `Quick test_level_order_index;
              Alcotest.test_case "stamped root spot check" `Quick test_stamped_root_spot_check;
              Alcotest.test_case "scan ties and slack boundary" `Quick test_scan_ties_and_slack;
            ] );
