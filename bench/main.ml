@@ -135,20 +135,18 @@ let complexity () =
    out and puts its key back a pseudo-random (30-bit LCG) increment later.
    Only the 4-ary heap has [replace_min], the WF2Q+ kernel's swap. *)
 let heaps () =
-  section "HEAPS: ns per hold step: 4-ary (every scheduler), int twin, binary (test reference)";
+  section "HEAPS: ns per hold step: 4-ary (every scheduler), binary (test reference)";
   let module H4 = Prioq.Indexed_heap4 in
-  let module Hi = Prioq.Indexed_heap_int in
   let module H2 = Prioq.Indexed_heap in
   let x = ref 1 in
   let next () = x := ((!x * 1103515245) + 12345) land 0x3fff_ffff; !x in
   let later p = p +. float_of_int (next ()) in
   List.iter
     (fun n ->
-      let h4 = H4.create n and hi = Hi.create n and h2 = H2.create n in
+      let h4 = H4.create n and h2 = H2.create n in
       for k = 0 to n - 1 do
         let p = next () in
         H4.add h4 ~key:k ~prio:(float_of_int p);
-        Hi.add hi ~key:k ~prio:p;
         H2.add h2 ~key:k ~prio:(float_of_int p)
       done;
       let holds =
@@ -161,11 +159,6 @@ let heaps () =
               let k = H4.min_key_unsafe h4 and p = H4.min_prio_unsafe h4 in
               H4.drop_min h4;
               H4.add h4 ~key:k ~prio:(later p) );
-          ( "int drop_min+add",
-            fun () ->
-              let k = Hi.min_key_unsafe hi and p = Hi.min_prio_unsafe hi in
-              Hi.drop_min hi;
-              Hi.add hi ~key:k ~prio:(p + next ()) );
           ( "binary pop_min+add",
             fun () -> Option.iter (fun (k, p) -> H2.add h2 ~key:k ~prio:(later p)) (H2.pop_min h2) );
         ]

@@ -33,7 +33,6 @@ type node = {
   mutable lifecycle : lifecycle;
   mutable busy : bool;
   mutable logical : Net.Packet_pool.handle; (* Q_n: head of this subtree *)
-  mutable active_child : int;               (* node id, -1 when none *)
 }
 
 type t = {
@@ -90,7 +89,6 @@ let rec restart_node t n =
     let pkt = child.logical in
     if pkt < 0 then
       invalid_arg "Hier: policy selected a child with empty logical queue";
-    n.active_child <- child.id;
     n.logical <- pkt;
     let bits = Net.Packet_pool.size_bits t.pool pkt in
     (* RESTART-NODE line 13: post-date this node's reference clock *)
@@ -113,7 +111,6 @@ let rec restart_node t n =
       if q.logical < 0 then restart_node t q
     end
   | None ->
-    n.active_child <- -1;
     let was_busy = n.busy in
     n.busy <- false;
     if not (is_root t n) then begin
@@ -141,52 +138,46 @@ and complete_transmission t pkt =
     t.departed_bits.(n) <- t.departed_bits.(n) +. bits
   done;
   t.hooks.on_depart pkt ~leaf:t.names.(leaf) now;
-  reset_path t;
+  reset_path t leaf;
   (* the departed packet's cell recycles only after its callbacks fired
      and RESET-PATH dequeued it from the leaf queue *)
   Net.Packet_pool.free t.pool pkt
 
-(* RESET-PATH: walk down the active path clearing logical queues, dequeue
-   the transmitted packet at its leaf, then restart upward. *)
-and reset_path t =
-  let rec descend n =
-    n.logical <- no_pkt;
-    match n.kind with
-    | Interior _ ->
-      let c = n.active_child in
-      n.active_child <- -1;
-      if c < 0 then invalid_arg "Hier: reset_path lost the active child";
-      descend t.nodes.(c)
-    | Leaf_node ->
-      if Net.Queues.is_empty t.queues n.id then
-        invalid_arg "Hier: transmitted packet missing from its leaf queue";
-      Net.Queues.drop_head t.queues n.id;
-      let q = t.nodes.(t.parent.(n.id)) in
-      let q_now = node_now t q in
-      (match n.lifecycle with
-      | `Drop_pending ->
-        (* a `Drop close was deferred while this leaf's head held the wire:
-           discard the rest of the queue and finish the close now *)
-        drop_queue t n;
-        (policy_of q).Sched_intf.set_idle ~now:q_now ~session:n.session_in_parent;
-        (policy_of q).Sched_intf.close_session ~now:q_now ~policy:`Drop
-          n.handle_in_parent;
-        n.lifecycle <- `Closed
-      | `Open | `Draining | `Closed ->
-        if not (Net.Queues.is_empty t.queues n.id) then begin
-          let next = Net.Queues.peek_exn t.queues n.id in
-          n.logical <- next;
-          (policy_of q).Sched_intf.requeue ~now:q_now ~session:n.session_in_parent
-            ~head_bits:(Net.Packet_pool.size_bits t.pool next)
-        end
-        else begin
-          (* a draining leaf's pool slot frees inside the policy's set_idle *)
-          (policy_of q).Sched_intf.set_idle ~now:q_now ~session:n.session_in_parent;
-          if n.lifecycle = `Draining then n.lifecycle <- `Closed
-        end);
-      restart_node t q
-  in
-  descend t.nodes.(t.root)
+(* RESET-PATH: clear the logical queues down the transmitted packet's path
+   (it IS the active path — every logical head on it is this packet),
+   dequeue at the leaf, then restart upward. *)
+and reset_path t leaf =
+  let off = t.path_off.(leaf) in
+  for k = off to off + t.path_len.(leaf) - 1 do
+    t.nodes.(t.path_nodes.(k)).logical <- no_pkt
+  done;
+  let n = t.nodes.(leaf) in
+  if Net.Queues.is_empty t.queues leaf then
+    invalid_arg "Hier: transmitted packet missing from its leaf queue";
+  Net.Queues.drop_head t.queues leaf;
+  let q = t.nodes.(t.parent.(leaf)) in
+  let q_now = node_now t q in
+  (match n.lifecycle with
+  | `Drop_pending ->
+    (* a `Drop close was deferred while this leaf's head held the wire:
+       discard the rest of the queue and finish the close now *)
+    drop_queue t n;
+    (policy_of q).Sched_intf.set_idle ~now:q_now ~session:n.session_in_parent;
+    (policy_of q).Sched_intf.close_session ~now:q_now ~policy:`Drop n.handle_in_parent;
+    n.lifecycle <- `Closed
+  | `Open | `Draining | `Closed ->
+    if not (Net.Queues.is_empty t.queues leaf) then begin
+      let next = Net.Queues.peek_exn t.queues leaf in
+      n.logical <- next;
+      (policy_of q).Sched_intf.requeue ~now:q_now ~session:n.session_in_parent
+        ~head_bits:(Net.Packet_pool.size_bits t.pool next)
+    end
+    else begin
+      (* a draining leaf's pool slot frees inside the policy's set_idle *)
+      (policy_of q).Sched_intf.set_idle ~now:q_now ~session:n.session_in_parent;
+      if n.lifecycle = `Draining then n.lifecycle <- `Closed
+    end);
+  restart_node t q
 
 and drop_queue t n =
   let now = Engine.Simulator.now t.sim in
@@ -217,7 +208,6 @@ let create ~sim ~spec ~make_policy ?(root_clock = `Real_time) ?on_depart ?on_dro
       lifecycle = `Open;
       busy = false;
       logical = no_pkt;
-      active_child = -1;
     }
   in
   let nodes = Array.init n node in
@@ -333,7 +323,6 @@ let close_leaf t ~(leaf : leaf) ~policy =
         let rec clear_up m =
           if m.logical = pkt then begin
             m.logical <- no_pkt;
-            m.active_child <- -1;
             if not (is_root t m) then clear_up t.nodes.(t.parent.(m.id))
           end
         in

@@ -1,15 +1,16 @@
 open Sched
+module H = Prioq.Indexed_heap4
 
 (* Fixed-point WF2Q+: the SoA layout of Wf2q_plus with every virtual-time
-   field carried as integer ticks (2^shift per vtime-second) and the heaps
-   swapped for the int-priority Indexed_heap_int. The two quantization
-   points — session rate -> ticks-per-bit, packet size -> whole bits —
-   both happen at the interface; past them all stamp arithmetic (eqs.
-   27-29) is exact integer addition and every comparison is an exact
-   machine compare, so there is no Float_cmp slack and no accumulated
-   rounding (DESIGN.md §13). *)
+   field carried as integer ticks (2^Fixed.shift per vtime-second). The
+   heaps are the float-priority Indexed_heap4, keyed by each stamp's bit
+   pattern (Fixed.prio), which orders nonnegative ticks exactly as the
+   ints do. The two quantization points — session rate -> ticks-per-bit,
+   packet size -> whole bits — both happen at the interface; past them
+   all stamp arithmetic (eqs. 27-29) is exact integer addition and every
+   comparison is an exact machine compare, so there is no Float_cmp
+   slack and no accumulated rounding (DESIGN.md §13). *)
 type state = {
-  shift : int;
   server_ipb : int;                 (* server ticks per bit: 2^shift / R *)
   mutable ipb : int array;          (* per-session ticks per bit *)
   mutable starts : int array;       (* S_i ticks *)
@@ -17,8 +18,8 @@ type state = {
   mutable head_bits : int array;    (* head size, whole bits *)
   mutable backlogged : Bytes.t;
   pool : Session_pool.t;
-  eligible : Prioq.Indexed_heap_int.t; (* S_i <= V, keyed by F_i *)
-  waiting : Prioq.Indexed_heap_int.t;  (* S_i >  V, keyed by S_i *)
+  eligible : H.t;                   (* S_i <= V, keyed by prio F_i *)
+  waiting : H.t;                    (* S_i >  V, keyed by prio S_i *)
   mutable v : int;                  (* V in ticks, post-dated as in RESTART-NODE *)
   mutable v_time : float;           (* server-time stamp of [v] (real seconds) *)
   mutable backlogged_count : int;
@@ -32,9 +33,7 @@ type t = state
    operation. When the engine is driven back-to-back (now = v_time, the
    reference-time pattern of Server/Hier), the elapsed term is exactly 0
    and linear_v is the exact integer [v]. *)
-let linear_v t ~now = t.v + Fixed.of_float ~shift:t.shift (now -. t.v_time)
-
-let to_vtime t ticks = Fixed.to_float ~shift:t.shift ticks
+let linear_v t ~now = t.v + Fixed.of_float (now -. t.v_time)
 
 let bits_of_float size_bits =
   if size_bits < 0.0 then invalid_arg "Wf2q_plus_fixed: negative size";
@@ -60,42 +59,41 @@ let ensure_capacity t slot =
 
 let place t session =
   if t.starts.(session) <= t.v then
-    Prioq.Indexed_heap_int.add t.eligible ~key:session ~prio:t.finishes.(session)
-  else Prioq.Indexed_heap_int.add t.waiting ~key:session ~prio:t.starts.(session)
+    H.add t.eligible ~key:session ~prio:(Fixed.prio t.finishes.(session))
+  else H.add t.waiting ~key:session ~prio:(Fixed.prio t.starts.(session))
+
+(* min S of a nonempty waiting heap, back in ticks *)
+let min_start t = Fixed.ticks_of_prio (H.min_prio_unsafe t.waiting)
 
 let promote t ~threshold =
   let continue = ref true in
-  while !continue && not (Prioq.Indexed_heap_int.is_empty t.waiting) do
-    let start = Prioq.Indexed_heap_int.min_prio_unsafe t.waiting in
-    if start <= threshold then begin
-      let session = Prioq.Indexed_heap_int.min_key_unsafe t.waiting in
-      Prioq.Indexed_heap_int.drop_min t.waiting;
-      Prioq.Indexed_heap_int.add t.eligible ~key:session ~prio:t.finishes.(session)
+  while !continue && not (H.is_empty t.waiting) do
+    if min_start t <= threshold then begin
+      let session = H.min_key_unsafe t.waiting in
+      H.drop_min t.waiting;
+      H.add t.eligible ~key:session ~prio:(Fixed.prio t.finishes.(session))
     end
     else continue := false
   done
 
-let create ?(shift = Fixed.default_shift) ~rate () =
+let create ~rate =
   if rate <= 0.0 then invalid_arg "Wf2q_plus_fixed.create: rate must be positive";
-  if shift < 1 || shift > 40 then invalid_arg "Wf2q_plus_fixed.create: bad shift";
   {
-    shift;
-    server_ipb = Fixed.ticks_per_bit ~shift ~rate;
+    server_ipb = Fixed.ticks_per_bit ~rate;
     ipb = [||];
     starts = [||];
     finishes = [||];
     head_bits = [||];
     backlogged = Bytes.create 0;
     pool = Session_pool.create ~name:"Wf2q_plus_fixed" ();
-    eligible = Prioq.Indexed_heap_int.create 16;
-    waiting = Prioq.Indexed_heap_int.create 16;
+    eligible = H.create 16;
+    waiting = H.create 16;
     v = 0;
     v_time = 0.0;
     backlogged_count = 0;
     observer = None;
   }
 
-let shift t = t.shift
 let v_ticks t = t.v
 
 let policy t =
@@ -104,7 +102,7 @@ let policy t =
     let slot = Session_pool.alloc t.pool in
     ensure_capacity t slot;
     (* the ONE quantization of this session's rate *)
-    t.ipb.(slot) <- Fixed.ticks_per_bit ~shift:t.shift ~rate;
+    t.ipb.(slot) <- Fixed.ticks_per_bit ~rate;
     t.starts.(slot) <- 0;
     t.finishes.(slot) <- 0;
     t.head_bits.(slot) <- 0;
@@ -117,8 +115,8 @@ let policy t =
       match policy with
       | `Drain -> Session_pool.mark_draining t.pool slot
       | `Drop ->
-        Prioq.Indexed_heap_int.remove t.eligible slot;
-        Prioq.Indexed_heap_int.remove t.waiting slot;
+        H.remove t.eligible slot;
+        H.remove t.waiting slot;
         Bytes.set t.backlogged slot '\000';
         t.backlogged_count <- t.backlogged_count - 1;
         Session_pool.free t.pool slot
@@ -130,7 +128,7 @@ let policy t =
     match t.observer with
     | None -> ()
     | Some o ->
-      o.Sched_intf.on_arrive ~now ~vtime:(to_vtime t (linear_v t ~now)) ~session ~size_bits
+      o.Sched_intf.on_arrive ~now ~vtime:(Fixed.to_float (linear_v t ~now)) ~session ~size_bits
   in
   let backlog ~now ~session ~head_bits =
     Session_pool.check_live t.pool session;
@@ -148,7 +146,7 @@ let policy t =
     match t.observer with
     | None -> ()
     | Some o ->
-      o.Sched_intf.on_backlog ~now ~vtime:(to_vtime t (linear_v t ~now)) ~session ~head_bits
+      o.Sched_intf.on_backlog ~now ~vtime:(Fixed.to_float (linear_v t ~now)) ~session ~head_bits
   in
   let requeue ~now ~session ~head_bits =
     Session_pool.check_live t.pool session;
@@ -161,21 +159,21 @@ let policy t =
     t.starts.(session) <- start;
     t.finishes.(session) <- finish;
     t.head_bits.(session) <- bits;
-    if Prioq.Indexed_heap_int.mem t.eligible session then
+    if H.mem t.eligible session then
       if start <= t.v then
-        Prioq.Indexed_heap_int.update t.eligible ~key:session ~prio:finish
+        H.update t.eligible ~key:session ~prio:(Fixed.prio finish)
       else begin
-        Prioq.Indexed_heap_int.remove t.eligible session;
-        Prioq.Indexed_heap_int.add t.waiting ~key:session ~prio:start
+        H.remove t.eligible session;
+        H.add t.waiting ~key:session ~prio:(Fixed.prio start)
       end
     else begin
-      Prioq.Indexed_heap_int.remove t.waiting session;
+      H.remove t.waiting session;
       place t session
     end;
     match t.observer with
     | None -> ()
     | Some o ->
-      o.Sched_intf.on_requeue ~now ~vtime:(to_vtime t (linear_v t ~now)) ~session ~head_bits
+      o.Sched_intf.on_requeue ~now ~vtime:(Fixed.to_float (linear_v t ~now)) ~session ~head_bits
   in
   let set_idle ~now ~session =
     Session_pool.check_live t.pool session;
@@ -183,12 +181,12 @@ let policy t =
       invalid_arg "Wf2q_plus_fixed: set_idle of idle session";
     Bytes.set t.backlogged session '\000';
     t.backlogged_count <- t.backlogged_count - 1;
-    Prioq.Indexed_heap_int.remove t.eligible session;
-    Prioq.Indexed_heap_int.remove t.waiting session;
+    H.remove t.eligible session;
+    H.remove t.waiting session;
     if Session_pool.is_draining t.pool session then Session_pool.free t.pool session;
     match t.observer with
     | None -> ()
-    | Some o -> o.Sched_intf.on_idle ~now ~vtime:(to_vtime t (linear_v t ~now)) ~session
+    | Some o -> o.Sched_intf.on_idle ~now ~vtime:(Fixed.to_float (linear_v t ~now)) ~session
   in
   let select ~now =
     if t.backlogged_count = 0 then None
@@ -197,23 +195,23 @@ let policy t =
       let lin = linear_v t ~now in
       let threshold =
         if
-          Prioq.Indexed_heap_int.is_empty t.eligible
-          && not (Prioq.Indexed_heap_int.is_empty t.waiting)
-        then max lin (Prioq.Indexed_heap_int.min_prio_unsafe t.waiting)
+          H.is_empty t.eligible
+          && not (H.is_empty t.waiting)
+        then max lin (min_start t)
         else lin
       in
       promote t ~threshold;
-      let session = Prioq.Indexed_heap_int.min_key_unsafe t.eligible in
+      let session = H.min_key_unsafe t.eligible in
       if session < 0 then None (* unreachable: threshold >= min S guarantees a candidate *)
       else begin
         (* RESTART-NODE lines 12-13: post-date V (in exact ticks) and its
            real-time stamp to the committed packet's completion. *)
         let service_ticks = t.head_bits.(session) * t.server_ipb in
         t.v <- threshold + service_ticks;
-        t.v_time <- now +. to_vtime t service_ticks;
+        t.v_time <- now +. Fixed.to_float service_ticks;
         (match t.observer with
         | None -> ()
-        | Some o -> o.Sched_intf.on_select ~now ~vtime:(to_vtime t t.v) ~session);
+        | Some o -> o.Sched_intf.on_select ~now ~vtime:(Fixed.to_float t.v) ~session);
         Some session
       end
     end
@@ -229,10 +227,10 @@ let policy t =
     requeue;
     set_idle;
     select;
-    virtual_time = (fun ~now -> to_vtime t (linear_v t ~now));
+    virtual_time = (fun ~now -> Fixed.to_float (linear_v t ~now));
     backlogged_count = (fun () -> t.backlogged_count);
     set_observer = (fun o -> t.observer <- o);
   }
 
-let make ~rate = policy (create ~rate ())
+let make ~rate = policy (create ~rate)
 let factory = { Sched_intf.kind = "WF2Q+fx"; make }

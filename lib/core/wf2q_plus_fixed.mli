@@ -4,15 +4,18 @@
     [V(t+τ) = max(V(t)+τ, min S)], eq. 28's two stamping branches, SEFF
     selection with RESTART-NODE post-dating — but every virtual-time
     quantity is an integer count of ticks, [2^shift] ticks per
-    vtime-second (see {!Sched.Fixed}):
+    vtime-second ({!Sched.Fixed.shift} = 20; see {!Sched.Fixed}):
 
     - each session's inverse rate is quantized {e once} at [open_session]
       to an integer ticks-per-bit; stamp updates are then exact integer
       adds, so the engine never accumulates per-packet rounding — a float
       engine's [Σ L/r] drifts with the horizon, this one is bit-stable
       forever (within the [2^(62-shift)]-vtime-second overflow horizon);
-    - eligibility ([S ≤ V]) and min-F comparisons are exact int compares:
-      no {!Sched.Float_cmp} slack anywhere on the hot path;
+    - eligibility ([S ≤ V]) and min-F comparisons are exact: the
+      eligible and waiting sets are {!Prioq.Indexed_heap4}s keyed by each
+      stamp's bit pattern ({!Sched.Fixed.prio}), which orders nonnegative
+      ticks exactly as the ints do, and the [S ≤ V] test reads the ticks
+      back; no {!Sched.Float_cmp} slack anywhere on the hot path;
     - packet sizes are rounded to whole bits at the interface (the driving
       protocol carries float bits for historical reasons).
 
@@ -27,16 +30,13 @@
 
 type t
 
-val create : ?shift:int -> rate:float -> unit -> t
-(** [create ~rate ()] builds an engine for a server of [rate] bits per
-    second of server time, with [2^shift] ticks per vtime-second
-    (default {!Sched.Fixed.default_shift}).
+val create : rate:float -> t
+(** [create ~rate] builds an engine for a server of [rate] bits per
+    second of server time.
     @raise Invalid_argument if [rate <= 0]. *)
 
 val policy : t -> Sched.Sched_intf.t
 (** The engine as a one-level building block (name ["WF2Q+fx"]). *)
-
-val shift : t -> int
 
 val v_ticks : t -> int
 (** Raw fixed-point virtual time, for drift instrumentation: the soak
@@ -44,6 +44,6 @@ val v_ticks : t -> int
     integer recomputation and against the float reference engine. *)
 
 val make : rate:float -> Sched.Sched_intf.t
-(** [create] + [policy] with the default shift. *)
+(** [create] + [policy]. *)
 
 val factory : Sched.Sched_intf.factory

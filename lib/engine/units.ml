@@ -1,5 +1,4 @@
 let bits_of_bytes b = 8.0 *. b
-let bytes_of_bits b = b /. 8.0
 let bits_of_kilobytes kb = 8.0 *. 1024.0 *. kb
 let mbps x = x *. 1.0e6
 let kbps x = x *. 1.0e3

@@ -6,7 +6,6 @@
     magic constants. *)
 
 val bits_of_bytes : float -> float
-val bytes_of_bits : float -> float
 val bits_of_kilobytes : float -> float
 val mbps : float -> float
 (** [mbps x] is [x] megabits/second expressed in bits/second. *)

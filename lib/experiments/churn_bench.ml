@@ -223,14 +223,13 @@ let soak_float ~packets =
     s_drift = (v_end -. prod) -. err; s_exact = false }
 
 let soak_fixed ~packets =
-  let eng = Hpfq.Wf2q_plus_fixed.create ~rate:soak_rate () in
+  let eng = Hpfq.Wf2q_plus_fixed.create ~rate:soak_rate in
   let p = Hpfq.Wf2q_plus_fixed.policy eng in
-  let shift = Hpfq.Wf2q_plus_fixed.shift eng in
   let h = p.Intf.open_session ~rate:soak_rate in
   let s = p.Intf.session_of_handle h in
   p.Intf.backlog ~now:0.0 ~session:s ~head_bits:1.0;
-  let service_ticks = Sched.Fixed.ticks_per_bit ~shift ~rate:soak_rate in
-  let step = Sched.Fixed.to_float ~shift service_ticks in
+  let service_ticks = Sched.Fixed.ticks_per_bit ~rate:soak_rate in
+  let step = Sched.Fixed.to_float service_ticks in
   let now = ref 0.0 in
   for _ = 1 to packets do
     (match p.Intf.select ~now:!now with
@@ -245,7 +244,7 @@ let soak_fixed ~packets =
     s_engine = "WF2Q+fx";
     s_packets = packets;
     s_v_end = p.Intf.virtual_time ~now:!now;
-    s_drift = Sched.Fixed.to_float ~shift drift_ticks;
+    s_drift = Sched.Fixed.to_float drift_ticks;
     s_exact = drift_ticks = 0;
   }
 

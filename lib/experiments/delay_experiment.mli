@@ -15,8 +15,6 @@
 
 type scenario = S1_constant_and_trains | S2_overloaded_poisson | S3_overload_and_trains
 
-val scenario_name : scenario -> string
-
 type result = {
   discipline : string;
   scenario : scenario;

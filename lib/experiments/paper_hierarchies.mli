@@ -41,12 +41,8 @@ val rt1_sigma_bits : float
     beyond the sustained rate; used for delay-bound comparisons. *)
 
 val ps_rate : float
-val cs_rate : float
 
 (** {1 Fig. 8 — link-sharing hierarchy with TCP and on/off sources (§5.2)} *)
-
-val fig8_link_rate : float
-(** 40 Mbps. *)
 
 val fig8 : Hpfq.Class_tree.t
 (** Four levels; one on/off source per level; TCP-1 at level 1, TCP-5 at 2,

@@ -31,7 +31,6 @@ let arrive t ~at ~session ~size_bits =
 let advance t ~to_ = Hgps.advance t.hgps ~to_
 let now t = Hgps.now t.hgps
 let served_bits t ~session = Hgps.served_bits t.hgps ~node:(session_name session)
-let total_served_bits t = Hgps.served_bits t.hgps ~node:"link"
 let backlog_bits t ~session = Hgps.backlog_bits t.hgps ~leaf:t.leaf_ids.(session)
 
 let set_persistent t ~at ~session on =

@@ -12,7 +12,6 @@ val arrive : t -> at:float -> session:int -> size_bits:float -> Net.Packet.t
 val advance : t -> to_:float -> unit
 val now : t -> float
 val served_bits : t -> session:int -> float
-val total_served_bits : t -> float
 val backlog_bits : t -> session:int -> float
 val set_persistent : t -> at:float -> session:int -> bool -> unit
 val busy : t -> bool

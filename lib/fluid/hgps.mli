@@ -37,10 +37,6 @@ val leaf_id : t -> string -> int
 val arrive : t -> at:float -> leaf:int -> size_bits:float -> Net.Packet.t
 (** Advance to [at], then add a packet's worth of fluid to the leaf. *)
 
-val arrive_packet : t -> at:float -> Net.Packet.t -> unit
-(** Same, for an existing packet (shared with a packet-system run so finish
-    times can be joined by uid). *)
-
 val set_persistent : t -> at:float -> leaf:int -> bool -> unit
 (** Toggle persistent (always-backlogged) mode. Entering persistent mode
     suspends packet-boundary tracking; leaving it clears the leaf. *)

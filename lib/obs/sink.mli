@@ -11,9 +11,6 @@ type names = {
 }
 (** Label functions applied at emission time. *)
 
-val numeric_names : names
-(** Fallback labels: the raw integer ids. *)
-
 type t
 
 val emit : t -> Event.t -> unit

@@ -36,7 +36,9 @@ type t
 
 val create : ?jobs:int -> unit -> t
 (** A pool running at most [jobs] worker domains (including the calling
-    one). Defaults to {!default_jobs}[ ()].
+    one). Defaults to the [HPFQ_JOBS] environment variable if set to a
+    positive integer (invalid values warn on stderr), otherwise [1] —
+    sweeps are sequential unless asked.
     @raise Invalid_argument if [jobs] is below 1 or above {!max_jobs}. *)
 
 val jobs : t -> int
@@ -45,11 +47,6 @@ val jobs : t -> int
 val max_jobs : int
 (** The largest [jobs] {!create} accepts (1024): a guard against
     oversubscription typos such as [-j 1e6]. *)
-
-val default_jobs : unit -> int
-(** The process default: the [HPFQ_JOBS] environment variable if set to a
-    positive integer (invalid values warn on stderr), otherwise [1] —
-    sweeps are sequential unless asked. *)
 
 val cores : unit -> int
 (** [Domain.recommended_domain_count ()] — the parallelism the host can

@@ -36,7 +36,7 @@
      level: with it [port_4k] lost 10 of 10 alternating pairs to this
      rule (0.91x). Replaying ties by such a tournament instead of the
      loop won 4 of 5 [subtree_overload] pairs, where ~40% of fans tie,
-     by ~6%, for a second copy of the pick in both heaps; not kept.
+     by ~6%, for a second copy of the pick; not kept.
      Every fan ties with equal-weight sessions and equal packets, and
      there the tournament is wasted work before the loop: the one-level
      WF2Q+ cycle at 4,096 such sessions reads 234 ns against the loop
@@ -54,8 +54,8 @@
        10^6       402 -> 399 ns (1.02)   425 -> 425 ns (1.03)
 
      With the tournament at every level the 10^6 rows read 1.4-1.6x the
-     loop's; with [cold] = 16,384 the int heap's 10^6 row read a few
-     percent slower than the loop's.
+     loop's; with [cold] = 16,384 the 10^6 row of the int-priority
+     twin this heap had then read a few percent slower than the loop's.
 
    Ordering is identical to {!Indexed_heap} (priority, then key), so the
    two structures pop identical sequences on identical op traces — the

@@ -1,7 +1,9 @@
 (** 4-ary indexed min-heap over integer keys — the session heap every
     scheduler runs (the WF²Q+ eligible/waiting sets of nodes wider than
-    the kernel's scan cutoff, the ready and waiting heaps of the
-    tag-sorted disciplines in [Sched.Tagged], and the GPS clock).
+    the kernel's scan cutoff, the fixed-point engine's eligible and
+    waiting sets, keyed by each int tick count's bit pattern
+    ([Sched.Fixed.prio]), the ready and waiting heaps of the tag-sorted
+    disciplines in [Sched.Tagged], and the GPS clock).
 
     Same contract and ordering (priority, then key, deterministic) as
     {!Indexed_heap}; the two agree pop-for-pop on any operation trace, and
@@ -67,5 +69,5 @@ val check_invariant : t -> bool
 val cold : int
 (** Sift-down picks the least child of a full fan that starts below this
     slot by a branch-free tournament, and of any other fan by a loop.
-    A constant of the structure (4,096), shared with
-    {!Indexed_heap_int}; tests size their heaps past it. *)
+    A constant of the structure (4,096); tests size their heaps past
+    it. *)

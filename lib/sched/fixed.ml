@@ -8,9 +8,9 @@
    what makes week-long soaks reproducible (see DESIGN.md §13 and the
    drift soak in bench/experiments). *)
 
-let default_shift = 20
+let shift = 20
 
-let one ~shift = 1 lsl shift
+let one = 1 lsl shift
 
 (* ticks per bit for a session of [rate] bits per vtime-second; rounding
    here is the engine's single quantization point. The effective rate is
@@ -18,11 +18,15 @@ let one ~shift = 1 lsl shift
    about rate / 2^(shift+1): 5e-4 at 1 kb/s with shift 20. Every rate
    above ~2^shift / 1.5 rounds to 1 tick/bit (above 2^(shift+1) it would
    round to 0 and is clamped), so all such sessions get one weight.
-   Nothing checks for this: Wf2q_plus_fixed.create checks only the shift's
-   range (ROADMAP item 12). *)
-let ticks_per_bit ~shift ~rate =
+   Nothing checks for this (ROADMAP item 12). *)
+let ticks_per_bit ~rate =
   if rate <= 0.0 then invalid_arg "Fixed.ticks_per_bit: rate must be positive";
-  max 1 (int_of_float (Float.round (float_of_int (one ~shift) /. rate)))
+  max 1 (int_of_float (Float.round (float_of_int one /. rate)))
 
-let of_float ~shift v = int_of_float (Float.round (v *. float_of_int (one ~shift)))
-let to_float ~shift ticks = float_of_int ticks /. float_of_int (one ~shift)
+let of_float v = int_of_float (Float.round (v *. float_of_int one))
+let to_float ticks = float_of_int ticks /. float_of_int one
+
+(* A tick count's bit pattern read as a double: [0, max_int] maps onto
+   finite nonnegative doubles in the same order (see .mli). *)
+let[@inline] prio ticks = Int64.float_of_bits (Int64.of_int ticks)
+let[@inline] ticks_of_prio p = Int64.to_int (Int64.bits_of_float p)

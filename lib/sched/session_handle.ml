@@ -12,11 +12,10 @@ type t = int
    slot was recycled exactly 2^31 times between uses. *)
 let slot_bits = 31
 let slot_mask = (1 lsl slot_bits) - 1
-let max_slot = slot_mask
 let gen_mask = (1 lsl slot_bits) - 1
 
 let pack ~slot ~gen =
-  if slot < 0 || slot > max_slot then invalid_arg "Session_handle.pack: bad slot";
+  if slot < 0 || slot > slot_mask then invalid_arg "Session_handle.pack: bad slot";
   slot lor ((gen land gen_mask) lsl slot_bits)
 
 let slot h = h land slot_mask

@@ -19,9 +19,7 @@ type t
 val pack : slot:int -> gen:int -> t
 (** Used by {!Session_pool} (and custom policies): tag [slot] with
     generation [gen]. @raise Invalid_argument if [slot] is negative or
-    exceeds {!max_slot}. *)
-
-val max_slot : int
+    is at or above 2^31. *)
 
 val gen_mask : int
 (** Mask applied to generations before packing; pool implementations bump

@@ -185,7 +185,6 @@ let create ~sim ~send ?(segment_bits = 65536.0) ?(initial_ssthresh = 64.0)
 
 let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
-let highest_acked t = t.highest_acked
 let delivered_segments t = t.delivered
 let retransmits t = t.retransmits
 let timeouts t = t.timeouts

@@ -43,8 +43,6 @@ val cwnd : t -> float
 (** Congestion window, segments. *)
 
 val ssthresh : t -> float
-val highest_acked : t -> int
-(** All segments [<= highest_acked] were cumulatively acknowledged. *)
 
 val delivered_segments : t -> int
 (** Segments accepted in order by the receiver. *)

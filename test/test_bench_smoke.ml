@@ -519,6 +519,22 @@ let test_bare_cycle_words () =
     Alcotest.failf "bare WF2Q+ cycle allocates %.3f words/pkt, ceiling %.2f" words
       bare_cycle_words_ceiling
 
+(* The fixed-point WF2Q+ cycle (ticks filed in [Indexed_heap4] by their
+   bit pattern, [Sched.Fixed.prio]) at N = 4096 allocates 6.0 minor words
+   per packet in release builds: the boxed [now] as above, plus the
+   [Some session] of each select. A tick-to-priority conversion that is
+   not inlined boxes its float and reads 10.0. Release only, as above. *)
+let fixed_cycle_words_ceiling = 6.0 *. (1.0 +. Suite.words_tol)
+
+let test_fixed_cycle_words () =
+  let iters = 400_000 in
+  let _, cycle = Perf.loaded_policy_with Hpfq.Disciplines.wf2q_plus_fixed 4096 in
+  let _, minor = Perf.time_loop cycle ~iters in
+  let words = minor /. float_of_int iters in
+  if Bench_kit.Build_info.profile = "release" && words > fixed_cycle_words_ceiling then
+    Alcotest.failf "fixed-point WF2Q+ cycle allocates %.3f words/pkt, ceiling %.2f" words
+      fixed_cycle_words_ceiling
+
 (* Under those 4.0 words, the WF2Q+ kernel itself allocates nothing: a
    one-node kernel of 4096 heap-filed slots with 16 weight classes, driven
    by [select] + [requeue] directly, reads 0 minor words over its loop in
@@ -623,6 +639,7 @@ let () =
             Alcotest.test_case "tracing disabled allocates nothing" `Quick
               test_tracing_disabled_allocates_nothing;
             Alcotest.test_case "bare cycle words/pkt ceiling" `Quick test_bare_cycle_words;
+            Alcotest.test_case "fixed cycle words/pkt ceiling" `Quick test_fixed_cycle_words;
             Alcotest.test_case "kernel cycle allocates nothing" `Quick
               test_kernel_cycle_words;
             Alcotest.test_case "heap holds allocate nothing" `Quick test_heap_hold_words;

@@ -240,7 +240,10 @@ let test_binary_vs_4ary_trace () =
   Alcotest.(check bool) "both drained" true (IH.is_empty ih && IH4.is_empty ih4)
 
 (* The binary, 4-ary and int heaps in lockstep on a tie-dense trace: every
-   priority is an integer below 48, exact in both number types, so most
+   priority is an integer below 48, exact as a float. The int heap is a
+   second 4-ary heap filed the way the fixed-point WF2Q+ files its ticks,
+   by [Sched.Fixed.prio] of the int; its minima and pops are read back
+   through [Fixed.ticks_of_prio] and must equal the int priorities. Most
    fans hold equal priorities. The size climbs through every value to
    ~18,000, over four times the 4-ary heaps' tournament bound
    [Indexed_heap4.cold] (checked), and falls back to 0, so fans below
@@ -248,16 +251,17 @@ let test_binary_vs_4ary_trace () =
    [update] in both directions.
    The int heap, like the binary one, takes [replace_min] as drop-min +
    add. *)
-module IHI = Prioq.Indexed_heap_int
-
 let test_three_heaps_tie_dense () =
   let rng = Random.State.make [| 0x71E5 |] in
-  let ih = IH.create 16 and ih4 = IH4.create 16 and ihi = IHI.create 16 in
+  let ih = IH.create 16 and ih4 = IH4.create 16 and ihi = IH4.create 16 in
   let n_keys = 24_000 and steps = 160_000 in
-  let as_float = Option.map (fun (k, p) -> (k, float_of_int p)) in
+  let prio = Sched.Fixed.prio in
+  let as_float =
+    Option.map (fun (k, p) -> (k, float_of_int (Sched.Fixed.ticks_of_prio p)))
+  in
   let peak = ref 0 in
   let check_invariants step =
-    if not (IH.check_invariant ih && IH4.check_invariant ih4 && IHI.check_invariant ihi)
+    if not (IH.check_invariant ih && IH4.check_invariant ih4 && IH4.check_invariant ihi)
     then Alcotest.failf "invariant broken at step %d" step
   in
   for step = 1 to steps do
@@ -268,13 +272,13 @@ let test_three_heaps_tie_dense () =
     (if r < 10 then begin
        IH.add_or_update ih ~key:k ~prio:p;
        IH4.add_or_update ih4 ~key:k ~prio:p;
-       IHI.add_or_update ihi ~key:k ~prio:pi
+       IH4.add_or_update ihi ~key:k ~prio:(prio pi)
      end
      else if r < 13 then begin
        if IH.mem ih k then begin
          IH.update ih ~key:k ~prio:p;
          IH4.update ih4 ~key:k ~prio:p;
-         IHI.update ihi ~key:k ~prio:pi
+         IH4.update ihi ~key:k ~prio:(prio pi)
        end
      end
      else if r < 16 then begin
@@ -282,24 +286,24 @@ let test_three_heaps_tie_dense () =
        then begin
          IH_ref.replace_min ih ~key:k ~prio:p;
          IH4.replace_min ih4 ~key:k ~prio:p;
-         IHI.drop_min ihi;
-         IHI.add ihi ~key:k ~prio:pi
+         IH4.drop_min ihi;
+         IH4.add ihi ~key:k ~prio:(prio pi)
        end
      end
      else if r < 18 then begin
        IH.remove ih k;
        IH4.remove ih4 k;
-       IHI.remove ihi k
+       IH4.remove ihi k
      end
      else begin
        let a = IH.pop_min ih and b = IH4.pop_min ih4 in
-       if a <> b || a <> as_float (IHI.pop_min ihi) then
+       if a <> b || a <> as_float (IH4.pop_min ihi) then
          Alcotest.failf "pop mismatch at step %d" step
      end);
     let m = IH.min_binding ih in
-    if m <> IH4.min_binding ih4 || m <> as_float (IHI.min_binding ihi) then
+    if m <> IH4.min_binding ih4 || m <> as_float (IH4.min_binding ihi) then
       Alcotest.failf "min mismatch at step %d" step;
-    if IH.length ih <> IH4.length ih4 || IH.length ih <> IHI.length ihi then
+    if IH.length ih <> IH4.length ih4 || IH.length ih <> IH4.length ihi then
       Alcotest.failf "length mismatch at step %d" step;
     peak := max !peak (IH4.length ih4);
     if step mod 1000 = 0 then check_invariants step
@@ -308,10 +312,27 @@ let test_three_heaps_tie_dense () =
   if !peak <= 4 * IH4.cold then Alcotest.failf "peak size %d within 4 x cold" !peak;
   let rec drain n =
     let a = IH.pop_min ih and b = IH4.pop_min ih4 in
-    if a <> b || a <> as_float (IHI.pop_min ihi) then Alcotest.failf "drain mismatch at pop %d" n;
+    if a <> b || a <> as_float (IH4.pop_min ihi) then Alcotest.failf "drain mismatch at pop %d" n;
     if a <> None then drain (n + 1)
   in
   drain 0
+
+(* [Fixed.prio] orders ticks exactly as the ints: on the edges of the
+   double format (2^52, where subnormal patterns turn normal; 2^53, past
+   which [float_of_int] rounds) and at [max_int], and on random ints. *)
+let prop_fixed_prio_order =
+  let module F = Sched.Fixed in
+  let edges = [ 0; 1; (1 lsl 52) - 1; 1 lsl 52; (1 lsl 53) + 1; max_int - 1; max_int ] in
+  let tick =
+    QCheck.Gen.(oneof [ oneofl edges; map (fun x -> x land max_int) int ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"Fixed.prio orders ticks exactly as ints"
+    (QCheck.make ~print:QCheck.Print.(pair int int) (QCheck.Gen.pair tick tick))
+    (fun (a, b) ->
+      compare a b = Float.compare (F.prio a) (F.prio b)
+      && F.prio a = F.prio b = (a = b)
+      && F.ticks_of_prio (F.prio a) = a
+      && F.ticks_of_prio (F.prio b) = b)
 
 let test_ih4_unsafe_accessors () =
   let h = IH4.create 4 in
@@ -370,6 +391,7 @@ let () =
             test_binary_vs_4ary_trace;
           Alcotest.test_case "binary, 4-ary and int heaps, tie-dense 24k-key lockstep" `Quick
             test_three_heaps_tie_dense;
+          QCheck_alcotest.to_alcotest prop_fixed_prio_order;
           Alcotest.test_case "4-ary unsafe accessors" `Quick test_ih4_unsafe_accessors;
           Alcotest.test_case "4-ary replace_min contract" `Quick test_ih4_replace_min_contract;
         ] );
